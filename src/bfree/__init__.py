@@ -74,6 +74,7 @@ from .windows import (
     ProfileRow,
     Shape,
     all_zero_windows,
+    covered_flags,
     density_profile,
     find_zero_window,
     free_window,

@@ -71,7 +71,7 @@ def _parse_shape(text: str, dim: int) -> Shape:
 def cmd_eta(args) -> int:
     spec = _load_spec(args)
     box = Box.parse(args.box)
-    window = free_window(spec, box, cell_limit=_cell_limit(args), workers=args.threads)
+    window = free_window(spec, box, cell_limit=_cell_limit(args))
     out = Path(args.out) if args.out else Path(f"eta.{args.format}")
     if args.format == "csv":
         out.write_text(window.to_csv())
@@ -214,7 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eta.add_argument("--box", required=True, help="lo:hi,lo:hi,...")
     p_eta.add_argument("--format", choices=("csv", "pgm", "json"), default="csv")
     p_eta.add_argument("--out", help="artifact path (default eta.<format>)")
-    p_eta.add_argument("--threads", type=int, default=1)
+    p_eta.add_argument(
+        "--threads", type=int, default=1, help="accepted for compatibility; has no effect"
+    )
     p_eta.set_defaults(func=cmd_eta)
 
     p_zero = sub.add_parser("zero", help="find or construct a zero window")

@@ -276,6 +276,10 @@ class Static:
     def instances_up_to(self, bound: int) -> list[Lattice]:
         return [self.lattice] if self.lattice.index <= bound else []
 
+    def sieve_members(self, lo, hi, max_param: int):
+        """The one member's basis, whatever the box (see _sieve_members)."""
+        return (self.lattice.basis,)
+
     def describe(self) -> str:
         return f"static {self.lattice.to_columns()}"
 
@@ -309,6 +313,10 @@ class Rectangular:
     def instances_up_to(self, bound: int) -> list[Lattice]:
         lat = self.lattice
         return [lat] if lat.index <= bound else []
+
+    def sieve_members(self, lo, hi, max_param: int):
+        """The one member's basis, whatever the box (see _sieve_members)."""
+        return (self.lattice.basis,)
 
     def describe(self) -> str:
         return "rect [%s]" % ", ".join(map(str, self.entries))
@@ -357,6 +365,9 @@ class RectTemplate:
 
     def member(self, t: int) -> Lattice:
         return Lattice.from_diagonal(tuple(s.value(t) for s in self.entries))
+
+    def member_basis(self, t: int) -> tuple[Point, ...]:
+        return self.member(t).basis
 
     def index_of(self, t: int) -> int:
         out = 1
@@ -425,6 +436,18 @@ class RectTemplate:
             if self.index_of(t) <= bound and self.index_of(t) >= 2
         ]
 
+    def param_bound(self, lo, hi) -> int:
+        """Largest t whose member can hold a point of the box [lo, hi] with a
+        nonzero parameterised coordinate: c * t**e <= |x| on such a slot."""
+        out = 0
+        for s, a, b in zip(self.entries, lo, hi, strict=True):
+            if s.exp:
+                out = max(out, iroot(max(abs(a), abs(b)) // s.coeff, s.exp))
+        return out
+
+    def sieve_members(self, lo, hi, max_param: int):
+        return _sieve_members(self, lo, hi, max_param)
+
     def describe(self) -> str:
         pattern = ", ".join(str(s) for s in self.entries)
         return f"recttemplate [{pattern}] over {self.params.describe()}"
@@ -459,7 +482,16 @@ class Template:
         return cols
 
     def member(self, t: int) -> Lattice:
-        return hnf(self.member_columns(t))
+        return Lattice(self.member_basis(t))
+
+    def member_basis(self, t: int) -> tuple[Point, ...]:
+        """Rows of the member's canonical basis, unchecked: scaling one
+        diagonal entry by t >= 1 keeps the base's off-diagonal entries
+        reduced, so no hnf is needed."""
+        r = self.scaled_row
+        row = list(self.base.basis[r])
+        row[r] *= t
+        return self.base.basis[:r] + (tuple(row),) + self.base.basis[r + 1 :]
 
     def index_of(self, t: int) -> int:
         return self.base.index * t
@@ -516,6 +548,29 @@ class Template:
             if self.index_of(t) >= 2
         ]
 
+    def param_bound(self, lo, hi) -> int:
+        """Bound on |w| over points of the box [lo, hi], where w is the
+        scaled-row coefficient of _solve (a point with w != 0 lies only in
+        members with t dividing w).  Interval back-substitution; 0 when no
+        point of the box passes the rows above the scaled one."""
+        basis = self.base.basis
+        clo: list[int] = []
+        chi: list[int] = []
+        for i in range(self.scaled_row + 1):
+            vlo, vhi = lo[i], hi[i]
+            for j in range(i):
+                vlo -= basis[i][j] * chi[j]
+                vhi -= basis[i][j] * clo[j]
+            d = basis[i][i]
+            clo.append(-(-vlo // d))
+            chi.append(vhi // d)
+            if clo[i] > chi[i]:
+                return 0
+        return max(abs(clo[-1]), abs(chi[-1]))
+
+    def sieve_members(self, lo, hi, max_param: int):
+        return _sieve_members(self, lo, hi, max_param)
+
     def pair_sum_bound(self) -> Lattice:
         """A lattice containing L_t + L_t' for every pair of members.
 
@@ -542,6 +597,21 @@ class Template:
 
 
 Entry = Static | Rectangular | RectTemplate | Template
+
+
+def _sieve_members(entry, lo, hi, max_param: int):
+    """Bases of the members whose union meets the box [lo, hi] exactly as
+    the entry does, built lazily; None when that needs parameters above
+    max_param.
+
+    A member with t above ``param_bound`` holds in the box only points whose
+    parameterised part vanishes, and those lie in the member of the smallest
+    parameter too.
+    """
+    bound = entry.param_bound(lo, hi)
+    if bound > max_param:
+        return None
+    return map(entry.member_basis, entry.params.values_up_to(max(bound, entry.params.min_value())))
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +642,8 @@ class FamilySpec:
                 raise ValueError("transform dimension mismatch")
             object.__setattr__(self, "_inverse", self.transform.inverse())
 
-    def _pullback(self, p) -> Point:
+    def pullback(self, p) -> Point:
+        """The point in entry coordinates: p itself, or its image under the inverse transform."""
         p = as_point(p)
         if len(p) != self.dim:
             raise ValueError("point dimension mismatch")
@@ -582,8 +653,19 @@ class FamilySpec:
 
     def covered(self, p) -> bool:
         """True when the point lies in some member of the family."""
-        q = self._pullback(p)
+        q = self.pullback(p)
         return any(e.covered(q) for e in self.entries)
+
+    def pullback_box(self, lo, hi) -> tuple[Point, Point]:
+        """Bounds (qlo, qhi) on the pulled-back points of the box [lo, hi],
+        by interval arithmetic through the inverse transform."""
+        if self.transform is None:
+            return as_point(lo), as_point(hi)
+        qlo, qhi = [], []
+        for row in self._inverse.rows:  # type: ignore[attr-defined]
+            qlo.append(sum(a * (l if a > 0 else h) for a, l, h in zip(row, lo, hi)))
+            qhi.append(sum(a * (h if a > 0 else l) for a, l, h in zip(row, lo, hi)))
+        return tuple(qlo), tuple(qhi)
 
     def free(self, p) -> bool:
         return not self.covered(p)
@@ -594,7 +676,7 @@ class FamilySpec:
 
     def member_containing(self, p):
         """Some member lattice containing p (first entry, smallest parameter), or None."""
-        q = self._pullback(p)
+        q = self.pullback(p)
         for e in self.entries:
             found = e.member_containing(q)
             if found is not None:

@@ -719,7 +719,7 @@ def check_fixed_translate(
     residue).  Falls back to bounded evidence if the class enumeration would
     exceed ``class_limit``.
     """
-    a = spec._pullback(translate)
+    a = spec.pullback(translate)
     base = spec.base_spec()
     if spec.transform is not None:
         lattice = spec.transform.inverse().apply(lattice)

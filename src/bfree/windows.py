@@ -6,10 +6,11 @@ counts are integers and all ratios are exact fractions.
 """
 
 import base64
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, compress, islice, product
+from math import prod
+from operator import add, sub
 
 from .errors import (
     NotAZeroWindowError,
@@ -23,6 +24,13 @@ from .lattices import Lattice, Point, as_point, intersect_all
 from .numtheory import crt_integers
 
 DEFAULT_CELL_LIMIT = 10**8
+
+# Sieve cost model, in box cells.  An entry is sieved while its parameter
+# bound stays within _PARAM_COST per cell and its members' rows (plus
+# _HNF_COST per member mapped through a transform) within one per cell;
+# otherwise it is evaluated per cell, on the cells still unmarked.
+_PARAM_COST = 4
+_HNF_COST = 32
 
 
 @dataclass(frozen=True)
@@ -170,8 +178,12 @@ class FreeWindow:
         return (self.bits[i >> 3] >> (i & 7)) & 1
 
     def ones(self) -> int:
-        total = sum(bin(b).count("1") for b in self.bits)
-        return total
+        return self._chars().count("1")
+
+    def _chars(self) -> str:
+        """One '0'/'1' per cell, in row-major order."""
+        n = len(self.bits) * 8
+        return f"{int.from_bytes(self.bits, 'little'):0{n}b}"[::-1][: self.box.volume]
 
     def to_json_dict(self) -> dict:
         return {
@@ -196,16 +208,113 @@ class FreeWindow:
         body = "\n".join(" ".join(row) for row in rows)
         return f"P2\n{width} {height}\n1\n{body}\n"
 
-    def _grid_rows(self) -> list[list[str]]:
+    def _grid_rows(self) -> list[str]:
+        chars = self._chars()
         if self.box.dim == 1:
-            return [[str(self.get((x,))) for x in range(self.box.lo[0], self.box.hi[0] + 1)]]
+            return [chars]
         if self.box.dim == 2:
-            (xlo, ylo), (xhi, yhi) = self.box.lo, self.box.hi
-            return [
-                [str(self.get((x, y))) for x in range(xlo, xhi + 1)]
-                for y in range(yhi, ylo - 1, -1)
-            ]
+            sy = self.box.sides[1]
+            return [chars[j::sy] for j in reversed(range(sy))]
         raise ValueError("grid export only supports dimensions 1 and 2; use JSON")
+
+
+# covered flags -> free-cell characters ("1" on free cells), and -> unmarked mask
+_FREE_CHARS = bytes.maketrans(b"\x00\x01", b"10")
+_UNMARKED = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def covered_flags(spec: FamilySpec, box: Box) -> bytearray:
+    """Exact covered indicator over a box: one byte per cell, 1 on covered
+    cells, row-major with the last coordinate fastest.
+
+    Each entry is sieved: the members that can meet the box are marked row
+    by row, every row of a lattice in canonical triangular form being an
+    arithmetic progression.  An entry whose sieve would cost more than the
+    box has cells (see _PARAM_COST) is evaluated per cell instead, on the
+    cells no other entry covers.
+    """
+    _check_dim(spec, box.dim)
+    flags = bytearray(box.volume)
+    qlo, qhi = spec.pullback_box(box.lo, box.hi)
+    mark = _marker(flags, box)
+    rest = []
+    for entry in spec.entries:
+        members = _box_members(spec, entry, box, qlo, qhi)
+        if members is None:
+            rest.append(entry)
+        else:
+            for basis in members:
+                mark(basis)
+    if rest:
+        unmarked = flags.translate(_UNMARKED)
+        for i, p in compress(enumerate(box.points()), unmarked):
+            q = spec.pullback(p)
+            if any(e.covered(q) for e in rest):
+                flags[i] = 1
+    return flags
+
+
+def _box_members(spec: FamilySpec, entry, box: Box, qlo, qhi):
+    """Bases of the entry's members that can meet the box, mapped through
+    the transform; None when sieving them would exceed the cost model."""
+    budget = box.volume
+    members = entry.sieve_members(qlo, qhi, _PARAM_COST * budget)
+    if members is None:
+        return None
+    sides = box.sides[:-1]
+    out = []
+    cost = 0
+    for basis in members:
+        if spec.transform is not None:
+            basis = spec.transform.apply(Lattice(basis)).basis
+            cost += _HNF_COST
+        rows = 1  # bound on the last-coordinate rows in the box
+        for i, s in enumerate(sides):
+            rows *= -(-s // basis[i][i])
+        cost += rows
+        if cost > budget:
+            return None
+        out.append(basis)
+    return out
+
+
+def _marker(flags: bytearray, box: Box):
+    """mark(basis): set the flag of every point of the lattice with that
+    canonical basis inside the box.
+
+    The prefixes x_0..x_{m-2} of lattice points are enumerated by
+    back-substitution; over each, the last coordinate runs through one
+    arithmetic progression, marked with a single slice assignment.
+    """
+    lo, hi = box.lo, box.hi
+    m = len(lo)
+    strides = [prod(box.sides[k + 1 :]) for k in range(m)]
+    ones = memoryview(b"\x01" * box.sides[-1])
+    a0, b0 = lo[-1], hi[-1]
+
+    def mark(basis):
+        # (flat index of the row start, sum of the chosen columns so far)
+        rows = [(0, (0,) * m)]
+        for k in range(m - 1):
+            d = basis[k][k]
+            col = [row[k] for row in basis]
+            nxt = []
+            for base, shift in rows:
+                s = shift[k]
+                for x in range(lo[k] + (s - lo[k]) % d, hi[k] + 1, d):
+                    c = (x - s) // d
+                    shifted = tuple(a + c * b for a, b in zip(shift, col))
+                    nxt.append((base + (x - lo[k]) * strides[k], shifted))
+            rows = nxt
+        d = basis[-1][-1]
+        for base, shift in rows:
+            first = a0 + (shift[-1] - a0) % d
+            n = (b0 - first) // d + 1
+            if n > 0:
+                start = base + first - a0
+                flags[start : start + (n - 1) * d + 1 : d] = ones[:n]
+
+    return mark
 
 
 def free_window(
@@ -213,31 +322,14 @@ def free_window(
     box: Box,
     *,
     cell_limit: int = DEFAULT_CELL_LIMIT,
-    workers: int = 1,
 ) -> FreeWindow:
-    """Exact free-set indicator over a box.
-
-    Evaluation is pure per cell, so the box may be partitioned across
-    workers; the result does not depend on the worker count.
-    """
+    """Exact free-set indicator over a box, packed from covered_flags."""
     _check_dim(spec, box.dim)
     vol = box.volume
     if vol > cell_limit:
         raise TooLargeError(f"window volume {vol} exceeds the limit of {cell_limit}")
-    points = list(box.points())
-    if workers > 1:
-        chunk = (len(points) + workers - 1) // workers
-        parts = [points[i : i + chunk] for i in range(0, len(points), chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda ps: [spec.eta(p) for p in ps], parts))
-        flat = [b for ch in chunks for b in ch]
-    else:
-        flat = [spec.eta(p) for p in points]
-    out = bytearray((vol + 7) // 8)
-    for i, bit in enumerate(flat):
-        if bit:
-            out[i >> 3] |= 1 << (i & 7)
-    return FreeWindow(box, bytes(out))
+    chars = covered_flags(spec, box).translate(_FREE_CHARS)
+    return FreeWindow(box, int(chars[::-1], 2).to_bytes((vol + 7) // 8, "little"))
 
 
 def find_zero_window(
@@ -253,26 +345,7 @@ def find_zero_window(
     Absence here is not a nonexistence proof; see the proximality module for
     the periodic-exact route.
     """
-    _check_dim(spec, shape.dim)
-    if search.dim != shape.dim:
-        raise ValueError("search box dimension mismatch")
-    if search.volume * len(shape) > cell_limit:
-        raise TooLargeError("scan exceeds the cell limit")
-    cache: dict[Point, bool] = {}
-    for g in search.points():
-        ok = True
-        for f in shape.offsets:
-            p = tuple(a + b for a, b in zip(g, f))
-            hit = cache.get(p)
-            if hit is None:
-                hit = spec.covered(p)
-                cache[p] = hit
-            if not hit:
-                ok = False
-                break
-        if ok:
-            return g
-    return None
+    return next(_zero_translates(spec, shape, search, cell_limit), None)
 
 
 def all_zero_windows(
@@ -283,12 +356,20 @@ def all_zero_windows(
     cell_limit: int = DEFAULT_CELL_LIMIT,
 ) -> list[Point]:
     """Every valid translate in the search box, in lexicographic order."""
-    out = []
-    cache: dict[Point, bool] = {}
+    return list(_zero_translates(spec, shape, search, cell_limit))
+
+
+def _zero_translates(spec: FamilySpec, shape: Shape, search: Box, cell_limit: int):
+    """Valid translates in lexicographic order.  Cells are evaluated one at
+    a time, stopping at the first free cell of a translate, so a hit near
+    the start of the search box stays cheap."""
+    _check_dim(spec, shape.dim)
+    if search.dim != shape.dim:
+        raise ValueError("search box dimension mismatch")
     if search.volume * len(shape) > cell_limit:
         raise TooLargeError("scan exceeds the cell limit")
+    cache: dict[Point, bool] = {}
     for g in search.points():
-        ok = True
         for f in shape.offsets:
             p = tuple(a + b for a, b in zip(g, f))
             hit = cache.get(p)
@@ -296,11 +377,9 @@ def all_zero_windows(
                 hit = spec.covered(p)
                 cache[p] = hit
             if not hit:
-                ok = False
                 break
-        if ok:
-            out.append(g)
-    return out
+        else:
+            yield g
 
 
 def zero_window_by_crt(lattices, shape: Shape) -> Point:
@@ -398,13 +477,15 @@ def density_profile(
     """For each side n, the exact maximum over shifts x in the search box of
     |covered set  intersect  ([-n, n]^m + x)| / (2n+1)^m.
 
-    Uses one window evaluation over the Minkowski-sum box plus integral-image
-    counting, so each cell is evaluated once.
+    Uses one covered_flags evaluation over the Minkowski-sum box plus
+    sliding-window sums; ties go to the first shift in lexicographic order.
     """
     sides = [int(n) for n in sides]
     m = spec.dim
     if shift_search.dim != m:
         raise ValueError("shift box dimension mismatch")
+    if any(n < 0 for n in sides):
+        raise ValueError("sides must be non-negative")
     rows = []
     for n in sides:
         lo = tuple(a - n for a in shift_search.lo)
@@ -412,63 +493,40 @@ def density_profile(
         grid = Box(lo, hi)
         if grid.volume > cell_limit:
             raise TooLargeError(f"combined grid volume {grid.volume} exceeds {cell_limit}")
-        counts = _prefix_sums(spec, grid)
-        total = (2 * n + 1) ** m
-        best = None
-        best_shift = None
-        for x in shift_search.points():
-            a = tuple(xi - n - g for xi, g in zip(x, grid.lo))
-            b = tuple(xi + n - g for xi, g in zip(x, grid.lo))
-            cnt = _box_count(counts, grid.sides, a, b)
-            if best is None or cnt > best:
-                best = cnt
-                best_shift = x
-        rows.append(ProfileRow(n, best_shift, Fraction(best, total)))
+        counts = _window_counts(covered_flags(spec, grid), grid.sides, 2 * n + 1)
+        best = max(counts)
+        best_shift = next(islice(shift_search.points(), counts.index(best), None))
+        rows.append(ProfileRow(n, best_shift, Fraction(best, (2 * n + 1) ** m)))
     return DensityProfile(tuple(rows))
 
 
-def _prefix_sums(spec: FamilySpec, grid: Box) -> list[int]:
-    """Flat inclusive prefix-sum array of covered-cell counts over the grid."""
-    sides = grid.sides
-    vals = [1 if spec.covered(p) else 0 for p in grid.points()]
-    strides = [0] * len(sides)
-    acc = 1
-    for i in reversed(range(len(sides))):
-        strides[i] = acc
-        acc *= sides[i]
-    for axis in range(len(sides)):
-        stride = strides[axis]
-        size = sides[axis]
-        for i in range(len(vals)):
-            pos = (i // stride) % size
-            if pos:
-                vals[i] += vals[i - stride]
+def _window_counts(flags, sides, width: int) -> list[int]:
+    """Sum of the flags over every sub-grid of side width, row-major by its
+    lowest corner: along each axis in turn, prefix sums and their
+    differences at distance width."""
+    vals = list(flags)
+    shape = list(sides)
+    for axis in reversed(range(len(shape))):
+        n = shape[axis]
+        inner = prod(shape[axis + 1 :])
+        out: list[int] = []
+        for start in range(0, len(vals), n * inner):
+            block = vals[start : start + n * inner]
+            if inner == 1:
+                acc = list(accumulate(block, initial=0))
+                out += map(sub, acc[width:], acc)
+            else:
+                lines = (block[i : i + inner] for i in range(0, n * inner, inner))
+                acc = list(accumulate(lines, _add_lines, initial=[0] * inner))
+                for low, high in zip(acc, acc[width:]):
+                    out += map(sub, high, low)
+        vals = out
+        shape[axis] = n - width + 1
     return vals
 
 
-def _box_count(prefix: list[int], sides, a, b) -> int:
-    """Sum over grid cells with a_j <= idx_j <= b_j, via inclusion-exclusion."""
-    m = len(sides)
-    strides = [0] * m
-    acc = 1
-    for i in reversed(range(m)):
-        strides[i] = acc
-        acc *= sides[i]
-    total = 0
-    for corner in product((0, 1), repeat=m):
-        idx = 0
-        skip = False
-        for j, c in enumerate(corner):
-            coord = b[j] if c == 0 else a[j] - 1
-            if coord < 0:
-                skip = True
-                break
-            idx += coord * strides[j]
-        if skip:
-            continue
-        sign = -1 if sum(corner) % 2 else 1
-        total += sign * prefix[idx]
-    return total
+def _add_lines(a: list[int], b: list[int]) -> list[int]:
+    return list(map(add, a, b))
 
 
 def _check_dim(spec: FamilySpec, dim: int):

@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bfree.errors import FamilyParseError, UnknownPresetError
 from bfree.families import (
@@ -287,3 +289,20 @@ def test_parse_slot_forms():
 def test_squarefree_closed_under_roundtrip():
     spec = preset("squarefree-1d")
     assert parse_family(format_family(spec)) == spec
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_template_member_is_canonical_without_hnf(data):
+    # member() scales one diagonal entry of the canonical base in place; the
+    # result must be the canonical form of the scaled generators
+    m = data.draw(st.integers(1, 4))
+    rows = []
+    for i in range(m):
+        d = data.draw(st.integers(1, 9))
+        rows.append(tuple(data.draw(st.integers(0, d - 1)) if j < i else d * (i == j) for j in range(m)))
+    base = Lattice(tuple(rows))
+    row = data.draw(st.integers(0, m - 1))
+    entry = Template(base, row, Explicit((2, 3, 5)))
+    t = data.draw(st.integers(1, 10**6))
+    assert entry.member(t) == hnf(entry.member_columns(t))

@@ -4,7 +4,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from bfree import windows
 from bfree.errors import (
     NotAZeroWindowError,
     NotCoprimeError,
@@ -12,13 +15,25 @@ from bfree.errors import (
     NotRectangularError,
     TooLargeError,
 )
-from bfree.families import FamilySpec, Rectangular, preset
-from bfree.lattices import Lattice, UnimodularMap, hnf
+from bfree.families import (
+    Explicit,
+    FamilySpec,
+    Geometric,
+    Primes,
+    RectEntry,
+    RectTemplate,
+    Rectangular,
+    Static,
+    Template,
+    preset,
+)
+from bfree.lattices import Lattice, UnimodularMap, hnf, random_unimodular
 from bfree.windows import (
     Box,
     FreeWindow,
     Shape,
     all_zero_windows,
+    covered_flags,
     density_profile,
     find_zero_window,
     free_window,
@@ -31,6 +46,89 @@ EMPTY = FamilySpec(2, ())
 
 def ex2_free(n, m):
     return n % 2 == 1 and m % 2 == 1 and abs(m - n) == 2
+
+
+# ---------------------------------------------------------------------------
+# random families and boxes for the sieve properties
+
+
+@st.composite
+def param_seqs(draw):
+    kind = draw(st.sampled_from(("primes", "geometric", "explicit")))
+    if kind == "primes":
+        return Primes(tuple(draw(st.lists(st.sampled_from((2, 3, 5, 7)), unique=True, max_size=2))))
+    if kind == "geometric":
+        return Geometric(draw(st.integers(2, 5)), draw(st.integers(0, 2)))
+    return Explicit(tuple(sorted(draw(st.sets(st.integers(1, 40), min_size=1, max_size=4)))))
+
+
+@st.composite
+def canonical_lattices(draw, m, max_diag=4):
+    rows = []
+    for i in range(m):
+        d = draw(st.integers(1, max_diag))
+        rows.append(tuple(draw(st.integers(0, d - 1)) if j < i else d * (i == j) for j in range(m)))
+    return Lattice(tuple(rows))
+
+
+@st.composite
+def entries(draw, m):
+    kind = draw(st.sampled_from(("static", "rect", "recttemplate", "template")))
+    try:
+        if kind == "static":
+            return Static(draw(canonical_lattices(m)))
+        if kind == "rect":
+            return Rectangular(tuple(draw(st.integers(1, 5)) for _ in range(m)))
+        if kind == "recttemplate":
+            slots = tuple(RectEntry(draw(st.integers(1, 3)), draw(st.integers(0, 3))) for _ in range(m))
+            return RectTemplate(slots, draw(param_seqs()))
+        return Template(draw(canonical_lattices(m)), draw(st.integers(0, m - 1)), draw(param_seqs()))
+    except ValueError:  # improper member or no parameterised slot
+        assume(False)
+
+
+@st.composite
+def specs(draw, dims=(1, 2, 3)):
+    m = draw(st.sampled_from(dims))
+    ents = tuple(draw(st.lists(entries(m), max_size=3)))
+    transform = None
+    if draw(st.booleans()):
+        transform = random_unimodular(random.Random(draw(st.integers(0, 10**6))), m, ops=4)
+    return FamilySpec(m, ents, transform=transform)
+
+
+@st.composite
+def boxes(draw, m, max_half=None):
+    # centres near 0 give boxes that straddle it; centres near 10^6 make the
+    # parameter bound of most template entries exceed the sieve's budget
+    scale = draw(st.sampled_from((0, 10, 1000, 10**6)))
+    max_half = max_half or {1: 150, 2: 12, 3: 4}[m]
+    lo, hi = [], []
+    for _ in range(m):
+        c = draw(st.integers(-scale, scale))
+        lo.append(c - draw(st.integers(0, max_half)))
+        hi.append(c + draw(st.integers(0, max_half)))
+    return Box(tuple(lo), tuple(hi))
+
+
+def reference_window(spec, box):
+    """The free window packed from one spec.eta call per cell."""
+    out = bytearray((box.volume + 7) // 8)
+    for i, p in enumerate(box.points()):
+        if spec.eta(p):
+            out[i >> 3] |= 1 << (i & 7)
+    return FreeWindow(box, bytes(out))
+
+
+def reference_rows(window):
+    """Grid export rows rendered with one get() call per cell."""
+    box = window.box
+    if box.dim == 1:
+        return [[str(window.get((x,))) for x in range(box.lo[0], box.hi[0] + 1)]]
+    (xlo, ylo), (xhi, yhi) = box.lo, box.hi
+    return [
+        [str(window.get((x, y))) for x in range(xlo, xhi + 1)] for y in range(yhi, ylo - 1, -1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -91,13 +189,6 @@ def test_window_limit():
         free_window(preset("ex2"), Box((-5, -5), (5, 5)), cell_limit=10)
 
 
-def test_window_workers_agree():
-    box = Box((-6, -6), (6, 6))
-    a = free_window(preset("ex2"), box)
-    b = free_window(preset("ex2"), box, workers=3)
-    assert a == b
-
-
 def test_window_exports_and_json_roundtrip():
     box = Box((-2, -2), (2, 2))
     w = free_window(preset("ex2"), box)
@@ -119,6 +210,46 @@ def test_window_1d_export():
     w = free_window(preset("squarefree-1d"), Box((0,), (9,)))
     # squarefree in 0..9: 1,2,3,5,6,7 -> bits
     assert w.to_csv().strip() == "0,1,1,1,0,1,1,1,0,0"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_window_equals_per_cell_reference(data):
+    spec = data.draw(specs())
+    box = data.draw(boxes(spec.dim))
+    assert free_window(spec, box) == reference_window(spec, box)
+
+
+def test_window_far_box_uses_per_cell_fallback():
+    # near 10^12 the squares p^2 that matter run up to p = 10^6, far beyond
+    # the sieve's budget for a 61-cell box, so the entry is evaluated per cell
+    spec = preset("squarefree-1d")
+    box = Box((10**12 - 30,), (10**12 + 30,))
+    qlo, qhi = spec.pullback_box(box.lo, box.hi)
+    assert windows._box_members(spec, spec.entries[0], box, qlo, qhi) is None
+    assert free_window(spec, box) == reference_window(spec, box)
+
+
+def test_covered_flags_layout():
+    spec = preset("ex2")
+    box = Box((-3, -2), (4, 5))
+    flags = covered_flags(spec, box)
+    assert list(flags) == [int(spec.covered(p)) for p in box.points()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_grid_exports_equal_per_cell_rendering(data):
+    m = data.draw(st.sampled_from((1, 2)))
+    box = data.draw(boxes(m, max_half=20))
+    # arbitrary payload, padding bits included: exports read only the box's cells
+    bits = data.draw(st.binary(min_size=(box.volume + 7) // 8, max_size=(box.volume + 7) // 8))
+    w = FreeWindow(box, bits)
+    rows = reference_rows(w)
+    assert w.to_csv() == "\n".join(",".join(r) for r in rows) + "\n"
+    body = "\n".join(" ".join(r) for r in rows)
+    assert w.to_pgm() == f"P2\n{len(rows[0])} {len(rows)}\n1\n{body}\n"
+    assert w.ones() == sum(w.get(p) for p in box.points())
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +283,16 @@ def test_zero_window_deterministic_lexicographic():
     assert g1 == g2
     hits = all_zero_windows(spec, shape, search)
     assert hits and hits[0] == g1
+
+
+def test_zero_window_scans_reject_dimension_mismatch():
+    spec = preset("ex2")
+    shape = Shape.from_offsets([(0, 0), (0, 1)])
+    for scan in (find_zero_window, all_zero_windows):
+        with pytest.raises(ValueError):
+            scan(spec, Shape.from_offsets([(0,)]), Box((0,), (4,)))
+        with pytest.raises(ValueError):
+            scan(spec, shape, Box((0,), (4,)))
 
 
 def test_zero_window_not_found_returns_none():
@@ -301,6 +442,8 @@ def test_density_ex2_high():
 def test_density_profile_monotone_sides_required():
     with pytest.raises(ValueError):
         density_profile(EMPTY, [3, 3], Box.centered(1, 2))
+    with pytest.raises(ValueError):
+        density_profile(EMPTY, [-1], Box.centered(3, 2))
 
 
 def test_density_matches_direct_count():
@@ -320,6 +463,32 @@ def test_density_matches_direct_count():
         for x in shift_box.points()
     )
     assert row.ratio == Fraction(best[0], 49)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_density_equals_brute_force(data):
+    spec = data.draw(specs(dims=(1, 2)))
+    shift_box = data.draw(boxes(spec.dim, max_half={1: 6, 2: 2}[spec.dim]))
+    sides = sorted(data.draw(st.sets(st.integers(0, 4), min_size=1, max_size=3)))
+    profile = density_profile(spec, sides, shift_box)
+    for row, n in zip(profile.rows, sides):
+        best, best_shift = -1, None
+        for x in shift_box.points():  # lexicographic: the first maximum wins ties
+            cell = Box(tuple(a - n for a in x), tuple(a + n for a in x))
+            count = sum(spec.covered(p) for p in cell.points())
+            if count > best:
+                best, best_shift = count, x
+        assert (row.side, row.shift, row.ratio) == (n, best_shift, Fraction(best, cell.volume))
+
+
+def test_density_tie_goes_to_first_shift():
+    # rect-demo is symmetric under x -> -x: the squares around (-3, 0) and
+    # (3, 0) each hold the three covered cells of their middle row, and no
+    # shift in between holds more
+    profile = density_profile(preset("rect-demo"), [1], Box((-3, 0), (3, 0)))
+    assert profile.rows[0].shift == (-3, 0)
+    assert profile.rows[0].ratio == Fraction(3, 9)
 
 
 def test_density_csv_format():
