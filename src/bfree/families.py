@@ -26,7 +26,15 @@ from math import gcd
 
 from .errors import FamilyParseError, UnknownPresetError
 from .lattices import Lattice, Point, UnimodularMap, as_point, hnf
-from .numtheory import factor, iroot, is_prime, primes_up_to, valuation
+from .numtheory import (
+    factor,
+    iroot,
+    is_prime,
+    multiplicative_order,
+    primes_up_to,
+    totient,
+    valuation,
+)
 
 # Primes below this bound are tried directly before any factorization, so
 # membership that holds via a small prime never factors a huge constraint.
@@ -99,6 +107,11 @@ class Primes:
         if n == 1:
             out.add(0)
         return out
+
+    def class_count(self, n: int) -> int:
+        """len(residues_mod(n)), from factor(n) alone: phi(n) unit classes
+        plus one class per non-excluded prime dividing n."""
+        return totient(n) + sum(p not in self.exclude for p, _ in factor(n))
 
     def value_in_class(self, rho: int, n: int):
         """Smallest sequence member congruent to rho mod n, or None."""
@@ -180,6 +193,24 @@ class Geometric:
             r = r * self.base % n
         return out
 
+    def class_count(self, n: int) -> int:
+        """len(residues_mod(n)) without walking the orbit.
+
+        Write n = n1 * n2 with n1 made of the primes dividing the base.  Mod
+        n1 the powers base**k are distinct and nonzero for k < K and zero from
+        K on, where K = max ceil(e_p / v_p(base)) over p**e_p exactly dividing
+        n1; mod n2 the base is a unit of order L.  So the classes from
+        k = start on are max(0, K - start) tail classes plus L periodic ones.
+        """
+        n1, k_zero = 1, 0
+        for p, e in factor(n):
+            v = valuation(self.base, p)
+            if v:
+                n1 *= p**e
+                k_zero = max(k_zero, -(-e // v))
+        n2 = n // n1
+        return max(0, k_zero - self.start) + multiplicative_order(self.base % n2, n2)
+
     def value_in_class(self, rho: int, n: int):
         seen = set()
         k = self.start
@@ -238,6 +269,9 @@ class Explicit:
 
     def residues_mod(self, n: int) -> set[int]:
         return {v % n for v in self.values}
+
+    def class_count(self, n: int) -> int:
+        return len(self.residues_mod(n))
 
     def value_in_class(self, rho: int, n: int):
         return next((v for v in self.values if v % n == rho), None)

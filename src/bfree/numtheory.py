@@ -1,20 +1,36 @@
 """Shared integer helpers: extended gcd, primality, factorization, classical CRT.
 
 Everything in this module is exact integer arithmetic; no floats anywhere.
-Factorization is trial division plus Pollard rho with a hard iteration cap,
-so it either returns a correct answer or raises, never guesses.
+
+Factorization first finds the small primes of n by trial division over
+blocks of _BLOCK_SIZE primes: one gcd of n with a block's product decides
+whether any prime of the block divides n, and only blocks with a nontrivial
+gcd are divided prime by prime.  The block table is sized to the input: it
+holds the primes up to the next power of two above isqrt(n), capped at
+_TRIAL_LIMIT, so small inputs never sieve to the cap.  Trial division stops
+once a block starts above the square root of what is left.  A cofactor that
+remains is tested by Miller-Rabin and split by Pollard rho, whose restarts
+share one budget of _RHO_ITERATION_CAP steps.  So factor() either returns a
+correct answer or raises, never guesses.
+
+is_prime is deterministic below 3.317e24 and a strong probable-prime test
+to thirteen bases above.
 """
 
 import math
 from functools import lru_cache
+from itertools import compress
 
 from .errors import FactorizationError, NotCoprimeError
 
-# Deterministic Miller-Rabin witness set, valid for n < 3.317e24.  Beyond that
-# the test is a very strong probable-prime test.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witness set: the first 13 primes, valid for
+# n < 3317044064679887385961981, the least strong pseudoprime to all of them
+# (the first 12 alone admit 318665857834031151167461).  Beyond that the test
+# is a very strong probable-prime test.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _TRIAL_LIMIT = 100_000
+_BLOCK_SIZE = 64
 _RHO_ITERATION_CAP = 2_000_000
 
 
@@ -59,34 +75,47 @@ def is_prime(n: int) -> bool:
 
 @lru_cache(maxsize=64)
 def primes_up_to(n: int) -> tuple[int, ...]:
-    """All primes <= n via a plain sieve."""
+    """All primes <= n via a sieve over the odd numbers."""
     if n < 2:
         return ()
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return tuple(i for i in range(2, n + 1) if sieve[i])
+    sieve = bytearray([1]) * ((n + 1) // 2)  # sieve[i] stands for 2*i + 1
+    sieve[0] = 0
+    for i in range(1, (math.isqrt(n) + 1) // 2):
+        if sieve[i]:
+            p = 2 * i + 1
+            sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(sieve), p)))
+    return (2,) + tuple(compress(range(1, n + 1, 2), sieve))
+
+
+@lru_cache(maxsize=None)
+def _trial_blocks(limit: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The primes <= limit in runs of _BLOCK_SIZE, each with its product."""
+    primes = primes_up_to(limit)
+    return tuple(
+        (math.prod(block), block)
+        for block in (primes[i : i + _BLOCK_SIZE] for i in range(0, len(primes), _BLOCK_SIZE))
+    )
 
 
 def _pollard_rho(n: int) -> int:
-    # n odd composite, no factor below the trial limit
+    # n odd composite, no factor below the trial limit; all restarts share
+    # one budget of _RHO_ITERATION_CAP steps
+    steps = 0
     for c in range(1, 64):
         x = y = 2
         d = 1
-        steps = 0
-        while d == 1:
+        while d == 1 and steps < _RHO_ITERATION_CAP:
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
             d = math.gcd(abs(x - y), n)
             steps += 1
-            if steps > _RHO_ITERATION_CAP:
-                break
         if 1 < d < n:
             return d
-    raise FactorizationError(f"cannot factor {n}: no factor found within iteration cap")
+    raise FactorizationError(
+        f"cannot factor the {n.bit_length()}-bit cofactor {n}: "
+        f"no factor found within {_RHO_ITERATION_CAP} rho iterations"
+    )
 
 
 @lru_cache(maxsize=4096)
@@ -95,22 +124,54 @@ def factor(n: int) -> tuple[tuple[int, int], ...]:
     if n < 1:
         raise ValueError("factor() expects a positive integer")
     out: dict[int, int] = {}
-    for p in primes_up_to(min(_TRIAL_LIMIT, math.isqrt(n) + 1)):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        if n == 1:
+    limit = min(_TRIAL_LIMIT, 1 << math.isqrt(n).bit_length())
+    for product, block in _trial_blocks(limit):
+        if block[0] * block[0] > n:
             break
+        g = math.gcd(n, product)
+        if g == 1:
+            continue
+        for p in block:
+            if g % p == 0:
+                e = 0
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                out[p] = e
+                g //= p
+                if g == 1:
+                    break
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if is_prime(m):
+        # trial division left m no prime factor up to min(limit, isqrt(m)),
+        # so m is prime if it is below limit**2
+        if m < limit * limit or is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
         d = _pollard_rho(m)
         stack.append(d)
         stack.append(m // d)
     return tuple(sorted(out.items()))
+
+
+def totient(n: int) -> int:
+    """Euler's phi of n >= 1, from factor(n)."""
+    out = n
+    for p, _ in factor(n):
+        out = out // p * (p - 1)
+    return out
+
+
+def multiplicative_order(a: int, n: int) -> int:
+    """Least k >= 1 with a**k = 1 (mod n), for a coprime to n >= 1."""
+    if n < 1 or math.gcd(a, n) != 1:
+        raise ValueError("multiplicative_order() expects a unit modulo n >= 1")
+    k = totient(n)
+    for q, _ in factor(k):
+        while k % q == 0 and pow(a, k // q, n) == 1:
+            k //= q
+    return k
 
 
 def valuation(n: int, p: int) -> int:

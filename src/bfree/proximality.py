@@ -403,7 +403,7 @@ def check_covering(
     checks = []
     for idx, entry in enumerate(base.entries):
         if _is_entry_infinite(entry) and not isinstance(entry.params, Explicit):
-            if len(entry.params.residues_mod(n)) > rep_limit:
+            if entry.params.class_count(n) > rep_limit:
                 raise TooLargeError("too many parameter classes modulo the cover period")
         for label, cols, member in _member_classes(entry, idx, n):
             if transform is not None:
@@ -726,7 +726,7 @@ def check_fixed_translate(
     n = lattice.index
     exact = True
     for idx, entry in enumerate(base.entries):
-        if _is_entry_infinite(entry) and len(entry.params.residues_mod(n)) > class_limit:
+        if _is_entry_infinite(entry) and entry.params.class_count(n) > class_limit:
             exact = False
             members = entry.instances_up_to(class_limit)
             for member in members:

@@ -188,6 +188,28 @@ def test_residues_mod():
     assert Explicit((4, 9)).residues_mod(6) == {4, 3}
 
 
+@pytest.mark.parametrize(
+    "seq",
+    [
+        Primes(),
+        odd_primes(),
+        Primes(exclude=(3, 5, 7)),
+        Geometric(2, 0),
+        Geometric(2, 3),
+        Geometric(3, 1),
+        Geometric(6, 2),
+        Geometric(12, 5),
+        Geometric(10, 1),
+        Explicit((4, 9)),
+        Explicit((1, 7, 12, 30, 210)),
+    ],
+    ids=repr,
+)
+def test_class_count_is_number_of_residues(seq):
+    for n in range(1, 501):
+        assert seq.class_count(n) == len(seq.residues_mod(n)), n
+
+
 # ---------------------------------------------------------------------------
 # entry validation
 

@@ -9,6 +9,7 @@ from bfree.errors import (
     InvalidCoverError,
     NotPairwiseCoprimeError,
     NotRectangularError,
+    TooLargeError,
 )
 from bfree.families import (
     FamilySpec,
@@ -172,6 +173,20 @@ def test_check_covering_negative_with_witness():
     assert not Lattice.from_diagonal((2, 2)).contains(point)
 
 
+def _forbid_residue_sets(monkeypatch):
+    def refuse(self, n):
+        raise AssertionError(f"residue set mod {n} built before the class limit was checked")
+
+    monkeypatch.setattr(Primes, "residues_mod", refuse)
+
+
+def test_check_covering_counts_classes_before_enumerating(monkeypatch):
+    # about 10**12 unit classes modulo the period: the count alone must refuse
+    _forbid_residue_sets(monkeypatch)
+    with pytest.raises(TooLargeError):
+        check_covering(TT_PRIMES, [Lattice.from_diagonal((1_000_003, 1_000_003))])
+
+
 def test_prove_no_zero_window_geometric():
     shape = Shape.from_offsets([(0, 0), (1, 0)])
     covers = [Lattice.from_diagonal((2, 3))]
@@ -226,6 +241,15 @@ def test_fixed_translate_missed_coset_of_covering():
         period = period.intersect(other)
     report = check_fixed_translate(GEOM_2I_X3, cert.missed_coset, period)
     assert report.holds and report.exact
+
+
+def test_fixed_translate_counts_classes_before_enumerating(monkeypatch):
+    _forbid_residue_sets(monkeypatch)
+    lattice = Lattice.from_diagonal((1_000_003, 1_000_003))
+    report = check_fixed_translate(TT_PRIMES, (1, 1), lattice, class_limit=1000)
+    assert not report.holds and report.exact
+    w = report.witness
+    assert TT_PRIMES.covered(w) and lattice.contains((w[0] - 1, w[1] - 1))
 
 
 # ---------------------------------------------------------------------------
