@@ -214,9 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eta.add_argument("--box", required=True, help="lo:hi,lo:hi,...")
     p_eta.add_argument("--format", choices=("csv", "pgm", "json"), default="csv")
     p_eta.add_argument("--out", help="artifact path (default eta.<format>)")
-    p_eta.add_argument(
-        "--threads", type=int, default=1, help="accepted for compatibility; has no effect"
-    )
     p_eta.set_defaults(func=cmd_eta)
 
     p_zero = sub.add_parser("zero", help="find or construct a zero window")

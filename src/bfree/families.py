@@ -9,6 +9,10 @@ A family is a list of entries, each one of:
 * ``RectTemplate`` -- a diagonal pattern whose slots are c * t**e, again
   over a parameter sequence.
 
+Every entry kind answers the same questions: membership, ``cover()``,
+``classes_mod(n, limit)``, ``coprime_pairs()`` and ``coprime_scheme()``, so
+the verdict engine never dispatches on the kind.
+
 Parameter sequences are primes (with optional exclusions), powers of a fixed
 base, or an explicit finite list.  Membership of a point in the union of all
 members is decided exactly: divisibility constraints pin down finitely many
@@ -19,12 +23,13 @@ is then the image of every entry under that map.  Membership is evaluated by
 pulling points back through the inverse.
 """
 
+import itertools
 import json
 import re
 from dataclasses import dataclass, replace
 from math import gcd
 
-from .errors import FamilyParseError, UnknownPresetError
+from .errors import FamilyParseError, TooLargeError, UnknownPresetError
 from .lattices import Lattice, Point, UnimodularMap, as_point, hnf
 from .numtheory import (
     factor,
@@ -114,12 +119,19 @@ class Primes:
         return totient(n) + sum(p not in self.exclude for p, _ in factor(n))
 
     def value_in_class(self, rho: int, n: int):
-        """Smallest sequence member congruent to rho mod n, or None."""
-        bound = max(1000, 60 * n)
-        for p in primes_up_to(bound):
-            if p % n == rho and p not in self.exclude:
-                return p
-        return None
+        """Smallest sequence member congruent to rho mod n, or None.
+
+        A unit class holds infinitely many primes (Dirichlet), so the walk
+        rho, rho + n, ... ends; any other class holds at most the prime
+        gcd(rho, n).
+        """
+        rho %= n
+        g = gcd(rho, n)
+        if g != 1:
+            return g if g in self and g % n == rho else None
+        while rho not in self:
+            rho += n
+        return rho
 
     def describe(self) -> str:
         if self.exclude:
@@ -287,8 +299,41 @@ ParamSeq = Primes | Geometric | Explicit
 # entries
 
 
+class _OneMember:
+    """Entry protocol of the single-lattice kinds, read off ``self.lattice``."""
+
+    is_infinite = False
+
+    def member_containing(self, p):
+        return self.lattice if self.covered(p) else None
+
+    def instances_up_to(self, bound: int) -> list[Lattice]:
+        lat = self.lattice
+        return [lat] if lat.index <= bound else []
+
+    def sieve_members(self, lo, hi, max_param: int):
+        """The one member's basis, whatever the box (see _Parameterised.sieve_members)."""
+        return (self.lattice.basis,)
+
+    def cover(self) -> list[Lattice]:
+        return [self.lattice]
+
+    def coprime_pairs(self):
+        return None  # a single member: the question does not arise
+
+    def coprime_scheme(self):
+        return None
+
+    def classes_mod(self, n: int, limit: int):
+        lat = self.lattice
+        return iter([(f"member {lat.to_columns()}", list(lat.columns), None)])
+
+    def class_member(self, parameter, n: int) -> Lattice:
+        return self.lattice
+
+
 @dataclass(frozen=True)
-class Static:
+class Static(_OneMember):
     """A single lattice member."""
 
     lattice: Lattice
@@ -301,28 +346,24 @@ class Static:
     def dim(self) -> int:
         return self.lattice.dim
 
+    @property
+    def is_rectangular(self) -> bool:
+        return self.lattice.is_diagonal()
+
     def covered(self, p) -> bool:
         return self.lattice.contains(p)
-
-    def member_containing(self, p):
-        return self.lattice if self.lattice.contains(p) else None
-
-    def instances_up_to(self, bound: int) -> list[Lattice]:
-        return [self.lattice] if self.lattice.index <= bound else []
-
-    def sieve_members(self, lo, hi, max_param: int):
-        """The one member's basis, whatever the box (see _sieve_members)."""
-        return (self.lattice.basis,)
 
     def describe(self) -> str:
         return f"static {self.lattice.to_columns()}"
 
 
 @dataclass(frozen=True)
-class Rectangular:
+class Rectangular(_OneMember):
     """The diagonal lattice a_1 Z x ... x a_m Z with a != (1, ..., 1)."""
 
     entries: tuple[int, ...]
+
+    is_rectangular = True
 
     def __post_init__(self):
         if any(a < 1 for a in self.entries):
@@ -340,17 +381,6 @@ class Rectangular:
 
     def covered(self, p) -> bool:
         return all(x % a == 0 for x, a in zip(p, self.entries, strict=True))
-
-    def member_containing(self, p):
-        return self.lattice if self.covered(p) else None
-
-    def instances_up_to(self, bound: int) -> list[Lattice]:
-        lat = self.lattice
-        return [lat] if lat.index <= bound else []
-
-    def sieve_members(self, lo, hi, max_param: int):
-        """The one member's basis, whatever the box (see _sieve_members)."""
-        return (self.lattice.basis,)
 
     def describe(self) -> str:
         return "rect [%s]" % ", ".join(map(str, self.entries))
@@ -377,12 +407,77 @@ class RectEntry:
         return f"{c}t" if self.exp == 1 else f"{c}t^{self.exp}"
 
 
+class _Parameterised:
+    """Entry protocol of the template kinds, read off ``params``,
+    ``member(t)``, ``member_columns(t)`` and ``param_bound``."""
+
+    @property
+    def is_infinite(self) -> bool:
+        return self.params.is_infinite
+
+    def _members(self) -> list[Lattice]:
+        """Every member, for a finite sequence."""
+        return [self.member(t) for t in self.params.values]
+
+    def _some_coprime_pair(self) -> bool:
+        return any(a.coprime(b) for a, b in itertools.combinations(self._members(), 2))
+
+    def coprime_scheme(self):
+        return None
+
+    def classes_mod(self, n: int, limit: int):
+        """(label, columns, parameter) for every member class modulo n.
+
+        Two parameters congruent mod n generate the same subgroup once
+        n*Z^m is added, so finitely many classes cover an infinite entry
+        exactly.  The columns leave n*Z^m out: every caller adds it, or a
+        lattice of index n that contains it.  The parameter is a value of a
+        finite sequence, else a residue; ``class_member`` turns it into a
+        concrete member only when one is needed.  Raises TooLargeError,
+        before any class is built, when an infinite sequence has more than
+        ``limit`` classes mod n.
+        """
+        params = self.params
+        if not params.is_infinite:
+            return ((f"t={t}", self.member_columns(t), t) for t in params.values)
+        count = params.class_count(n)
+        if count > limit:
+            raise TooLargeError(f"{count} parameter classes modulo {n} exceed the limit {limit}")
+        return (
+            (f"t={rho} (mod {n})", self.member_columns(rho), rho)
+            for rho in sorted(params.residues_mod(n))
+        )
+
+    def class_member(self, parameter, n: int):
+        """A member in the class ``classes_mod(n)`` yielded with this
+        parameter, or None when the sequence has no value in it."""
+        if self.params.is_infinite:
+            parameter = self.params.value_in_class(parameter, n)
+        return None if parameter is None else self.member(parameter)
+
+    def sieve_members(self, lo, hi, max_param: int):
+        """Bases of the members whose union meets the box [lo, hi] exactly as
+        the entry does, built lazily; None when that needs parameters above
+        max_param.
+
+        A member with t above ``param_bound`` holds in the box only points
+        whose parameterised part vanishes, and those lie in the member of the
+        smallest parameter too.
+        """
+        bound = self.param_bound(lo, hi)
+        if bound > max_param:
+            return None
+        return map(self.member_basis, self.params.values_up_to(max(bound, self.params.min_value())))
+
+
 @dataclass(frozen=True)
-class RectTemplate:
+class RectTemplate(_Parameterised):
     """Diagonal lattices diag(c_1 t**e_1, ..., c_m t**e_m) over a parameter sequence."""
 
     entries: tuple[RectEntry, ...]
     params: ParamSeq
+
+    is_rectangular = True
 
     def __post_init__(self):
         if not any(s.exp >= 1 for s in self.entries):
@@ -399,6 +494,10 @@ class RectTemplate:
 
     def member(self, t: int) -> Lattice:
         return Lattice.from_diagonal(tuple(s.value(t) for s in self.entries))
+
+    def member_columns(self, t: int) -> list[Point]:
+        m = self.dim
+        return [tuple(s.value(t) if i == j else 0 for i in range(m)) for j, s in enumerate(self.entries)]
 
     def member_basis(self, t: int) -> tuple[Point, ...]:
         return self.member(t).basis
@@ -479,8 +578,43 @@ class RectTemplate:
                 out = max(out, iroot(max(abs(a), abs(b)) // s.coeff, s.exp))
         return out
 
-    def sieve_members(self, lo, hi, max_param: int):
-        return _sieve_members(self, lo, hi, max_param)
+    def cover(self):
+        """Proper lattices holding every member, or None: the members of a
+        finite sequence, else the diagonal of coordinatewise gcds over all
+        parameters."""
+        if not self.params.is_infinite:
+            return self._members()
+        profile = tuple(s.coeff * self.params.power_gcd(s.exp) for s in self.entries)
+        if all(g == 1 for g in profile):
+            return None
+        return [Lattice.from_diagonal(profile)]
+
+    def _unit_primes(self) -> bool:
+        return isinstance(self.params, Primes) and all(s.coeff == 1 for s in self.entries)
+
+    def coprime_pairs(self):
+        """Whether two members can be coprime: decided by the schema."""
+        if not self.params.is_infinite:
+            return self._some_coprime_pair()
+        # otherwise every pair shares a coefficient > 1 or the geometric base
+        return self._unit_primes()
+
+    def coprime_scheme(self):
+        """(rule, sample members) when the entry contains an infinite pairwise
+        coprime subfamily, else None.
+
+        This happens exactly for prime parameters whose slots are pure powers
+        t**e or the constant 1: distinct primes then give coordinatewise
+        coprime members.
+        """
+        if not self._unit_primes():
+            return None
+        sample = tuple(self.member(t) for t in self.params.values_up_to(30)[:4])
+        rule = (
+            f"members diag({', '.join(str(s) for s in self.entries)}) over {self.params.describe()}: "
+            "distinct prime parameters give pairwise coprime members"
+        )
+        return rule, sample
 
     def describe(self) -> str:
         pattern = ", ".join(str(s) for s in self.entries)
@@ -488,7 +622,7 @@ class RectTemplate:
 
 
 @dataclass(frozen=True)
-class Template:
+class Template(_Parameterised):
     """Triangular base whose scaled diagonal entry is multiplied by the parameter.
 
     ``scaled_row`` is the 0-indexed diagonal position; the rest of that
@@ -498,6 +632,8 @@ class Template:
     base: Lattice
     scaled_row: int
     params: ParamSeq
+
+    is_rectangular = False
 
     def __post_init__(self):
         if not 0 <= self.scaled_row < self.base.dim:
@@ -602,9 +738,6 @@ class Template:
                 return 0
         return max(abs(clo[-1]), abs(chi[-1]))
 
-    def sieve_members(self, lo, hi, max_param: int):
-        return _sieve_members(self, lo, hi, max_param)
-
     def pair_sum_bound(self) -> Lattice:
         """A lattice containing L_t + L_t' for every pair of members.
 
@@ -622,6 +755,21 @@ class Template:
         gens.append(tuple(tail))
         return hnf(gens, dim=m)
 
+    def cover(self):
+        """Proper lattices holding every member, or None: the members of a
+        finite sequence, else the pairwise bound when it is proper (each
+        member contains its own scaled column, so the bound holds it)."""
+        if not self.params.is_infinite:
+            return self._members()
+        bound = self.pair_sum_bound()
+        return [bound] if bound.is_proper() else None
+
+    def coprime_pairs(self):
+        """Whether two members can be coprime; None when the schema cannot tell."""
+        if not self.params.is_infinite:
+            return self._some_coprime_pair()
+        return False if self.pair_sum_bound().is_proper() else None
+
     def describe(self) -> str:
         pos = self.scaled_row + 1
         return (
@@ -631,21 +779,6 @@ class Template:
 
 
 Entry = Static | Rectangular | RectTemplate | Template
-
-
-def _sieve_members(entry, lo, hi, max_param: int):
-    """Bases of the members whose union meets the box [lo, hi] exactly as
-    the entry does, built lazily; None when that needs parameters above
-    max_param.
-
-    A member with t above ``param_bound`` holds in the box only points whose
-    parameterised part vanishes, and those lie in the member of the smallest
-    parameter too.
-    """
-    bound = entry.param_bound(lo, hi)
-    if bound > max_param:
-        return None
-    return map(entry.member_basis, entry.params.values_up_to(max(bound, entry.params.min_value())))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,16 @@ def as_point(seq) -> Point:
     return tuple(int(x) for x in seq)
 
 
+def combination(columns, coeffs) -> Point:
+    """The point sum_j coeffs[j] * columns[j] (extra coefficients ignored)."""
+    vec = [0] * len(columns[0])
+    for k, col in zip(coeffs, columns):
+        if k:
+            for r, x in enumerate(col):
+                vec[r] += k * x
+    return tuple(vec)
+
+
 def det_int(rows) -> int:
     """Exact integer determinant (fraction-free Bareiss elimination)."""
     a = [list(r) for r in rows]
@@ -130,22 +140,6 @@ class Lattice:
                     res[r] -= q * self.basis[r][i]
         return tuple(res)
 
-    def coords_of(self, p):
-        """Integer coefficients expressing p over the basis columns, or None."""
-        p = as_point(p)
-        res = list(p)
-        coeffs = []
-        for i in range(self.dim):
-            d = self.basis[i][i]
-            if res[i] % d:
-                return None
-            c = res[i] // d
-            coeffs.append(c)
-            if c:
-                for r in range(i, self.dim):
-                    res[r] -= c * self.basis[r][i]
-        return tuple(coeffs)
-
     def coset_reps(self, limit: int = DEFAULT_COSET_LIMIT) -> list[Point]:
         """All coset representatives, mixed-radix over the diagonal with the
         first coordinate varying fastest."""
@@ -179,15 +173,7 @@ class Lattice:
         if len(pivots) != m:  # cannot happen for finite-index inputs
             raise RankDeficientError("intersection lost rank")
         b1 = self.columns
-        gens = []
-        for w in transform[m:]:
-            vec = [0] * m
-            for j in range(m):
-                if w[j]:
-                    for r in range(m):
-                        vec[r] += w[j] * b1[j][r]
-            gens.append(tuple(vec))
-        return hnf(gens)
+        return hnf([combination(b1, w) for w in transform[m:]])
 
     def coprime(self, other: "Lattice") -> bool:
         return self.sum(other).index == 1
@@ -326,13 +312,7 @@ def solve_in_columns(cols, target):
                 res[r] -= q * ech[col][r]
     if any(res):
         return None
-    n = len(cols)
-    coeffs = [0] * n
-    for j in range(n):
-        if w[j]:
-            for r in range(n):
-                coeffs[r] += w[j] * transform[j][r]
-    return tuple(coeffs)
+    return combination(transform, w)
 
 
 def split_in_sum(l1: Lattice, l2: Lattice, target):
@@ -340,20 +320,11 @@ def split_in_sum(l1: Lattice, l2: Lattice, target):
 
     Solvable exactly when target lies in l1 + l2.
     """
-    target = as_point(target)
     m = l1.dim
-    coeffs = solve_in_columns(list(l1.columns) + list(l2.columns), target)
+    coeffs = solve_in_columns(l1.columns + l2.columns, target)
     if coeffs is None:
         return None
-    x = [0] * m
-    y = [0] * m
-    for j, c in enumerate(coeffs[:m]):
-        for r in range(m):
-            x[r] += c * l1.columns[j][r]
-    for j, c in enumerate(coeffs[m:]):
-        for r in range(m):
-            y[r] += c * l2.columns[j][r]
-    return tuple(x), tuple(y)
+    return combination(l1.columns, coeffs[:m]), combination(l2.columns, coeffs[m:])
 
 
 def intersect_all(lattices) -> Lattice:
@@ -421,36 +392,9 @@ class UnimodularMap:
         return [list(r) for r in self.rows]
 
 
-def random_unimodular(rng, m: int, ops: int = 8) -> UnimodularMap:
-    """Random unimodular matrix built from elementary column operations.
-
-    Test helper; deterministic under a seeded rng.
-    """
-    cols = [[1 if i == j else 0 for i in range(m)] for j in range(m)]
-    for _ in range(max(ops, 1)):
-        kind = rng.randrange(3)
-        i, j = rng.randrange(m), rng.randrange(m)
-        if kind == 0 and i != j:
-            k = rng.randint(-3, 3)
-            for r in range(m):
-                cols[i][r] += k * cols[j][r]
-        elif kind == 1:
-            cols[i], cols[j] = cols[j], cols[i]
-        else:
-            cols[i] = [-x for x in cols[i]]
-    rows = tuple(tuple(cols[j][i] for j in range(m)) for i in range(m))
-    return UnimodularMap(rows)
-
-
 def enumerate_points(lattice: Lattice, coeff_bound: int):
     """All integer combinations of the basis with coefficients in
-    [-coeff_bound, coeff_bound]; brute-force oracle helper."""
-    m = lattice.dim
+    [-coeff_bound, coeff_bound], last coefficient varying fastest."""
     cols = lattice.columns
-    for ks in product(range(-coeff_bound, coeff_bound + 1), repeat=m):
-        vec = [0] * m
-        for j, k in enumerate(ks):
-            if k:
-                for r in range(m):
-                    vec[r] += k * cols[j][r]
-        yield tuple(vec)
+    for ks in product(range(-coeff_bound, coeff_bound + 1), repeat=lattice.dim):
+        yield combination(cols, ks)

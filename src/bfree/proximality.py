@@ -27,17 +27,8 @@ from .errors import (
     NotRectangularError,
     TooLargeError,
 )
-from .families import (
-    Explicit,
-    FamilySpec,
-    Geometric,
-    Primes,
-    Rectangular,
-    RectTemplate,
-    Static,
-    Template,
-)
-from .lattices import Lattice, Point, hnf, intersect_all
+from .families import FamilySpec
+from .lattices import Lattice, Point, combination, enumerate_points, hnf, intersect_all, split_in_sum
 from .windows import Box, Shape, find_zero_window
 
 PROXIMAL = "Proximal"
@@ -178,108 +169,6 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# entry-level schema analysis
-
-
-def _rect_pattern(entry):
-    """(coeffs, exps) for rectangular-like entries, or None."""
-    if isinstance(entry, Rectangular):
-        return tuple(entry.entries), (0,) * len(entry.entries)
-    if isinstance(entry, RectTemplate):
-        return tuple(s.coeff for s in entry.entries), tuple(s.exp for s in entry.entries)
-    if isinstance(entry, Static) and entry.lattice.is_diagonal():
-        return entry.lattice.diagonal, (0,) * entry.lattice.dim
-    return None
-
-
-def _coprime_subscheme(entry, idx: int):
-    """A CoprimeSubscheme certificate when the entry provably contains an
-    infinite pairwise coprime subfamily, else None.
-
-    This happens exactly for prime-parameterized rectangular templates whose
-    slots are pure powers t**e or the constant 1: distinct prime parameters
-    then give coordinatewise coprime members.
-    """
-    if not isinstance(entry, RectTemplate):
-        return None
-    if not isinstance(entry.params, Primes):
-        return None
-    if any(s.coeff != 1 for s in entry.entries):
-        return None
-    sample_params = entry.params.values_up_to(30)[:4]
-    sample = tuple(entry.member(t) for t in sample_params)
-    rule = (
-        f"members diag({', '.join(str(s) for s in entry.entries)}) over {entry.params.describe()}: "
-        "distinct prime parameters give pairwise coprime members"
-    )
-    return CoprimeSubscheme(idx, rule, sample)
-
-
-def _entry_cover(entry):
-    """A proper lattice list containing every member of the entry, or None.
-
-    For an infinite template the coordinatewise gcd over all parameters gives
-    one rectangular cover; finite entries are covered by themselves.
-    """
-    if isinstance(entry, (Static,)):
-        return [entry.lattice]
-    if isinstance(entry, Rectangular):
-        return [entry.lattice]
-    if isinstance(entry, RectTemplate):
-        if not entry.params.is_infinite:
-            return [entry.member(t) for t in entry.params.values]
-        profile = tuple(
-            s.coeff * entry.params.power_gcd(s.exp) if s.exp else s.coeff
-            for s in entry.entries
-        )
-        if all(g == 1 for g in profile):
-            return None
-        return [Lattice.from_diagonal(profile)]
-    if isinstance(entry, Template):
-        if not entry.params.is_infinite:
-            return [entry.member(t) for t in entry.params.values]
-        bound = entry.pair_sum_bound()
-        # Every member contains its own scaled column, so the pairwise bound
-        # contains each single member as well.
-        if bound.is_proper():
-            return [bound]
-        return None
-    return None
-
-
-def _entry_coprime_pair_status(entry):
-    """True/False when the schema decides whether two members of the entry can
-    be coprime; None when it cannot tell."""
-    if isinstance(entry, (Static, Rectangular)):
-        return None  # single member: the question does not arise
-    if isinstance(entry, RectTemplate):
-        if isinstance(entry.params, Explicit):
-            members = [entry.member(t) for t in entry.params.values]
-            return any(
-                a.coprime(b) for a, b in itertools.combinations(members, 2)
-            )
-        if any(s.coeff > 1 for s in entry.entries):
-            return False  # every pair shares the constant coefficient
-        if isinstance(entry.params, Geometric):
-            return False  # every pair shares the base
-        return True  # primes with unit coefficients
-    if isinstance(entry, Template):
-        if isinstance(entry.params, Explicit):
-            members = [entry.member(t) for t in entry.params.values]
-            return any(a.coprime(b) for a, b in itertools.combinations(members, 2))
-        if entry.pair_sum_bound().is_proper():
-            return False
-        return None
-    return None
-
-
-def _is_entry_infinite(entry) -> bool:
-    if isinstance(entry, (Static, Rectangular)):
-        return False
-    return entry.params.is_infinite
-
-
-# ---------------------------------------------------------------------------
 # covering checks
 
 
@@ -290,74 +179,24 @@ class CoveringReport:
     witness: tuple[int, str, Point] | None  # (entry, class label, uncovered point)
 
 
-def _member_classes(entry, idx: int, n: int):
-    """Yield (label, columns, concrete member) for every member class modulo n.
-
-    Two parameters congruent mod n generate the same subgroup once n*Z^m is
-    added, so finitely many residue classes cover an infinite entry exactly.
-    The concrete member instantiates some parameter of the class (used to
-    lift certificate witnesses to actual member points); it may be None when
-    no small representative exists.
-    """
-    m = entry.dim
-    unit_cols = [tuple(n if i == j else 0 for i in range(m)) for j in range(m)]
-    if isinstance(entry, (Static, Rectangular)):
-        yield f"member {entry.lattice.to_columns()}", list(entry.lattice.columns), entry.lattice
-        return
-    if isinstance(entry, (RectTemplate, Template)):
-        if isinstance(entry.params, Explicit):
-            for t in entry.params.values:
-                member = entry.member(t)
-                yield f"t={t}", list(member.columns), member
-            return
-        for rho in sorted(entry.params.residues_mod(n)):
-            t = entry.params.value_in_class(rho, n)
-            member = entry.member(t) if t is not None else None
-            if isinstance(entry, RectTemplate):
-                cols = [
-                    tuple(s.value(rho) % n if i == j else 0 for i in range(m))
-                    for j, s in enumerate(entry.entries)
-                ]
-            else:
-                cols = [tuple(c) for c in entry.member_columns(rho)]
-            yield f"t={rho} (mod {n})", cols + unit_cols, member
-        return
-    raise TypeError(f"unknown entry type {type(entry).__name__}")
-
-
 def _quotient_reps(big: Lattice, small: Lattice, rep_limit: int):
-    """Coset representatives of small inside big (small must contain... lie in big).
+    """(count, representatives) of the cosets of ``small`` in ``big``.
 
-    Expresses the columns of ``small`` over the basis of ``big``; the
-    triangular coordinate matrix then enumerates the quotient mixed-radix.
+    The coordinates of ``small`` over ``big``'s basis form a triangular
+    matrix with diagonal small.diagonal / big.diagonal, so the quotient is
+    enumerated mixed-radix over those ratios (first coordinate fastest) and
+    mapped through ``big``'s columns.
     """
-    m = big.dim
-    coord_cols = []
-    for col in small.columns:
-        coeffs = big.coords_of(col)
-        assert coeffs is not None, "quotient requires small to be a sublattice of big"
-        coord_cols.append(coeffs)
-    # coordinate matrix is again triangular with positive diagonal
-    diag = [coord_cols[i][i] for i in range(m)]
-    count = 1
-    for d in diag:
-        count *= d
+    ratios = []
+    for s_i, b_i in zip(small.diagonal, big.diagonal):
+        if s_i % b_i:
+            raise InconsistencyError("quotient requires small to be a sublattice of big")
+        ratios.append(s_i // b_i)
+    count = small.index // big.index
     if count > rep_limit:
-        raise TooLargeError(f"quotient of {count} cosets exceeds the check limit")
-    out = []
-    for k in range(count):
-        ks = []
-        t = k
-        for d in diag:
-            ks.append(t % d)
-            t //= d
-        vec = [0] * m
-        for j, kj in enumerate(ks):
-            if kj:
-                for r in range(m):
-                    vec[r] += kj * big.columns[j][r]
-        out.append(tuple(vec))
-    return out
+        raise TooLargeError(f"covering check: a class quotient of {count} cosets exceeds rep_limit={rep_limit}")
+    cols = big.columns
+    return count, (combination(cols, ks) for ks in Lattice.from_diagonal(ratios).iter_coset_reps())
 
 
 def check_covering(
@@ -372,7 +211,8 @@ def check_covering(
     InvalidCoverError (such a list certifies nothing).  Infinite template
     entries are reduced to finitely many parameter classes modulo the index
     of the cover intersection, which is exact because cover membership is
-    periodic with that period.
+    periodic with that period.  Raises TooLargeError, naming the count and
+    ``rep_limit``, when a scan or a class enumeration would exceed it.
     """
     covers = list(covers)
     if not covers:
@@ -393,61 +233,54 @@ def check_covering(
         scanned += 1
         if scanned > rep_limit:
             raise TooLargeError(
-                f"could not verify within {rep_limit} cosets that the union stays proper"
+                f"covering check: the first {rep_limit} of {n} cosets of the cover "
+                f"intersection all lie in the union (rep_limit={rep_limit})"
             )
     if missed is None:
         raise InvalidCoverError("the covers exhaust the whole group; nothing is certified")
 
-    base = spec.base_spec()
     transform = spec.transform
+    n_lattice = Lattice.from_diagonal((n,) * spec.dim)
     checks = []
-    for idx, entry in enumerate(base.entries):
-        if _is_entry_infinite(entry) and not isinstance(entry.params, Explicit):
-            if entry.params.class_count(n) > rep_limit:
-                raise TooLargeError("too many parameter classes modulo the cover period")
-        for label, cols, member in _member_classes(entry, idx, n):
+    for idx, entry in enumerate(spec.base_spec().entries):
+        try:
+            classes = entry.classes_mod(n, rep_limit)
+        except TooLargeError as exc:
+            raise TooLargeError(f"covering check, entry {idx}: {exc}") from None
+        for label, cols, param in classes:
             if transform is not None:
                 cols = [transform.apply_point(c) for c in cols]
-                member = transform.apply(member) if member is not None else None
-            class_lattice = hnf(
-                list(cols)
-                + [tuple(n if i == j else 0 for i in range(spec.dim)) for j in range(spec.dim)]
-            )
+            class_lattice = hnf(list(cols) + list(n_lattice.columns))
             # cheap path: the whole class sits inside one cover
-            direct = next(
-                (
-                    cov
-                    for cov in covers
-                    if all(cov.contains(c) for c in class_lattice.columns)
-                ),
-                None,
-            )
-            if direct is not None:
+            if any(all(cov.contains(c) for c in class_lattice.columns) for cov in covers):
                 checks.append(CoverCheck(idx, label, 0))
                 continue
-            inner = class_lattice.intersect(period)
-            reps = _quotient_reps(class_lattice, inner, rep_limit)
+            count, reps = _quotient_reps(class_lattice, class_lattice.intersect(period), rep_limit)
             for rep in reps:
                 if not any(cov.contains(rep) for cov in covers):
-                    witness = _lift_witness(member, n, rep, spec.dim)
+                    witness = _lift_witness(entry.class_member(param, n), transform, n_lattice, rep)
                     return CoveringReport(False, None, (idx, label, witness))
-            checks.append(CoverCheck(idx, label, len(reps)))
+            checks.append(CoverCheck(idx, label, count))
     cert = Covering(tuple(covers), missed, tuple(checks))
     return CoveringReport(True, cert, None)
 
 
-def _lift_witness(member, n: int, rep, dim: int):
+def _point_in(member: Lattice, other: Lattice, target):
+    """The part x in ``member`` of a split target = x + y with y in
+    ``other``, or None when target is outside member + other."""
+    parts = split_in_sum(member, other, target)
+    return None if parts is None else parts[0]
+
+
+def _lift_witness(member, transform, n_lattice: Lattice, rep):
     """Replace a class-lattice witness by a congruent point of a concrete
     member: union membership is n*Z^m-periodic, so the lifted point is
     equally uncovered while being a genuine covered-set point."""
     if member is None:
         return rep
-    from .lattices import split_in_sum
-
-    parts = split_in_sum(member, Lattice.from_diagonal((n,) * dim), rep)
-    if parts is None:
-        return rep
-    return parts[0]
+    if transform is not None:
+        member = transform.apply(member)
+    return _point_in(member, n_lattice, rep) or rep
 
 
 def prove_no_zero_window(spec: FamilySpec, shape: Shape, covers) -> bool:
@@ -563,70 +396,86 @@ def _zero_window_evidence(spec: FamilySpec, budget: SearchBudget):
     return tuple(found), tuple(not_found), f"translates in {search.format()}"
 
 
+def _coprime_verdict(spec: FamilySpec) -> Verdict | None:
+    """Proximal, when some entry carries an infinite pairwise coprime subfamily."""
+    for idx, entry in enumerate(spec.base_spec().entries):
+        scheme = entry.coprime_scheme()
+        if scheme is None:
+            continue
+        rule, sample = scheme
+        if spec.transform is not None:
+            rule += " (mapped through the coordinate change)"
+            sample = tuple(spec.transform.apply(lat) for lat in sample)
+        return Verdict(PROXIMAL, CoprimeSubscheme(idx, rule, sample))
+    return None
+
+
+def _covering_verdict(spec: FamilySpec) -> Verdict | None:
+    """NotProximal, when the entries' own covers verify; None when some entry
+    has no cover or the covers miss a member.  Raises InvalidCoverError or
+    TooLargeError when the covers cannot be checked."""
+    covers: list[Lattice] = []
+    for entry in spec.base_spec().entries:
+        entry_covers = entry.cover()
+        if entry_covers is None:
+            return None
+        covers.extend(entry_covers)
+    if not covers:
+        return None
+    if spec.transform is not None:
+        covers = [spec.transform.apply(c) for c in covers]
+    dedup = {cov.basis: cov for cov in covers}
+    covers = sorted(dedup.values(), key=lambda l: (l.index, l.basis))
+    report = check_covering(spec, covers)
+    return Verdict(NOT_PROXIMAL, report.certificate) if report.covered else None
+
+
 def decide(spec: FamilySpec, budget: SearchBudget | None = None) -> Verdict:
     """Proximality verdict with a re-checkable certificate.
 
-    Exact for rectangular schemas (templates included); families with
-    non-rectangular entries whose schema supports a covering argument get an
-    exact NotProximal; everything else is Inconclusive with finite evidence.
-    A coordinate change on the family does not affect the verdict, so it is
-    decided on the underlying entries and certificates are mapped forward.
+    Exact for rectangular schemas (templates included) within the covering
+    check's limits; families with non-rectangular entries whose schema
+    supports a covering argument get an exact NotProximal; everything else
+    is Inconclusive with finite evidence.  A coordinate change on the family
+    does not affect the verdict, so it is decided on the underlying entries
+    and certificates are mapped forward.
     """
     budget = budget or SearchBudget()
-    base = spec.base_spec()
-
-    for idx, entry in enumerate(base.entries):
-        scheme = _coprime_subscheme(entry, idx)
-        if scheme is not None:
-            if spec.transform is not None:
-                scheme = CoprimeSubscheme(
-                    scheme.entry_index,
-                    scheme.rule + " (mapped through the coordinate change)",
-                    tuple(spec.transform.apply(lat) for lat in scheme.sample),
-                )
-            return Verdict(PROXIMAL, scheme)
-
-    covers: list[Lattice] = []
-    coverable = True
-    for entry in base.entries:
-        entry_covers = _entry_cover(entry)
-        if entry_covers is None:
-            coverable = False
-            break
-        covers.extend(entry_covers)
-    if coverable and covers:
-        if spec.transform is not None:
-            covers = [spec.transform.apply(c) for c in covers]
-        dedup = {}
-        for cov in covers:
-            dedup[cov.basis] = cov
-        covers = sorted(dedup.values(), key=lambda l: (l.index, l.basis))
-        try:
-            report = check_covering(spec, covers)
-        except (InvalidCoverError, TooLargeError):
-            report = CoveringReport(False, None, None)
-        if report.covered:
-            return Verdict(NOT_PROXIMAL, report.certificate)
-
+    verdict = _coprime_verdict(spec)
+    if verdict is not None:
+        return verdict
+    try:
+        verdict = _covering_verdict(spec)
+    except (InvalidCoverError, TooLargeError):
+        verdict = None
+    if verdict is not None:
+        return verdict
     found, not_found, searched = _zero_window_evidence(spec, budget)
     evidence = Evidence(found, not_found, searched)
     return Verdict(INCONCLUSIVE, evidence, tuple(k for k, _ in found))
 
 
 def decide_rectangular(spec: FamilySpec) -> Verdict:
-    """Verdict for families of rectangular entries only.
+    """Exact verdict for families of rectangular entries only.
 
-    Raises NotRectangularError when a non-rectangular entry is present; for
-    rectangular schemas the coprime-subfamily test and the coordinatewise
-    covering construction are jointly complete, so the answer is never
-    Inconclusive.
+    Raises NotRectangularError when a non-rectangular entry is present and
+    ValueError for a family without entries.  For rectangular schemas the coprime-subfamily test and the coordinatewise
+    covering construction are jointly complete, so the answer is Proximal or
+    NotProximal, never Inconclusive; when the covering check would exceed
+    its limits, its TooLargeError (naming the check, the count and the
+    limit) propagates instead.
     """
+    if not spec.entries:
+        raise ValueError("a family without entries has no verdict")
     for entry in spec.base_spec().entries:
-        if _rect_pattern(entry) is None:
+        if not entry.is_rectangular:
             raise NotRectangularError(
                 f"entry {entry.describe()} is not rectangular"
             )
-    return decide(spec)
+    verdict = _coprime_verdict(spec) or _covering_verdict(spec)
+    if verdict is None:
+        raise InconsistencyError("a rectangular schema got neither a coprime subfamily nor a cover")
+    return verdict
 
 
 def crt_window_certificate(spec: FamilySpec, shape, *, instance_bound: int = 2000):
@@ -657,7 +506,7 @@ def crt_window_certificate(spec: FamilySpec, shape, *, instance_bound: int = 200
         (
             idx
             for idx, entry in enumerate(spec.base_spec().entries)
-            if _coprime_subscheme(entry, idx) is not None
+            if entry.coprime_scheme() is not None
         ),
         None,
     )
@@ -726,15 +575,16 @@ def check_fixed_translate(
     n = lattice.index
     exact = True
     for idx, entry in enumerate(base.entries):
-        if _is_entry_infinite(entry) and entry.params.class_count(n) > class_limit:
+        try:
+            classes = entry.classes_mod(n, class_limit)
+        except TooLargeError:
             exact = False
-            members = entry.instances_up_to(class_limit)
-            for member in members:
+            for member in entry.instances_up_to(class_limit):
                 if member.sum(lattice).contains(a):
-                    w = _meeting_point(member, lattice, a)
+                    w = _point_in(member, lattice, a)
                     return FixedTranslateReport(False, True, w, f"entry {idx} member meets the translate")
             continue
-        for label, cols, _ in _member_classes(entry, idx, n):
+        for label, cols, _ in classes:
             summed = hnf(list(cols) + list(lattice.columns))
             if summed.contains(a):
                 return FixedTranslateReport(
@@ -744,16 +594,6 @@ def check_fixed_translate(
         "no enumerated member meets the translate (class enumeration truncated)"
     )
     return FixedTranslateReport(True, exact, None, detail)
-
-
-def _meeting_point(member: Lattice, lattice: Lattice, a):
-    from .lattices import split_in_sum
-
-    parts = split_in_sum(member, lattice, a)
-    if parts is None:
-        return None
-    x, _ = parts
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -798,14 +638,14 @@ def _coprime_subset_analysis(spec: FamilySpec):
     """(holds, mode, detail) for the infinite-pairwise-coprime-subfamily condition."""
     base = spec.base_spec()
     for idx, entry in enumerate(base.entries):
-        if _coprime_subscheme(entry, idx) is not None:
+        if entry.coprime_scheme() is not None:
             return True, "exact", f"entry {idx} carries an infinite pairwise coprime subfamily"
-    infinite = [(i, e) for i, e in enumerate(base.entries) if _is_entry_infinite(e)]
+    infinite = [(i, e) for i, e in enumerate(base.entries) if e.is_infinite]
     if not infinite:
         return False, "exact", "the family is finite, so it has no infinite subfamily"
     blockers = []
     for i, e in infinite:
-        status = _entry_coprime_pair_status(e)
+        status = e.coprime_pairs()
         if status is not False:
             return None, "unknown", f"entry {i} admits no schema-level coprimality analysis"
         blockers.append(i)
@@ -848,14 +688,7 @@ def check_coprime_cover_candidate(
             None,
         )
     for member in candidate.instances_up_to(instance_bound):
-        bound = scan_radius
-        for coeffs in itertools.product(range(-bound, bound + 1), repeat=member.dim):
-            vec = [0] * member.dim
-            for j, k in enumerate(coeffs):
-                if k:
-                    for r in range(member.dim):
-                        vec[r] += k * member.columns[j][r]
-            p = tuple(vec)
+        for p in enumerate_points(member, scan_radius):
             if spec.free(p):
                 return DPrimeReport(
                     False,

@@ -8,6 +8,10 @@ Ideals are stored as rank-2 Z-modules in the same canonical triangular form
 used for lattices, with closure under multiplication by w validated at
 construction.  Norms come out as basis determinants, which agree with field
 norms on principal ideals.
+
+This module is the number-field case of the theory and stays a leaf: ideal
+arithmetic only, not a family entry kind; the package re-exports it and
+no other module uses it.
 """
 
 from dataclasses import dataclass

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from bfree.cli import main
 
 EX2_CLOSED_FORM = lambda n, m: n % 2 == 1 and m % 2 == 1 and abs(m - n) == 2
@@ -170,14 +172,13 @@ def test_determinism_byte_identical(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_threads_flag_identical_output(tmp_path, capsys):
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    run(capsys, "eta", "--preset", "ex1", "--box", "-6:6,-6:6", "--out", str(out1))
-    run(
-        capsys, "eta", "--preset", "ex1", "--box", "-6:6,-6:6", "--out", str(out2),
-        "--threads", "3",
-    )
-    assert out1.read_bytes() == out2.read_bytes()
+def test_threads_flag_rejected(tmp_path, capsys):
+    # --threads had no effect since windows are sieved in one thread; it is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["eta", "--preset", "ex1", "--box", "-6:6,-6:6", "--out", str(tmp_path / "a.csv"),
+              "--threads", "3"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_console_entry_point():

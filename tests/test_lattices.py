@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bfree.errors import RankDeficientError, TooLargeError
@@ -13,9 +13,10 @@ from bfree.lattices import (
     det_int,
     enumerate_points,
     hnf,
-    random_unimodular,
     split_in_sum,
 )
+
+from helpers import random_unimodular
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +125,29 @@ def test_hnf_canonicity_under_unimodular_mixing(data):
 
 # ---------------------------------------------------------------------------
 # index
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda m: st.lists(
+            st.lists(st.integers(-20, 20), min_size=m, max_size=m), min_size=m, max_size=m + 3
+        )
+    )
+)
+def test_hnf_agrees_with_sympy(gens):
+    # sympy's form is upper triangular, so compare the lattices: equal index
+    # and every sympy column inside ours
+    from sympy import Matrix
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    a = Matrix(gens).T
+    assume(a.rank() == a.rows)
+    lat = hnf(gens)
+    h = hermite_normal_form(a)
+    assert h.shape == (lat.dim, lat.dim)
+    assert abs(h.det()) == lat.index
+    assert all(lat.contains(tuple(h[:, j])) for j in range(h.cols))
 
 
 def test_index_examples():

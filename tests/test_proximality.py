@@ -3,6 +3,8 @@ import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bfree.errors import (
     InconsistencyError,
@@ -12,6 +14,7 @@ from bfree.errors import (
     TooLargeError,
 )
 from bfree.families import (
+    Explicit,
     FamilySpec,
     Geometric,
     Primes,
@@ -20,6 +23,7 @@ from bfree.families import (
     Rectangular,
     Static,
     odd_primes,
+    parse_family,
     preset,
 )
 from bfree.lattices import Lattice, UnimodularMap, hnf
@@ -87,6 +91,63 @@ def test_decide_rect_demo_not_proximal():
 def test_decide_rectangular_rejects_templates():
     with pytest.raises(NotRectangularError):
         decide_rectangular(preset("ex2"))
+    with pytest.raises(ValueError):
+        decide_rectangular(FamilySpec(2, ()))
+
+
+def test_decide_rectangular_raises_at_the_coset_scan_limit():
+    # the union of the two covers holds the first > 200000 cosets of their
+    # intersection, so no missed coset is found within the limit
+    spec = parse_family("dim 2\nrect [1000003,1]\nrect [1,1000033]\n")
+    with pytest.raises(TooLargeError, match=r"covering check: the first 200000 of 1000036000099 cosets .*rep_limit=200000"):
+        decide_rectangular(spec)
+
+
+def test_decide_rectangular_raises_at_the_class_limit():
+    spec = parse_family("dim 1\nrect [1009]\nrect [1013]\nrecttemplate [2t] params=primes\n")
+    n = 2 * 1009 * 1013
+    count = Primes().class_count(n)
+    with pytest.raises(
+        TooLargeError,
+        match=rf"covering check, entry 2: {count} parameter classes modulo {n} exceed the limit 200000",
+    ):
+        decide_rectangular(spec)
+    assert decide(spec, SearchBudget(max_side=1, search_radius=2)).status == INCONCLUSIVE
+
+
+@st.composite
+def rect_entries(draw, m):
+    kind = draw(st.sampled_from(("rect", "static", "recttemplate")))
+    if kind != "recttemplate":
+        diag = tuple(draw(st.integers(1, 4)) for _ in range(m))
+        assume(any(d > 1 for d in diag))
+        return Rectangular(diag) if kind == "rect" else Static(Lattice.from_diagonal(diag))
+    slots = tuple(RectEntry(draw(st.integers(1, 2)), draw(st.integers(0, 2))) for _ in range(m))
+    params = draw(st.sampled_from(
+        (Primes(), odd_primes(), Geometric(2), Geometric(3, 2), Explicit((2, 3)), Explicit((3, 4, 5)))
+    ))
+    try:
+        return RectTemplate(slots, params)
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda m: st.lists(rect_entries(m), min_size=1, max_size=3).map(
+    lambda ents: FamilySpec(m, tuple(ents)))))
+def test_decide_rectangular_is_exact_and_reverifies(spec):
+    v = decide_rectangular(spec)
+    if v.status == PROXIMAL:
+        entry = spec.entries[v.certificate.entry_index]
+        assert entry.is_infinite
+        for a, b in itertools.combinations(v.certificate.sample, 2):
+            assert a.coprime(b)
+        for lat in v.certificate.sample:
+            assert lat in [entry.member(t) for t in entry.params.values_up_to(30)]
+    else:
+        assert v.status == NOT_PROXIMAL
+        report = check_covering(spec, v.certificate.covers)
+        assert report.covered and report.certificate == v.certificate
 
 
 def test_decide_ex_presets_inconclusive_with_evidence():

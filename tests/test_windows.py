@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bfree import windows
@@ -15,19 +15,8 @@ from bfree.errors import (
     NotRectangularError,
     TooLargeError,
 )
-from bfree.families import (
-    Explicit,
-    FamilySpec,
-    Geometric,
-    Primes,
-    RectEntry,
-    RectTemplate,
-    Rectangular,
-    Static,
-    Template,
-    preset,
-)
-from bfree.lattices import Lattice, UnimodularMap, hnf, random_unimodular
+from bfree.families import FamilySpec, Rectangular, preset
+from bfree.lattices import Lattice, UnimodularMap, hnf
 from bfree.windows import (
     Box,
     FreeWindow,
@@ -41,6 +30,8 @@ from bfree.windows import (
     zero_window_by_crt,
 )
 
+from helpers import entries, random_unimodular
+
 EMPTY = FamilySpec(2, ())
 
 
@@ -50,41 +41,6 @@ def ex2_free(n, m):
 
 # ---------------------------------------------------------------------------
 # random families and boxes for the sieve properties
-
-
-@st.composite
-def param_seqs(draw):
-    kind = draw(st.sampled_from(("primes", "geometric", "explicit")))
-    if kind == "primes":
-        return Primes(tuple(draw(st.lists(st.sampled_from((2, 3, 5, 7)), unique=True, max_size=2))))
-    if kind == "geometric":
-        return Geometric(draw(st.integers(2, 5)), draw(st.integers(0, 2)))
-    return Explicit(tuple(sorted(draw(st.sets(st.integers(1, 40), min_size=1, max_size=4)))))
-
-
-@st.composite
-def canonical_lattices(draw, m, max_diag=4):
-    rows = []
-    for i in range(m):
-        d = draw(st.integers(1, max_diag))
-        rows.append(tuple(draw(st.integers(0, d - 1)) if j < i else d * (i == j) for j in range(m)))
-    return Lattice(tuple(rows))
-
-
-@st.composite
-def entries(draw, m):
-    kind = draw(st.sampled_from(("static", "rect", "recttemplate", "template")))
-    try:
-        if kind == "static":
-            return Static(draw(canonical_lattices(m)))
-        if kind == "rect":
-            return Rectangular(tuple(draw(st.integers(1, 5)) for _ in range(m)))
-        if kind == "recttemplate":
-            slots = tuple(RectEntry(draw(st.integers(1, 3)), draw(st.integers(0, 3))) for _ in range(m))
-            return RectTemplate(slots, draw(param_seqs()))
-        return Template(draw(canonical_lattices(m)), draw(st.integers(0, m - 1)), draw(param_seqs()))
-    except ValueError:  # improper member or no parameterised slot
-        assume(False)
 
 
 @st.composite
