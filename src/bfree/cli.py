@@ -101,10 +101,14 @@ def cmd_zero(args) -> int:
     if args.periodic_exact:
         verdict = decide(spec)
         if verdict.status == "NotProximal" and isinstance(verdict.certificate, Covering):
-            covers = verdict.certificate.covers
-            if prove_no_zero_window(spec, shape, covers):
-                print("exact: no zero translate exists", file=sys.stderr)
-                return EXIT_NOT_FOUND
+            try:
+                proved = prove_no_zero_window(spec, shape, verdict.certificate.covers)
+            except TooLargeError as exc:
+                print(f"{exc}; falling back to the bounded search", file=sys.stderr)
+            else:
+                if proved:
+                    print("exact: no zero translate exists", file=sys.stderr)
+                    return EXIT_NOT_FOUND
     translate = find_zero_window(spec, shape, search, cell_limit=_cell_limit(args))
     if translate is None:
         print(

@@ -138,6 +138,10 @@ class Primes:
             return "primes excluding {%s}" % ", ".join(map(str, self.exclude))
         return "all primes"
 
+    def spec_text(self) -> str:
+        """The ``params=`` text that parse_family reads back."""
+        return "primes!" + ",".join(map(str, self.exclude)) if self.exclude else "primes"
+
 
 def odd_primes() -> Primes:
     return Primes(exclude=(2,))
@@ -238,6 +242,9 @@ class Geometric:
     def describe(self) -> str:
         return f"powers {self.base}^k, k >= {self.start}"
 
+    def spec_text(self) -> str:
+        return f"geometric:{self.base}:{self.start}" if self.start != 1 else f"geometric:{self.base}"
+
 
 @dataclass(frozen=True)
 class Explicit:
@@ -290,6 +297,9 @@ class Explicit:
 
     def describe(self) -> str:
         return "{%s}" % ", ".join(map(str, self.values))
+
+    def spec_text(self) -> str:
+        return "explicit:" + ",".join(map(str, self.values))
 
 
 ParamSeq = Primes | Geometric | Explicit
@@ -356,6 +366,9 @@ class Static(_OneMember):
     def describe(self) -> str:
         return f"static {self.lattice.to_columns()}"
 
+    def spec_line(self) -> str:
+        return f"static {_compact(self.lattice.to_columns())}"
+
 
 @dataclass(frozen=True)
 class Rectangular(_OneMember):
@@ -384,6 +397,9 @@ class Rectangular(_OneMember):
 
     def describe(self) -> str:
         return "rect [%s]" % ", ".join(map(str, self.entries))
+
+    def spec_line(self) -> str:
+        return f"rect {_compact(list(self.entries))}"
 
 
 @dataclass(frozen=True)
@@ -620,6 +636,10 @@ class RectTemplate(_Parameterised):
         pattern = ", ".join(str(s) for s in self.entries)
         return f"recttemplate [{pattern}] over {self.params.describe()}"
 
+    def spec_line(self) -> str:
+        slots = ",".join(str(s) for s in self.entries)
+        return f"recttemplate [{slots}] params={self.params.spec_text()}"
+
 
 @dataclass(frozen=True)
 class Template(_Parameterised):
@@ -775,6 +795,13 @@ class Template(_Parameterised):
         return (
             f"template base={self.base.to_columns()} scale=({pos},{pos}) "
             f"over {self.params.describe()}"
+        )
+
+    def spec_line(self) -> str:
+        pos = self.scaled_row + 1
+        return (
+            f"template base={_compact(self.base.to_columns())} scale=({pos},{pos}) "
+            f"params={self.params.spec_text()}"
         )
 
 
@@ -1054,21 +1081,7 @@ def parse_family(text: str) -> FamilySpec:
 
 def format_family(spec: FamilySpec) -> str:
     """Inverse of parse_family, up to whitespace."""
-    lines = [f"dim {spec.dim}"]
-    for e in spec.entries:
-        if isinstance(e, Static):
-            lines.append(f"static {_compact(e.lattice.to_columns())}")
-        elif isinstance(e, Rectangular):
-            lines.append(f"rect {_compact(list(e.entries))}")
-        elif isinstance(e, Template):
-            pos = e.scaled_row + 1
-            lines.append(
-                "template base=%s scale=(%d,%d) params=%s"
-                % (_compact(e.base.to_columns()), pos, pos, _format_params(e.params))
-            )
-        elif isinstance(e, RectTemplate):
-            slots = ",".join(str(s) for s in e.entries)
-            lines.append(f"recttemplate [{slots}] params={_format_params(e.params)}")
+    lines = [f"dim {spec.dim}"] + [e.spec_line() for e in spec.entries]
     if spec.transform is not None:
         lines.append(f"transform {_compact(spec.transform.to_rows())}")
     return "\n".join(lines) + "\n"
@@ -1076,13 +1089,3 @@ def format_family(spec: FamilySpec) -> str:
 
 def _compact(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
-
-
-def _format_params(p: ParamSeq) -> str:
-    if isinstance(p, Primes):
-        if p.exclude:
-            return "primes!" + ",".join(map(str, p.exclude))
-        return "primes"
-    if isinstance(p, Geometric):
-        return f"geometric:{p.base}:{p.start}" if p.start != 1 else f"geometric:{p.base}"
-    return "explicit:" + ",".join(map(str, p.values))

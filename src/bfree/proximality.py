@@ -18,7 +18,7 @@ general lattice families that implication has no converse.
 import itertools
 import json
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from .errors import (
     InconsistencyError,
@@ -27,9 +27,18 @@ from .errors import (
     NotRectangularError,
     TooLargeError,
 )
-from .families import FamilySpec
-from .lattices import Lattice, Point, combination, enumerate_points, hnf, intersect_all, split_in_sum
-from .windows import Box, Shape, find_zero_window
+from .families import FamilySpec, Static
+from .lattices import (
+    DEFAULT_COSET_LIMIT,
+    Lattice,
+    Point,
+    combination,
+    enumerate_points,
+    hnf,
+    intersect_all,
+    split_in_sum,
+)
+from .windows import Box, Shape, covered_flags, find_zero_window
 
 PROXIMAL = "Proximal"
 NOT_PROXIMAL = "NotProximal"
@@ -208,11 +217,15 @@ def check_covering(
     """Exact answer to "is every family member inside the union of the covers".
 
     The covers must be proper and must not exhaust Z^m; violations raise
-    InvalidCoverError (such a list certifies nothing).  Infinite template
-    entries are reduced to finitely many parameter classes modulo the index
-    of the cover intersection, which is exact because cover membership is
-    periodic with that period.  Raises TooLargeError, naming the count and
-    ``rep_limit``, when a scan or a class enumeration would exceed it.
+    InvalidCoverError (such a list certifies nothing).  The missed coset is
+    the first representative of the cover intersection, in
+    ``iter_coset_reps`` order, outside every cover: built coordinate by
+    coordinate when every cover is diagonal, found by a scan otherwise.
+    Infinite template entries are reduced to finitely many parameter classes
+    modulo the index of the cover intersection, which is exact because cover
+    membership is periodic with that period.  Raises TooLargeError, naming
+    the count and ``rep_limit``, when the scan of non-diagonal covers or a
+    class enumeration would exceed it.
     """
     covers = list(covers)
     if not covers:
@@ -224,18 +237,10 @@ def check_covering(
             raise InvalidCoverError("covers must be proper lattices (index >= 2)")
     period = intersect_all(covers)
     n = period.index
-    missed = None
-    scanned = 0
-    for rep in period.iter_coset_reps():
-        if not any(cov.contains(rep) for cov in covers):
-            missed = rep
-            break
-        scanned += 1
-        if scanned > rep_limit:
-            raise TooLargeError(
-                f"covering check: the first {rep_limit} of {n} cosets of the cover "
-                f"intersection all lie in the union (rep_limit={rep_limit})"
-            )
+    if all(cov.is_diagonal() for cov in covers):
+        missed = _first_missed_diagonal(covers)
+    else:
+        missed = _first_missed_scan(covers, period, rep_limit)
     if missed is None:
         raise InvalidCoverError("the covers exhaust the whole group; nothing is certified")
 
@@ -265,6 +270,47 @@ def check_covering(
     return CoveringReport(True, cert, None)
 
 
+def _first_missed_diagonal(covers) -> Point:
+    """First coset rep of the intersection of proper diagonal covers that
+    lies in none of them.
+
+    A point escapes a diagonal cover when some coordinate is not a multiple
+    of that cover's diagonal entry; the value 1 escapes every cover whose
+    entry exceeds 1, and 0 escapes none.  Reps are ordered last coordinate
+    first, so coordinates are fixed from last to first, each at 0 unless
+    an open cover (one no chosen coordinate escapes yet) has entry 1 on
+    every coordinate below: that cover must be escaped here, and 1 is the
+    least value that does.  Each proper cover is escaped by the time the
+    first coordinate is fixed, so a missed coset always exists.
+    """
+    # per cover: its diagonal and its lowest coordinate with an entry above 1
+    open_covers = [
+        (cov.diagonal, next(i for i, d in enumerate(cov.diagonal) if d > 1)) for cov in covers
+    ]
+    point = [0] * covers[0].dim
+    for j in reversed(range(len(point))):
+        if any(low >= j for _, low in open_covers):
+            point[j] = 1
+            open_covers = [(diag, low) for diag, low in open_covers if diag[j] == 1]
+    return tuple(point)
+
+
+def _first_missed_scan(covers, period: Lattice, rep_limit: int) -> Point | None:
+    """First coset rep of ``period`` outside every cover, by scanning the
+    reps in order; None when the covers hold them all."""
+    scanned = 0
+    for rep in period.iter_coset_reps():
+        if not any(cov.contains(rep) for cov in covers):
+            return rep
+        scanned += 1
+        if scanned > rep_limit:
+            raise TooLargeError(
+                f"covering check: the first {rep_limit} of {period.index} cosets of the cover "
+                f"intersection all lie in the union (rep_limit={rep_limit})"
+            )
+    return None
+
+
 def _point_in(member: Lattice, other: Lattice, target):
     """The part x in ``member`` of a split target = x + y with y in
     ``other``, or None when target is outside member + other."""
@@ -288,21 +334,40 @@ def prove_no_zero_window(spec: FamilySpec, shape: Shape, covers) -> bool:
 
     With every member inside the union of the covers, a zero window must sit
     inside the union as well; union membership is periodic modulo the cover
-    intersection, so scanning one period is exhaustive.  Returns True when no
-    translate survives (nonexistence proved); False means the scan is silent
-    (some period translate stays inside the union, so nothing is proved).
+    intersection, so one period of translates is exhaustive.  The union is
+    sieved once over the box [shape low, D - 1 + shape high], D the
+    intersection's diagonal, and a translate g of the rep box [0, D)
+    survives when g + f is covered for every offset f: an AND of the flags
+    shifted by each offset.  Returns True when no translate survives
+    (nonexistence proved); False means some period translate stays inside
+    the union, so nothing is proved.  Raises TooLargeError, naming the
+    period's size, when the box has more than DEFAULT_COSET_LIMIT cells.
     """
-    period = intersect_all(list(covers))
-    for g in period.coset_reps():
-        ok = True
-        for f in shape.offsets:
-            p = tuple(a + b for a, b in zip(g, f))
-            if not any(cov.contains(p) for cov in covers):
-                ok = False
-                break
-        if ok:
-            return False
-    return True
+    covers = list(covers)
+    period = intersect_all(covers)
+    lo, hi = shape.bounds()
+    diag = period.diagonal
+    box = Box(lo, tuple(d - 1 + h for d, h in zip(diag, hi)))
+    if box.volume > DEFAULT_COSET_LIMIT:
+        raise TooLargeError(
+            f"period proof: a period of {period.index} cosets needs a sieve box of "
+            f"{box.volume} cells, above the limit of {DEFAULT_COSET_LIMIT}"
+        )
+    union = FamilySpec(len(diag), tuple(Static(cov) for cov in covers))
+    flags = int.from_bytes(covered_flags(union, box), "little")
+    sides = box.sides
+    strides = [prod(sides[k + 1 :]) for k in range(len(sides))]
+    # byte mask of the rep box [0, D) inside the sieve box
+    survivors = b"\x01" * diag[-1] + bytes(sides[-1] - diag[-1])
+    for k in reversed(range(len(sides) - 1)):
+        survivors = survivors * diag[k] + bytes((sides[k] - diag[k]) * strides[k])
+    survivors = int.from_bytes(survivors, "little")
+    for f in shape.offsets:
+        shift = sum((x - a) * s for x, a, s in zip(f, lo, strides))
+        survivors &= flags >> (8 * shift)
+        if not survivors:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -459,11 +524,15 @@ def decide_rectangular(spec: FamilySpec) -> Verdict:
     """Exact verdict for families of rectangular entries only.
 
     Raises NotRectangularError when a non-rectangular entry is present and
-    ValueError for a family without entries.  For rectangular schemas the coprime-subfamily test and the coordinatewise
-    covering construction are jointly complete, so the answer is Proximal or
-    NotProximal, never Inconclusive; when the covering check would exceed
-    its limits, its TooLargeError (naming the check, the count and the
-    limit) propagates instead.
+    ValueError for a family without entries.  For rectangular schemas the
+    coprime-subfamily test and the coordinatewise covering construction are
+    jointly complete, so the answer is Proximal or NotProximal, never
+    Inconclusive.  Without a transform the covers are diagonal, so the
+    missed coset is built directly and ``rep_limit`` bounds only the class
+    sweep of template entries; under a transform the missed-coset scan is
+    bounded too.  When the covering check would exceed a limit, its
+    TooLargeError (naming the check, the count and the limit) propagates
+    instead.
     """
     if not spec.entries:
         raise ValueError("a family without entries has no verdict")

@@ -106,6 +106,19 @@ def test_zero_periodic_exact_negative(tmp_path, capsys):
     assert "exact: no zero translate exists" in err
 
 
+def test_zero_periodic_exact_falls_back_past_the_period_limit(tmp_path, capsys):
+    spec = tmp_path / "big.fam"
+    spec.write_text("dim 2\nrect [1009,1]\nrect [1,1013]\n")
+    code, stdout, err = run(
+        capsys, "zero", "--spec", str(spec), "--shape", "0:0x0:1", "--periodic-exact"
+    )
+    assert code == 0
+    assert "a period of 1022117 cosets" in err
+    assert "above the limit of 1000000; falling back to the bounded search" in err
+    x, _ = json.loads(stdout)["translate"]
+    assert x % 1009 == 0
+
+
 def test_zero_not_found_plain_scan(tmp_path, capsys):
     spec = tmp_path / "even.fam"
     spec.write_text("dim 2\nrect [2,2]\n")

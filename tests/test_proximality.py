@@ -26,7 +26,7 @@ from bfree.families import (
     parse_family,
     preset,
 )
-from bfree.lattices import Lattice, UnimodularMap, hnf
+from bfree.lattices import Lattice, UnimodularMap, hnf, intersect_all
 from bfree.proximality import (
     INCONCLUSIVE,
     NOT_PROXIMAL,
@@ -48,6 +48,7 @@ from bfree.proximality import (
     prove_no_zero_window,
 )
 from bfree.windows import Box, Shape, all_zero_windows, find_zero_window, zero_window_by_crt
+from helpers import canonical_lattices
 
 
 def rect_spec(*diags):
@@ -95,12 +96,30 @@ def test_decide_rectangular_rejects_templates():
         decide_rectangular(FamilySpec(2, ()))
 
 
-def test_decide_rectangular_raises_at_the_coset_scan_limit():
+def test_decide_rectangular_builds_the_missed_coset_past_the_scan_limit():
     # the union of the two covers holds the first > 200000 cosets of their
-    # intersection, so no missed coset is found within the limit
+    # intersection; diagonal covers get their missed coset by construction
     spec = parse_family("dim 2\nrect [1000003,1]\nrect [1,1000033]\n")
-    with pytest.raises(TooLargeError, match=r"covering check: the first 200000 of 1000036000099 cosets .*rep_limit=200000"):
-        decide_rectangular(spec)
+    v = decide_rectangular(spec)
+    assert v.status == NOT_PROXIMAL
+    cert = v.certificate
+    assert cert.missed_coset == (1, 1)
+    report = check_covering(spec, cert.covers)
+    assert report.covered and report.certificate == cert
+    ft = check_fixed_translate(spec, cert.missed_coset, intersect_all(cert.covers))
+    assert ft.holds and ft.exact
+
+
+def test_check_covering_scan_limit_on_non_diagonal_covers():
+    # the first 9 of the 27 cosets lie in the union, the 10th is missed
+    covers = [hnf([(3, 1), (0, 3)]), Lattice.from_diagonal((1, 3))]
+    spec = FamilySpec(2, (Static(covers[0]), Rectangular((1, 3))))
+    with pytest.raises(
+        TooLargeError,
+        match=r"^covering check: the first 8 of 27 cosets of the cover intersection all lie in the union \(rep_limit=8\)$",
+    ):
+        check_covering(spec, covers, rep_limit=8)
+    assert check_covering(spec, covers, rep_limit=9).certificate.missed_coset == (0, 1)
 
 
 def test_decide_rectangular_raises_at_the_class_limit():
@@ -263,6 +282,50 @@ def test_prove_no_zero_window_silent_when_windows_exist():
     covers = [Lattice.from_diagonal((2, 2)), Lattice.from_diagonal((3, 3))]
     shape = Shape.from_offsets([(0, 0), (1, 0)])
     assert not prove_no_zero_window(spec, shape, covers)
+
+
+def _in_union(covers, p) -> bool:
+    return any(cov.contains(p) for cov in covers)
+
+
+@st.composite
+def diagonal_covers(draw):
+    m = draw(st.integers(1, 3))
+    diag = st.lists(st.integers(1, 5), min_size=m, max_size=m).filter(lambda d: any(x > 1 for x in d))
+    return [Lattice.from_diagonal(d) for d in draw(st.lists(diag, min_size=1, max_size=4))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(diagonal_covers())
+def test_constructed_missed_coset_is_the_first_uncovered_rep(covers):
+    spec = FamilySpec(covers[0].dim, tuple(Static(cov) for cov in covers))
+    first = next(rep for rep in intersect_all(covers).iter_coset_reps() if not _in_union(covers, rep))
+    assert check_covering(spec, covers).certificate.missed_coset == first
+
+
+@st.composite
+def covers_and_shapes(draw):
+    m = draw(st.integers(1, 2))
+    cover = canonical_lattices(m, max_diag=5).filter(Lattice.is_proper)
+    covers = draw(st.lists(cover, min_size=1, max_size=3))
+    side = intersect_all(covers).index - 1
+    if draw(st.booleans()) and (side + 1) ** m <= 400:
+        # the full-box shape conditions_report passes
+        return covers, Shape.from_box(Box((0,) * m, (side,) * m))
+    point = st.tuples(*[st.integers(-4, 4)] * m)
+    return covers, Shape.from_offsets(draw(st.lists(point, min_size=1, max_size=6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(covers_and_shapes())
+def test_prove_no_zero_window_matches_the_per_coset_scan(case):
+    covers, shape = case
+    spec = FamilySpec(covers[0].dim, tuple(Static(cov) for cov in covers))
+    survives = any(
+        all(_in_union(covers, tuple(a + b for a, b in zip(g, f))) for f in shape.offsets)
+        for g in intersect_all(covers).coset_reps()
+    )
+    assert prove_no_zero_window(spec, shape, covers) == (not survives)
 
 
 # ---------------------------------------------------------------------------
