@@ -123,7 +123,10 @@ def cmd_zero(args) -> int:
 
 def cmd_decide(args) -> int:
     spec = _load_spec(args)
-    verdict = decide(spec, SearchBudget(max_side=args.max_side, search_radius=args.radius))
+    budget = SearchBudget(
+        max_side=args.max_side, search_radius=args.radius, cell_limit=_cell_limit(args)
+    )
+    verdict = decide(spec, budget)
     print(verdict.to_json())
     return EXIT_OK
 
@@ -144,7 +147,9 @@ def cmd_density(args) -> int:
 
 def cmd_report(args) -> int:
     spec = _load_spec(args)
-    budget = SearchBudget(max_side=args.max_side, search_radius=args.radius)
+    budget = SearchBudget(
+        max_side=args.max_side, search_radius=args.radius, cell_limit=_cell_limit(args)
+    )
     candidate = parse_family(Path(args.dprime).read_text()) if args.dprime else None
     report = conditions_report(spec, budget, dprime_candidate=candidate)
     print(report.to_json())

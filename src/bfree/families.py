@@ -363,9 +363,6 @@ class Static(_OneMember):
     def covered(self, p) -> bool:
         return self.lattice.contains(p)
 
-    def describe(self) -> str:
-        return f"static {self.lattice.to_columns()}"
-
     def spec_line(self) -> str:
         return f"static {_compact(self.lattice.to_columns())}"
 
@@ -394,9 +391,6 @@ class Rectangular(_OneMember):
 
     def covered(self, p) -> bool:
         return all(x % a == 0 for x, a in zip(p, self.entries, strict=True))
-
-    def describe(self) -> str:
-        return "rect [%s]" % ", ".join(map(str, self.entries))
 
     def spec_line(self) -> str:
         return f"rect {_compact(list(self.entries))}"
@@ -542,33 +536,27 @@ class RectTemplate(_Parameterised):
             abs(v).bit_length() > 64 for v, _ in constraints
         )
 
-    def covered(self, p) -> bool:
-        constraints = self._constraints(p)
-        if constraints is None:
-            return False
-        if all(v == 0 for v, _ in constraints):
-            return True  # zero is divisible by every parameter value
-        if self._probe_first(constraints):
-            for t in self.params.values_up_to(_PROBE_BOUND):
-                if all(v % t**e == 0 for v, e in constraints):
-                    return True
-            return any(t > _PROBE_BOUND for t in self.params.candidates(constraints))
-        return bool(self.params.candidates(constraints))
-
-    def member_containing(self, p):
+    def _least_param(self, p):
+        """The least parameter t whose member contains p, or None."""
         constraints = self._constraints(p)
         if constraints is None:
             return None
         if all(v == 0 for v, _ in constraints):
-            return self.member(self.params.min_value())
+            return self.params.min_value()  # zero is divisible by every parameter value
         if self._probe_first(constraints):
             for t in self.params.values_up_to(_PROBE_BOUND):
                 if all(v % t**e == 0 for v, e in constraints):
-                    return self.member(t)
-            extra = [t for t in self.params.candidates(constraints) if t > _PROBE_BOUND]
-            return self.member(min(extra)) if extra else None
-        cands = self.params.candidates(constraints)
-        return self.member(min(cands)) if cands else None
+                    return t
+            extra = (t for t in self.params.candidates(constraints) if t > _PROBE_BOUND)
+            return min(extra, default=None)
+        return min(self.params.candidates(constraints), default=None)
+
+    def covered(self, p) -> bool:
+        return self._least_param(p) is not None
+
+    def member_containing(self, p):
+        t = self._least_param(p)
+        return None if t is None else self.member(t)
 
     def instances_up_to(self, bound: int) -> list[Lattice]:
         const = 1
@@ -631,10 +619,6 @@ class RectTemplate(_Parameterised):
             "distinct prime parameters give pairwise coprime members"
         )
         return rule, sample
-
-    def describe(self) -> str:
-        pattern = ", ".join(str(s) for s in self.entries)
-        return f"recttemplate [{pattern}] over {self.params.describe()}"
 
     def spec_line(self) -> str:
         slots = ",".join(str(s) for s in self.entries)
@@ -790,13 +774,6 @@ class Template(_Parameterised):
             return self._some_coprime_pair()
         return False if self.pair_sum_bound().is_proper() else None
 
-    def describe(self) -> str:
-        pos = self.scaled_row + 1
-        return (
-            f"template base={self.base.to_columns()} scale=({pos},{pos}) "
-            f"over {self.params.describe()}"
-        )
-
     def spec_line(self) -> str:
         pos = self.scaled_row + 1
         return (
@@ -892,12 +869,6 @@ class FamilySpec:
         if self.transform is None:
             return self
         return replace(self, transform=None)
-
-    def describe(self) -> str:
-        lines = [f"dim {self.dim}"] + [e.describe() for e in self.entries]
-        if self.transform is not None:
-            lines.append(f"transform {self.transform.to_rows()}")
-        return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,20 @@ and every entry left of the diagonal is reduced into [0, diagonal).  This
 form is unique for each finite-index subgroup, so structural equality of the
 basis decides equality of subgroups.
 
+One integer column elimination, ``_hnf_columns``, serves every operation.
+``hnf`` is that elimination.  ``Lattice.intersect`` and ``split_in_sum``
+eliminate the stacked generators (b, b) for b in one lattice and (c, 0) for
+c in the other, which span {(x + y, x)}: the intersection is read off the
+last columns, and a split off the back-substituted target.  A matrix is
+unimodular exactly when its columns eliminate to index 1, and
+``UnimodularMap.inverse`` appends unit vectors to them, so the elimination
+records the transform U with A*U = I.
+
 All operations are pure; ``Lattice`` and ``UnimodularMap`` values are
 immutable and safe to share.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .errors import RankDeficientError, TooLargeError
@@ -34,29 +42,6 @@ def combination(columns, coeffs) -> Point:
             for r, x in enumerate(col):
                 vec[r] += k * x
     return tuple(vec)
-
-
-def det_int(rows) -> int:
-    """Exact integer determinant (fraction-free Bareiss elimination)."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 @dataclass(frozen=True)
@@ -164,16 +149,16 @@ class Lattice:
         return hnf(self.columns + other.columns)
 
     def intersect(self, other: "Lattice") -> "Lattice":
-        """Intersection via the kernel of (u, v) -> B1*u - B2*v on Z^(2m)."""
-        self._check_same_dim(other)
+        """Intersection from one elimination of the stacked generators.
+
+        In the canonical triangular basis of {(x + y, x) : x in self, y in
+        other} the last m columns span the points whose first m coordinates
+        vanish, that is (0, x) with x in self and -x in other, so their lower
+        block is already the canonical basis of the intersection.
+        """
         m = self.dim
-        cols = [list(c) for c in self.columns]
-        cols += [[-x for x in c] for c in other.columns]
-        _, transform, pivots = _echelon_with_transform(cols, m)
-        if len(pivots) != m:  # cannot happen for finite-index inputs
-            raise RankDeficientError("intersection lost rank")
-        b1 = self.columns
-        return hnf([combination(b1, w) for w in transform[m:]])
+        cols = _stacked_sum(self, other, 2 * m)
+        return Lattice(tuple(tuple(cols[j][m + i] for j in range(m, 2 * m)) for i in range(m)))
 
     def coprime(self, other: "Lattice") -> bool:
         return self.sum(other).index == 1
@@ -212,6 +197,56 @@ class Lattice:
         return f"Lattice(cols={self.to_columns()})"
 
 
+def _hnf_columns(cols, nrows: int) -> None:
+    """Bring the first ``nrows`` coordinates of ``cols`` to canonical
+    triangular form in place.
+
+    xgcd column operations clear each row below its pivot, the pivot is made
+    positive, and earlier columns are reduced into [0, pivot).  Coordinates
+    past ``nrows`` ride along under the same operations, so appended unit
+    vectors record the unimodular transform.  Raises RankDeficientError when
+    the first ``nrows`` coordinates do not reach full rank.
+    """
+    n = len(cols)
+    width = len(cols[0]) if cols else nrows
+    for i in range(nrows):
+        piv = next((j for j in range(i, n) if cols[j][i] != 0), None)
+        if piv is None:
+            raise RankDeficientError(f"generators do not reach full rank at row {i}")
+        cols[i], cols[piv] = cols[piv], cols[i]
+        for j in range(i + 1, n):
+            if cols[j][i] == 0:
+                continue
+            a, b = cols[i][i], cols[j][i]
+            g, s, t = xgcd(a, b)
+            u, v = -(b // g), a // g
+            for r in range(i, width):
+                x, y = cols[i][r], cols[j][r]
+                cols[i][r] = s * x + t * y
+                cols[j][r] = u * x + v * y
+        if cols[i][i] < 0:
+            for r in range(i, width):
+                cols[i][r] = -cols[i][r]
+        d = cols[i][i]
+        for j in range(i):
+            q = cols[j][i] // d
+            if q:
+                for r in range(i, width):
+                    cols[j][r] -= q * cols[i][r]
+
+
+def _stacked_sum(l1: Lattice, l2: Lattice, nrows: int) -> list[list[int]]:
+    """The generators (b, b) for b in l1 and (c, 0) for c in l2, which span
+    {(x + y, x) : x in l1, y in l2}, eliminated over their first ``nrows``
+    coordinates."""
+    l1._check_same_dim(l2)
+    m = l1.dim
+    cols = [list(b) + list(b) for b in l1.columns]
+    cols += [list(c) + [0] * m for c in l2.columns]
+    _hnf_columns(cols, nrows)
+    return cols
+
+
 def hnf(generators, dim: int | None = None) -> Lattice:
     """Canonical triangular form of the subgroup generated by the given vectors.
 
@@ -227,104 +262,33 @@ def hnf(generators, dim: int | None = None) -> Lattice:
     if any(len(g) != dim for g in gens):
         raise ValueError("generators of mixed dimension")
     cols = [list(g) for g in gens]
-    n = len(cols)
-    for i in range(dim):
-        piv = next((j for j in range(i, n) if cols[j][i] != 0), None)
-        if piv is None:
-            raise RankDeficientError(f"generators do not reach full rank at row {i}")
-        cols[i], cols[piv] = cols[piv], cols[i]
-        for j in range(i + 1, n):
-            if cols[j][i] == 0:
-                continue
-            a, b = cols[i][i], cols[j][i]
-            g, s, t = xgcd(a, b)
-            u, v = -(b // g), a // g
-            for r in range(i, dim):
-                x, y = cols[i][r], cols[j][r]
-                cols[i][r] = s * x + t * y
-                cols[j][r] = u * x + v * y
-        if cols[i][i] < 0:
-            for r in range(i, dim):
-                cols[i][r] = -cols[i][r]
-        d = cols[i][i]
-        for j in range(i):
-            q = cols[j][i] // d
-            if q:
-                for r in range(i, dim):
-                    cols[j][r] -= q * cols[i][r]
-    rows = tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim))
-    return Lattice(rows)
-
-
-def _echelon_with_transform(cols, nrows):
-    """Column echelon form tracking the unimodular column transform.
-
-    Returns (echelon_cols, transform_cols, pivots) where pivots is a list of
-    (row, col) positions.  Columns at positions >= len(pivots) of the echelon
-    are zero, and the matching transform columns span the kernel.
-    """
-    cols = [list(c) for c in cols]
-    n = len(cols)
-    transform = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    piv = 0
-    pivots = []
-    for i in range(nrows):
-        j0 = next((j for j in range(piv, n) if cols[j][i] != 0), None)
-        if j0 is None:
-            continue
-        cols[piv], cols[j0] = cols[j0], cols[piv]
-        transform[piv], transform[j0] = transform[j0], transform[piv]
-        for j in range(piv + 1, n):
-            if cols[j][i] == 0:
-                continue
-            a, b = cols[piv][i], cols[j][i]
-            g, s, t = xgcd(a, b)
-            u, v = -(b // g), a // g
-            for r in range(i, nrows):
-                x, y = cols[piv][r], cols[j][r]
-                cols[piv][r] = s * x + t * y
-                cols[j][r] = u * x + v * y
-            for r in range(n):
-                x, y = transform[piv][r], transform[j][r]
-                transform[piv][r] = s * x + t * y
-                transform[j][r] = u * x + v * y
-        pivots.append((i, piv))
-        piv += 1
-    return cols, transform, pivots
-
-
-def solve_in_columns(cols, target):
-    """Integer coefficients c with sum_j c_j * cols[j] = target, or None."""
-    target = list(as_point(target))
-    nrows = len(target)
-    cols = [list(c) for c in cols]
-    ech, transform, pivots = _echelon_with_transform(cols, nrows)
-    res = target[:]
-    w = [0] * len(cols)
-    for row, col in pivots:
-        d = ech[col][row]
-        if res[row] % d:
-            return None
-        q = res[row] // d
-        w[col] = q
-        if q:
-            for r in range(row, nrows):
-                res[r] -= q * ech[col][r]
-    if any(res):
-        return None
-    return combination(transform, w)
+    _hnf_columns(cols, dim)
+    return Lattice(tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim)))
 
 
 def split_in_sum(l1: Lattice, l2: Lattice, target):
     """Write target = x + y with x in l1 and y in l2, or return None.
 
-    Solvable exactly when target lies in l1 + l2.
+    Solvable exactly when target lies in l1 + l2.  Back-substituting
+    (target, 0) over the pivot columns of the stacked generators (x + y, x),
+    eliminated over their first m coordinates, leaves (0, -x).
     """
     m = l1.dim
-    coeffs = solve_in_columns(l1.columns + l2.columns, target)
-    if coeffs is None:
-        return None
-    return combination(l1.columns, coeffs[:m]), combination(l2.columns, coeffs[m:])
+    target = as_point(target)
+    if len(target) != m:
+        raise ValueError("dimension mismatch")
+    cols = _stacked_sum(l1, l2, m)
+    res = list(target) + [0] * m
+    for i in range(m):
+        d = cols[i][i]
+        if res[i] % d:
+            return None
+        q = res[i] // d
+        if q:
+            for r in range(i, 2 * m):
+                res[r] -= q * cols[i][r]
+    x = tuple(-v for v in res[m:])
+    return x, tuple(t - v for t, v in zip(target, x))
 
 
 def intersect_all(lattices) -> Lattice:
@@ -347,7 +311,11 @@ class UnimodularMap:
         m = len(self.rows)
         if m == 0 or any(len(r) != m for r in self.rows):
             raise ValueError("matrix must be square")
-        if det_int(self.rows) not in (1, -1):
+        try:
+            unimodular = hnf(zip(*self.rows), m).index == 1
+        except RankDeficientError:
+            unimodular = False
+        if not unimodular:
             raise ValueError("matrix must have determinant +1 or -1")
 
     @property
@@ -369,24 +337,13 @@ class UnimodularMap:
         return hnf([self.apply_point(c) for c in lattice.columns])
 
     def inverse(self) -> "UnimodularMap":
+        """A^-1, read off the elimination of A's columns with unit vectors
+        appended: it brings A to the identity by A*U = I, and the appended
+        part records U."""
         m = self.dim
-        aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(m)]
-               for i, row in enumerate(self.rows)]
-        for col in range(m):
-            pivot = next(r for r in range(col, m) if aug[r][col] != 0)
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            pv = aug[col][col]
-            aug[col] = [x / pv for x in aug[col]]
-            for r in range(m):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        rows = []
-        for r in range(m):
-            vals = aug[r][m:]
-            assert all(v.denominator == 1 for v in vals)
-            rows.append(tuple(int(v) for v in vals))
-        return UnimodularMap(tuple(rows))
+        cols = [list(a) + [int(i == j) for i in range(m)] for j, a in enumerate(zip(*self.rows))]
+        _hnf_columns(cols, m)
+        return UnimodularMap(tuple(tuple(cols[j][m + i] for j in range(m)) for i in range(m)))
 
     def to_rows(self) -> list[list[int]]:
         return [list(r) for r in self.rows]

@@ -443,7 +443,6 @@ class SearchBudget:
 
     max_side: int = 3
     search_radius: int = 16
-    instance_bound: int = 60
     cell_limit: int = 10**8
 
 
@@ -539,7 +538,7 @@ def decide_rectangular(spec: FamilySpec) -> Verdict:
     for entry in spec.base_spec().entries:
         if not entry.is_rectangular:
             raise NotRectangularError(
-                f"entry {entry.describe()} is not rectangular"
+                f"entry {entry.spec_line()} is not rectangular"
             )
     verdict = _coprime_verdict(spec) or _covering_verdict(spec)
     if verdict is None:
@@ -834,11 +833,9 @@ def conditions_report(
             False, "derived", "equivalent to (b): the union misses a full coset, so its density stays below 1"
         )
     else:
-        if isinstance(verdict.certificate, Evidence):
-            ev = verdict.certificate
-            found, not_found, searched = ev.found, ev.not_found, ev.searched
-        else:
-            found, not_found, searched = _zero_window_evidence(spec, budget)
+        ev = verdict.certificate
+        assert isinstance(ev, Evidence)
+        not_found, searched = ev.not_found, ev.searched
         all_found = not not_found
         b_row = ConditionRow(
             True if all_found else None,

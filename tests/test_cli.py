@@ -78,6 +78,16 @@ def test_eta_limit_env(tmp_path, capsys, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["decide", "report"])
+def test_evidence_search_obeys_the_cell_limit(command, capsys, monkeypatch):
+    code, _, err = run(capsys, command, "--preset", "ex2", "--limit-cells", "10")
+    assert code == 3
+    assert "cell limit" in err
+    monkeypatch.setenv("BFREE_LIMIT_CELLS", "10")
+    code, _, _ = run(capsys, command, "--preset", "ex2")
+    assert code == 3
+
+
 def test_zero_trivial_single_cell(capsys):
     code, stdout, _ = run(capsys, "zero", "--preset", "ex2", "--shape", "0:0x0:0")
     assert code == 0

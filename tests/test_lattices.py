@@ -10,13 +10,12 @@ from bfree.errors import RankDeficientError, TooLargeError
 from bfree.lattices import (
     Lattice,
     UnimodularMap,
-    det_int,
     enumerate_points,
     hnf,
     split_in_sum,
 )
 
-from helpers import random_unimodular
+from helpers import canonical_lattices, random_unimodular
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +325,40 @@ def test_unimodular_validation_and_inverse():
     u = UnimodularMap(((1, 0), (3, 1)))
     inv = u.inverse()
     assert inv.rows == ((1, 0), (-3, 1))
-    assert det_int(u.rows) == 1
+
+
+@st.composite
+def square_matrices(draw):
+    """Small square matrices, half of them unimodular by construction."""
+    m = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 10**6)))
+        return random_unimodular(rng, m, ops=draw(st.integers(0, 12))).rows
+    entry = st.integers(-3, 3)
+    row = st.tuples(*([entry] * m))
+    return tuple(draw(st.lists(row, min_size=m, max_size=m)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices())
+def test_unimodular_map_accepts_exactly_determinant_pm1(rows):
+    from sympy import Matrix
+
+    try:
+        UnimodularMap(rows)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == (Matrix(rows).det() in (1, -1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 10**6), st.integers(0, 12))
+def test_unimodular_inverse_equals_sympy(m, seed, ops):
+    from sympy import Matrix
+
+    u = random_unimodular(random.Random(seed), m, ops=ops)
+    assert Matrix(u.inverse().rows) == Matrix(u.rows).inv()
 
 
 def test_split_in_sum():
@@ -338,6 +370,47 @@ def test_split_in_sum():
     assert a.contains(x) and b.contains(y)
     assert tuple(i + j for i, j in zip(x, y)) == (1, 1)
     assert split_in_sum(a, Lattice.from_diagonal((4, 4)), (1, 0)) is None
+    with pytest.raises(ValueError):
+        split_in_sum(a, b, (1, 1, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda m: st.tuples(
+            canonical_lattices(m, max_diag=6),
+            canonical_lattices(m, max_diag=6),
+            st.tuples(*([st.integers(-30, 30)] * m)),
+        )
+    )
+)
+def test_split_in_sum_exactly_when_target_in_sum(case):
+    a, b, target = case
+    parts = split_in_sum(a, b, target)
+    assert (parts is not None) == a.sum(b).contains(target)
+    if parts is not None:
+        x, y = parts
+        assert a.contains(x) and b.contains(y)
+        assert tuple(i + j for i, j in zip(x, y)) == target
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda m: st.tuples(
+            canonical_lattices(m, max_diag=6),
+            canonical_lattices(m, max_diag=6),
+            st.lists(st.tuples(*([st.integers(-40, 40)] * m)), min_size=1, max_size=20),
+        )
+    )
+)
+def test_intersect_membership_is_membership_in_both(case):
+    a, b, points = case
+    both = a.intersect(b)
+    for p in points:
+        assert both.contains(p) == (a.contains(p) and b.contains(p))
+    # its generators lie in both, so the intersection is no larger than a and b share
+    assert all(a.contains(c) and b.contains(c) for c in both.columns)
 
 
 def test_serialization_roundtrip():

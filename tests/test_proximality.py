@@ -90,7 +90,7 @@ def test_decide_rect_demo_not_proximal():
 
 
 def test_decide_rectangular_rejects_templates():
-    with pytest.raises(NotRectangularError):
+    with pytest.raises(NotRectangularError, match=r"entry template base=\[\[1,1\],\[0,2\]\] scale=\(2,2\)"):
         decide_rectangular(preset("ex2"))
     with pytest.raises(ValueError):
         decide_rectangular(FamilySpec(2, ()))
