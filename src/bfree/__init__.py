@@ -9,6 +9,7 @@ certificates either way.
 
 from .errors import (
     BFreeError,
+    BadInputError,
     FactorizationError,
     FamilyParseError,
     InconsistencyError,

@@ -12,7 +12,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .errors import BFreeError, FamilyParseError, TooLargeError
+from .errors import BadInputError, BFreeError, FamilyParseError, TooLargeError
 from .families import FamilySpec, parse_family, preset
 from .proximality import (
     Covering,
@@ -48,30 +48,77 @@ def _load_spec(args) -> FamilySpec:
 
 
 def _cell_limit(args) -> int:
-    env = os.environ.get("BFREE_LIMIT_CELLS")
+    """--limit-cells, else BFREE_LIMIT_CELLS, else the default."""
     if args.limit_cells is not None:
         return args.limit_cells
-    if env is not None:
-        return int(env)
-    return DEFAULT_CELL_LIMIT
+    env = os.environ.get("BFREE_LIMIT_CELLS")
+    if env is None:
+        return DEFAULT_CELL_LIMIT
+    try:
+        return _positive(env)
+    except argparse.ArgumentTypeError as exc:
+        raise BadInputError(f"BFREE_LIMIT_CELLS: {exc}") from None
 
 
-def _parse_shape(text: str, dim: int) -> Shape:
-    if text.startswith("@"):
-        offsets = []
-        for line in Path(text[1:]).read_text().splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+def _fit(spec: FamilySpec, what: str, obj):
+    """Refuse a box or shape whose dimension is not the family's."""
+    if obj.dim != spec.dim:
+        raise BadInputError(f"{what} is {obj.dim}-dimensional, the family is {spec.dim}-dimensional")
+    return obj
+
+
+# argparse converters: a ValueError becomes "bad input" naming the flag
+
+
+def _converter(parse, want: str):
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {want} ({exc})") from None
+
+    return convert
+
+
+def _at_least(lo: int):
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < lo:
+            raise ValueError(f"below {lo}")
+        return n
+
+    return parse
+
+
+def _sides_list(text: str) -> list[int]:
+    sides = [_at_least(0)(x) for x in text.split(",")]
+    if any(a >= b for a, b in zip(sides, sides[1:])):
+        raise ValueError("sides must be strictly increasing")
+    return sides
+
+
+def _shape_text(text: str) -> Shape:
+    if not text.startswith("@"):
+        return Shape.parse(text)
+    offsets = []
+    for line in Path(text[1:]).read_text().splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
             offsets.append(tuple(int(x) for x in line.split()))
-        return Shape.from_offsets(offsets)
-    return Shape.parse(text, dim)
+    return Shape.from_offsets(offsets)
+
+
+_box = _converter(Box.parse, "a box lo:hi,lo:hi,... with lo <= hi")
+_shape = _converter(_shape_text, "a shape a:bxc:d or @offsets-file")
+_sides = _converter(_sides_list, "a strictly increasing list of non-negative radii")
+_count = _converter(_at_least(0), "a non-negative integer")
+_positive = _converter(_at_least(1), "a positive integer")
 
 
 def cmd_eta(args) -> int:
     spec = _load_spec(args)
-    box = Box.parse(args.box)
-    window = free_window(spec, box, cell_limit=_cell_limit(args))
+    box = _fit(spec, "--box", args.box)
+    window = free_window(spec, box, cell_limit=args.limit_cells)
     out = Path(args.out) if args.out else Path(f"eta.{args.format}")
     if args.format == "csv":
         out.write_text(window.to_csv())
@@ -85,7 +132,7 @@ def cmd_eta(args) -> int:
 
 def cmd_zero(args) -> int:
     spec = _load_spec(args)
-    shape = _parse_shape(args.shape, spec.dim)
+    shape = _fit(spec, "--shape", args.shape)
     if args.crt:
         translate, period, cert = crt_window_certificate(
             spec, shape, instance_bound=args.instance_bound
@@ -97,7 +144,7 @@ def cmd_zero(args) -> int:
         }
         print(json.dumps(payload))
         return EXIT_OK
-    search = Box.parse(args.search) if args.search else Box.centered(16, spec.dim)
+    search = _fit(spec, "--search", args.search) if args.search else Box.centered(16, spec.dim)
     if args.periodic_exact:
         verdict = decide(spec)
         if verdict.status == "NotProximal" and isinstance(verdict.certificate, Covering):
@@ -109,7 +156,7 @@ def cmd_zero(args) -> int:
                 if proved:
                     print("exact: no zero translate exists", file=sys.stderr)
                     return EXIT_NOT_FOUND
-    translate = find_zero_window(spec, shape, search, cell_limit=_cell_limit(args))
+    translate = find_zero_window(spec, shape, search, cell_limit=args.limit_cells)
     if translate is None:
         print(
             "not found in search box (not a nonexistence proof)",
@@ -124,7 +171,7 @@ def cmd_zero(args) -> int:
 def cmd_decide(args) -> int:
     spec = _load_spec(args)
     budget = SearchBudget(
-        max_side=args.max_side, search_radius=args.radius, cell_limit=_cell_limit(args)
+        max_side=args.max_side, search_radius=args.radius, cell_limit=args.limit_cells
     )
     verdict = decide(spec, budget)
     print(verdict.to_json())
@@ -133,9 +180,8 @@ def cmd_decide(args) -> int:
 
 def cmd_density(args) -> int:
     spec = _load_spec(args)
-    sides = [int(x) for x in args.sides.split(",")]
-    shift = Box.parse(args.shift_search) if args.shift_search else Box.centered(20, spec.dim)
-    profile = density_profile(spec, sides, shift, cell_limit=_cell_limit(args))
+    shift = _fit(spec, "--shift-search", args.shift_search) if args.shift_search else Box.centered(20, spec.dim)
+    profile = density_profile(spec, args.sides, shift, cell_limit=args.limit_cells)
     text = profile.to_csv()
     if args.out:
         Path(args.out).write_text(text)
@@ -148,7 +194,7 @@ def cmd_density(args) -> int:
 def cmd_report(args) -> int:
     spec = _load_spec(args)
     budget = SearchBudget(
-        max_side=args.max_side, search_radius=args.radius, cell_limit=_cell_limit(args)
+        max_side=args.max_side, search_radius=args.radius, cell_limit=args.limit_cells
     )
     candidate = parse_family(Path(args.dprime).read_text()) if args.dprime else None
     report = conditions_report(spec, budget, dprime_candidate=candidate)
@@ -210,51 +256,56 @@ def cmd_reproduce(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="bfree", description=__doc__)
+    # exit_on_error=False: a value its converter rejects raises
+    # ArgumentError, which main reports as bad input
+    parser = argparse.ArgumentParser(prog="bfree", description=__doc__, exit_on_error=False)
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, help):
+        return sub.add_parser(name, help=help, exit_on_error=False)
 
     def add_spec_args(p):
         p.add_argument("--preset", help="built-in family name")
         p.add_argument("--spec", help="family description file")
-        p.add_argument("--limit-cells", type=int, default=None)
+        p.add_argument("--limit-cells", type=_positive, default=None)
 
-    p_eta = sub.add_parser("eta", help="export the free-set window over a box")
+    p_eta = command("eta", help="export the free-set window over a box")
     add_spec_args(p_eta)
-    p_eta.add_argument("--box", required=True, help="lo:hi,lo:hi,...")
+    p_eta.add_argument("--box", type=_box, required=True, help="lo:hi,lo:hi,...")
     p_eta.add_argument("--format", choices=("csv", "pgm", "json"), default="csv")
     p_eta.add_argument("--out", help="artifact path (default eta.<format>)")
     p_eta.set_defaults(func=cmd_eta)
 
-    p_zero = sub.add_parser("zero", help="find or construct a zero window")
+    p_zero = command("zero", help="find or construct a zero window")
     add_spec_args(p_zero)
-    p_zero.add_argument("--shape", required=True, help="a:bxc:d or @offsets-file")
-    p_zero.add_argument("--search", help="search box, default centered radius 16")
+    p_zero.add_argument("--shape", type=_shape, required=True, help="a:bxc:d or @offsets-file")
+    p_zero.add_argument("--search", type=_box, help="search box, default centered radius 16")
     p_zero.add_argument("--crt", action="store_true", help="constructive route for rectangular specs")
     p_zero.add_argument("--periodic-exact", action="store_true")
-    p_zero.add_argument("--instance-bound", type=int, default=2000)
+    p_zero.add_argument("--instance-bound", type=_count, default=2000)
     p_zero.set_defaults(func=cmd_zero)
 
-    p_decide = sub.add_parser("decide", help="proximality verdict with certificate")
+    p_decide = command("decide", help="proximality verdict with certificate")
     add_spec_args(p_decide)
-    p_decide.add_argument("--max-side", type=int, default=3)
-    p_decide.add_argument("--radius", type=int, default=16)
+    p_decide.add_argument("--max-side", type=_count, default=3)
+    p_decide.add_argument("--radius", type=_count, default=16)
     p_decide.set_defaults(func=cmd_decide)
 
-    p_density = sub.add_parser("density", help="best-shift density lower bounds")
+    p_density = command("density", help="best-shift density lower bounds")
     add_spec_args(p_density)
-    p_density.add_argument("--sides", required=True, help="comma-separated box radii")
-    p_density.add_argument("--shift-search", help="shift box, default centered radius 20")
+    p_density.add_argument("--sides", type=_sides, required=True, help="comma-separated box radii")
+    p_density.add_argument("--shift-search", type=_box, help="shift box, default centered radius 20")
     p_density.add_argument("--out")
     p_density.set_defaults(func=cmd_density)
 
-    p_report = sub.add_parser("report", help="status of the equivalent conditions")
+    p_report = command("report", help="status of the equivalent conditions")
     add_spec_args(p_report)
-    p_report.add_argument("--max-side", type=int, default=3)
-    p_report.add_argument("--radius", type=int, default=16)
+    p_report.add_argument("--max-side", type=_count, default=3)
+    p_report.add_argument("--radius", type=_count, default=16)
     p_report.add_argument("--dprime", help="candidate family file for the d' check")
     p_report.set_defaults(func=cmd_report)
 
-    p_repr = sub.add_parser("reproduce", help="regenerate and compare golden artifacts")
+    p_repr = command("reproduce", help="regenerate and compare golden artifacts")
     p_repr.add_argument("name", help="ex1 or ex2")
     p_repr.add_argument("--outdir")
     p_repr.add_argument("--bless", action="store_true")
@@ -286,13 +337,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_join_flag_values(list(argv)))
     try:
+        args = parser.parse_args(_join_flag_values(list(argv)))
+        if "limit_cells" in args:
+            args.limit_cells = _cell_limit(args)
         return args.func(args)
     except TooLargeError as exc:
         print(f"limit breached: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except (FamilyParseError, FileNotFoundError) as exc:
+    except (argparse.ArgumentError, BadInputError, FamilyParseError, FileNotFoundError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except BFreeError as exc:

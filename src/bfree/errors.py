@@ -53,6 +53,10 @@ class FactorizationError(BFreeError, RuntimeError):
     """Exact factorization gave up on a value too large to handle honestly."""
 
 
+class BadInputError(BFreeError, ValueError):
+    """A command-line argument or setting is malformed or does not fit the family."""
+
+
 class FamilyParseError(BFreeError, ValueError):
     """A family description file could not be parsed."""
 

@@ -27,6 +27,7 @@ import itertools
 import json
 import re
 from dataclasses import dataclass, replace
+from functools import partial
 from math import gcd
 
 from .errors import FamilyParseError, TooLargeError, UnknownPresetError
@@ -38,6 +39,7 @@ from .numtheory import (
     multiplicative_order,
     primes_up_to,
     totient,
+    trial_bound,
     valuation,
 )
 
@@ -97,6 +99,59 @@ class Primes:
             if all(v == 0 or v % p**e == 0 for v, e in constraints):
                 out.append(p)
         return out
+
+    def divides(self, v: int) -> bool:
+        """Whether some sequence member divides v, without factoring: v = 0,
+        or |v| keeps a factor above 1 once the excluded primes are divided out."""
+        if v == 0:
+            return True
+        v = abs(v)
+        for p in self.exclude:
+            while v % p == 0:
+                v //= p
+        return v > 1
+
+    def power_hits(self, v0: int, n: int, e: int) -> bytearray:
+        """Flags over v0, ..., v0 + n - 1: 1 where some member t has t**e | v.
+
+        e = 1 is ``divides``.  For e >= 2 the run is sieved by the trial
+        primes p <= B, B the power of two with B**(e+1) above every |v|
+        (capped at the trial limit; see numtheory.trial_bound): p**e | v is
+        a hit unless p is excluded, and p is divided out of v.  A cofactor
+        r < B**(e+1) that is left has at most e prime factors, all above B,
+        so a member's e-th power divides it exactly when r = q**e with q not
+        excluded.  Only a cofactor of at least B**(e+1) is factored.
+        """
+        if e == 1:
+            return bytearray(map(self.divides, range(v0, v0 + n)))
+        excluded = set(self.exclude)
+        bound = trial_bound(max(abs(v0), abs(v0 + n - 1)), e + 1)
+        hits = bytearray(n)
+        # v = 0 keeps r = 0 = 0**e below, a hit: it lies in every member
+        rest = [abs(v) for v in range(v0, v0 + n)]
+        for p in primes_up_to(bound):
+            i = -v0 % p
+            while i < n:
+                r = rest[i]
+                if r:
+                    r, k = r // p, 1
+                    while r % p == 0:
+                        r //= p
+                        k += 1
+                    rest[i] = r
+                    if k >= e and p not in excluded:
+                        hits[i] = 1
+                i += p
+        top = bound ** (e + 1)
+        for i, r in enumerate(rest):
+            if hits[i] or r == 1:
+                continue
+            if r < top:
+                q = iroot(r, e)
+                hits[i] = q**e == r and q not in excluded
+            else:
+                hits[i] = any(k >= e and p not in excluded for p, k in factor(r))
+        return hits
 
     def residues_mod(self, n: int) -> set[int]:
         """Exact set {t mod n : t in the sequence}.
@@ -201,6 +256,10 @@ class Geometric:
             raise ValueError("all constraint values are zero")
         return [self.base**k for k in range(self.start, kmax + 1)]
 
+    def divides(self, v: int) -> bool:
+        """Whether some member divides v: base**start does."""
+        return v % self.base**self.start == 0
+
     def residues_mod(self, n: int) -> set[int]:
         out = set()
         r = pow(self.base, self.start, n)
@@ -285,6 +344,9 @@ class Explicit:
             for t in self.values
             if all(v == 0 or v % t**e == 0 for v, e in constraints)
         ]
+
+    def divides(self, v: int) -> bool:
+        return any(v % t == 0 for t in self.values)
 
     def residues_mod(self, n: int) -> set[int]:
         return {v % n for v in self.values}
@@ -536,11 +598,8 @@ class RectTemplate(_Parameterised):
             abs(v).bit_length() > 64 for v, _ in constraints
         )
 
-    def _least_param(self, p):
-        """The least parameter t whose member contains p, or None."""
-        constraints = self._constraints(p)
-        if constraints is None:
-            return None
+    def _least_param(self, constraints):
+        """The least parameter t with t**e | v for every (v, e), or None."""
         if all(v == 0 for v, _ in constraints):
             return self.params.min_value()  # zero is divisible by every parameter value
         if self._probe_first(constraints):
@@ -551,12 +610,50 @@ class RectTemplate(_Parameterised):
             return min(extra, default=None)
         return min(self.params.candidates(constraints), default=None)
 
+    def _holds(self, constraints) -> bool:
+        """Whether some parameter t has t**e | v for every (v, e).  With
+        every exponent 1 that is whether some parameter divides the gcd of
+        the values, which needs no factoring."""
+        if all(e == 1 for _, e in constraints):
+            return self.params.divides(gcd(*(v for v, _ in constraints)))
+        return self._least_param(constraints) is not None
+
     def covered(self, p) -> bool:
-        return self._least_param(p) is not None
+        constraints = self._constraints(p)
+        return constraints is not None and self._holds(constraints)
 
     def member_containing(self, p):
-        t = self._least_param(p)
+        constraints = self._constraints(p)
+        t = None if constraints is None else self._least_param(constraints)
         return None if t is None else self.member(t)
+
+    def line_pieces(self, prefix):
+        """How the entry meets the line prefix x Z: a list of (s, d, hits),
+        each covering the x = s (mod d) on the line; all of them when hits
+        is None, else those x = s + (v0 + i) * d that hits(v0, n) flags.
+
+        With a constant last slot the prefix alone decides.  With the last
+        slot c * t**e and the parameterised prefix coordinates all 0, the
+        condition is t**e | x / c, sieved by Primes.power_hits.  Otherwise
+        each cell adds x / c to the prefix constraints and asks _holds, whose
+        gcd stays small where the prefix values are huge.
+        """
+        head = []
+        for s, x in zip(self.entries, prefix):
+            if x % s.coeff:
+                return []
+            if s.exp:
+                head.append((x // s.coeff, s.exp))
+        last = self.entries[-1]
+        if not last.exp:
+            return [(0, last.coeff, None)] if self._holds(head) else []
+        if not any(v for v, _ in head):
+            return [(0, last.coeff, partial(self.params.power_hits, e=last.exp))]
+
+        def hits(v0, n):
+            return bytearray(self._holds(head + [(v, last.exp)]) for v in range(v0, v0 + n))
+
+        return [(0, last.coeff, hits)]
 
     def instances_up_to(self, bound: int) -> list[Lattice]:
         const = 1
@@ -694,6 +791,9 @@ class Template(_Parameterised):
                 for r in range(i, m):
                     res[r] -= w * self.base.basis[r][i]
             return self._solve(res, i + 1, record)
+        if i == m - 1 and record is None:
+            # the last row: some member holds p iff some parameter divides w
+            return self.params.divides(w)
         if w == 0:
             # Coefficient of the scaled column is forced to 0, so membership
             # is parameter-independent from here on.
@@ -713,6 +813,35 @@ class Template(_Parameterised):
                     record.append(t)
                 return True
         return False
+
+    def line_pieces(self, prefix):
+        """How the entry meets the line prefix x Z, as RectTemplate.line_pieces.
+
+        Back-substitution through the prefix rows.  When the scaled row lies
+        in the prefix it forks over the candidates of its coefficient, each
+        forcing one progression; otherwise the last row leaves the condition
+        t | (x - s) / d.
+        """
+        basis = self.base.basis
+        m = self.dim
+        r = self.scaled_row
+        branches = [list(prefix) + [0]]
+        for i in range(m - 1):
+            d = basis[i][i]
+            nxt = []
+            for res in branches:
+                if res[i] % d:
+                    continue
+                w = res[i] // d
+                if i == r and w:
+                    ks = [w // t for t in self.params.candidates(((w, 1),))]
+                else:
+                    ks = [w]
+                for k in ks:
+                    nxt.append([0] * (i + 1) + [res[j] - k * basis[j][i] for j in range(i + 1, m)])
+            branches = nxt
+        hits = partial(self.params.power_hits, e=1) if r == m - 1 else None
+        return [(-res[-1], basis[-1][-1], hits) for res in branches]
 
     def instances_up_to(self, bound: int) -> list[Lattice]:
         tmax = bound // self.base.index

@@ -5,13 +5,13 @@ Everything in this module is exact integer arithmetic; no floats anywhere.
 Factorization first finds the small primes of n by trial division over
 blocks of _BLOCK_SIZE primes: one gcd of n with a block's product decides
 whether any prime of the block divides n, and only blocks with a nontrivial
-gcd are divided prime by prime.  The block table is sized to the input: it
-holds the primes up to the next power of two above isqrt(n), capped at
-_TRIAL_LIMIT, so small inputs never sieve to the cap.  Trial division stops
-once a block starts above the square root of what is left.  A cofactor that
-remains is tested by Miller-Rabin and split by Pollard rho, whose restarts
-share one budget of _RHO_ITERATION_CAP steps.  So factor() either returns a
-correct answer or raises, never guesses.
+gcd are divided prime by prime.  The block table is sized to the input by
+trial_bound: it holds the primes up to the next power of two above
+isqrt(n), capped at _TRIAL_LIMIT, so small inputs never sieve to the cap.
+Trial division stops once a block starts above the square root of what is
+left.  A cofactor that remains is tested by Miller-Rabin and split by
+Pollard rho, whose restarts share one budget of _RHO_ITERATION_CAP steps.
+So factor() either returns a correct answer or raises, never guesses.
 
 is_prime is deterministic below 3.317e24 and a strong probable-prime test
 to thirteen bases above.
@@ -87,6 +87,13 @@ def primes_up_to(n: int) -> tuple[int, ...]:
     return (2,) + tuple(compress(range(1, n + 1, 2), sieve))
 
 
+def trial_bound(n: int, k: int) -> int:
+    """Size of the trial-prime table for n: the least power of two B with
+    B**k > n, capped at _TRIAL_LIMIT.  factor() uses k = 2; a sieve that
+    looks for k-1'st powers uses k, so both read the same few tables."""
+    return min(_TRIAL_LIMIT, 1 << iroot(n, k).bit_length())
+
+
 @lru_cache(maxsize=None)
 def _trial_blocks(limit: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """The primes <= limit in runs of _BLOCK_SIZE, each with its product."""
@@ -124,7 +131,7 @@ def factor(n: int) -> tuple[tuple[int, int], ...]:
     if n < 1:
         raise ValueError("factor() expects a positive integer")
     out: dict[int, int] = {}
-    limit = min(_TRIAL_LIMIT, 1 << math.isqrt(n).bit_length())
+    limit = trial_bound(n, 2)
     for product, block in _trial_blocks(limit):
         if block[0] * block[0] > n:
             break

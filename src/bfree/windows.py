@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, islice, product
 from math import prod
-from operator import add, sub
+from operator import add, or_, sub
 
 from .errors import (
     NotAZeroWindowError,
@@ -19,7 +19,7 @@ from .errors import (
     NotRectangularError,
     TooLargeError,
 )
-from .families import FamilySpec
+from .families import FamilySpec, Primes
 from .lattices import Lattice, Point, as_point, intersect_all
 from .numtheory import crt_integers
 
@@ -145,13 +145,14 @@ class Shape:
         return cls(tuple(offs))
 
     @classmethod
-    def parse(cls, text: str, dim: int) -> "Shape":
-        """Parse "a:bxc:d" rectangle syntax (one range per dimension)."""
+    def parse(cls, text: str, dim: int | None = None) -> "Shape":
+        """Parse "a:bxc:d" rectangle syntax (one range per dimension; when
+        dim is given, exactly dim ranges)."""
         ranges = []
         for part in text.split("x"):
             a, _, b = part.partition(":")
             ranges.append((int(a), int(b)))
-        if len(ranges) != dim:
+        if dim is not None and len(ranges) != dim:
             raise ValueError(f"shape has {len(ranges)} ranges, expected {dim}")
         return cls.from_box(Box(tuple(a for a, _ in ranges), tuple(b for _, b in ranges)))
 
@@ -227,24 +228,33 @@ def covered_flags(spec: FamilySpec, box: Box) -> bytearray:
     """Exact covered indicator over a box: one byte per cell, 1 on covered
     cells, row-major with the last coordinate fastest.
 
-    Each entry is sieved: the members that can meet the box are marked row
-    by row, every row of a lattice in canonical triangular form being an
-    arithmetic progression.  An entry whose sieve would cost more than the
-    box has cells (see _PARAM_COST) is evaluated per cell instead, on the
-    cells no other entry covers.
+    Each entry takes the first of three routes that applies:
+
+    * sieve: the members that can meet the box are marked row by row, every
+      row of a lattice in canonical triangular form being an arithmetic
+      progression, unless that costs more than the box has cells (see
+      _PARAM_COST);
+    * lines: a template entry over primes, without a transform, is
+      evaluated once per line of the box (see _mark_lines);
+    * per cell: any other entry is evaluated cell by cell, on the cells no
+      other entry covers.
     """
     _check_dim(spec, box.dim)
     flags = bytearray(box.volume)
     qlo, qhi = spec.pullback_box(box.lo, box.hi)
-    mark = _marker(flags, box)
-    rest = []
+    mark, mark_run = _marker(flags, box)
+    lines, rest = [], []
     for entry in spec.entries:
         members = _box_members(spec, entry, box, qlo, qhi)
-        if members is None:
-            rest.append(entry)
-        else:
+        if members is not None:
             for basis in members:
                 mark(basis)
+        elif spec.transform is None and isinstance(getattr(entry, "params", None), Primes):
+            lines.append(entry)
+        else:
+            rest.append(entry)
+    for entry in lines:
+        _mark_lines(flags, box, entry, mark_run)
     if rest:
         unmarked = flags.translate(_UNMARKED)
         for i, p in compress(enumerate(box.points()), unmarked):
@@ -279,18 +289,31 @@ def _box_members(spec: FamilySpec, entry, box: Box, qlo, qhi):
 
 
 def _marker(flags: bytearray, box: Box):
-    """mark(basis): set the flag of every point of the lattice with that
-    canonical basis inside the box.
+    """(mark, mark_run) over the flags of the box.
 
-    The prefixes x_0..x_{m-2} of lattice points are enumerated by
-    back-substitution; over each, the last coordinate runs through one
-    arithmetic progression, marked with a single slice assignment.
+    mark(basis) sets the flag of every point of the lattice with that
+    canonical basis inside the box: the prefixes x_0..x_{m-2} of lattice
+    points are enumerated by back-substitution, and over each the last
+    coordinate runs through one arithmetic progression.
+
+    mark_run(base, s, d, hits=None) sets, with a single slice assignment,
+    the flags of the cells x = s (mod d) of the line whose first cell has
+    flat index base; given hits(v0, n), only those of the n cells, at
+    x = s + (v0 + i) * d, that it flags.
     """
     lo, hi = box.lo, box.hi
     m = len(lo)
     strides = [prod(box.sides[k + 1 :]) for k in range(m)]
     ones = memoryview(b"\x01" * box.sides[-1])
     a0, b0 = lo[-1], hi[-1]
+
+    def mark_run(base, s, d, hits=None):
+        first = a0 + (s - a0) % d
+        n = (b0 - first) // d + 1
+        if n > 0:
+            start = base + first - a0
+            run = slice(start, start + (n - 1) * d + 1, d)
+            flags[run] = ones[:n] if hits is None else bytes(map(or_, flags[run], hits((first - s) // d, n)))
 
     def mark(basis):
         # (flat index of the row start, sum of the chosen columns so far)
@@ -308,13 +331,27 @@ def _marker(flags: bytearray, box: Box):
             rows = nxt
         d = basis[-1][-1]
         for base, shift in rows:
-            first = a0 + (shift[-1] - a0) % d
-            n = (b0 - first) // d + 1
-            if n > 0:
-                start = base + first - a0
-                flags[start : start + (n - 1) * d + 1 : d] = ones[:n]
+            mark_run(base, shift[-1], d)
 
-    return mark
+    return mark, mark_run
+
+
+def _mark_lines(flags: bytearray, box: Box, entry, mark_run):
+    """Set the flags of the entry's members, one line of the box at a time.
+
+    A line fixes the prefix x_0..x_{m-2}; lines whose cells are all flagged
+    already are skipped.  entry.line_pieces(prefix) says how the entry meets
+    the line: progressions covered outright (members forced by the prefix),
+    or a progression x = s (mod d) whose cells a test over the whole run of
+    values (x - s) / d picks, such as Primes.power_hits for t**e | (x - s) / d.
+    """
+    n = box.sides[-1]
+    prefixes = product(*(range(a, b + 1) for a, b in zip(box.lo[:-1], box.hi[:-1])))
+    for base, prefix in zip(range(0, len(flags), n), prefixes):
+        if flags.find(0, base, base + n) < 0:
+            continue
+        for s, d, hits in entry.line_pieces(prefix):
+            mark_run(base, s, d, hits)
 
 
 def free_window(

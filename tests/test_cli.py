@@ -255,3 +255,50 @@ def test_report_with_dprime_candidate(tmp_path, capsys):
     assert code == 0
     payload = json.loads(stdout)
     assert payload["conditions"]["d_prime"]["holds"] is False
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("eta", "--preset", "ex2", "--box", "0:x,0:3"), "--box"),
+        (("eta", "--preset", "ex2", "--box", "3:0,0:1"), "--box"),
+        (("eta", "--preset", "ex2", "--box", "0:3"), "--box"),
+        (("zero", "--preset", "ex2", "--shape", "0:1x0:0", "--search", "0:1,a:2"), "--search"),
+        (("zero", "--preset", "ex2", "--shape", "0:1x", "--search", "0:1,0:2"), "--shape"),
+        (("zero", "--preset", "ex2", "--shape", "0:1"), "--shape"),
+        (("density", "--preset", "ex2", "--sides", "2,x"), "--sides"),
+        (("density", "--preset", "ex2", "--sides", "-3"), "--sides"),
+        (("density", "--preset", "ex2", "--sides", "2", "--shift-search", "0:1,"), "--shift-search"),
+        (("density", "--preset", "ex2", "--sides", "2", "--shift-search", "0:1"), "--shift-search"),
+        (("eta", "--preset", "ex2", "--box", "0:1,0:1", "--limit-cells", "-5"), "--limit-cells"),
+        (("decide", "--preset", "ex2", "--radius", "-3"), "--radius"),
+    ],
+    ids=[
+        "box-malformed",
+        "box-empty",
+        "box-dimension",
+        "search-malformed",
+        "shape-malformed",
+        "shape-dimension",
+        "sides-malformed",
+        "sides-negative",
+        "shift-search-malformed",
+        "shift-search-dimension",
+        "limit-cells-negative",
+        "radius-negative",
+    ],
+)
+def test_bad_input_exits_2(tmp_path, capsys, argv, flag):
+    code, stdout, err = run(capsys, *argv, *(("--out", str(tmp_path / "w.csv")) if argv[0] == "eta" else ()))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("bad input: ") and flag in err
+    assert not (tmp_path / "w.csv").exists()
+
+
+def test_bad_limit_cells_env_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("BFREE_LIMIT_CELLS", "abc")
+    code, _, err = run(capsys, "eta", "--preset", "ex2", "--box", "0:1,0:1", "--out", str(tmp_path / "w.csv"))
+    assert code == 2
+    assert err.startswith("bad input: BFREE_LIMIT_CELLS")
+    assert not (tmp_path / "w.csv").exists()

@@ -15,7 +15,7 @@ from bfree.errors import (
     NotRectangularError,
     TooLargeError,
 )
-from bfree.families import FamilySpec, Rectangular, preset
+from bfree.families import FamilySpec, RectTemplate, Rectangular, preset
 from bfree.lattices import Lattice, UnimodularMap, hnf
 from bfree.windows import (
     Box,
@@ -176,14 +176,21 @@ def test_window_equals_per_cell_reference(data):
     assert free_window(spec, box) == reference_window(spec, box)
 
 
-def test_window_far_box_uses_per_cell_fallback():
+def test_window_far_box_is_evaluated_by_lines(monkeypatch):
     # near 10^12 the squares p^2 that matter run up to p = 10^6, far beyond
-    # the sieve's budget for a 61-cell box, so the entry is evaluated per cell
+    # the sieve's budget for a 61-cell box, so the entry is evaluated by the
+    # line route, never per cell
     spec = preset("squarefree-1d")
     box = Box((10**12 - 30,), (10**12 + 30,))
     qlo, qhi = spec.pullback_box(box.lo, box.hi)
     assert windows._box_members(spec, spec.entries[0], box, qlo, qhi) is None
-    assert free_window(spec, box) == reference_window(spec, box)
+    expected = reference_window(spec, box)
+
+    def refuse(self, p):
+        raise AssertionError("evaluated per cell")
+
+    monkeypatch.setattr(RectTemplate, "covered", refuse)
+    assert free_window(spec, box) == expected
 
 
 def test_covered_flags_layout():
