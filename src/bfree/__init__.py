@@ -25,6 +25,7 @@ from .errors import (
     ZeroElementError,
 )
 from .families import (
+    CoprimeFamily,
     Explicit,
     FamilySpec,
     Geometric,

@@ -118,6 +118,8 @@ _positive = _converter(_at_least(1), "a positive integer")
 def cmd_eta(args) -> int:
     spec = _load_spec(args)
     box = _fit(spec, "--box", args.box)
+    if args.format != "json" and spec.dim > 2:
+        raise BadInputError(f"--format {args.format} exports dimensions 1 and 2 only; use --format json")
     window = free_window(spec, box, cell_limit=args.limit_cells)
     out = Path(args.out) if args.out else Path(f"eta.{args.format}")
     if args.format == "csv":
@@ -196,7 +198,7 @@ def cmd_report(args) -> int:
     budget = SearchBudget(
         max_side=args.max_side, search_radius=args.radius, cell_limit=args.limit_cells
     )
-    candidate = parse_family(Path(args.dprime).read_text()) if args.dprime else None
+    candidate = _fit(spec, "--dprime", parse_family(Path(args.dprime).read_text())) if args.dprime else None
     report = conditions_report(spec, budget, dprime_candidate=candidate)
     print(report.to_json())
     return EXIT_OK

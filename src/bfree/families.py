@@ -9,9 +9,12 @@ A family is a list of entries, each one of:
 * ``RectTemplate`` -- a diagonal pattern whose slots are c * t**e, again
   over a parameter sequence.
 
-Every entry kind answers the same questions: membership, ``cover()``,
-``classes_mod(n, limit)``, ``coprime_pairs()`` and ``coprime_scheme()``, so
-the verdict engine never dispatches on the kind.
+Every entry kind answers the same questions: membership,
+``classes_mod(n, limit)`` and ``schema()``, so the verdict engine never
+dispatches on the kind.  ``schema()`` is the one answer behind verdicts: a
+cover (proper lattices holding every member), a ``CoprimeFamily`` (an
+infinite pairwise coprime subfamily), or None when the schema proves
+neither.
 
 Parameter sequences are primes (with optional exclusions), powers of a fixed
 base, or an explicit finite list.  Membership of a point in the union of all
@@ -23,7 +26,6 @@ is then the image of every entry under that map.  Membership is evaluated by
 pulling points back through the inverse.
 """
 
-import itertools
 import json
 import re
 from dataclasses import dataclass, replace
@@ -371,6 +373,15 @@ ParamSeq = Primes | Geometric | Explicit
 # entries
 
 
+@dataclass(frozen=True)
+class CoprimeFamily:
+    """An infinite pairwise coprime subfamily of an entry: the rule that
+    gives it and its first members."""
+
+    rule: str
+    sample: tuple[Lattice, ...]
+
+
 class _OneMember:
     """Entry protocol of the single-lattice kinds, read off ``self.lattice``."""
 
@@ -387,14 +398,9 @@ class _OneMember:
         """The one member's basis, whatever the box (see _Parameterised.sieve_members)."""
         return (self.lattice.basis,)
 
-    def cover(self) -> list[Lattice]:
+    def schema(self) -> list[Lattice]:
+        """The one member, which is its own cover (see RectTemplate.schema)."""
         return [self.lattice]
-
-    def coprime_pairs(self):
-        return None  # a single member: the question does not arise
-
-    def coprime_scheme(self):
-        return None
 
     def classes_mod(self, n: int, limit: int):
         lat = self.lattice
@@ -490,12 +496,6 @@ class _Parameterised:
     def _members(self) -> list[Lattice]:
         """Every member, for a finite sequence."""
         return [self.member(t) for t in self.params.values]
-
-    def _some_coprime_pair(self) -> bool:
-        return any(a.coprime(b) for a, b in itertools.combinations(self._members(), 2))
-
-    def coprime_scheme(self):
-        return None
 
     def classes_mod(self, n: int, limit: int):
         """(label, columns, parameter) for every member class modulo n.
@@ -679,43 +679,30 @@ class RectTemplate(_Parameterised):
                 out = max(out, iroot(max(abs(a), abs(b)) // s.coeff, s.exp))
         return out
 
-    def cover(self):
-        """Proper lattices holding every member, or None: the members of a
-        finite sequence, else the diagonal of coordinatewise gcds over all
-        parameters."""
+    def schema(self):
+        """What the schema proves about the members: a cover, a
+        CoprimeFamily, or None when it proves neither.
+
+        A cover is a list of proper lattices holding every member: the
+        members themselves for a finite sequence.  For an infinite entry it
+        is a single lattice, so no two members are coprime.  A rectangular
+        template gets the diagonal of coordinatewise gcds over all
+        parameters.  That profile is all ones only with unit coefficients
+        over primes (geometric powers share the base, and parameter 1 is
+        rejected), and then distinct primes give coordinatewise coprime
+        members: the answer is that coprime family, never None.
+        """
         if not self.params.is_infinite:
             return self._members()
         profile = tuple(s.coeff * self.params.power_gcd(s.exp) for s in self.entries)
-        if all(g == 1 for g in profile):
-            return None
-        return [Lattice.from_diagonal(profile)]
-
-    def _unit_primes(self) -> bool:
-        return isinstance(self.params, Primes) and all(s.coeff == 1 for s in self.entries)
-
-    def coprime_pairs(self):
-        """Whether two members can be coprime: decided by the schema."""
-        if not self.params.is_infinite:
-            return self._some_coprime_pair()
-        # otherwise every pair shares a coefficient > 1 or the geometric base
-        return self._unit_primes()
-
-    def coprime_scheme(self):
-        """(rule, sample members) when the entry contains an infinite pairwise
-        coprime subfamily, else None.
-
-        This happens exactly for prime parameters whose slots are pure powers
-        t**e or the constant 1: distinct primes then give coordinatewise
-        coprime members.
-        """
-        if not self._unit_primes():
-            return None
+        if any(g > 1 for g in profile):
+            return [Lattice.from_diagonal(profile)]
         sample = tuple(self.member(t) for t in self.params.values_up_to(30)[:4])
         rule = (
             f"members diag({', '.join(str(s) for s in self.entries)}) over {self.params.describe()}: "
             "distinct prime parameters give pairwise coprime members"
         )
-        return rule, sample
+        return CoprimeFamily(rule, sample)
 
     def spec_line(self) -> str:
         slots = ",".join(str(s) for s in self.entries)
@@ -888,20 +875,15 @@ class Template(_Parameterised):
         gens.append(tuple(tail))
         return hnf(gens, dim=m)
 
-    def cover(self):
-        """Proper lattices holding every member, or None: the members of a
-        finite sequence, else the pairwise bound when it is proper (each
-        member contains its own scaled column, so the bound holds it)."""
+    def schema(self):
+        """A cover or None, as RectTemplate.schema: the members of a finite
+        sequence, else the pairwise bound when it is proper (each member
+        contains its own scaled column, so the bound holds it).  The schema
+        proves no coprime family here."""
         if not self.params.is_infinite:
             return self._members()
         bound = self.pair_sum_bound()
         return [bound] if bound.is_proper() else None
-
-    def coprime_pairs(self):
-        """Whether two members can be coprime; None when the schema cannot tell."""
-        if not self.params.is_infinite:
-            return self._some_coprime_pair()
-        return False if self.pair_sum_bound().is_proper() else None
 
     def spec_line(self) -> str:
         pos = self.scaled_row + 1

@@ -2,13 +2,17 @@
 answer, check the individual equivalent conditions, and emit machine-checkable
 certificates.
 
-Exact verdicts are issued in two situations only:
+Exact verdicts come from each entry's ``schema()`` answer, read once per
+question, and are issued in two situations only:
 
-* a rectangular template over primes with unit coefficients describes an
-  infinite pairwise coprime subfamily (Proximal); or
-* finitely many proper lattices provably cover every member (NotProximal),
-  verified by finite coset checks that are exact because cover membership is
-  periodic.
+* some entry holds an infinite pairwise coprime subfamily, which today means
+  a rectangular template over primes with unit coefficients (Proximal); or
+* every entry has a cover and the covers provably hold every member
+  (NotProximal), verified by finite coset checks that are exact because
+  cover membership is periodic.
+
+The same answers decide condition (d) of ``conditions_report``, the
+candidate check behind (d') and the note of ``crt_window_certificate``.
 
 Everything else is reported as Inconclusive with finite evidence.  Absence of
 a coprime subset is never used on its own to conclude non-proximality: for
@@ -27,7 +31,7 @@ from .errors import (
     NotRectangularError,
     TooLargeError,
 )
-from .families import FamilySpec, Static
+from .families import CoprimeFamily, FamilySpec, Static
 from .lattices import (
     DEFAULT_COSET_LIMIT,
     Lattice,
@@ -460,32 +464,31 @@ def _zero_window_evidence(spec: FamilySpec, budget: SearchBudget):
     return tuple(found), tuple(not_found), f"translates in {search.format()}"
 
 
-def _coprime_verdict(spec: FamilySpec) -> Verdict | None:
-    """Proximal, when some entry carries an infinite pairwise coprime subfamily."""
-    for idx, entry in enumerate(spec.base_spec().entries):
-        scheme = entry.coprime_scheme()
-        if scheme is None:
-            continue
-        rule, sample = scheme
+def _schemas(spec: FamilySpec) -> list:
+    """Each entry's ``schema()`` answer, in entry order, in entry coordinates."""
+    return [entry.schema() for entry in spec.base_spec().entries]
+
+
+def _coprime_entry(schemas):
+    """(index, CoprimeFamily) of the first entry holding one, or None."""
+    return next(((i, s) for i, s in enumerate(schemas) if isinstance(s, CoprimeFamily)), None)
+
+
+def _schema_verdict(spec: FamilySpec, schemas) -> Verdict | None:
+    """Proximal when some entry holds a coprime family; else NotProximal
+    when every entry has a cover and the covers verify; else None.  Raises
+    InvalidCoverError or TooLargeError when the covers cannot be checked."""
+    coprime = _coprime_entry(schemas)
+    if coprime is not None:
+        idx, family = coprime
+        rule, sample = family.rule, family.sample
         if spec.transform is not None:
             rule += " (mapped through the coordinate change)"
             sample = tuple(spec.transform.apply(lat) for lat in sample)
         return Verdict(PROXIMAL, CoprimeSubscheme(idx, rule, sample))
-    return None
-
-
-def _covering_verdict(spec: FamilySpec) -> Verdict | None:
-    """NotProximal, when the entries' own covers verify; None when some entry
-    has no cover or the covers miss a member.  Raises InvalidCoverError or
-    TooLargeError when the covers cannot be checked."""
-    covers: list[Lattice] = []
-    for entry in spec.base_spec().entries:
-        entry_covers = entry.cover()
-        if entry_covers is None:
-            return None
-        covers.extend(entry_covers)
-    if not covers:
+    if not schemas or any(s is None for s in schemas):
         return None
+    covers = [cov for entry_covers in schemas for cov in entry_covers]
     if spec.transform is not None:
         covers = [spec.transform.apply(c) for c in covers]
     dedup = {cov.basis: cov for cov in covers}
@@ -504,12 +507,13 @@ def decide(spec: FamilySpec, budget: SearchBudget | None = None) -> Verdict:
     does not affect the verdict, so it is decided on the underlying entries
     and certificates are mapped forward.
     """
-    budget = budget or SearchBudget()
-    verdict = _coprime_verdict(spec)
-    if verdict is not None:
-        return verdict
+    return _decide(spec, budget or SearchBudget(), _schemas(spec))
+
+
+def _decide(spec: FamilySpec, budget: SearchBudget, schemas) -> Verdict:
+    """``decide`` on the entries' schema answers, already read."""
     try:
-        verdict = _covering_verdict(spec)
+        verdict = _schema_verdict(spec, schemas)
     except (InvalidCoverError, TooLargeError):
         verdict = None
     if verdict is not None:
@@ -540,7 +544,7 @@ def decide_rectangular(spec: FamilySpec) -> Verdict:
             raise NotRectangularError(
                 f"entry {entry.spec_line()} is not rectangular"
             )
-    verdict = _coprime_verdict(spec) or _covering_verdict(spec)
+    verdict = _schema_verdict(spec, _schemas(spec))
     if verdict is None:
         raise InconsistencyError("a rectangular schema got neither a coprime subfamily nor a cover")
     return verdict
@@ -570,17 +574,10 @@ def crt_window_certificate(spec: FamilySpec, shape, *, instance_bound: int = 200
         if not lat.contains(cell) or not spec.covered(cell):
             raise InconsistencyError("constructed window failed its membership recheck")
     period = intersect_all(chosen[: len(shape)])
-    scheme = next(
-        (
-            idx
-            for idx, entry in enumerate(spec.base_spec().entries)
-            if entry.coprime_scheme() is not None
-        ),
-        None,
-    )
-    if scheme is not None:
+    coprime = _coprime_entry(_schemas(spec))
+    if coprime is not None:
         note = (
-            f"entry {scheme} supplies pairwise coprime members for every window size, "
+            f"entry {coprime[0]} supplies pairwise coprime members for every window size, "
             "so windows of this kind exist for all shapes"
         )
     else:
@@ -702,21 +699,19 @@ class ConditionsReport:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _coprime_subset_analysis(spec: FamilySpec):
-    """(holds, mode, detail) for the infinite-pairwise-coprime-subfamily condition."""
-    base = spec.base_spec()
-    for idx, entry in enumerate(base.entries):
-        if entry.coprime_scheme() is not None:
-            return True, "exact", f"entry {idx} carries an infinite pairwise coprime subfamily"
-    infinite = [(i, e) for i, e in enumerate(base.entries) if e.is_infinite]
-    if not infinite:
+def _coprime_subset_analysis(spec: FamilySpec, schemas):
+    """(holds, mode, detail) for the infinite-pairwise-coprime-subfamily
+    condition.  An infinite entry's cover is one proper lattice, so no two
+    of its members are coprime."""
+    coprime = _coprime_entry(schemas)
+    if coprime is not None:
+        return True, "exact", f"entry {coprime[0]} carries an infinite pairwise coprime subfamily"
+    blockers = [i for i, e in enumerate(spec.base_spec().entries) if e.is_infinite]
+    if not blockers:
         return False, "exact", "the family is finite, so it has no infinite subfamily"
-    blockers = []
-    for i, e in infinite:
-        status = e.coprime_pairs()
-        if status is not False:
+    for i in blockers:
+        if schemas[i] is None:
             return None, "unknown", f"entry {i} admits no schema-level coprimality analysis"
-        blockers.append(i)
     detail = (
         "every infinite entry (%s) has pairwise non-coprime members, and an infinite "
         "subfamily must draw infinitely many members from a single entry"
@@ -747,7 +742,7 @@ def check_coprime_cover_candidate(
     is refuted exactly by a witness point, or reported as bounded evidence
     when the scan finds none.
     """
-    holds, mode, detail = _coprime_subset_analysis(candidate)
+    holds, mode, detail = _coprime_subset_analysis(candidate, _schemas(candidate))
     if holds is not True:
         return DPrimeReport(
             None,
@@ -785,8 +780,13 @@ def conditions_report(
     implies the rest); any exact violation raises InconsistencyError, since
     it can only mean an implementation bug.
     """
+    if dprime_candidate is not None and dprime_candidate.dim != spec.dim:
+        raise ValueError(
+            f"the d' candidate is {dprime_candidate.dim}-dimensional, the family is {spec.dim}-dimensional"
+        )
     budget = budget or SearchBudget()
-    verdict = decide(spec, budget)
+    schemas = _schemas(spec)
+    verdict = _decide(spec, budget, schemas)
     rows: dict[str, ConditionRow] = {}
 
     if verdict.status == PROXIMAL:
@@ -836,21 +836,22 @@ def conditions_report(
         ev = verdict.certificate
         assert isinstance(ev, Evidence)
         not_found, searched = ev.not_found, ev.searched
-        all_found = not not_found
-        b_row = ConditionRow(
-            True if all_found else None,
-            "evidence" if all_found else "unknown",
-            f"zero windows found for square shapes up to side {budget.max_side} ({searched})"
-            if all_found
-            else f"no zero window found for sides {list(not_found)} ({searched}); not a proof",
-        )
+        # an empty search (max_side 0) finds no window either way
+        all_found = bool(ev.found) and not not_found
+        if all_found:
+            b_detail = f"zero windows found for square shapes up to side {budget.max_side} ({searched})"
+        elif not_found:
+            b_detail = f"no zero window found for sides {list(not_found)} ({searched}); not a proof"
+        else:
+            b_detail = f"no window side searched (max_side={budget.max_side})"
+        b_row = ConditionRow(True if all_found else None, "evidence" if all_found else "unknown", b_detail)
         rows["b"] = b_row
         rows["a"] = ConditionRow(b_row.holds, "derived" if all_found else "unknown", "equivalent to (b)")
         rows["c"] = ConditionRow(b_row.holds, "derived" if all_found else "unknown", "equivalent to (b)")
         rows["e"] = ConditionRow(b_row.holds, "derived" if all_found else "unknown", "equivalent to (b)")
         rows["f"] = ConditionRow(b_row.holds, "derived" if all_found else "unknown", "equivalent to (b); density ratios are lower bounds only")
 
-    d_holds, d_mode, d_detail = _coprime_subset_analysis(spec)
+    d_holds, d_mode, d_detail = _coprime_subset_analysis(spec, schemas)
     rows["d"] = ConditionRow(d_holds, d_mode, d_detail)
 
     if dprime_candidate is not None:

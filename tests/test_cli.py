@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from bfree import cli
 from bfree.cli import main
 
 EX2_CLOSED_FORM = lambda n, m: n % 2 == 1 and m % 2 == 1 and abs(m - n) == 2
@@ -294,6 +295,31 @@ def test_bad_input_exits_2(tmp_path, capsys, argv, flag):
     assert stdout == ""
     assert err.startswith("bad input: ") and flag in err
     assert not (tmp_path / "w.csv").exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "pgm"])
+def test_eta_grid_export_of_three_dimensions_exits_2(tmp_path, capsys, monkeypatch, fmt):
+    def refuse(*args, **kwargs):
+        raise AssertionError("window computed before the format check")
+
+    monkeypatch.setattr(cli, "free_window", refuse)
+    spec = tmp_path / "s.fam"
+    spec.write_text("dim 3\nrect [2,1,1]\n")
+    out = tmp_path / f"w.{fmt}"
+    code, stdout, err = run(
+        capsys, "eta", "--spec", str(spec), "--box", "0:2,0:2,0:2", "--format", fmt, "--out", str(out)
+    )
+    assert code == 2 and stdout == ""
+    assert err.startswith("bad input: ") and f"--format {fmt}" in err
+    assert not out.exists()
+
+
+def test_report_dprime_of_another_dimension_exits_2(tmp_path, capsys):
+    cand = tmp_path / "cand.fam"
+    cand.write_text("dim 1\nrecttemplate [t^2] params=primes\n")
+    code, stdout, err = run(capsys, "report", "--preset", "ex2", "--dprime", str(cand))
+    assert code == 2 and stdout == ""
+    assert err.startswith("bad input: ") and "--dprime" in err
 
 
 def test_bad_limit_cells_env_exits_2(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,5 @@
-"""Properties of the entry protocol: cover(), classes_mod(), class_member(),
-coprime_pairs(), and the parameter lookup value_in_class behind witnesses."""
+"""Properties of the entry protocol: schema(), classes_mod(), class_member(),
+and the parameter lookup value_in_class behind witnesses."""
 
 import itertools
 from math import gcd
@@ -10,7 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bfree.errors import TooLargeError
-from bfree.families import Explicit, Geometric, Primes, Rectangular, parse_family
+from bfree.families import (
+    CoprimeFamily,
+    Explicit,
+    Geometric,
+    Primes,
+    RectEntry,
+    RectTemplate,
+    Rectangular,
+    parse_family,
+)
 from bfree.lattices import Lattice, hnf
 from bfree.proximality import decide
 
@@ -18,7 +27,7 @@ from helpers import entries
 
 
 def sample_params(entry, count=6):
-    """The first few parameters of a template entry."""
+    """The first few parameters of a template entry (count None: all up to 200)."""
     return entry.params.values_up_to(200)[:count]
 
 
@@ -32,19 +41,53 @@ def with_n(lattice_columns, n, m):
     return hnf(list(lattice_columns) + [tuple(n * (i == j) for i in range(m)) for j in range(m)])
 
 
+def some_coprime_pair(lattices):
+    return any(a.coprime(b) for a, b in itertools.combinations(lattices, 2))
+
+
+def check_coprime_family(entry, family):
+    """The sample is pairwise coprime and made of the entry's members."""
+    assert entry.is_infinite and len(family.sample) >= 2
+    assert all(a.coprime(b) for a, b in itertools.combinations(family.sample, 2))
+    instances = {entry.member(t) for t in entry.params.values_up_to(200)}
+    assert set(family.sample) <= instances
+
+
 # ---------------------------------------------------------------------------
-# cover, classes, coprime pairs
+# schema, classes
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.integers(1, 3).flatmap(entries))
-def test_cover_contains_every_member(entry):
-    covers = entry.cover()
-    if covers is None:
+def test_schema_matches_members(entry):
+    answer = entry.schema()
+    if entry.is_rectangular:
+        assert answer is not None  # what decide_rectangular relies on
+    if isinstance(answer, CoprimeFamily):
+        check_coprime_family(entry, answer)
+        assert some_coprime_pair(members(entry))
         return
-    assert covers and all(cov.is_proper() for cov in covers)
+    if answer is None:
+        return
+    if not entry.is_infinite:
+        assert answer == members(entry, count=None)
+    assert answer and all(cov.is_proper() for cov in answer)
     for member in members(entry):
-        assert any(all(cov.contains(c) for c in member.columns) for cov in covers)
+        assert any(all(cov.contains(c) for c in member.columns) for cov in answer)
+    if entry.is_infinite:
+        assert not some_coprime_pair(members(entry))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(0, 3), min_size=1, max_size=3).filter(any),
+    st.lists(st.sampled_from((2, 3, 5, 7)), unique=True, max_size=2),
+)
+def test_unit_prime_templates_give_coprime_families(exps, exclude):
+    entry = RectTemplate(tuple(RectEntry(1, e) for e in exps), Primes(tuple(exclude)))
+    answer = entry.schema()
+    assert isinstance(answer, CoprimeFamily)
+    check_coprime_family(entry, answer)
 
 
 @settings(max_examples=150, deadline=None)
@@ -75,26 +118,10 @@ def test_classes_mod_refuses_before_building(monkeypatch):
         entry.classes_mod(1_000_003, 1000)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(1, 3).flatmap(entries))
-def test_coprime_pairs_match_brute_force(entry):
-    status = entry.coprime_pairs()
-    if status is None:
-        return
-    found = any(a.coprime(b) for a, b in itertools.combinations(members(entry), 2))
-    if not entry.is_infinite:
-        assert status == found
-    elif status:
-        assert found
-    else:
-        assert not found
-
-
 def test_single_member_entries():
     entry = Rectangular((2, 3))
     assert not entry.is_infinite and entry.is_rectangular
-    assert entry.cover() == [Lattice.from_diagonal((2, 3))]
-    assert entry.coprime_pairs() is None and entry.coprime_scheme() is None
+    assert entry.schema() == [Lattice.from_diagonal((2, 3))]
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from bfree.families import (
     parse_family,
     preset,
 )
+from bfree import proximality
 from bfree.lattices import Lattice, UnimodularMap, hnf, intersect_all
 from bfree.proximality import (
     INCONCLUSIVE,
@@ -508,6 +509,27 @@ def test_conditions_report_not_proximal_family():
     for key in ("a", "b", "c", "e", "f"):
         assert report.rows[key].holds is False
     assert report.rows["d"].holds is False
+
+
+def test_conditions_report_empty_search_claims_nothing():
+    # 2Z, 1009Z and 1013Z hold every member and miss 1, but the class sweep
+    # is over rep_limit, so the verdict is Inconclusive and no side is searched
+    spec = parse_family("dim 1\nrect [1009]\nrect [1013]\nrecttemplate [2t] params=primes\n")
+    report = conditions_report(spec, SearchBudget(max_side=0))
+    assert report.verdict.status == INCONCLUSIVE
+    for key in ("a", "b", "c", "e", "f"):
+        assert report.rows[key].holds is None and report.rows[key].mode == "unknown"
+    assert report.rows["b"].detail == "no window side searched (max_side=0)"
+
+
+def test_conditions_report_refuses_a_dprime_candidate_of_another_dimension(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("zero-window search started before the dimension check")
+
+    monkeypatch.setattr(proximality, "find_zero_window", refuse)
+    candidate = parse_family("dim 1\nrecttemplate [t^2] params=primes\n")
+    with pytest.raises(ValueError, match="candidate is 1-dimensional, the family is 2-dimensional"):
+        conditions_report(preset("ex2"), dprime_candidate=candidate)
 
 
 def test_consistency_checker_raises():
