@@ -162,6 +162,14 @@ def factor(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(out.items()))
 
 
+def divisors(n: int) -> list[int]:
+    """Every positive divisor of n >= 1, in increasing order, from factor(n)."""
+    out = [1]
+    for p, e in factor(n):
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)
+
+
 def totient(n: int) -> int:
     """Euler's phi of n >= 1, from factor(n)."""
     out = n

@@ -42,6 +42,7 @@ from .lattices import (
     intersect_all,
     split_in_sum,
 )
+from .numtheory import divisors
 from .windows import Box, Shape, covered_flags, find_zero_window
 
 PROXIMAL = "Proximal"
@@ -227,9 +228,11 @@ def check_covering(
     coordinate when every cover is diagonal, found by a scan otherwise.
     Infinite template entries are reduced to finitely many parameter classes
     modulo the index of the cover intersection, which is exact because cover
-    membership is periodic with that period.  Raises TooLargeError, naming
-    the count and ``rep_limit``, when the scan of non-diagonal covers or a
-    class enumeration would exceed it.
+    membership is periodic with that period.  An entry with more classes than
+    ``rep_limit`` is checked instead modulo a divisor of that index
+    (``_classes_modulo_a_divisor``), each class inside one cover.  Raises
+    TooLargeError, naming the count and ``rep_limit``, when the scan of
+    non-diagonal covers or a class enumeration would exceed it.
     """
     covers = list(covers)
     if not covers:
@@ -248,6 +251,9 @@ def check_covering(
     if missed is None:
         raise InvalidCoverError("the covers exhaust the whole group; nothing is certified")
 
+    def in_one_cover(lat):
+        return any(all(cov.contains(c) for c in lat.columns) for cov in covers)
+
     transform = spec.transform
     n_lattice = Lattice.from_diagonal((n,) * spec.dim)
     checks = []
@@ -255,13 +261,17 @@ def check_covering(
         try:
             classes = entry.classes_mod(n, rep_limit)
         except TooLargeError as exc:
-            raise TooLargeError(f"covering check, entry {idx}: {exc}") from None
+            labels = _classes_modulo_a_divisor(entry, n, rep_limit, in_one_cover, transform)
+            if labels is None:
+                raise TooLargeError(f"covering check, entry {idx}: {exc}") from None
+            checks.extend(CoverCheck(idx, label, 0) for label in labels)
+            continue
         for label, cols, param in classes:
             if transform is not None:
                 cols = [transform.apply_point(c) for c in cols]
             class_lattice = hnf(list(cols) + list(n_lattice.columns))
             # cheap path: the whole class sits inside one cover
-            if any(all(cov.contains(c) for c in class_lattice.columns) for cov in covers):
+            if in_one_cover(class_lattice):
                 checks.append(CoverCheck(idx, label, 0))
                 continue
             count, reps = _quotient_reps(class_lattice, class_lattice.intersect(period), rep_limit)
@@ -630,8 +640,9 @@ def check_fixed_translate(
     lies in L + lattice, so the test is exact member by member.  Infinite
     template entries reduce to parameter classes modulo the index of
     ``lattice`` (the sum lattice only depends on the parameter through that
-    residue).  Falls back to bounded evidence if the class enumeration would
-    exceed ``class_limit``.
+    residue).  An entry with more classes than ``class_limit`` is tried
+    modulo the divisors of that index (``_classes_modulo_a_divisor``); when
+    none proves it, the check falls back to bounded evidence.
     """
     a = spec.pullback(translate)
     base = spec.base_spec()
@@ -643,6 +654,11 @@ def check_fixed_translate(
         try:
             classes = entry.classes_mod(n, class_limit)
         except TooLargeError:
+            def avoids(lat):
+                return not hnf(list(lat.columns) + list(lattice.columns)).contains(a)
+
+            if _classes_modulo_a_divisor(entry, n, class_limit, avoids) is not None:
+                continue
             exact = False
             for member in entry.instances_up_to(class_limit):
                 if member.sum(lattice).contains(a):
@@ -659,6 +675,34 @@ def check_fixed_translate(
         "no enumerated member meets the translate (class enumeration truncated)"
     )
     return FixedTranslateReport(True, exact, None, detail)
+
+
+def _classes_modulo_a_divisor(entry, n: int, limit: int, ok, transform=None):
+    """Labels of the entry's member classes modulo the least proper divisor
+    d of n for which ``ok`` holds on every class lattice (columns + d*Z^m,
+    mapped through ``transform``), or None when no d does within ``limit``
+    classes in all.  Every member lies in its class lattice, so a property
+    that passes to sublattices holds for every member."""
+    budget = limit
+    for d in divisors(n)[1:-1]:
+        try:
+            classes = entry.classes_mod(d, budget)
+        except TooLargeError:
+            continue
+        d_cols = Lattice.from_diagonal((d,) * entry.dim).columns
+        labels = []
+        for label, cols, _ in classes:
+            budget -= 1
+            if transform is not None:
+                cols = [transform.apply_point(c) for c in cols]
+            if not ok(hnf(list(cols) + list(d_cols))):
+                break
+            labels.append(label)
+        else:
+            return labels
+        if budget <= 0:
+            return None
+    return None
 
 
 # ---------------------------------------------------------------------------

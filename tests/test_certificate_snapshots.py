@@ -49,7 +49,8 @@ SPECS = {
         "dim 2\ntemplate base=[[2,0],[0,1]] scale=(2,2) params=primes\ntransform [[1,0],[1,1]]\n"
     ),
     "rt-3d-z": "dim 3\nrecttemplate [1,1,2t] params=primes\n",
-    "rect-template-inconclusive": "dim 1\nrect [1009]\nrect [1013]\nrecttemplate [2t] params=primes\n",
+    "rect-template-inconclusive": "dim 1\nrect [2]\nrect [1009]\nrecttemplate [200003t] params=primes\n",
+    "rect-template-one-cover": "dim 1\nrect [1009]\nrect [1013]\nrecttemplate [2t] params=primes\n",
     "ex1": "ex1",
     "ex2": "ex2",
     "squarefree-1d": "squarefree-1d",

@@ -124,8 +124,11 @@ def test_check_covering_scan_limit_on_non_diagonal_covers():
 
 
 def test_decide_rectangular_raises_at_the_class_limit():
-    spec = parse_family("dim 1\nrect [1009]\nrect [1013]\nrecttemplate [2t] params=primes\n")
-    n = 2 * 1009 * 1013
+    # no divisor d of the period puts every class of the template entry
+    # inside one cover: d has over 200000 classes of primes, or the class
+    # t = 1 (mod d) has the lattice 200003Z + dZ = Z
+    spec = parse_family("dim 1\nrect [2]\nrect [1009]\nrecttemplate [200003t] params=primes\n")
+    n = 2 * 1009 * 200003
     count = Primes().class_count(n)
     with pytest.raises(
         TooLargeError,
@@ -133,6 +136,24 @@ def test_decide_rectangular_raises_at_the_class_limit():
     ):
         decide_rectangular(spec)
     assert decide(spec, SearchBudget(max_side=1, search_radius=2)).status == INCONCLUSIVE
+
+
+def test_decide_rectangular_checks_an_entry_past_the_class_limit_modulo_a_divisor():
+    # the sweep modulo 2*1009*1013 has over 200000 classes, but modulo 2
+    # both classes of the template entry lie inside the cover 2Z
+    spec = parse_family("dim 1\nrect [1009]\nrect [1013]\nrecttemplate [2t] params=primes\n")
+    v = decide_rectangular(spec)
+    assert v.status == NOT_PROXIMAL
+    assert [c.to_columns() for c in v.certificate.covers] == [[[2]], [[1009]], [[1013]]]
+    assert [(c.entry_index, c.label) for c in v.certificate.checks if c.entry_index == 2] == [
+        (2, "t=0 (mod 2)"),
+        (2, "t=1 (mod 2)"),
+    ]
+    report = check_covering(spec, v.certificate.covers)
+    assert report.covered and report.certificate == v.certificate
+    ft = check_fixed_translate(spec, v.certificate.missed_coset, intersect_all(v.certificate.covers))
+    assert ft.holds and ft.exact
+    assert decide(spec) == v
 
 
 @st.composite
@@ -512,9 +533,10 @@ def test_conditions_report_not_proximal_family():
 
 
 def test_conditions_report_empty_search_claims_nothing():
-    # 2Z, 1009Z and 1013Z hold every member and miss 1, but the class sweep
-    # is over rep_limit, so the verdict is Inconclusive and no side is searched
-    spec = parse_family("dim 1\nrect [1009]\nrect [1013]\nrecttemplate [2t] params=primes\n")
+    # 2Z, 1009Z and 200003Z hold every member and miss 1, but the class
+    # sweep is over rep_limit, so the verdict is Inconclusive and no side is
+    # searched
+    spec = parse_family("dim 1\nrect [2]\nrect [1009]\nrecttemplate [200003t] params=primes\n")
     report = conditions_report(spec, SearchBudget(max_side=0))
     assert report.verdict.status == INCONCLUSIVE
     for key in ("a", "b", "c", "e", "f"):
