@@ -2,7 +2,8 @@
 
 Subcommands: eta, zero, decide, density, report, reproduce.  Summaries go to
 stdout, diagnostics to stderr.  Exit codes: 0 success, 1 nothing found
-(zero), 2 bad input, 3 limit breached, 4 golden mismatch.
+(zero), 2 bad input, 3 limit breached, 4 golden mismatch, 141 stdout closed
+by its reader (128 + SIGPIPE, as a shell reports a process that signal ends).
 """
 
 import argparse
@@ -37,6 +38,7 @@ EXIT_NOT_FOUND = 1
 EXIT_BAD_INPUT = 2
 EXIT_LIMIT = 3
 EXIT_MISMATCH = 4
+EXIT_BROKEN_PIPE = 141
 
 
 def _load_spec(args) -> FamilySpec:
@@ -343,7 +345,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(_join_flag_values(list(argv)))
         if "limit_cells" in args:
             args.limit_cells = _cell_limit(args)
-        return args.func(args)
+        code = args.func(args)
+        # a reader that closed the pipe early shows up here, not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        _discard_stdout()
+        return EXIT_BROKEN_PIPE
     except TooLargeError as exc:
         print(f"limit breached: {exc}", file=sys.stderr)
         return EXIT_LIMIT
@@ -353,6 +361,19 @@ def main(argv=None) -> int:
     except BFreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+
+
+def _discard_stdout() -> None:
+    """Point the stdout descriptor at the null device, so the interpreter's
+    flush of what is still buffered at exit cannot fail on a closed pipe.
+    A stdout without a descriptor (an in-memory stream) is left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -95,11 +95,15 @@ class CoprimeList:
 
 @dataclass(frozen=True)
 class CoverCheck:
-    """One verified containment: a member class sits inside the cover union."""
+    """One verified containment: member classes of an entry, taken modulo
+    ``modulus``, sit inside the cover union.  ``cover`` is the index of the
+    one cover holding them, or None when the check spans several covers."""
 
     entry_index: int
     label: str
     reps_checked: int
+    cover: int | None
+    modulus: int
 
 
 @dataclass(frozen=True)
@@ -118,7 +122,13 @@ class Covering:
             "covers": [lat.to_columns() for lat in self.covers],
             "missed_coset": list(self.missed_coset),
             "checks": [
-                {"entry": c.entry_index, "label": c.label, "reps": c.reps_checked}
+                {
+                    "entry": c.entry_index,
+                    "label": c.label,
+                    "reps": c.reps_checked,
+                    "cover": c.cover,
+                    "modulus": c.modulus,
+                }
                 for c in self.checks
             ],
         }
@@ -226,13 +236,18 @@ def check_covering(
     the first representative of the cover intersection, in
     ``iter_coset_reps`` order, outside every cover: built coordinate by
     coordinate when every cover is diagonal, found by a scan otherwise.
-    Infinite template entries are reduced to finitely many parameter classes
-    modulo the index of the cover intersection, which is exact because cover
-    membership is periodic with that period.  An entry with more classes than
-    ``rep_limit`` is checked instead modulo a divisor of that index
-    (``_classes_modulo_a_divisor``), each class inside one cover.  Raises
-    TooLargeError, naming the count and ``rep_limit``, when the scan of
-    non-diagonal covers or a class enumeration would exceed it.
+
+    Each entry is first held against one cover at a time: a cover C of
+    index d contains d*Z^m, so a member lies in C exactly when its class
+    modulo d does, and one ``CoverCheck`` naming C and d settles the entry
+    (``_one_cover_check``).  Only an entry that no single cover holds is
+    swept over its parameter classes modulo the index N of the cover
+    intersection, which is exact because union membership is periodic
+    with that period; each class gets its own check.  An entry with more
+    classes modulo N than ``rep_limit`` is checked instead modulo a divisor
+    of N (``_classes_modulo_a_divisor``), each class inside one cover.
+    Raises TooLargeError, naming the count and ``rep_limit``, when the scan
+    of non-diagonal covers or a class enumeration would exceed it.
     """
     covers = list(covers)
     if not covers:
@@ -251,37 +266,83 @@ def check_covering(
     if missed is None:
         raise InvalidCoverError("the covers exhaust the whole group; nothing is certified")
 
-    def in_one_cover(lat):
-        return any(all(cov.contains(c) for c in lat.columns) for cov in covers)
+    def holding_cover(lat):
+        """Index of the first cover that contains ``lat``, or None."""
+        return next((k for k, cov in enumerate(covers) if all(cov.contains(c) for c in lat.columns)), None)
 
     transform = spec.transform
     n_lattice = Lattice.from_diagonal((n,) * spec.dim)
     checks = []
     for idx, entry in enumerate(spec.base_spec().entries):
+        check = _one_cover_check(idx, entry, covers, rep_limit, transform)
+        if check is not None:
+            checks.append(check)
+            continue
         try:
             classes = entry.classes_mod(n, rep_limit)
         except TooLargeError as exc:
-            labels = _classes_modulo_a_divisor(entry, n, rep_limit, in_one_cover, transform)
-            if labels is None:
+            found = _classes_modulo_a_divisor(
+                entry, n, rep_limit, lambda lat: holding_cover(lat) is not None, transform
+            )
+            if found is None:
                 raise TooLargeError(f"covering check, entry {idx}: {exc}") from None
-            checks.extend(CoverCheck(idx, label, 0) for label in labels)
+            d, held = found
+            checks.extend(CoverCheck(idx, label, 0, holding_cover(lat), d) for label, lat in held)
             continue
         for label, cols, param in classes:
             if transform is not None:
                 cols = [transform.apply_point(c) for c in cols]
             class_lattice = hnf(list(cols) + list(n_lattice.columns))
             # cheap path: the whole class sits inside one cover
-            if in_one_cover(class_lattice):
-                checks.append(CoverCheck(idx, label, 0))
+            k = holding_cover(class_lattice)
+            if k is not None:
+                checks.append(CoverCheck(idx, label, 0, k, n))
                 continue
             count, reps = _quotient_reps(class_lattice, class_lattice.intersect(period), rep_limit)
             for rep in reps:
                 if not any(cov.contains(rep) for cov in covers):
                     witness = _lift_witness(entry.class_member(param, n), transform, n_lattice, rep)
                     return CoveringReport(False, None, (idx, label, witness))
-            checks.append(CoverCheck(idx, label, count))
+            checks.append(CoverCheck(idx, label, count, None, n))
     cert = Covering(tuple(covers), missed, tuple(checks))
     return CoveringReport(True, cert, None)
+
+
+def _one_cover_check(idx: int, entry, covers, rep_limit: int, transform) -> CoverCheck | None:
+    """One check for the whole entry when some cover C holds every member
+    class modulo d = index(C), or None.
+
+    Exact without ``hnf``: C contains d*Z^m, so a class lattice
+    (columns + d*Z^m) lies in C exactly when its columns do, and so does
+    every member of the class.  Covers are tried in order; the attempts
+    share ``rep_limit`` classes, and a cover with more classes than are left
+    is passed over before any class is built (``classes_mod`` reads the
+    class count first).
+    """
+    budget = rep_limit
+    for k, cov in enumerate(covers):
+        d = cov.index
+        try:
+            classes = entry.classes_mod(d, budget)
+        except TooLargeError:
+            continue
+        labels = []
+        for label, cols, _ in classes:
+            budget -= 1
+            if transform is not None:
+                cols = [transform.apply_point(c) for c in cols]
+            if not all(cov.contains(c) for c in cols):
+                break
+            labels.append(label)
+        else:
+            if len(labels) == 1:
+                label = labels[0]
+            elif entry.is_infinite:
+                label = f"all {len(labels)} classes of t (mod {d})"
+            else:
+                label = f"all {len(labels)} values of t"
+            return CoverCheck(idx, label, 0, k, d)
+    return None
 
 
 def _first_missed_diagonal(covers) -> Point:
@@ -678,8 +739,8 @@ def check_fixed_translate(
 
 
 def _classes_modulo_a_divisor(entry, n: int, limit: int, ok, transform=None):
-    """Labels of the entry's member classes modulo the least proper divisor
-    d of n for which ``ok`` holds on every class lattice (columns + d*Z^m,
+    """(d, [(label, class lattice)]) for the least proper divisor d of n for
+    which ``ok`` holds on every member class lattice (columns + d*Z^m,
     mapped through ``transform``), or None when no d does within ``limit``
     classes in all.  Every member lies in its class lattice, so a property
     that passes to sublattices holds for every member."""
@@ -690,16 +751,17 @@ def _classes_modulo_a_divisor(entry, n: int, limit: int, ok, transform=None):
         except TooLargeError:
             continue
         d_cols = Lattice.from_diagonal((d,) * entry.dim).columns
-        labels = []
+        held = []
         for label, cols, _ in classes:
             budget -= 1
             if transform is not None:
                 cols = [transform.apply_point(c) for c in cols]
-            if not ok(hnf(list(cols) + list(d_cols))):
+            lat = hnf(list(cols) + list(d_cols))
+            if not ok(lat):
                 break
-            labels.append(label)
+            held.append((label, lat))
         else:
-            return labels
+            return d, held
         if budget <= 0:
             return None
     return None

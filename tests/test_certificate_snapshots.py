@@ -2,10 +2,11 @@
 
 The goldens under ``src/bfree/goldens`` hold only ``Evidence`` verdicts, so
 this file pins the exact ``Covering`` and ``CoprimeSubscheme`` certificates
-(covers, missed cosets, per-class check labels and rep counts, samples, rule
-texts) over a fixed list of specs: every entry kind, every parameter
-sequence, coordinate changes and a non-diagonal static entry, with
-Proximal, NotProximal and Inconclusive verdicts.  A covering check against
+(covers, missed cosets, checks with their labels, rep counts, covers and
+moduli: one check per entry that a single cover holds, one per class
+otherwise; samples, rule texts) over a fixed list of specs: every entry
+kind, every parameter sequence, coordinate changes and a non-diagonal
+static entry, with Proximal, NotProximal and Inconclusive verdicts.  A covering check against
 supplied covers adds the witness of a refuted cover.
 
 Re-record deliberately with ``python tests/test_certificate_snapshots.py``.
@@ -117,6 +118,25 @@ def test_snapshot_lists_match():
     kinds = {json.loads(v)["certificate"]["kind"] for v in data["decide"].values()}
     assert statuses == {"Proximal", "NotProximal", "Inconclusive"}
     assert {"Covering", "CoprimeSubscheme", "Evidence"} <= kinds
+    records = [*data["decide"].values(), *data["report"].values(), *data["covering"]]
+    coverings = [c for r in records for c in _coverings(json.loads(r))]
+    assert coverings
+    for cert in coverings:
+        for check in cert["checks"]:
+            assert set(check) == {"entry", "label", "reps", "cover", "modulus"}
+            assert check["cover"] is None or 0 <= check["cover"] < len(cert["covers"])
+
+
+def _coverings(node):
+    """Every ``Covering`` certificate nested in a decoded record."""
+    if isinstance(node, dict):
+        if node.get("kind") == "Covering":
+            yield node
+        for value in node.values():
+            yield from _coverings(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _coverings(value)
 
 
 @pytest.mark.parametrize("name", list(SPECS))

@@ -215,6 +215,19 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["status"] == "NotProximal"
 
 
+def test_closed_stdout_exits_without_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bfree.cli", "decide", "--preset", "rect-demo"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 def test_reproduce_matches_goldens(tmp_path, capsys):
     for name in ("ex1", "ex2"):
         code, stdout, err = run(capsys, "reproduce", name, "--outdir", str(tmp_path / name))

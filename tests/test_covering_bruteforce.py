@@ -10,6 +10,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bfree.errors import InvalidCoverError, TooLargeError
 from bfree.families import (
@@ -24,8 +26,11 @@ from bfree.families import (
     Template,
     odd_primes,
 )
-from bfree.lattices import Lattice, hnf
-from bfree.proximality import check_covering, check_fixed_translate
+from bfree.lattices import Lattice, hnf, intersect_all
+from bfree.proximality import _lift_witness, _quotient_reps, check_covering, check_fixed_translate
+from helpers import canonical_lattices, entries, random_unimodular
+
+CLASS_LIMIT = 10**6
 
 
 def random_entry(rng):
@@ -102,6 +107,97 @@ def test_check_covering_agrees_with_bruteforce(seed):
         idx, label, point = report.witness
         assert spec.covered(point), (label, point)
         assert not any(cov.contains(point) for cov in covers)
+
+
+def reference_sweep(spec, covers):
+    """The refuting (entry, class label, witness) of the sweep modulo the
+    cover intersection's index N over every class of every entry, or None
+    when every class lies in the union: the covering check without its
+    one-cover-per-entry shortcut, kept as the reference."""
+    period = intersect_all(covers)
+    n = period.index
+    n_lattice = Lattice.from_diagonal((n,) * spec.dim)
+    transform = spec.transform
+    for idx, entry in enumerate(spec.base_spec().entries):
+        for label, cols, param in entry.classes_mod(n, CLASS_LIMIT):
+            if transform is not None:
+                cols = [transform.apply_point(c) for c in cols]
+            class_lattice = hnf(list(cols) + list(n_lattice.columns))
+            _, reps = _quotient_reps(class_lattice, class_lattice.intersect(period), CLASS_LIMIT)
+            for rep in reps:
+                if not any(cov.contains(rep) for cov in covers):
+                    witness = _lift_witness(entry.class_member(param, n), transform, n_lattice, rep)
+                    return idx, label, witness
+    return None
+
+
+def mapped_classes(entry, modulus, transform):
+    """Columns of every member class of the entry modulo ``modulus``, mapped
+    through the transform."""
+    for _, cols, _ in entry.classes_mod(modulus, CLASS_LIMIT):
+        yield [transform.apply_point(c) for c in cols] if transform is not None else cols
+
+
+def one_cover_holds(entry, cover, transform):
+    return all(
+        all(cover.contains(c) for c in cols) for cols in mapped_classes(entry, cover.index, transform)
+    )
+
+
+@st.composite
+def specs_and_covers(draw):
+    m = draw(st.integers(1, 3))
+    ents = tuple(draw(st.lists(entries(m), min_size=1, max_size=3)))
+    transform = None
+    if draw(st.booleans()):
+        transform = random_unimodular(random.Random(draw(st.integers(0, 10**6))), m, ops=4)
+    diagonal = st.tuples(*[st.integers(1, 4)] * m).map(Lattice.from_diagonal)
+    covers = draw(st.lists(
+        st.one_of(diagonal, canonical_lattices(m)).filter(Lattice.is_proper), max_size=3
+    ))
+    if draw(st.booleans()):
+        # the entries' own covers, as decide would use them, so that many
+        # cases are covered
+        for answer in (entry.schema() for entry in ents):
+            if isinstance(answer, list):
+                covers += [transform.apply(c) if transform else c for c in answer]
+    if draw(st.booleans()):
+        # an entry's class lattices modulo a small d: together they hold the
+        # entry, often with no single one holding it all
+        entry, d = draw(st.sampled_from(ents)), draw(st.integers(2, 4))
+        for cols in mapped_classes(entry, d, transform):
+            lat = hnf(list(cols) + list(Lattice.from_diagonal((d,) * m).columns))
+            if lat.is_proper():
+                covers.append(lat)
+    # the reference sweep does work in proportion to the period
+    assume(covers and intersect_all(covers).index <= 1000)
+    return FamilySpec(m, ents, transform), covers
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs_and_covers())
+def test_check_covering_agrees_with_the_sweep_modulo_the_period(case):
+    spec, covers = case
+    try:
+        report = check_covering(spec, covers)
+    except InvalidCoverError:
+        assume(False)
+    refuted = reference_sweep(spec, covers)
+    assert report.covered == (refuted is None)
+    assert report.witness == refuted
+    if not report.covered:
+        return
+    for idx, entry in enumerate(spec.base_spec().entries):
+        checks = [c for c in report.certificate.checks if c.entry_index == idx]
+        held = any(one_cover_holds(entry, cov, spec.transform) for cov in covers)
+        # an entry that one cover holds is settled by one check naming it
+        assert (len(checks) == 1 and checks[0].cover is not None) or not held
+        if len(checks) == 1 and checks[0].cover is not None:
+            cover = covers[checks[0].cover]
+            modulus_lattice = Lattice.from_diagonal((checks[0].modulus,) * spec.dim)
+            assert all(cover.contains(c) for c in modulus_lattice.columns)
+            for cols in mapped_classes(entry, checks[0].modulus, spec.transform):
+                assert all(cover.contains(c) for c in cols)
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -140,20 +140,35 @@ def test_decide_rectangular_raises_at_the_class_limit():
 
 def test_decide_rectangular_checks_an_entry_past_the_class_limit_modulo_a_divisor():
     # the sweep modulo 2*1009*1013 has over 200000 classes, but modulo 2
-    # both classes of the template entry lie inside the cover 2Z
+    # both classes of the template entry lie inside the cover 2Z: one check
     spec = parse_family("dim 1\nrect [1009]\nrect [1013]\nrecttemplate [2t] params=primes\n")
     v = decide_rectangular(spec)
     assert v.status == NOT_PROXIMAL
     assert [c.to_columns() for c in v.certificate.covers] == [[[2]], [[1009]], [[1013]]]
-    assert [(c.entry_index, c.label) for c in v.certificate.checks if c.entry_index == 2] == [
-        (2, "t=0 (mod 2)"),
-        (2, "t=1 (mod 2)"),
+    assert [(c.entry_index, c.cover, c.modulus) for c in v.certificate.checks if c.entry_index == 2] == [
+        (2, 0, 2)
     ]
     report = check_covering(spec, v.certificate.covers)
     assert report.covered and report.certificate == v.certificate
     ft = check_fixed_translate(spec, v.certificate.missed_coset, intersect_all(v.certificate.covers))
     assert ft.holds and ft.exact
     assert decide(spec) == v
+
+
+def test_decide_certificate_has_one_check_per_entry():
+    # the sweep modulo 2*101*103 has over 10000 classes; each entry lies in
+    # one cover, checked modulo that cover's index
+    spec = parse_family("dim 2\nrect [101,1]\nrect [1,103]\nrecttemplate [2t,t] params=primes\n")
+    v = decide(spec)
+    assert v.status == NOT_PROXIMAL
+    cert = v.certificate
+    assert [c.entry_index for c in cert.checks] == [0, 1, 2]
+    assert [(cert.covers[c.cover].index, c.modulus) for c in cert.checks] == [(101, 101), (103, 103), (2, 2)]
+    assert len(v.to_json()) < 2000
+    report = check_covering(spec, cert.covers)
+    assert report.covered and report.certificate == cert
+    ft = check_fixed_translate(spec, cert.missed_coset, intersect_all(cert.covers))
+    assert ft.holds and ft.exact
 
 
 @st.composite
