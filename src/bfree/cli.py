@@ -259,62 +259,81 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _spec_args(p):
+    p.add_argument("--preset", help="built-in family name")
+    p.add_argument("--spec", help="family description file")
+    p.add_argument("--limit-cells", type=_positive, default=None)
+
+
+def _eta_args(p):
+    _spec_args(p)
+    p.add_argument("--box", type=_box, required=True, help="lo:hi,lo:hi,...")
+    p.add_argument("--format", choices=("csv", "pgm", "json"), default="csv")
+    p.add_argument("--out", help="artifact path (default eta.<format>)")
+
+
+def _zero_args(p):
+    _spec_args(p)
+    p.add_argument("--shape", type=_shape, required=True, help="a:bxc:d or @offsets-file")
+    p.add_argument("--search", type=_box, help="search box, default centered radius 16")
+    p.add_argument("--crt", action="store_true", help="constructive route for rectangular specs")
+    p.add_argument("--periodic-exact", action="store_true")
+    p.add_argument("--instance-bound", type=_count, default=2000)
+
+
+def _budget_args(p):
+    _spec_args(p)
+    p.add_argument("--max-side", type=_count, default=3)
+    p.add_argument("--radius", type=_count, default=16)
+
+
+def _density_args(p):
+    _spec_args(p)
+    p.add_argument("--sides", type=_sides, required=True, help="comma-separated box radii")
+    p.add_argument("--shift-search", type=_box, help="shift box, default centered radius 20")
+    p.add_argument("--out")
+
+
+def _report_args(p):
+    _budget_args(p)
+    p.add_argument("--dprime", help="candidate family file for the d' check")
+
+
+def _reproduce_args(p):
+    p.add_argument("name", help="ex1 or ex2")
+    p.add_argument("--outdir")
+    p.add_argument("--bless", action="store_true")
+
+
+# name -> (help, function adding the arguments, handler)
+COMMANDS = {
+    "eta": ("export the free-set window over a box", _eta_args, cmd_eta),
+    "zero": ("find or construct a zero window", _zero_args, cmd_zero),
+    "decide": ("proximality verdict with certificate", _budget_args, cmd_decide),
+    "density": ("best-shift density lower bounds", _density_args, cmd_density),
+    "report": ("status of the equivalent conditions", _report_args, cmd_report),
+    "reproduce": ("regenerate and compare golden artifacts", _reproduce_args, cmd_reproduce),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the named command alone.
+
+    A one-command parser prints the full parser's usage line (the metavar
+    lists every command); it is meant for an argv that starts with that
+    command, so the subcommand action never reports a missing or unknown
+    command, the two messages that name the metavar.
+    """
     # exit_on_error=False: a value its converter rejects raises
     # ArgumentError, which main reports as bad input
     parser = argparse.ArgumentParser(prog="bfree", description=__doc__, exit_on_error=False)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, help):
-        return sub.add_parser(name, help=help, exit_on_error=False)
-
-    def add_spec_args(p):
-        p.add_argument("--preset", help="built-in family name")
-        p.add_argument("--spec", help="family description file")
-        p.add_argument("--limit-cells", type=_positive, default=None)
-
-    p_eta = command("eta", help="export the free-set window over a box")
-    add_spec_args(p_eta)
-    p_eta.add_argument("--box", type=_box, required=True, help="lo:hi,lo:hi,...")
-    p_eta.add_argument("--format", choices=("csv", "pgm", "json"), default="csv")
-    p_eta.add_argument("--out", help="artifact path (default eta.<format>)")
-    p_eta.set_defaults(func=cmd_eta)
-
-    p_zero = command("zero", help="find or construct a zero window")
-    add_spec_args(p_zero)
-    p_zero.add_argument("--shape", type=_shape, required=True, help="a:bxc:d or @offsets-file")
-    p_zero.add_argument("--search", type=_box, help="search box, default centered radius 16")
-    p_zero.add_argument("--crt", action="store_true", help="constructive route for rectangular specs")
-    p_zero.add_argument("--periodic-exact", action="store_true")
-    p_zero.add_argument("--instance-bound", type=_count, default=2000)
-    p_zero.set_defaults(func=cmd_zero)
-
-    p_decide = command("decide", help="proximality verdict with certificate")
-    add_spec_args(p_decide)
-    p_decide.add_argument("--max-side", type=_count, default=3)
-    p_decide.add_argument("--radius", type=_count, default=16)
-    p_decide.set_defaults(func=cmd_decide)
-
-    p_density = command("density", help="best-shift density lower bounds")
-    add_spec_args(p_density)
-    p_density.add_argument("--sides", type=_sides, required=True, help="comma-separated box radii")
-    p_density.add_argument("--shift-search", type=_box, help="shift box, default centered radius 20")
-    p_density.add_argument("--out")
-    p_density.set_defaults(func=cmd_density)
-
-    p_report = command("report", help="status of the equivalent conditions")
-    add_spec_args(p_report)
-    p_report.add_argument("--max-side", type=_count, default=3)
-    p_report.add_argument("--radius", type=_count, default=16)
-    p_report.add_argument("--dprime", help="candidate family file for the d' check")
-    p_report.set_defaults(func=cmd_report)
-
-    p_repr = command("reproduce", help="regenerate and compare golden artifacts")
-    p_repr.add_argument("name", help="ex1 or ex2")
-    p_repr.add_argument("--outdir")
-    p_repr.add_argument("--bless", action="store_true")
-    p_repr.set_defaults(func=cmd_reproduce)
-
+    metavar = None if command is None else "{%s}" % ",".join(COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        help, add_args, handler = COMMANDS[name]
+        p = sub.add_parser(name, help=help, exit_on_error=False)
+        add_args(p)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -338,11 +357,12 @@ def _join_flag_values(argv):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only the chosen command's parser is built; no arguments, --help or an
+    # unknown command get the full parser and its messages
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
-        args = parser.parse_args(_join_flag_values(list(argv)))
+        args = parser.parse_args(_join_flag_values(argv))
         if "limit_cells" in args:
             args.limit_cells = _cell_limit(args)
         code = args.func(args)

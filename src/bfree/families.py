@@ -54,6 +54,15 @@ _PROBE_BOUND = 1000
 # parameter sequences
 
 
+def _multiples_in_run(v0: int, n: int, moduli) -> bytearray:
+    """Flags over v0, ..., v0 + n - 1: 1 where some modulus divides v."""
+    hits = bytearray(n)
+    for q in moduli:
+        first = -v0 % q
+        hits[first::q] = b"\x01" * len(range(first, n, q))
+    return hits
+
+
 @dataclass(frozen=True)
 class Primes:
     """All primes, minus an optional finite exclusion set."""
@@ -65,6 +74,7 @@ class Primes:
             raise ValueError("exclusions must be primes")
 
     is_infinite = True
+    factors = True  # membership may factor a value (see windows.covered_flags)
 
     def __contains__(self, t: int) -> bool:
         return t not in self.exclude and is_prime(t)
@@ -225,6 +235,7 @@ class Geometric:
             raise ValueError("exponent offset must be >= 0")
 
     is_infinite = True
+    factors = False
 
     def __contains__(self, t: int) -> bool:
         if t < self.base**self.start:
@@ -261,6 +272,13 @@ class Geometric:
     def divides(self, v: int) -> bool:
         """Whether some member divides v: base**start does."""
         return v % self.base**self.start == 0
+
+    def power_hits(self, v0: int, n: int, e: int) -> bytearray:
+        """Flags over v0, ..., v0 + n - 1: 1 where some member t has
+        t**e | v (as Primes.power_hits).  Every member is a multiple of
+        base**start, so that is base**(start*e) | v: one progression, no
+        factoring."""
+        return _multiples_in_run(v0, n, (self.base ** (self.start * e),))
 
     def residues_mod(self, n: int) -> set[int]:
         out = set()
@@ -322,6 +340,7 @@ class Explicit:
             raise ValueError("explicit parameter list must be strictly increasing")
 
     is_infinite = False
+    factors = False
 
     def __contains__(self, t: int) -> bool:
         return t in self.values
@@ -349,6 +368,11 @@ class Explicit:
 
     def divides(self, v: int) -> bool:
         return any(v % t == 0 for t in self.values)
+
+    def power_hits(self, v0: int, n: int, e: int) -> bytearray:
+        """Flags over v0, ..., v0 + n - 1: 1 where some listed t has t**e | v
+        (as Primes.power_hits): one progression per value."""
+        return _multiples_in_run(v0, n, {t**e for t in self.values})
 
     def residues_mod(self, n: int) -> set[int]:
         return {v % n for v in self.values}
@@ -627,16 +651,17 @@ class RectTemplate(_Parameterised):
         t = None if constraints is None else self._least_param(constraints)
         return None if t is None else self.member(t)
 
-    def line_pieces(self, prefix):
+    def line_pieces(self, prefix, power_hits):
         """How the entry meets the line prefix x Z: a list of (s, d, hits),
         each covering the x = s (mod d) on the line; all of them when hits
         is None, else those x = s + (v0 + i) * d that hits(v0, n) flags.
 
-        With a constant last slot the prefix alone decides.  With the last
-        slot c * t**e and the parameterised prefix coordinates all 0, the
-        condition is t**e | x / c, sieved by Primes.power_hits.  Otherwise
-        each cell adds x / c to the prefix constraints and asks _holds, whose
-        gcd stays small where the prefix values are huge.
+        power_hits is the sequence's power_hits, or a caching stand-in for
+        it.  With a constant last slot the prefix alone decides.  With the
+        last slot c * t**e and the parameterised prefix coordinates all 0,
+        the condition is t**e | x / c, the same run of values on every such
+        line.  Otherwise each cell adds x / c to the prefix constraints and
+        asks _holds, whose gcd stays small where the prefix values are huge.
         """
         head = []
         for s, x in zip(self.entries, prefix):
@@ -648,7 +673,7 @@ class RectTemplate(_Parameterised):
         if not last.exp:
             return [(0, last.coeff, None)] if self._holds(head) else []
         if not any(v for v, _ in head):
-            return [(0, last.coeff, partial(self.params.power_hits, e=last.exp))]
+            return [(0, last.coeff, partial(power_hits, e=last.exp))]
 
         def hits(v0, n):
             return bytearray(self._holds(head + [(v, last.exp)]) for v in range(v0, v0 + n))
@@ -801,13 +826,13 @@ class Template(_Parameterised):
                 return True
         return False
 
-    def line_pieces(self, prefix):
+    def line_pieces(self, prefix, power_hits):
         """How the entry meets the line prefix x Z, as RectTemplate.line_pieces.
 
         Back-substitution through the prefix rows.  When the scaled row lies
         in the prefix it forks over the candidates of its coefficient, each
-        forcing one progression; otherwise the last row leaves the condition
-        t | (x - s) / d.
+        forcing one progression (branches that force the same one are
+        merged); otherwise the last row leaves the condition t | (x - s) / d.
         """
         basis = self.base.basis
         m = self.dim
@@ -827,8 +852,10 @@ class Template(_Parameterised):
                 for k in ks:
                     nxt.append([0] * (i + 1) + [res[j] - k * basis[j][i] for j in range(i + 1, m)])
             branches = nxt
-        hits = partial(self.params.power_hits, e=1) if r == m - 1 else None
-        return [(-res[-1], basis[-1][-1], hits) for res in branches]
+        d = basis[-1][-1]
+        if r == m - 1:
+            return [(-res[-1], d, partial(power_hits, e=1)) for res in branches]
+        return [(s, d, None) for s in {-res[-1] % d for res in branches}]
 
     def instances_up_to(self, bound: int) -> list[Lattice]:
         tmax = bound // self.base.index

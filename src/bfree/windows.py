@@ -8,6 +8,7 @@ counts are integers and all ratios are exact fractions.
 import base64
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, compress, islice, product
 from math import prod
 from operator import add, or_, sub
@@ -19,7 +20,7 @@ from .errors import (
     NotRectangularError,
     TooLargeError,
 )
-from .families import FamilySpec, Primes
+from .families import FamilySpec
 from .lattices import Lattice, Point, as_point, intersect_all
 from .numtheory import crt_integers
 
@@ -234,8 +235,10 @@ def covered_flags(spec: FamilySpec, box: Box) -> bytearray:
       row of a lattice in canonical triangular form being an arithmetic
       progression, unless that costs more than the box has cells (see
       _PARAM_COST);
-    * lines: a template entry over primes, without a transform, is
-      evaluated once per line of the box (see _mark_lines);
+    * lines: a template entry over any parameter sequence, without a
+      transform, is evaluated once per line of the box (see _mark_lines);
+      entries whose sequence never factors go first, so the lines they
+      flag entirely are skipped by those that may (as in ex1);
     * per cell: any other entry is evaluated cell by cell, on the cells no
       other entry covers.
     """
@@ -249,11 +252,11 @@ def covered_flags(spec: FamilySpec, box: Box) -> bytearray:
         if members is not None:
             for basis in members:
                 mark(basis)
-        elif spec.transform is None and isinstance(getattr(entry, "params", None), Primes):
+        elif spec.transform is None and hasattr(entry, "line_pieces"):
             lines.append(entry)
         else:
             rest.append(entry)
-    for entry in lines:
+    for entry in sorted(lines, key=lambda e: e.params.factors):
         _mark_lines(flags, box, entry, mark_run)
     if rest:
         unmarked = flags.translate(_UNMARKED)
@@ -340,17 +343,21 @@ def _mark_lines(flags: bytearray, box: Box, entry, mark_run):
     """Set the flags of the entry's members, one line of the box at a time.
 
     A line fixes the prefix x_0..x_{m-2}; lines whose cells are all flagged
-    already are skipped.  entry.line_pieces(prefix) says how the entry meets
-    the line: progressions covered outright (members forced by the prefix),
-    or a progression x = s (mod d) whose cells a test over the whole run of
-    values (x - s) / d picks, such as Primes.power_hits for t**e | (x - s) / d.
+    already are skipped.  entry.line_pieces(prefix, power_hits) says how the
+    entry meets the line: progressions covered outright (members forced by
+    the prefix), or a progression x = s (mod d) whose cells a test over the
+    whole run of values (x - s) / d picks, such as the sequence's power_hits
+    for t**e | (x - s) / d.  That run is often the same on every line (a
+    rectangular template whose parameterised prefix coordinates are 0), so
+    the last one is kept: consecutive lines asking for it share one sieve.
     """
     n = box.sides[-1]
+    power_hits = lru_cache(maxsize=1)(entry.params.power_hits)
     prefixes = product(*(range(a, b + 1) for a, b in zip(box.lo[:-1], box.hi[:-1])))
     for base, prefix in zip(range(0, len(flags), n), prefixes):
         if flags.find(0, base, base + n) < 0:
             continue
-        for s, d, hits in entry.line_pieces(prefix):
+        for s, d, hits in entry.line_pieces(prefix, power_hits):
             mark_run(base, s, d, hits)
 
 

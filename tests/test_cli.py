@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -341,3 +342,98 @@ def test_bad_limit_cells_env_exits_2(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert err.startswith("bad input: BFREE_LIMIT_CELLS")
     assert not (tmp_path / "w.csv").exists()
+
+
+# main builds only the parser of the command it runs; everything it prints
+# must be what the parser of every command prints
+
+
+def _subparser(parser, name):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices[name]
+
+
+def _action_fields(parser):
+    return [
+        (a.option_strings, a.dest, a.type, a.default, a.required, a.choices, a.nargs, a.help)
+        for a in parser._actions
+    ]
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_one_command_parser_has_the_full_parsers_actions(name):
+    one = _subparser(cli.build_parser(name), name)
+    full = _subparser(cli.build_parser(), name)
+    assert _action_fields(one) == _action_fields(full)
+    assert one.get_default("func") is full.get_default("func") is cli.COMMANDS[name][2]
+    assert one.prog == full.prog == f"bfree {name}"
+
+
+def _printed(capsys, call):
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _full_parser_prints(argv):
+    def call():
+        try:
+            cli.build_parser().parse_args(cli._join_flag_values(argv))
+        except argparse.ArgumentError as exc:
+            print(f"bad input: {exc}", file=sys.stderr)
+            return cli.EXIT_BAD_INPUT
+        raise AssertionError(f"{argv} parsed")
+
+    return call
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        *[[name, "--help"] for name in cli.COMMANDS],
+        [],
+        ["etx"],
+        ["eta", "--box", "0:1,0:1", "--bogus"],
+        ["decide", "--preset", "ex2", "--bogus", "1"],
+        ["reproduce", "ex1", "ex2"],
+        ["eta", "--preset", "ex2"],
+        ["zero", "--shape", "0:1x"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_main_prints_what_the_full_parser_prints(capsys, argv):
+    expected = _printed(capsys, _full_parser_prints(argv))
+    assert _printed(capsys, lambda: main(argv)) == expected
+    assert expected[0] in (0, 2)
+
+
+def test_unknown_flag_prints_the_full_usage_line(capsys):
+    code, out, err = _printed(capsys, lambda: main(["decide", "--preset", "ex2", "--bogus"]))
+    assert code == 2 and out == ""
+    assert err.startswith("usage: bfree [-h] {eta,zero,decide,density,report,reproduce} ...\n")
+    assert err.endswith("bfree: error: unrecognized arguments: --bogus\n")
+
+
+def test_main_builds_one_subparser_per_call(capsys, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    for _ in range(2):
+        assert main(["decide", "--preset", "rect-demo"]) == 0
+    # built again on the second call: no parser is kept between calls
+    assert built == ["decide", "decide"]
+    built.clear()
+    cli.build_parser()
+    assert built == list(cli.COMMANDS)
+    built.clear()
+    assert _printed(capsys, lambda: main(["--help"]))[0] == 0
+    assert built == list(cli.COMMANDS)

@@ -1,10 +1,11 @@
-"""Windows and membership of template entries over primes, far from the
-origin, against a brute-force oracle built on sympy.
+"""Windows and membership of template entries, far from the origin, against
+a brute-force oracle built on sympy.
 
 The oracle never calls the entry's own ``covered``: it solves for the
-member coefficients with sympy, takes every prime dividing a numerator as a
-candidate parameter (a superset of the parameters that can work), and tests
-each candidate member with ``Lattice.contains``.
+member coefficients with sympy, takes as candidate parameters a superset of
+those that can work (over primes every prime dividing a numerator, over
+powers of a base every power up to the largest numerator, over a list every
+value), and tests each candidate member with ``Lattice.contains``.
 """
 
 from fractions import Fraction
@@ -15,7 +16,19 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bfree import families, numtheory
-from bfree.families import FamilySpec, Primes, RectEntry, RectTemplate, Rectangular, Template, preset
+from bfree import windows
+from bfree.families import (
+    Explicit,
+    FamilySpec,
+    Geometric,
+    Primes,
+    RectEntry,
+    RectTemplate,
+    Rectangular,
+    Template,
+    parse_family,
+    preset,
+)
 from bfree.lattices import Lattice
 from bfree.windows import Box, covered_flags
 
@@ -26,19 +39,27 @@ EXCLUSIONS = st.lists(st.sampled_from((2, 3, 5, 7, 100003, 1000003)), unique=Tru
 
 
 def oracle(entry):
-    """covered(p) for a template entry over primes, independent of the entry's code."""
+    """covered(p) for a template entry, independent of the entry's code."""
     inverse = sympy.Matrix(entry.member_columns(1)).T.inv()
     inv = [[Fraction(int(a.p), int(a.q)) for a in row] for row in inverse.tolist()]
-    least = entry.params.min_value()
-    exclude = set(entry.params.exclude)
+    params = entry.params
+
+    def candidates(numerators):
+        # a member t holds p only if t divides every nonzero scaled
+        # coefficient, or with those all 0, and then so does the least member
+        if isinstance(params, Primes):
+            return {params.min_value()}.union(*map(sympy.factorint, numerators))
+        if isinstance(params, Geometric):
+            return {params.min_value(), *params.values_up_to(max(numerators, default=0))}
+        return set(params.values)
 
     def covered(p):
-        candidates = {least}
+        numerators = set()
         for row in inv:
             c = sum(a * x for a, x in zip(row, p))
             if c.denominator == 1 and c:
-                candidates |= set(sympy.factorint(abs(c.numerator)))
-        return any(t not in exclude and entry.member(t).contains(p) for t in candidates)
+                numerators.add(abs(c.numerator))
+        return any(t in params and entry.member(t).contains(p) for t in candidates(numerators))
 
     return covered
 
@@ -159,11 +180,7 @@ def test_ex1_and_ex2_far_windows_match_oracle(x, shift):
     for name in ("ex1", "ex2"):
         spec = preset(name)
         box = Box((x - 4 + shift, -x - 4), (x + 4 + shift, -x + 4))
-        expected = bytearray()
-        tests = [oracle(e) if isinstance(getattr(e, "params", None), Primes) else e.covered for e in spec.entries]
-        for p in box.points():
-            expected.append(int(any(f(p) for f in tests)))
-        assert covered_flags(spec, box) == expected
+        assert covered_flags(spec, box) == oracle_flags(spec, box)
 
 
 def test_ex2_covered_needs_no_factoring(monkeypatch):
@@ -184,3 +201,109 @@ def test_member_containing_still_gives_the_least_parameter():
     spec = FamilySpec(1, (Template(Lattice(((2,),)), 0, Primes((3,))),))
     assert spec.member_containing((2 * 3 * 5 * 7,)) == Lattice(((10,),))
     assert spec.member_containing((2 * 9,)) is None
+
+
+# geometric and explicit sequences take the line route too
+
+SEQUENCES = st.one_of(
+    st.builds(Geometric, st.integers(2, 5), st.integers(0, 2)),
+    st.builds(Explicit, st.lists(st.integers(1, 40), min_size=1, max_size=4, unique=True).map(sorted).map(tuple)),
+)
+
+
+@st.composite
+def sequence_templates(draw, m):
+    params = draw(SEQUENCES)
+    try:
+        if draw(st.booleans()):
+            slots = [RectEntry(draw(st.integers(1, 4)), draw(st.integers(0, 3))) for _ in range(m)]
+            if not any(s.exp for s in slots):
+                slots[-1] = RectEntry(slots[-1].coeff, draw(st.integers(1, 3)))
+            return RectTemplate(tuple(slots), params)
+        # scaled row first (as in ex1), last (as in ex2) or anywhere
+        row = draw(st.sampled_from((0, m - 1, draw(st.integers(0, m - 1)))))
+        return Template(draw(canonical_lattices(m)), row, params)
+    except ValueError:  # parameter 1 would give an improper member
+        assume(False)
+
+
+def per_cell_flags(spec, box):
+    return bytearray(int(spec.covered(p)) for p in box.points())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_far_window_over_any_sequence_matches_oracle(data):
+    m = data.draw(st.sampled_from((1, 1, 2, 2, 3)))
+    ents = data.draw(st.lists(sequence_templates(m), min_size=1, max_size=2))
+    if data.draw(st.booleans()):
+        ents.append(data.draw(prime_templates(m)))
+    spec = FamilySpec(m, tuple(ents))
+    box = data.draw(far_boxes(m))
+    flags = covered_flags(spec, box)
+    assert flags == oracle_flags(spec, box)
+    assert flags == per_cell_flags(spec, box)
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=SEQUENCES, e=st.integers(1, 3), v0=st.integers(-(10**15), 10**15), n=st.integers(0, 80))
+@example(params=Geometric(2, 0), e=3, v0=-5, n=11)
+@example(params=Explicit((1, 6)), e=2, v0=10**15, n=40)
+@example(params=Explicit((40,)), e=1, v0=-5, n=11)
+def test_power_hits_of_geometric_and_explicit_sequences(params, e, v0, n):
+    hits = params.power_hits(v0, n, e)
+    top = max(abs(v0), abs(v0 + n), 1)
+    members = {params.min_value(), *params.values_up_to(top)}  # the least one divides 0
+    assert hits == bytearray(int(any(v % t**e == 0 for t in members)) for v in range(v0, v0 + n))
+
+
+@pytest.mark.parametrize("params", ["primes", "geometric:2", "explicit:2,3,5"])
+def test_prefix_independent_run_is_sieved_once_per_box(monkeypatch, params):
+    # every line with x = 0 (mod 3) asks whether t^2 | y for the same run of
+    # y, so that run is sieved once, not once per line
+    spec = parse_family(f"dim 2\nrecttemplate [3,t^2] params={params}\n")
+    entry = spec.entries[0]
+    c = 3 * 10**14
+    box = Box((c - 20, c - 20), (c + 20, c + 20))
+    qlo, qhi = spec.pullback_box(box.lo, box.hi)
+    assert windows._box_members(spec, entry, box, qlo, qhi) is None
+    expected = per_cell_flags(spec, box)
+    calls = []
+    seq = type(entry.params)
+    power_hits = seq.power_hits
+
+    def counting(self, v0, n, e):
+        calls.append((v0, n, e))
+        return power_hits(self, v0, n, e)
+
+    monkeypatch.setattr(seq, "power_hits", counting)
+    assert covered_flags(spec, box) == expected
+    assert calls == [(c - 20, 41, 2)]
+
+
+def test_ex1_far_box_is_evaluated_by_lines(monkeypatch):
+    # near 10^12 neither template of ex1 can be sieved; both go by lines,
+    # the geometric one included, and no cell is evaluated on its own
+    spec = preset("ex1")
+    box = Box((10**12 - 20, -(10**12) - 20), (10**12 + 20, -(10**12) + 20))
+    qlo, qhi = spec.pullback_box(box.lo, box.hi)
+    assert [windows._box_members(spec, e, box, qlo, qhi) for e in spec.entries[2:]] == [None, None]
+    expected = oracle_flags(spec, box)
+    assert expected == per_cell_flags(spec, box)
+
+    def refuse(self, p):
+        raise AssertionError("evaluated per cell")
+
+    factored = []
+    candidates = Primes.candidates
+
+    def recording(self, constraints):
+        factored.extend(v for v, _ in constraints)
+        return candidates(self, constraints)
+
+    monkeypatch.setattr(Template, "covered", refuse)
+    monkeypatch.setattr(Primes, "candidates", recording)
+    assert covered_flags(spec, box) == expected
+    # the geometric template goes first and flags the lines x = 0 (mod 4)
+    # entirely, so the odd-primes template factors w = x / 2 on the others only
+    assert sorted(factored) == [x // 2 for x in range(box.lo[0], box.hi[0] + 1) if x % 4 == 2]
