@@ -22,7 +22,7 @@ general lattice families that implication has no converse.
 import itertools
 import json
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd
 
 from .errors import (
     InconsistencyError,
@@ -43,7 +43,7 @@ from .lattices import (
     split_in_sum,
 )
 from .numtheory import divisors
-from .windows import Box, Shape, covered_flags, find_zero_window
+from .windows import Box, Shape, _sieved_translates, find_zero_window
 
 PROXIMAL = "Proximal"
 NOT_PROXIMAL = "NotProximal"
@@ -409,14 +409,12 @@ def prove_no_zero_window(spec: FamilySpec, shape: Shape, covers) -> bool:
 
     With every member inside the union of the covers, a zero window must sit
     inside the union as well; union membership is periodic modulo the cover
-    intersection, so one period of translates is exhaustive.  The union is
-    sieved once over the box [shape low, D - 1 + shape high], D the
-    intersection's diagonal, and a translate g of the rep box [0, D)
-    survives when g + f is covered for every offset f: an AND of the flags
-    shifted by each offset.  Returns True when no translate survives
-    (nonexistence proved); False means some period translate stays inside
-    the union, so nothing is proved.  Raises TooLargeError, naming the
-    period's size, when the box has more than DEFAULT_COSET_LIMIT cells.
+    intersection, so the translates of the rep box [0, D), D its diagonal,
+    are exhaustive.  They go through the sieve of the zero-window scans in
+    one piece, over the box [shape low, D - 1 + shape high].  Returns True
+    when none survives (nonexistence proved); False means nothing is proved.
+    Raises TooLargeError, naming the period's size, when that box has more
+    than DEFAULT_COSET_LIMIT cells.
     """
     covers = list(covers)
     period = intersect_all(covers)
@@ -429,20 +427,8 @@ def prove_no_zero_window(spec: FamilySpec, shape: Shape, covers) -> bool:
             f"{box.volume} cells, above the limit of {DEFAULT_COSET_LIMIT}"
         )
     union = FamilySpec(len(diag), tuple(Static(cov) for cov in covers))
-    flags = int.from_bytes(covered_flags(union, box), "little")
-    sides = box.sides
-    strides = [prod(sides[k + 1 :]) for k in range(len(sides))]
-    # byte mask of the rep box [0, D) inside the sieve box
-    survivors = b"\x01" * diag[-1] + bytes(sides[-1] - diag[-1])
-    for k in reversed(range(len(sides) - 1)):
-        survivors = survivors * diag[k] + bytes((sides[k] - diag[k]) * strides[k])
-    survivors = int.from_bytes(survivors, "little")
-    for f in shape.offsets:
-        shift = sum((x - a) * s for x, a, s in zip(f, lo, strides))
-        survivors &= flags >> (8 * shift)
-        if not survivors:
-            return True
-    return False
+    reps = Box((0,) * len(diag), tuple(d - 1 for d in diag))
+    return next(_sieved_translates(union, shape, reps), None) is None
 
 
 # ---------------------------------------------------------------------------

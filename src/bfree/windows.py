@@ -70,6 +70,8 @@ class Box:
         return product(*(range(a, b + 1) for a, b in zip(self.lo, self.hi)))
 
     def index_of(self, p) -> int:
+        if not self.contains(p):
+            raise ValueError(f"point {tuple(p)} lies outside the box {self.format()}")
         idx = 0
         for x, a, s in zip(p, self.lo, self.sides, strict=True):
             idx = idx * s + (x - a)
@@ -383,8 +385,8 @@ def find_zero_window(
     *,
     cell_limit: int = DEFAULT_CELL_LIMIT,
 ):
-    """First translate g (lexicographic over the search box) with every cell
-    of g + shape covered, or None if the box holds none.
+    """First translate g, lexicographic over the search box sieved slab by
+    slab, with every cell of g + shape covered, or None if the box holds none.
 
     Absence here is not a nonexistence proof; see the proximality module for
     the periodic-exact route.
@@ -404,26 +406,43 @@ def all_zero_windows(
 
 
 def _zero_translates(spec: FamilySpec, shape: Shape, search: Box, cell_limit: int):
-    """Valid translates in lexicographic order.  Cells are evaluated one at
-    a time, stopping at the first free cell of a translate, so a hit near
-    the start of the search box stays cheap."""
+    """Valid translates in lexicographic order, sieved in slabs of the first
+    coordinate whose heights double (1, 2, 4, ...): a hit near the start of
+    the search box costs one thin slab, a miss about one sieve of the box."""
     _check_dim(spec, shape.dim)
     if search.dim != shape.dim:
         raise ValueError("search box dimension mismatch")
     if search.volume * len(shape) > cell_limit:
         raise TooLargeError("scan exceeds the cell limit")
-    cache: dict[Point, bool] = {}
-    for g in search.points():
-        for f in shape.offsets:
-            p = tuple(a + b for a, b in zip(g, f))
-            hit = cache.get(p)
-            if hit is None:
-                hit = spec.covered(p)
-                cache[p] = hit
-            if not hit:
-                break
-        else:
-            yield g
+    grown = prod(s + e - 1 for s, e in zip(search.sides, Box(*shape.bounds()).sides))
+    if grown > cell_limit:
+        raise TooLargeError(f"scan sieves {grown} cells, above the cell limit of {cell_limit}")
+    (x, *lo), (b, *hi) = search.lo, search.hi
+    while x <= b:
+        top = min(2 * x - search.lo[0], b)
+        yield from _sieved_translates(spec, shape, Box((x, *lo), (top, *hi)))
+        x = top + 1
+
+
+def _sieved_translates(spec: FamilySpec, shape: Shape, search: Box):
+    """Translates g in the search box with g + shape wholly covered, in
+    lexicographic order: one covered_flags over the search box grown by the
+    shape's bounds, masked to the search box and ANDed with the flags
+    shifted by each offset; translate g sits at the cell g + (shape low)."""
+    lo, hi = shape.bounds()
+    box = Box(tuple(map(add, search.lo, lo)), tuple(map(add, search.hi, hi)))
+    flags = int.from_bytes(covered_flags(spec, box), "little")
+    strides = [prod(box.sides[k + 1 :]) for k in range(box.dim)]
+    survivors = b"\x01"  # the search box's cells inside the grown box
+    for s, t, stride in reversed(list(zip(search.sides, box.sides, strides))):
+        survivors = survivors * s + bytes((t - s) * stride)
+    survivors = int.from_bytes(survivors, "little")
+    for f in shape.offsets:
+        survivors &= flags >> (8 * sum((x - a) * s for x, a, s in zip(f, lo, strides)))
+        if not survivors:
+            return
+    translates = box.shifted(tuple(-a for a in lo)).points()
+    yield from compress(translates, survivors.to_bytes(box.volume, "little"))
 
 
 def zero_window_by_crt(lattices, shape: Shape) -> Point:

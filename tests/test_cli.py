@@ -141,6 +141,24 @@ def test_zero_not_found_plain_scan(tmp_path, capsys):
     assert "not a nonexistence proof" in err
 
 
+def test_zero_limit_cells_exit3(capsys):
+    code, stdout, err = run(
+        capsys, "zero", "--preset", "ex2", "--shape", "0:1x0:1", "--limit-cells", "1000"
+    )
+    assert code == 3 and stdout == ""
+    assert err == "limit breached: scan exceeds the cell limit\n"
+
+
+def test_zero_sparse_offsets_past_the_sieve_limit_exit3(tmp_path, capsys):
+    # 33 x 33 translates of two cells pass the scan check; the box they span,
+    # 33 x (10^9 + 33) cells, is refused before anything is sieved
+    offsets = tmp_path / "far.txt"
+    offsets.write_text("0 0\n0 1000000000\n")
+    code, stdout, err = run(capsys, "zero", "--preset", "ex2", "--shape", f"@{offsets}")
+    assert code == 3 and stdout == ""
+    assert f"scan sieves {33 * (10**9 + 33)} cells, above the cell limit" in err
+
+
 def test_decide_squarefree(capsys):
     code, stdout, _ = run(capsys, "decide", "--preset", "squarefree-1d")
     assert code == 0

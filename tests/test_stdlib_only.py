@@ -29,3 +29,22 @@ def test_runtime_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_every_module_level_import_is_used():
+    # a name imported at module level and never read is dead weight that
+    # every start-up compiles; __init__ re-exports, so it is left out
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [
+                    f"{path.name}:{node.lineno} {name}"
+                    for name in (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                    if name not in read
+                ]
+    assert unused == []

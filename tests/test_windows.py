@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import product
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from bfree.errors import (
 from bfree.families import FamilySpec, RectTemplate, Rectangular, preset
 from bfree.lattices import Lattice, UnimodularMap, hnf
 from bfree.windows import (
+    DEFAULT_CELL_LIMIT,
     Box,
     FreeWindow,
     Shape,
@@ -76,6 +78,30 @@ def reference_window(spec, box):
     return FreeWindow(box, bytes(out))
 
 
+@st.composite
+def shapes(draw, m):
+    """Dense shapes (a small box of offsets) and sparse ones, both reaching
+    below 0."""
+    if draw(st.booleans()):
+        lo = tuple(draw(st.integers(-2, 1)) for _ in range(m))
+        return Shape.from_box(Box(lo, tuple(a + draw(st.integers(0, 2)) for a in lo)))
+    cells = st.tuples(*[st.integers(-6, 6)] * m)
+    return Shape(tuple(draw(st.lists(cells, min_size=1, max_size=4, unique=True))))
+
+
+def reference_zero_translates(spec, shape, search):
+    """Every translate of the search box with all cells of g + shape
+    covered, in lexicographic order, from one spec.covered call per cell."""
+    covered = {}
+
+    def hit(p):
+        if p not in covered:
+            covered[p] = spec.covered(p)
+        return covered[p]
+
+    return [g for g in search.points() if all(hit(tuple(map(add, g, f))) for f in shape.offsets)]
+
+
 def reference_rows(window):
     """Grid export rows rendered with one get() call per cell."""
     box = window.box
@@ -132,6 +158,19 @@ def test_ex1_window_small():
     assert w.ones() == len(expected) == 12
     for p in Box((-4, -4), (4, 4)).points():
         assert w.get(p) == (1 if p in expected else 0)
+
+
+def test_free_window_get_refuses_points_outside_its_box():
+    # unchecked, the flat index of such a point lands on a cell of another
+    # row: a free one for (0, 8), a covered one for (1, -1), against eta
+    spec = preset("ex2")
+    w = free_window(spec, Box((0, 0), (4, 4)))
+    assert spec.eta((0, 8)) == 0 and spec.eta((1, -1)) == 1
+    for p in ((0, 8), (1, -1)):
+        with pytest.raises(ValueError, match="outside the box"):
+            w.get(p)
+        with pytest.raises(ValueError, match="outside the box"):
+            w.box.index_of(p)
 
 
 def test_empty_family_window_all_ones():
@@ -271,6 +310,81 @@ def test_rect_demo_pair_shape():
     g = find_zero_window(spec, shape, Box((0, 0), (14, 14)))
     assert g is not None
     assert spec.covered(g) and spec.covered((g[0] + 1, g[1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_zero_window_scans_equal_per_cell_reference(data):
+    spec = data.draw(specs())
+    shape = data.draw(shapes(spec.dim))
+    search = data.draw(boxes(spec.dim, max_half={1: 40, 2: 8, 3: 3}[spec.dim]))
+    expected = reference_zero_translates(spec, shape, search)
+    assert all_zero_windows(spec, shape, search) == expected
+    assert find_zero_window(spec, shape, search) == (expected[0] if expected else None)
+
+
+def test_zero_window_scans_never_evaluate_per_cell(monkeypatch):
+    cases = [
+        (preset("ex1"), Shape.parse("0:1x0:1"), Box.centered(8, 2)),
+        (preset("ex2"), Shape.from_offsets([(0, 0), (0, 1), (-1, 3)]), Box((-5, 2), (9, 11))),
+        (preset("rect-demo"), Shape.parse("0:2x0:1"), Box((36, 12), (56, 32))),
+        (preset("squarefree-1d"), Shape.segment(2, 1), Box((-60,), (60,))),
+    ]
+    expected = [reference_zero_translates(*case) for case in cases]
+    assert any(expected) and not all(expected)  # hits and misses
+
+    def refuse(self, p):
+        raise AssertionError("evaluated per cell")
+
+    monkeypatch.setattr(FamilySpec, "covered", refuse)
+    for case, hits in zip(cases, expected):
+        assert all_zero_windows(*case) == hits
+        assert find_zero_window(*case) == (hits[0] if hits else None)
+
+
+def test_zero_window_scan_sieves_doubling_slabs_up_to_the_first_hit(monkeypatch):
+    # covered exactly where x = 0 (mod 7): the first hit, x = 7, lies in the
+    # third slab of the first coordinate, after slabs of heights 1 and 2
+    spec = FamilySpec(2, (Rectangular((7, 1)),))
+    search = Box((1, 0), (20, 2))
+    slabs = []
+
+    def record(spec, shape, box):
+        slabs.append((box.lo[0], box.hi[0]))
+        return sieve(spec, shape, box)
+
+    sieve = windows._sieved_translates
+    monkeypatch.setattr(windows, "_sieved_translates", record)
+    shape = Shape.from_offsets([(0, 0)])
+    assert find_zero_window(spec, shape, search) == (7, 0)
+    assert slabs == [(1, 1), (2, 3), (4, 7)]
+    slabs.clear()
+    assert all_zero_windows(spec, shape, search) == [(x, y) for x in (7, 14) for y in range(3)]
+    assert slabs == [(1, 1), (2, 3), (4, 7), (8, 15), (16, 20)]
+
+
+def test_zero_window_scan_limit():
+    shape = Shape.parse("0:1x0:1")
+    for scan in (find_zero_window, all_zero_windows):
+        with pytest.raises(TooLargeError, match="^scan exceeds the cell limit$"):
+            scan(preset("ex2"), shape, Box.centered(16, 2), cell_limit=33 * 33 * 4 - 1)
+    assert find_zero_window(preset("ex2"), shape, Box.centered(16, 2), cell_limit=33 * 33 * 4)
+
+
+def test_zero_window_scan_refuses_a_sparse_shape_before_sieving(monkeypatch):
+    # two cells 10^9 apart pass the translates-times-cells check, but the
+    # sieve box grown by the shape would hold more than 10^9 cells
+    shape = Shape.from_offsets([(0, 0), (0, 10**9)])
+    search = Box.centered(16, 2)
+    assert search.volume * len(shape) <= DEFAULT_CELL_LIMIT
+
+    def refuse(spec, box):
+        raise AssertionError(f"sieved {box.volume} cells")
+
+    monkeypatch.setattr(windows, "covered_flags", refuse)
+    for scan in (find_zero_window, all_zero_windows):
+        with pytest.raises(TooLargeError, match="above the cell limit of 100000000"):
+            scan(preset("ex2"), shape, search)
 
 
 # ---------------------------------------------------------------------------
