@@ -29,7 +29,7 @@ pulling points back through the inverse.
 import json
 import re
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 from math import gcd
 
 from .errors import FamilyParseError, TooLargeError, UnknownPresetError
@@ -410,6 +410,7 @@ class _OneMember:
     """Entry protocol of the single-lattice kinds, read off ``self.lattice``."""
 
     is_infinite = False
+    factors = False  # line_pieces never factors (see windows.covered_flags)
 
     def member_containing(self, p):
         return self.lattice if self.covered(p) else None
@@ -421,6 +422,20 @@ class _OneMember:
     def sieve_members(self, lo, hi, max_param: int):
         """The one member's basis, whatever the box (see _Parameterised.sieve_members)."""
         return (self.lattice.basis,)
+
+    def line_pieces(self, prefix, power_hits):
+        """How the one member meets the line prefix x Z (as
+        RectTemplate.line_pieces): back-substitution through the prefix
+        rows leaves one progression, or none."""
+        basis = self.lattice.basis
+        res = list(prefix) + [0]
+        for i in range(len(prefix)):
+            if res[i] % basis[i][i]:
+                return []
+            w = res[i] // basis[i][i]
+            for j in range(i + 1, len(res)):
+                res[j] -= w * basis[j][i]
+        return [(-res[-1], basis[-1][-1], None)]
 
     def schema(self) -> list[Lattice]:
         """The one member, which is its own cover (see RectTemplate.schema)."""
@@ -477,7 +492,7 @@ class Rectangular(_OneMember):
     def dim(self) -> int:
         return len(self.entries)
 
-    @property
+    @cached_property
     def lattice(self) -> Lattice:
         return Lattice.from_diagonal(self.entries)
 
@@ -516,6 +531,10 @@ class _Parameterised:
     @property
     def is_infinite(self) -> bool:
         return self.params.is_infinite
+
+    @property
+    def factors(self) -> bool:
+        return self.params.factors
 
     def _members(self) -> list[Lattice]:
         """Every member, for a finite sequence."""
@@ -596,7 +615,9 @@ class RectTemplate(_Parameterised):
         return [tuple(s.value(t) if i == j else 0 for i in range(m)) for j, s in enumerate(self.entries)]
 
     def member_basis(self, t: int) -> tuple[Point, ...]:
-        return self.member(t).basis
+        """Rows of the member's canonical basis: a diagonal is its own."""
+        m = self.dim
+        return tuple(tuple(s.value(t) if i == j else 0 for j in range(m)) for i, s in enumerate(self.entries))
 
     def index_of(self, t: int) -> int:
         out = 1
@@ -975,6 +996,14 @@ class FamilySpec:
             qlo.append(sum(a * (l if a > 0 else h) for a, l, h in zip(row, lo, hi)))
             qhi.append(sum(a * (h if a > 0 else l) for a, l, h in zip(row, lo, hi)))
         return tuple(qlo), tuple(qhi)
+
+    def coordinates(self) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
+        """Rows of A and of its inverse, where x = A q takes entry
+        coordinates q to the family's: the transform, else the identity."""
+        if self.transform is None:
+            identity = tuple(tuple(int(i == j) for j in range(self.dim)) for i in range(self.dim))
+            return identity, identity
+        return self.transform.rows, self._inverse.rows  # type: ignore[attr-defined]
 
     def free(self, p) -> bool:
         return not self.covered(p)

@@ -8,10 +8,10 @@ counts are integers and all ratios are exact fractions.
 import base64
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate, compress, islice, product
+from functools import lru_cache, partial, reduce
+from itertools import accumulate, compress, islice, product, repeat
 from math import prod
-from operator import add, or_, sub
+from operator import add, floordiv, mul, or_, sub
 
 from .errors import (
     NotAZeroWindowError,
@@ -27,11 +27,9 @@ from .numtheory import crt_integers
 DEFAULT_CELL_LIMIT = 10**8
 
 # Sieve cost model, in box cells.  An entry is sieved while its parameter
-# bound stays within _PARAM_COST per cell and its members' rows (plus
-# _HNF_COST per member mapped through a transform) within one per cell;
-# otherwise it is evaluated per cell, on the cells still unmarked.
+# bound stays within _PARAM_COST per cell and its members' lines within one
+# per cell; otherwise it is evaluated once per line.
 _PARAM_COST = 4
-_HNF_COST = 32
 
 
 @dataclass(frozen=True)
@@ -57,10 +55,7 @@ class Box:
 
     @property
     def volume(self) -> int:
-        out = 1
-        for s in self.sides:
-            out *= s
-        return out
+        return prod(self.sides)
 
     def contains(self, p) -> bool:
         return all(a <= x <= b for x, a, b in zip(p, self.lo, self.hi, strict=True))
@@ -126,12 +121,8 @@ class Shape:
 
     @classmethod
     def from_offsets(cls, offsets) -> "Shape":
-        seen = []
-        for f in offsets:
-            f = as_point(f)
-            if f not in seen:
-                seen.append(f)
-        return cls(tuple(seen))
+        """The distinct offsets, in first-seen order (dict keys keep it)."""
+        return cls(tuple(dict.fromkeys(map(as_point, offsets))))
 
     @classmethod
     def from_box(cls, box: Box) -> "Shape":
@@ -140,12 +131,7 @@ class Shape:
     @classmethod
     def segment(cls, k: int, dim: int, axis: int = 0) -> "Shape":
         """The k+1 cells 0, e_axis, 2*e_axis, ..., k*e_axis."""
-        offs = []
-        for i in range(k + 1):
-            v = [0] * dim
-            v[axis] = i
-            offs.append(tuple(v))
-        return cls(tuple(offs))
+        return cls(tuple(tuple(i if j == axis else 0 for j in range(dim)) for i in range(k + 1)))
 
     @classmethod
     def parse(cls, text: str, dim: int | None = None) -> "Shape":
@@ -160,10 +146,8 @@ class Shape:
         return cls.from_box(Box(tuple(a for a, _ in ranges), tuple(b for _, b in ranges)))
 
     def bounds(self) -> tuple[Point, Point]:
-        m = self.dim
-        lo = tuple(min(f[i] for f in self.offsets) for i in range(m))
-        hi = tuple(max(f[i] for f in self.offsets) for i in range(m))
-        return lo, hi
+        axes = list(zip(*self.offsets))
+        return tuple(map(min, axes)), tuple(map(max, axes))
 
 
 @dataclass(frozen=True)
@@ -222,68 +206,94 @@ class FreeWindow:
         raise ValueError("grid export only supports dimensions 1 and 2; use JSON")
 
 
-# covered flags -> free-cell characters ("1" on free cells), and -> unmarked mask
+# covered flags -> free-cell characters ("1" on free cells)
 _FREE_CHARS = bytes.maketrans(b"\x00\x01", b"10")
-_UNMARKED = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 def covered_flags(spec: FamilySpec, box: Box) -> bytearray:
     """Exact covered indicator over a box: one byte per cell, 1 on covered
     cells, row-major with the last coordinate fastest.
 
-    Each entry takes the first of three routes that applies:
+    Entries are evaluated in their own coordinates q, x = A q (A the
+    transform, else the identity), on the lines of q that meet the box,
+    each line one slice of the flags (see _box_lines), by the first route
+    that applies:
 
-    * sieve: the members that can meet the box are marked row by row, every
-      row of a lattice in canonical triangular form being an arithmetic
-      progression, unless that costs more than the box has cells (see
-      _PARAM_COST);
-    * lines: a template entry over any parameter sequence, without a
-      transform, is evaluated once per line of the box (see _mark_lines);
-      entries whose sequence never factors go first, so the lines they
-      flag entirely are skipped by those that may (as in ex1);
-    * per cell: any other entry is evaluated cell by cell, on the cells no
-      other entry covers.
+    * sieve: the members that can meet the box are marked, each meeting a
+      line in one arithmetic progression or none, unless that costs more
+      than the box has cells (see _PARAM_COST);
+    * lines: the entry is evaluated once per line (see _mark_lines); those
+      whose sequence never factors go first, so the lines they flag
+      entirely are skipped by those that may (as in ex1).
     """
     _check_dim(spec, box.dim)
     flags = bytearray(box.volume)
     qlo, qhi = spec.pullback_box(box.lo, box.hi)
-    mark, mark_run = _marker(flags, box)
-    lines, rest = [], []
+    lines = _box_lines(spec, box)
+    mark, mark_run = _marker(flags, box, lines)
+    rest = []
     for entry in spec.entries:
-        members = _box_members(spec, entry, box, qlo, qhi)
-        if members is not None:
-            for basis in members:
-                mark(basis)
-        elif spec.transform is None and hasattr(entry, "line_pieces"):
-            lines.append(entry)
-        else:
+        members = _box_members(entry, box, qlo, qhi)
+        if members is None:
             rest.append(entry)
-    for entry in sorted(lines, key=lambda e: e.params.factors):
-        _mark_lines(flags, box, entry, mark_run)
-    if rest:
-        unmarked = flags.translate(_UNMARKED)
-        for i, p in compress(enumerate(box.points()), unmarked):
-            q = spec.pullback(p)
-            if any(e.covered(q) for e in rest):
-                flags[i] = 1
+        else:
+            for basis in members:
+                mark(basis, qlo, qhi)
+    for entry in sorted(rest, key=lambda e: e.factors):
+        _mark_lines(flags, lines, entry, mark_run)
     return flags
 
 
-def _box_members(spec: FamilySpec, entry, box: Box, qlo, qhi):
-    """Bases of the entry's members that can meet the box, mapped through
-    the transform; None when sieving them would exceed the cost model."""
+def _box_lines(spec: FamilySpec, box: Box) -> dict:
+    """{prefix: (start, sigma, klo, khi)} over the lines of entry
+    coordinates that meet the box: fixing q_0..q_{m-2} leaves x = x_0 + k a,
+    a = A e_m, and the flat index being linear in x, the line's cells
+    k = klo..khi sit at start + (k - klo) * sigma, sigma = strides . a.
+    Each line is found from its first cell, x in the box with x - a outside
+    it; these fill one box per axis along which x - a leaves first (without
+    a transform, the first cells of the rows)."""
+    rows, inverse = spec.coordinates()
+    lo, hi, sides = box.lo, box.hi, box.sides
+    strides = [prod(sides[k + 1 :]) for k in range(len(sides))]
+    a = [row[-1] for row in rows]
+    sigma = sum(map(mul, strides, a)) or 1  # 0: lines of one cell, any sigma
+    offset = sum(map(mul, strides, lo))
+    lines = {}
+    for i, c in enumerate(a):
+        if not c:
+            continue
+        ranges = [range(max(l, l + e), min(h, h + e) + 1) for l, h, e in zip(lo[:i], hi[:i], a)]
+        ranges.append(range(lo[i], min(hi[i], lo[i] + c - 1) + 1) if c > 0 else range(max(lo[i], hi[i] + c + 1), hi[i] + 1))
+        ranges += map(range, lo[i + 1 :], [h + 1 for h in hi[i + 1 :]])
+        if not all(ranges):
+            continue
+        cols = list(zip(*product(*ranges)))  # coordinates of the first cells
+        *prefix, k, index = (list(_dot(row, cols)) for row in (*inverse, strides))
+        steps = reduce(partial(map, min), (  # steps of a each first cell takes in the box
+            map(floordiv, map(sub, repeat(h), x) if e > 0 else map(sub, x, repeat(l)), repeat(abs(e)))
+            for l, h, e, x in zip(lo, hi, a, cols) if e
+        ))
+        values = zip(map(sub, index, repeat(offset)), repeat(sigma), k, map(add, k, steps))
+        lines.update(zip(zip(*prefix) if prefix else repeat(()), values))
+    return lines
+
+
+def _dot(u, cols):
+    """u . x over the points x whose coordinates are the columns cols."""
+    return reduce(partial(map, add), (col if c == 1 else map(mul, repeat(c), col) for c, col in zip(u, cols) if c))
+
+
+def _box_members(entry, box: Box, qlo, qhi):
+    """Bases, in entry coordinates, of the entry's members that can meet
+    the box; None when sieving them would exceed the cost model."""
     budget = box.volume
     members = entry.sieve_members(qlo, qhi, _PARAM_COST * budget)
     if members is None:
         return None
-    sides = box.sides[:-1]
-    out = []
-    cost = 0
+    sides = [b - a + 1 for a, b in zip(qlo[:-1], qhi[:-1])]
+    out, cost = [], 0
     for basis in members:
-        if spec.transform is not None:
-            basis = spec.transform.apply(Lattice(basis)).basis
-            cost += _HNF_COST
-        rows = 1  # bound on the last-coordinate rows in the box
+        rows = 1  # bound on the lines of the pulled-back box the member meets
         for i, s in enumerate(sides):
             rows *= -(-s // basis[i][i])
         cost += rows
@@ -293,74 +303,64 @@ def _box_members(spec: FamilySpec, entry, box: Box, qlo, qhi):
     return out
 
 
-def _marker(flags: bytearray, box: Box):
-    """(mark, mark_run) over the flags of the box.
+def _marker(flags: bytearray, box: Box, lines: dict):
+    """(mark, mark_run) over the flags of the box and its lines.
 
-    mark(basis) sets the flag of every point of the lattice with that
-    canonical basis inside the box: the prefixes x_0..x_{m-2} of lattice
-    points are enumerated by back-substitution, and over each the last
-    coordinate runs through one arithmetic progression.
+    mark_run(line, s, d, hits=None) sets, with one slice assignment, the
+    flags of the line's cells k = s (mod d); given hits(v0, n), only those
+    of the n cells, at k = s + (v0 + i) * d, that it flags.  mark(basis,
+    qlo, qhi) marks the lattice with that canonical basis: the prefixes of
+    its points in [qlo, qhi] are enumerated by back-substitution, and on
+    each line the last coordinate runs through one progression."""
+    m = box.dim
+    ones = memoryview(b"\x01" * max(box.sides))
 
-    mark_run(base, s, d, hits=None) sets, with a single slice assignment,
-    the flags of the cells x = s (mod d) of the line whose first cell has
-    flat index base; given hits(v0, n), only those of the n cells, at
-    x = s + (v0 + i) * d, that it flags.
-    """
-    lo, hi = box.lo, box.hi
-    m = len(lo)
-    strides = [prod(box.sides[k + 1 :]) for k in range(m)]
-    ones = memoryview(b"\x01" * box.sides[-1])
-    a0, b0 = lo[-1], hi[-1]
-
-    def mark_run(base, s, d, hits=None):
-        first = a0 + (s - a0) % d
-        n = (b0 - first) // d + 1
+    def mark_run(line, s, d, hits=None):
+        start, sigma, klo, khi = line
+        first = klo + (s - klo) % d
+        n = (khi - first) // d + 1
         if n > 0:
-            start = base + first - a0
-            run = slice(start, start + (n - 1) * d + 1, d)
+            start += (first - klo) * sigma
+            stop = start + n * d * sigma
+            run = slice(start, stop if stop >= 0 else None, d * sigma)
             flags[run] = ones[:n] if hits is None else bytes(map(or_, flags[run], hits((first - s) // d, n)))
 
-    def mark(basis):
-        # (flat index of the row start, sum of the chosen columns so far)
-        rows = [(0, (0,) * m)]
+    def mark(basis, qlo, qhi):
+        rows = [((), (0,) * m)]  # (prefix so far, sum of the chosen columns so far)
         for k in range(m - 1):
             d = basis[k][k]
             col = [row[k] for row in basis]
             nxt = []
-            for base, shift in rows:
+            for prefix, shift in rows:
                 s = shift[k]
-                for x in range(lo[k] + (s - lo[k]) % d, hi[k] + 1, d):
+                for x in range(qlo[k] + (s - qlo[k]) % d, qhi[k] + 1, d):
                     c = (x - s) // d
-                    shifted = tuple(a + c * b for a, b in zip(shift, col))
-                    nxt.append((base + (x - lo[k]) * strides[k], shifted))
+                    nxt.append((prefix + (x,), tuple(a + c * b for a, b in zip(shift, col))))
             rows = nxt
         d = basis[-1][-1]
-        for base, shift in rows:
-            mark_run(base, shift[-1], d)
+        for prefix, shift in rows:
+            line = lines.get(prefix)
+            if line:
+                mark_run(line, shift[-1], d)
 
     return mark, mark_run
 
 
-def _mark_lines(flags: bytearray, box: Box, entry, mark_run):
-    """Set the flags of the entry's members, one line of the box at a time.
-
-    A line fixes the prefix x_0..x_{m-2}; lines whose cells are all flagged
-    already are skipped.  entry.line_pieces(prefix, power_hits) says how the
-    entry meets the line: progressions covered outright (members forced by
-    the prefix), or a progression x = s (mod d) whose cells a test over the
-    whole run of values (x - s) / d picks, such as the sequence's power_hits
-    for t**e | (x - s) / d.  That run is often the same on every line (a
-    rectangular template whose parameterised prefix coordinates are 0), so
-    the last one is kept: consecutive lines asking for it share one sieve.
-    """
-    n = box.sides[-1]
-    power_hits = lru_cache(maxsize=1)(entry.params.power_hits)
-    prefixes = product(*(range(a, b + 1) for a, b in zip(box.lo[:-1], box.hi[:-1])))
-    for base, prefix in zip(range(0, len(flags), n), prefixes):
-        if flags.find(0, base, base + n) < 0:
-            continue
-        for s, d, hits in entry.line_pieces(prefix, power_hits):
-            mark_run(base, s, d, hits)
+def _mark_lines(flags: bytearray, lines: dict, entry, mark_run):
+    """Set the flags of the entry's members, one line at a time, skipping
+    lines flagged entirely.  entry.line_pieces(prefix, power_hits) gives
+    progressions covered outright, or a progression k = s (mod d) whose
+    cells a test over the run of values (k - s) / d picks, such as the
+    sequence's power_hits for t**e | (k - s) / d.  Without a transform that
+    run is often the same on every line (a rectangular template whose
+    parameterised prefix coordinates are 0), so the last one is kept."""
+    power_hits = lru_cache(maxsize=1)(entry.params.power_hits) if hasattr(entry, "params") else None
+    for prefix, line in lines.items():
+        start, sigma, klo, khi = line
+        stop = start + (khi - klo + 1) * sigma
+        if 0 in flags[start : stop if stop >= 0 else None : sigma]:
+            for s, d, hits in entry.line_pieces(prefix, power_hits):
+                mark_run(line, s, d, hits)
 
 
 def free_window(

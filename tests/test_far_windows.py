@@ -266,7 +266,7 @@ def test_prefix_independent_run_is_sieved_once_per_box(monkeypatch, params):
     c = 3 * 10**14
     box = Box((c - 20, c - 20), (c + 20, c + 20))
     qlo, qhi = spec.pullback_box(box.lo, box.hi)
-    assert windows._box_members(spec, entry, box, qlo, qhi) is None
+    assert windows._box_members(entry, box, qlo, qhi) is None
     expected = per_cell_flags(spec, box)
     calls = []
     seq = type(entry.params)
@@ -287,7 +287,7 @@ def test_ex1_far_box_is_evaluated_by_lines(monkeypatch):
     spec = preset("ex1")
     box = Box((10**12 - 20, -(10**12) - 20), (10**12 + 20, -(10**12) + 20))
     qlo, qhi = spec.pullback_box(box.lo, box.hi)
-    assert [windows._box_members(spec, e, box, qlo, qhi) for e in spec.entries[2:]] == [None, None]
+    assert [windows._box_members(e, box, qlo, qhi) for e in spec.entries[2:]] == [None, None]
     expected = oracle_flags(spec, box)
     assert expected == per_cell_flags(spec, box)
 

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 from itertools import product
 from operator import add
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfree import windows
+from bfree import families, lattices, windows
 from bfree.errors import (
     NotAZeroWindowError,
     NotCoprimeError,
@@ -16,7 +17,7 @@ from bfree.errors import (
     NotRectangularError,
     TooLargeError,
 )
-from bfree.families import FamilySpec, RectTemplate, Rectangular, preset
+from bfree.families import FamilySpec, RectTemplate, Rectangular, Static, Template, parse_family, preset
 from bfree.lattices import Lattice, UnimodularMap, hnf
 from bfree.windows import (
     DEFAULT_CELL_LIMIT,
@@ -141,6 +142,21 @@ def test_shape_parse_and_order():
     assert Shape.from_offsets([(0, 0), (0, 0), (1, 1)]).offsets == ((0, 0), (1, 1))
 
 
+def test_shape_from_offsets_dedupes_in_linear_time():
+    # 20 000 offsets, 7 919 distinct: a list membership test per offset
+    # (quadratic) takes seconds here, a set of seen offsets milliseconds
+    offsets = [(i % 7919, (i % 7919) * 7 // 100) for i in range(20000)]
+    seen, expected = set(), []
+    for f in offsets:
+        if f not in seen:
+            seen.add(f)
+            expected.append(f)
+    start = time.perf_counter()
+    shape = Shape.from_offsets(offsets)
+    assert time.perf_counter() - start < 1.0
+    assert shape.offsets == tuple(expected) and len(expected) == 7919
+
+
 # ---------------------------------------------------------------------------
 # windows
 
@@ -222,7 +238,7 @@ def test_window_far_box_is_evaluated_by_lines(monkeypatch):
     spec = preset("squarefree-1d")
     box = Box((10**12 - 30,), (10**12 + 30,))
     qlo, qhi = spec.pullback_box(box.lo, box.hi)
-    assert windows._box_members(spec, spec.entries[0], box, qlo, qhi) is None
+    assert windows._box_members(spec.entries[0], box, qlo, qhi) is None
     expected = reference_window(spec, box)
 
     def refuse(self, p):
@@ -230,6 +246,99 @@ def test_window_far_box_is_evaluated_by_lines(monkeypatch):
 
     monkeypatch.setattr(RectTemplate, "covered", refuse)
     assert free_window(spec, box) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_window_under_long_transforms_equals_per_cell_reference(data):
+    # twelve column operations give last columns a with |a_i| up to tens,
+    # so each line of entry coordinates crosses the box in a few cells
+    m = data.draw(st.sampled_from((1, 2, 3)))
+    ents = tuple(data.draw(st.lists(entries(m), min_size=1, max_size=3)))
+    transform = random_unimodular(random.Random(data.draw(st.integers(0, 10**6))), m, ops=12)
+    spec = FamilySpec(m, ents, transform=transform)
+    box = data.draw(boxes(m))
+    assert free_window(spec, box) == reference_window(spec, box)
+
+
+TRANSFORMED = parse_family(
+    "dim 2\n"
+    "static [[3,1],[0,3]]\n"
+    "rect [2,1]\n"
+    "recttemplate [t,3] params=geometric:3\n"
+    "template base=[[1,1],[0,2]] scale=(2,2) params=primes\n"
+    "transform [[1,3],[3,10]]\n"
+)
+
+
+def test_transformed_windows_never_evaluate_per_cell(monkeypatch):
+    # static and rect entries are sieved; the geometric template is sieved
+    # near 0 only, and the primes template goes by lines in both boxes
+    near, far = Box((-15, -15), (15, 15)), Box((10**6, -(10**6)), (10**6 + 20, -(10**6) + 20))
+    shape = Shape.from_offsets([(0, 0), (0, 1), (1, 0)])
+    windows_expected = [reference_window(TRANSFORMED, box) for box in (near, far)]
+    profile = density_profile(TRANSFORMED, [1, 3], Box((-3, -3), (3, 3)))
+    hits = [reference_zero_translates(TRANSFORMED, shape, box) for box in (near, far)]
+    assert all(hits)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluated per cell")
+
+    for cls in (Static, Rectangular, RectTemplate, Template):
+        monkeypatch.setattr(cls, "covered", refuse)
+    monkeypatch.setattr(FamilySpec, "pullback", refuse)
+    # nor is any member mapped through the transform
+    monkeypatch.setattr(lattices, "hnf", refuse)
+    monkeypatch.setattr(families, "hnf", refuse)
+    assert [free_window(TRANSFORMED, box) for box in (near, far)] == windows_expected
+    assert density_profile(TRANSFORMED, [1, 3], Box((-3, -3), (3, 3))) == profile
+    assert [find_zero_window(TRANSFORMED, shape, box) for box in (near, far)] == [h[0] for h in hits]
+
+
+def test_single_lattices_answer_by_lines(monkeypatch):
+    # on boxes this small the pulled-back box holds more lines than the box
+    # has cells, so static and rect entries go by lines as well
+    cases = [
+        ("dim 2\nstatic [[1,1],[0,3]]\nrect [1,3]\nrect [2,1]\ntransform [[1,3],[3,10]]\n",
+         [Box((-2, -2), (2, 2)), Box((7, -40), (12, -37)), Box((10**9, 5), (10**9 + 3, 9))]),
+        ("dim 3\nstatic [[1,1,2],[0,2,1],[0,0,3]]\nrect [1,2,3]\ntransform [[1,0,2],[0,1,3],[0,0,1]]\n",
+         [Box((-1, -1, -1), (1, 1, 1)), Box((40, -7, 3), (42, -5, 5))]),
+    ]
+    expected = []
+    for text, boxes in cases:
+        spec = parse_family(text)
+        for box in boxes:
+            qlo, qhi = spec.pullback_box(box.lo, box.hi)
+            assert all(windows._box_members(e, box, qlo, qhi) is None for e in spec.entries)
+            expected.append(reference_window(spec, box))
+
+    def refuse(self, p):
+        raise AssertionError("evaluated per cell")
+
+    monkeypatch.setattr(Static, "covered", refuse)
+    monkeypatch.setattr(Rectangular, "covered", refuse)
+    assert [free_window(parse_family(text), box) for text, boxes in cases for box in boxes] == expected
+
+
+def test_lines_under_a_transform_are_walked_once_each(monkeypatch):
+    # A = [[1,3],[3,10]] has last column a = (3, 10): a 31 x 31 box meets at
+    # most 31 * (3 + 10) lines of entry coordinates, each a few cells long
+    spec = TRANSFORMED
+    box = Box((10**6, 10**6), (10**6 + 30, 10**6 + 30))
+    meeting = {spec.pullback(p)[:-1] for p in box.points()}
+    assert set(windows._box_lines(spec, box)) == meeting
+    assert len(meeting) <= 31 * (3 + 10) + 2
+    expected = reference_window(spec, box)
+    calls = []
+    line_pieces = Template.line_pieces
+
+    def count(self, prefix, power_hits):
+        calls.append(prefix)
+        return line_pieces(self, prefix, power_hits)
+
+    monkeypatch.setattr(Template, "line_pieces", count)
+    assert free_window(spec, box) == expected
+    assert calls and len(calls) == len(set(calls)) and set(calls) <= meeting
 
 
 def test_covered_flags_layout():
