@@ -126,7 +126,10 @@ class Primes:
     def power_hits(self, v0: int, n: int, e: int) -> bytearray:
         """Flags over v0, ..., v0 + n - 1: 1 where some member t has t**e | v.
 
-        e = 1 is ``divides``.  For e >= 2 the run is sieved by the trial
+        e = 1 is ``divides``.  For e >= 2, p**e | v != 0 needs p <= R =
+        iroot(max |v|, e); when R <= n the multiples of p**e are marked for
+        every prime p <= R not excluded, and v = 0, which lies in every
+        member, is marked too.  Otherwise the run is sieved by the trial
         primes p <= B, B the power of two with B**(e+1) above every |v|
         (capped at the trial limit; see numtheory.trial_bound): p**e | v is
         a hit unless p is excluded, and p is divided out of v.  A cofactor
@@ -137,7 +140,14 @@ class Primes:
         if e == 1:
             return bytearray(map(self.divides, range(v0, v0 + n)))
         excluded = set(self.exclude)
-        bound = trial_bound(max(abs(v0), abs(v0 + n - 1)), e + 1)
+        top = max(abs(v0), abs(v0 + n - 1))
+        root = iroot(top, e)
+        if root <= n:
+            hits = _multiples_in_run(v0, n, (p**e for p in primes_up_to(root) if p not in excluded))
+            if v0 <= 0 < v0 + n:
+                hits[-v0] = 1
+            return hits
+        bound = trial_bound(top, e + 1)
         hits = bytearray(n)
         # v = 0 keeps r = 0 = 0**e below, a hit: it lies in every member
         rest = [abs(v) for v in range(v0, v0 + n)]
@@ -419,10 +429,6 @@ class _OneMember:
         lat = self.lattice
         return [lat] if lat.index <= bound else []
 
-    def sieve_members(self, lo, hi, max_param: int):
-        """The one member's basis, whatever the box (see _Parameterised.sieve_members)."""
-        return (self.lattice.basis,)
-
     def line_pieces(self, prefix, power_hits):
         """How the one member meets the line prefix x Z (as
         RectTemplate.line_pieces): back-substitution through the prefix
@@ -526,7 +532,7 @@ class RectEntry:
 
 class _Parameterised:
     """Entry protocol of the template kinds, read off ``params``,
-    ``member(t)``, ``member_columns(t)`` and ``param_bound``."""
+    ``member(t)`` and ``member_columns(t)``."""
 
     @property
     def is_infinite(self) -> bool:
@@ -570,20 +576,6 @@ class _Parameterised:
             parameter = self.params.value_in_class(parameter, n)
         return None if parameter is None else self.member(parameter)
 
-    def sieve_members(self, lo, hi, max_param: int):
-        """Bases of the members whose union meets the box [lo, hi] exactly as
-        the entry does, built lazily; None when that needs parameters above
-        max_param.
-
-        A member with t above ``param_bound`` holds in the box only points
-        whose parameterised part vanishes, and those lie in the member of the
-        smallest parameter too.
-        """
-        bound = self.param_bound(lo, hi)
-        if bound > max_param:
-            return None
-        return map(self.member_basis, self.params.values_up_to(max(bound, self.params.min_value())))
-
 
 @dataclass(frozen=True)
 class RectTemplate(_Parameterised):
@@ -613,11 +605,6 @@ class RectTemplate(_Parameterised):
     def member_columns(self, t: int) -> list[Point]:
         m = self.dim
         return [tuple(s.value(t) if i == j else 0 for i in range(m)) for j, s in enumerate(self.entries)]
-
-    def member_basis(self, t: int) -> tuple[Point, ...]:
-        """Rows of the member's canonical basis: a diagonal is its own."""
-        m = self.dim
-        return tuple(tuple(s.value(t) if i == j else 0 for j in range(m)) for i, s in enumerate(self.entries))
 
     def index_of(self, t: int) -> int:
         out = 1
@@ -681,8 +668,11 @@ class RectTemplate(_Parameterised):
         it.  With a constant last slot the prefix alone decides.  With the
         last slot c * t**e and the parameterised prefix coordinates all 0,
         the condition is t**e | x / c, the same run of values on every such
-        line.  Otherwise each cell adds x / c to the prefix constraints and
-        asks _holds, whose gcd stays small where the prefix values are huge.
+        line.  Otherwise the prefix leaves finitely many candidates t: a
+        sequence that never factors lists them, each covering x = 0 (mod
+        c * t**e); over primes each cell adds x / c to the prefix
+        constraints and asks _holds, whose gcd stays small where the prefix
+        values are huge.
         """
         head = []
         for s, x in zip(self.entries, prefix):
@@ -695,6 +685,8 @@ class RectTemplate(_Parameterised):
             return [(0, last.coeff, None)] if self._holds(head) else []
         if not any(v for v, _ in head):
             return [(0, last.coeff, partial(power_hits, e=last.exp))]
+        if not self.factors:
+            return [(0, last.value(t), None) for t in self.params.candidates(head)]
 
         def hits(v0, n):
             return bytearray(self._holds(head + [(v, last.exp)]) for v in range(v0, v0 + n))
@@ -715,15 +707,6 @@ class RectTemplate(_Parameterised):
             for t in self.params.values_up_to(tmax)
             if self.index_of(t) <= bound and self.index_of(t) >= 2
         ]
-
-    def param_bound(self, lo, hi) -> int:
-        """Largest t whose member can hold a point of the box [lo, hi] with a
-        nonzero parameterised coordinate: c * t**e <= |x| on such a slot."""
-        out = 0
-        for s, a, b in zip(self.entries, lo, hi, strict=True):
-            if s.exp:
-                out = max(out, iroot(max(abs(a), abs(b)) // s.coeff, s.exp))
-        return out
 
     def schema(self):
         """What the schema proves about the members: a cover, a
@@ -886,26 +869,6 @@ class Template(_Parameterised):
             if self.index_of(t) >= 2
         ]
 
-    def param_bound(self, lo, hi) -> int:
-        """Bound on |w| over points of the box [lo, hi], where w is the
-        scaled-row coefficient of _solve (a point with w != 0 lies only in
-        members with t dividing w).  Interval back-substitution; 0 when no
-        point of the box passes the rows above the scaled one."""
-        basis = self.base.basis
-        clo: list[int] = []
-        chi: list[int] = []
-        for i in range(self.scaled_row + 1):
-            vlo, vhi = lo[i], hi[i]
-            for j in range(i):
-                vlo -= basis[i][j] * chi[j]
-                vhi -= basis[i][j] * clo[j]
-            d = basis[i][i]
-            clo.append(-(-vlo // d))
-            chi.append(vhi // d)
-            if clo[i] > chi[i]:
-                return 0
-        return max(abs(clo[-1]), abs(chi[-1]))
-
     def pair_sum_bound(self) -> Lattice:
         """A lattice containing L_t + L_t' for every pair of members.
 
@@ -985,17 +948,6 @@ class FamilySpec:
         """True when the point lies in some member of the family."""
         q = self.pullback(p)
         return any(e.covered(q) for e in self.entries)
-
-    def pullback_box(self, lo, hi) -> tuple[Point, Point]:
-        """Bounds (qlo, qhi) on the pulled-back points of the box [lo, hi],
-        by interval arithmetic through the inverse transform."""
-        if self.transform is None:
-            return as_point(lo), as_point(hi)
-        qlo, qhi = [], []
-        for row in self._inverse.rows:  # type: ignore[attr-defined]
-            qlo.append(sum(a * (l if a > 0 else h) for a, l, h in zip(row, lo, hi)))
-            qhi.append(sum(a * (h if a > 0 else l) for a, l, h in zip(row, lo, hi)))
-        return tuple(qlo), tuple(qhi)
 
     def coordinates(self) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
         """Rows of A and of its inverse, where x = A q takes entry

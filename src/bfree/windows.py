@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import accumulate, compress, islice, product, repeat
 from math import prod
-from operator import add, floordiv, mul, or_, sub
+from operator import add, floordiv, mul, sub
 
 from .errors import (
     NotAZeroWindowError,
@@ -26,10 +26,10 @@ from .numtheory import crt_integers
 
 DEFAULT_CELL_LIMIT = 10**8
 
-# Sieve cost model, in box cells.  An entry is sieved while its parameter
-# bound stays within _PARAM_COST per cell and its members' lines within one
-# per cell; otherwise it is evaluated once per line.
-_PARAM_COST = 4
+# Lines of entry coordinates held at once by covered_flags: a box is walked
+# in slabs of its first coordinate, each meeting at most this many lines
+# (but at least one layer of the first coordinate).
+_SLAB_LINES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -215,58 +215,70 @@ def covered_flags(spec: FamilySpec, box: Box) -> bytearray:
     cells, row-major with the last coordinate fastest.
 
     Entries are evaluated in their own coordinates q, x = A q (A the
-    transform, else the identity), on the lines of q that meet the box,
-    each line one slice of the flags (see _box_lines), by the first route
-    that applies:
-
-    * sieve: the members that can meet the box are marked, each meeting a
-      line in one arithmetic progression or none, unless that costs more
-      than the box has cells (see _PARAM_COST);
-    * lines: the entry is evaluated once per line (see _mark_lines); those
-      whose sequence never factors go first, so the lines they flag
-      entirely are skipped by those that may (as in ex1).
+    transform, else the identity), once per line of q that meets the box,
+    each line one slice of the flags, slab by slab (see _slab_lines and
+    _mark_lines).  Entries whose sequence never factors go first, so the
+    lines they flag entirely are skipped by those that may (as in ex1).
     """
     _check_dim(spec, box.dim)
     flags = bytearray(box.volume)
-    qlo, qhi = spec.pullback_box(box.lo, box.hi)
-    lines = _box_lines(spec, box)
-    mark, mark_run = _marker(flags, box, lines)
-    rest = []
-    for entry in spec.entries:
-        members = _box_members(entry, box, qlo, qhi)
-        if members is None:
-            rest.append(entry)
-        else:
-            for basis in members:
-                mark(basis, qlo, qhi)
-    for entry in sorted(rest, key=lambda e: e.factors):
-        _mark_lines(flags, lines, entry, mark_run)
+    ones = memoryview(b"\x01" * max(box.sides))
+    entries = sorted(spec.entries, key=lambda e: e.factors)
+    # a run of power_hits that repeats on consecutive lines is sieved once per box
+    cached = [lru_cache(maxsize=1)(e.params.power_hits) if hasattr(e, "params") else None for e in entries]
+    for lines in _slab_lines(spec, box):
+        for entry, power_hits in zip(entries, cached):
+            _mark_lines(flags, lines, entry, power_hits, ones)
+        del lines  # free this slab's table before the next one is built
     return flags
 
 
-def _box_lines(spec: FamilySpec, box: Box) -> dict:
-    """{prefix: (start, sigma, klo, khi)} over the lines of entry
-    coordinates that meet the box: fixing q_0..q_{m-2} leaves x = x_0 + k a,
-    a = A e_m, and the flat index being linear in x, the line's cells
-    k = klo..khi sit at start + (k - klo) * sigma, sigma = strides . a.
-    Each line is found from its first cell, x in the box with x - a outside
-    it; these fill one box per axis along which x - a leaves first (without
-    a transform, the first cells of the rows)."""
-    rows, inverse = spec.coordinates()
-    lo, hi, sides = box.lo, box.hi, box.sides
-    strides = [prod(sides[k + 1 :]) for k in range(len(sides))]
-    a = [row[-1] for row in rows]
-    sigma = sum(map(mul, strides, a)) or 1  # 0: lines of one cell, any sigma
-    offset = sum(map(mul, strides, lo))
-    lines = {}
+def _slab_lines(spec: FamilySpec, box: Box):
+    """The line tables (see _box_lines) of consecutive slabs of the box's
+    first coordinate, each meeting at most _SLAB_LINES lines unless one
+    layer does: a line meeting h layers meets one of them, so a slab of h
+    layers meets at most h times the lines of one layer."""
+    (x, *lo), (b, *hi) = box.lo, box.hi
+    height = b - x + 1
+    if box.volume > _SLAB_LINES:  # else the box has fewer lines than cells
+        a = [row[-1] for row in spec.coordinates()[0]]
+        height = max(1, _SLAB_LINES // sum(prod(map(len, r)) for r in _first_cells(a, (x, *lo), (x, *hi))))
+    for y in range(x, b + 1, height):
+        yield _box_lines(spec, box, (y, min(y + height - 1, b)))
+
+
+def _first_cells(a, lo, hi):
+    """Per axis i along which x - a leaves the box [lo, hi] first, the
+    ranges of coordinates of the cells x of the box with x - a outside it
+    that leave along i (empty boxes omitted): one first cell per line."""
     for i, c in enumerate(a):
         if not c:
             continue
         ranges = [range(max(l, l + e), min(h, h + e) + 1) for l, h, e in zip(lo[:i], hi[:i], a)]
         ranges.append(range(lo[i], min(hi[i], lo[i] + c - 1) + 1) if c > 0 else range(max(lo[i], hi[i] + c + 1), hi[i] + 1))
         ranges += map(range, lo[i + 1 :], [h + 1 for h in hi[i + 1 :]])
-        if not all(ranges):
-            continue
+        if all(ranges):
+            yield ranges
+
+
+def _box_lines(spec: FamilySpec, box: Box, slab=None) -> dict:
+    """{prefix: (start, sigma, klo, khi)} over the lines of entry
+    coordinates that meet the box, or its part whose first coordinate lies
+    in the range slab: fixing q_0..q_{m-2} leaves x = x_0 + k a, a = A e_m,
+    and the flat index in the box being linear in x, the line's cells
+    k = klo..khi there sit at start + (k - klo) * sigma, sigma = strides . a.
+    Each line is found from its first cell (see _first_cells); without a
+    transform those are the first cells of the rows."""
+    rows, inverse = spec.coordinates()
+    lo, hi, sides = box.lo, box.hi, box.sides
+    strides = [prod(sides[k + 1 :]) for k in range(len(sides))]
+    a = [row[-1] for row in rows]
+    sigma = sum(map(mul, strides, a)) or 1  # 0: lines of one cell, any sigma
+    offset = sum(map(mul, strides, lo))
+    if slab is not None:
+        lo, hi = (slab[0], *lo[1:]), (slab[1], *hi[1:])
+    lines = {}
+    for ranges in _first_cells(a, lo, hi):
         cols = list(zip(*product(*ranges)))  # coordinates of the first cells
         *prefix, k, index = (list(_dot(row, cols)) for row in (*inverse, strides))
         steps = reduce(partial(map, min), (  # steps of a each first cell takes in the box
@@ -283,84 +295,33 @@ def _dot(u, cols):
     return reduce(partial(map, add), (col if c == 1 else map(mul, repeat(c), col) for c, col in zip(u, cols) if c))
 
 
-def _box_members(entry, box: Box, qlo, qhi):
-    """Bases, in entry coordinates, of the entry's members that can meet
-    the box; None when sieving them would exceed the cost model."""
-    budget = box.volume
-    members = entry.sieve_members(qlo, qhi, _PARAM_COST * budget)
-    if members is None:
-        return None
-    sides = [b - a + 1 for a, b in zip(qlo[:-1], qhi[:-1])]
-    out, cost = [], 0
-    for basis in members:
-        rows = 1  # bound on the lines of the pulled-back box the member meets
-        for i, s in enumerate(sides):
-            rows *= -(-s // basis[i][i])
-        cost += rows
-        if cost > budget:
-            return None
-        out.append(basis)
-    return out
-
-
-def _marker(flags: bytearray, box: Box, lines: dict):
-    """(mark, mark_run) over the flags of the box and its lines.
-
-    mark_run(line, s, d, hits=None) sets, with one slice assignment, the
-    flags of the line's cells k = s (mod d); given hits(v0, n), only those
-    of the n cells, at k = s + (v0 + i) * d, that it flags.  mark(basis,
-    qlo, qhi) marks the lattice with that canonical basis: the prefixes of
-    its points in [qlo, qhi] are enumerated by back-substitution, and on
-    each line the last coordinate runs through one progression."""
-    m = box.dim
-    ones = memoryview(b"\x01" * max(box.sides))
-
-    def mark_run(line, s, d, hits=None):
-        start, sigma, klo, khi = line
-        first = klo + (s - klo) % d
-        n = (khi - first) // d + 1
-        if n > 0:
-            start += (first - klo) * sigma
-            stop = start + n * d * sigma
-            run = slice(start, stop if stop >= 0 else None, d * sigma)
-            flags[run] = ones[:n] if hits is None else bytes(map(or_, flags[run], hits((first - s) // d, n)))
-
-    def mark(basis, qlo, qhi):
-        rows = [((), (0,) * m)]  # (prefix so far, sum of the chosen columns so far)
-        for k in range(m - 1):
-            d = basis[k][k]
-            col = [row[k] for row in basis]
-            nxt = []
-            for prefix, shift in rows:
-                s = shift[k]
-                for x in range(qlo[k] + (s - qlo[k]) % d, qhi[k] + 1, d):
-                    c = (x - s) // d
-                    nxt.append((prefix + (x,), tuple(a + c * b for a, b in zip(shift, col))))
-            rows = nxt
-        d = basis[-1][-1]
-        for prefix, shift in rows:
-            line = lines.get(prefix)
-            if line:
-                mark_run(line, shift[-1], d)
-
-    return mark, mark_run
-
-
-def _mark_lines(flags: bytearray, lines: dict, entry, mark_run):
-    """Set the flags of the entry's members, one line at a time, skipping
-    lines flagged entirely.  entry.line_pieces(prefix, power_hits) gives
-    progressions covered outright, or a progression k = s (mod d) whose
-    cells a test over the run of values (k - s) / d picks, such as the
-    sequence's power_hits for t**e | (k - s) / d.  Without a transform that
-    run is often the same on every line (a rectangular template whose
-    parameterised prefix coordinates are 0), so the last one is kept."""
-    power_hits = lru_cache(maxsize=1)(entry.params.power_hits) if hasattr(entry, "params") else None
-    for prefix, line in lines.items():
-        start, sigma, klo, khi = line
-        stop = start + (khi - klo + 1) * sigma
-        if 0 in flags[start : stop if stop >= 0 else None : sigma]:
-            for s, d, hits in entry.line_pieces(prefix, power_hits):
-                mark_run(line, s, d, hits)
+def _mark_lines(flags: bytearray, lines: dict, entry, power_hits, ones):
+    """Set the flags of the entry's members, one line at a time; an entry
+    that may factor skips lines flagged entirely.  Each (s, d, hits) of
+    entry.line_pieces(prefix, power_hits) sets, with one slice assignment,
+    the flags of the line's cells k = s (mod d), or given hits(v0, n) only
+    those of the n cells, at k = s + (v0 + i) * d, that it flags (merged by
+    one integer OR, as in _sieved_translates), such as power_hits (the
+    sequence's, cached) for t**e | (k - s) / d.  ones holds a line's 1s."""
+    check = entry.factors
+    for prefix, (start, sigma, klo, khi) in lines.items():
+        if check:
+            stop = start + (khi - klo + 1) * sigma
+            if 0 not in flags[start : stop if stop >= 0 else None : sigma]:
+                continue
+        for s, d, hits in entry.line_pieces(prefix, power_hits):
+            first = klo + (s - klo) % d
+            n = (khi - first) // d + 1
+            if n <= 0:
+                continue
+            begin = start + (first - klo) * sigma
+            stop = begin + n * d * sigma
+            run = slice(begin, stop if stop >= 0 else None, d * sigma)
+            if hits is None:
+                flags[run] = ones[:n]
+            else:
+                merged = int.from_bytes(flags[run], "little") | int.from_bytes(hits((first - s) // d, n), "little")
+                flags[run] = merged.to_bytes(n, "little")
 
 
 def free_window(

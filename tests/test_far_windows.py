@@ -16,7 +16,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bfree import families, numtheory
-from bfree import windows
 from bfree.families import (
     Explicit,
     FamilySpec,
@@ -246,15 +245,51 @@ def test_far_window_over_any_sequence_matches_oracle(data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(params=SEQUENCES, e=st.integers(1, 3), v0=st.integers(-(10**15), 10**15), n=st.integers(0, 80))
+@given(
+    params=st.one_of(SEQUENCES, EXCLUSIONS.map(sorted).map(tuple).map(Primes)),
+    e=st.integers(1, 3),
+    # near 0 the e-th root of the largest |v| falls within the run, far out not
+    v0=st.one_of(st.integers(-(10**4), 10**4), st.integers(-(10**15), 10**15)),
+    n=st.integers(0, 80),
+)
 @example(params=Geometric(2, 0), e=3, v0=-5, n=11)
 @example(params=Explicit((1, 6)), e=2, v0=10**15, n=40)
 @example(params=Explicit((40,)), e=1, v0=-5, n=11)
+@example(params=Primes((2,)), e=2, v0=-5, n=11)  # v = 0, and no prime p <= 2 left
+@example(params=Primes(), e=3, v0=-3, n=7)  # every |v| <= 3: no prime p with p^e <= |v|
 def test_power_hits_of_geometric_and_explicit_sequences(params, e, v0, n):
     hits = params.power_hits(v0, n, e)
-    top = max(abs(v0), abs(v0 + n), 1)
-    members = {params.min_value(), *params.values_up_to(top)}  # the least one divides 0
-    assert hits == bytearray(int(any(v % t**e == 0 for t in members)) for v in range(v0, v0 + n))
+    if isinstance(params, Primes):  # 0 lies in every member
+        expected = (
+            v == 0 or any(k >= e and p not in params.exclude for p, k in sympy.factorint(v).items())
+            for v in range(v0, v0 + n)
+        )
+    else:
+        top = max(abs(v0), abs(v0 + n), 1)
+        members = {params.min_value(), *params.values_up_to(top)}  # the least one divides 0
+        expected = (any(v % t**e == 0 for t in members) for v in range(v0, v0 + n))
+    assert hits == bytearray(map(int, expected))
+
+
+@pytest.mark.parametrize("params", ["geometric:2", "explicit:2,3,5"])
+def test_nonzero_prefix_over_a_sequence_that_never_factors_asks_once_per_line(monkeypatch, params):
+    # x = 2t leaves finitely many candidates t on each line, each marking the
+    # multiples of t in y: no cell is asked on its own
+    spec = parse_family(f"dim 2\nrecttemplate [2t,t] params={params}\n")
+    c = 3 * 10**14
+    box = Box((c - 20, c - 20), (c + 20, c + 20))
+    expected = per_cell_flags(spec, box)
+    assert 0 < sum(expected) < box.volume
+    calls = []
+    holds = RectTemplate._holds
+
+    def counting(self, constraints):
+        calls.append(constraints)
+        return holds(self, constraints)
+
+    monkeypatch.setattr(RectTemplate, "_holds", counting)
+    assert covered_flags(spec, box) == expected
+    assert len(calls) <= box.sides[0]
 
 
 @pytest.mark.parametrize("params", ["primes", "geometric:2", "explicit:2,3,5"])
@@ -265,8 +300,6 @@ def test_prefix_independent_run_is_sieved_once_per_box(monkeypatch, params):
     entry = spec.entries[0]
     c = 3 * 10**14
     box = Box((c - 20, c - 20), (c + 20, c + 20))
-    qlo, qhi = spec.pullback_box(box.lo, box.hi)
-    assert windows._box_members(entry, box, qlo, qhi) is None
     expected = per_cell_flags(spec, box)
     calls = []
     seq = type(entry.params)
@@ -282,12 +315,10 @@ def test_prefix_independent_run_is_sieved_once_per_box(monkeypatch, params):
 
 
 def test_ex1_far_box_is_evaluated_by_lines(monkeypatch):
-    # near 10^12 neither template of ex1 can be sieved; both go by lines,
-    # the geometric one included, and no cell is evaluated on its own
+    # near 10^12 both templates of ex1 go by lines, the geometric one
+    # included, and no cell is evaluated on its own
     spec = preset("ex1")
     box = Box((10**12 - 20, -(10**12) - 20), (10**12 + 20, -(10**12) + 20))
-    qlo, qhi = spec.pullback_box(box.lo, box.hi)
-    assert [windows._box_members(e, box, qlo, qhi) for e in spec.entries[2:]] == [None, None]
     expected = oracle_flags(spec, box)
     assert expected == per_cell_flags(spec, box)
 

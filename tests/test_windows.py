@@ -1,6 +1,7 @@
 import json
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from operator import add
@@ -43,7 +44,7 @@ def ex2_free(n, m):
 
 
 # ---------------------------------------------------------------------------
-# random families and boxes for the sieve properties
+# random families and boxes for the window properties
 
 
 @st.composite
@@ -58,8 +59,8 @@ def specs(draw, dims=(1, 2, 3)):
 
 @st.composite
 def boxes(draw, m, max_half=None):
-    # centres near 0 give boxes that straddle it; centres near 10^6 make the
-    # parameter bound of most template entries exceed the sieve's budget
+    # centres near 0 give boxes that straddle it; near 10^6 the values on a
+    # line are far larger than the box's sides
     scale = draw(st.sampled_from((0, 10, 1000, 10**6)))
     max_half = max_half or {1: 150, 2: 12, 3: 4}[m]
     lo, hi = [], []
@@ -232,13 +233,11 @@ def test_window_equals_per_cell_reference(data):
 
 
 def test_window_far_box_is_evaluated_by_lines(monkeypatch):
-    # near 10^12 the squares p^2 that matter run up to p = 10^6, far beyond
-    # the sieve's budget for a 61-cell box, so the entry is evaluated by the
-    # line route, never per cell
+    # near 10^12 the squares p^2 that matter run up to p = 10^6, far more
+    # than the 61 cells of the box, so the line's values are sieved by the
+    # trial primes, never evaluated per cell
     spec = preset("squarefree-1d")
     box = Box((10**12 - 30,), (10**12 + 30,))
-    qlo, qhi = spec.pullback_box(box.lo, box.hi)
-    assert windows._box_members(spec.entries[0], box, qlo, qhi) is None
     expected = reference_window(spec, box)
 
     def refuse(self, p):
@@ -272,8 +271,7 @@ TRANSFORMED = parse_family(
 
 
 def test_transformed_windows_never_evaluate_per_cell(monkeypatch):
-    # static and rect entries are sieved; the geometric template is sieved
-    # near 0 only, and the primes template goes by lines in both boxes
+    # every entry goes by lines of entry coordinates in both boxes
     near, far = Box((-15, -15), (15, 15)), Box((10**6, -(10**6)), (10**6 + 20, -(10**6) + 20))
     shape = Shape.from_offsets([(0, 0), (0, 1), (1, 0)])
     windows_expected = [reference_window(TRANSFORMED, box) for box in (near, far)]
@@ -296,8 +294,8 @@ def test_transformed_windows_never_evaluate_per_cell(monkeypatch):
 
 
 def test_single_lattices_answer_by_lines(monkeypatch):
-    # on boxes this small the pulled-back box holds more lines than the box
-    # has cells, so static and rect entries go by lines as well
+    # static and rect entries meet each line of entry coordinates in one
+    # progression or none, and are never evaluated per cell
     cases = [
         ("dim 2\nstatic [[1,1],[0,3]]\nrect [1,3]\nrect [2,1]\ntransform [[1,3],[3,10]]\n",
          [Box((-2, -2), (2, 2)), Box((7, -40), (12, -37)), Box((10**9, 5), (10**9 + 3, 9))]),
@@ -308,8 +306,6 @@ def test_single_lattices_answer_by_lines(monkeypatch):
     for text, boxes in cases:
         spec = parse_family(text)
         for box in boxes:
-            qlo, qhi = spec.pullback_box(box.lo, box.hi)
-            assert all(windows._box_members(e, box, qlo, qhi) is None for e in spec.entries)
             expected.append(reference_window(spec, box))
 
     def refuse(self, p):
@@ -339,6 +335,24 @@ def test_lines_under_a_transform_are_walked_once_each(monkeypatch):
     monkeypatch.setattr(Template, "line_pieces", count)
     assert free_window(spec, box) == expected
     assert calls and len(calls) == len(set(calls)) and set(calls) <= meeting
+
+
+def test_tall_box_line_table_stays_bounded():
+    # a box whose last side is 1 has one line per cell; the lines are built
+    # and walked in slabs of the first coordinate, so the peak memory beyond
+    # the flags does not grow with the first side
+    spec = parse_family("dim 2\nrect [3,1]\nstatic [[1,0],[1,2]]\ntransform [[1,0],[2,1]]\n")
+    peaks = []
+    for h in (9000, 18000):
+        box = Box((-(h // 2), 5), (h - 1 - h // 2, 5))
+        tracemalloc.start()
+        try:
+            flags = covered_flags(spec, box)
+            peaks.append(tracemalloc.get_traced_memory()[1] - box.volume)
+        finally:
+            tracemalloc.stop()
+        assert flags == bytearray(map(spec.covered, box.points()))
+    assert max(peaks) < 4 * 10**6
 
 
 def test_covered_flags_layout():
