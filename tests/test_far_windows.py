@@ -257,11 +257,14 @@ def test_far_window_over_any_sequence_matches_oracle(data):
 @example(params=Explicit((40,)), e=1, v0=-5, n=11)
 @example(params=Primes((2,)), e=2, v0=-5, n=11)  # v = 0, and no prime p <= 2 left
 @example(params=Primes(), e=3, v0=-3, n=7)  # every |v| <= 3: no prime p with p^e <= |v|
+@example(params=Primes(), e=1, v0=-1, n=1)  # -1 has no prime divisor
+@example(params=Primes((2,)), e=1, v0=-4, n=4)  # -2 has only an excluded one
 def test_power_hits_of_geometric_and_explicit_sequences(params, e, v0, n):
     hits = params.power_hits(v0, n, e)
     if isinstance(params, Primes):  # 0 lies in every member
+        # factorint lists -1 as a factor of a negative v; only primes count
         expected = (
-            v == 0 or any(k >= e and p not in params.exclude for p, k in sympy.factorint(v).items())
+            v == 0 or any(k >= e and p not in params.exclude for p, k in sympy.factorint(abs(v)).items())
             for v in range(v0, v0 + n)
         )
     else:
@@ -269,6 +272,24 @@ def test_power_hits_of_geometric_and_explicit_sequences(params, e, v0, n):
         members = {params.min_value(), *params.values_up_to(top)}  # the least one divides 0
         expected = (any(v % t**e == 0 for t in members) for v in range(v0, v0 + n))
     assert hits == bytearray(map(int, expected))
+
+
+@pytest.mark.parametrize(
+    "v0, n", [(-3, 7), (-1, 1), (1, 1), (0, 1), (-1, 2), (0, 2), (-20, 41), (-5, 0), (10**15, 41)]
+)
+def test_primes_without_exclusions_mark_e1_runs_without_asking_each_value(monkeypatch, v0, n):
+    # every v but -1 and 1 has a prime divisor, so no value is asked on its own
+    expected = bytearray(map(Primes().divides, range(v0, v0 + n)))
+    calls = []
+    divides = Primes.divides
+
+    def counting(self, v):
+        calls.append(v)
+        return divides(self, v)
+
+    monkeypatch.setattr(Primes, "divides", counting)
+    assert Primes().power_hits(v0, n, 1) == expected
+    assert calls == []
 
 
 @pytest.mark.parametrize("params", ["geometric:2", "explicit:2,3,5"])

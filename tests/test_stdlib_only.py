@@ -33,11 +33,9 @@ def test_runtime_imports_only_the_standard_library():
 
 def test_every_module_level_import_is_used():
     # a name imported at module level and never read is dead weight that
-    # every start-up compiles; __init__ re-exports, so it is left out
+    # every start-up compiles
     unused = []
     for path in SOURCES:
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(), filename=str(path))
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in tree.body:
