@@ -15,8 +15,14 @@ from pathlib import Path
 
 from .errors import BadInputError, BFreeError, FamilyParseError, TooLargeError
 from .families import FamilySpec, parse_family, preset
-# proximality (the verdict engine) is imported inside the handlers that use
-# it, so eta, density and a plain zero search never load it
+from .proximality import (
+    Covering,
+    SearchBudget,
+    conditions_report,
+    crt_window_certificate,
+    decide,
+    prove_no_zero_window,
+)
 from .windows import (
     Box,
     DEFAULT_CELL_LIMIT,
@@ -132,8 +138,6 @@ def cmd_zero(args) -> int:
     spec = _load_spec(args)
     shape = _fit(spec, "--shape", args.shape)
     if args.crt:
-        from .proximality import crt_window_certificate
-
         translate, period, cert = crt_window_certificate(
             spec, shape, instance_bound=args.instance_bound
         )
@@ -146,8 +150,6 @@ def cmd_zero(args) -> int:
         return EXIT_OK
     search = _fit(spec, "--search", args.search) if args.search else Box.centered(16, spec.dim)
     if args.periodic_exact:
-        from .proximality import Covering, decide, prove_no_zero_window
-
         verdict = decide(spec)
         if verdict.status == "NotProximal" and isinstance(verdict.certificate, Covering):
             try:
@@ -171,8 +173,6 @@ def cmd_zero(args) -> int:
 
 
 def cmd_decide(args) -> int:
-    from .proximality import SearchBudget, decide
-
     spec = _load_spec(args)
     budget = SearchBudget(
         max_side=args.max_side, search_radius=args.radius, cell_limit=args.limit_cells
@@ -196,8 +196,6 @@ def cmd_density(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from .proximality import SearchBudget, conditions_report
-
     spec = _load_spec(args)
     budget = SearchBudget(
         max_side=args.max_side, search_radius=args.radius, cell_limit=args.limit_cells
@@ -211,18 +209,16 @@ def cmd_report(args) -> int:
 # Golden artifacts: window exports over [-25, 25]^2 plus the conditions
 # report under a fixed budget.  Regenerate only with --bless.
 _GOLDEN_BOX = Box((-25, -25), (25, 25))
+_GOLDEN_BUDGET = SearchBudget(max_side=6, search_radius=16)
 
 _DPRIME_CANDIDATE = "dim 2\nrecttemplate [t,t] params=oddprimes\n"
 
 
 def _golden_artifacts(name: str) -> dict[str, str]:
-    from .proximality import SearchBudget, conditions_report
-
     spec = preset(name)
     window = free_window(spec, _GOLDEN_BOX)
     candidate = parse_family(_DPRIME_CANDIDATE)
-    budget = SearchBudget(max_side=6, search_radius=16)
-    report = conditions_report(spec, budget, dprime_candidate=candidate)
+    report = conditions_report(spec, _GOLDEN_BUDGET, dprime_candidate=candidate)
     return {
         f"{name}_window.pgm": window.to_pgm(),
         f"{name}_window.csv": window.to_csv(),

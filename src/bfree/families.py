@@ -126,27 +126,19 @@ class Primes:
     def power_hits(self, v0: int, n: int, e: int) -> bytearray:
         """Flags over v0, ..., v0 + n - 1: 1 where some member t has t**e | v.
 
-        e = 1 is ``divides``; with no exclusions every v but -1 and 1 has a
-        prime divisor, so the run is marked whole and those two cleared.
-        For e >= 2, p**e | v != 0 needs p <= R = iroot(max |v|, e); when
-        R <= n the multiples of p**e are marked for every prime p <= R not
-        excluded, and v = 0, which lies in every member, is marked too.
-        Otherwise the run is sieved by the trial primes p <= B, B the power
-        of two with B**(e+1) above every |v| (capped at the trial limit; see
-        numtheory.trial_bound): p**e | v is a hit unless p is excluded, and
-        p is divided out of v.  A cofactor r < B**(e+1) that is left has at
-        most e prime factors, all above B, so a member's e-th power divides
-        it exactly when r = q**e with q not excluded.  Only a cofactor of at
-        least B**(e+1) is factored.
+        e = 1 is ``divides``.  For e >= 2, p**e | v != 0 needs p <= R =
+        iroot(max |v|, e); when R <= n the multiples of p**e are marked for
+        every prime p <= R not excluded, and v = 0, which lies in every
+        member, is marked too.  Otherwise the run is sieved by the trial
+        primes p <= B, B the power of two with B**(e+1) above every |v|
+        (capped at the trial limit; see numtheory.trial_bound): p**e | v is
+        a hit unless p is excluded, and p is divided out of v.  A cofactor
+        r < B**(e+1) that is left has at most e prime factors, all above B,
+        so a member's e-th power divides it exactly when r = q**e with q not
+        excluded.  Only a cofactor of at least B**(e+1) is factored.
         """
         if e == 1:
-            if self.exclude:
-                return bytearray(map(self.divides, range(v0, v0 + n)))
-            hits = bytearray(b"\x01" * n)
-            for v in (-1, 1):
-                if v0 <= v < v0 + n:
-                    hits[v - v0] = 0
-            return hits
+            return bytearray(map(self.divides, range(v0, v0 + n)))
         excluded = set(self.exclude)
         top = max(abs(v0), abs(v0 + n - 1))
         root = iroot(top, e)

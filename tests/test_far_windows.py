@@ -274,24 +274,6 @@ def test_power_hits_of_geometric_and_explicit_sequences(params, e, v0, n):
     assert hits == bytearray(map(int, expected))
 
 
-@pytest.mark.parametrize(
-    "v0, n", [(-3, 7), (-1, 1), (1, 1), (0, 1), (-1, 2), (0, 2), (-20, 41), (-5, 0), (10**15, 41)]
-)
-def test_primes_without_exclusions_mark_e1_runs_without_asking_each_value(monkeypatch, v0, n):
-    # every v but -1 and 1 has a prime divisor, so no value is asked on its own
-    expected = bytearray(map(Primes().divides, range(v0, v0 + n)))
-    calls = []
-    divides = Primes.divides
-
-    def counting(self, v):
-        calls.append(v)
-        return divides(self, v)
-
-    monkeypatch.setattr(Primes, "divides", counting)
-    assert Primes().power_hits(v0, n, 1) == expected
-    assert calls == []
-
-
 @pytest.mark.parametrize("params", ["geometric:2", "explicit:2,3,5"])
 def test_nonzero_prefix_over_a_sequence_that_never_factors_asks_once_per_line(monkeypatch, params):
     # x = 2t leaves finitely many candidates t on each line, each marking the

@@ -55,21 +55,28 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("bfree"))]
 
 
 @pytest.mark.parametrize(
-    "argv, loads_proximality",
+    "argv",
     [
-        (["eta", "--preset", "ex2", "--box", "-3:3,-3:3", "--out", "{out}/eta.csv"], False),
-        (["density", "--preset", "ex2", "--sides", "1,2", "--shift-search", "-2:2,-2:2"], False),
-        (["zero", "--preset", "ex2", "--shape", "0:1x0:1", "--search", "-4:4,-4:4"], False),
-        (["decide", "--preset", "ex2", "--max-side", "1", "--radius", "2"], True),
+        ["eta", "--preset", "ex2", "--box", "-3:3,-3:3", "--out", "{out}/eta.csv"],
+        ["density", "--preset", "ex2", "--sides", "1,2", "--shift-search", "-2:2,-2:2"],
+        ["zero", "--preset", "ex2", "--shape", "0:1x0:1", "--search", "-4:4,-4:4"],
+        ["decide", "--preset", "ex2", "--max-side", "1", "--radius", "2"],
     ],
     ids=["eta", "density", "zero", "decide"],
 )
-def test_commands_load_only_what_they_use(tmp_path, argv, loads_proximality):
+def test_commands_never_load_quadratic(tmp_path, argv):
     argv = [a.format(out=tmp_path) for a in argv]
     code, loaded = run_fresh(RUN_COMMAND, *argv)
     assert code == 0
-    assert ("bfree.proximality" in loaded) == loads_proximality
     assert "bfree.quadratic" not in loaded
+
+
+def test_cli_loads_every_module_it_uses_at_import():
+    # a profiler that wraps the functions of the modules loaded before the
+    # first command sees every layer the CLI calls
+    code = 'import json, sys, bfree.cli; print(json.dumps(sorted(m for m in sys.modules if m.startswith("bfree"))))'
+    loaded = run_fresh(code)
+    assert loaded == ["bfree"] + [f"bfree.{m}" for m in ("cli", *SUBMODULES) if m != "quadratic"]
 
 
 def test_import_loads_no_submodule():
