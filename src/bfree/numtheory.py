@@ -7,11 +7,14 @@ blocks of _BLOCK_SIZE primes: one gcd of n with a block's product decides
 whether any prime of the block divides n, and only blocks with a nontrivial
 gcd are divided prime by prime.  The block table is sized to the input by
 trial_bound: it holds the primes up to the next power of two above
-isqrt(n), capped at _TRIAL_LIMIT, so small inputs never sieve to the cap.
-Trial division stops once a block starts above the square root of what is
-left.  A cofactor that remains is tested by Miller-Rabin and split by
-Pollard rho, whose restarts share one budget of _RHO_ITERATION_CAP steps.
-So factor() either returns a correct answer or raises, never guesses.
+isqrt(n), capped at _FACTOR_TRIAL_LIMIT (2**10), so factor() never sieves
+more than 172 primes.  Trial division stops once a block starts above the
+square root of what is left.  A cofactor that remains is tested by
+Miller-Rabin and split by Pollard rho, whose restarts share one budget of
+_RHO_ITERATION_CAP steps; a prime factor p above the trial limit costs rho
+about sqrt(p) steps.  So factor() either returns a correct answer or
+raises, never guesses.  The larger tables, up to _TRIAL_LIMIT (10**5),
+belong only to the line sieve (families.Primes.power_hits).
 
 is_prime is deterministic below 3.317e24 and a strong probable-prime test
 to thirteen bases above.
@@ -30,6 +33,7 @@ from .errors import FactorizationError, NotCoprimeError
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _TRIAL_LIMIT = 100_000
+_FACTOR_TRIAL_LIMIT = 1 << 10
 _BLOCK_SIZE = 64
 _RHO_ITERATION_CAP = 2_000_000
 
@@ -89,8 +93,9 @@ def primes_up_to(n: int) -> tuple[int, ...]:
 
 def trial_bound(n: int, k: int) -> int:
     """Size of the trial-prime table for n: the least power of two B with
-    B**k > n, capped at _TRIAL_LIMIT.  factor() uses k = 2; a sieve that
-    looks for k-1'st powers uses k, so both read the same few tables."""
+    B**k > n, capped at _TRIAL_LIMIT.  factor() uses k = 2 under its own
+    cap of _FACTOR_TRIAL_LIMIT; a sieve that looks for k-1'st powers uses k,
+    so both read the same few tables."""
     return min(_TRIAL_LIMIT, 1 << iroot(n, k).bit_length())
 
 
@@ -105,8 +110,8 @@ def _trial_blocks(limit: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
 
 
 def _pollard_rho(n: int) -> int:
-    # n odd composite, no factor below the trial limit; all restarts share
-    # one budget of _RHO_ITERATION_CAP steps
+    # n odd composite, no factor below factor()'s trial limit; all restarts
+    # share one budget of _RHO_ITERATION_CAP steps
     steps = 0
     for c in range(1, 64):
         x = y = 2
@@ -131,7 +136,7 @@ def factor(n: int) -> tuple[tuple[int, int], ...]:
     if n < 1:
         raise ValueError("factor() expects a positive integer")
     out: dict[int, int] = {}
-    limit = trial_bound(n, 2)
+    limit = min(trial_bound(n, 2), _FACTOR_TRIAL_LIMIT)
     for product, block in _trial_blocks(limit):
         if block[0] * block[0] > n:
             break
@@ -190,9 +195,11 @@ def multiplicative_order(a: int, n: int) -> int:
 
 
 def valuation(n: int, p: int) -> int:
-    """Largest e with p**e dividing n (n != 0)."""
+    """Largest e with p**e dividing n (n != 0, |p| >= 2)."""
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
+    if abs(p) < 2:
+        raise ValueError(f"valuation with base {p} is undefined")
     n = abs(n)
     e = 0
     while n % p == 0:

@@ -7,22 +7,25 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bfree import numtheory
+from bfree import families, numtheory
 from bfree.errors import FactorizationError
-from bfree.numtheory import factor, is_prime, multiplicative_order, primes_up_to, totient
+from bfree.numtheory import factor, is_prime, multiplicative_order, primes_up_to, totient, valuation
 
 TRIAL_PRIMES = list(sympy.primerange(2, numtheory._TRIAL_LIMIT + 1))
 BLOCK = numtheory._BLOCK_SIZE
 # primes on both sides of every trial-block edge, of every power of two the
-# trial tables are sized by, and of the trial limit
+# trial tables are sized by, of factor()'s trial limit and of the sieve's
 BLOCK_EDGE_PRIMES = sorted(
     {TRIAL_PRIMES[i] for i in range(BLOCK - 1, len(TRIAL_PRIMES), BLOCK)}
     | {TRIAL_PRIMES[i] for i in range(BLOCK, len(TRIAL_PRIMES), BLOCK)}
     | {sympy.prevprime(2**k) for k in range(2, 19)}
     | {sympy.nextprime(2**k) for k in range(1, 19)}
+    | {sympy.prevprime(numtheory._FACTOR_TRIAL_LIMIT), sympy.nextprime(numtheory._FACTOR_TRIAL_LIMIT)}
     | {sympy.prevprime(numtheory._TRIAL_LIMIT), sympy.nextprime(numtheory._TRIAL_LIMIT)}
 )
 LARGE_PRIMES = st.integers(numtheory._TRIAL_LIMIT, 10**9).map(sympy.nextprime)
+# primes above factor()'s trial limit and up to the sieve's: rho splits them off
+MIDDLE_PRIMES = [p for p in TRIAL_PRIMES if p > numtheory._FACTOR_TRIAL_LIMIT]
 MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
@@ -66,6 +69,36 @@ def test_factor_semiprimes_above_trial_limit(p, q):
     assert factor(p * q) == oracle(p * q)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(MIDDLE_PRIMES), st.integers(1, 3)), min_size=1, max_size=4),
+    st.one_of(st.just(1), st.integers(2, 1000), st.integers(3, 10**9).map(sympy.prevprime)),
+)
+@example([(sympy.nextprime(numtheory._FACTOR_TRIAL_LIMIT), 1)], 1)
+@example([(sympy.prevprime(numtheory._TRIAL_LIMIT), 3), (sympy.nextprime(numtheory._FACTOR_TRIAL_LIMIT), 2)], 999_999_937)
+def test_factor_products_of_primes_between_the_trial_limits(powers, cofactor):
+    n = cofactor * math.prod(p**e for p, e in powers)
+    assert factor(n) == oracle(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(MIDDLE_PRIMES[:10]), st.integers(1, 12))
+@example(MIDDLE_PRIMES[0], 12)
+def test_factor_powers_of_primes_just_above_the_trial_limit(p, e):
+    assert factor(p**e) == ((p, e),)
+
+
+def test_factor_raises_on_a_hard_cofactor_after_rho_finds_a_small_prime(monkeypatch):
+    # 1031 is the first prime above factor()'s trial limit, so rho splits it
+    # off; the 97-bit semiprime left needs far more than 10**4 rho steps
+    hard = 185124726281477 * 491069414308633
+    monkeypatch.setattr(numtheory, "_RHO_ITERATION_CAP", 10**4)
+    factor.cache_clear()
+    with pytest.raises(FactorizationError, match=rf"97-bit cofactor {hard}: .*within 10000 rho iterations"):
+        factor(1031 * hard)
+    assert factor.cache_info().currsize == 0
+
+
 def test_factor_rejects_non_positive():
     for n in (0, -1, -12):
         with pytest.raises(ValueError):
@@ -106,19 +139,48 @@ def test_primes_up_to_matches_sympy(n):
     assert primes_up_to(n) == tuple(sympy.primerange(2, n + 1))
 
 
-def test_trial_tables_are_sized_to_the_input():
-    numtheory._trial_blocks.cache_clear()
+def _record_limits(monkeypatch, module, name):
+    asked = []
+    real = getattr(module, name)
+
+    def recording(limit):
+        asked.append(limit)
+        return real(limit)
+
+    monkeypatch.setattr(module, name, recording)
+    return asked
+
+
+def test_trial_tables_are_sized_to_the_input(monkeypatch):
+    trial_blocks = numtheory._trial_blocks
+    trial_blocks.cache_clear()
     primes_up_to.cache_clear()
+    blocks = _record_limits(monkeypatch, numtheory, "_trial_blocks")
+    sieves = _record_limits(monkeypatch, numtheory, "primes_up_to")
     for n in range(1, 5000):
         factor.__wrapped__(n)
-    # isqrt(n) <= 70: tables up to 2, 4, ..., 128, never to the trial limit
-    assert numtheory._trial_blocks.cache_info().currsize == 7
-    for k in range(200):
+    # isqrt(n) <= 70: tables up to 2, 4, ..., 128
+    assert set(blocks) == {2**k for k in range(1, 8)}
+    for k in range(100):
         factor.__wrapped__(2**k)
         factor.__wrapped__(3**k)
-    # 2, 4, ..., 2**16 and the trial limit; each sieved once
-    assert numtheory._trial_blocks.cache_info().currsize == 17
-    assert primes_up_to.cache_info().misses == 17
+        factor.__wrapped__(10**k)
+    for p in (1031, 99991, 100003, 999999937):
+        factor.__wrapped__(p * 10**20)
+        factor.__wrapped__(p * p * 3**20)
+    factor.__wrapped__(10**30)
+    # inputs up to 10**30 read the tables up to 2, 4, ..., 2**10 and no
+    # further; each table is sieved once
+    assert set(blocks) == {2**k for k in range(1, 11)}
+    assert sorted(sieves) == sorted(set(blocks))
+    assert trial_blocks.cache_info().currsize == 10
+    assert primes_up_to.cache_info().misses == 10
+
+    # the line sieve still reads the 10**5 table for squares near 10**15
+    power_sieves = _record_limits(monkeypatch, families, "primes_up_to")
+    families.Primes().power_hits(10**15 - 20, 40, 2)
+    assert power_sieves == [numtheory._TRIAL_LIMIT]
+    assert primes_up_to.cache_info().misses == 11
 
 
 @settings(max_examples=300, deadline=None)
@@ -152,3 +214,12 @@ def test_multiplicative_order_matches_sympy(a, n):
             multiplicative_order(a, n)
         return
     assert multiplicative_order(a, n) == (1 if n == 1 else sympy.n_order(a, n))
+
+
+def test_valuation_rejects_bases_below_two_in_absolute_value():
+    for p in (-1, 0, 1):
+        with pytest.raises(ValueError, match=f"base {p}"):
+            valuation(5, p)
+    assert valuation(-48, -2) == 4
+    with pytest.raises(ValueError, match="valuation of 0"):
+        valuation(0, 2)
