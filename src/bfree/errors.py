@@ -18,7 +18,8 @@ class ZeroElementError(BFreeError, ValueError):
 
 
 class NotCoprimeError(BFreeError, ValueError):
-    """Ideals or lattices were required to be coprime but are not."""
+    """Ideals or lattices were required to be coprime but are not, or a
+    congruence system modulo them has no solution."""
 
 
 class NotPairwiseCoprimeError(NotCoprimeError):

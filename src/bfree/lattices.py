@@ -13,7 +13,9 @@ c in the other, which span {(x + y, x)}: the intersection is read off the
 last columns, and a split off the back-substituted target.  A matrix is
 unimodular exactly when its columns eliminate to index 1, and
 ``UnimodularMap.inverse`` appends unit vectors to them, so the elimination
-records the transform U with A*U = I.
+records the transform U with A*U = I.  ``crt``, the Chinese Remainder
+solver for lattices and ideals' modules alike, is ``split_in_sum`` against
+the intersection of the congruences so far.
 
 All operations are pure; ``Lattice`` and ``UnimodularMap`` values are
 immutable and safe to share.
@@ -22,7 +24,7 @@ immutable and safe to share.
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import RankDeficientError, TooLargeError
+from .errors import NotCoprimeError, RankDeficientError, TooLargeError
 from .numtheory import xgcd
 
 Point = tuple[int, ...]
@@ -289,6 +291,32 @@ def split_in_sum(l1: Lattice, l2: Lattice, target):
                 res[r] -= q * cols[i][r]
     x = tuple(-v for v in res[m:])
     return x, tuple(t - v for t, v in zip(target, x))
+
+
+def crt(lattices, residues) -> Point:
+    """The point congruent to residues[i] modulo lattices[i] for every i.
+
+    Each congruence is solved against the intersection of the ones before it,
+    and the result is the canonical representative modulo the intersection of
+    all lattices.  Raises NotCoprimeError when the system has no solution;
+    for m >= 2 that can happen even when the lattices are pairwise coprime.
+    """
+    lattices = list(lattices)
+    residues = [as_point(r) for r in residues]
+    if len(lattices) != len(residues):
+        raise ValueError("lattice and residue lists differ in length")
+    if not lattices:
+        raise ValueError("need at least one lattice")
+    if any(len(r) != lat.dim for lat, r in zip(lattices, residues)):
+        raise ValueError("dimension mismatch")
+    acc, value = lattices[0], residues[0]
+    for lat, res in zip(lattices[1:], residues[1:]):
+        parts = split_in_sum(acc, lat, tuple(r - v for r, v in zip(res, value)))
+        if parts is None:
+            raise NotCoprimeError("congruence system unsolvable")
+        value = tuple(v + x for v, x in zip(value, parts[0]))
+        acc = acc.intersect(lat)
+    return acc.reduce(value)
 
 
 def intersect_all(lattices) -> Lattice:

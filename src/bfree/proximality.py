@@ -610,9 +610,10 @@ def decide_rectangular(spec: FamilySpec) -> Verdict:
 def crt_window_certificate(spec: FamilySpec, shape, *, instance_bound: int = 2000):
     """Zero window built from family members, with the coprime list that made it.
 
-    Collects pairwise coprime rectangular members (greedy over instances by
-    increasing index), constructs the CRT translate for the shape, verifies
-    every cell, and returns (translate, period, CoprimeList certificate).
+    Collects rectangular members greedily over instances by increasing index,
+    each coprime to the intersection (the period) of those before it, builds
+    the CRT translate for the shape, verifies every cell, and returns
+    (translate, period, CoprimeList certificate).
     The extension note records whether a schema-level coprime subfamily
     guarantees arbitrarily large windows of this kind.
     """
@@ -620,9 +621,11 @@ def crt_window_certificate(spec: FamilySpec, shape, *, instance_bound: int = 200
 
     members = [lat for lat in spec.instances_up_to(instance_bound) if lat.is_diagonal()]
     chosen: list[Lattice] = []
+    period = Lattice.whole(spec.dim)
     for lat in members:
-        if all(lat.coprime(c) for c in chosen):
+        if lat.coprime(period):
             chosen.append(lat)
+            period = period.intersect(lat)
         if len(chosen) == len(shape):
             break
     translate = zero_window_by_crt(chosen, shape)
@@ -630,7 +633,6 @@ def crt_window_certificate(spec: FamilySpec, shape, *, instance_bound: int = 200
         cell = tuple(a + b for a, b in zip(translate, f))
         if not lat.contains(cell) or not spec.covered(cell):
             raise InconsistencyError("constructed window failed its membership recheck")
-    period = intersect_all(chosen[: len(shape)])
     coprime = _coprime_entry(_schemas(spec))
     if coprime is not None:
         note = (

@@ -16,8 +16,9 @@ no other module uses it.
 
 from dataclasses import dataclass
 
-from .errors import NotCoprimeError, ZeroElementError
-from .lattices import Lattice, hnf, split_in_sum
+from . import lattices
+from .errors import ZeroElementError
+from .lattices import Lattice, hnf
 from .numtheory import factor
 
 Element = tuple[int, int]
@@ -170,31 +171,15 @@ def ideal_from_columns(ring: QuadraticRing, cols) -> QuadIdeal:
 
 
 def crt(ideals, residues) -> Element:
-    """Element congruent to residues[i] modulo ideals[i] for pairwise coprime ideals.
+    """Element congruent to residues[i] modulo ideals[i] for every i.
 
-    The result is the canonical representative modulo the product ideal
-    (mixed-radix reduction against its triangular basis), so it is
-    reproducible.  Raises NotCoprimeError when the system is not solvable by
-    coprimality.
+    One call of :func:`lattices.crt` on the ideals' modules.  The result is
+    the canonical representative modulo the intersection of the ideals (their
+    product when they are pairwise coprime), so it is reproducible.  Raises
+    NotCoprimeError when the congruence system is unsolvable.
     """
-    ideals = list(ideals)
-    residues = [(int(r[0]), int(r[1])) for r in residues]
-    if len(ideals) != len(residues):
-        raise ValueError("ideal and residue lists differ in length")
-    if not ideals:
-        raise ValueError("need at least one ideal")
-    ring = ideals[0].ring
-    acc_val = residues[0]
-    acc_ideal = ideals[0]
-    for ideal, res in zip(ideals[1:], residues[1:]):
-        target = ring.sub(res, acc_val)
-        parts = split_in_sum(acc_ideal.module, ideal.module, target)
-        if parts is None:
-            raise NotCoprimeError("ideals are not pairwise coprime: congruence system unsolvable")
-        x, _ = parts
-        acc_val = ring.add(acc_val, (x[0], x[1]))
-        acc_ideal = acc_ideal.intersect(ideal)
-    return acc_ideal.reduce(acc_val)
+    x = lattices.crt([ideal.module for ideal in ideals], residues)
+    return (x[0], x[1])
 
 
 @dataclass(frozen=True)

@@ -13,16 +13,9 @@ from itertools import accumulate, compress, islice, product, repeat
 from math import prod
 from operator import add, floordiv, mul, sub
 
-from .errors import (
-    NotAZeroWindowError,
-    NotCoprimeError,
-    NotEnoughIdealsError,
-    NotRectangularError,
-    TooLargeError,
-)
+from .errors import NotAZeroWindowError, NotEnoughIdealsError, TooLargeError
 from .families import FamilySpec
-from .lattices import Lattice, Point, as_point, intersect_all
-from .numtheory import crt_integers
+from .lattices import Lattice, Point, as_point, crt, intersect_all
 
 DEFAULT_CELL_LIMIT = 10**8
 
@@ -408,11 +401,13 @@ def _sieved_translates(spec: FamilySpec, shape: Shape, search: Box):
 
 def zero_window_by_crt(lattices, shape: Shape) -> Point:
     """Translate placing the whole shape inside the union, built by the
-    Chinese Remainder Theorem over rectangular (diagonal) lattices.
+    Chinese Remainder Theorem (:func:`lattices.crt`).
 
     Cell i is paired with lattices[i] in list order; the result a satisfies
-    a + shape.offsets[i] in lattices[i] and is reduced to the canonical
-    representative modulo the intersection of the used lattices.
+    a + shape.offsets[i] in lattices[i] and is the canonical representative
+    modulo the intersection of the used lattices.  Raises NotCoprimeError
+    when no such a exists, which for m >= 2 can happen even when the used
+    lattices are pairwise coprime.
     """
     lattices = list(lattices)
     if len(lattices) < len(shape):
@@ -420,25 +415,9 @@ def zero_window_by_crt(lattices, shape: Shape) -> Point:
             f"{len(shape)} cells need at least that many lattices, got {len(lattices)}"
         )
     used = lattices[: len(shape)]
-    m = shape.dim
-    for lat in used:
-        if lat.dim != m:
-            raise ValueError("lattice dimension mismatch")
-        if not lat.is_diagonal():
-            raise NotRectangularError("CRT construction needs rectangular (diagonal) lattices")
-    for i in range(len(used)):
-        for j in range(i + 1, len(used)):
-            if not used[i].coprime(used[j]):
-                raise NotCoprimeError(
-                    f"lattices {i} and {j} are not coprime"
-                )
-    coords = []
-    for axis in range(m):
-        moduli = [lat.diagonal[axis] for lat in used]
-        residues = [-f[axis] % q for f, q in zip(shape.offsets, moduli)]
-        coords.append(crt_integers(residues, moduli))
-    period = intersect_all(used)
-    return period.reduce(tuple(coords))
+    if any(lat.dim != shape.dim for lat in used):
+        raise ValueError("lattice dimension mismatch")
+    return crt(used, [tuple(-x for x in f) for f in shape.offsets])
 
 
 def syndetic_period(spec: FamilySpec, translate, shape: Shape) -> Lattice:

@@ -6,14 +6,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bfree.errors import RankDeficientError, TooLargeError
+from bfree.errors import NotCoprimeError, RankDeficientError, TooLargeError
 from bfree.lattices import (
     Lattice,
     UnimodularMap,
+    crt,
     enumerate_points,
     hnf,
+    intersect_all,
     split_in_sum,
 )
+from bfree.numtheory import crt_integers
 
 from helpers import canonical_lattices, random_unimodular
 
@@ -411,6 +414,68 @@ def test_intersect_membership_is_membership_in_both(case):
         assert both.contains(p) == (a.contains(p) and b.contains(p))
     # its generators lie in both, so the intersection is no larger than a and b share
     assert all(a.contains(c) and b.contains(c) for c in both.columns)
+
+
+@st.composite
+def crt_systems(draw):
+    """Congruence systems in dims 1-3, each lattice of index <= 200 and the
+    indices multiplying to at most 2000, so a sweep of the intersection's
+    cosets stays cheap.  Half of the systems are diagonal."""
+    m = draw(st.integers(1, 3))
+    diagonal = draw(st.booleans())
+    budget = 2000
+    lattices, residues = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        cap = min(200, budget)
+        rows = []
+        for i in range(m):
+            d = draw(st.one_of(st.integers(1, min(cap, 6)), st.integers(1, cap)))
+            cap //= d
+            rows.append(
+                tuple(d if j == i else 0 if j > i or diagonal else draw(st.integers(0, d - 1)) for j in range(m))
+            )
+        lat = Lattice(tuple(rows))
+        budget //= lat.index
+        lattices.append(lat)
+        residues.append(tuple(draw(st.integers(-50, 50)) for _ in range(m)))
+    return lattices, residues
+
+
+def solves(lattices, residues, p):
+    return all(lat.contains(tuple(x - r for x, r in zip(p, res))) for lat, res in zip(lattices, residues))
+
+
+@settings(max_examples=300, deadline=None)
+@given(crt_systems())
+def test_crt_solves_exactly_the_solvable_systems(system):
+    lattices, residues = system
+    meet = intersect_all(lattices)
+    try:
+        x = crt(lattices, residues)
+    except NotCoprimeError:
+        # the solutions would form a union of cosets of the intersection
+        assert not any(solves(lattices, residues, p) for p in meet.iter_coset_reps())
+        return
+    assert solves(lattices, residues, x)
+    assert meet.reduce(x) == x
+    if all(lat.is_diagonal() for lat in lattices) and all(
+        a.coprime(b) for i, a in enumerate(lattices) for b in lattices[i + 1 :]
+    ):
+        for axis in range(meet.dim):
+            moduli = [lat.diagonal[axis] for lat in lattices]
+            assert x[axis] == crt_integers([res[axis] % q for res, q in zip(residues, moduli)], moduli)
+
+
+def test_crt_input_checks():
+    a = Lattice.from_diagonal((2, 3))
+    with pytest.raises(ValueError, match="differ in length"):
+        crt([a, a], [(0, 0)])
+    with pytest.raises(ValueError, match="at least one"):
+        crt([], [])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        crt([a], [(0, 0, 0)])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        crt([a, Lattice.from_diagonal((5,))], [(0, 0), (1,)])
 
 
 def test_serialization_roundtrip():

@@ -637,6 +637,29 @@ def test_crt_window_certificate_finite_family_note():
     assert period == Lattice.from_diagonal((6, 6))
 
 
+@pytest.mark.parametrize(
+    "spec, box",
+    [
+        (preset("rect-demo"), Box((0, 0), (1, 1))),
+        # the families of the benchmark's zero --crt jobs
+        (parse_family("dim 2\nrecttemplate [t,t] params=primes\n"), Box((0, 0), (2, 1))),
+        (parse_family("dim 2\nrecttemplate [t,t^2] params=primes!2\n"), Box((0, 0), (3, 2))),
+        (parse_family("dim 2\nrect [4,1]\nrecttemplate [t,t] params=primes!2,3\n"), Box((0, 0), (2, 2))),
+    ],
+    ids=["rect-demo", "t-t", "t-t2", "rect-t-t"],
+)
+def test_crt_window_certificate_members_and_period(spec, box):
+    from bfree.proximality import crt_window_certificate
+
+    shape = Shape.from_box(box)
+    translate, period, cert = crt_window_certificate(spec, shape, instance_bound=100000)
+    chosen = list(cert.lattices)
+    assert len(chosen) == len(shape)
+    assert all(a.coprime(b) for i, a in enumerate(chosen) for b in chosen[i + 1 :])
+    assert period == intersect_all(chosen)
+    assert translate == zero_window_by_crt(chosen, shape)
+
+
 def test_fixed_translate_verdict():
     from bfree.proximality import fixed_translate_verdict
 

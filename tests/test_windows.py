@@ -15,7 +15,6 @@ from bfree.errors import (
     NotAZeroWindowError,
     NotCoprimeError,
     NotEnoughIdealsError,
-    NotRectangularError,
     TooLargeError,
 )
 from bfree.families import FamilySpec, RectTemplate, Rectangular, Static, Template, parse_family, preset
@@ -551,10 +550,30 @@ def test_crt_errors():
             [Lattice.from_diagonal((2, 2)), Lattice.from_diagonal((4, 3))],
             Shape.segment(1, 2),
         )
-    with pytest.raises(NotRectangularError):
-        zero_window_by_crt(
-            [hnf([(1, 1), (0, 2)]), Lattice.from_diagonal((3, 3))], Shape.segment(1, 2)
-        )
+    # ex2's forced lattices 2Z x Z, Z x 2Z and {x = y mod 2} are pairwise
+    # coprime, yet no translate puts the L-shape in them cell by cell
+    forced = [Lattice.from_diagonal((2, 1)), Lattice.from_diagonal((1, 2)), hnf([(1, 1), (0, 2)])]
+    shape = Shape.from_offsets([(0, 0), (1, 0), (0, 1)])
+    assert all(a.coprime(b) for i, a in enumerate(forced) for b in forced[i + 1 :])
+    assert not any(
+        all(lat.contains(tuple(map(add, a, f))) for lat, f in zip(forced, shape.offsets))
+        for a in product(range(2), repeat=2)
+    )
+    with pytest.raises(NotCoprimeError):
+        zero_window_by_crt(forced, shape)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        zero_window_by_crt([Lattice.from_diagonal((2, 2, 2))], Shape.from_offsets([(0, 0)]))
+
+
+def test_crt_non_diagonal_lattices():
+    lats = [hnf([(1, 1), (0, 2)]), Lattice.from_diagonal((3, 3))]
+    shape = Shape.segment(1, 2)
+    a = zero_window_by_crt(lats, shape)
+    for lat, f in zip(lats, shape.offsets):
+        assert lat.contains(tuple(map(add, a, f)))
+    spec = FamilySpec(2, (Static(lats[0]), Rectangular((3, 3))))
+    period_box = Box((0, 0), tuple(d - 1 for d in lats[0].intersect(lats[1]).diagonal))
+    assert a in all_zero_windows(spec, shape, period_box)
 
 
 def test_crt_vs_bruteforce_scan():
