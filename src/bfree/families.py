@@ -9,12 +9,14 @@ A family is a list of entries, each one of:
 * ``RectTemplate`` -- a diagonal pattern whose slots are c * t**e, again
   over a parameter sequence.
 
-Every entry kind answers the same questions: membership,
+Every entry kind answers the same questions: membership, ``span()``,
 ``classes_mod(n, limit)`` and ``schema()``, so the verdict engine never
-dispatches on the kind.  ``schema()`` is the one answer behind verdicts: a
-cover (proper lattices holding every member), a ``CoprimeFamily`` (an
-infinite pairwise coprime subfamily), or None when the schema proves
-neither.
+dispatches on the kind.  ``span()`` is the lattice generated by all the
+members, in closed form: a lattice holds every member exactly when it holds
+the span.  ``schema()`` is the one answer behind verdicts: a cover (proper
+lattices holding every member; the span, for an infinite entry whose span is
+proper), a ``CoprimeFamily`` (an infinite pairwise coprime subfamily), or
+None when the schema proves neither.
 
 Parameter sequences are primes (with optional exclusions), powers of a fixed
 base, or an explicit finite list.  Membership of a point in the union of all
@@ -91,6 +93,13 @@ class Primes:
     def power_gcd(self, e: int) -> int:
         """gcd of t**e over the whole sequence (1: distinct primes are coprime)."""
         return 1
+
+    def delta(self) -> int:
+        """gcd of t - min_value() over the sequence: 2 when 2 is excluded,
+        as every t is then odd, else 1.  Finitely many exclusions leave
+        primes in every unit class (Dirichlet), so no larger divisor is
+        common to the differences."""
+        return 2 if 2 in self.exclude else 1
 
     def candidates(self, constraints) -> list[int]:
         """All sequence members t with t**e dividing v for every (v, e) given.
@@ -268,6 +277,11 @@ class Geometric:
     def power_gcd(self, e: int) -> int:
         return self.base ** (self.start * e)
 
+    def delta(self) -> int:
+        """gcd of base**start * (base**k - 1) over k >= 1: base - 1 divides
+        each base**k - 1 and is the first."""
+        return self.base**self.start * (self.base - 1)
+
     def candidates(self, constraints) -> list[int]:
         kmax = None
         for v, e in constraints:
@@ -367,6 +381,10 @@ class Explicit:
             g = gcd(g, v**e)
         return g
 
+    def delta(self) -> int:
+        """gcd of the differences to the least value (0 for a single value)."""
+        return gcd(*(v - self.values[0] for v in self.values))
+
     def candidates(self, constraints) -> list[int]:
         if all(v == 0 for v, _ in constraints):
             raise ValueError("all constraint values are zero")
@@ -443,8 +461,12 @@ class _OneMember:
                 res[j] -= w * basis[j][i]
         return [(-res[-1], basis[-1][-1], None)]
 
+    def span(self) -> Lattice:
+        """The lattice the members generate: the one member."""
+        return self.lattice
+
     def schema(self) -> list[Lattice]:
-        """The one member, which is its own cover (see RectTemplate.schema)."""
+        """The one member, which is its own cover (see _Parameterised.schema)."""
         return [self.lattice]
 
     def classes_mod(self, n: int, limit: int):
@@ -532,7 +554,8 @@ class RectEntry:
 
 class _Parameterised:
     """Entry protocol of the template kinds, read off ``params``,
-    ``member(t)`` and ``member_columns(t)``."""
+    ``member(t)``, ``member_columns(t)``, ``span()`` and
+    ``_coprime_family()``."""
 
     @property
     def is_infinite(self) -> bool:
@@ -575,6 +598,20 @@ class _Parameterised:
         if self.params.is_infinite:
             parameter = self.params.value_in_class(parameter, n)
         return None if parameter is None else self.member(parameter)
+
+    def schema(self):
+        """What the schema proves about the members: a cover, a
+        CoprimeFamily, or None when it proves neither.
+
+        A cover is a list of proper lattices holding every member: the
+        members themselves for a finite sequence.  For an infinite entry it
+        is the span when that is proper, so no two members are coprime;
+        otherwise the answer is ``_coprime_family()``.
+        """
+        if not self.params.is_infinite:
+            return self._members()
+        span = self.span()
+        return [span] if span.is_proper() else self._coprime_family()
 
 
 @dataclass(frozen=True)
@@ -708,24 +745,17 @@ class RectTemplate(_Parameterised):
             if self.index_of(t) <= bound and self.index_of(t) >= 2
         ]
 
-    def schema(self):
-        """What the schema proves about the members: a cover, a
-        CoprimeFamily, or None when it proves neither.
+    def span(self) -> Lattice:
+        """The lattice the members generate: the diagonal of coordinatewise
+        gcds c * gcd(t**e) over the sequence."""
+        return Lattice.from_diagonal(tuple(s.coeff * self.params.power_gcd(s.exp) for s in self.entries))
 
-        A cover is a list of proper lattices holding every member: the
-        members themselves for a finite sequence.  For an infinite entry it
-        is a single lattice, so no two members are coprime.  A rectangular
-        template gets the diagonal of coordinatewise gcds over all
-        parameters.  That profile is all ones only with unit coefficients
-        over primes (geometric powers share the base, and parameter 1 is
-        rejected), and then distinct primes give coordinatewise coprime
-        members: the answer is that coprime family, never None.
-        """
-        if not self.params.is_infinite:
-            return self._members()
-        profile = tuple(s.coeff * self.params.power_gcd(s.exp) for s in self.entries)
-        if any(g > 1 for g in profile):
-            return [Lattice.from_diagonal(profile)]
+    def _coprime_family(self) -> CoprimeFamily:
+        """The schema answer for an infinite entry whose span is Z^m.  That
+        happens only with unit coefficients over primes (geometric powers
+        share the base, and parameter 1 is rejected), and then distinct
+        primes give coordinatewise coprime members, so a rectangular
+        template never answers None."""
         sample = tuple(self.member(t) for t in self.params.values_up_to(30)[:4])
         rule = (
             f"members diag({', '.join(str(s) for s in self.entries)}) over {self.params.describe()}: "
@@ -869,32 +899,20 @@ class Template(_Parameterised):
             if self.index_of(t) >= 2
         ]
 
-    def pair_sum_bound(self) -> Lattice:
-        """A lattice containing L_t + L_t' for every pair of members.
-
-        Generated by the unscaled columns, the shared tail of the scaled
-        column, and c * e_r (c the unscaled diagonal entry).  When this is
-        proper, no two members of the entry are coprime.
-        """
-        m = self.dim
+    def span(self) -> Lattice:
+        """The lattice the members generate: member t0's columns plus
+        delta * c * e_r, with t0 the least parameter, delta the gcd of
+        t - t0 over the sequence and c the scaled diagonal entry.  Only the
+        scaled column depends on t, and it is affine in t, so it moves by
+        (t - t0) * c * e_r from member t0 to member t."""
         r = self.scaled_row
-        gens = [c for j, c in enumerate(self.base.columns) if j != r]
-        gens.append(tuple(self.base.basis[r][r] if i == r else 0 for i in range(m)))
-        tail = [0] * m
-        for i in range(r + 1, m):
-            tail[i] = self.base.basis[i][r]
-        gens.append(tuple(tail))
-        return hnf(gens, dim=m)
+        step = self.params.delta() * self.base.basis[r][r]
+        extra = tuple(step if i == r else 0 for i in range(self.dim))
+        return hnf(self.member_columns(self.params.min_value()) + [extra], dim=self.dim)
 
-    def schema(self):
-        """A cover or None, as RectTemplate.schema: the members of a finite
-        sequence, else the pairwise bound when it is proper (each member
-        contains its own scaled column, so the bound holds it).  The schema
-        proves no coprime family here."""
-        if not self.params.is_infinite:
-            return self._members()
-        bound = self.pair_sum_bound()
-        return [bound] if bound.is_proper() else None
+    def _coprime_family(self) -> None:
+        """The schema proves no coprime family here."""
+        return None
 
     def spec_line(self) -> str:
         pos = self.scaled_row + 1

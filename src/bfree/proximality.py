@@ -7,9 +7,9 @@ question, and are issued in two situations only:
 
 * some entry holds an infinite pairwise coprime subfamily, which today means
   a rectangular template over primes with unit coefficients (Proximal); or
-* every entry has a cover and the covers provably hold every member
-  (NotProximal), verified by finite coset checks that are exact because
-  cover membership is periodic.
+* every entry has a cover (its members, or the span of an infinite entry)
+  and the covers provably hold every member (NotProximal), verified by
+  finite checks that are exact because cover membership is periodic.
 
 The same answers decide condition (d) of ``conditions_report``, the
 candidate check behind (d') and the note of ``crt_window_certificate``.
@@ -31,7 +31,7 @@ from .errors import (
     NotRectangularError,
     TooLargeError,
 )
-from .families import CoprimeFamily, FamilySpec, Static
+from .families import CoprimeFamily, FamilySpec, Static, _OneMember
 from .lattices import (
     DEFAULT_COSET_LIMIT,
     Lattice,
@@ -237,17 +237,18 @@ def check_covering(
     ``iter_coset_reps`` order, outside every cover: built coordinate by
     coordinate when every cover is diagonal, found by a scan otherwise.
 
-    Each entry is first held against one cover at a time: a cover C of
-    index d contains d*Z^m, so a member lies in C exactly when its class
-    modulo d does, and one ``CoverCheck`` naming C and d settles the entry
-    (``_one_cover_check``).  Only an entry that no single cover holds is
-    swept over its parameter classes modulo the index N of the cover
-    intersection, which is exact because union membership is periodic
-    with that period; each class gets its own check.  An entry with more
-    classes modulo N than ``rep_limit`` is checked instead modulo a divisor
-    of N (``_classes_modulo_a_divisor``), each class inside one cover.
-    Raises TooLargeError, naming the count and ``rep_limit``, when the scan
-    of non-diagonal covers or a class enumeration would exceed it.
+    Each entry is first held against one cover at a time through its
+    span: a cover is a group, so it holds every member exactly when it
+    holds the span's columns, and one ``CoverCheck`` naming the first such
+    cover C settles the entry, with index(C) as its modulus.  Only an entry
+    that no single cover holds is swept over its parameter classes modulo
+    the index N of the cover intersection, which is exact because union
+    membership is periodic with that period; each class gets its own
+    check.  An entry with more classes modulo N than ``rep_limit`` is
+    checked instead modulo a divisor of N (``_classes_modulo_a_divisor``),
+    each class inside one cover.  Raises TooLargeError, naming the count
+    and ``rep_limit``, when the scan of non-diagonal covers or such a class
+    enumeration would exceed it.
     """
     covers = list(covers)
     if not covers:
@@ -274,9 +275,11 @@ def check_covering(
     n_lattice = Lattice.from_diagonal((n,) * spec.dim)
     checks = []
     for idx, entry in enumerate(spec.base_spec().entries):
-        check = _one_cover_check(idx, entry, covers, rep_limit, transform)
-        if check is not None:
-            checks.append(check)
+        span = entry.span()
+        k = holding_cover(span if transform is None else transform.apply(span))
+        if k is not None:
+            word = "member" if isinstance(entry, _OneMember) else "span"
+            checks.append(CoverCheck(idx, f"{word} {span.to_columns()}", 0, k, covers[k].index))
             continue
         try:
             classes = entry.classes_mod(n, rep_limit)
@@ -306,43 +309,6 @@ def check_covering(
             checks.append(CoverCheck(idx, label, count, None, n))
     cert = Covering(tuple(covers), missed, tuple(checks))
     return CoveringReport(True, cert, None)
-
-
-def _one_cover_check(idx: int, entry, covers, rep_limit: int, transform) -> CoverCheck | None:
-    """One check for the whole entry when some cover C holds every member
-    class modulo d = index(C), or None.
-
-    Exact without ``hnf``: C contains d*Z^m, so a class lattice
-    (columns + d*Z^m) lies in C exactly when its columns do, and so does
-    every member of the class.  Covers are tried in order; the attempts
-    share ``rep_limit`` classes, and a cover with more classes than are left
-    is passed over before any class is built (``classes_mod`` reads the
-    class count first).
-    """
-    budget = rep_limit
-    for k, cov in enumerate(covers):
-        d = cov.index
-        try:
-            classes = entry.classes_mod(d, budget)
-        except TooLargeError:
-            continue
-        labels = []
-        for label, cols, _ in classes:
-            budget -= 1
-            if transform is not None:
-                cols = [transform.apply_point(c) for c in cols]
-            if not all(cov.contains(c) for c in cols):
-                break
-            labels.append(label)
-        else:
-            if len(labels) == 1:
-                label = labels[0]
-            elif entry.is_infinite:
-                label = f"all {len(labels)} classes of t (mod {d})"
-            else:
-                label = f"all {len(labels)} values of t"
-            return CoverCheck(idx, label, 0, k, d)
-    return None
 
 
 def _first_missed_diagonal(covers) -> Point:
@@ -587,12 +553,13 @@ def decide_rectangular(spec: FamilySpec) -> Verdict:
     ValueError for a family without entries.  For rectangular schemas the
     coprime-subfamily test and the coordinatewise covering construction are
     jointly complete, so the answer is Proximal or NotProximal, never
-    Inconclusive.  Without a transform the covers are diagonal, so the
-    missed coset is built directly and ``rep_limit`` bounds only the class
-    sweep of template entries; under a transform the missed-coset scan is
-    bounded too.  When the covering check would exceed a limit, its
-    TooLargeError (naming the check, the count and the limit) propagates
-    instead.
+    Inconclusive.  An infinite entry's span is one of the covers, and so is
+    each member of a finite entry, so a single cover holds every entry or
+    member class and no class quotient is scanned.  Without a transform the
+    covers are diagonal and the missed coset is built directly, so nothing
+    raises; under a transform only the missed-coset scan is bounded by
+    ``rep_limit``, and its TooLargeError (naming the count and the limit)
+    propagates.
     """
     if not spec.entries:
         raise ValueError("a family without entries has no verdict")

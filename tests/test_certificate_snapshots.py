@@ -40,6 +40,7 @@ SPECS = {
     "tpl-primes": "dim 2\ntemplate base=[[2,0],[0,1]] scale=(2,2) params=primes\n",
     "tpl-geometric": "dim 2\ntemplate base=[[2,1],[0,2]] scale=(1,1) params=geometric:2\n",
     "tpl-explicit": "dim 2\ntemplate base=[[1,1],[0,2]] scale=(2,2) params=explicit:3,5,7\n",
+    "tpl-oddprimes-span": "dim 2\ntemplate base=[[1,1],[0,2]] scale=(1,1) params=oddprimes\n",
     "mixed-3d": (
         "dim 3\nrect [2,1,1]\nstatic [[1,1,0],[0,3,0],[0,0,1]]\n"
         "recttemplate [1,t,2] params=primes!3\n"
@@ -50,7 +51,7 @@ SPECS = {
         "dim 2\ntemplate base=[[2,0],[0,1]] scale=(2,2) params=primes\ntransform [[1,0],[1,1]]\n"
     ),
     "rt-3d-z": "dim 3\nrecttemplate [1,1,2t] params=primes\n",
-    "rect-template-inconclusive": "dim 1\nrect [2]\nrect [1009]\nrecttemplate [200003t] params=primes\n",
+    "rect-template-span": "dim 1\nrect [2]\nrect [1009]\nrecttemplate [200003t] params=primes\n",
     "rect-template-one-cover": "dim 1\nrect [1009]\nrect [1013]\nrecttemplate [2t] params=primes\n",
     "ex1": "ex1",
     "ex2": "ex2",

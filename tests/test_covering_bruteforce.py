@@ -139,9 +139,38 @@ def mapped_classes(entry, modulus, transform):
 
 
 def one_cover_holds(entry, cover, transform):
+    """Whether the cover holds every member class modulo its index: the
+    class sweep that the span test replaced, kept as its reference."""
     return all(
         all(cover.contains(c) for c in cols) for cols in mapped_classes(entry, cover.index, transform)
     )
+
+
+@st.composite
+def entries_and_covers(draw):
+    """An entry, an optional transform, and a proper cover in family
+    coordinates: a random lattice, or one above the mapped span, so that
+    the cover often holds the entry."""
+    m = draw(st.integers(1, 3))
+    entry = draw(entries(m))
+    transform = None
+    if draw(st.booleans()):
+        transform = random_unimodular(random.Random(draw(st.integers(0, 10**6))), m, ops=4)
+    cover = draw(canonical_lattices(m))
+    if draw(st.booleans()):
+        span = entry.span()
+        cover = cover.sum(transform.apply(span) if transform else span)
+    assume(cover.is_proper() and cover.index <= 500)
+    return entry, transform, cover
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries_and_covers())
+def test_span_containment_agrees_with_the_class_sweep(case):
+    entry, transform, cover = case
+    span = entry.span()
+    cols = [transform.apply_point(c) for c in span.columns] if transform else span.columns
+    assert all(cover.contains(c) for c in cols) == one_cover_holds(entry, cover, transform)
 
 
 @st.composite
@@ -231,17 +260,17 @@ def test_fixed_translate_agrees_with_bruteforce(seed):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_template_pair_sum_bound_contains_all_pair_sums(seed):
-    # the schema-level obstruction lattice really does contain every pairwise
-    # sum of members, which is what makes the coprime-subfamily refutation exact
+    # the span contains every pairwise sum of members, which is what makes
+    # the coprime-subfamily refutation exact when it is proper
     rng = random.Random(9000 + seed)
     base = hnf([(rng.randint(1, 3), rng.randrange(3)), (0, rng.randint(1, 3))])
     entry = Template(base, rng.randrange(2), Primes())
-    bound = entry.pair_sum_bound()
+    bound = entry.span()
     params = [2, 3, 5, 7, 11, 13]
     for t1, t2 in itertools.combinations(params, 2):
         s = entry.member(t1).sum(entry.member(t2))
         for col in s.columns:
             assert bound.contains(col)
-        # and each member alone sits inside the bound as well
+        # and each member alone sits inside the span as well
         for col in entry.member(t1).columns:
             assert bound.contains(col)

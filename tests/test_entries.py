@@ -1,5 +1,6 @@
-"""Properties of the entry protocol: schema(), classes_mod(), class_member(),
-and the parameter lookup value_in_class behind witnesses."""
+"""Properties of the entry protocol: span(), schema(), classes_mod(),
+class_member(), and the parameter sequences' delta() and value_in_class
+behind spans and witnesses."""
 
 import itertools
 from math import gcd
@@ -23,7 +24,7 @@ from bfree.families import (
 from bfree.lattices import Lattice, hnf
 from bfree.proximality import decide
 
-from helpers import entries
+from helpers import entries, param_seqs
 
 
 def sample_params(entry, count=6):
@@ -129,6 +130,31 @@ def test_single_member_entries():
     entry = Rectangular((2, 3))
     assert not entry.is_infinite and entry.is_rectangular
     assert entry.schema() == [Lattice.from_diagonal((2, 3))]
+
+
+# ---------------------------------------------------------------------------
+# span, delta
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(entries))
+def test_span_is_generated_by_the_first_members(entry):
+    """The closed form equals the lattice the first 12 members generate."""
+    if hasattr(entry, "params"):
+        cols = [c for t in entry.params.values_up_to(10**4)[:12] for c in entry.member(t).columns]
+    else:
+        cols = list(entry.lattice.columns)
+    assert entry.span() == hnf(cols, dim=entry.dim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(param_seqs())
+def test_delta_matches_brute_force(seq):
+    """Over the values up to 10**4: for primes with exclusions, the first
+    primes left."""
+    values = seq.values_up_to(10**4)
+    assert values[0] == seq.min_value()
+    assert seq.delta() == gcd(*(t - values[0] for t in values))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import json
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bfree.errors import (
@@ -123,24 +123,30 @@ def test_check_covering_scan_limit_on_non_diagonal_covers():
     assert check_covering(spec, covers, rep_limit=9).certificate.missed_coset == (0, 1)
 
 
-def test_decide_rectangular_raises_at_the_class_limit():
+def test_decide_rectangular_settles_the_200003_template_by_its_span():
     # no divisor d of the period puts every class of the template entry
-    # inside one cover: d has over 200000 classes of primes, or the class
-    # t = 1 (mod d) has the lattice 200003Z + dZ = Z
+    # inside one cover (d has over 200000 classes of primes, or the class
+    # t = 1 (mod d) has the lattice 200003Z + dZ = Z), but its span 200003Z
+    # is one of the covers: 2Z, 1009Z and 200003Z miss 1
     spec = parse_family("dim 1\nrect [2]\nrect [1009]\nrecttemplate [200003t] params=primes\n")
-    n = 2 * 1009 * 200003
-    count = Primes().class_count(n)
-    with pytest.raises(
-        TooLargeError,
-        match=rf"covering check, entry 2: {count} parameter classes modulo {n} exceed the limit 200000",
-    ):
-        decide_rectangular(spec)
-    assert decide(spec, SearchBudget(max_side=1, search_radius=2)).status == INCONCLUSIVE
+    v = decide_rectangular(spec)
+    assert v.status == NOT_PROXIMAL
+    cert = v.certificate
+    assert [c.to_columns() for c in cert.covers] == [[[2]], [[1009]], [[200003]]]
+    assert cert.missed_coset == (1,)
+    assert [(c.label, c.cover, c.modulus) for c in cert.checks if c.entry_index == 2] == [
+        ("span [[200003]]", 2, 200003)
+    ]
+    report = conditions_report(spec, SearchBudget(max_side=2, search_radius=1100))
+    assert report.verdict == v
+    for key in ("a", "b", "c", "e", "f"):
+        assert report.rows[key].holds is False
+        assert report.rows[key].mode == ("derived" if key == "f" else "exact")
 
 
 def test_decide_rectangular_checks_an_entry_past_the_class_limit_modulo_a_divisor():
-    # the sweep modulo 2*1009*1013 has over 200000 classes, but modulo 2
-    # both classes of the template entry lie inside the cover 2Z: one check
+    # the sweep modulo 2*1009*1013 has over 200000 classes, but the template
+    # entry's span 2Z is one of the covers: one check, modulo 2
     spec = parse_family("dim 1\nrect [1009]\nrect [1013]\nrecttemplate [2t] params=primes\n")
     v = decide_rectangular(spec)
     assert v.status == NOT_PROXIMAL
@@ -153,6 +159,21 @@ def test_decide_rectangular_checks_an_entry_past_the_class_limit_modulo_a_diviso
     ft = check_fixed_translate(spec, v.certificate.missed_coset, intersect_all(v.certificate.covers))
     assert ft.holds and ft.exact
     assert decide(spec) == v
+
+
+def test_check_covering_checks_supplied_covers_modulo_a_divisor_past_the_rep_limit():
+    # the span is Z^2, so no single cover holds the entry, and its 3 classes
+    # of primes modulo 4 exceed rep_limit=2; modulo 2 the class of t = 2
+    # lies in 2Z x Z and the odd class in {x = y mod 2}
+    spec = parse_family("dim 2\ntemplate base=[[1,1],[0,4]] scale=(1,1) params=primes!3\n")
+    covers = [Lattice.from_diagonal((2, 1)), hnf([(1, 1), (0, 2)])]
+    report = check_covering(spec, covers, rep_limit=2)
+    assert report.covered
+    assert [(c.label, c.cover, c.modulus) for c in report.certificate.checks] == [
+        ("t=0 (mod 2)", 0, 2),
+        ("t=1 (mod 2)", 1, 2),
+    ]
+    assert [c.modulus for c in check_covering(spec, covers).certificate.checks] == [4, 4, 4]
 
 
 def test_decide_certificate_has_one_check_per_entry():
@@ -191,6 +212,10 @@ def rect_entries(draw, m):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3).flatmap(lambda m: st.lists(rect_entries(m), min_size=1, max_size=3).map(
     lambda ents: FamilySpec(m, tuple(ents)))))
+# 230403 classes modulo 864000 once made the class sweep raise TooLargeError
+@example(parse_family(
+    "dim 3\nrecttemplate [2,t,2t^2] params=explicit:3,4,5\nrecttemplate [1,1,2t^2] params=primes\n"
+))
 def test_decide_rectangular_is_exact_and_reverifies(spec):
     v = decide_rectangular(spec)
     if v.status == PROXIMAL:
@@ -548,10 +573,9 @@ def test_conditions_report_not_proximal_family():
 
 
 def test_conditions_report_empty_search_claims_nothing():
-    # 2Z, 1009Z and 200003Z hold every member and miss 1, but the class
-    # sweep is over rep_limit, so the verdict is Inconclusive and no side is
-    # searched
-    spec = parse_family("dim 1\nrect [2]\nrect [1009]\nrecttemplate [200003t] params=primes\n")
+    # the template's span is Z^2, so decide has no cover: the verdict is
+    # Inconclusive and no side is searched
+    spec = parse_family("dim 2\ntemplate base=[[1,1],[0,2]] scale=(1,1) params=primes\n")
     report = conditions_report(spec, SearchBudget(max_side=0))
     assert report.verdict.status == INCONCLUSIVE
     for key in ("a", "b", "c", "e", "f"):
