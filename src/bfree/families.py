@@ -90,10 +90,6 @@ class Primes:
             p = next_prime(p)
         return p
 
-    def power_gcd(self, e: int) -> int:
-        """gcd of t**e over the whole sequence (1: distinct primes are coprime)."""
-        return 1
-
     def delta(self) -> int:
         """gcd of t - min_value() over the sequence: 2 when 2 is excluded,
         as every t is then odd, else 1.  Finitely many exclusions leave
@@ -274,9 +270,6 @@ class Geometric:
     def min_value(self) -> int:
         return self.base**self.start
 
-    def power_gcd(self, e: int) -> int:
-        return self.base ** (self.start * e)
-
     def delta(self) -> int:
         """gcd of base**start * (base**k - 1) over k >= 1: base - 1 divides
         each base**k - 1 and is the first."""
@@ -374,12 +367,6 @@ class Explicit:
 
     def min_value(self) -> int:
         return self.values[0]
-
-    def power_gcd(self, e: int) -> int:
-        g = 0
-        for v in self.values:
-            g = gcd(g, v**e)
-        return g
 
     def delta(self) -> int:
         """gcd of the differences to the least value (0 for a single value)."""
@@ -747,8 +734,10 @@ class RectTemplate(_Parameterised):
 
     def span(self) -> Lattice:
         """The lattice the members generate: the diagonal of coordinatewise
-        gcds c * gcd(t**e) over the sequence."""
-        return Lattice.from_diagonal(tuple(s.coeff * self.params.power_gcd(s.exp) for s in self.entries))
+        gcds c * gcd(t**e) = c * g**e over the sequence, where g, the gcd of
+        the parameters, is gcd(min_value(), delta())."""
+        g = gcd(self.params.min_value(), self.params.delta())
+        return Lattice.from_diagonal(tuple(s.coeff * g**s.exp for s in self.entries))
 
     def _coprime_family(self) -> CoprimeFamily:
         """The schema answer for an infinite entry whose span is Z^m.  That
@@ -799,16 +788,13 @@ class Template(_Parameterised):
         return cols
 
     def member(self, t: int) -> Lattice:
-        return Lattice(self.member_basis(t))
-
-    def member_basis(self, t: int) -> tuple[Point, ...]:
-        """Rows of the member's canonical basis, unchecked: scaling one
-        diagonal entry by t >= 1 keeps the base's off-diagonal entries
+        """The member for t, from its canonical basis rows unchecked: scaling
+        one diagonal entry by t >= 1 keeps the base's off-diagonal entries
         reduced, so no hnf is needed."""
         r = self.scaled_row
         row = list(self.base.basis[r])
         row[r] *= t
-        return self.base.basis[:r] + (tuple(row),) + self.base.basis[r + 1 :]
+        return Lattice(self.base.basis[:r] + (tuple(row),) + self.base.basis[r + 1 :])
 
     def index_of(self, t: int) -> int:
         return self.base.index * t

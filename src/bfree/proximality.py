@@ -22,6 +22,7 @@ general lattice families that implication has no converse.
 import itertools
 import json
 from dataclasses import dataclass
+from functools import partial
 from math import gcd
 
 from .errors import (
@@ -49,7 +50,6 @@ PROXIMAL = "Proximal"
 NOT_PROXIMAL = "NotProximal"
 INCONCLUSIVE = "Inconclusive"
 
-DEFAULT_CLASS_LIMIT = 20_000
 DEFAULT_REP_LIMIT = 200_000
 
 
@@ -223,6 +223,60 @@ def _quotient_reps(big: Lattice, small: Lattice, rep_limit: int):
     return count, (combination(cols, ks) for ks in Lattice.from_diagonal(ratios).iter_coset_reps())
 
 
+def _settle_entry(entry, n: int, limit: int, answer, transform=None):
+    """Lattices that hold every member of ``entry`` between them, for a
+    property that passes to sublattices, as (label, lattice, answer(lattice),
+    member, modulus); ``member()`` is a concrete member inside the lattice,
+    in entry coordinates (None when the sequence has none there).
+
+    ``answer`` is None where the property fails, and is evaluated once per
+    lattice.  The first level that fits decides: the span alone, mapped
+    through ``transform``, when its answer is not None (member and modulus
+    None); else the member classes modulo n, built lazily; else, past
+    ``limit`` classes, the classes modulo the least proper divisor d of n
+    on which every class answers, within ``limit`` classes in all.  A class
+    lattice is the class columns, mapped through ``transform``, plus
+    n Z^m (or d Z^m), and it holds every member of its class.  Raises the
+    TooLargeError of ``classes_mod(n, limit)`` when no level fits.
+    """
+    span = entry.span()
+    mapped = span if transform is None else transform.apply(span)
+    got = answer(mapped)
+    if got is not None:
+        word = "member" if isinstance(entry, _OneMember) else "span"
+        return [(f"{word} {span.to_columns()}", mapped, got, None, None)]
+
+    def settled(classes, d):
+        d_cols = Lattice.from_diagonal((d,) * entry.dim).columns
+        for label, cols, param in classes:
+            if transform is not None:
+                cols = [transform.apply_point(c) for c in cols]
+            lat = hnf(list(cols) + list(d_cols))
+            yield label, lat, answer(lat), partial(entry.class_member, param, d), d
+
+    try:
+        return settled(entry.classes_mod(n, limit), n)
+    except TooLargeError as exc:
+        too_large = exc
+    budget = limit
+    for d in divisors(n)[1:-1]:
+        try:
+            classes = entry.classes_mod(d, budget)
+        except TooLargeError:
+            continue
+        held = []
+        for item in settled(classes, d):
+            budget -= 1
+            if item[2] is None:
+                break
+            held.append(item)
+        else:
+            return held
+        if budget <= 0:
+            break
+    raise too_large
+
+
 def check_covering(
     spec: FamilySpec,
     covers,
@@ -237,18 +291,19 @@ def check_covering(
     ``iter_coset_reps`` order, outside every cover: built coordinate by
     coordinate when every cover is diagonal, found by a scan otherwise.
 
-    Each entry is first held against one cover at a time through its
-    span: a cover is a group, so it holds every member exactly when it
-    holds the span's columns, and one ``CoverCheck`` naming the first such
-    cover C settles the entry, with index(C) as its modulus.  Only an entry
-    that no single cover holds is swept over its parameter classes modulo
-    the index N of the cover intersection, which is exact because union
-    membership is periodic with that period; each class gets its own
-    check.  An entry with more classes modulo N than ``rep_limit`` is
-    checked instead modulo a divisor of N (``_classes_modulo_a_divisor``),
-    each class inside one cover.  Raises TooLargeError, naming the count
-    and ``rep_limit``, when the scan of non-diagonal covers or such a class
-    enumeration would exceed it.
+    Each entry is settled by ``_settle_entry`` with the property "held by
+    one cover".  A cover is a group, so it holds every member exactly when
+    it holds the span's columns, and one ``CoverCheck`` naming the first
+    such cover C settles the entry, with index(C) as its modulus.  Only an
+    entry that no single cover holds is swept over its parameter classes
+    modulo the index N of the cover intersection, which is exact because
+    union membership is periodic with that period; each class gets its own
+    check, and a class that no one cover holds has its quotient reps
+    checked against the union.  An entry with more classes modulo N than
+    ``rep_limit`` is checked instead modulo a divisor of N, each class
+    inside one cover.  Raises TooLargeError, naming the count and
+    ``rep_limit`` (and the entry, for a class enumeration), when the scan
+    of non-diagonal covers or such a class enumeration would exceed it.
     """
     covers = list(covers)
     if not covers:
@@ -275,36 +330,19 @@ def check_covering(
     n_lattice = Lattice.from_diagonal((n,) * spec.dim)
     checks = []
     for idx, entry in enumerate(spec.base_spec().entries):
-        span = entry.span()
-        k = holding_cover(span if transform is None else transform.apply(span))
-        if k is not None:
-            word = "member" if isinstance(entry, _OneMember) else "span"
-            checks.append(CoverCheck(idx, f"{word} {span.to_columns()}", 0, k, covers[k].index))
-            continue
         try:
-            classes = entry.classes_mod(n, rep_limit)
+            settled = _settle_entry(entry, n, rep_limit, holding_cover, transform)
         except TooLargeError as exc:
-            found = _classes_modulo_a_divisor(
-                entry, n, rep_limit, lambda lat: holding_cover(lat) is not None, transform
-            )
-            if found is None:
-                raise TooLargeError(f"covering check, entry {idx}: {exc}") from None
-            d, held = found
-            checks.extend(CoverCheck(idx, label, 0, holding_cover(lat), d) for label, lat in held)
-            continue
-        for label, cols, param in classes:
-            if transform is not None:
-                cols = [transform.apply_point(c) for c in cols]
-            class_lattice = hnf(list(cols) + list(n_lattice.columns))
-            # cheap path: the whole class sits inside one cover
-            k = holding_cover(class_lattice)
+            raise TooLargeError(f"covering check, entry {idx}: {exc}") from None
+        for label, lat, k, member, modulus in settled:
             if k is not None:
-                checks.append(CoverCheck(idx, label, 0, k, n))
+                checks.append(CoverCheck(idx, label, 0, k, covers[k].index if modulus is None else modulus))
                 continue
-            count, reps = _quotient_reps(class_lattice, class_lattice.intersect(period), rep_limit)
+            # no one cover holds the class: sweep its quotient by the period
+            count, reps = _quotient_reps(lat, lat.intersect(period), rep_limit)
             for rep in reps:
                 if not any(cov.contains(rep) for cov in covers):
-                    witness = _lift_witness(entry.class_member(param, n), transform, n_lattice, rep)
+                    witness = _lift_witness(member(), transform, n_lattice, rep)
                     return CoveringReport(False, None, (idx, label, witness))
             checks.append(CoverCheck(idx, label, count, None, n))
     cert = Covering(tuple(covers), missed, tuple(checks))
@@ -352,22 +390,17 @@ def _first_missed_scan(covers, period: Lattice, rep_limit: int) -> Point | None:
     return None
 
 
-def _point_in(member: Lattice, other: Lattice, target):
-    """The part x in ``member`` of a split target = x + y with y in
-    ``other``, or None when target is outside member + other."""
-    parts = split_in_sum(member, other, target)
-    return None if parts is None else parts[0]
-
-
-def _lift_witness(member, transform, n_lattice: Lattice, rep):
-    """Replace a class-lattice witness by a congruent point of a concrete
-    member: union membership is n*Z^m-periodic, so the lifted point is
-    equally uncovered while being a genuine covered-set point."""
+def _lift_witness(member, transform, period: Lattice, rep):
+    """Replace a class-lattice witness by a point of a concrete member (in
+    entry coordinates, mapped through ``transform``) in rep + period: the
+    lifted point is a genuine covered-set point, and it keeps what rep
+    showed wherever membership is periodic modulo ``period``."""
     if member is None:
         return rep
     if transform is not None:
         member = transform.apply(member)
-    return _point_in(member, n_lattice, rep) or rep
+    parts = split_in_sum(member, period, rep)
+    return rep if parts is None else parts[0]
 
 
 def prove_no_zero_window(spec: FamilySpec, shape: Shape, covers) -> bool:
@@ -648,78 +681,51 @@ def check_fixed_translate(
     translate,
     lattice: Lattice,
     *,
-    class_limit: int = DEFAULT_CLASS_LIMIT,
+    rep_limit: int = DEFAULT_REP_LIMIT,
 ) -> FixedTranslateReport:
     """Does translate + lattice avoid every family member entirely?
 
-    Per member L the translate meets L precisely when the translate point
-    lies in L + lattice, so the test is exact member by member.  Infinite
-    template entries reduce to parameter classes modulo the index of
-    ``lattice`` (the sum lattice only depends on the parameter through that
-    residue).  An entry with more classes than ``class_limit`` is tried
-    modulo the divisors of that index (``_classes_modulo_a_divisor``); when
-    none proves it, the check falls back to bounded evidence.
+    A member L meets the translate exactly when the translate point lies in
+    L + lattice, and avoiding it passes to sublattices, so each entry is
+    settled in entry coordinates by ``_settle_entry`` with the property
+    "the translate lies outside L + lattice": the span first, one test for
+    every member; else the parameter classes modulo the index of
+    ``lattice`` (the sum only depends on the parameter through that
+    residue); else, past ``rep_limit`` classes, modulo a divisor of that
+    index.  A class that meets the translate refutes it exactly, and the
+    witness is a point of a concrete member of that class inside
+    translate + lattice, in family coordinates.  An entry that no level
+    settles falls back to its members of index at most ``rep_limit``: one
+    that meets the translate still refutes it exactly, but when none does
+    the answer is evidence only (``exact`` False).
     """
     a = spec.pullback(translate)
-    base = spec.base_spec()
-    if spec.transform is not None:
-        lattice = spec.transform.inverse().apply(lattice)
-    n = lattice.index
+    pulled = lattice if spec.transform is None else spec.transform.inverse().apply(lattice)
     exact = True
-    for idx, entry in enumerate(base.entries):
-        try:
-            classes = entry.classes_mod(n, class_limit)
-        except TooLargeError:
-            def avoids(lat):
-                return not hnf(list(lat.columns) + list(lattice.columns)).contains(a)
 
-            if _classes_modulo_a_divisor(entry, n, class_limit, avoids) is not None:
-                continue
+    def avoids(lat):
+        return None if lat.sum(pulled).contains(a) else True
+
+    def refuted(member, what):
+        witness = _lift_witness(member, spec.transform, lattice, tuple(translate))
+        return FixedTranslateReport(False, True, witness, f"{what} meets the translate")
+
+    for idx, entry in enumerate(spec.base_spec().entries):
+        try:
+            settled = _settle_entry(entry, pulled.index, rep_limit, avoids)
+        except TooLargeError:
             exact = False
-            for member in entry.instances_up_to(class_limit):
-                if member.sum(lattice).contains(a):
-                    w = _point_in(member, lattice, a)
-                    return FixedTranslateReport(False, True, w, f"entry {idx} member meets the translate")
+            for member in entry.instances_up_to(rep_limit):
+                if member.sum(pulled).contains(a):
+                    return refuted(member, f"entry {idx} member")
             continue
-        for label, cols, _ in classes:
-            summed = hnf(list(cols) + list(lattice.columns))
-            if summed.contains(a):
-                return FixedTranslateReport(
-                    False, True, None, f"entry {idx} class {label} meets the translate"
-                )
+        for label, _, ok, member, _ in settled:
+            if ok is None:
+                return refuted(member(), f"entry {idx} class {label}")
     detail = "no member meets the translate" if exact else (
         "no enumerated member meets the translate (class enumeration truncated)"
     )
     return FixedTranslateReport(True, exact, None, detail)
-
-
-def _classes_modulo_a_divisor(entry, n: int, limit: int, ok, transform=None):
-    """(d, [(label, class lattice)]) for the least proper divisor d of n for
-    which ``ok`` holds on every member class lattice (columns + d*Z^m,
-    mapped through ``transform``), or None when no d does within ``limit``
-    classes in all.  Every member lies in its class lattice, so a property
-    that passes to sublattices holds for every member."""
-    budget = limit
-    for d in divisors(n)[1:-1]:
-        try:
-            classes = entry.classes_mod(d, budget)
-        except TooLargeError:
-            continue
-        d_cols = Lattice.from_diagonal((d,) * entry.dim).columns
-        held = []
-        for label, cols, _ in classes:
-            budget -= 1
-            if transform is not None:
-                cols = [transform.apply_point(c) for c in cols]
-            lat = hnf(list(cols) + list(d_cols))
-            if not ok(lat):
-                break
-            held.append((label, lat))
-        else:
-            return d, held
-        if budget <= 0:
-            return None
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -883,8 +889,8 @@ def conditions_report(
             False, "exact", "the certified covers contain every member"
         )
         ft = check_fixed_translate(spec, cert.missed_coset, period)
-        if not ft.holds:
-            raise InconsistencyError("missed cover coset fails to give a free translate")
+        if not (ft.holds and ft.exact):
+            raise InconsistencyError(f"missed cover coset fails to give an exact free translate: {ft.detail}")
         rows["e"] = ConditionRow(
             False,
             "exact",

@@ -7,7 +7,9 @@ moduli: one check per entry that a single cover holds, one per class
 otherwise; samples, rule texts) over a fixed list of specs: every entry
 kind, every parameter sequence, coordinate changes and a non-diagonal
 static entry, with Proximal, NotProximal and Inconclusive verdicts.  A covering check against
-supplied covers adds the witness of a refuted cover.
+supplied covers adds the witness of a refuted cover.  Fixed-translate
+reports pin each NotProximal spec's missed coset with its cover
+intersection, and translates that a member meets, with their witnesses.
 
 Re-record deliberately with ``python tests/test_certificate_snapshots.py``.
 """
@@ -19,8 +21,8 @@ from pathlib import Path
 import pytest
 
 from bfree.families import parse_family, preset
-from bfree.lattices import Lattice
-from bfree.proximality import SearchBudget, check_covering, conditions_report, decide
+from bfree.lattices import Lattice, intersect_all
+from bfree.proximality import SearchBudget, check_covering, check_fixed_translate, conditions_report, decide
 
 DATA = Path(__file__).with_name("data") / "certificate_snapshots.json"
 
@@ -76,6 +78,15 @@ COVER_CASES = (
                  [[1, 0, 1], [0, 1, 1], [0, 0, 2]]]),
 )
 
+# (spec name, translate, lattice columns): translates that a member meets,
+# refuted by a parameter class, by a single member, and, under a transform,
+# by the member scan past the class limit
+REFUTED_TRANSLATES = (
+    ("ex1", (0, 1), [[4, 0], [0, 2]]),
+    ("rect-pair", (0, 1), [[2, 0], [0, 2]]),
+    ("transform-primes", (1, 2), [[1000003, 0], [0, 1000003]]),
+)
+
 
 def _spec(name):
     text = SPECS[name]
@@ -95,6 +106,32 @@ def _covering_record(name, cols):
     )
 
 
+def _fixed_translate_records() -> dict:
+    """Key -> fixed-translate report: each NotProximal spec's missed coset
+    with its cover intersection, then ``REFUTED_TRANSLATES``."""
+    cases = []
+    for name in SPECS:
+        cert = decide(_spec(name), BUDGET).certificate
+        if cert.kind == "Covering":
+            cases.append((name, name, cert.missed_coset, intersect_all(cert.covers)))
+    for name, translate, cols in REFUTED_TRANSLATES:
+        cases.append((f"{name} {list(translate)}", name, translate, Lattice.from_columns(cols)))
+    out = {}
+    for key, name, translate, lattice in cases:
+        report = check_fixed_translate(_spec(name), translate, lattice)
+        out[key] = json.dumps(
+            {
+                "translate": list(translate),
+                "lattice": lattice.to_columns(),
+                "holds": report.holds,
+                "exact": report.exact,
+                "witness": list(report.witness) if report.witness else None,
+                "detail": report.detail,
+            }
+        )
+    return out
+
+
 def record() -> dict:
     out = {"decide": {}, "report": {}, "covering": []}
     for name in SPECS:
@@ -103,6 +140,7 @@ def record() -> dict:
         out["report"][name] = conditions_report(spec, BUDGET).to_json()
     for name, cols in COVER_CASES:
         out["covering"].append(_covering_record(name, cols))
+    out["fixed_translate"] = _fixed_translate_records()
     return out
 
 
@@ -153,6 +191,23 @@ def test_conditions_report_snapshot(name, snapshots):
 @pytest.mark.parametrize("case", range(len(COVER_CASES)))
 def test_check_covering_snapshot(case, snapshots):
     assert _covering_record(*COVER_CASES[case]) == snapshots["covering"][case]
+
+
+def test_check_fixed_translate_snapshot(snapshots):
+    records = _fixed_translate_records()
+    assert records == snapshots["fixed_translate"]
+    # every missed coset is an exact free translate; every refuted one has
+    # a covered witness inside it
+    for key, text in records.items():
+        rec = json.loads(text)
+        name = key.split(" ")[0]
+        if key == name:
+            assert rec["holds"] and rec["exact"] and rec["witness"] is None
+        else:
+            lattice = Lattice.from_columns(rec["lattice"])
+            assert not rec["holds"] and rec["exact"]
+            assert _spec(name).covered(rec["witness"])
+            assert lattice.contains(tuple(w - a for w, a in zip(rec["witness"], rec["translate"])))
 
 
 if __name__ == "__main__":

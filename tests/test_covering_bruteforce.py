@@ -10,7 +10,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from bfree.errors import InvalidCoverError, TooLargeError
@@ -129,6 +129,21 @@ def reference_sweep(spec, covers):
                     witness = _lift_witness(entry.class_member(param, n), transform, n_lattice, rep)
                     return idx, label, witness
     return None
+
+
+def reference_translate_sweep(spec, translate, lattice):
+    """Whether some member class modulo the index of ``lattice`` meets
+    translate + lattice, swept over every class of every entry in entry
+    coordinates: the fixed-translate check without its span step, kept as
+    the reference."""
+    a = spec.pullback(translate)
+    if spec.transform is not None:
+        lattice = spec.transform.inverse().apply(lattice)
+    return any(
+        hnf(list(cols) + list(lattice.columns)).contains(a)
+        for entry in spec.base_spec().entries
+        for _, cols, _ in entry.classes_mod(lattice.index, CLASS_LIMIT)
+    )
 
 
 def mapped_classes(entry, modulus, transform):
@@ -256,6 +271,44 @@ def test_fixed_translate_agrees_with_bruteforce(seed):
         # it does, the answers must agree
         if meets:
             assert not report.holds
+
+
+@st.composite
+def specs_and_translates(draw):
+    """A family, a lattice and a translate in family coordinates.  The
+    lattice is often cut down to the entries' mapped spans, so that the
+    translate is often free; small limits push entries to the divisor level
+    and to the member scan."""
+    m = draw(st.integers(1, 3))
+    ents = tuple(draw(st.lists(entries(m), min_size=1, max_size=3)))
+    transform = None
+    if draw(st.booleans()):
+        transform = random_unimodular(random.Random(draw(st.integers(0, 10**6))), m, ops=4)
+    lattice = draw(canonical_lattices(m))
+    if draw(st.booleans()):
+        spans = [entry.span() for entry in ents]
+        lattice = intersect_all([lattice] + [transform.apply(sp) if transform else sp for sp in spans])
+    assume(lattice.index <= 1000)
+    translate = tuple(draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m)))
+    rep_limit = draw(st.sampled_from((3, 10, 200_000)))
+    return FamilySpec(m, ents, transform), translate, lattice, rep_limit
+
+
+@settings(max_examples=200, deadline=None)
+@given(specs_and_translates())
+def test_fixed_translate_agrees_with_the_class_sweep(case):
+    spec, translate, lattice, rep_limit = case
+    report = check_fixed_translate(spec, translate, lattice, rep_limit=rep_limit)
+    event(f"holds={report.holds} exact={report.exact}")
+    if report.exact:
+        assert report.holds == (not reference_translate_sweep(spec, translate, lattice))
+    if not report.holds:
+        # every refutation is exact, with a covered witness in the translate
+        w = report.witness
+        assert report.exact and spec.covered(w)
+        assert lattice.contains(tuple(x - a for x, a in zip(w, translate)))
+    else:
+        assert report.witness is None
 
 
 @pytest.mark.parametrize("seed", range(20))

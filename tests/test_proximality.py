@@ -22,6 +22,7 @@ from bfree.families import (
     RectTemplate,
     Rectangular,
     Static,
+    _Parameterised,
     odd_primes,
     parse_family,
     preset,
@@ -36,6 +37,7 @@ from bfree.proximality import (
     Covering,
     CoprimeSubscheme,
     Evidence,
+    FixedTranslateReport,
     SearchBudget,
     _check_consistency,
     check_coprime_cover_candidate,
@@ -322,6 +324,19 @@ def _forbid_residue_sets(monkeypatch):
     monkeypatch.setattr(Primes, "residues_mod", refuse)
 
 
+def test_check_covering_names_the_entry_and_the_class_count_past_the_rep_limit():
+    # no one cover holds the entry (span Z^2); its 4 classes of primes
+    # modulo 6 exceed rep_limit=3; modulo 2 the odd class lies in neither
+    # cover, and modulo 3 the 3 classes exceed the one class left
+    spec = parse_family("dim 2\nrect [2,1]\nrecttemplate [t,t] params=primes\n")
+    covers = [Lattice.from_diagonal((2, 1)), Lattice.from_diagonal((1, 3))]
+    with pytest.raises(
+        TooLargeError,
+        match=r"^covering check, entry 1: 4 parameter classes modulo 6 exceed the limit 3$",
+    ):
+        check_covering(spec, covers, rep_limit=3)
+
+
 def test_check_covering_counts_classes_before_enumerating(monkeypatch):
     # about 10**12 unit classes modulo the period: the count alone must refuse
     _forbid_residue_sets(monkeypatch)
@@ -394,10 +409,18 @@ def test_prove_no_zero_window_matches_the_per_coset_scan(case):
 # fixed translates
 
 
+def _in_translate(point, translate, lattice):
+    return lattice.contains(tuple(p - a for p, a in zip(point, translate)))
+
+
 def test_fixed_translate_ex1_examples():
     spec = preset("ex1")
-    report = check_fixed_translate(spec, (0, 1), Lattice.from_diagonal((4, 2)))
+    lattice = Lattice.from_diagonal((4, 2))
+    report = check_fixed_translate(spec, (0, 1), lattice)
     assert not report.holds and report.exact
+    # a class refutation is lifted to a point of a concrete member
+    assert report.detail == "entry 3 class t=0 (mod 8) meets the translate"
+    assert spec.covered(report.witness) and _in_translate(report.witness, (0, 1), lattice)
     # the origin is covered, so it can never anchor a free translate
     for lat in (Lattice.from_diagonal((2, 2)), hnf([(1, 1), (0, 4)])):
         assert not check_fixed_translate(spec, (0, 0), lat).holds
@@ -432,10 +455,62 @@ def test_fixed_translate_missed_coset_of_covering():
 def test_fixed_translate_counts_classes_before_enumerating(monkeypatch):
     _forbid_residue_sets(monkeypatch)
     lattice = Lattice.from_diagonal((1_000_003, 1_000_003))
-    report = check_fixed_translate(TT_PRIMES, (1, 1), lattice, class_limit=1000)
+    report = check_fixed_translate(TT_PRIMES, (1, 1), lattice, rep_limit=1000)
     assert not report.holds and report.exact
     w = report.witness
     assert TT_PRIMES.covered(w) and lattice.contains((w[0] - 1, w[1] - 1))
+
+
+def test_fixed_translate_maps_a_member_witness_through_the_transform():
+    # 1000003 classes of primes and no proper divisor of the prime index:
+    # the member scan refutes, and its witness is in family coordinates
+    spec = parse_family("dim 2\nrecttemplate [t,t] params=primes\ntransform [[1,1],[0,1]]\n")
+    lattice = Lattice.from_diagonal((1_000_003, 1_000_003))
+    report = check_fixed_translate(spec, (1, 2), lattice, rep_limit=1000)
+    assert not report.holds and report.exact
+    assert report.detail == "entry 0 member meets the translate"
+    assert spec.covered(report.witness) and _in_translate(report.witness, (1, 2), lattice)
+
+
+def test_fixed_translate_settles_an_entry_by_its_span(monkeypatch):
+    # the span 2Z x Z holds every member, and (1, 1) lies outside
+    # 2Z x Z + diag(202, 103): no parameter class is built
+    def refuse(self, n, limit):
+        raise AssertionError(f"parameter classes modulo {n} built")
+
+    monkeypatch.setattr(_Parameterised, "classes_mod", refuse)
+    spec = parse_family("dim 2\nrecttemplate [2t,t] params=primes\n")
+    report = check_fixed_translate(spec, (1, 1), Lattice.from_diagonal((202, 103)))
+    assert report.holds and report.exact and report.witness is None
+
+
+def test_fixed_translate_settles_an_entry_modulo_a_divisor_past_the_rep_limit():
+    # the span is Z^2 and the 3 classes of primes modulo 4 exceed
+    # rep_limit=2; modulo 2 both classes, 2Z x Z and {x = y mod 2}, miss (1, 0)
+    spec = parse_family("dim 2\ntemplate base=[[1,1],[0,2]] scale=(1,1) params=primes\n")
+    report = check_fixed_translate(spec, (1, 0), Lattice.from_diagonal((2, 2)), rep_limit=2)
+    assert report.holds and report.exact
+
+
+def test_conditions_report_builds_no_parameter_class(monkeypatch):
+    # every entry's span settles both the covering and the translate of (e)
+    def refuse(self, n, limit):
+        raise AssertionError(f"parameter classes modulo {n} built")
+
+    monkeypatch.setattr(_Parameterised, "classes_mod", refuse)
+    spec = parse_family("dim 2\nrect [101,1]\nrect [1,103]\nrecttemplate [2t,t] params=primes\n")
+    report = conditions_report(spec)
+    assert report.verdict.status == NOT_PROXIMAL
+    assert report.rows["e"].holds is False and report.rows["e"].mode == "exact"
+
+
+def test_conditions_report_refuses_an_inexact_fixed_translate(monkeypatch):
+    def truncated(*args, **kwargs):
+        return FixedTranslateReport(True, False, None, "class enumeration truncated")
+
+    monkeypatch.setattr(proximality, "check_fixed_translate", truncated)
+    with pytest.raises(InconsistencyError, match="exact free translate: class enumeration truncated"):
+        conditions_report(GEOM_2I_X3, SearchBudget(max_side=1, search_radius=2))
 
 
 # ---------------------------------------------------------------------------
