@@ -150,7 +150,8 @@ def cmd_zero(args) -> int:
         return EXIT_OK
     search = _fit(spec, "--search", args.search) if args.search else Box.centered(16, spec.dim)
     if args.periodic_exact:
-        verdict = decide(spec)
+        # only the verdict is read: search no zero windows for evidence
+        verdict = decide(spec, SearchBudget(max_side=0))
         if verdict.status == "NotProximal" and isinstance(verdict.certificate, Covering):
             try:
                 proved = prove_no_zero_window(spec, shape, verdict.certificate.covers)

@@ -21,7 +21,10 @@ None when the schema proves neither.
 Parameter sequences are primes (with optional exclusions), powers of a fixed
 base, or an explicit finite list.  Membership of a point in the union of all
 members is decided exactly: divisibility constraints pin down finitely many
-candidate parameters, so no sampling or truncation is involved.
+candidate parameters, so no sampling or truncation is involved.  Each
+template kind has one elimination that reads those constraints
+(``Template._eliminate``, ``RectTemplate._constraints``); its point questions
+run it on the whole point, and ``line_pieces`` runs it on a line's prefix.
 
 A family may carry a unimodular change of coordinates; the described family
 is then the image of every entry under that map.  Membership is evaluated by
@@ -32,7 +35,7 @@ import json
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
-from math import gcd
+from math import gcd, prod
 
 from .errors import FamilyParseError, TooLargeError, UnknownPresetError
 from .lattices import Lattice, Point, UnimodularMap, as_point, hnf
@@ -541,8 +544,8 @@ class RectEntry:
 
 class _Parameterised:
     """Entry protocol of the template kinds, read off ``params``,
-    ``member(t)``, ``member_columns(t)``, ``span()`` and
-    ``_coprime_family()``."""
+    ``member(t)``, ``member_columns(t)``, ``_parameter_bound(bound)``,
+    ``span()`` and ``_coprime_family()``."""
 
     @property
     def is_infinite(self) -> bool:
@@ -586,6 +589,12 @@ class _Parameterised:
             parameter = self.params.value_in_class(parameter, n)
         return None if parameter is None else self.member(parameter)
 
+    def instances_up_to(self, bound: int) -> list[Lattice]:
+        """Every member of index <= bound, by increasing parameter.  Each
+        ``__post_init__`` rejects the parameters that give an improper
+        member, so no member needs filtering."""
+        return [self.member(t) for t in self.params.values_up_to(self._parameter_bound(bound))]
+
     def schema(self):
         """What the schema proves about the members: a cover, a
         CoprimeFamily, or None when it proves neither.
@@ -613,10 +622,7 @@ class RectTemplate(_Parameterised):
     def __post_init__(self):
         if not any(s.exp >= 1 for s in self.entries):
             raise ValueError("a rectangular template needs at least one parameterized slot")
-        const = 1
-        for s in self.entries:
-            const *= s.coeff if s.exp == 0 else 1
-        if const == 1 and all(s.coeff == 1 for s in self.entries) and 1 in self.params:
+        if all(s.coeff == 1 for s in self.entries) and 1 in self.params:
             raise ValueError("parameter 1 would instantiate the improper all-ones member")
 
     @property
@@ -630,16 +636,18 @@ class RectTemplate(_Parameterised):
         m = self.dim
         return [tuple(s.value(t) if i == j else 0 for i in range(m)) for j, s in enumerate(self.entries)]
 
-    def index_of(self, t: int) -> int:
-        out = 1
-        for s in self.entries:
-            out *= s.value(t)
-        return out
+    def _parameter_bound(self, bound: int) -> int:
+        """The largest t with c * t**E <= bound: c the product of the
+        coefficients, E the sum of the exponents (at least 1)."""
+        const = prod(s.coeff for s in self.entries)
+        return iroot(max(bound, 0) // const, sum(s.exp for s in self.entries))
 
     def _constraints(self, p):
-        """Per-slot divisibility data, or None when a constant slot fails."""
+        """Per-slot divisibility data for the leading slots that p fills
+        (every slot for a point, all but the last for a line's prefix), or
+        None when a constant slot fails."""
         constraints = []
-        for s, x in zip(self.entries, p, strict=True):
+        for s, x in zip(self.entries, p):
             if x % s.coeff:
                 return None
             if s.exp >= 1:
@@ -675,10 +683,14 @@ class RectTemplate(_Parameterised):
         return self._least_param(constraints) is not None
 
     def covered(self, p) -> bool:
+        if len(p) != self.dim:
+            raise ValueError("point dimension mismatch")
         constraints = self._constraints(p)
         return constraints is not None and self._holds(constraints)
 
     def member_containing(self, p):
+        if len(p) != self.dim:
+            raise ValueError("point dimension mismatch")
         constraints = self._constraints(p)
         t = None if constraints is None else self._least_param(constraints)
         return None if t is None else self.member(t)
@@ -698,12 +710,9 @@ class RectTemplate(_Parameterised):
         constraints and asks _holds, whose gcd stays small where the prefix
         values are huge.
         """
-        head = []
-        for s, x in zip(self.entries, prefix):
-            if x % s.coeff:
-                return []
-            if s.exp:
-                head.append((x // s.coeff, s.exp))
+        head = self._constraints(prefix)
+        if head is None:
+            return []
         last = self.entries[-1]
         if not last.exp:
             return [(0, last.coeff, None)] if self._holds(head) else []
@@ -716,21 +725,6 @@ class RectTemplate(_Parameterised):
             return bytearray(self._holds(head + [(v, last.exp)]) for v in range(v0, v0 + n))
 
         return [(0, last.coeff, hits)]
-
-    def instances_up_to(self, bound: int) -> list[Lattice]:
-        const = 1
-        total_exp = 0
-        for s in self.entries:
-            const *= s.coeff
-            total_exp += s.exp
-        if const > bound:
-            return []
-        tmax = iroot(bound // const, total_exp)
-        return [
-            self.member(t)
-            for t in self.params.values_up_to(tmax)
-            if self.index_of(t) <= bound and self.index_of(t) >= 2
-        ]
 
     def span(self) -> Lattice:
         """The lattice the members generate: the diagonal of coordinatewise
@@ -796,94 +790,78 @@ class Template(_Parameterised):
         row[r] *= t
         return Lattice(self.base.basis[:r] + (tuple(row),) + self.base.basis[r + 1 :])
 
-    def index_of(self, t: int) -> int:
-        return self.base.index * t
+    def _parameter_bound(self, bound: int) -> int:
+        """The largest t with index(base) * t <= bound."""
+        return bound // self.base.index
 
     def covered(self, p) -> bool:
-        return self._solve(list(as_point(p)), 0, record=None)
+        """Whether some member holds p.  With the scaled row last, that is
+        whether some parameter divides the last quotient, which
+        ``params.divides`` answers without factoring it."""
+        m = self.dim
+        if self.scaled_row < m - 1:
+            return bool(self._eliminate(p, m))
+        d = self.base.basis[-1][-1]
+        for _, res in self._eliminate(p, m - 1):  # one branch at most
+            w, rem = divmod(res[-1], d)
+            return not rem and self.params.divides(w)
+        return False
 
     def member_containing(self, p):
-        record: list[int] = []
-        if self._solve(list(as_point(p)), 0, record=record):
-            return self.member(record[0])
-        return None
+        """The member of the least parameter that holds p, or None."""
+        branches = self._eliminate(p, self.dim)
+        if not branches:
+            return None
+        t = branches[0][0]
+        return self.member(self.params.min_value() if t is None else t)
 
-    def _solve(self, res, i, record) -> bool:
-        """Back-substitution; the scaled row forks over finitely many candidates."""
-        m = self.dim
-        if i == m:
-            return True
-        d = self.base.basis[i][i]
-        v = res[i]
-        if v % d:
-            return False
-        w = v // d
-        if i != self.scaled_row:
-            if w:
-                for r in range(i, m):
-                    res[r] -= w * self.base.basis[r][i]
-            return self._solve(res, i + 1, record)
-        if i == m - 1 and record is None:
-            # the last row: some member holds p iff some parameter divides w
-            return self.params.divides(w)
-        if w == 0:
-            # Coefficient of the scaled column is forced to 0, so membership
-            # is parameter-independent from here on.
-            if self._solve(res, i + 1, record):
-                if record is not None:
-                    record.append(self.params.min_value())
-                return True
-            return False
-        for t in sorted(self.params.candidates(((w, 1),))):
-            k = w // t
-            branch = res[:]
-            branch[i] = 0
-            for r in range(i + 1, m):
-                branch[r] -= k * self.base.basis[r][i]
-            if self._solve(branch, i + 1, record):
-                if record is not None:
-                    record.append(t)
-                return True
-        return False
+    def _eliminate(self, p, rows: int) -> list:
+        """Back-substitution of p through the first ``rows`` rows of the
+        members: (t, rest) for every branch that survives, by increasing t,
+        where rest is p less a combination of member columns, 0 on those
+        rows.  At the scaled row a branch forks over the parameters t that
+        divide its quotient; t is None on a branch that has not met that
+        row, or met it with quotient 0, where every member goes on alike."""
+        basis = self.base.basis
+        m = len(basis)
+        r = self.scaled_row
+        branches = [(None, list(p))]
+        for i in range(rows):
+            d = basis[i][i]
+            survivors = []
+            for t, res in branches:
+                w, rem = divmod(res[i], d)
+                if rem:
+                    continue
+                if i != r or not w:
+                    if w:  # this row does not fork: update in place
+                        for j in range(i, m):
+                            res[j] -= w * basis[j][i]
+                    survivors.append((t, res))
+                    continue
+                for t in sorted(self.params.candidates(((w, 1),))):
+                    k = w // t
+                    fork = res[:]
+                    fork[i] = 0
+                    for j in range(i + 1, m):
+                        fork[j] -= k * basis[j][i]
+                    survivors.append((t, fork))
+            branches = survivors
+        return branches
 
     def line_pieces(self, prefix, power_hits):
         """How the entry meets the line prefix x Z, as RectTemplate.line_pieces.
 
-        Back-substitution through the prefix rows.  When the scaled row lies
-        in the prefix it forks over the candidates of its coefficient, each
-        forcing one progression (branches that force the same one are
-        merged); otherwise the last row leaves the condition t | (x - s) / d.
+        ``_eliminate`` through the prefix rows leaves each branch the last
+        coordinate -s.  With the scaled row last, some member holds the cell
+        x exactly when t | (x - s) / d; otherwise the branch covers x = s
+        (mod d), and branches that force the same progression are merged.
         """
-        basis = self.base.basis
-        m = self.dim
-        r = self.scaled_row
-        branches = [list(prefix) + [0]]
-        for i in range(m - 1):
-            d = basis[i][i]
-            nxt = []
-            for res in branches:
-                if res[i] % d:
-                    continue
-                w = res[i] // d
-                if i == r and w:
-                    ks = [w // t for t in self.params.candidates(((w, 1),))]
-                else:
-                    ks = [w]
-                for k in ks:
-                    nxt.append([0] * (i + 1) + [res[j] - k * basis[j][i] for j in range(i + 1, m)])
-            branches = nxt
-        d = basis[-1][-1]
-        if r == m - 1:
-            return [(-res[-1], d, partial(power_hits, e=1)) for res in branches]
-        return [(s, d, None) for s in {-res[-1] % d for res in branches}]
-
-    def instances_up_to(self, bound: int) -> list[Lattice]:
-        tmax = bound // self.base.index
-        return [
-            self.member(t)
-            for t in self.params.values_up_to(tmax)
-            if self.index_of(t) >= 2
-        ]
+        d = self.base.basis[-1][-1]
+        branches = self._eliminate((*prefix, 0), self.dim - 1)
+        if self.scaled_row == self.dim - 1:
+            return [(-res[-1], d, partial(power_hits, e=1)) for _, res in branches]
+        return [(s, d, None) for s in {-res[-1] % d for _, res in branches}]
 
     def span(self) -> Lattice:
         """The lattice the members generate: member t0's columns plus

@@ -165,12 +165,6 @@ class Lattice:
     def coprime(self, other: "Lattice") -> bool:
         return self.sum(other).index == 1
 
-    def scaled(self, k: int) -> "Lattice":
-        """The lattice k*L (every generator multiplied by k > 0)."""
-        if k < 1:
-            raise ValueError("scale factor must be positive")
-        return hnf([tuple(k * x for x in c) for c in self.columns])
-
     def to_columns(self) -> list[list[int]]:
         """JSON-friendly form: list of basis columns."""
         return [list(c) for c in self.columns]

@@ -49,12 +49,6 @@ class QuadraticRing:
     def omega(self) -> Element:
         return (0, 1)
 
-    def add(self, x: Element, y: Element) -> Element:
-        return (x[0] + y[0], x[1] + y[1])
-
-    def sub(self, x: Element, y: Element) -> Element:
-        return (x[0] - y[0], x[1] - y[1])
-
     def mul(self, x: Element, y: Element) -> Element:
         a, b = x
         c, e = y
@@ -72,10 +66,6 @@ class QuadraticRing:
 
     def times_omega(self, x: Element) -> Element:
         return self.mul(x, self.omega)
-
-    def element_str(self, x: Element) -> str:
-        sym = "w" if self.half_integral else f"sqrt({self.d})"
-        return f"{x[0]}{x[1]:+}*{sym}"
 
     def to_json_dict(self) -> dict:
         return {"d": self.d}

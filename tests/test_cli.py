@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from bfree import cli
+from bfree import cli, proximality
 from bfree.cli import main
 
 EX2_CLOSED_FORM = lambda n, m: n % 2 == 1 and m % 2 == 1 and abs(m - n) == 2
@@ -129,6 +129,26 @@ def test_zero_periodic_exact_falls_back_past_the_period_limit(tmp_path, capsys):
     assert "above the limit of 1000000; falling back to the bounded search" in err
     x, _ = json.loads(stdout)["translate"]
     assert x % 1009 == 0
+
+
+def test_zero_periodic_exact_reads_the_verdict_without_evidence_scans(capsys, monkeypatch):
+    # ex1 is Inconclusive: decide's zero-window evidence would scan a 33 x 33
+    # box per side, past --limit-cells, for a certificate the command never reads
+    scans = []
+    find = proximality.find_zero_window
+
+    def counting(*args, **kwargs):
+        scans.append(args)
+        return find(*args, **kwargs)
+
+    monkeypatch.setattr(proximality, "find_zero_window", counting)
+    code, stdout, _ = run(
+        capsys, "zero", "--preset", "ex1", "--shape", "0:1x0:1", "--periodic-exact",
+        "--search", "0:3,0:3", "--limit-cells", "2000",
+    )
+    assert code == 0
+    assert json.loads(stdout) == {"translate": [3, 0], "period": [[8, 0], [0, 2]]}
+    assert scans == []
 
 
 def test_zero_not_found_plain_scan(tmp_path, capsys):

@@ -2,7 +2,7 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bfree.errors import FamilyParseError, UnknownPresetError
@@ -22,6 +22,8 @@ from bfree.families import (
     preset,
 )
 from bfree.lattices import Lattice, UnimodularMap, hnf
+
+from helpers import canonical_lattices, param_seqs
 
 
 # closed-form membership oracles for the two worked examples
@@ -144,6 +146,37 @@ def test_instances_monotone_and_member_consistent():
                 ks[0] * lat.columns[0][r] + ks[1] * lat.columns[1][r] for r in range(2)
             )
             assert spec.covered(p)
+
+
+# sequences holding 1, which the entry must pair with a coefficient or a base
+# index of at least 2
+PARAMS_WITH_ONE = st.one_of(
+    st.builds(Geometric, st.integers(2, 5), st.just(0)),
+    st.sets(st.integers(2, 40), max_size=3).map(lambda s: Explicit(tuple(sorted({1, *s})))),
+)
+
+
+@st.composite
+def template_entries(draw):
+    m = draw(st.integers(1, 3))
+    params = draw(st.one_of(param_seqs(), PARAMS_WITH_ONE))
+    try:
+        if draw(st.booleans()):
+            slots = tuple(RectEntry(draw(st.integers(1, 3)), draw(st.integers(0, 3))) for _ in range(m))
+            return RectTemplate(slots, params)
+        return Template(draw(canonical_lattices(m)), draw(st.integers(0, m - 1)), params)
+    except ValueError:  # improper member or no parameterised slot
+        assume(False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(entry=template_entries(), bound=st.integers(0, 3000))
+def test_template_instances_are_the_members_within_the_bound(entry, bound):
+    # a member's index is at least its parameter, so every member of index
+    # <= bound has a parameter <= bound
+    members = [entry.member(t) for t in entry.params.values_up_to(bound)]
+    assert entry.instances_up_to(bound) == [lat for lat in members if lat.index <= bound]
+    assert all(lat.is_proper() for lat in members)
 
 
 def test_member_containing_trace():

@@ -1,11 +1,13 @@
 """Windows and membership of template entries, far from the origin, against
 a brute-force oracle built on sympy.
 
-The oracle never calls the entry's own ``covered``: it solves for the
-member coefficients with sympy, takes as candidate parameters a superset of
-those that can work (over primes every prime dividing a numerator, over
-powers of a base every power up to the largest numerator, over a list every
-value), and tests each candidate member with ``Lattice.contains``.
+The oracle never calls the entry's own ``covered`` or ``member_containing``:
+it solves for the member coefficients with sympy, takes as candidate
+parameters a superset of those that can work (over primes every prime
+dividing a numerator, over powers of a base every power up to the largest
+numerator, over a list every value), and tests each candidate member with
+``Lattice.contains``; the least one that holds the point is the member
+``member_containing`` must give.
 """
 
 from fractions import Fraction
@@ -37,8 +39,9 @@ from helpers import canonical_lattices
 EXCLUSIONS = st.lists(st.sampled_from((2, 3, 5, 7, 100003, 1000003)), unique=True, max_size=2)
 
 
-def oracle(entry):
-    """covered(p) for a template entry, independent of the entry's code."""
+def least_member(entry):
+    """member_containing(p) for a template entry, independent of the entry's
+    code: the member of the least parameter that holds p, or None."""
     inverse = sympy.Matrix(entry.member_columns(1)).T.inv()
     inv = [[Fraction(int(a.p), int(a.q)) for a in row] for row in inverse.tolist()]
     params = entry.params
@@ -52,15 +55,22 @@ def oracle(entry):
             return {params.min_value(), *params.values_up_to(max(numerators, default=0))}
         return set(params.values)
 
-    def covered(p):
+    def least(p):
         numerators = set()
         for row in inv:
             c = sum(a * x for a, x in zip(row, p))
             if c.denominator == 1 and c:
                 numerators.add(abs(c.numerator))
-        return any(t in params and entry.member(t).contains(p) for t in candidates(numerators))
+        held = [t for t in candidates(numerators) if t in params and entry.member(t).contains(p)]
+        return entry.member(min(held)) if held else None
 
-    return covered
+    return least
+
+
+def oracle(entry):
+    """covered(p) for a template entry, independent of the entry's code."""
+    least = least_member(entry)
+    return lambda p: least(p) is not None
 
 
 def oracle_flags(spec, box):
@@ -224,6 +234,26 @@ def sequence_templates(draw, m):
         return Template(draw(canonical_lattices(m)), row, params)
     except ValueError:  # parameter 1 would give an improper member
         assume(False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_member_containing_is_the_member_of_the_least_parameter(data):
+    m = data.draw(st.integers(1, 3))
+    entry = data.draw(st.one_of(prime_templates(m), sequence_templates(m)))
+    if data.draw(st.booleans()):
+        box = data.draw(far_boxes(m))
+        p = tuple(data.draw(st.integers(a, b)) for a, b in zip(box.lo, box.hi))
+    else:
+        # a point of some member, which other members may hold as well
+        t = data.draw(st.sampled_from(entry.params.values_up_to(60)))
+        coefficients = st.one_of(st.integers(-6, 6), st.integers(-(10**12), 10**12))
+        columns = entry.member_columns(t)
+        ks = [data.draw(coefficients) for _ in columns]
+        p = tuple(sum(k * col[i] for k, col in zip(ks, columns)) for i in range(m))
+    found = entry.member_containing(p)
+    assert found == least_member(entry)(p)
+    assert (found is not None) == entry.covered(p)
 
 
 def per_cell_flags(spec, box):

@@ -2,6 +2,7 @@
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import bfree
@@ -46,3 +47,33 @@ def test_every_module_level_import_is_used():
                     if name not in read
                 ]
     assert unused == []
+
+
+def test_every_private_definition_is_read():
+    # a private function, method, class or module constant that nothing in
+    # the package reads, outside its own body, is dead code a refactor left
+    def reads(tree):
+        return Counter(
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)) or isinstance(node, ast.Attribute)
+        )
+
+    def definitions(tree):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield node, node.name
+            elif isinstance(node, ast.Assign):
+                yield from ((node, target.id) for target in node.targets if isinstance(target, ast.Name))
+            if isinstance(node, ast.ClassDef):
+                yield from ((item, item.name) for item in node.body if isinstance(item, ast.FunctionDef))
+
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    everywhere = sum(map(reads, trees.values()), Counter())
+    unread = [
+        f"{name}:{node.lineno} {defined}"
+        for name, tree in trees.items()
+        for node, defined in definitions(tree)
+        if defined.startswith("_") and not defined.startswith("__") and everywhere[defined] == reads(node)[defined]
+    ]
+    assert unread == []
