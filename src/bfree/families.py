@@ -10,13 +10,14 @@ A family is a list of entries, each one of:
   over a parameter sequence.
 
 Every entry kind answers the same questions: membership, ``span()``,
-``classes_mod(n, limit)`` and ``schema()``, so the verdict engine never
-dispatches on the kind.  ``span()`` is the lattice generated by all the
-members, in closed form: a lattice holds every member exactly when it holds
-the span.  ``schema()`` is the one answer behind verdicts: a cover (proper
-lattices holding every member; the span, for an infinite entry whose span is
-proper), a ``CoprimeFamily`` (an infinite pairwise coprime subfamily), or
-None when the schema proves neither.
+``classes_mod(n, limit)`` and ``schema()``, and names its span in labels by
+``span_word``, so the verdict engine never dispatches on the kind.
+``span()`` is the lattice generated by all the members, in closed form: a
+lattice holds every member exactly when it holds the span.  ``schema()`` is
+the one answer behind verdicts: a cover (proper lattices holding every
+member; the span, for an infinite entry whose span is proper), a
+``CoprimeFamily`` (an infinite pairwise coprime subfamily), or None when
+the schema proves neither.
 
 Parameter sequences are primes (with optional exclusions), powers of a fixed
 base, or an explicit finite list.  Membership of a point in the union of all
@@ -27,13 +28,13 @@ template kind has one elimination that reads those constraints
 run it on the whole point, and ``line_pieces`` runs it on a line's prefix.
 
 A family may carry a unimodular change of coordinates; the described family
-is then the image of every entry under that map.  Membership is evaluated by
-pulling points back through the inverse.
+is then the image of every entry under that map.  Membership pulls points
+back through the inverse, and ``FamilySpec.image`` maps lattices forward.
 """
 
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, partial
 from math import gcd, prod
 
@@ -429,6 +430,7 @@ class _OneMember:
 
     is_infinite = False
     factors = False  # line_pieces never factors (see windows.covered_flags)
+    span_word = "member"
 
     def member_containing(self, p):
         return self.lattice if self.covered(p) else None
@@ -515,7 +517,9 @@ class Rectangular(_OneMember):
         return Lattice.from_diagonal(self.entries)
 
     def covered(self, p) -> bool:
-        return all(x % a == 0 for x, a in zip(p, self.entries, strict=True))
+        if len(p) != len(self.entries):
+            raise ValueError("point dimension mismatch")
+        return all(x % a == 0 for x, a in zip(p, self.entries))
 
     def spec_line(self) -> str:
         return f"rect {_compact(list(self.entries))}"
@@ -546,6 +550,8 @@ class _Parameterised:
     """Entry protocol of the template kinds, read off ``params``,
     ``member(t)``, ``member_columns(t)``, ``_parameter_bound(bound)``,
     ``span()`` and ``_coprime_family()``."""
+
+    span_word = "span"
 
     @property
     def is_infinite(self) -> bool:
@@ -658,7 +664,7 @@ class RectTemplate(_Parameterised):
         # Huge constraint values would make the exact candidate computation
         # factor astronomically large numbers; small primes are tried directly
         # first, so membership that holds via one of them stays cheap.
-        return isinstance(self.params, Primes) and any(
+        return self.params.factors and any(
             abs(v).bit_length() > 64 for v, _ in constraints
         )
 
@@ -821,9 +827,12 @@ class Template(_Parameterised):
         where rest is p less a combination of member columns, 0 on those
         rows.  At the scaled row a branch forks over the parameters t that
         divide its quotient; t is None on a branch that has not met that
-        row, or met it with quotient 0, where every member goes on alike."""
+        row, or met it with quotient 0, where every member goes on alike.
+        Raises ValueError for a point of another dimension."""
         basis = self.base.basis
         m = len(basis)
+        if len(p) != m:
+            raise ValueError("point dimension mismatch")
         r = self.scaled_row
         branches = [(None, list(p))]
         for i in range(rows):
@@ -898,8 +907,9 @@ class FamilySpec:
     """A finite description of a (possibly infinite) family of lattices.
 
     ``transform``, when present, maps every described entry through a
-    unimodular change of coordinates; membership pulls points back through
-    the inverse, so evaluation stays exact.
+    unimodular change of coordinates.  The entries stay in their own (entry)
+    coordinates; membership pulls points back through the inverse, and
+    ``image`` is the one map of a lattice forward, so evaluation stays exact.
     """
 
     dim: int
@@ -925,6 +935,11 @@ class FamilySpec:
         if self.transform is None:
             return p
         return self._inverse.apply_point(p)  # type: ignore[attr-defined]
+
+    def image(self, lattice: Lattice) -> Lattice:
+        """The lattice, given in entry coordinates, in family coordinates:
+        itself, or its image under the transform."""
+        return lattice if self.transform is None else self.transform.apply(lattice)
 
     def covered(self, p) -> bool:
         """True when the point lies in some member of the family."""
@@ -952,24 +967,16 @@ class FamilySpec:
         for e in self.entries:
             found = e.member_containing(q)
             if found is not None:
-                return self.transform.apply(found) if self.transform else found
+                return self.image(found)
         return None
 
     def instances_up_to(self, bound: int) -> list[Lattice]:
         """All members with index <= bound, deduplicated, sorted by (index, basis)."""
         seen = {}
         for e in self.entries:
-            for lat in e.instances_up_to(bound):
-                if self.transform is not None:
-                    lat = self.transform.apply(lat)
+            for lat in map(self.image, e.instances_up_to(bound)):
                 seen[lat.basis] = lat
         return sorted(seen.values(), key=lambda l: (l.index, l.basis))
-
-    def base_spec(self) -> "FamilySpec":
-        """The same entries with the coordinate change stripped."""
-        if self.transform is None:
-            return self
-        return replace(self, transform=None)
 
 
 # ---------------------------------------------------------------------------
@@ -1074,14 +1081,19 @@ def _parse_slot(text: str, line_no: int) -> RectEntry:
     return RectEntry(coeff=coeff, exp=exp)
 
 
-def _parse_matrix(text: str, line_no: int):
+def _parse_ints(text: str, line_no: int, nested: bool):
+    """The JSON list of integers in text, or with ``nested`` the list of
+    such lists (a matrix).  Only JSON integers are taken: int() would turn
+    a float, boolean or string into a number the user did not write."""
     try:
-        cols = json.loads(text)
+        obj = json.loads(text)
     except json.JSONDecodeError:
-        raise FamilyParseError(line_no, f"bad matrix literal {text!r}")
-    if not isinstance(cols, list) or not all(isinstance(c, list) for c in cols):
-        raise FamilyParseError(line_no, "matrix must be a list of columns")
-    return cols
+        raise FamilyParseError(line_no, f"bad list literal {text!r}")
+    rows = obj if nested and isinstance(obj, list) else [obj]
+    if not all(isinstance(r, list) and all(type(x) is int for x in r) for r in rows):
+        shape = "a list of integer lists" if nested else "a list of integers"
+        raise FamilyParseError(line_no, f"{text!r} is not {shape}")
+    return obj
 
 
 def parse_family(text: str) -> FamilySpec:
@@ -1097,8 +1109,11 @@ def parse_family(text: str) -> FamilySpec:
         recttemplate [t,2] params=geometric:2
         transform [[1,0],[1,1]]
 
-    Matrices are given as lists of basis columns.  Improper entries (index 1)
-    are rejected with a diagnostic naming the offending line.
+    Matrices are given as lists of basis columns (a transform by its rows),
+    with JSON integers only.  Improper entries (index 1), entries or a
+    transform of another dimension than the one ``dim`` line, a second
+    ``transform`` line, and numbers that are not integers are rejected with
+    a diagnostic naming the offending line.
     """
     dim = None
     entries: list[Entry] = []
@@ -1111,37 +1126,46 @@ def parse_family(text: str) -> FamilySpec:
         rest = rest.strip()
         try:
             if key == "dim":
+                if dim is not None:
+                    raise FamilyParseError(line_no, "repeated dim line")
                 dim = int(rest)
+                if dim < 1:
+                    raise FamilyParseError(line_no, "dimension must be positive")
                 continue
             if dim is None:
                 raise FamilyParseError(line_no, "dim must come before entries")
             if key == "static":
-                lat = hnf(_parse_matrix(rest, line_no), dim=dim)
-                entries.append(Static(lat))
+                item = Static(hnf(_parse_ints(rest, line_no, nested=True), dim=dim))
             elif key == "rect":
-                vec = json.loads(rest)
-                entries.append(Rectangular(tuple(int(x) for x in vec)))
+                item = Rectangular(tuple(_parse_ints(rest, line_no, nested=False)))
             elif key == "template":
                 fields = dict(re.findall(r"(\w+)=(\S+)", rest))
                 if set(fields) != {"base", "scale", "params"}:
                     raise FamilyParseError(line_no, "template needs base=, scale=, params=")
-                base = hnf(_parse_matrix(fields["base"], line_no), dim=dim)
+                base = hnf(_parse_ints(fields["base"], line_no, nested=True), dim=dim)
                 mscale = re.fullmatch(r"\((\d+),(\d+)\)", fields["scale"])
                 if not mscale or mscale.group(1) != mscale.group(2):
                     raise FamilyParseError(line_no, "scale must be a diagonal position (r,r)")
                 row = int(mscale.group(1)) - 1
-                entries.append(Template(base, row, _parse_params(fields["params"], line_no)))
+                item = Template(base, row, _parse_params(fields["params"], line_no))
             elif key == "recttemplate":
                 mrow = re.fullmatch(r"\[(.*)\]\s+params=(\S+)", rest)
                 if not mrow:
                     raise FamilyParseError(line_no, "recttemplate needs [slots] params=...")
                 slots = tuple(_parse_slot(s, line_no) for s in mrow.group(1).split(","))
-                entries.append(RectTemplate(slots, _parse_params(mrow.group(2), line_no)))
+                item = RectTemplate(slots, _parse_params(mrow.group(2), line_no))
             elif key == "transform":
-                rows = _parse_matrix(rest, line_no)
-                transform = UnimodularMap(tuple(tuple(int(x) for x in r) for r in rows))
+                item = UnimodularMap(tuple(map(tuple, _parse_ints(rest, line_no, nested=True))))
             else:
                 raise FamilyParseError(line_no, f"unknown entry kind {key!r}")
+            if item.dim != dim:
+                raise FamilyParseError(line_no, f"{key} of dimension {item.dim} in a family of dimension {dim}")
+            if key == "transform":
+                if transform is not None:
+                    raise FamilyParseError(line_no, "repeated transform line")
+                transform = item
+            else:
+                entries.append(item)
         except FamilyParseError:
             raise
         except (ValueError, TypeError) as exc:

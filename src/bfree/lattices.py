@@ -33,7 +33,7 @@ DEFAULT_COSET_LIMIT = 10**6
 
 
 def as_point(seq) -> Point:
-    return tuple(int(x) for x in seq)
+    return tuple(map(int, seq))
 
 
 def combination(columns, coeffs) -> Point:

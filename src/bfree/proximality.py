@@ -32,11 +32,12 @@ from .errors import (
     NotRectangularError,
     TooLargeError,
 )
-from .families import CoprimeFamily, FamilySpec, Static, _OneMember
+from .families import CoprimeFamily, FamilySpec, Static
 from .lattices import (
     DEFAULT_COSET_LIMIT,
     Lattice,
     Point,
+    as_point,
     combination,
     enumerate_points,
     hnf,
@@ -44,7 +45,7 @@ from .lattices import (
     split_in_sum,
 )
 from .numtheory import divisors
-from .windows import Box, Shape, _sieved_translates, find_zero_window
+from .windows import Box, Shape, _sieved_translates, find_zero_window, zero_window_by_crt
 
 PROXIMAL = "Proximal"
 NOT_PROXIMAL = "NotProximal"
@@ -223,35 +224,33 @@ def _quotient_reps(big: Lattice, small: Lattice, rep_limit: int):
     return count, (combination(cols, ks) for ks in Lattice.from_diagonal(ratios).iter_coset_reps())
 
 
-def _settle_entry(entry, n: int, limit: int, answer, transform=None):
+def _settle_entry(entry, n: int, limit: int, answer, image):
     """Lattices that hold every member of ``entry`` between them, for a
     property that passes to sublattices, as (label, lattice, answer(lattice),
-    member, modulus); ``member()`` is a concrete member inside the lattice,
-    in entry coordinates (None when the sequence has none there).
+    member, modulus), each lattice mapped into family coordinates by
+    ``image`` (``FamilySpec.image``); ``member()`` is a concrete member inside
+    it, in entry coordinates (None when the sequence has none there).
 
     ``answer`` is None where the property fails, and is evaluated once per
-    lattice.  The first level that fits decides: the span alone, mapped
-    through ``transform``, when its answer is not None (member and modulus
-    None); else the member classes modulo n, built lazily; else, past
-    ``limit`` classes, the classes modulo the least proper divisor d of n
-    on which every class answers, within ``limit`` classes in all.  A class
-    lattice is the class columns, mapped through ``transform``, plus
-    n Z^m (or d Z^m), and it holds every member of its class.  Raises the
-    TooLargeError of ``classes_mod(n, limit)`` when no level fits.
+    lattice.  The first level that fits decides: the image of the span
+    alone, when its answer is not None (member and modulus None); else the
+    member classes modulo n, built lazily; else, past ``limit`` classes, the
+    classes modulo the least proper divisor d of n on which every class
+    answers, within ``limit`` classes in all.  A class lattice is the image
+    of the class columns plus n Z^m (or d Z^m), which the unimodular map
+    keeps, and it holds every member of its class.  Raises the TooLargeError
+    of ``classes_mod(n, limit)`` when no level fits.
     """
     span = entry.span()
-    mapped = span if transform is None else transform.apply(span)
+    mapped = image(span)
     got = answer(mapped)
     if got is not None:
-        word = "member" if isinstance(entry, _OneMember) else "span"
-        return [(f"{word} {span.to_columns()}", mapped, got, None, None)]
+        return [(f"{entry.span_word} {span.to_columns()}", mapped, got, None, None)]
 
     def settled(classes, d):
         d_cols = Lattice.from_diagonal((d,) * entry.dim).columns
         for label, cols, param in classes:
-            if transform is not None:
-                cols = [transform.apply_point(c) for c in cols]
-            lat = hnf(list(cols) + list(d_cols))
+            lat = image(hnf(list(cols) + list(d_cols)))
             yield label, lat, answer(lat), partial(entry.class_member, param, d), d
 
     try:
@@ -326,12 +325,11 @@ def check_covering(
         """Index of the first cover that contains ``lat``, or None."""
         return next((k for k, cov in enumerate(covers) if all(cov.contains(c) for c in lat.columns)), None)
 
-    transform = spec.transform
     n_lattice = Lattice.from_diagonal((n,) * spec.dim)
     checks = []
-    for idx, entry in enumerate(spec.base_spec().entries):
+    for idx, entry in enumerate(spec.entries):
         try:
-            settled = _settle_entry(entry, n, rep_limit, holding_cover, transform)
+            settled = _settle_entry(entry, n, rep_limit, holding_cover, spec.image)
         except TooLargeError as exc:
             raise TooLargeError(f"covering check, entry {idx}: {exc}") from None
         for label, lat, k, member, modulus in settled:
@@ -342,7 +340,7 @@ def check_covering(
             count, reps = _quotient_reps(lat, lat.intersect(period), rep_limit)
             for rep in reps:
                 if not any(cov.contains(rep) for cov in covers):
-                    witness = _lift_witness(member(), transform, n_lattice, rep)
+                    witness = _lift_witness(member(), spec.image, n_lattice, rep)
                     return CoveringReport(False, None, (idx, label, witness))
             checks.append(CoverCheck(idx, label, count, None, n))
     cert = Covering(tuple(covers), missed, tuple(checks))
@@ -390,16 +388,14 @@ def _first_missed_scan(covers, period: Lattice, rep_limit: int) -> Point | None:
     return None
 
 
-def _lift_witness(member, transform, period: Lattice, rep):
+def _lift_witness(member, image, period: Lattice, rep):
     """Replace a class-lattice witness by a point of a concrete member (in
-    entry coordinates, mapped through ``transform``) in rep + period: the
-    lifted point is a genuine covered-set point, and it keeps what rep
-    showed wherever membership is periodic modulo ``period``."""
+    entry coordinates, mapped by ``image`` as in _settle_entry) in
+    rep + period: the lifted point is a genuine covered-set point, and it
+    keeps what rep showed wherever membership is periodic modulo ``period``."""
     if member is None:
         return rep
-    if transform is not None:
-        member = transform.apply(member)
-    parts = split_in_sum(member, period, rep)
+    parts = split_in_sum(image(member), period, rep)
     return rep if parts is None else parts[0]
 
 
@@ -522,7 +518,7 @@ def _zero_window_evidence(spec: FamilySpec, budget: SearchBudget):
 
 def _schemas(spec: FamilySpec) -> list:
     """Each entry's ``schema()`` answer, in entry order, in entry coordinates."""
-    return [entry.schema() for entry in spec.base_spec().entries]
+    return [entry.schema() for entry in spec.entries]
 
 
 def _coprime_entry(schemas):
@@ -533,20 +529,18 @@ def _coprime_entry(schemas):
 def _schema_verdict(spec: FamilySpec, schemas) -> Verdict | None:
     """Proximal when some entry holds a coprime family; else NotProximal
     when every entry has a cover and the covers verify; else None.  Raises
-    InvalidCoverError or TooLargeError when the covers cannot be checked."""
+    InvalidCoverError or TooLargeError when the covers cannot be checked.
+    Covers and samples are mapped into family coordinates by ``spec.image``."""
     coprime = _coprime_entry(schemas)
     if coprime is not None:
         idx, family = coprime
-        rule, sample = family.rule, family.sample
+        rule = family.rule
         if spec.transform is not None:
             rule += " (mapped through the coordinate change)"
-            sample = tuple(spec.transform.apply(lat) for lat in sample)
-        return Verdict(PROXIMAL, CoprimeSubscheme(idx, rule, sample))
+        return Verdict(PROXIMAL, CoprimeSubscheme(idx, rule, tuple(map(spec.image, family.sample))))
     if not schemas or any(s is None for s in schemas):
         return None
-    covers = [cov for entry_covers in schemas for cov in entry_covers]
-    if spec.transform is not None:
-        covers = [spec.transform.apply(c) for c in covers]
+    covers = [spec.image(cov) for entry_covers in schemas for cov in entry_covers]
     dedup = {cov.basis: cov for cov in covers}
     covers = sorted(dedup.values(), key=lambda l: (l.index, l.basis))
     report = check_covering(spec, covers)
@@ -596,7 +590,7 @@ def decide_rectangular(spec: FamilySpec) -> Verdict:
     """
     if not spec.entries:
         raise ValueError("a family without entries has no verdict")
-    for entry in spec.base_spec().entries:
+    for entry in spec.entries:
         if not entry.is_rectangular:
             raise NotRectangularError(
                 f"entry {entry.spec_line()} is not rectangular"
@@ -617,8 +611,6 @@ def crt_window_certificate(spec: FamilySpec, shape, *, instance_bound: int = 200
     The extension note records whether a schema-level coprime subfamily
     guarantees arbitrarily large windows of this kind.
     """
-    from .windows import zero_window_by_crt
-
     members = [lat for lat in spec.instances_up_to(instance_bound) if lat.is_diagonal()]
     chosen: list[Lattice] = []
     period = Lattice.whole(spec.dim)
@@ -687,36 +679,38 @@ def check_fixed_translate(
 
     A member L meets the translate exactly when the translate point lies in
     L + lattice, and avoiding it passes to sublattices, so each entry is
-    settled in entry coordinates by ``_settle_entry`` with the property
-    "the translate lies outside L + lattice": the span first, one test for
-    every member; else the parameter classes modulo the index of
-    ``lattice`` (the sum only depends on the parameter through that
-    residue); else, past ``rep_limit`` classes, modulo a divisor of that
-    index.  A class that meets the translate refutes it exactly, and the
-    witness is a point of a concrete member of that class inside
-    translate + lattice, in family coordinates.  An entry that no level
-    settles falls back to its members of index at most ``rep_limit``: one
-    that meets the translate still refutes it exactly, but when none does
-    the answer is evidence only (``exact`` False).
+    settled by ``_settle_entry`` with the property "the translate lies
+    outside L + lattice", in family coordinates as in ``check_covering``:
+    the span first, one test for every member; else the parameter classes
+    modulo the index of ``lattice`` (the sum only depends on the parameter
+    through that residue); else, past ``rep_limit`` classes, modulo a
+    divisor of that index.  A class that meets the translate refutes it
+    exactly, and the witness is a point of a concrete member of that class
+    inside translate + lattice.  An entry that no level settles falls back
+    to its members of index at most ``rep_limit``: one that meets the
+    translate still refutes it exactly, but when none does the answer is
+    evidence only (``exact`` False).  A translate of another dimension than
+    the family raises ValueError.
     """
-    a = spec.pullback(translate)
-    pulled = lattice if spec.transform is None else spec.transform.inverse().apply(lattice)
+    a = as_point(translate)
+    if len(a) != spec.dim:
+        raise ValueError("point dimension mismatch")
     exact = True
 
     def avoids(lat):
-        return None if lat.sum(pulled).contains(a) else True
+        return None if lat.sum(lattice).contains(a) else True
 
     def refuted(member, what):
-        witness = _lift_witness(member, spec.transform, lattice, tuple(translate))
+        witness = _lift_witness(member, spec.image, lattice, a)
         return FixedTranslateReport(False, True, witness, f"{what} meets the translate")
 
-    for idx, entry in enumerate(spec.base_spec().entries):
+    for idx, entry in enumerate(spec.entries):
         try:
-            settled = _settle_entry(entry, pulled.index, rep_limit, avoids)
+            settled = _settle_entry(entry, lattice.index, rep_limit, avoids, spec.image)
         except TooLargeError:
             exact = False
             for member in entry.instances_up_to(rep_limit):
-                if member.sum(pulled).contains(a):
+                if spec.image(member).sum(lattice).contains(a):
                     return refuted(member, f"entry {idx} member")
             continue
         for label, _, ok, member, _ in settled:
@@ -773,7 +767,7 @@ def _coprime_subset_analysis(spec: FamilySpec, schemas):
     coprime = _coprime_entry(schemas)
     if coprime is not None:
         return True, "exact", f"entry {coprime[0]} carries an infinite pairwise coprime subfamily"
-    blockers = [i for i, e in enumerate(spec.base_spec().entries) if e.is_infinite]
+    blockers = [i for i, e in enumerate(spec.entries) if e.is_infinite]
     if not blockers:
         return False, "exact", "the family is finite, so it has no infinite subfamily"
     for i in blockers:

@@ -121,10 +121,6 @@ class QuadIdeal:
     def coprime(self, other: "QuadIdeal") -> bool:
         return self.sum(other).is_unit_ideal()
 
-    def generators(self) -> tuple[Element, Element]:
-        c0, c1 = self.module.columns
-        return ((c0[0], c0[1]), (c1[0], c1[1]))
-
     def to_columns(self) -> list[list[int]]:
         return self.module.to_columns()
 
@@ -194,11 +190,6 @@ class ProductIdeal:
 
     def sum(self, other: "ProductIdeal") -> "ProductIdeal":
         return ProductIdeal(tuple(a.sum(b) for a, b in zip(self.factors, other.factors, strict=True)))
-
-    def intersect(self, other: "ProductIdeal") -> "ProductIdeal":
-        return ProductIdeal(
-            tuple(a.intersect(b) for a, b in zip(self.factors, other.factors, strict=True))
-        )
 
     def product(self, other: "ProductIdeal") -> "ProductIdeal":
         return ProductIdeal(

@@ -66,6 +66,25 @@ def test_eta_parse_error_exit2(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "text, line_no",
+    [
+        ("dim 2\nrect [2,1,3]\n", 2),
+        ("dim 2\nrecttemplate [t] params=primes\n", 2),
+        ("dim 2\ntransform [[1]]\n", 2),
+        ("dim 1\nrect [2]\ndim 2\nrect [2,1]\n", 3),
+        ("dim 0\n", 1),
+        ("dim 2\nrect [2.5,1]\n", 2),
+    ],
+)
+def test_decide_spec_file_bad_input_exit2(tmp_path, capsys, text, line_no):
+    spec = tmp_path / "bad.fam"
+    spec.write_text(text)
+    code, stdout, err = run(capsys, "decide", "--spec", str(spec))
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"bad input: line {line_no}: ")
+
+
 def test_eta_limit_exit3(capsys):
     code, _, err = run(
         capsys, "eta", "--preset", "ex2", "--box", "-50:50,-50:50", "--limit-cells", "100"

@@ -118,7 +118,7 @@ def reference_sweep(spec, covers):
     n = period.index
     n_lattice = Lattice.from_diagonal((n,) * spec.dim)
     transform = spec.transform
-    for idx, entry in enumerate(spec.base_spec().entries):
+    for idx, entry in enumerate(spec.entries):
         for label, cols, param in entry.classes_mod(n, CLASS_LIMIT):
             if transform is not None:
                 cols = [transform.apply_point(c) for c in cols]
@@ -126,7 +126,7 @@ def reference_sweep(spec, covers):
             _, reps = _quotient_reps(class_lattice, class_lattice.intersect(period), CLASS_LIMIT)
             for rep in reps:
                 if not any(cov.contains(rep) for cov in covers):
-                    witness = _lift_witness(entry.class_member(param, n), transform, n_lattice, rep)
+                    witness = _lift_witness(entry.class_member(param, n), spec.image, n_lattice, rep)
                     return idx, label, witness
     return None
 
@@ -141,7 +141,7 @@ def reference_translate_sweep(spec, translate, lattice):
         lattice = spec.transform.inverse().apply(lattice)
     return any(
         hnf(list(cols) + list(lattice.columns)).contains(a)
-        for entry in spec.base_spec().entries
+        for entry in spec.entries
         for _, cols, _ in entry.classes_mod(lattice.index, CLASS_LIMIT)
     )
 
@@ -231,7 +231,7 @@ def test_check_covering_agrees_with_the_sweep_modulo_the_period(case):
     assert report.witness == refuted
     if not report.covered:
         return
-    for idx, entry in enumerate(spec.base_spec().entries):
+    for idx, entry in enumerate(spec.entries):
         checks = [c for c in report.certificate.checks if c.entry_index == idx]
         held = any(one_cover_holds(entry, cov, spec.transform) for cov in covers)
         # an entry that one cover holds is settled by one check naming it

@@ -19,6 +19,9 @@ from bfree.families import (
     RectEntry,
     RectTemplate,
     Rectangular,
+    Static,
+    Template,
+    odd_primes,
     parse_family,
 )
 from bfree.lattices import Lattice, hnf
@@ -207,3 +210,21 @@ def test_covering_verdict_builds_no_member(monkeypatch):
 
     monkeypatch.setattr(Primes, "value_in_class", refuse)
     assert decide(spec).to_json() == expected
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        Static(Lattice(((2, 0), (1, 2)))),
+        Rectangular((2, 3)),
+        RectTemplate((RectEntry(1, 1), RectEntry(2, 0)), Primes()),
+        Template(Lattice(((2, 0), (1, 2))), 0, odd_primes()),
+    ],
+    ids=lambda entry: type(entry).__name__,
+)
+@pytest.mark.parametrize("point", [(2,), (2, 1, 5)], ids=("short", "long"))
+@pytest.mark.parametrize("question", ["covered", "member_containing"])
+def test_entries_refuse_points_of_another_dimension(entry, point, question):
+    # a truncated or padded point must raise, never answer for its prefix
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        getattr(entry, question)(point)

@@ -23,7 +23,7 @@ from bfree.families import (
 )
 from bfree.lattices import Lattice, UnimodularMap, hnf
 
-from helpers import canonical_lattices, param_seqs
+from helpers import canonical_lattices, entries, param_seqs, random_unimodular
 
 
 # closed-form membership oracles for the two worked examples
@@ -344,6 +344,95 @@ def test_parse_slot_forms():
 def test_squarefree_closed_under_roundtrip():
     spec = preset("squarefree-1d")
     assert parse_family(format_family(spec)) == spec
+
+
+@st.composite
+def family_specs(draw):
+    """A family of every entry kind over every parameter sequence (primes
+    with exclusions, odd primes among them, geometric with offsets 0 to 2,
+    explicit lists), with or without a transform."""
+    m = draw(st.integers(1, 3))
+    transform = None
+    if draw(st.booleans()):
+        transform = random_unimodular(random.Random(draw(st.integers(0, 10**6))), m, ops=4)
+    return FamilySpec(m, tuple(draw(st.lists(entries(m), min_size=1, max_size=3))), transform)
+
+
+@settings(max_examples=200, deadline=None)
+@given(family_specs())
+def test_text_format_round_trips(spec):
+    assert parse_family(format_family(spec)) == spec
+
+
+@pytest.mark.parametrize(
+    "text, line_no, message",
+    [
+        ("dim 1\nrecttemplate [t] params=primes!2,x\n", 2, "bad exclusion list '2,x'"),
+        ("dim 1\nrecttemplate [t] params=geometric:x\n", 2, "bad geometric params 'geometric:x'"),
+        ("dim 1\nrecttemplate [t] params=geometric:2:1:3\n", 2, "bad geometric params 'geometric:2:1:3'"),
+        ("dim 1\nrecttemplate [t] params=explicit:2,x\n", 2, "bad explicit params 'explicit:2,x'"),
+        ("dim 1\nrecttemplate [t] params=primesx\n", 2, "bad params 'primesx'"),
+        ("dim 1\nrecttemplate [t] params=fibonacci\n", 2, "unknown parameter sequence 'fibonacci'"),
+        ("dim 1\nrecttemplate [tt] params=primes\n", 2, "bad template slot 'tt'"),
+        ("dim 2\nstatic [[2,0],[0,1]\n", 2, "bad list literal '[[2,0],[0,1]'"),
+        ("dim 2\nstatic 5\n", 2, "'5' is not a list of integer lists"),
+        ("dim 2\nstatic [2,0]\n", 2, "'[2,0]' is not a list of integer lists"),
+        ("dim 2\nrect [[2],1]\n", 2, "'[[2],1]' is not a list of integers"),
+        ("dim 2\ntemplate base=[[2,0],[0,1]] params=primes\n", 2, "template needs base=, scale=, params="),
+        (
+            "dim 2\ntemplate base=[[2,0],[0,1]] scale=(1,2) params=primes\n",
+            2,
+            "scale must be a diagonal position (r,r)",
+        ),
+        ("dim 1\nrecttemplate t params=primes\n", 2, "recttemplate needs [slots] params=..."),
+        ("dim 1\ncircle [2]\n", 2, "unknown entry kind 'circle'"),
+        ("# no dim\n", 0, "missing dim line"),
+        ("\nrect [2,2]\n", 2, "dim must come before entries"),
+        ("dim 0\n", 1, "dimension must be positive"),
+    ],
+)
+def test_parse_diagnostics(text, line_no, message):
+    with pytest.raises(FamilyParseError) as exc:
+        parse_family(text)
+    assert exc.value.line_no == line_no
+    assert str(exc.value) == f"line {line_no}: {message}"
+
+
+@pytest.mark.parametrize(
+    "text, line_no, message",
+    [
+        ("dim 2\nrect [2,1,3]\n", 2, "rect of dimension 3 in a family of dimension 2"),
+        ("dim 2\nrecttemplate [t] params=primes\n", 2, "recttemplate of dimension 1 in a family of dimension 2"),
+        ("dim 2\nrect [2,1]\ntransform [[1]]\n", 3, "transform of dimension 1 in a family of dimension 2"),
+        ("dim 1\nrect [2]\ndim 2\nrect [2,1]\n", 3, "repeated dim line"),
+        ("dim 2\nrect [2,1]\ntransform [[1,1],[0,1]]\ntransform [[1,0],[1,1]]\n", 4, "repeated transform line"),
+    ],
+)
+def test_parse_refuses_conflicting_dim_and_transform_lines(text, line_no, message):
+    with pytest.raises(FamilyParseError) as exc:
+        parse_family(text)
+    assert exc.value.line_no == line_no
+    assert str(exc.value) == f"line {line_no}: {message}"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "dim 2\nrect [2.5,1]\n",
+        "dim 2\nrect [true,2]\n",
+        'dim 2\nrect ["2",1]\n',
+        "dim 2\nstatic [[2.9,0],[0,1]]\n",
+        "dim 2\ntemplate base=[[1,1],[0,2.5]] scale=(2,2) params=primes\n",
+        "dim 2\nrect [2,1]\ntransform [[1.7,0],[0,1]]\n",
+    ],
+)
+def test_parse_refuses_numbers_that_are_not_integers(text):
+    # int() would truncate or coerce them into a family the text does not describe
+    line_no = text.count("\n")
+    with pytest.raises(FamilyParseError) as exc:
+        parse_family(text)
+    assert exc.value.line_no == line_no
+    assert "is not a list of integer" in str(exc.value)
 
 
 @settings(max_examples=100, deadline=None)
