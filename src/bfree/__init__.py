@@ -30,10 +30,10 @@ _EXPORTS = {
     "numtheory": "crt_integers factor is_prime primes_up_to xgcd",
     "proximality": (
         "ConditionRow ConditionsReport CoprimeList CoprimeSubscheme CoverCheck Covering "
-        "CoveringReport DPrimeReport Evidence FixedTranslate FixedTranslateReport SearchBudget "
+        "CoveringReport DPrimeReport Evidence FixedTranslateReport SearchBudget "
         "Verdict check_covering check_coprime_cover_candidate check_fixed_translate "
         "conditions_report coprime_index_subset crt_window_certificate decide decide_rectangular "
-        "extract_coprime_subset fixed_translate_verdict prove_no_zero_window"
+        "prove_no_zero_window"
     ),
     "quadratic": "ProductIdeal QuadIdeal QuadraticRing crt crt_product principal unit_ideal",
     "windows": (

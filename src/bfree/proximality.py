@@ -45,7 +45,7 @@ from .lattices import (
     split_in_sum,
 )
 from .numtheory import divisors
-from .windows import Box, Shape, _sieved_translates, find_zero_window, zero_window_by_crt
+from .windows import DEFAULT_CELL_LIMIT, Box, Shape, _sieved_translates, find_zero_window, zero_window_by_crt
 
 PROXIMAL = "Proximal"
 NOT_PROXIMAL = "NotProximal"
@@ -136,25 +136,6 @@ class Covering:
 
 
 @dataclass(frozen=True)
-class FixedTranslate:
-    """A translate a + L of a finite-index lattice inside the free set."""
-
-    translate: Point
-    lattice: Lattice
-    note: str
-
-    kind = "FixedTranslate"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "translate": list(self.translate),
-            "lattice": self.lattice.to_columns(),
-            "note": self.note,
-        }
-
-
-@dataclass(frozen=True)
 class Evidence:
     """Finite zero-window results only: no exact claim either way."""
 
@@ -173,7 +154,7 @@ class Evidence:
         }
 
 
-Certificate = CoprimeSubscheme | CoprimeList | Covering | FixedTranslate | Evidence
+Certificate = CoprimeSubscheme | CoprimeList | Covering | Evidence
 
 
 @dataclass(frozen=True)
@@ -430,40 +411,6 @@ def prove_no_zero_window(spec: FamilySpec, shape: Shape, covers) -> bool:
 # coprime subsets
 
 
-def extract_coprime_subset(lattices, exact_limit: int = 12) -> list[Lattice]:
-    """A pairwise coprime sublist: maximum-size (ties broken by the
-    lexicographically smallest tuple of bases) when the input is small enough
-    for exhaustive search, greedy first-fit beyond."""
-    lattices = list(lattices)
-    n = len(lattices)
-    pair: dict[tuple[int, int], bool] = {}
-
-    def ok(i: int, j: int) -> bool:
-        key = (min(i, j), max(i, j))
-        if key not in pair:
-            pair[key] = lattices[key[0]].coprime(lattices[key[1]])
-        return pair[key]
-
-    if n <= exact_limit:
-        best: list[int] = []
-        best_key = None
-        for size in range(n, 0, -1):
-            for combo in itertools.combinations(range(n), size):
-                if all(ok(i, j) for i, j in itertools.combinations(combo, 2)):
-                    key = tuple(lattices[i].basis for i in combo)
-                    if best_key is None or key < best_key:
-                        best = list(combo)
-                        best_key = key
-            if best_key is not None:
-                break
-        return [lattices[i] for i in best]
-    chosen: list[int] = []
-    for i in range(n):
-        if all(ok(i, j) for j in chosen):
-            chosen.append(i)
-    return [lattices[i] for i in chosen]
-
-
 def coprime_index_subset(lattices) -> list[Lattice]:
     """Sublist of a pairwise coprime family whose indices are pairwise coprime
     integers.
@@ -499,7 +446,7 @@ class SearchBudget:
 
     max_side: int = 3
     search_radius: int = 16
-    cell_limit: int = 10**8
+    cell_limit: int = DEFAULT_CELL_LIMIT
 
 
 def _zero_window_evidence(spec: FamilySpec, budget: SearchBudget):
@@ -637,25 +584,6 @@ def crt_window_certificate(spec: FamilySpec, shape, *, instance_bound: int = 200
     return translate, period, cert
 
 
-def fixed_translate_verdict(
-    spec: FamilySpec, translate, lattice: Lattice
-) -> Verdict:
-    """NotProximal verdict certified by a free translate of a finite-index lattice.
-
-    A translate of a finite-index lattice avoiding every member rules out the
-    all-zero limit configuration, hence proximality.  Raises ValueError when
-    the supplied translate does not check out exactly.
-    """
-    report = check_fixed_translate(spec, translate, lattice)
-    if not report.holds or not report.exact:
-        raise ValueError(
-            "the supplied translate is not an exactly verified free translate: "
-            + report.detail
-        )
-    cert = FixedTranslate(tuple(translate), lattice, report.detail)
-    return Verdict(NOT_PROXIMAL, cert)
-
-
 # ---------------------------------------------------------------------------
 # fixed translates
 
@@ -689,12 +617,14 @@ def check_fixed_translate(
     inside translate + lattice.  An entry that no level settles falls back
     to its members of index at most ``rep_limit``: one that meets the
     translate still refutes it exactly, but when none does the answer is
-    evidence only (``exact`` False).  A translate of another dimension than
-    the family raises ValueError.
+    evidence only (``exact`` False).  A translate or a lattice of another
+    dimension than the family raises ValueError before any entry is settled.
     """
     a = as_point(translate)
     if len(a) != spec.dim:
         raise ValueError("point dimension mismatch")
+    if lattice.dim != spec.dim:
+        raise ValueError("lattice dimension mismatch")
     exact = True
 
     def avoids(lat):

@@ -7,18 +7,19 @@ sqrt(d) when d = 2, 3 (mod 4) and (1 + sqrt(d))/2 when d = 1 (mod 4).
 Ideals are stored as rank-2 Z-modules in the same canonical triangular form
 used for lattices, with closure under multiplication by w validated at
 construction.  Norms come out as basis determinants, which agree with field
-norms on principal ideals.
+norms on principal ideals.  An ideal of a product of k rings is the direct
+sum of its factors' modules, one lattice in Z^(2k).
 
 This module is the number-field case of the theory and stays a leaf: ideal
 arithmetic only, not a family entry kind; the package re-exports it and
 no other module uses it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import lattices
 from .errors import ZeroElementError
-from .lattices import Lattice, hnf
+from .lattices import Lattice, Point, hnf
 from .numtheory import factor
 
 Element = tuple[int, int]
@@ -170,23 +171,29 @@ def crt(ideals, residues) -> Element:
 
 @dataclass(frozen=True)
 class ProductIdeal:
-    """Ideal of a finite product of quadratic rings: one factor per slot."""
+    """Ideal of a finite product of quadratic rings: one factor per slot.
+
+    ``module`` is the direct sum of the factors' modules, a block-diagonal
+    lattice in Z^(2k) whose points list one pair per factor, and it decides
+    norm, membership, coprimality and the CRT; sums and products need the
+    ring multiplication, so they go factor by factor."""
 
     factors: tuple[QuadIdeal, ...]
+    module: Lattice = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.factors:
             raise ValueError("need at least one factor")
+        rows = [(0,) * (2 * s) + row + (0,) * (2 * (len(self.factors) - 1 - s))
+                for s, f in enumerate(self.factors) for row in f.module.basis]
+        object.__setattr__(self, "module", Lattice(tuple(rows)))
 
     @property
     def norm(self) -> int:
-        out = 1
-        for f in self.factors:
-            out *= f.norm
-        return out
+        return self.module.index
 
     def contains(self, xs) -> bool:
-        return all(f.contains(x) for f, x in zip(self.factors, xs, strict=True))
+        return self.module.contains(self._point(xs))
 
     def sum(self, other: "ProductIdeal") -> "ProductIdeal":
         return ProductIdeal(tuple(a.sum(b) for a, b in zip(self.factors, other.factors, strict=True)))
@@ -197,16 +204,19 @@ class ProductIdeal:
         )
 
     def coprime(self, other: "ProductIdeal") -> bool:
-        return self.sum(other).norm == 1
+        if [f.ring for f in self.factors] != [f.ring for f in other.factors]:
+            raise ValueError("product ideals live in different rings")
+        return self.module.coprime(other.module)
+
+    def _point(self, xs) -> Point:
+        xs = tuple(xs)
+        if len(xs) != len(self.factors) or any(len(x) != 2 for x in xs):
+            raise ValueError("need one pair per factor")
+        return tuple(c for x in xs for c in x)
 
 
 def crt_product(ideals, residues) -> tuple[Element, ...]:
-    """Componentwise CRT for product ideals; residues are tuples of elements."""
-    ideals = list(ideals)
-    if not ideals:
-        raise ValueError("need at least one ideal")
-    width = len(ideals[0].factors)
-    out = []
-    for slot in range(width):
-        out.append(crt([pi.factors[slot] for pi in ideals], [r[slot] for r in residues]))
-    return tuple(out)
+    """One :func:`lattices.crt` call on the direct sums, split back into pairs."""
+    pairs = list(zip(ideals, residues, strict=True))
+    x = lattices.crt([pi.module for pi, _ in pairs], [pi._point(r) for pi, r in pairs])
+    return tuple(x[i : i + 2] for i in range(0, len(x), 2))

@@ -47,7 +47,6 @@ from bfree.proximality import (
     coprime_index_subset,
     decide,
     decide_rectangular,
-    extract_coprime_subset,
     prove_no_zero_window,
 )
 from bfree.windows import Box, Shape, all_zero_windows, find_zero_window, zero_window_by_crt
@@ -440,6 +439,17 @@ def test_fixed_translate_positive_case():
     spec = rect_spec((2, 2))
     report = check_fixed_translate(spec, (1, 1), Lattice.from_diagonal((2, 2)))
     assert report.holds and report.exact
+    # the origin lies in ex2's member 2Z x Z, so no translate through it is free
+    report = check_fixed_translate(preset("ex2"), (0, 0), Lattice.from_diagonal((2, 2)))
+    assert not report.holds and report.exact
+
+
+def test_fixed_translate_refuses_a_lattice_of_another_dimension():
+    # a family without entries settles nothing, so only the check itself refuses
+    with pytest.raises(ValueError, match="lattice dimension mismatch"):
+        check_fixed_translate(FamilySpec(2, ()), (1, 1), Lattice.from_diagonal((2, 2, 2)))
+    with pytest.raises(ValueError, match="lattice dimension mismatch"):
+        check_fixed_translate(rect_spec((2, 2)), (1, 1), Lattice.from_diagonal((2,)))
 
 
 def test_fixed_translate_missed_coset_of_covering():
@@ -517,37 +527,6 @@ def test_conditions_report_refuses_an_inexact_fixed_translate(monkeypatch):
 # coprime subsets
 
 
-def test_extract_coprime_subset_example():
-    lats = [
-        Lattice.from_diagonal((2, 2)),
-        Lattice.from_diagonal((3, 3)),
-        Lattice.from_diagonal((4, 4)),
-    ]
-    got = extract_coprime_subset(lats)
-    assert got == [lats[0], lats[1]]
-
-
-def test_extract_coprime_subset_all_coprime():
-    lats = [Lattice.from_diagonal((p, p)) for p in (2, 3, 5, 7)]
-    assert extract_coprime_subset(lats) == lats
-
-
-def test_extract_coprime_subset_ex2_instances():
-    spec = preset("ex2")
-    instances = spec.instances_up_to(30)
-    got = extract_coprime_subset(instances)
-    # the two axes are coprime to each other but template members are
-    # pairwise non-coprime, so at most one of them joins
-    template_members = [lat for lat in got if not lat.is_diagonal()]
-    assert len(template_members) <= 1
-
-
-def test_extract_coprime_subset_greedy_path():
-    lats = [Lattice.from_diagonal((p, p)) for p in (2, 3, 5, 7, 11, 13, 17)]
-    got = extract_coprime_subset(lats, exact_limit=3)
-    assert got == lats  # greedy keeps everything when all are coprime
-
-
 def test_coprime_index_subset_examples():
     a = hnf([(2, 1), (0, 3)])  # index 6
     b = hnf([(5, 2), (0, 7)])  # index 35
@@ -563,16 +542,6 @@ def test_coprime_index_subset_requires_pairwise_coprime():
         coprime_index_subset(
             [Lattice.from_diagonal((2, 2)), Lattice.from_diagonal((2, 3))]
         )
-
-
-def test_coprime_index_subset_pair_fallback():
-    # greedy would keep only the first; the fallback still finds a coprime pair
-    a = hnf([(2, 1), (0, 3)])  # index 6
-    b = hnf([(2, 1), (0, 5)])  # hmm replaced below if not coprime to a
-    c = hnf([(5, 2), (0, 7)])  # index 35, coprime indices with neither 6? gcd(6,35)=1
-    lats = [a, c]
-    got = coprime_index_subset(lats)
-    assert len(got) == 2
 
 
 def _random_coprime_family(rng, size):
@@ -759,17 +728,6 @@ def test_crt_window_certificate_members_and_period(spec, box):
     assert translate == zero_window_by_crt(chosen, shape)
 
 
-def test_fixed_translate_verdict():
-    from bfree.proximality import fixed_translate_verdict
-
-    spec = rect_spec((2, 2))
-    v = fixed_translate_verdict(spec, (1, 1), Lattice.from_diagonal((2, 2)))
-    assert v.status == NOT_PROXIMAL
-    assert v.certificate.kind == "FixedTranslate"
-    with pytest.raises(ValueError):
-        fixed_translate_verdict(preset("ex2"), (0, 0), Lattice.from_diagonal((2, 2)))
-
-
 def test_coprime_index_subset_fallback_triple():
     # pairwise coprime lattices with indices 6, 10, 21: greedy from the first
     # keeps only index 6 (shares a factor with both others), but the pair
@@ -777,7 +735,7 @@ def test_coprime_index_subset_fallback_triple():
     l6 = hnf([(2, 1), (0, 3)])
     l10 = hnf([(5, 2), (0, 2)])
     l21 = hnf([(7, 3), (0, 3)])
-    assert l6.index, l10.index == (6, 10)
+    assert (l6.index, l10.index) == (6, 10)
     assert l21.index == 21
     for a, b in itertools.combinations([l6, l10, l21], 2):
         assert a.coprime(b)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bfree.errors import NotCoprimeError, ZeroElementError
 from bfree.quadratic import (
@@ -197,6 +199,92 @@ def test_product_ideal_componentwise():
     xs = crt_product([a, b], [((0, 0), (0, 0)), ((1, 0), (1, 0))])
     assert a.contains(xs)
     assert b.contains(tuple((x[0] - 1, x[1]) for x in xs))
+
+
+RINGS = tuple(QuadraticRing(d) for d in (-1, -3, -5, 2, 5))
+SMALL = st.integers(-6, 6)
+NONZERO = st.tuples(SMALL, SMALL).filter(lambda x: x != (0, 0))
+
+
+@st.composite
+def product_ideal_systems(draw):
+    """1-3 product ideals over 1-3 factor rings, each factor generated by one
+    or two elements, with one residue and one test element per ideal."""
+    rings = draw(st.lists(st.sampled_from(RINGS), min_size=1, max_size=3))
+    element_tuple = st.tuples(*[st.tuples(SMALL, SMALL) for _ in rings])
+    ideals = []
+    for _ in range(draw(st.integers(1, 3))):
+        factors = []
+        for ring in rings:
+            gens = draw(st.lists(NONZERO, min_size=1, max_size=2))
+            factor = principal(ring, gens[0])
+            for g in gens[1:]:
+                factor = factor.sum(principal(ring, g))
+            factors.append(factor)
+        ideals.append(ProductIdeal(tuple(factors)))
+    residues = [draw(element_tuple) for _ in ideals]
+    points = [draw(element_tuple) for _ in ideals]
+    return ideals, residues, points
+
+
+def slotwise_crt(ideals, residues):
+    """Reference: one quadratic CRT per factor slot."""
+    width = len(ideals[0].factors)
+    return tuple(crt([pi.factors[s] for pi in ideals], [r[s] for r in residues]) for s in range(width))
+
+
+def slotwise_norm(ideal):
+    out = 1
+    for f in ideal.factors:
+        out *= f.norm
+    return out
+
+
+def slotwise_contains(ideal, xs):
+    return all(f.contains(x) for f, x in zip(ideal.factors, xs, strict=True))
+
+
+def slotwise_coprime(a, b):
+    return all(x.coprime(y) for x, y in zip(a.factors, b.factors, strict=True))
+
+
+def outcome(solve, *args):
+    try:
+        return solve(*args)
+    except NotCoprimeError:
+        return NotCoprimeError
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_ideal_systems())
+def test_product_ideal_direct_sum_matches_the_factors(system):
+    ideals, residues, points = system
+    got = outcome(crt_product, ideals, residues)
+    assert got == outcome(slotwise_crt, ideals, residues)
+    if got is not NotCoprimeError:
+        for pi, r in zip(ideals, residues):
+            assert pi.contains(tuple((x[0] - y[0], x[1] - y[1]) for x, y in zip(got, r)))
+    for pi, xs in zip(ideals, points):
+        assert pi.norm == slotwise_norm(pi)
+        assert pi.contains(xs) == slotwise_contains(pi, xs)
+        # each factor's first basis column lies in that factor
+        member = tuple(f.module.columns[0] for f in pi.factors)
+        assert pi.contains(member) and slotwise_contains(pi, member)
+    for a in ideals:
+        for b in ideals:
+            assert a.coprime(b) == slotwise_coprime(a, b)
+
+
+def test_product_ideal_refuses_an_element_that_is_not_a_pair():
+    a = ProductIdeal((principal(GAUSSIAN, (1, 1)), principal(GAUSSIAN, (2, 1))))
+    # four coordinates in all, as many as the direct sum has, but not two pairs
+    for xs in (((1, 2, 3), (4,)), ((0, 0),), ((0, 0), (0, 0), (0, 0))):
+        with pytest.raises(ValueError):
+            a.contains(xs)
+    with pytest.raises(ValueError):
+        crt_product([a], [((1, 2, 3), (4,))])
+    with pytest.raises(ValueError):
+        a.coprime(ProductIdeal((principal(GAUSSIAN, (1, 1)), principal(ROOT2, (1, 1)))))
 
 
 def test_ideal_serialization_roundtrip():

@@ -16,7 +16,7 @@ PUBLIC = sorted(
     """
     BFreeError BadInputError Box ConditionRow ConditionsReport CoprimeFamily CoprimeList
     CoprimeSubscheme CoverCheck Covering CoveringReport DPrimeReport DensityProfile Evidence
-    Explicit FactorizationError FamilyParseError FamilySpec FixedTranslate FixedTranslateReport
+    Explicit FactorizationError FamilyParseError FamilySpec FixedTranslateReport
     FreeWindow Geometric InconsistencyError InvalidCoverError Lattice NotAZeroWindowError
     NotCoprimeError NotEnoughIdealsError NotPairwiseCoprimeError NotRectangularError Primes
     ProductIdeal ProfileRow QuadIdeal QuadraticRing RankDeficientError RectEntry RectTemplate
@@ -24,7 +24,7 @@ PUBLIC = sorted(
     Verdict ZeroElementError all_zero_windows check_coprime_cover_candidate check_covering
     check_fixed_translate conditions_report coprime_index_subset covered_flags crt crt_integers
     crt_product crt_window_certificate decide decide_rectangular density_profile errors
-    extract_coprime_subset factor families find_zero_window fixed_translate_verdict format_family
+    factor families find_zero_window format_family
     free_window hnf intersect_all is_prime lattices numtheory odd_primes parse_family preset
     primes_up_to principal prove_no_zero_window proximality quadratic split_in_sum syndetic_period
     unit_ideal windows xgcd zero_window_by_crt
@@ -87,7 +87,7 @@ def test_import_loads_no_submodule():
 
 def test_public_names_are_unchanged_and_resolve_to_their_home_objects():
     assert sorted(bfree.__all__) == PUBLIC
-    assert len(PUBLIC) == 89
+    assert len(PUBLIC) == 86
     for name in PUBLIC:
         value = getattr(bfree, name)
         if name in SUBMODULES:
