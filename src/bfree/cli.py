@@ -16,6 +16,7 @@ from pathlib import Path
 from .errors import BadInputError, BFreeError, FamilyParseError, TooLargeError
 from .families import FamilySpec, parse_family, preset
 from .proximality import (
+    CRT_INSTANCE_BOUND,
     Covering,
     SearchBudget,
     conditions_report,
@@ -99,9 +100,11 @@ def _sides_list(text: str) -> list[int]:
     return sides
 
 
-def _shape_text(text: str) -> Shape:
+def _shape_text(text: str) -> Box | Shape:
+    """An @offsets-file as its Shape; rectangle syntax as its Box, whose
+    offsets cmd_zero builds once the cell limit admits them."""
     if not text.startswith("@"):
-        return Shape.parse(text)
+        return Shape.parse_box(text)
     offsets = []
     for line in Path(text[1:]).read_text().splitlines():
         line = line.strip()
@@ -137,6 +140,10 @@ def cmd_eta(args) -> int:
 def cmd_zero(args) -> int:
     spec = _load_spec(args)
     shape = _fit(spec, "--shape", args.shape)
+    if isinstance(shape, Box):
+        if shape.volume > args.limit_cells:
+            raise TooLargeError("scan exceeds the cell limit")
+        shape = Shape.from_box(shape)
     if args.crt:
         translate, period, cert = crt_window_certificate(
             spec, shape, instance_bound=args.instance_bound
@@ -148,7 +155,7 @@ def cmd_zero(args) -> int:
         }
         print(json.dumps(payload))
         return EXIT_OK
-    search = _fit(spec, "--search", args.search) if args.search else Box.centered(16, spec.dim)
+    search = _fit(spec, "--search", args.search) if args.search else Box.centered(SearchBudget.search_radius, spec.dim)
     if args.periodic_exact:
         # only the verdict is read: search no zero windows for evidence
         verdict = decide(spec, SearchBudget(max_side=0))
@@ -276,16 +283,16 @@ def _eta_args(p):
 def _zero_args(p):
     _spec_args(p)
     p.add_argument("--shape", type=_shape, required=True, help="a:bxc:d or @offsets-file")
-    p.add_argument("--search", type=_box, help="search box, default centered radius 16")
+    p.add_argument("--search", type=_box, help=f"search box, default centered radius {SearchBudget.search_radius}")
     p.add_argument("--crt", action="store_true", help="constructive route for rectangular specs")
     p.add_argument("--periodic-exact", action="store_true")
-    p.add_argument("--instance-bound", type=_count, default=2000)
+    p.add_argument("--instance-bound", type=_count, default=CRT_INSTANCE_BOUND)
 
 
 def _budget_args(p):
     _spec_args(p)
-    p.add_argument("--max-side", type=_count, default=3)
-    p.add_argument("--radius", type=_count, default=16)
+    p.add_argument("--max-side", type=_count, default=SearchBudget.max_side)
+    p.add_argument("--radius", type=_count, default=SearchBudget.search_radius)
 
 
 def _density_args(p):

@@ -22,14 +22,13 @@ immutable and safe to share.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 
-from .errors import NotCoprimeError, RankDeficientError, TooLargeError
+from .errors import NotCoprimeError, RankDeficientError
 from .numtheory import xgcd
 
 Point = tuple[int, ...]
-
-DEFAULT_COSET_LIMIT = 10**6
 
 
 def as_point(seq) -> Point:
@@ -127,24 +126,12 @@ class Lattice:
                     res[r] -= q * self.basis[r][i]
         return tuple(res)
 
-    def coset_reps(self, limit: int = DEFAULT_COSET_LIMIT) -> list[Point]:
-        """All coset representatives, mixed-radix over the diagonal with the
-        first coordinate varying fastest."""
-        n = self.index
-        if n > limit:
-            raise TooLargeError(f"{n} cosets exceed the limit of {limit}")
-        return list(self.iter_coset_reps())
-
     def iter_coset_reps(self):
-        """Lazy mixed-radix enumeration of all coset representatives."""
-        radices = self.diagonal
-        for k in range(self.index):
-            v = []
-            t = k
-            for d in radices:
-                v.append(t % d)
-                t //= d
-            yield tuple(v)
+        """Lazy mixed-radix enumeration of all coset representatives, the
+        points of the box prod_i [0, diagonal_i), first coordinate fastest.
+        Nested generators, not itertools.product, which would first store
+        every range: a diagonal entry may be far too large for that."""
+        return reduce(_prepend, reversed(self.diagonal), ((),))
 
     def sum(self, other: "Lattice") -> "Lattice":
         self._check_same_dim(other)
@@ -191,6 +178,11 @@ class Lattice:
 
     def __repr__(self):
         return f"Lattice(cols={self.to_columns()})"
+
+
+def _prepend(reps, d: int):
+    """(x,) + r for each r of reps in turn and, within it, x = 0..d-1."""
+    return ((x,) + r for r in reps for x in range(d))
 
 
 def _hnf_columns(cols, nrows: int) -> None:

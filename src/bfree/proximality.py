@@ -34,7 +34,6 @@ from .errors import (
 )
 from .families import CoprimeFamily, FamilySpec, Static
 from .lattices import (
-    DEFAULT_COSET_LIMIT,
     Lattice,
     Point,
     as_point,
@@ -52,6 +51,10 @@ NOT_PROXIMAL = "NotProximal"
 INCONCLUSIVE = "Inconclusive"
 
 DEFAULT_REP_LIMIT = 200_000
+DEFAULT_PERIOD_CELL_LIMIT = 10**6  # cells of prove_no_zero_window's sieve box
+CRT_INSTANCE_BOUND = 2000
+_DPRIME_INSTANCE_BOUND = 200
+_DPRIME_SCAN_RADIUS = 12
 
 
 # ---------------------------------------------------------------------------
@@ -390,17 +393,17 @@ def prove_no_zero_window(spec: FamilySpec, shape: Shape, covers) -> bool:
     one piece, over the box [shape low, D - 1 + shape high].  Returns True
     when none survives (nonexistence proved); False means nothing is proved.
     Raises TooLargeError, naming the period's size, when that box has more
-    than DEFAULT_COSET_LIMIT cells.
+    than DEFAULT_PERIOD_CELL_LIMIT cells.
     """
     covers = list(covers)
     period = intersect_all(covers)
     lo, hi = shape.bounds()
     diag = period.diagonal
     box = Box(lo, tuple(d - 1 + h for d, h in zip(diag, hi)))
-    if box.volume > DEFAULT_COSET_LIMIT:
+    if box.volume > DEFAULT_PERIOD_CELL_LIMIT:
         raise TooLargeError(
             f"period proof: a period of {period.index} cosets needs a sieve box of "
-            f"{box.volume} cells, above the limit of {DEFAULT_COSET_LIMIT}"
+            f"{box.volume} cells, above the limit of {DEFAULT_PERIOD_CELL_LIMIT}"
         )
     union = FamilySpec(len(diag), tuple(Static(cov) for cov in covers))
     reps = Box((0,) * len(diag), tuple(d - 1 for d in diag))
@@ -548,7 +551,7 @@ def decide_rectangular(spec: FamilySpec) -> Verdict:
     return verdict
 
 
-def crt_window_certificate(spec: FamilySpec, shape, *, instance_bound: int = 2000):
+def crt_window_certificate(spec: FamilySpec, shape, *, instance_bound: int = CRT_INSTANCE_BOUND):
     """Zero window built from family members, with the coprime list that made it.
 
     Collects rectangular members greedily over instances by increasing index,
@@ -723,15 +726,15 @@ def check_coprime_cover_candidate(
     spec: FamilySpec,
     candidate: FamilySpec,
     *,
-    instance_bound: int = 200,
-    scan_radius: int = 12,
+    cell_limit: int = DEFAULT_CELL_LIMIT,
 ) -> DPrimeReport:
     """Checker for a user-supplied pairwise coprime family claimed to sit
     inside the covered union.
 
     Pairwise coprimality of the candidate must be schema-exact; containment
     is refuted exactly by a witness point, or reported as bounded evidence
-    when the scan finds none.
+    when the scan finds none.  Raises TooLargeError, before the first point
+    is tested, when the scan has more than ``cell_limit`` points.
     """
     holds, mode, detail = _coprime_subset_analysis(candidate, _schemas(candidate))
     if holds is not True:
@@ -741,8 +744,12 @@ def check_coprime_cover_candidate(
             f"candidate family is not schema-certified pairwise coprime ({detail})",
             None,
         )
-    for member in candidate.instances_up_to(instance_bound):
-        for p in enumerate_points(member, scan_radius):
+    members = candidate.instances_up_to(_DPRIME_INSTANCE_BOUND)
+    points = len(members) * (2 * _DPRIME_SCAN_RADIUS + 1) ** candidate.dim
+    if points > cell_limit:
+        raise TooLargeError(f"d' check: the scan of {points} candidate points exceeds the cell limit of {cell_limit}")
+    for member in members:
+        for p in enumerate_points(member, _DPRIME_SCAN_RADIUS):
             if spec.free(p):
                 return DPrimeReport(
                     False,
@@ -753,8 +760,8 @@ def check_coprime_cover_candidate(
     return DPrimeReport(
         True,
         "evidence",
-        f"no candidate point escapes the union (members of index <= {instance_bound}, "
-        f"coefficients within +/-{scan_radius})",
+        f"no candidate point escapes the union (members of index <= {_DPRIME_INSTANCE_BOUND}, "
+        f"coefficients within +/-{_DPRIME_SCAN_RADIUS})",
         None,
     )
 
@@ -846,7 +853,7 @@ def conditions_report(
     rows["d"] = ConditionRow(d_holds, d_mode, d_detail)
 
     if dprime_candidate is not None:
-        dp = check_coprime_cover_candidate(spec, dprime_candidate)
+        dp = check_coprime_cover_candidate(spec, dprime_candidate, cell_limit=budget.cell_limit)
         rows["d_prime"] = ConditionRow(dp.holds, dp.mode, dp.detail)
 
     _check_consistency(rows)

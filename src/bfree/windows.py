@@ -25,6 +25,16 @@ DEFAULT_CELL_LIMIT = 10**8
 _SLAB_LINES = 1 << 12
 
 
+def _parse_ranges(text: str, sep: str) -> tuple[Point, Point]:
+    """(lo, hi) of "lo:hi" ranges joined by sep."""
+    lo, hi = [], []
+    for part in text.split(sep):
+        a, _, b = part.partition(":")
+        lo.append(int(a))
+        hi.append(int(b))
+    return tuple(lo), tuple(hi)
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned integer box [lo_1, hi_1] x ... x [lo_m, hi_m]."""
@@ -79,12 +89,7 @@ class Box:
     @classmethod
     def parse(cls, text: str) -> "Box":
         """Parse "lo:hi,lo:hi,..." into a box."""
-        lo, hi = [], []
-        for part in text.split(","):
-            a, _, b = part.partition(":")
-            lo.append(int(a))
-            hi.append(int(b))
-        return cls(tuple(lo), tuple(hi))
+        return cls(*_parse_ranges(text, ","))
 
     def format(self) -> str:
         return ",".join(f"{a}:{b}" for a, b in zip(self.lo, self.hi))
@@ -126,17 +131,19 @@ class Shape:
         """The k+1 cells 0, e_axis, 2*e_axis, ..., k*e_axis."""
         return cls(tuple(tuple(i if j == axis else 0 for j in range(dim)) for i in range(k + 1)))
 
+    @staticmethod
+    def parse_box(text: str, dim: int | None = None) -> Box:
+        """The box of "a:bxc:d" rectangle syntax (one range per dimension;
+        when dim is given, exactly dim ranges), before any offset is built."""
+        lo, hi = _parse_ranges(text, "x")
+        if dim is not None and len(lo) != dim:
+            raise ValueError(f"shape has {len(lo)} ranges, expected {dim}")
+        return Box(lo, hi)
+
     @classmethod
     def parse(cls, text: str, dim: int | None = None) -> "Shape":
-        """Parse "a:bxc:d" rectangle syntax (one range per dimension; when
-        dim is given, exactly dim ranges)."""
-        ranges = []
-        for part in text.split("x"):
-            a, _, b = part.partition(":")
-            ranges.append((int(a), int(b)))
-        if dim is not None and len(ranges) != dim:
-            raise ValueError(f"shape has {len(ranges)} ranges, expected {dim}")
-        return cls.from_box(Box(tuple(a for a, _ in ranges), tuple(b for _, b in ranges)))
+        """Every offset of the box that parse_box reads."""
+        return cls.from_box(cls.parse_box(text, dim))
 
     def bounds(self) -> tuple[Point, Point]:
         axes = list(zip(*self.offsets))
@@ -480,8 +487,10 @@ def density_profile(
     """For each side n, the exact maximum over shifts x in the search box of
     |covered set  intersect  ([-n, n]^m + x)| / (2n+1)^m.
 
-    Uses one covered_flags evaluation over the Minkowski-sum box plus
-    sliding-window sums; ties go to the first shift in lexicographic order.
+    Uses one covered_flags evaluation per side over the Minkowski-sum box
+    plus sliding-window sums; ties go to the first shift in lexicographic
+    order.  The sides must be strictly increasing, and the largest side's
+    box must fit ``cell_limit``; both are checked before any box is sieved.
     """
     sides = [int(n) for n in sides]
     m = spec.dim
@@ -489,13 +498,13 @@ def density_profile(
         raise ValueError("shift box dimension mismatch")
     if any(n < 0 for n in sides):
         raise ValueError("sides must be non-negative")
+    if any(a >= b for a, b in zip(sides, sides[1:])):
+        raise ValueError("sides must be strictly increasing")
+    grids = [Box(tuple(a - n for a in shift_search.lo), tuple(b + n for b in shift_search.hi)) for n in sides]
+    if grids and grids[-1].volume > cell_limit:
+        raise TooLargeError(f"combined grid volume {grids[-1].volume} exceeds {cell_limit}")
     rows = []
-    for n in sides:
-        lo = tuple(a - n for a in shift_search.lo)
-        hi = tuple(b + n for b in shift_search.hi)
-        grid = Box(lo, hi)
-        if grid.volume > cell_limit:
-            raise TooLargeError(f"combined grid volume {grid.volume} exceeds {cell_limit}")
+    for n, grid in zip(sides, grids):
         counts = _window_counts(covered_flags(spec, grid), grid.sides, 2 * n + 1)
         best = max(counts)
         best_shift = next(islice(shift_search.points(), counts.index(best), None))

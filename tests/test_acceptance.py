@@ -175,7 +175,7 @@ def test_criterion_5_index_product_law_and_membership():
         lat = _random_lattice(rng, m, cap=64)
         p = tuple(rng.randint(-15, 15) for _ in range(m))
         assert lat.contains(p) == _rational_member(lat.columns, p)
-        reps = lat.coset_reps()
+        reps = list(lat.iter_coset_reps())
         assert len(reps) == lat.index
         assert (lat.reduce(p) in reps) and lat.contains(
             tuple(x - y for x, y in zip(p, lat.reduce(p)))

@@ -188,6 +188,46 @@ def test_zero_limit_cells_exit3(capsys):
     assert err == "limit breached: scan exceeds the cell limit\n"
 
 
+def test_zero_rectangle_past_the_cell_limit_exit3_before_any_offset(capsys, monkeypatch):
+    def refuse(box):
+        raise AssertionError("offsets built before the cell limit was read")
+
+    monkeypatch.setattr(cli.Shape, "from_box", refuse)
+    code, stdout, err = run(
+        capsys, "zero", "--preset", "ex2", "--shape", "0:999x0:999", "--limit-cells", "10"
+    )
+    assert code == 3 and stdout == ""
+    assert err == "limit breached: scan exceeds the cell limit\n"
+
+
+def test_report_dprime_scan_obeys_the_cell_limit(tmp_path, capsys, monkeypatch):
+    # 45 odd primes up to 200, each member scanned at 25^3 points
+    family = tmp_path / "f.fam"
+    family.write_text("dim 3\nrecttemplate [t,1,1] params=primes\n")
+    candidate = tmp_path / "c.fam"
+    candidate.write_text("dim 3\nrecttemplate [t,1,1] params=oddprimes\n")
+    tested = []
+    free = proximality.FamilySpec.free
+    monkeypatch.setattr(proximality.FamilySpec, "free", lambda self, p: tested.append(p) or free(self, p))
+    code, stdout, err = run(
+        capsys, "report", "--spec", str(family), "--dprime", str(candidate), "--limit-cells", "1000"
+    )
+    assert code == 3 and stdout == ""
+    assert err == "limit breached: d' check: the scan of 703125 candidate points exceeds the cell limit of 1000\n"
+    assert tested == []
+
+
+def test_budget_flags_default_to_the_library_values():
+    for command in ("decide", "report"):
+        args = cli.build_parser(command).parse_args([command, "--preset", "ex2"])
+        assert (args.max_side, args.radius) == (
+            proximality.SearchBudget().max_side,
+            proximality.SearchBudget().search_radius,
+        )
+    args = cli.build_parser("zero").parse_args(["zero", "--preset", "ex2", "--shape", "0:0x0:0"])
+    assert args.instance_bound == proximality.CRT_INSTANCE_BOUND
+
+
 def test_zero_sparse_offsets_past_the_sieve_limit_exit3(tmp_path, capsys):
     # 33 x 33 translates of two cells pass the scan check; the box they span,
     # 33 x (10^9 + 33) cells, is refused before anything is sieved

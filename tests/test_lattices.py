@@ -1,12 +1,12 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bfree.errors import NotCoprimeError, RankDeficientError, TooLargeError
+from bfree.errors import NotCoprimeError, RankDeficientError
 from bfree.lattices import (
     Lattice,
     UnimodularMap,
@@ -254,24 +254,25 @@ def test_contains_matches_rational_solve():
 
 
 def test_coset_reps_diag():
-    reps = Lattice.from_diagonal((2, 2)).coset_reps()
+    reps = list(Lattice.from_diagonal((2, 2)).iter_coset_reps())
     assert reps == [(0, 0), (1, 0), (0, 1), (1, 1)]
-    assert Lattice.whole(3).coset_reps() == [(0, 0, 0)]
+    assert list(Lattice.whole(3).iter_coset_reps()) == [(0, 0, 0)]
+    # the box prod [0, d_i), first coordinate fastest
+    reps = list(Lattice.from_diagonal((3, 4, 5)).iter_coset_reps())
+    assert reps == sorted(product(range(3), range(4), range(5)), key=lambda v: v[::-1])
+    # lazy whatever the diagonal: a scan may stop long before the end
+    huge = Lattice.from_diagonal((10**12, 2, 10**12)).iter_coset_reps()
+    assert list(islice(huge, 3)) == [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
 
 
 def test_coset_reps_pairwise_incongruent():
     lat = hnf([(1, 1), (0, 2)])
-    reps = lat.coset_reps()
+    reps = list(lat.iter_coset_reps())
     assert len(reps) == 2
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
             diff = tuple(a - b for a, b in zip(reps[i], reps[j]))
             assert not lat.contains(diff)
-
-
-def test_coset_reps_limit():
-    with pytest.raises(TooLargeError):
-        Lattice.from_diagonal((100, 100)).coset_reps(limit=100)
 
 
 def test_reduce_is_canonical():

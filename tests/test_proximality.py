@@ -399,7 +399,7 @@ def test_prove_no_zero_window_matches_the_per_coset_scan(case):
     spec = FamilySpec(covers[0].dim, tuple(Static(cov) for cov in covers))
     survives = any(
         all(_in_union(covers, tuple(a + b for a, b in zip(g, f))) for f in shape.offsets)
-        for g in intersect_all(covers).coset_reps()
+        for g in intersect_all(covers).iter_coset_reps()
     )
     assert prove_no_zero_window(spec, shape, covers) == (not survives)
 
@@ -656,6 +656,23 @@ def test_dprime_checker_requires_certified_candidate():
     vague = FamilySpec(2, (Static(hnf([(1, 1), (0, 2)])),))
     report = check_coprime_cover_candidate(preset("ex2"), vague)
     assert report.holds is None
+
+
+def test_dprime_scan_is_bounded_by_the_cell_limit_before_it_starts(monkeypatch):
+    # the members of index <= 200 over odd primes are t = 3, 5, 7, 11, 13:
+    # 5 members, each scanned at 25 x 25 points
+    spec = preset("ex2")
+    candidate = FamilySpec(2, (RectTemplate((RectEntry(1, 1), RectEntry(1, 1)), odd_primes()),))
+    full = check_coprime_cover_candidate(spec, candidate)
+    assert check_coprime_cover_candidate(spec, candidate, cell_limit=5 * 25**2) == full
+    tested = []
+    free = FamilySpec.free
+    monkeypatch.setattr(FamilySpec, "free", lambda self, p: tested.append(p) or free(self, p))
+    with pytest.raises(TooLargeError, match="^d' check: the scan of 3125 candidate points exceeds the cell limit of 3124$"):
+        check_coprime_cover_candidate(spec, candidate, cell_limit=5 * 25**2 - 1)
+    with pytest.raises(TooLargeError, match="d' check"):
+        conditions_report(spec, SearchBudget(max_side=0, cell_limit=1000), dprime_candidate=candidate)
+    assert tested == []
 
 
 # ---------------------------------------------------------------------------

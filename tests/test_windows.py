@@ -665,6 +665,18 @@ def test_density_profile_monotone_sides_required():
         density_profile(EMPTY, [-1], Box.centered(3, 2))
 
 
+def test_density_profile_refuses_before_sieving(monkeypatch):
+    sieved = []
+    flags = windows.covered_flags
+    monkeypatch.setattr(windows, "covered_flags", lambda spec, box: sieved.append(box) or flags(spec, box))
+    with pytest.raises(ValueError, match="^sides must be strictly increasing$"):
+        density_profile(preset("ex2"), [5, 3], Box.centered(2, 2))
+    # the side-400 grid fits the limit, the side-100000 grid does not
+    with pytest.raises(TooLargeError, match="^combined grid volume 40016401681 exceeds 1000000$"):
+        density_profile(preset("ex2"), [400, 100000], Box.centered(20, 2), cell_limit=10**6)
+    assert sieved == []
+
+
 def test_density_matches_direct_count():
     spec = preset("ex2")
     shift_box = Box((-2, -2), (2, 2))
