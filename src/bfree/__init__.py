@@ -30,7 +30,7 @@ _EXPORTS = {
     "numtheory": "crt_integers factor is_prime primes_up_to xgcd",
     "proximality": (
         "ConditionRow ConditionsReport CoprimeList CoprimeSubscheme CoverCheck Covering "
-        "CoveringReport DPrimeReport Evidence FixedTranslateReport SearchBudget "
+        "CoveringReport Evidence FixedTranslateReport SearchBudget "
         "Verdict check_covering check_coprime_cover_candidate check_fixed_translate "
         "conditions_report coprime_index_subset crt_window_certificate decide decide_rectangular "
         "prove_no_zero_window"

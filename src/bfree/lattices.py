@@ -23,7 +23,6 @@ immutable and safe to share.
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
 
 from .errors import NotCoprimeError, RankDeficientError
 from .numtheory import xgcd
@@ -361,11 +360,3 @@ class UnimodularMap:
 
     def to_rows(self) -> list[list[int]]:
         return [list(r) for r in self.rows]
-
-
-def enumerate_points(lattice: Lattice, coeff_bound: int):
-    """All integer combinations of the basis with coefficients in
-    [-coeff_bound, coeff_bound], last coefficient varying fastest."""
-    cols = lattice.columns
-    for ks in product(range(-coeff_bound, coeff_bound + 1), repeat=lattice.dim):
-        yield combination(cols, ks)

@@ -38,13 +38,12 @@ from .lattices import (
     Point,
     as_point,
     combination,
-    enumerate_points,
     hnf,
     intersect_all,
     split_in_sum,
 )
 from .numtheory import divisors
-from .windows import DEFAULT_CELL_LIMIT, Box, Shape, _sieved_translates, find_zero_window, zero_window_by_crt
+from .windows import DEFAULT_CELL_LIMIT, Box, Shape, _check_scan_size, _sieved_translates, find_zero_window, zero_window_by_crt
 
 PROXIMAL = "Proximal"
 NOT_PROXIMAL = "NotProximal"
@@ -55,6 +54,8 @@ DEFAULT_PERIOD_CELL_LIMIT = 10**6  # cells of prove_no_zero_window's sieve box
 CRT_INSTANCE_BOUND = 2000
 _DPRIME_INSTANCE_BOUND = 200
 _DPRIME_SCAN_RADIUS = 12
+# the conditions the paper proves equivalent for lattices in Z^m
+_EQUIVALENT = ("a", "b", "c", "e", "f")
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +165,13 @@ Certificate = CoprimeSubscheme | CoprimeList | Covering | Evidence
 class Verdict:
     status: str
     certificate: Certificate
-    zero_window_sides: tuple[int, ...] = ()
+
+    @property
+    def zero_window_sides(self) -> tuple[int, ...]:
+        """Sides with a zero window found, read off an Evidence certificate."""
+        if isinstance(self.certificate, Evidence):
+            return tuple(k for k, _ in self.certificate.found)
+        return ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -452,18 +459,25 @@ class SearchBudget:
     cell_limit: int = DEFAULT_CELL_LIMIT
 
 
-def _zero_window_evidence(spec: FamilySpec, budget: SearchBudget):
+def _zero_window_evidence(spec: FamilySpec, budget: SearchBudget) -> Evidence:
+    """Zero windows of the square shapes [0, k]^m, k = 1..max_side, in the
+    centered search box.  Every side's scan is checked against the cell
+    limit, in order, before the first sieve.  A window of side k + 1 at g
+    holds one of side k at g, so the scan stops at the first side without a
+    window and lists it and every larger side as not found."""
+    m = spec.dim
+    search = Box.centered(budget.search_radius, m)
+    sides = range(1, budget.max_side + 1)
+    for k in sides:
+        _check_scan_size(search, (k + 1) ** m, (k + 1,) * m, budget.cell_limit)
     found = []
-    not_found = []
-    search = Box.centered(budget.search_radius, spec.dim)
-    for k in range(1, budget.max_side + 1):
-        shape = Shape.from_box(Box((0,) * spec.dim, (k,) * spec.dim))
+    for k in sides:
+        shape = Shape.from_box(Box((0,) * m, (k,) * m))
         g = find_zero_window(spec, shape, search, cell_limit=budget.cell_limit)
         if g is None:
-            not_found.append(k)
-        else:
-            found.append((k, g))
-    return tuple(found), tuple(not_found), f"translates in {search.format()}"
+            break
+        found.append((k, g))
+    return Evidence(tuple(found), tuple(sides[len(found) :]), f"translates in {search.format()}")
 
 
 def _schemas(spec: FamilySpec) -> list:
@@ -507,20 +521,13 @@ def decide(spec: FamilySpec, budget: SearchBudget | None = None) -> Verdict:
     does not affect the verdict, so it is decided on the underlying entries
     and certificates are mapped forward.
     """
-    return _decide(spec, budget or SearchBudget(), _schemas(spec))
-
-
-def _decide(spec: FamilySpec, budget: SearchBudget, schemas) -> Verdict:
-    """``decide`` on the entries' schema answers, already read."""
     try:
-        verdict = _schema_verdict(spec, schemas)
+        verdict = _schema_verdict(spec, _schemas(spec))
     except (InvalidCoverError, TooLargeError):
         verdict = None
     if verdict is not None:
         return verdict
-    found, not_found, searched = _zero_window_evidence(spec, budget)
-    evidence = Evidence(found, not_found, searched)
-    return Verdict(INCONCLUSIVE, evidence, tuple(k for k, _ in found))
+    return Verdict(INCONCLUSIVE, _zero_window_evidence(spec, budget or SearchBudget()))
 
 
 def decide_rectangular(spec: FamilySpec) -> Verdict:
@@ -554,17 +561,17 @@ def decide_rectangular(spec: FamilySpec) -> Verdict:
 def crt_window_certificate(spec: FamilySpec, shape, *, instance_bound: int = CRT_INSTANCE_BOUND):
     """Zero window built from family members, with the coprime list that made it.
 
-    Collects rectangular members greedily over instances by increasing index,
-    each coprime to the intersection (the period) of those before it, builds
-    the CRT translate for the shape, verifies every cell, and returns
-    (translate, period, CoprimeList certificate).
+    Collects members greedily over instances by increasing index, each
+    coprime to the intersection (the period) of those before it, so the
+    system of congruences always has a solution; builds the CRT translate
+    for the shape, verifies every cell, and returns (translate, period,
+    CoprimeList certificate).
     The extension note records whether a schema-level coprime subfamily
     guarantees arbitrarily large windows of this kind.
     """
-    members = [lat for lat in spec.instances_up_to(instance_bound) if lat.is_diagonal()]
     chosen: list[Lattice] = []
     period = Lattice.whole(spec.dim)
-    for lat in members:
+    for lat in spec.instances_up_to(instance_bound):
         if lat.coprime(period):
             chosen.append(lat)
             period = period.intersect(lat)
@@ -664,6 +671,7 @@ class ConditionRow:
     holds: bool | None
     mode: str  # "exact", "derived", "evidence", "unknown"
     detail: str
+    witness: tuple[Lattice, Point] | None = None  # the d' check's refuting (member, point)
 
     def to_json_dict(self) -> dict:
         return {"holds": self.holds, "mode": self.mode, "detail": self.detail}
@@ -693,33 +701,25 @@ class ConditionsReport:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _coprime_subset_analysis(spec: FamilySpec, schemas):
-    """(holds, mode, detail) for the infinite-pairwise-coprime-subfamily
-    condition.  An infinite entry's cover is one proper lattice, so no two
-    of its members are coprime."""
+def _coprime_subset_analysis(spec: FamilySpec, schemas) -> ConditionRow:
+    """The row of the infinite-pairwise-coprime-subfamily condition.  An
+    infinite entry's cover is one proper lattice, so no two of its members
+    are coprime."""
     coprime = _coprime_entry(schemas)
     if coprime is not None:
-        return True, "exact", f"entry {coprime[0]} carries an infinite pairwise coprime subfamily"
+        return ConditionRow(True, "exact", f"entry {coprime[0]} carries an infinite pairwise coprime subfamily")
     blockers = [i for i, e in enumerate(spec.entries) if e.is_infinite]
     if not blockers:
-        return False, "exact", "the family is finite, so it has no infinite subfamily"
+        return ConditionRow(False, "exact", "the family is finite, so it has no infinite subfamily")
     for i in blockers:
         if schemas[i] is None:
-            return None, "unknown", f"entry {i} admits no schema-level coprimality analysis"
+            return ConditionRow(None, "unknown", f"entry {i} admits no schema-level coprimality analysis")
     detail = (
         "every infinite entry (%s) has pairwise non-coprime members, and an infinite "
         "subfamily must draw infinitely many members from a single entry"
         % ", ".join(map(str, blockers))
     )
-    return False, "exact", detail
-
-
-@dataclass(frozen=True)
-class DPrimeReport:
-    holds: bool | None
-    mode: str
-    detail: str
-    witness: tuple | None
+    return ConditionRow(False, "exact", detail)
 
 
 def check_coprime_cover_candidate(
@@ -727,42 +727,37 @@ def check_coprime_cover_candidate(
     candidate: FamilySpec,
     *,
     cell_limit: int = DEFAULT_CELL_LIMIT,
-) -> DPrimeReport:
+) -> ConditionRow:
     """Checker for a user-supplied pairwise coprime family claimed to sit
-    inside the covered union.
+    inside the covered union, as the (d') row.
 
     Pairwise coprimality of the candidate must be schema-exact; containment
-    is refuted exactly by a witness point, or reported as bounded evidence
-    when the scan finds none.  Raises TooLargeError, before the first point
-    is tested, when the scan has more than ``cell_limit`` points.
+    is refuted exactly by a witness (member, point), or reported as bounded
+    evidence when the scan finds none.  The scan walks each member's points
+    with coefficients within +/-_DPRIME_SCAN_RADIUS, last coefficient
+    fastest.  Raises TooLargeError, before the first point is tested, when
+    the scan has more than ``cell_limit`` points.
     """
-    holds, mode, detail = _coprime_subset_analysis(candidate, _schemas(candidate))
-    if holds is not True:
-        return DPrimeReport(
-            None,
-            "unknown",
-            f"candidate family is not schema-certified pairwise coprime ({detail})",
-            None,
-        )
+    row = _coprime_subset_analysis(candidate, _schemas(candidate))
+    if row.holds is not True:
+        return ConditionRow(None, "unknown", f"candidate family is not schema-certified pairwise coprime ({row.detail})")
     members = candidate.instances_up_to(_DPRIME_INSTANCE_BOUND)
-    points = len(members) * (2 * _DPRIME_SCAN_RADIUS + 1) ** candidate.dim
+    coeffs = Box.centered(_DPRIME_SCAN_RADIUS, candidate.dim)
+    points = len(members) * coeffs.volume
     if points > cell_limit:
         raise TooLargeError(f"d' check: the scan of {points} candidate points exceeds the cell limit of {cell_limit}")
     for member in members:
-        for p in enumerate_points(member, _DPRIME_SCAN_RADIUS):
+        cols = member.columns
+        for ks in coeffs.points():
+            p = combination(cols, ks)
             if spec.free(p):
-                return DPrimeReport(
-                    False,
-                    "exact",
-                    f"candidate member {member.to_columns()} contains the free point {p}",
-                    (member, p),
-                )
-    return DPrimeReport(
+                detail = f"candidate member {member.to_columns()} contains the free point {p}"
+                return ConditionRow(False, "exact", detail, (member, p))
+    return ConditionRow(
         True,
         "evidence",
         f"no candidate point escapes the union (members of index <= {_DPRIME_INSTANCE_BOUND}, "
         f"coefficients within +/-{_DPRIME_SCAN_RADIUS})",
-        None,
     )
 
 
@@ -783,87 +778,69 @@ def conditions_report(
             f"the d' candidate is {dprime_candidate.dim}-dimensional, the family is {spec.dim}-dimensional"
         )
     budget = budget or SearchBudget()
-    schemas = _schemas(spec)
-    verdict = _decide(spec, budget, schemas)
-    rows: dict[str, ConditionRow] = {}
-
+    verdict = decide(spec, budget)
+    cert = verdict.certificate
     if verdict.status == PROXIMAL:
-        base = ConditionRow(True, "exact", "coprime subfamily certificate")
-        rows["a"] = base
-        rows["b"] = ConditionRow(True, "derived", "equivalent to (a)")
-        rows["c"] = ConditionRow(True, "derived", "equivalent to (a)")
-        rows["e"] = ConditionRow(True, "derived", "equivalent to (a)")
-        rows["f"] = ConditionRow(True, "derived", "equivalent to (a)")
+        rows = {"a": ConditionRow(True, "exact", "coprime subfamily certificate")}
+        source, mode, f_note = "a", "derived", ""
     elif verdict.status == NOT_PROXIMAL:
-        cert = verdict.certificate
         assert isinstance(cert, Covering)
-        rows["a"] = ConditionRow(False, "exact", "covering certificate")
         period = intersect_all(cert.covers)
         side = period.index - 1
         if (side + 1) ** spec.dim * period.index <= 500_000:
             # A box of side index(P) - 1 meets every coset of P, so the scan
             # below is guaranteed to refute it when the covering holds.
             shape = Shape.from_box(Box((0,) * spec.dim, (side,) * spec.dim))
-            proved = prove_no_zero_window(spec, shape, cert.covers)
-            if not proved:
-                raise InconsistencyError(
-                    "covering verified but the period scan found a surviving translate"
-                )
-            b_detail = (
-                f"no zero window of side {side} exists "
-                "(full-period scan modulo the cover intersection)"
-            )
+            if not prove_no_zero_window(spec, shape, cert.covers):
+                raise InconsistencyError("covering verified but the period scan found a surviving translate")
+            b_detail = f"no zero window of side {side} exists (full-period scan modulo the cover intersection)"
         else:
             b_detail = "a verified covering forbids large zero windows"
-        rows["b"] = ConditionRow(False, "exact", b_detail)
-        rows["c"] = ConditionRow(
-            False, "exact", "the certified covers contain every member"
-        )
         ft = check_fixed_translate(spec, cert.missed_coset, period)
         if not (ft.holds and ft.exact):
             raise InconsistencyError(f"missed cover coset fails to give an exact free translate: {ft.detail}")
-        rows["e"] = ConditionRow(
-            False,
-            "exact",
-            f"translate {list(cert.missed_coset)} + (cover intersection) stays free",
-        )
-        rows["f"] = ConditionRow(
-            False, "derived", "equivalent to (b): the union misses a full coset, so its density stays below 1"
-        )
+        rows = {
+            "a": ConditionRow(False, "exact", "covering certificate"),
+            "b": ConditionRow(False, "exact", b_detail),
+            "c": ConditionRow(False, "exact", "the certified covers contain every member"),
+            "e": ConditionRow(False, "exact", f"translate {list(cert.missed_coset)} + (cover intersection) stays free"),
+        }
+        source, mode, f_note = "b", "derived", ": the union misses a full coset, so its density stays below 1"
     else:
-        ev = verdict.certificate
-        assert isinstance(ev, Evidence)
-        not_found, searched = ev.not_found, ev.searched
+        assert isinstance(cert, Evidence)
         # an empty search (max_side 0) finds no window either way
-        all_found = bool(ev.found) and not not_found
+        all_found = bool(cert.found) and not cert.not_found
         if all_found:
-            b_detail = f"zero windows found for square shapes up to side {budget.max_side} ({searched})"
-        elif not_found:
-            b_detail = f"no zero window found for sides {list(not_found)} ({searched}); not a proof"
+            b_detail = f"zero windows found for square shapes up to side {budget.max_side} ({cert.searched})"
+        elif cert.not_found:
+            b_detail = f"no zero window found for sides {list(cert.not_found)} ({cert.searched}); not a proof"
         else:
             b_detail = f"no window side searched (max_side={budget.max_side})"
-        b_row = ConditionRow(True if all_found else None, "evidence" if all_found else "unknown", b_detail)
-        rows["b"] = b_row
-        rows["a"] = ConditionRow(b_row.holds, "derived" if all_found else "unknown", "equivalent to (b)")
-        rows["c"] = ConditionRow(b_row.holds, "derived" if all_found else "unknown", "equivalent to (b)")
-        rows["e"] = ConditionRow(b_row.holds, "derived" if all_found else "unknown", "equivalent to (b)")
-        rows["f"] = ConditionRow(b_row.holds, "derived" if all_found else "unknown", "equivalent to (b); density ratios are lower bounds only")
+        rows = {"b": ConditionRow(True if all_found else None, "evidence" if all_found else "unknown", b_detail)}
+        source, mode, f_note = "b", "derived" if all_found else "unknown", "; density ratios are lower bounds only"
+    _derive_equivalents(rows, source, mode, f_note)
 
-    d_holds, d_mode, d_detail = _coprime_subset_analysis(spec, schemas)
-    rows["d"] = ConditionRow(d_holds, d_mode, d_detail)
-
+    rows["d"] = _coprime_subset_analysis(spec, _schemas(spec))
     if dprime_candidate is not None:
-        dp = check_coprime_cover_candidate(spec, dprime_candidate, cell_limit=budget.cell_limit)
-        rows["d_prime"] = ConditionRow(dp.holds, dp.mode, dp.detail)
-
+        rows["d_prime"] = check_coprime_cover_candidate(spec, dprime_candidate, cell_limit=budget.cell_limit)
     _check_consistency(rows)
-    ordered = {k: rows[k] for k in ("a", "b", "c", "d", "d_prime", "e", "f") if k in rows}
-    return ConditionsReport(ordered, verdict)
+    # the keys sort into the paper's order: a, b, c, d, d_prime, e, f
+    return ConditionsReport({k: rows[k] for k in sorted(rows)}, verdict)
+
+
+def _derive_equivalents(rows: dict, source: str, mode: str, f_note: str):
+    """Give each condition equivalent to ``source`` that has no row yet the
+    holds of ``source``, the given mode and the detail "equivalent to
+    (source)", with ``f_note`` appended on the density row (f)."""
+    for key in _EQUIVALENT:
+        if key not in rows:
+            note = f_note if key == "f" else ""
+            rows[key] = ConditionRow(rows[source].holds, mode, f"equivalent to ({source}){note}")
 
 
 def _check_consistency(rows: dict):
     exact_equiv = [
-        rows[k].holds for k in ("a", "b", "c", "e", "f") if k in rows and rows[k].mode in ("exact", "derived") and rows[k].holds is not None
+        rows[k].holds for k in _EQUIVALENT if k in rows and rows[k].mode in ("exact", "derived") and rows[k].holds is not None
     ]
     if exact_equiv and len(set(exact_equiv)) > 1:
         raise InconsistencyError(f"equivalent conditions disagree: {rows}")

@@ -373,16 +373,23 @@ def _zero_translates(spec: FamilySpec, shape: Shape, search: Box, cell_limit: in
     _check_dim(spec, shape.dim)
     if search.dim != shape.dim:
         raise ValueError("search box dimension mismatch")
-    if search.volume * len(shape) > cell_limit:
-        raise TooLargeError("scan exceeds the cell limit")
-    grown = prod(s + e - 1 for s, e in zip(search.sides, Box(*shape.bounds()).sides))
-    if grown > cell_limit:
-        raise TooLargeError(f"scan sieves {grown} cells, above the cell limit of {cell_limit}")
+    _check_scan_size(search, len(shape), Box(*shape.bounds()).sides, cell_limit)
     (x, *lo), (b, *hi) = search.lo, search.hi
     while x <= b:
         top = min(2 * x - search.lo[0], b)
         yield from _sieved_translates(spec, shape, Box((x, *lo), (top, *hi)))
         x = top + 1
+
+
+def _check_scan_size(search: Box, cells: int, extent, cell_limit: int):
+    """The size checks of a zero-window scan for a shape of ``cells`` cells
+    whose bounding box has sides ``extent``: its translates times cells, and
+    the search box grown by the extent, which is what gets sieved."""
+    if search.volume * cells > cell_limit:
+        raise TooLargeError("scan exceeds the cell limit")
+    grown = prod(s + e - 1 for s, e in zip(search.sides, extent))
+    if grown > cell_limit:
+        raise TooLargeError(f"scan sieves {grown} cells, above the cell limit of {cell_limit}")
 
 
 def _sieved_translates(spec: FamilySpec, shape: Shape, search: Box):

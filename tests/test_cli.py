@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from bfree import cli, proximality
+from bfree import cli, proximality, windows
 from bfree.cli import main
 
 EX2_CLOSED_FORM = lambda n, m: n % 2 == 1 and m % 2 == 1 and abs(m - n) == 2
@@ -109,6 +109,17 @@ def test_evidence_search_obeys_the_cell_limit(command, capsys, monkeypatch):
     assert code == 3
 
 
+def test_report_checks_every_evidence_side_before_it_sieves(capsys, monkeypatch):
+    # side 303 is the first whose 33 x 33 translates times (k + 1)^2 cells
+    # pass the default cell limit; no side is sieved before that is known
+    sieved = []
+    monkeypatch.setattr(windows, "covered_flags", lambda *args: sieved.append(args))
+    code, stdout, err = run(capsys, "report", "--preset", "ex2", "--max-side", "400")
+    assert code == 3 and stdout == ""
+    assert err == "limit breached: scan exceeds the cell limit\n"
+    assert sieved == []
+
+
 def test_zero_trivial_single_cell(capsys):
     code, stdout, _ = run(capsys, "zero", "--preset", "ex2", "--shape", "0:0x0:0")
     assert code == 0
@@ -125,6 +136,17 @@ def test_zero_crt_rect_demo(capsys):
     assert payload["period"] == [[6, 0], [0, 6]]
     x, y = payload["translate"]
     assert x % 2 == 0 and y % 2 == 0 and (x + 1) % 3 == 0 and y % 3 == 0
+
+
+def test_zero_crt_takes_non_diagonal_members(capsys):
+    # ex1's members of index <= 2000 hold one diagonal lattice, Z x 2Z; the
+    # second cell comes from {x = y mod 2}, which is coprime to it
+    code, stdout, _ = run(capsys, "zero", "--preset", "ex1", "--shape", "0:1x0:0", "--crt")
+    assert code == 0
+    payload = json.loads(stdout)
+    assert payload["translate"] == [1, 0]
+    assert payload["period"] == [[2, 0], [0, 2]]
+    assert payload["certificate"]["lattices"] == [[[1, 0], [0, 2]], [[1, 1], [0, 2]]]
 
 
 def test_zero_periodic_exact_negative(tmp_path, capsys):

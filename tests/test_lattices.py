@@ -10,13 +10,14 @@ from bfree.errors import NotCoprimeError, RankDeficientError
 from bfree.lattices import (
     Lattice,
     UnimodularMap,
+    combination,
     crt,
-    enumerate_points,
     hnf,
     intersect_all,
     split_in_sum,
 )
 from bfree.numtheory import crt_integers
+from bfree.windows import Box
 
 from helpers import canonical_lattices, random_unimodular
 
@@ -215,7 +216,8 @@ def test_intersect_bruteforce():
         if p in subgroup_points([(2, 0), (0, 1)], coeff_bound=12)
     }
     inside = {p for p in expected if all(abs(x) <= 8 for x in p)}
-    assert inside == {p for p in enumerate_points(got, 6) if all(abs(x) <= 8 for x in p)}
+    points = (combination(got.columns, ks) for ks in Box.centered(6, 2).points())
+    assert inside == {p for p in points if all(abs(x) <= 8 for x in p)}
 
 
 def test_index_product_law_randomized():

@@ -50,7 +50,7 @@ from bfree.proximality import (
     prove_no_zero_window,
 )
 from bfree.windows import Box, Shape, all_zero_windows, find_zero_window, zero_window_by_crt
-from helpers import canonical_lattices
+from helpers import canonical_lattices, entries, random_unimodular
 
 
 def rect_spec(*diags):
@@ -145,7 +145,7 @@ def test_decide_rectangular_settles_the_200003_template_by_its_span():
         assert report.rows[key].mode == ("derived" if key == "f" else "exact")
 
 
-def test_decide_rectangular_checks_an_entry_past_the_class_limit_modulo_a_divisor():
+def test_decide_rectangular_settles_an_entry_past_the_class_limit_by_its_span():
     # the sweep modulo 2*1009*1013 has over 200000 classes, but the template
     # entry's span 2Z is one of the covers: one check, modulo 2
     spec = parse_family("dim 1\nrect [1009]\nrect [1013]\nrecttemplate [2t] params=primes\n")
@@ -175,6 +175,27 @@ def test_check_covering_checks_supplied_covers_modulo_a_divisor_past_the_rep_lim
         ("t=1 (mod 2)", 1, 2),
     ]
     assert [c.modulus for c in check_covering(spec, covers).certificate.checks] == [4, 4, 4]
+
+
+@st.composite
+def families(draw):
+    """Families of one to three random entries, half of them under a
+    random unimodular transform."""
+    m = draw(st.integers(1, 3))
+    es = tuple(draw(st.lists(entries(m), min_size=1, max_size=3)))
+    transform = random_unimodular(random.Random(draw(st.integers(0, 10**6))), m) if draw(st.booleans()) else None
+    return FamilySpec(m, es, transform)
+
+
+@settings(max_examples=100, deadline=None)
+@given(families())
+def test_decide_never_sweeps_a_quotient(spec):
+    # decide's covers are each infinite entry's span and each finite entry's
+    # members, so every entry or member it checks lies in one cover
+    v = decide(spec, SearchBudget(max_side=0))
+    if v.status == NOT_PROXIMAL:
+        for check in v.certificate.checks:
+            assert check.reps_checked == 0 and check.cover is not None
 
 
 def test_decide_certificate_has_one_check_per_entry():
@@ -238,6 +259,32 @@ def test_decide_ex_presets_inconclusive_with_evidence():
         assert v.status == INCONCLUSIVE
         assert isinstance(v.certificate, Evidence)
         assert v.zero_window_sides == (1, 2)
+
+
+def test_evidence_search_stops_at_the_first_side_without_a_window(monkeypatch):
+    # ex2's search box holds windows of sides 1 to 30 only; a window of side
+    # k + 1 holds one of side k, so side 31 is the last one searched
+    sides = []
+    find = proximality.find_zero_window
+    monkeypatch.setattr(proximality, "find_zero_window", lambda spec, shape, *a, **kw: sides.append(shape) or find(spec, shape, *a, **kw))
+    v = decide(preset("ex2"), SearchBudget(max_side=40, search_radius=16))
+    assert v.status == INCONCLUSIVE
+    assert len(sides) == 31
+    assert v.zero_window_sides == tuple(range(1, 31))
+    assert v.certificate.not_found == tuple(range(31, 41))
+
+
+@settings(max_examples=40, deadline=None)
+@given(families())
+def test_evidence_matches_a_search_of_every_side(spec):
+    search = Box.centered(4, spec.dim)
+    windows = [
+        (k, find_zero_window(spec, Shape.from_box(Box((0,) * spec.dim, (k,) * spec.dim)), search))
+        for k in range(1, 4)
+    ]
+    ev = proximality._zero_window_evidence(spec, SearchBudget(max_side=3, search_radius=4))
+    assert ev.found == tuple((k, g) for k, g in windows if g is not None)
+    assert ev.not_found == tuple(k for k, g in windows if g is None)
 
 
 def test_verdict_json_shape():
@@ -656,6 +703,20 @@ def test_dprime_checker_requires_certified_candidate():
     vague = FamilySpec(2, (Static(hnf([(1, 1), (0, 2)])),))
     report = check_coprime_cover_candidate(preset("ex2"), vague)
     assert report.holds is None
+
+
+def test_dprime_refutation_carries_its_witness_outside_the_json():
+    # ex1's free set holds (0, y) for every odd y; the scan of 3Z x 3Z, last
+    # coefficient fastest from -12, meets (0, -33) first
+    candidate = parse_family("dim 2\nrecttemplate [t,t] params=oddprimes\n")
+    row = check_coprime_cover_candidate(preset("ex1"), candidate)
+    assert (row.holds, row.mode) == (False, "exact")
+    assert row.witness == (Lattice.from_diagonal((3, 3)), (0, -33))
+    assert row.to_json_dict() == {
+        "holds": False,
+        "mode": "exact",
+        "detail": "candidate member [[3, 0], [0, 3]] contains the free point (0, -33)",
+    }
 
 
 def test_dprime_scan_is_bounded_by_the_cell_limit_before_it_starts(monkeypatch):

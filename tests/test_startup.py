@@ -15,7 +15,7 @@ SRC = Path(bfree.__file__).resolve().parent.parent
 PUBLIC = sorted(
     """
     BFreeError BadInputError Box ConditionRow ConditionsReport CoprimeFamily CoprimeList
-    CoprimeSubscheme CoverCheck Covering CoveringReport DPrimeReport DensityProfile Evidence
+    CoprimeSubscheme CoverCheck Covering CoveringReport DensityProfile Evidence
     Explicit FactorizationError FamilyParseError FamilySpec FixedTranslateReport
     FreeWindow Geometric InconsistencyError InvalidCoverError Lattice NotAZeroWindowError
     NotCoprimeError NotEnoughIdealsError NotPairwiseCoprimeError NotRectangularError Primes
@@ -87,7 +87,7 @@ def test_import_loads_no_submodule():
 
 def test_public_names_are_unchanged_and_resolve_to_their_home_objects():
     assert sorted(bfree.__all__) == PUBLIC
-    assert len(PUBLIC) == 86
+    assert len(PUBLIC) == 85
     for name in PUBLIC:
         value = getattr(bfree, name)
         if name in SUBMODULES:
