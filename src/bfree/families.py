@@ -4,10 +4,10 @@ A family is a list of entries, each one of:
 
 * ``Static`` -- a single lattice, given explicitly;
 * ``Rectangular`` -- a single diagonal lattice a_1 Z x ... x a_m Z;
-* ``Template`` -- a triangular base matrix whose single scaled diagonal
-  entry is multiplied by a parameter t running over a sequence;
-* ``RectTemplate`` -- a diagonal pattern whose slots are c * t**e, again
-  over a parameter sequence.
+* ``Template`` -- a triangular base matrix whose diagonal entries are
+  multiplied by powers t**e of a parameter t running over a sequence: any
+  powers on a diagonal base (``RectTemplate`` builds one from slots
+  c * t**e), t on one row of any other base.
 
 Every entry kind answers the same questions: membership, ``span()``,
 ``classes_mod(n, limit)`` and ``schema()``, and names its span in labels by
@@ -22,10 +22,12 @@ the schema proves neither.
 Parameter sequences are primes (with optional exclusions), powers of a fixed
 base, or an explicit finite list.  Membership of a point in the union of all
 members is decided exactly: divisibility constraints pin down finitely many
-candidate parameters, so no sampling or truncation is involved.  Each
-template kind has one elimination that reads those constraints
-(``Template._eliminate``, ``RectTemplate._constraints``); its point questions
-run it on the whole point, and ``line_pieces`` runs it on a line's prefix.
+candidate parameters, so no sampling or truncation is involved.  One
+elimination reads those constraints, ``Template._eliminate``; the point
+questions run it on the whole point, and ``line_pieces`` on a line's prefix.
+The schema answers with a ``CoprimeFamily`` only for a template with the
+identity base over primes, whose distinct parameters give pairwise coprime
+members.
 
 A family may carry a unimodular change of coordinates; the described family
 is then the image of every entry under that map.  Membership pulls points
@@ -36,7 +38,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property, partial
-from math import gcd, prod
+from math import gcd
 
 from .errors import FamilyParseError, TooLargeError, UnknownPresetError
 from .lattices import Lattice, Point, UnimodularMap, as_point, hnf
@@ -441,7 +443,7 @@ class _OneMember:
 
     def line_pieces(self, prefix, power_hits):
         """How the one member meets the line prefix x Z (as
-        RectTemplate.line_pieces): back-substitution through the prefix
+        Template.line_pieces): back-substitution through the prefix
         rows leaves one progression, or none."""
         basis = self.lattice.basis
         res = list(prefix) + [0]
@@ -458,7 +460,7 @@ class _OneMember:
         return self.lattice
 
     def schema(self) -> list[Lattice]:
-        """The one member, which is its own cover (see _Parameterised.schema)."""
+        """The one member, which is its own cover (see Template.schema)."""
         return [self.lattice]
 
     def classes_mod(self, n: int, limit: int):
@@ -536,9 +538,6 @@ class RectEntry:
         if self.coeff < 1 or self.exp < 0:
             raise ValueError("slot must be c * t**e with c >= 1 and e >= 0")
 
-    def value(self, t: int) -> int:
-        return self.coeff * t**self.exp
-
     def __str__(self):
         if self.exp == 0:
             return str(self.coeff)
@@ -546,12 +545,36 @@ class RectEntry:
         return f"{c}t" if self.exp == 1 else f"{c}t^{self.exp}"
 
 
-class _Parameterised:
-    """Entry protocol of the template kinds, read off ``params``,
-    ``member(t)``, ``member_columns(t)``, ``_parameter_bound(bound)``,
-    ``span()`` and ``_coprime_family()``."""
+@dataclass(frozen=True)
+class Template:
+    """Lattices over a parameter sequence: member t is the canonical
+    triangular base with row i's diagonal entry multiplied by t**exps[i].
+
+    A diagonal base may scale any rows by any powers (the ``recttemplate``
+    line); any other base scales exactly one row, by t (the ``template``
+    line).  The rest of a scaled column, below the diagonal, is shared by
+    every member.
+    """
+
+    base: Lattice
+    exps: tuple[int, ...]
+    params: ParamSeq
 
     span_word = "span"
+
+    def __post_init__(self):
+        if len(self.exps) != self.base.dim or min(self.exps) < 0:
+            raise ValueError("a template needs one exponent e >= 0 per row")
+        if not any(self.exps):
+            raise ValueError("a template needs at least one parameterized slot")
+        if not self.base.is_diagonal() and sorted(self.exps) != [0] * (self.dim - 1) + [1]:
+            raise ValueError("a non-diagonal base scales exactly one row, by t")
+        if self.base.index < 2 and 1 in self.params:
+            raise ValueError("parameter 1 would instantiate an improper member")
+
+    @property
+    def dim(self) -> int:
+        return self.base.dim
 
     @property
     def is_infinite(self) -> bool:
@@ -561,9 +584,9 @@ class _Parameterised:
     def factors(self) -> bool:
         return self.params.factors
 
-    def _members(self) -> list[Lattice]:
-        """Every member, for a finite sequence."""
-        return [self.member(t) for t in self.params.values]
+    @property
+    def is_rectangular(self) -> bool:
+        return self.base.is_diagonal()
 
     def classes_mod(self, n: int, limit: int):
         """(label, columns, parameter) for every member class modulo n.
@@ -596,10 +619,12 @@ class _Parameterised:
         return None if parameter is None else self.member(parameter)
 
     def instances_up_to(self, bound: int) -> list[Lattice]:
-        """Every member of index <= bound, by increasing parameter.  Each
-        ``__post_init__`` rejects the parameters that give an improper
+        """Every member of index <= bound, by increasing parameter: member t
+        has index index(base) * t**E, E the sum of the exponents.
+        ``__post_init__`` rejects the parameter that gives an improper
         member, so no member needs filtering."""
-        return [self.member(t) for t in self.params.values_up_to(self._parameter_bound(bound))]
+        top = iroot(max(bound, 0) // self.base.index, sum(self.exps))
+        return [self.member(t) for t in self.params.values_up_to(top)]
 
     def schema(self):
         """What the schema proves about the members: a cover, a
@@ -607,58 +632,96 @@ class _Parameterised:
 
         A cover is a list of proper lattices holding every member: the
         members themselves for a finite sequence.  For an infinite entry it
-        is the span when that is proper, so no two members are coprime;
-        otherwise the answer is ``_coprime_family()``.
+        is the span when that is proper, so no two members are coprime.
+        Otherwise, with the identity base over primes, distinct primes give
+        coordinatewise coprime members, a CoprimeFamily; any other base
+        proves no coprime family here (geometric powers share the base, so
+        their span is proper).
         """
-        if not self.params.is_infinite:
-            return self._members()
+        params = self.params
+        if not params.is_infinite:
+            return [self.member(t) for t in params.values]
         span = self.span()
-        return [span] if span.is_proper() else self._coprime_family()
+        if span.is_proper():
+            return [span]
+        if self.base.index > 1 or not isinstance(params, Primes):
+            return None
+        sample = tuple(self.member(t) for t in params.values_up_to(30)[:4])
+        rule = (
+            f"members diag({', '.join(map(str, self._slots()))}) over {params.describe()}: "
+            "distinct prime parameters give pairwise coprime members"
+        )
+        return CoprimeFamily(rule, sample)
 
-
-@dataclass(frozen=True)
-class RectTemplate(_Parameterised):
-    """Diagonal lattices diag(c_1 t**e_1, ..., c_m t**e_m) over a parameter sequence."""
-
-    entries: tuple[RectEntry, ...]
-    params: ParamSeq
-
-    is_rectangular = True
-
-    def __post_init__(self):
-        if not any(s.exp >= 1 for s in self.entries):
-            raise ValueError("a rectangular template needs at least one parameterized slot")
-        if all(s.coeff == 1 for s in self.entries) and 1 in self.params:
-            raise ValueError("parameter 1 would instantiate the improper all-ones member")
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
+    @cached_property
+    def _rows(self):
+        """Per row i: its diagonal entry, its exponent, and the nonzero
+        entries (j, b) of its column below the diagonal."""
+        basis = self.base.basis
+        return tuple(
+            (basis[i][i], e, tuple((j, basis[j][i]) for j in range(i + 1, len(basis)) if basis[j][i]))
+            for i, e in enumerate(self.exps)
+        )
 
     def member(self, t: int) -> Lattice:
-        return Lattice.from_diagonal(tuple(s.value(t) for s in self.entries))
+        """The member for t, from the base's rows: scaling diagonal entries
+        by t**e >= 1 keeps the off-diagonal entries reduced, so no hnf is
+        needed."""
+        return Lattice(tuple(
+            row[:i] + (row[i] * t**e,) + row[i + 1 :] if e else row
+            for i, (row, e) in enumerate(zip(self.base.basis, self.exps))
+        ))
 
-    def member_columns(self, t: int) -> list[Point]:
-        m = self.dim
-        return [tuple(s.value(t) if i == j else 0 for i in range(m)) for j, s in enumerate(self.entries)]
+    def member_columns(self, t: int) -> list[list[int]]:
+        """Member t's columns, for any integer t (a residue may be 0)."""
+        cols = [list(c) for c in self.base.columns]
+        for i, e in enumerate(self.exps):
+            cols[i][i] *= t**e
+        return cols
 
-    def _parameter_bound(self, bound: int) -> int:
-        """The largest t with c * t**E <= bound: c the product of the
-        coefficients, E the sum of the exponents (at least 1)."""
-        const = prod(s.coeff for s in self.entries)
-        return iroot(max(bound, 0) // const, sum(s.exp for s in self.entries))
+    def _eliminate(self, p, rows: int) -> list:
+        """Back-substitution of p through the first ``rows`` rows of the
+        members: (t, constraints, rest) for every branch that survives, by
+        increasing t, where rest is, on the later rows, p less the
+        combination of member columns that matches p on those rows.
 
-    def _constraints(self, p):
-        """Per-slot divisibility data for the leading slots that p fills
-        (every slot for a point, all but the last for a line's prefix), or
-        None when a constant slot fails."""
-        constraints = []
-        for s, x in zip(self.entries, p):
-            if x % s.coeff:
-                return None
-            if s.exp >= 1:
-                constraints.append((x // s.coeff, s.exp))
-        return constraints
+        A scaled row of exponent e whose quotient w is not 0 is handled in
+        one of two ways.  With no entry below the diagonal in its column,
+        the coefficient w / t**e reaches no later row, so the branch defers:
+        it goes on with (w, e) added to its constraints, which ``_holds``
+        and ``_least_param`` resolve.  Otherwise it forks over the
+        parameters t with t**e | w, each fork going on with the coefficient
+        w / t**e.  t is None on a branch that has not forked.  Only a
+        non-diagonal base forks, and it has one scaled row, so a fork meets
+        no other scaled row and its constraints stay empty.  Raises
+        ValueError for a point of another dimension.
+        """
+        table = self._rows
+        if len(p) != len(table):
+            raise ValueError("point dimension mismatch")
+        done, todo = [], [(None, [], list(p), 0)]
+        while todo:  # depth first, the least t on top
+            t, constraints, res, start = todo.pop()
+            for i in range(start, rows):
+                d, e, below = table[i]
+                w, rem = divmod(res[i], d)
+                if rem:
+                    break
+                if e and w:
+                    if below:
+                        for t in sorted(self.params.candidates(((w, e),)), reverse=True):
+                            fork = res[:]
+                            for j, b in below:
+                                fork[j] -= w // t**e * b
+                            todo.append((t, [], fork, i + 1))
+                        break
+                    constraints.append((w, e))
+                else:
+                    for j, b in below:
+                        res[j] -= w * b
+            else:
+                done.append((t, constraints, res))
+        return done
 
     def _probe_first(self, constraints) -> bool:
         # Huge constraint values would make the exact candidate computation
@@ -683,23 +746,30 @@ class RectTemplate(_Parameterised):
     def _holds(self, constraints) -> bool:
         """Whether some parameter t has t**e | v for every (v, e).  With
         every exponent 1 that is whether some parameter divides the gcd of
-        the values, which needs no factoring."""
-        if all(e == 1 for _, e in constraints):
-            return self.params.divides(gcd(*(v for v, _ in constraints)))
-        return self._least_param(constraints) is not None
+        the values (0 without constraints), which needs no factoring."""
+        g = 0
+        for v, e in constraints:
+            if e != 1:
+                return self._least_param(constraints) is not None
+            g = gcd(g, v)
+        return self.params.divides(g)
 
     def covered(self, p) -> bool:
-        if len(p) != self.dim:
-            raise ValueError("point dimension mismatch")
-        constraints = self._constraints(p)
-        return constraints is not None and self._holds(constraints)
+        for _, constraints, _ in self._eliminate(p, len(self._rows)):
+            if self._holds(constraints):
+                return True
+        return False
 
     def member_containing(self, p):
-        if len(p) != self.dim:
-            raise ValueError("point dimension mismatch")
-        constraints = self._constraints(p)
-        t = None if constraints is None else self._least_param(constraints)
-        return None if t is None else self.member(t)
+        """The member of the least parameter that holds p, or None.  A
+        branch that has not forked is the only one, so the first branch
+        with a parameter gives the least."""
+        for t, constraints, _ in self._eliminate(p, len(self._rows)):
+            if t is None:
+                t = self._least_param(constraints)
+            if t is not None:
+                return self.member(t)
+        return None
 
     def line_pieces(self, prefix, power_hits):
         """How the entry meets the line prefix x Z: a list of (s, d, hits),
@@ -707,195 +777,74 @@ class RectTemplate(_Parameterised):
         is None, else those x = s + (v0 + i) * d that hits(v0, n) flags.
 
         power_hits is the sequence's power_hits, or a caching stand-in for
-        it.  With a constant last slot the prefix alone decides.  With the
-        last slot c * t**e and the parameterised prefix coordinates all 0,
-        the condition is t**e | x / c, the same run of values on every such
-        line.  Otherwise the prefix leaves finitely many candidates t: a
-        sequence that never factors lists them, each covering x = 0 (mod
-        c * t**e); over primes each cell adds x / c to the prefix
-        constraints and asks _holds, whose gcd stays small where the prefix
-        values are huge.
+        it.  ``_eliminate`` through the prefix rows leaves each branch its
+        constraints and the last coordinate -s; the last row has diagonal
+        entry d and exponent e.  With e = 0 the prefix alone decides, and
+        branches that force the same progression are merged.  Otherwise no
+        row before the last forks, so one branch at most is left, and the
+        condition on the cell x is t**e | (x - s) / d.  Without
+        constraints that is the same run of values on every such line.  With
+        constraints, a sequence that never factors lists their candidates
+        t, each covering x = s (mod d * t**e); over primes each cell adds
+        (x - s) / d to the constraints and asks _holds, whose gcd stays
+        small where the prefix values are huge.
         """
-        head = self._constraints(prefix)
-        if head is None:
-            return []
-        last = self.entries[-1]
-        if not last.exp:
-            return [(0, last.coeff, None)] if self._holds(head) else []
-        if not any(v for v, _ in head):
-            return [(0, last.coeff, partial(power_hits, e=last.exp))]
-        if not self.factors:
-            return [(0, last.value(t), None) for t in self.params.candidates(head)]
+        d, e, _ = self._rows[-1]
+        branches = self._eliminate((*prefix, 0), len(prefix))
+        if not e:
+            return [(s, d, None) for s in {-res[-1] % d for _, head, res in branches if self._holds(head)}]
+        pieces = []
+        for _, head, res in branches:
+            s = -res[-1]
+            if not head:
+                pieces.append((s, d, partial(power_hits, e=e)))
+            elif not self.factors:
+                pieces += [(s, d * t**e, None) for t in self.params.candidates(head)]
+            else:
+                pieces.append((s, d, partial(self._hits, head, e)))
+        return pieces
 
-        def hits(v0, n):
-            return bytearray(self._holds(head + [(v, last.exp)]) for v in range(v0, v0 + n))
-
-        return [(0, last.coeff, hits)]
-
-    def span(self) -> Lattice:
-        """The lattice the members generate: the diagonal of coordinatewise
-        gcds c * gcd(t**e) = c * g**e over the sequence, where g, the gcd of
-        the parameters, is gcd(min_value(), delta())."""
-        g = gcd(self.params.min_value(), self.params.delta())
-        return Lattice.from_diagonal(tuple(s.coeff * g**s.exp for s in self.entries))
-
-    def _coprime_family(self) -> CoprimeFamily:
-        """The schema answer for an infinite entry whose span is Z^m.  That
-        happens only with unit coefficients over primes (geometric powers
-        share the base, and parameter 1 is rejected), and then distinct
-        primes give coordinatewise coprime members, so a rectangular
-        template never answers None."""
-        sample = tuple(self.member(t) for t in self.params.values_up_to(30)[:4])
-        rule = (
-            f"members diag({', '.join(str(s) for s in self.entries)}) over {self.params.describe()}: "
-            "distinct prime parameters give pairwise coprime members"
-        )
-        return CoprimeFamily(rule, sample)
-
-    def spec_line(self) -> str:
-        slots = ",".join(str(s) for s in self.entries)
-        return f"recttemplate [{slots}] params={self.params.spec_text()}"
-
-
-@dataclass(frozen=True)
-class Template(_Parameterised):
-    """Triangular base whose scaled diagonal entry is multiplied by the parameter.
-
-    ``scaled_row`` is the 0-indexed diagonal position; the rest of that
-    column (rows below the diagonal) is shared by every member.
-    """
-
-    base: Lattice
-    scaled_row: int
-    params: ParamSeq
-
-    is_rectangular = False
-
-    def __post_init__(self):
-        if not 0 <= self.scaled_row < self.base.dim:
-            raise ValueError("scaled position out of range")
-        if self.base.index < 2 and 1 in self.params:
-            raise ValueError("parameter 1 would instantiate an improper member")
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    def member_columns(self, t: int) -> list[list[int]]:
-        cols = [list(c) for c in self.base.columns]
-        r = self.scaled_row
-        cols[r][r] = self.base.basis[r][r] * t
-        return cols
-
-    def member(self, t: int) -> Lattice:
-        """The member for t, from its canonical basis rows unchecked: scaling
-        one diagonal entry by t >= 1 keeps the base's off-diagonal entries
-        reduced, so no hnf is needed."""
-        r = self.scaled_row
-        row = list(self.base.basis[r])
-        row[r] *= t
-        return Lattice(self.base.basis[:r] + (tuple(row),) + self.base.basis[r + 1 :])
-
-    def _parameter_bound(self, bound: int) -> int:
-        """The largest t with index(base) * t <= bound."""
-        return bound // self.base.index
-
-    def covered(self, p) -> bool:
-        """Whether some member holds p.  With the scaled row last, that is
-        whether some parameter divides the last quotient, which
-        ``params.divides`` answers without factoring it."""
-        m = self.dim
-        if self.scaled_row < m - 1:
-            return bool(self._eliminate(p, m))
-        d = self.base.basis[-1][-1]
-        for _, res in self._eliminate(p, m - 1):  # one branch at most
-            w, rem = divmod(res[-1], d)
-            return not rem and self.params.divides(w)
-        return False
-
-    def member_containing(self, p):
-        """The member of the least parameter that holds p, or None."""
-        branches = self._eliminate(p, self.dim)
-        if not branches:
-            return None
-        t = branches[0][0]
-        return self.member(self.params.min_value() if t is None else t)
-
-    def _eliminate(self, p, rows: int) -> list:
-        """Back-substitution of p through the first ``rows`` rows of the
-        members: (t, rest) for every branch that survives, by increasing t,
-        where rest is p less a combination of member columns, 0 on those
-        rows.  At the scaled row a branch forks over the parameters t that
-        divide its quotient; t is None on a branch that has not met that
-        row, or met it with quotient 0, where every member goes on alike.
-        Raises ValueError for a point of another dimension."""
-        basis = self.base.basis
-        m = len(basis)
-        if len(p) != m:
-            raise ValueError("point dimension mismatch")
-        r = self.scaled_row
-        branches = [(None, list(p))]
-        for i in range(rows):
-            d = basis[i][i]
-            survivors = []
-            for t, res in branches:
-                w, rem = divmod(res[i], d)
-                if rem:
-                    continue
-                if i != r or not w:
-                    if w:  # this row does not fork: update in place
-                        for j in range(i, m):
-                            res[j] -= w * basis[j][i]
-                    survivors.append((t, res))
-                    continue
-                for t in sorted(self.params.candidates(((w, 1),))):
-                    k = w // t
-                    fork = res[:]
-                    fork[i] = 0
-                    for j in range(i + 1, m):
-                        fork[j] -= k * basis[j][i]
-                    survivors.append((t, fork))
-            branches = survivors
-        return branches
-
-    def line_pieces(self, prefix, power_hits):
-        """How the entry meets the line prefix x Z, as RectTemplate.line_pieces.
-
-        ``_eliminate`` through the prefix rows leaves each branch the last
-        coordinate -s.  With the scaled row last, some member holds the cell
-        x exactly when t | (x - s) / d; otherwise the branch covers x = s
-        (mod d), and branches that force the same progression are merged.
-        """
-        d = self.base.basis[-1][-1]
-        branches = self._eliminate((*prefix, 0), self.dim - 1)
-        if self.scaled_row == self.dim - 1:
-            return [(-res[-1], d, partial(power_hits, e=1)) for _, res in branches]
-        return [(s, d, None) for s in {-res[-1] % d for _, res in branches}]
+    def _hits(self, head, e, v0, n):
+        """line_pieces' flags over the values v0, ..., v0 + n - 1: whether
+        some parameter satisfies the constraints head and t**e | v."""
+        return bytearray(self._holds(head + [(v, e)]) for v in range(v0, v0 + n))
 
     def span(self) -> Lattice:
         """The lattice the members generate: member t0's columns plus
-        delta * c * e_r, with t0 the least parameter, delta the gcd of
-        t - t0 over the sequence and c the scaled diagonal entry.  Only the
-        scaled column depends on t, and it is affine in t, so it moves by
-        (t - t0) * c * e_r from member t0 to member t."""
-        r = self.scaled_row
-        step = self.params.delta() * self.base.basis[r][r]
-        extra = tuple(step if i == r else 0 for i in range(self.dim))
-        return hnf(self.member_columns(self.params.min_value()) + [extra], dim=self.dim)
+        c * delta**e * e_i for each scaled row i, with t0 the least
+        parameter, delta the gcd of t - t0 over the sequence, c the row's
+        diagonal entry and e its exponent.  With e = 1 column i is affine in
+        t, so it moves by (t - t0) * c * e_i from member t0 to member t.
+        With e >= 2 the base is diagonal, and the span's entry c * g**e
+        (g = gcd(t0, delta) the gcd of the parameters, g**e that of the
+        t**e) is the gcd of c * t0**e and c * delta**e."""
+        delta = self.params.delta()
+        extra = [
+            tuple(d * delta**e if j == i else 0 for j in range(self.dim))
+            for i, (d, e, _) in enumerate(self._rows)
+            if e
+        ]
+        return hnf(self.member_columns(self.params.min_value()) + extra, dim=self.dim)
 
-    def _coprime_family(self) -> None:
-        """The schema proves no coprime family here."""
-        return None
+    def _slots(self) -> list[RectEntry]:
+        """The diagonal slots c * t**e of a diagonal base."""
+        return [RectEntry(c, e) for c, e in zip(self.base.diagonal, self.exps)]
 
     def spec_line(self) -> str:
-        pos = self.scaled_row + 1
-        return (
-            f"template base={_compact(self.base.to_columns())} scale=({pos},{pos}) "
-            f"params={self.params.spec_text()}"
-        )
+        params = f"params={self.params.spec_text()}"
+        if self.base.is_diagonal():
+            return f"recttemplate [{','.join(map(str, self._slots()))}] {params}"
+        pos = self.exps.index(1) + 1
+        return f"template base={_compact(self.base.to_columns())} scale=({pos},{pos}) {params}"
 
 
-Entry = Static | Rectangular | RectTemplate | Template
+def RectTemplate(slots, params: ParamSeq) -> Template:
+    """The template diag(c_1 t**e_1, ..., c_m t**e_m) over params, from its
+    slots c * t**e."""
+    return Template(Lattice.from_diagonal(tuple(s.coeff for s in slots)), tuple(s.exp for s in slots), params)
+
+
+Entry = Static | Rectangular | Template
 
 
 # ---------------------------------------------------------------------------
@@ -1005,7 +954,7 @@ def preset(name: str) -> FamilySpec:
             entries=(
                 Rectangular((2, 1)),
                 Rectangular((1, 2)),
-                Template(base=hnf([(1, 1), (0, 2)]), scaled_row=1, params=Primes()),
+                Template(base=hnf([(1, 1), (0, 2)]), exps=(0, 1), params=Primes()),
             ),
         )
     if name == "ex1":
@@ -1014,8 +963,8 @@ def preset(name: str) -> FamilySpec:
             entries=(
                 Static(hnf([(1, 1), (0, 2)])),
                 Rectangular((1, 2)),
-                Template(base=hnf([(2, 1), (0, 2)]), scaled_row=0, params=odd_primes()),
-                Template(base=hnf([(2, 1), (0, 2)]), scaled_row=0, params=Geometric(2, 1)),
+                Template(base=hnf([(2, 1), (0, 2)]), exps=(1, 0), params=odd_primes()),
+                Template(base=hnf([(2, 1), (0, 2)]), exps=(1, 0), params=Geometric(2, 1)),
             ),
         )
     if name == "squarefree-1d":
@@ -1147,7 +1096,9 @@ def parse_family(text: str) -> FamilySpec:
                 if not mscale or mscale.group(1) != mscale.group(2):
                     raise FamilyParseError(line_no, "scale must be a diagonal position (r,r)")
                 row = int(mscale.group(1)) - 1
-                item = Template(base, row, _parse_params(fields["params"], line_no))
+                if not 0 <= row < dim:
+                    raise FamilyParseError(line_no, "scaled position out of range")
+                item = Template(base, tuple(int(i == row) for i in range(dim)), _parse_params(fields["params"], line_no))
             elif key == "recttemplate":
                 mrow = re.fullmatch(r"\[(.*)\]\s+params=(\S+)", rest)
                 if not mrow:

@@ -6,7 +6,7 @@ Exact verdicts come from each entry's ``schema()`` answer, read once per
 question, and are issued in two situations only:
 
 * some entry holds an infinite pairwise coprime subfamily, which today means
-  a rectangular template over primes with unit coefficients (Proximal); or
+  a template with the identity base over primes (Proximal); or
 * every entry has a cover (its members, or the span of an infinite entry)
   and the covers provably hold every member (NotProximal), verified by
   finite checks that are exact because cover membership is periodic.

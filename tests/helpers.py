@@ -46,6 +46,11 @@ def canonical_lattices(draw, m, max_diag=4):
     return Lattice(tuple(rows))
 
 
+def scaled_row(m: int, row: int) -> tuple[int, ...]:
+    """The exponents of a template that scales one row by t."""
+    return tuple(int(i == row) for i in range(m))
+
+
 @st.composite
 def entries(draw, m):
     kind = draw(st.sampled_from(("static", "rect", "recttemplate", "template")))
@@ -57,6 +62,6 @@ def entries(draw, m):
         if kind == "recttemplate":
             slots = tuple(RectEntry(draw(st.integers(1, 3)), draw(st.integers(0, 3))) for _ in range(m))
             return RectTemplate(slots, draw(param_seqs()))
-        return Template(draw(canonical_lattices(m)), draw(st.integers(0, m - 1)), draw(param_seqs()))
+        return Template(draw(canonical_lattices(m)), scaled_row(m, draw(st.integers(0, m - 1))), draw(param_seqs()))
     except ValueError:  # improper member or no parameterised slot
         assume(False)

@@ -66,6 +66,24 @@ def test_eta_parse_error_exit2(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("command", ["decide", "report"])
+def test_identity_base_template_answers_as_its_recttemplate(tmp_path, capsys, command):
+    # one family in two spellings: the same bytes, from the coprime family
+    outputs = []
+    for name, line in [
+        ("template", "template base=[[1,0],[0,1]] scale=(1,1) params=primes"),
+        ("recttemplate", "recttemplate [t,1] params=primes"),
+    ]:
+        spec = tmp_path / f"{name}.fam"
+        spec.write_text(f"dim 2\n{line}\n")
+        outputs.append(run(capsys, command, "--spec", str(spec)))
+    assert outputs[0] == outputs[1]
+    code, stdout, _ = outputs[0]
+    assert code == 0 and '"status": "Proximal"' in stdout
+    rule = "members diag(t, 1) over all primes: distinct prime parameters give pairwise coprime members"
+    assert f'"rule": "{rule}"' in stdout
+
+
 @pytest.mark.parametrize(
     "text, line_no",
     [

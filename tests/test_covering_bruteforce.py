@@ -28,7 +28,7 @@ from bfree.families import (
 )
 from bfree.lattices import Lattice, hnf, intersect_all
 from bfree.proximality import _lift_witness, _quotient_reps, check_covering, check_fixed_translate
-from helpers import canonical_lattices, entries, random_unimodular
+from helpers import canonical_lattices, entries, random_unimodular, scaled_row
 
 CLASS_LIMIT = 10**6
 
@@ -60,7 +60,7 @@ def random_entry(rng):
     params = rng.choice([Primes(), Geometric(2, 1), Explicit((2, 3, 7))])
     if base.index < 2 and 1 in params:
         base = hnf([(2, 1), (0, 2)])
-    return Template(base, rng.randrange(2), params)
+    return Template(base, scaled_row(2, rng.randrange(2)), params)
 
 
 def random_cover(rng):
@@ -317,7 +317,7 @@ def test_template_pair_sum_bound_contains_all_pair_sums(seed):
     # the coprime-subfamily refutation exact when it is proper
     rng = random.Random(9000 + seed)
     base = hnf([(rng.randint(1, 3), rng.randrange(3)), (0, rng.randint(1, 3))])
-    entry = Template(base, rng.randrange(2), Primes())
+    entry = Template(base, scaled_row(2, rng.randrange(2)), Primes())
     bound = entry.span()
     params = [2, 3, 5, 7, 11, 13]
     for t1, t2 in itertools.combinations(params, 2):

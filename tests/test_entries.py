@@ -218,9 +218,9 @@ def test_covering_verdict_builds_no_member(monkeypatch):
         Static(Lattice(((2, 0), (1, 2)))),
         Rectangular((2, 3)),
         RectTemplate((RectEntry(1, 1), RectEntry(2, 0)), Primes()),
-        Template(Lattice(((2, 0), (1, 2))), 0, odd_primes()),
+        Template(Lattice(((2, 0), (1, 2))), (1, 0), odd_primes()),
     ],
-    ids=lambda entry: type(entry).__name__,
+    ids=("Static", "Rectangular", "RectTemplate", "Template"),
 )
 @pytest.mark.parametrize("point", [(2,), (2, 1, 5)], ids=("short", "long"))
 @pytest.mark.parametrize("question", ["covered", "member_containing"])

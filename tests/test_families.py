@@ -23,7 +23,7 @@ from bfree.families import (
 )
 from bfree.lattices import Lattice, UnimodularMap, hnf
 
-from helpers import canonical_lattices, entries, param_seqs, random_unimodular
+from helpers import canonical_lattices, entries, param_seqs, random_unimodular, scaled_row
 
 
 # closed-form membership oracles for the two worked examples
@@ -164,7 +164,7 @@ def template_entries(draw):
         if draw(st.booleans()):
             slots = tuple(RectEntry(draw(st.integers(1, 3)), draw(st.integers(0, 3))) for _ in range(m))
             return RectTemplate(slots, params)
-        return Template(draw(canonical_lattices(m)), draw(st.integers(0, m - 1)), params)
+        return Template(draw(canonical_lattices(m)), scaled_row(m, draw(st.integers(0, m - 1))), params)
     except ValueError:  # improper member or no parameterised slot
         assume(False)
 
@@ -255,7 +255,7 @@ def test_improper_entries_rejected():
     with pytest.raises(ValueError):
         RectTemplate((RectEntry(1, 1),), Explicit((1, 3)))
     with pytest.raises(ValueError):
-        Template(Lattice.whole(2), 0, Explicit((1, 2)))
+        Template(Lattice.whole(2), (1, 0), Explicit((1, 2)))
 
 
 def test_template_zero_scaled_coordinate():
@@ -304,7 +304,7 @@ def test_parse_family_roundtrip():
     assert len(spec.entries) == 4
     assert spec.entries[0] == Static(Lattice.from_diagonal((2, 1)))
     assert spec.entries[1] == Rectangular((1, 2))
-    assert spec.entries[2] == Template(hnf([(1, 1), (0, 2)]), 1, Primes())
+    assert spec.entries[2] == Template(hnf([(1, 1), (0, 2)]), (0, 1), Primes())
     assert spec.entries[3] == RectTemplate((RectEntry(1, 1), RectEntry(2, 0)), Geometric(2))
     assert parse_family(format_family(spec)) == spec
 
@@ -337,7 +337,7 @@ def test_parse_rejects_missing_dim():
 def test_parse_slot_forms():
     spec = parse_family("dim 3\nrecttemplate [t^2,3t,7] params=primes!2,5\n")
     entry = spec.entries[0]
-    assert entry.entries == (RectEntry(1, 2), RectEntry(3, 1), RectEntry(7, 0))
+    assert entry == RectTemplate((RectEntry(1, 2), RectEntry(3, 1), RectEntry(7, 0)), Primes(exclude=(2, 5)))
     assert entry.params == Primes(exclude=(2, 5))
 
 
@@ -356,6 +356,13 @@ def family_specs(draw):
     if draw(st.booleans()):
         transform = random_unimodular(random.Random(draw(st.integers(0, 10**6))), m, ops=4)
     return FamilySpec(m, tuple(draw(st.lists(entries(m), min_size=1, max_size=3))), transform)
+
+
+def test_template_and_recttemplate_lines_of_a_diagonal_base_are_one_entry():
+    template = parse_family("dim 2\ntemplate base=[[3,0],[0,2]] scale=(1,1) params=primes\n")
+    recttemplate = parse_family("dim 2\nrecttemplate [3t,2] params=primes\n")
+    assert template == recttemplate
+    assert format_family(template) == format_family(recttemplate) == "dim 2\nrecttemplate [3t,2] params=primes\n"
 
 
 @settings(max_examples=200, deadline=None)
@@ -447,6 +454,6 @@ def test_template_member_is_canonical_without_hnf(data):
         rows.append(tuple(data.draw(st.integers(0, d - 1)) if j < i else d * (i == j) for j in range(m)))
     base = Lattice(tuple(rows))
     row = data.draw(st.integers(0, m - 1))
-    entry = Template(base, row, Explicit((2, 3, 5)))
+    entry = Template(base, scaled_row(m, row), Explicit((2, 3, 5)))
     t = data.draw(st.integers(1, 10**6))
     assert entry.member(t) == hnf(entry.member_columns(t))

@@ -22,7 +22,7 @@ from bfree.families import (
     RectTemplate,
     Rectangular,
     Static,
-    _Parameterised,
+    Template,
     odd_primes,
     parse_family,
     preset,
@@ -96,6 +96,15 @@ def test_decide_rectangular_rejects_templates():
         decide_rectangular(preset("ex2"))
     with pytest.raises(ValueError):
         decide_rectangular(FamilySpec(2, ()))
+
+
+def test_decide_rectangular_takes_a_template_line_with_a_diagonal_base():
+    spec = parse_family("dim 2\ntemplate base=[[1,0],[0,1]] scale=(1,1) params=primes\n")
+    v = decide_rectangular(spec)
+    assert v.status == PROXIMAL and isinstance(v.certificate, CoprimeSubscheme)
+    assert v.certificate.rule == (
+        "members diag(t, 1) over all primes: distinct prime parameters give pairwise coprime members"
+    )
 
 
 def test_decide_rectangular_builds_the_missed_coset_past_the_scan_limit():
@@ -535,7 +544,7 @@ def test_fixed_translate_settles_an_entry_by_its_span(monkeypatch):
     def refuse(self, n, limit):
         raise AssertionError(f"parameter classes modulo {n} built")
 
-    monkeypatch.setattr(_Parameterised, "classes_mod", refuse)
+    monkeypatch.setattr(Template, "classes_mod", refuse)
     spec = parse_family("dim 2\nrecttemplate [2t,t] params=primes\n")
     report = check_fixed_translate(spec, (1, 1), Lattice.from_diagonal((202, 103)))
     assert report.holds and report.exact and report.witness is None
@@ -554,7 +563,7 @@ def test_conditions_report_builds_no_parameter_class(monkeypatch):
     def refuse(self, n, limit):
         raise AssertionError(f"parameter classes modulo {n} built")
 
-    monkeypatch.setattr(_Parameterised, "classes_mod", refuse)
+    monkeypatch.setattr(Template, "classes_mod", refuse)
     spec = parse_family("dim 2\nrect [101,1]\nrect [1,103]\nrecttemplate [2t,t] params=primes\n")
     report = conditions_report(spec)
     assert report.verdict.status == NOT_PROXIMAL

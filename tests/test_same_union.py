@@ -23,7 +23,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bfree.families import Explicit, FamilySpec, Geometric, Primes, Static, _OneMember, _Parameterised
+from bfree.families import Explicit, FamilySpec, Geometric, Primes, Static, Template, _OneMember
 from bfree.proximality import INCONCLUSIVE, SearchBudget, decide
 from bfree.windows import Box, free_window
 from helpers import canonical_lattices, entries, random_unimodular
@@ -72,7 +72,7 @@ def same_union_pairs(draw, relation):
         else:
             extra = Static(_first_member(es[i]).intersect(draw(canonical_lattices(m))))
         return first, FamilySpec(m, tuple(es) + (extra,)), None
-    templates = [i for i, e in enumerate(es) if isinstance(e, _Parameterised)]
+    templates = [i for i, e in enumerate(es) if isinstance(e, Template)]
     assume(templates)
     i = draw(st.sampled_from(templates))
     if relation == "peel":

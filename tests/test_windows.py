@@ -17,7 +17,7 @@ from bfree.errors import (
     NotEnoughIdealsError,
     TooLargeError,
 )
-from bfree.families import FamilySpec, RectTemplate, Rectangular, Static, Template, parse_family, preset
+from bfree.families import FamilySpec, Rectangular, Static, Template, parse_family, preset
 from bfree.lattices import Lattice, UnimodularMap, hnf
 from bfree.windows import (
     DEFAULT_CELL_LIMIT,
@@ -242,7 +242,7 @@ def test_window_far_box_is_evaluated_by_lines(monkeypatch):
     def refuse(self, p):
         raise AssertionError("evaluated per cell")
 
-    monkeypatch.setattr(RectTemplate, "covered", refuse)
+    monkeypatch.setattr(Template, "covered", refuse)
     assert free_window(spec, box) == expected
 
 
@@ -281,7 +281,7 @@ def test_transformed_windows_never_evaluate_per_cell(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("evaluated per cell")
 
-    for cls in (Static, Rectangular, RectTemplate, Template):
+    for cls in (Static, Rectangular, Template):
         monkeypatch.setattr(cls, "covered", refuse)
     monkeypatch.setattr(FamilySpec, "pullback", refuse)
     # nor is any member mapped through the transform
@@ -328,12 +328,13 @@ def test_lines_under_a_transform_are_walked_once_each(monkeypatch):
     line_pieces = Template.line_pieces
 
     def count(self, prefix, power_hits):
-        calls.append(prefix)
+        calls.append((self.spec_line(), prefix))
         return line_pieces(self, prefix, power_hits)
 
     monkeypatch.setattr(Template, "line_pieces", count)
     assert free_window(spec, box) == expected
-    assert calls and len(calls) == len(set(calls)) and set(calls) <= meeting
+    # each of the two template entries walks each line once at most
+    assert calls and len(calls) == len(set(calls)) and {prefix for _, prefix in calls} <= meeting
 
 
 def test_tall_box_line_table_stays_bounded():
