@@ -277,9 +277,11 @@ def check_covering(
 
     The covers must be proper and must not exhaust Z^m; violations raise
     InvalidCoverError (such a list certifies nothing).  The missed coset is
-    the first representative of the cover intersection, in
-    ``iter_coset_reps`` order, outside every cover: built coordinate by
-    coordinate when every cover is diagonal, found by a scan otherwise.
+    a representative of the cover intersection outside every cover: the
+    first in ``iter_coset_reps`` order, built coordinate by coordinate when
+    every cover is diagonal and found by a scan otherwise, or, past
+    ``rep_limit`` scanned reps, a small missed point reduced modulo the
+    intersection (``_first_missed_scan``).
 
     Each entry is settled by ``_settle_entry`` with the property "held by
     one cover".  A cover is a group, so it holds every member exactly when
@@ -292,8 +294,10 @@ def check_covering(
     checked against the union.  An entry with more classes modulo N than
     ``rep_limit`` is checked instead modulo a divisor of N, each class
     inside one cover.  Raises TooLargeError, naming the count and
-    ``rep_limit`` (and the entry, for a class enumeration), when the scan
-    of non-diagonal covers or such a class enumeration would exceed it.
+    ``rep_limit`` (and the entry, for a class enumeration), when neither
+    the scan of non-diagonal covers nor the small-point search finds a
+    missed coset within it, or when such a class enumeration would exceed
+    it.
     """
     covers = list(covers)
     if not covers:
@@ -364,19 +368,54 @@ def _first_missed_diagonal(covers) -> Point:
 
 
 def _first_missed_scan(covers, period: Lattice, rep_limit: int) -> Point | None:
-    """First coset rep of ``period`` outside every cover, by scanning the
-    reps in order; None when the covers hold them all."""
+    """A coset rep of ``period`` outside every cover; None when the covers
+    hold them all.
+
+    The reps are scanned first, in ``iter_coset_reps`` order, and the first
+    one outside every cover is returned.  Past ``rep_limit`` reps, the
+    points of Z^m are tested by growing infinity-norm radius, through the
+    largest ball of at most ``rep_limit`` points; the first one outside
+    every cover is returned reduced modulo ``period`` (its canonical rep in
+    the box [0, diagonal)), which the covers miss as well, since each holds
+    ``period``.  So a small missed point is found whatever the coordinates.
+    Raises TooLargeError when neither route finds one.
+    """
+
+    def missed(p):
+        return not any(cov.contains(p) for cov in covers)
+
     scanned = 0
     for rep in period.iter_coset_reps():
-        if not any(cov.contains(rep) for cov in covers):
+        if missed(rep):
             return rep
         scanned += 1
         if scanned > rep_limit:
-            raise TooLargeError(
-                f"covering check: the first {rep_limit} of {period.index} cosets of the cover "
-                f"intersection all lie in the union (rep_limit={rep_limit})"
-            )
-    return None
+            break
+    else:
+        return None
+    point = next(filter(missed, _points_by_radius(period.dim, rep_limit)), None)
+    if point is not None:
+        return period.reduce(point)
+    raise TooLargeError(
+        f"covering check: the first {rep_limit} of {period.index} cosets of the cover "
+        f"intersection all lie in the union (rep_limit={rep_limit})"
+    )
+
+
+def _points_by_radius(m: int, limit: int):
+    """The points of Z^m shell by shell, infinity-norm radius r = 0, 1, ...,
+    through the largest r whose ball, (2r + 1)^m points, has at most
+    ``limit`` points.  A shell point has its first coordinate of absolute
+    value r at some k: the coordinates before k lie strictly inside."""
+    r = 0
+    while (2 * r + 1) ** m <= limit:
+        ends = (-r, r) if r else (0,)
+        for k in range(m):
+            for head in itertools.product(range(1 - r, r), repeat=k):
+                for x in ends:
+                    for tail in itertools.product(range(-r, r + 1), repeat=m - k - 1):
+                        yield head + (x,) + tail
+        r += 1
 
 
 def _lift_witness(member, image, period: Lattice, rep):
@@ -722,6 +761,39 @@ def _coprime_subset_analysis(spec: FamilySpec, schemas) -> ConditionRow:
     return ConditionRow(False, "exact", detail)
 
 
+def _held_by_members(spec: FamilySpec, member: Lattice, budget: int) -> bool:
+    """True when family members provably hold every point of ``member``.
+
+    Members L_1..L_k hold M exactly when every coset in M of I, the
+    intersection of M and every L_i, has a representative in some L_i,
+    because I inside L_j puts the whole coset r + I inside the L_j that
+    holds r.  Starting from no members and I = M, the quotient reps are
+    walked; at the first rep that no L_i holds, ``spec.member_containing``
+    supplies the next member, I shrinks to its intersection with it, and
+    the walk starts again.  A walk in which some L_i holds every rep is the
+    proof.  False when a rep lies in no member (refuted) or when more than
+    ``budget`` reps would be tested in all (undecided).
+    """
+    covers: list[Lattice] = []
+    inter = member
+    while True:
+        try:
+            _, reps = _quotient_reps(member, inter, budget)
+        except TooLargeError:
+            return False
+        for rep in reps:
+            budget -= 1
+            if not any(cov.contains(rep) for cov in covers):
+                break
+        else:
+            return True
+        found = spec.member_containing(rep)
+        if found is None:
+            return False
+        covers.append(found)
+        inter = inter.intersect(found)
+
+
 def check_coprime_cover_candidate(
     spec: FamilySpec,
     candidate: FamilySpec,
@@ -733,10 +805,16 @@ def check_coprime_cover_candidate(
 
     Pairwise coprimality of the candidate must be schema-exact; containment
     is refuted exactly by a witness (member, point), or reported as bounded
-    evidence when the scan finds none.  The scan walks each member's points
-    with coefficients within +/-_DPRIME_SCAN_RADIUS, last coefficient
-    fastest.  Raises TooLargeError, before the first point is tested, when
-    the scan has more than ``cell_limit`` points.
+    evidence when the scan finds none.  Only the candidate members of index
+    at most _DPRIME_INSTANCE_BOUND are examined; with none, nothing is
+    tested and the row is unknown.  Each member is first tried by
+    ``_held_by_members`` within its own scan size, (2 *
+    _DPRIME_SCAN_RADIUS + 1)^m representatives; a member so proved has no
+    free point and is not scanned.  Every other member, refuted or
+    undecided, is scanned in order: its points with coefficients within
+    +/-_DPRIME_SCAN_RADIUS, last coefficient fastest.  Raises
+    TooLargeError, before any member is tried, when the scan of all members
+    has more than ``cell_limit`` points.
     """
     row = _coprime_subset_analysis(candidate, _schemas(candidate))
     if row.holds is not True:
@@ -746,7 +824,13 @@ def check_coprime_cover_candidate(
     points = len(members) * coeffs.volume
     if points > cell_limit:
         raise TooLargeError(f"d' check: the scan of {points} candidate points exceeds the cell limit of {cell_limit}")
+    if not members:
+        return ConditionRow(
+            None, "unknown", f"no candidate member has index <= {_DPRIME_INSTANCE_BOUND}, so no point was tested"
+        )
     for member in members:
+        if _held_by_members(spec, member, coeffs.volume):
+            continue
         cols = member.columns
         for ks in coeffs.points():
             p = combination(cols, ks)

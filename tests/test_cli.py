@@ -257,6 +257,26 @@ def test_report_dprime_scan_obeys_the_cell_limit(tmp_path, capsys, monkeypatch):
     assert tested == []
 
 
+def test_report_dprime_proves_members_held_by_the_family_without_scanning(tmp_path, capsys, monkeypatch):
+    # each candidate member pZ x Z x Z is itself a member of the family, so
+    # every one is proved inside the union and no point is scanned
+    family = tmp_path / "f.fam"
+    family.write_text("dim 3\nrecttemplate [t,1,1] params=primes\n")
+    candidate = tmp_path / "c.fam"
+    candidate.write_text("dim 3\nrecttemplate [t,1,1] params=oddprimes\n")
+    tested = []
+    free = proximality.FamilySpec.free
+    monkeypatch.setattr(proximality.FamilySpec, "free", lambda self, p: tested.append(p) or free(self, p))
+    code, stdout, _ = run(capsys, "report", "--spec", str(family), "--dprime", str(candidate))
+    assert code == 0
+    assert json.loads(stdout)["conditions"]["d_prime"] == {
+        "holds": True,
+        "mode": "evidence",
+        "detail": "no candidate point escapes the union (members of index <= 200, coefficients within +/-12)",
+    }
+    assert tested == []
+
+
 def test_budget_flags_default_to_the_library_values():
     for command in ("decide", "report"):
         args = cli.build_parser(command).parse_args([command, "--preset", "ex2"])

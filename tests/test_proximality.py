@@ -28,7 +28,7 @@ from bfree.families import (
     preset,
 )
 from bfree import proximality
-from bfree.lattices import Lattice, UnimodularMap, hnf, intersect_all
+from bfree.lattices import Lattice, UnimodularMap, combination, hnf, intersect_all
 from bfree.proximality import (
     INCONCLUSIVE,
     NOT_PROXIMAL,
@@ -40,6 +40,9 @@ from bfree.proximality import (
     FixedTranslateReport,
     SearchBudget,
     _check_consistency,
+    _first_missed_scan,
+    _held_by_members,
+    _points_by_radius,
     check_coprime_cover_candidate,
     check_covering,
     check_fixed_translate,
@@ -743,6 +746,125 @@ def test_dprime_scan_is_bounded_by_the_cell_limit_before_it_starts(monkeypatch):
     with pytest.raises(TooLargeError, match="d' check"):
         conditions_report(spec, SearchBudget(max_side=0, cell_limit=1000), dprime_candidate=candidate)
     assert tested == []
+
+
+def _count_free_calls(monkeypatch) -> list:
+    tested = []
+    free = FamilySpec.free
+    monkeypatch.setattr(FamilySpec, "free", lambda self, p: tested.append(p) or free(self, p))
+    return tested
+
+
+def test_dprime_without_a_member_within_the_index_bound_claims_nothing(monkeypatch):
+    # t^8 > 200 for every odd prime: no member is examined, so the row
+    # claims nothing (the candidate is refuted: diag(81, 81) holds the free
+    # point (0, 81) of ex1)
+    tested = _count_free_calls(monkeypatch)
+    candidate = parse_family("dim 2\nrecttemplate [t^4,t^4] params=oddprimes\n")
+    row = check_coprime_cover_candidate(preset("ex1"), candidate)
+    assert row.to_json_dict() == {
+        "holds": None,
+        "mode": "unknown",
+        "detail": "no candidate member has index <= 200, so no point was tested",
+    }
+    assert tested == [] and preset("ex1").free((0, 81))
+
+
+def test_dprime_proves_every_ex2_member_without_a_free_call(monkeypatch):
+    # each of the five members tt Z^2 lies in ex2's members, found by
+    # member_containing on quotient reps: no point is scanned
+    tested = _count_free_calls(monkeypatch)
+    candidate = parse_family("dim 2\nrecttemplate [t,t] params=oddprimes\n")
+    row = check_coprime_cover_candidate(preset("ex2"), candidate)
+    assert (row.holds, row.mode) == (True, "evidence")
+    assert tested == []
+
+
+def _scan_only_dprime(spec: FamilySpec, candidate: FamilySpec) -> ConditionRow:
+    """The (d') row of a schema-certified candidate by the point scan alone:
+    every member of index <= 200, coefficients within +/-12, last fastest."""
+    coeffs = Box.centered(12, candidate.dim)
+    for member in candidate.instances_up_to(200):
+        for ks in coeffs.points():
+            p = combination(member.columns, ks)
+            if spec.free(p):
+                detail = f"candidate member {member.to_columns()} contains the free point {p}"
+                return ConditionRow(False, "exact", detail, (member, p))
+    detail = "no candidate point escapes the union (members of index <= 200, coefficients within +/-12)"
+    return ConditionRow(True, "evidence", detail)
+
+
+DPRIME_CANDIDATES = {
+    1: (
+        "dim 1\nrecttemplate [t] params=oddprimes\n",
+        "dim 1\nrecttemplate [t^2] params=primes\n",
+        "dim 1\nrecttemplate [t] params=primes!2,3\n",
+    ),
+    2: (
+        "dim 2\nrecttemplate [t,t] params=oddprimes\n",
+        "dim 2\nrecttemplate [t^2,t] params=primes\n",
+        "dim 2\nrecttemplate [t,t] params=primes\ntransform [[1,1],[0,1]]\n",
+    ),
+}
+
+
+@st.composite
+def dprime_cases(draw):
+    """A family of random entries in dims 1-2, half the time under a
+    transform, and half the time with the members t Z^m over primes added,
+    so that candidates are often held."""
+    m = draw(st.integers(1, 2))
+    es = tuple(draw(st.lists(entries(m), min_size=1, max_size=3)))
+    if draw(st.booleans()):
+        es += (RectTemplate((RectEntry(1, 1),) * m, Primes()),)
+    transform = random_unimodular(random.Random(draw(st.integers(0, 10**6))), m) if draw(st.booleans()) else None
+    return FamilySpec(m, es, transform)
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=dprime_cases(), data=st.data())
+def test_dprime_check_matches_the_scan_only_row(spec, data):
+    candidate = parse_family(data.draw(st.sampled_from(DPRIME_CANDIDATES[spec.dim])))
+    row = check_coprime_cover_candidate(spec, candidate)
+    ref = _scan_only_dprime(spec, candidate)
+    assert (row.holds, row.mode, row.detail, row.witness) == (ref.holds, ref.mode, ref.detail, ref.witness)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=dprime_cases(), data=st.data())
+def test_a_member_held_by_members_has_no_free_point(spec, data):
+    m = spec.dim
+    member = data.draw(canonical_lattices(m, max_diag=12))
+    if data.draw(st.booleans()):
+        inside = spec.member_containing(combination(member.columns, (1,) * m))
+        if inside is not None:
+            member = member.intersect(inside)
+    if not _held_by_members(spec, member, 25**m):
+        return
+    for ks in Box.centered(15, m).points():
+        assert not spec.free(combination(member.columns, ks)), (spec, member, ks)
+
+
+def test_points_by_radius_walk_each_ball_once_shell_by_shell():
+    for m, r in ((1, 5), (2, 3), (3, 2)):
+        points = list(_points_by_radius(m, (2 * r + 1) ** m))
+        assert sorted(points) == sorted(Box.centered(r, m).points())
+        radii = [max(map(abs, p)) for p in points]
+        assert radii == sorted(radii)
+        # one point short of the ball of radius r stops at radius r - 1
+        assert len(list(_points_by_radius(m, (2 * r + 1) ** m - 1))) == (2 * r - 1) ** m
+
+
+def test_missed_coset_scan_falls_back_to_small_points():
+    # the reps (x, 0) of the period 1000003Z x 3Z all lie in Z x 3Z, so the
+    # scan stops at rep_limit; the radius-1 point (-1, -1) lies in neither
+    # cover, and its canonical rep is the missed coset
+    covers = [Lattice.from_diagonal((1, 3)), Lattice.from_diagonal((1_000_003, 1))]
+    period = intersect_all(covers)
+    assert _first_missed_scan(covers, period, 100) == (1_000_002, 2)
+    # rep_limit 8 leaves room for the origin alone, which both covers hold
+    with pytest.raises(TooLargeError, match=r"the first 8 of 3000009 cosets"):
+        _first_missed_scan(covers, period, 8)
 
 
 # ---------------------------------------------------------------------------

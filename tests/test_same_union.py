@@ -2,8 +2,9 @@
 
 The free set depends only on the union of the members, so two descriptions
 of one union must give the same free windows, and their exact verdicts
-(Proximal or NotProximal) must never disagree.  Each relation below builds
-such a pair from random entries:
+(Proximal or NotProximal) must never disagree.  A coordinate change must
+not change the status at all, ``Inconclusive`` included.  Each relation
+below builds such a pair from random entries:
 
 * ``order``: the entries in another order;
 * ``transform``: the entries under a unimodular change of coordinates A,
@@ -23,8 +24,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bfree.families import Explicit, FamilySpec, Geometric, Primes, Static, Template, _OneMember
-from bfree.proximality import INCONCLUSIVE, SearchBudget, decide
+from bfree.families import Explicit, FamilySpec, Geometric, Primes, Static, Template, _OneMember, parse_family
+from bfree.lattices import intersect_all
+from bfree.proximality import INCONCLUSIVE, NOT_PROXIMAL, SearchBudget, check_covering, decide
 from bfree.windows import Box, free_window
 from helpers import canonical_lattices, entries, random_unimodular
 
@@ -104,5 +106,26 @@ def _agree_on_windows(first, second, transform):
 def test_same_union_same_windows_and_no_exact_verdicts_disagree(relation, data):
     first, second, transform = data.draw(same_union_pairs(relation))
     _agree_on_windows(first, second, transform)
-    statuses = {decide(first, BUDGET).status, decide(second, BUDGET).status} - {INCONCLUSIVE}
-    assert len(statuses) <= 1, (first, second)
+    statuses = {decide(first, BUDGET).status, decide(second, BUDGET).status}
+    if relation == "transform":  # Inconclusive included
+        assert len(statuses) == 1, (first, second)
+    assert len(statuses - {INCONCLUSIVE}) <= 1, (first, second)
+
+
+def test_a_coordinate_change_keeps_the_status_past_the_missed_coset_scan():
+    # the period has diagonal (10077696, 2592, 466560), and its first 200000
+    # reps (x, 0, 0) all lie in covers; the radius-1 point (-1, -1, -1) lies
+    # in none, and after the map the scan meets such a point at once
+    text = (
+        "dim 3\nrecttemplate [t^3,3t,2t^2] params=explicit:8,27\nrect [4,3,5]\n"
+        "template base=[[1,0,0],[0,1,3],[0,0,4]] scale=(3,3) params=explicit:8,27\n"
+    )
+    first = parse_family(text)
+    second = parse_family(text + "transform [[1,0,1],[0,0,-1],[2,-1,2]]\n")
+    for spec in (second, first):
+        verdict = decide(spec, BUDGET)
+        assert verdict.status == NOT_PROXIMAL
+        cert = verdict.certificate
+        assert check_covering(spec, cert.covers).certificate == cert
+    assert cert.missed_coset == (10077695, 2591, 466559)
+    assert intersect_all(cert.covers).reduce((-1, -1, -1)) == cert.missed_coset
