@@ -236,8 +236,7 @@ def _golden_artifacts(name: str) -> dict[str, str]:
 
 def cmd_reproduce(args) -> int:
     if args.name not in ("ex1", "ex2"):
-        print(f"unknown golden target {args.name!r}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise BadInputError(f"unknown golden target {args.name!r}")
     artifacts = _golden_artifacts(args.name)
     outdir = Path(args.outdir) if args.outdir else Path(".")
     outdir.mkdir(parents=True, exist_ok=True)
@@ -324,25 +323,99 @@ COMMANDS = {
 }
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of every command, or of the named command alone.
-
-    A one-command parser prints the full parser's usage line (the metavar
-    lists every command); it is meant for an argv that starts with that
-    command, so the subcommand action never reports a missing or unknown
-    command, the two messages that name the metavar.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command."""
     # exit_on_error=False: a value its converter rejects raises
     # ArgumentError, which main reports as bad input
     parser = argparse.ArgumentParser(prog="bfree", description=__doc__, exit_on_error=False)
-    metavar = None if command is None else "{%s}" % ",".join(COMMANDS)
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in COMMANDS if command is None else (command,):
-        help, add_args, handler = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help, add_args, handler) in COMMANDS.items():
         p = sub.add_parser(name, help=help, exit_on_error=False)
         add_args(p)
         p.set_defaults(func=handler)
     return parser
+
+
+class _ArgumentTable:
+    """One command's arguments, read from the add_argument calls that
+    build_parser makes: the flags, the positionals, the defaults and the
+    required flags that _quick_parse reads.  Only the keywords those calls
+    use are accepted, so an argument the table cannot mirror fails at
+    import."""
+
+    def __init__(self, add_args, handler):
+        self.options = {}  # "--flag" -> (dest, type, choices, is store_true)
+        self.positionals = []  # dests, in order
+        self.required = []  # dests of required flags
+        self.defaults = {"func": handler}
+        add_args(self)
+
+    def add_argument(self, name, *, action=None, type=None, choices=None, default=None, required=False, help=None):
+        if action not in (None, "store_true"):
+            raise TypeError(f"{name}: action {action!r} has no fast parse")
+        if not name.startswith("-"):
+            self.positionals.append(name)
+            return
+        dest = name.lstrip("-").replace("-", "_")
+        store_true = action == "store_true"
+        self.options[name] = (dest, type, choices, store_true)
+        self.defaults[dest] = False if store_true else default
+        if required:
+            self.required.append(dest)
+
+
+_TABLES = {name: _ArgumentTable(add_args, handler) for name, (_, add_args, handler) in COMMANDS.items()}
+
+
+def _quick_parse(argv):
+    """What build_parser().parse_args(argv) returns, read from the argument
+    tables, or None where the tables alone cannot settle it.
+
+    Settled are the command name followed by known flags, each spelled out
+    and given once, as --flag value (a value not starting with "-"),
+    --flag=value or a bare store_true flag, and reproduce's one positional.
+    Anything else (an unknown or abbreviated flag, a repeat, -h, --, a value
+    that its converter or choices refuse, a missing required argument, a
+    leftover token) gives None: the full parser parses it and prints its
+    help, usage or error.
+    """
+    if not argv or argv[0] not in _TABLES:
+        return None
+    table = _TABLES[argv[0]]
+    values = dict(table.defaults, command=argv[0])
+    given = set()
+    positionals = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        name, eq, text = token.partition("=")
+        if name not in table.options:
+            return None
+        dest, convert, choices, store_true = table.options[name]
+        if dest in given or (store_true and eq):
+            return None
+        given.add(dest)
+        if store_true:
+            values[dest] = True
+            continue
+        if not eq:
+            text = next(tokens, None)
+            if text is None or text.startswith("-"):
+                return None
+        if convert is not None:
+            try:
+                text = convert(text)
+            except Exception:  # the full parser reports it, or raises it to main
+                return None
+        if choices is not None and text not in choices:
+            return None
+        values[dest] = text
+    if len(positionals) != len(table.positionals) or not given.issuperset(table.required):
+        return None
+    values.update(zip(table.positionals, positionals))
+    return argparse.Namespace(**values)
 
 
 # flags whose values may start with "-" (negative coordinates); joined into
@@ -365,12 +438,14 @@ def _join_flag_values(argv):
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # only the chosen command's parser is built; no arguments, --help or an
-    # unknown command get the full parser and its messages
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+    argv = _join_flag_values(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = parser.parse_args(_join_flag_values(argv))
+        # a valid argv is read from the argument tables; help, usage and
+        # error texts come from the full parser, built only when the tables
+        # cannot settle the argv
+        args = _quick_parse(argv)
+        if args is None:
+            args = build_parser().parse_args(argv)
         if "limit_cells" in args:
             args.limit_cells = _cell_limit(args)
         code = args.func(args)

@@ -51,6 +51,7 @@ INCONCLUSIVE = "Inconclusive"
 
 DEFAULT_REP_LIMIT = 200_000
 DEFAULT_PERIOD_CELL_LIMIT = 10**6  # cells of prove_no_zero_window's sieve box
+REPORT_PERIOD_SCAN_LIMIT = 500_000  # (b)'s period scan needs n^(m+1) <= this, n the index of the covers' intersection
 CRT_INSTANCE_BOUND = 2000
 _DPRIME_INSTANCE_BOUND = 200
 _DPRIME_SCAN_RADIUS = 12
@@ -871,7 +872,7 @@ def conditions_report(
         assert isinstance(cert, Covering)
         period = intersect_all(cert.covers)
         side = period.index - 1
-        if (side + 1) ** spec.dim * period.index <= 500_000:
+        if (side + 1) ** spec.dim * period.index <= REPORT_PERIOD_SCAN_LIMIT:
             # A box of side index(P) - 1 meets every coset of P, so the scan
             # below is guaranteed to refute it when the covering holds.
             shape = Shape.from_box(Box((0,) * spec.dim, (side,) * spec.dim))

@@ -2,12 +2,16 @@ import argparse
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from bfree import cli, proximality, windows
 from bfree.cli import main
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 EX2_CLOSED_FORM = lambda n, m: n % 2 == 1 and m % 2 == 1 and abs(m - n) == 2
 
 
@@ -279,12 +283,12 @@ def test_report_dprime_proves_members_held_by_the_family_without_scanning(tmp_pa
 
 def test_budget_flags_default_to_the_library_values():
     for command in ("decide", "report"):
-        args = cli.build_parser(command).parse_args([command, "--preset", "ex2"])
+        args = cli._quick_parse([command, "--preset", "ex2"])
         assert (args.max_side, args.radius) == (
             proximality.SearchBudget().max_side,
             proximality.SearchBudget().search_radius,
         )
-    args = cli.build_parser("zero").parse_args(["zero", "--preset", "ex2", "--shape", "0:0x0:0"])
+    args = cli._quick_parse(["zero", "--preset", "ex2", "--shape", "0:0x0:0"])
     assert args.instance_bound == proximality.CRT_INSTANCE_BOUND
 
 
@@ -501,8 +505,8 @@ def test_bad_limit_cells_env_exits_2(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "w.csv").exists()
 
 
-# main builds only the parser of the command it runs; everything it prints
-# must be what the parser of every command prints
+# main reads a valid argv from the argument tables and builds no parser;
+# everything it prints must be what the parser of every command prints
 
 
 def _subparser(parser, name):
@@ -510,20 +514,24 @@ def _subparser(parser, name):
     return action.choices[name]
 
 
-def _action_fields(parser):
-    return [
-        (a.option_strings, a.dest, a.type, a.default, a.required, a.choices, a.nargs, a.help)
-        for a in parser._actions
-    ]
-
-
 @pytest.mark.parametrize("name", list(cli.COMMANDS))
-def test_one_command_parser_has_the_full_parsers_actions(name):
-    one = _subparser(cli.build_parser(name), name)
+def test_argument_table_has_the_full_parsers_actions(name):
     full = _subparser(cli.build_parser(), name)
-    assert _action_fields(one) == _action_fields(full)
-    assert one.get_default("func") is full.get_default("func") is cli.COMMANDS[name][2]
-    assert one.prog == full.prog == f"bfree {name}"
+    actions = [a for a in full._actions if a.dest != "help"]
+    table = cli._TABLES[name]
+    assert table.options == {
+        a.option_strings[0]: (a.dest, a.type, a.choices, isinstance(a, argparse._StoreTrueAction))
+        for a in actions
+        if a.option_strings
+    }
+    assert all(len(a.option_strings) <= 1 for a in actions)
+    assert table.positionals == [a.dest for a in actions if not a.option_strings]
+    assert table.required == [a.dest for a in actions if a.option_strings and a.required]
+    assert table.defaults == {
+        "func": cli.COMMANDS[name][2],
+        **{a.dest: a.default for a in actions if a.option_strings},
+    }
+    assert full.get_default("func") is cli.COMMANDS[name][2]
 
 
 def _printed(capsys, call):
@@ -575,22 +583,139 @@ def test_unknown_flag_prints_the_full_usage_line(capsys):
     assert err.endswith("bfree: error: unrecognized arguments: --bogus\n")
 
 
-def test_main_builds_one_subparser_per_call(capsys, monkeypatch):
+def _counted_parsers(monkeypatch):
+    """The prog of every ArgumentParser constructed from now on."""
     built = []
-    add_parser = argparse._SubParsersAction.add_parser
+    init = argparse.ArgumentParser.__init__
 
-    def counting(self, name, **kwargs):
-        built.append(name)
-        return add_parser(self, name, **kwargs)
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return built
+
+
+def test_main_builds_no_parser_for_a_valid_argv(tmp_path, capsys, monkeypatch):
+    built = _counted_parsers(monkeypatch)
     for _ in range(2):
         assert main(["decide", "--preset", "rect-demo"]) == 0
+        assert main(["eta", "--preset", "ex2", "--box", "-3:3,-3:3", "--out", str(tmp_path / "w.csv")]) == 0
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["decide", "--help"],
+        ["etx"],
+        ["decide", "--preset", "ex2", "--bogus"],
+        ["decide", "--preset", "ex2", "--radius", "x"],
+    ],
+    ids=["help", "command-help", "unknown-command", "unknown-flag", "bad-value"],
+)
+def test_main_builds_the_full_parser_for_help_and_errors(capsys, monkeypatch, argv):
+    built = _counted_parsers(monkeypatch)
+    for _ in range(2):
+        code, _, _ = _printed(capsys, lambda: main(argv))
+        assert code in (0, 2)
     # built again on the second call: no parser is kept between calls
-    assert built == ["decide", "decide"]
-    built.clear()
-    cli.build_parser()
-    assert built == list(cli.COMMANDS)
-    built.clear()
-    assert _printed(capsys, lambda: main(["--help"]))[0] == 0
-    assert built == list(cli.COMMANDS)
+    assert built == 2 * ["bfree", *(f"bfree {name}" for name in cli.COMMANDS)]
+
+
+VALID_VALUES = {
+    "--preset": ["ex1", "ex2", "rect-demo", "squarefree-1d"],
+    "--spec": ["family.txt", ""],
+    "--limit-cells": ["1", "5000"],
+    "--box": ["0:3,0:3", "-3:3,-2:2", "-10:-5"],
+    "--format": ["csv", "pgm", "json"],
+    "--out": ["w.csv", "x=y"],
+    "--shape": ["0:1x0:0", "-1:1x0:2"],
+    "--search": ["-4:4,-4:4"],
+    "--instance-bound": ["0", "100"],
+    "--max-side": ["0", "3"],
+    "--radius": ["2", "16"],
+    "--sides": ["5,10,20", "0"],
+    "--shift-search": ["0:0,0:45"],
+    "--dprime": ["candidate.txt"],
+    "--outdir": ["out"],
+}
+HOSTILE_VALUES = ["-5", "-1", "x", "", "1.5", "3:0,0:1", "2,1", "bogus", "@missing-file", "-", "--", "-h", "=", "a b"]
+HOSTILE_FLAGS = ["--bogus", "-h", "--help", "--", "-", "--pre", "--lim", "--form", "-x=1", "--crt=1"]
+
+
+def _tokens(draw, flag, values, forms=("spaced", "joined", "bare")):
+    """flag with a value from values, spaced, joined by "=" or bare."""
+    value = draw(st.sampled_from(values))
+    form = draw(st.sampled_from(forms))
+    return {"spaced": [flag, value], "joined": [f"{flag}={value}"], "bare": [flag]}[form]
+
+
+@st.composite
+def _argvs(draw):
+    """A command with its required and some optional arguments, each once,
+    then up to two hostile groups of tokens, all in a drawn order."""
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    table = cli._TABLES[command]
+    groups = [[draw(st.sampled_from(["ex1", "ex2", "ex3"]))] for _ in table.positionals]
+    for flag, (dest, _, _, store_true) in table.options.items():
+        if dest in table.required or draw(st.booleans()):
+            groups.append([flag] if store_true else _tokens(draw, flag, VALID_VALUES[flag], ("spaced", "joined")))
+    for _ in range(draw(st.integers(0, 2))):
+        flag = draw(st.sampled_from(sorted(table.options) + HOSTILE_FLAGS))
+        groups.append(_tokens(draw, flag, VALID_VALUES.get(flag, ["ex1"]) + HOSTILE_VALUES))
+    return [command] + [token for group in draw(st.permutations(groups)) for token in group]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+def test_quick_parse_agrees_with_the_full_parser(argv):
+    joined = cli._join_flag_values(argv)
+    fast = cli._quick_parse(joined)
+    event("fast" if fast is not None else "deferred")
+    if fast is not None:
+        assert vars(fast) == vars(cli.build_parser().parse_args(joined))
+
+
+def test_every_pool_job_is_fast_parsed_to_the_full_parsers_namespace(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import jobs
+    import run
+
+    runner = run.Runner(tmp_path)
+    parser = cli.build_parser()
+    for workload in jobs.WORKLOADS:
+        for _, variants in jobs.pool(workload).values():
+            for job in variants:
+                argv = cli._join_flag_values(runner.materialize(job)[0])
+                fast = cli._quick_parse(argv)
+                assert fast is not None, job.key
+                assert vars(fast) == vars(parser.parse_args(argv)), job.key
+
+
+@pytest.mark.parametrize(
+    "argv, abbreviated, spelled",
+    [
+        (["eta", "--preset", "ex2", "--box", "-4:4,-4:4", "--out", "{out}"], ["--form", "pgm"], ["--format", "pgm"]),
+        (["decide", "--preset", "ex2"], ["--lim", "5"], ["--limit-cells", "5"]),
+    ],
+    ids=["eta-form", "decide-lim"],
+)
+def test_abbreviated_flags_act_as_the_spelled_flag(tmp_path, capsys, argv, abbreviated, spelled):
+    # argparse's prefix matching: the full parser accepts what the tables defer
+    outcomes = []
+    for name, extra in [("abbreviated", abbreviated), ("spelled", spelled), ("absent", [])]:
+        out = tmp_path / name
+        code, stdout, err = run(capsys, *(a.format(out=out) for a in argv), *extra)
+        outcomes.append((code, stdout, err, out.read_bytes() if out.exists() else None))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] != outcomes[2]
+
+
+def test_reproduce_of_an_unknown_target_is_bad_input(tmp_path, capsys):
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "reproduce", "ex3", "--outdir", str(out))
+    assert code == 2 and stdout == ""
+    assert err == "bad input: unknown golden target 'ex3'\n"
+    assert not out.exists()
