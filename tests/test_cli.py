@@ -681,9 +681,9 @@ def test_quick_parse_agrees_with_the_full_parser(argv):
 def test_every_pool_job_is_fast_parsed_to_the_full_parsers_namespace(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import jobs
-    import run
+    import run as perfbench_run
 
-    runner = run.Runner(tmp_path)
+    runner = perfbench_run.Runner(tmp_path)
     parser = cli.build_parser()
     for workload in jobs.WORKLOADS:
         for _, variants in jobs.pool(workload).values():
