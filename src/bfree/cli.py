@@ -375,7 +375,7 @@ def _quick_parse(argv):
     and given once, as --flag value (a value not starting with "-"),
     --flag=value or a bare store_true flag, and reproduce's one positional.
     Anything else (an unknown or abbreviated flag, a repeat, -h, --, a value
-    that its converter or choices refuse, a missing required argument, a
+    of --, a value that its converter or choices refuse, a missing required argument, a
     leftover token) gives None: the full parser parses it and prints its
     help, usage or error.
     """
@@ -404,6 +404,8 @@ def _quick_parse(argv):
             text = next(tokens, None)
             if text is None or text.startswith("-"):
                 return None
+        elif text == "--":  # argparse drops a "--" value and stores []
+            return None
         if convert is not None:
             try:
                 text = convert(text)

@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from bfree import cli, proximality, windows
@@ -670,6 +670,8 @@ def _argvs(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(_argvs())
+@example(["eta", "--box", "0:3,0:3", "--preset=--"])
+@example(["eta", "--box", "0:3,0:3", "--format", "--"])
 def test_quick_parse_agrees_with_the_full_parser(argv):
     joined = cli._join_flag_values(argv)
     fast = cli._quick_parse(joined)
