@@ -8,8 +8,9 @@ certificates either way.
 
 Submodules load on first use: ``import bfree`` imports none of them, and a
 public name such as ``bfree.decide`` imports its home module (here
-``bfree.proximality``) when it is first read (PEP 562).  So the CLI's
-``eta`` and ``density`` never load the verdict engine.
+``bfree.proximality``) when it is first read (PEP 562).  The command line,
+``bfree.cli``, imports every module it uses when it is imported, the
+verdict engine included, and no command loads ``quadratic``.
 """
 
 import importlib

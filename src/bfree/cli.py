@@ -142,7 +142,10 @@ def cmd_zero(args) -> int:
     shape = _fit(spec, "--shape", args.shape)
     if isinstance(shape, Box):
         if shape.volume > args.limit_cells:
-            raise TooLargeError("scan exceeds the cell limit")
+            raise TooLargeError(
+                "scan exceeds the cell limit",
+                check="zero shape", limit_name="cell_limit", limit=args.limit_cells, count=shape.volume,
+            )
         shape = Shape.from_box(shape)
     if args.crt:
         translate, period, cert = crt_window_certificate(

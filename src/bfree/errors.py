@@ -10,7 +10,19 @@ class RankDeficientError(BFreeError, ValueError):
 
 
 class TooLargeError(BFreeError, ValueError):
-    """An enumeration or window exceeds the configured size limit."""
+    """An enumeration or window exceeds the configured size limit.
+
+    Besides its text it carries the breach as data: ``check`` names the
+    check that refused, ``limit_name`` the limit (the parameter or constant
+    that sets it), ``limit`` its value and ``count`` the size that was
+    needed or reached."""
+
+    def __init__(self, message: str, *, check: str, limit_name: str, limit: int, count: int):
+        super().__init__(message)
+        self.check = check
+        self.limit_name = limit_name
+        self.limit = limit
+        self.count = count
 
 
 class ZeroElementError(BFreeError, ValueError):

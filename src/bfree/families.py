@@ -36,12 +36,11 @@ back through the inverse, and ``FamilySpec.image`` maps lattices forward.
 
 import json
 import re
-from dataclasses import dataclass
 from functools import cached_property, partial
 from math import gcd
 
 from .errors import FamilyParseError, TooLargeError, UnknownPresetError
-from .lattices import Lattice, Point, UnimodularMap, as_point, hnf
+from .lattices import Lattice, Point, UnimodularMap, as_point, hnf, record
 from .numtheory import (
     factor,
     iroot,
@@ -71,7 +70,7 @@ def _multiples_in_run(v0: int, n: int, moduli) -> bytearray:
     return hits
 
 
-@dataclass(frozen=True)
+@record
 class Primes:
     """All primes, minus an optional finite exclusion set."""
 
@@ -242,7 +241,7 @@ def next_prime(p: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
+@record
 class Geometric:
     """Powers base**k for k >= start (base >= 2)."""
 
@@ -348,7 +347,7 @@ class Geometric:
         return f"geometric:{self.base}:{self.start}" if self.start != 1 else f"geometric:{self.base}"
 
 
-@dataclass(frozen=True)
+@record
 class Explicit:
     """A finite, strictly increasing list of parameter values."""
 
@@ -418,7 +417,7 @@ ParamSeq = Primes | Geometric | Explicit
 # entries
 
 
-@dataclass(frozen=True)
+@record
 class CoprimeFamily:
     """An infinite pairwise coprime subfamily of an entry: the rule that
     gives it and its first members."""
@@ -471,7 +470,7 @@ class _OneMember:
         return self.lattice
 
 
-@dataclass(frozen=True)
+@record
 class Static(_OneMember):
     """A single lattice member."""
 
@@ -496,7 +495,7 @@ class Static(_OneMember):
         return f"static {_compact(self.lattice.to_columns())}"
 
 
-@dataclass(frozen=True)
+@record
 class Rectangular(_OneMember):
     """The diagonal lattice a_1 Z x ... x a_m Z with a != (1, ..., 1)."""
 
@@ -527,7 +526,7 @@ class Rectangular(_OneMember):
         return f"rect {_compact(list(self.entries))}"
 
 
-@dataclass(frozen=True)
+@record
 class RectEntry:
     """One diagonal slot of a rectangular template: the value c * t**e."""
 
@@ -545,7 +544,7 @@ class RectEntry:
         return f"{c}t" if self.exp == 1 else f"{c}t^{self.exp}"
 
 
-@dataclass(frozen=True)
+@record
 class Template:
     """Lattices over a parameter sequence: member t is the canonical
     triangular base with row i's diagonal entry multiplied by t**exps[i].
@@ -605,7 +604,10 @@ class Template:
             return ((f"t={t}", self.member_columns(t), t) for t in params.values)
         count = params.class_count(n)
         if count > limit:
-            raise TooLargeError(f"{count} parameter classes modulo {n} exceed the limit {limit}")
+            raise TooLargeError(
+                f"{count} parameter classes modulo {n} exceed the limit {limit}",
+                check="member classes", limit_name="limit", limit=limit, count=count,
+            )
         return (
             (f"t={rho} (mod {n})", self.member_columns(rho), rho)
             for rho in sorted(params.residues_mod(n))
@@ -851,7 +853,7 @@ Entry = Static | Rectangular | Template
 # family specifications
 
 
-@dataclass(frozen=True)
+@record
 class FamilySpec:
     """A finite description of a (possibly infinite) family of lattices.
 

@@ -21,7 +21,7 @@ All operations are pure; ``Lattice`` and ``UnimodularMap`` values are
 immutable and safe to share.
 """
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 from functools import reduce
 
 from .errors import NotCoprimeError, RankDeficientError
@@ -34,6 +34,67 @@ def as_point(seq) -> Point:
     return tuple(map(int, seq))
 
 
+def record(cls):
+    """An immutable dataclass: what ``dataclass(frozen=True)`` makes, with
+    the same equality, hash, repr and FrozenInstanceError, but ``dataclass``
+    generates only ``__init__``.  The other five methods are the shared
+    functions below, which read the field names the class keeps in
+    ``_record_fields``, ``_record_compare`` and ``_record_repr``; a method the
+    class defines itself (``Lattice.__repr__``) is kept.
+
+    ``__init__`` and ``__post_init__`` may set each field once; after that,
+    and for any other name, assignment and deletion raise.  Code that writes
+    around the guard (``object.__setattr__``, ``functools.cached_property``)
+    keeps working."""
+    cls = dataclass(cls, eq=False, repr=False)
+    found = fields(cls)
+    cls._record_fields = frozenset(f.name for f in found)
+    cls._record_compare = tuple(f.name for f in found if f.compare)
+    cls._record_repr = tuple(f.name for f in found if f.repr)
+    for name, method in _RECORD_METHODS.items():
+        if name not in cls.__dict__:
+            setattr(cls, name, method)
+    return cls
+
+
+def _record_key(self):
+    return tuple([getattr(self, name) for name in self._record_compare])
+
+
+def _record_eq(self, other):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return _record_key(self) == _record_key(other)
+
+
+def _record_hash(self):
+    return hash(_record_key(self))
+
+
+def _record_repr(self):
+    shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._record_repr)
+    return f"{self.__class__.__qualname__}({shown})"
+
+
+def _record_setattr(self, name, value):
+    if name not in self._record_fields or name in self.__dict__:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+    object.__setattr__(self, name, value)
+
+
+def _record_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+_RECORD_METHODS = {
+    "__eq__": _record_eq,
+    "__hash__": _record_hash,
+    "__repr__": _record_repr,
+    "__setattr__": _record_setattr,
+    "__delattr__": _record_delattr,
+}
+
+
 def combination(columns, coeffs) -> Point:
     """The point sum_j coeffs[j] * columns[j] (extra coefficients ignored)."""
     vec = [0] * len(columns[0])
@@ -44,7 +105,7 @@ def combination(columns, coeffs) -> Point:
     return tuple(vec)
 
 
-@dataclass(frozen=True)
+@record
 class Lattice:
     """Finite-index subgroup of Z^m in canonical triangular form.
 
@@ -314,7 +375,7 @@ def intersect_all(lattices) -> Lattice:
     return acc
 
 
-@dataclass(frozen=True)
+@record
 class UnimodularMap:
     """Invertible change of coordinates of Z^m, stored by matrix rows."""
 

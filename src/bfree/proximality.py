@@ -21,7 +21,6 @@ general lattice families that implication has no converse.
 
 import itertools
 import json
-from dataclasses import dataclass
 from functools import partial
 from math import gcd
 
@@ -40,6 +39,7 @@ from .lattices import (
     combination,
     hnf,
     intersect_all,
+    record,
     split_in_sum,
 )
 from .numtheory import divisors
@@ -63,7 +63,7 @@ _EQUIVALENT = ("a", "b", "c", "e", "f")
 # certificates
 
 
-@dataclass(frozen=True)
+@record
 class CoprimeSubscheme:
     """Description of an infinite pairwise coprime subfamily inside one entry."""
 
@@ -82,7 +82,7 @@ class CoprimeSubscheme:
         }
 
 
-@dataclass(frozen=True)
+@record
 class CoprimeList:
     """Finitely many pairwise coprime members, with a note on how they extend."""
 
@@ -99,7 +99,7 @@ class CoprimeList:
         }
 
 
-@dataclass(frozen=True)
+@record
 class CoverCheck:
     """One verified containment: member classes of an entry, taken modulo
     ``modulus``, sit inside the cover union.  ``cover`` is the index of the
@@ -112,7 +112,7 @@ class CoverCheck:
     modulus: int
 
 
-@dataclass(frozen=True)
+@record
 class Covering:
     """Proper lattices whose union provably contains every family member."""
 
@@ -140,7 +140,7 @@ class Covering:
         }
 
 
-@dataclass(frozen=True)
+@record
 class Evidence:
     """Finite zero-window results only: no exact claim either way."""
 
@@ -162,7 +162,7 @@ class Evidence:
 Certificate = CoprimeSubscheme | CoprimeList | Covering | Evidence
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     status: str
     certificate: Certificate
@@ -189,7 +189,7 @@ class Verdict:
 # covering checks
 
 
-@dataclass(frozen=True)
+@record
 class CoveringReport:
     covered: bool
     certificate: Covering | None
@@ -211,7 +211,10 @@ def _quotient_reps(big: Lattice, small: Lattice, rep_limit: int):
         ratios.append(s_i // b_i)
     count = small.index // big.index
     if count > rep_limit:
-        raise TooLargeError(f"covering check: a class quotient of {count} cosets exceeds rep_limit={rep_limit}")
+        raise TooLargeError(
+            f"covering check: a class quotient of {count} cosets exceeds rep_limit={rep_limit}",
+            check="covering check", limit_name="rep_limit", limit=rep_limit, count=count,
+        )
     cols = big.columns
     return count, (combination(cols, ks) for ks in Lattice.from_diagonal(ratios).iter_coset_reps())
 
@@ -327,7 +330,10 @@ def check_covering(
         try:
             settled = _settle_entry(entry, n, rep_limit, holding_cover, spec.image)
         except TooLargeError as exc:
-            raise TooLargeError(f"covering check, entry {idx}: {exc}") from None
+            raise TooLargeError(
+                f"covering check, entry {idx}: {exc}",
+                check="covering check", limit_name="rep_limit", limit=exc.limit, count=exc.count,
+            ) from None
         for label, lat, k, member, modulus in settled:
             if k is not None:
                 checks.append(CoverCheck(idx, label, 0, k, covers[k].index if modulus is None else modulus))
@@ -399,7 +405,8 @@ def _first_missed_scan(covers, period: Lattice, rep_limit: int) -> Point | None:
         return period.reduce(point)
     raise TooLargeError(
         f"covering check: the first {rep_limit} of {period.index} cosets of the cover "
-        f"intersection all lie in the union (rep_limit={rep_limit})"
+        f"intersection all lie in the union (rep_limit={rep_limit})",
+        check="covering check", limit_name="rep_limit", limit=rep_limit, count=period.index,
     )
 
 
@@ -450,7 +457,9 @@ def prove_no_zero_window(spec: FamilySpec, shape: Shape, covers) -> bool:
     if box.volume > DEFAULT_PERIOD_CELL_LIMIT:
         raise TooLargeError(
             f"period proof: a period of {period.index} cosets needs a sieve box of "
-            f"{box.volume} cells, above the limit of {DEFAULT_PERIOD_CELL_LIMIT}"
+            f"{box.volume} cells, above the limit of {DEFAULT_PERIOD_CELL_LIMIT}",
+            check="period proof", limit_name="DEFAULT_PERIOD_CELL_LIMIT", limit=DEFAULT_PERIOD_CELL_LIMIT,
+            count=box.volume,
         )
     union = FamilySpec(len(diag), tuple(Static(cov) for cov in covers))
     reps = Box((0,) * len(diag), tuple(d - 1 for d in diag))
@@ -490,7 +499,7 @@ def coprime_index_subset(lattices) -> list[Lattice]:
 # the verdict
 
 
-@dataclass(frozen=True)
+@record
 class SearchBudget:
     """Bounded-search knobs for evidence gathering and reports."""
 
@@ -638,7 +647,7 @@ def crt_window_certificate(spec: FamilySpec, shape, *, instance_bound: int = CRT
 # fixed translates
 
 
-@dataclass(frozen=True)
+@record
 class FixedTranslateReport:
     holds: bool
     exact: bool
@@ -706,7 +715,7 @@ def check_fixed_translate(
 # condition reports
 
 
-@dataclass(frozen=True)
+@record
 class ConditionRow:
     holds: bool | None
     mode: str  # "exact", "derived", "evidence", "unknown"
@@ -717,7 +726,7 @@ class ConditionRow:
         return {"holds": self.holds, "mode": self.mode, "detail": self.detail}
 
 
-@dataclass(frozen=True)
+@record
 class ConditionsReport:
     """Status of the equivalent conditions, with certificates where exact.
 
@@ -824,7 +833,10 @@ def check_coprime_cover_candidate(
     coeffs = Box.centered(_DPRIME_SCAN_RADIUS, candidate.dim)
     points = len(members) * coeffs.volume
     if points > cell_limit:
-        raise TooLargeError(f"d' check: the scan of {points} candidate points exceeds the cell limit of {cell_limit}")
+        raise TooLargeError(
+            f"d' check: the scan of {points} candidate points exceeds the cell limit of {cell_limit}",
+            check="d' check", limit_name="cell_limit", limit=cell_limit, count=points,
+        )
     if not members:
         return ConditionRow(
             None, "unknown", f"no candidate member has index <= {_DPRIME_INSTANCE_BOUND}, so no point was tested"

@@ -15,17 +15,17 @@ arithmetic only, not a family entry kind; the package re-exports it and
 no other module uses it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import field
 
 from . import lattices
 from .errors import ZeroElementError
-from .lattices import Lattice, Point, hnf
+from .lattices import Lattice, Point, hnf, record
 from .numtheory import factor
 
 Element = tuple[int, int]
 
 
-@dataclass(frozen=True)
+@record
 class QuadraticRing:
     """Ring of integers of Q(sqrt(d)), d squarefree and not 0 or 1."""
 
@@ -76,7 +76,7 @@ class QuadraticRing:
         return cls(int(data["d"]))
 
 
-@dataclass(frozen=True)
+@record
 class QuadIdeal:
     """Nonzero ideal of a quadratic integer ring as a canonical Z-module."""
 
@@ -169,7 +169,7 @@ def crt(ideals, residues) -> Element:
     return (x[0], x[1])
 
 
-@dataclass(frozen=True)
+@record
 class ProductIdeal:
     """Ideal of a finite product of quadratic rings: one factor per slot.
 

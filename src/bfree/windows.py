@@ -6,7 +6,6 @@ counts are integers and all ratios are exact fractions.
 """
 
 import base64
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import accumulate, compress, islice, product, repeat
@@ -15,7 +14,7 @@ from operator import add, floordiv, mul, sub
 
 from .errors import NotAZeroWindowError, NotEnoughIdealsError, TooLargeError
 from .families import FamilySpec
-from .lattices import Lattice, Point, as_point, crt, intersect_all
+from .lattices import Lattice, Point, as_point, crt, intersect_all, record
 
 DEFAULT_CELL_LIMIT = 10**8
 
@@ -35,7 +34,7 @@ def _parse_ranges(text: str, sep: str) -> tuple[Point, Point]:
     return tuple(lo), tuple(hi)
 
 
-@dataclass(frozen=True)
+@record
 class Box:
     """Axis-aligned integer box [lo_1, hi_1] x ... x [lo_m, hi_m]."""
 
@@ -95,7 +94,7 @@ class Box:
         return ",".join(f"{a}:{b}" for a, b in zip(self.lo, self.hi))
 
 
-@dataclass(frozen=True)
+@record
 class Shape:
     """A finite pattern of offsets; order is meaningful for CRT pairing."""
 
@@ -150,7 +149,7 @@ class Shape:
         return tuple(map(min, axes)), tuple(map(max, axes))
 
 
-@dataclass(frozen=True)
+@record
 class FreeWindow:
     """Indicator bits of the free set over a box, packed row-major LSB-first."""
 
@@ -334,7 +333,10 @@ def free_window(
     _check_dim(spec, box.dim)
     vol = box.volume
     if vol > cell_limit:
-        raise TooLargeError(f"window volume {vol} exceeds the limit of {cell_limit}")
+        raise TooLargeError(
+            f"window volume {vol} exceeds the limit of {cell_limit}",
+            check="free window", limit_name="cell_limit", limit=cell_limit, count=vol,
+        )
     chars = covered_flags(spec, box).translate(_FREE_CHARS)
     return FreeWindow(box, int(chars[::-1], 2).to_bytes((vol + 7) // 8, "little"))
 
@@ -385,11 +387,18 @@ def _check_scan_size(search: Box, cells: int, extent, cell_limit: int):
     """The size checks of a zero-window scan for a shape of ``cells`` cells
     whose bounding box has sides ``extent``: its translates times cells, and
     the search box grown by the extent, which is what gets sieved."""
-    if search.volume * cells > cell_limit:
-        raise TooLargeError("scan exceeds the cell limit")
+    translates = search.volume * cells
+    if translates > cell_limit:
+        raise TooLargeError(
+            "scan exceeds the cell limit",
+            check="zero-window scan", limit_name="cell_limit", limit=cell_limit, count=translates,
+        )
     grown = prod(s + e - 1 for s, e in zip(search.sides, extent))
     if grown > cell_limit:
-        raise TooLargeError(f"scan sieves {grown} cells, above the cell limit of {cell_limit}")
+        raise TooLargeError(
+            f"scan sieves {grown} cells, above the cell limit of {cell_limit}",
+            check="zero-window scan", limit_name="cell_limit", limit=cell_limit, count=grown,
+        )
 
 
 def _sieved_translates(spec: FamilySpec, shape: Shape, search: Box):
@@ -452,14 +461,14 @@ def syndetic_period(spec: FamilySpec, translate, shape: Shape) -> Lattice:
     return intersect_all(members)
 
 
-@dataclass(frozen=True)
+@record
 class ProfileRow:
     side: int
     shift: Point
     ratio: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class DensityProfile:
     """Best covered-fraction of centered boxes over a shift search.
 
@@ -509,7 +518,10 @@ def density_profile(
         raise ValueError("sides must be strictly increasing")
     grids = [Box(tuple(a - n for a in shift_search.lo), tuple(b + n for b in shift_search.hi)) for n in sides]
     if grids and grids[-1].volume > cell_limit:
-        raise TooLargeError(f"combined grid volume {grids[-1].volume} exceeds {cell_limit}")
+        raise TooLargeError(
+            f"combined grid volume {grids[-1].volume} exceeds {cell_limit}",
+            check="density profile", limit_name="cell_limit", limit=cell_limit, count=grids[-1].volume,
+        )
     rows = []
     for n, grid in zip(sides, grids):
         counts = _window_counts(covered_flags(spec, grid), grid.sides, 2 * n + 1)

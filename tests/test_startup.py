@@ -1,5 +1,8 @@
-"""The package loads submodules on first use, with an unchanged public surface."""
+"""Start-up: the package loads submodules on first use, with an unchanged
+public surface, and defines its record classes without generating their
+methods from source text."""
 
+import ast
 import json
 import os
 import subprocess
@@ -132,3 +135,44 @@ def test_every_cache_lives_in_a_module_loaded_at_start_up():
     loaded, caches = run_fresh(CACHE_HOMES)
     assert caches, "no cache found: the walk is broken"
     assert [c for c in caches if c[0] not in loaded] == []
+
+
+COUNT_EXECS = """
+import builtins, dataclasses, json, sys
+real, strings = builtins.exec, []
+
+def counting(source, *args, **kwargs):
+    if isinstance(source, str):
+        strings.append(source)
+    return real(source, *args, **kwargs)
+
+builtins.exec = counting
+import bfree.cli
+builtins.exec = real
+records = [
+    val.__qualname__
+    for name, mod in sys.modules.items() if name.startswith("bfree")
+    for val in vars(mod).values()
+    if isinstance(val, type) and val.__module__ == name and dataclasses.is_dataclass(val)
+]
+print(json.dumps([len(strings), records]))
+"""
+
+
+def test_import_builds_at_most_one_function_source_per_record_class():
+    # dataclass(frozen=True) execs source text for six methods per class
+    # (one batch on 3.13); a record execs only its __init__
+    execs, records = run_fresh(COUNT_EXECS)
+    assert len(records) == 27
+    assert execs <= len(records)
+
+
+def test_no_module_applies_a_frozen_dataclass_directly():
+    # records go through lattices.record, which shares every method but __init__
+    found = []
+    for path in sorted((SRC / "bfree").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "dataclass":
+                if any(kw.arg == "frozen" for kw in node.keywords):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
