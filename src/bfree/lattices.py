@@ -77,9 +77,12 @@ def _record_repr(self):
 
 
 def _record_setattr(self, name, value):
-    if name not in self._record_fields or name in self.__dict__:
+    # runs once per field in every __init__: writing the instance dict
+    # directly is what object.__setattr__ does for a field, at less cost
+    attrs = self.__dict__
+    if name in attrs or name not in self._record_fields:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
-    object.__setattr__(self, name, value)
+    attrs[name] = value
 
 
 def _record_delattr(self, name):
