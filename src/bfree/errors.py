@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from functools import partial
+
 
 class BFreeError(Exception):
     """Base class for all package-specific errors."""
@@ -23,6 +25,10 @@ class TooLargeError(BFreeError, ValueError):
         self.limit_name = limit_name
         self.limit = limit
         self.count = count
+
+    def __reduce__(self):
+        # pickle (as multiprocessing does) passes only args to the class
+        return partial(type(self), **vars(self)), self.args
 
 
 class ZeroElementError(BFreeError, ValueError):

@@ -5,6 +5,8 @@ limit, the count that was needed or reached, and the exact message (the
 command line prints it after ``limit breached: ``, exit 3).
 """
 
+import pickle
+
 import pytest
 
 from bfree import cli
@@ -147,3 +149,10 @@ def test_the_command_line_prints_the_same_text(capsys):
 def test_the_fields_are_required():
     with pytest.raises(TypeError):
         TooLargeError("scan exceeds the cell limit")
+
+
+def test_the_error_survives_pickling():
+    _, text, fields = SITES["d' check"]
+    exc = pickle.loads(pickle.dumps(TooLargeError(text, **dict(zip(("check", "limit_name", "limit", "count"), fields)))))
+    assert type(exc) is TooLargeError and str(exc) == text
+    assert (exc.check, exc.limit_name, exc.limit, exc.count) == fields
