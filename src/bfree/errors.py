@@ -82,3 +82,7 @@ class FamilyParseError(BFreeError, ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+
+    def __reduce__(self):
+        # pickle passes only args to the class, and args hold the whole text
+        return type(self), (self.line_no, self.args[0].partition(": ")[2])

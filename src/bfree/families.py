@@ -2,8 +2,8 @@
 
 A family is a list of entries, each one of:
 
-* ``Static`` -- a single lattice, given explicitly;
-* ``Rectangular`` -- a single diagonal lattice a_1 Z x ... x a_m Z;
+* ``Static`` -- a single lattice: a ``static`` line gives its basis, a
+  ``rect`` line its diagonal (``Rectangular`` builds one from a_1, ..., a_m);
 * ``Template`` -- a triangular base matrix whose diagonal entries are
   multiplied by powers t**e of a parameter t running over a sequence: any
   powers on a diagonal base (``RectTemplate`` builds one from slots
@@ -56,6 +56,10 @@ from .numtheory import (
 # membership that holds via a small prime never factors a huge constraint.
 _PROBE_BOUND = 1000
 
+# The longest sieve that lists prime parameters (Primes.values_up_to): a
+# template's members up to an index bound are listed from it.
+PRIME_SIEVE_LIMIT = 10**7
+
 
 # ---------------------------------------------------------------------------
 # parameter sequences
@@ -87,6 +91,14 @@ class Primes:
         return t not in self.exclude and is_prime(t)
 
     def values_up_to(self, bound: int) -> list[int]:
+        """The members up to bound, from a sieve of that length: raises
+        TooLargeError, before it sieves, when bound exceeds
+        PRIME_SIEVE_LIMIT."""
+        if bound > PRIME_SIEVE_LIMIT:
+            raise TooLargeError(
+                f"listing the primes up to {bound} exceeds the sieve limit of {PRIME_SIEVE_LIMIT}",
+                check="prime parameters", limit_name="PRIME_SIEVE_LIMIT", limit=PRIME_SIEVE_LIMIT, count=bound,
+            )
         return [p for p in primes_up_to(bound) if p not in self.exclude]
 
     def min_value(self) -> int:
@@ -340,9 +352,6 @@ class Geometric:
             r = r * self.base % n
         return None
 
-    def describe(self) -> str:
-        return f"powers {self.base}^k, k >= {self.start}"
-
     def spec_text(self) -> str:
         return f"geometric:{self.base}:{self.start}" if self.start != 1 else f"geometric:{self.base}"
 
@@ -403,9 +412,6 @@ class Explicit:
     def value_in_class(self, rho: int, n: int):
         return next((v for v in self.values if v % n == rho), None)
 
-    def describe(self) -> str:
-        return "{%s}" % ", ".join(map(str, self.values))
-
     def spec_text(self) -> str:
         return "explicit:" + ",".join(map(str, self.values))
 
@@ -426,12 +432,30 @@ class CoprimeFamily:
     sample: tuple[Lattice, ...]
 
 
-class _OneMember:
-    """Entry protocol of the single-lattice kinds, read off ``self.lattice``."""
+@record
+class Static:
+    """A single lattice member, which answers the whole entry protocol."""
+
+    lattice: Lattice
 
     is_infinite = False
     factors = False  # line_pieces never factors (see windows.covered_flags)
     span_word = "member"
+
+    def __post_init__(self):
+        if not self.lattice.is_proper():
+            raise ValueError("family members must be proper (index >= 2)")
+
+    @property
+    def dim(self) -> int:
+        return self.lattice.dim
+
+    @property
+    def is_rectangular(self) -> bool:
+        return self.lattice.is_diagonal()
+
+    def covered(self, p) -> bool:
+        return self.lattice.contains(p)
 
     def member_containing(self, p):
         return self.lattice if self.covered(p) else None
@@ -469,61 +493,21 @@ class _OneMember:
     def class_member(self, parameter, n: int) -> Lattice:
         return self.lattice
 
-
-@record
-class Static(_OneMember):
-    """A single lattice member."""
-
-    lattice: Lattice
-
-    def __post_init__(self):
-        if not self.lattice.is_proper():
-            raise ValueError("family members must be proper (index >= 2)")
-
-    @property
-    def dim(self) -> int:
-        return self.lattice.dim
-
-    @property
-    def is_rectangular(self) -> bool:
-        return self.lattice.is_diagonal()
-
-    def covered(self, p) -> bool:
-        return self.lattice.contains(p)
-
     def spec_line(self) -> str:
+        """A ``rect`` line for a diagonal lattice, else a ``static`` line."""
+        if self.lattice.is_diagonal():
+            return f"rect {_compact(list(self.lattice.diagonal))}"
         return f"static {_compact(self.lattice.to_columns())}"
 
 
-@record
-class Rectangular(_OneMember):
-    """The diagonal lattice a_1 Z x ... x a_m Z with a != (1, ..., 1)."""
-
-    entries: tuple[int, ...]
-
-    is_rectangular = True
-
-    def __post_init__(self):
-        if any(a < 1 for a in self.entries):
-            raise ValueError("rectangular entries must be positive")
-        if all(a == 1 for a in self.entries):
-            raise ValueError("the all-ones pattern is not a proper lattice")
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    @cached_property
-    def lattice(self) -> Lattice:
-        return Lattice.from_diagonal(self.entries)
-
-    def covered(self, p) -> bool:
-        if len(p) != len(self.entries):
-            raise ValueError("point dimension mismatch")
-        return all(x % a == 0 for x, a in zip(p, self.entries))
-
-    def spec_line(self) -> str:
-        return f"rect {_compact(list(self.entries))}"
+def Rectangular(entries) -> Static:
+    """The entry for the diagonal lattice a_1 Z x ... x a_m Z, with
+    a != (1, ..., 1) checked before the lattice is built."""
+    if any(a < 1 for a in entries):
+        raise ValueError("rectangular entries must be positive")
+    if all(a == 1 for a in entries):
+        raise ValueError("the all-ones pattern is not a proper lattice")
+    return Static(Lattice.from_diagonal(entries))
 
 
 @record
@@ -846,7 +830,7 @@ def RectTemplate(slots, params: ParamSeq) -> Template:
     return Template(Lattice.from_diagonal(tuple(s.coeff for s in slots)), tuple(s.exp for s in slots), params)
 
 
-Entry = Static | Rectangular | Template
+Entry = Static | Template
 
 
 # ---------------------------------------------------------------------------

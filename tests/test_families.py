@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import product
 
@@ -22,6 +23,8 @@ from bfree.families import (
     preset,
 )
 from bfree.lattices import Lattice, UnimodularMap, hnf
+from bfree.proximality import SearchBudget, conditions_report, decide
+from bfree.windows import Box, free_window
 
 from helpers import canonical_lattices, entries, param_seqs, random_unimodular, scaled_row
 
@@ -369,6 +372,33 @@ def test_template_and_recttemplate_lines_of_a_diagonal_base_are_one_entry():
 @given(family_specs())
 def test_text_format_round_trips(spec):
     assert parse_family(format_family(spec)) == spec
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rect_and_static_lines_of_a_diagonal_lattice_are_one_entry(data):
+    # either spelling, among other entries, gives the same entry and the
+    # same bytes from every command that reads it
+    m = data.draw(st.integers(1, 3))
+    diag = data.draw(st.lists(st.integers(1, 5), min_size=m, max_size=m).filter(lambda d: max(d) > 1))
+    columns = [[a if i == j else 0 for i in range(m)] for j, a in enumerate(diag)]
+    others = format_family(FamilySpec(m, tuple(data.draw(st.lists(entries(m), max_size=2))))).splitlines()[1:]
+    pos = data.draw(st.integers(0, len(others)))
+    rect, static = (
+        parse_family("\n".join([f"dim {m}", *others[:pos], line, *others[pos:]]))
+        for line in (f"rect {json.dumps(diag)}", f"static {json.dumps(columns)}")
+    )
+    assert rect.entries[pos] == static.entries[pos] == Rectangular(tuple(diag))
+    assert hash(rect.entries[pos]) == hash(static.entries[pos])
+    assert rect.entries[pos].spec_line() == static.entries[pos].spec_line()
+    assert format_family(rect) == format_family(static)
+    budget = SearchBudget(max_side=1, search_radius=3)
+    box = Box.centered(4, m)
+    outputs = [
+        (free_window(spec, box).bits, decide(spec, budget).to_json(), conditions_report(spec, budget).to_json())
+        for spec in (rect, static)
+    ]
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize(

