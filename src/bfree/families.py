@@ -9,7 +9,8 @@ A family is a list of entries, each one of:
   powers on a diagonal base (``RectTemplate`` builds one from slots
   c * t**e), t on one row of any other base.
 
-Every entry kind answers the same questions: membership, ``span()``,
+Every entry kind answers the same questions: membership, its members by
+increasing index (``iter_instances``, built as they are read), ``span()``,
 ``classes_mod(n, limit)`` and ``schema()``, and names its span in labels by
 ``span_word``, so the verdict engine never dispatches on the kind.
 ``span()`` is the lattice generated by all the members, in closed form: a
@@ -24,7 +25,9 @@ base, or an explicit finite list.  Membership of a point in the union of all
 members is decided exactly: divisibility constraints pin down finitely many
 candidate parameters, so no sampling or truncation is involved.  One
 elimination reads those constraints, ``Template._eliminate``; the point
-questions run it on the whole point, and ``line_pieces`` on a line's prefix.
+questions run it on the whole point, and ``line_pieces`` on a line's prefix
+for the window sieve.  A single lattice needs no such answer there: the
+sieve marks the rows its image meets (``windows.covered_flags``).
 The schema answers with a ``CoprimeFamily`` only for a template with the
 identity base over primes, whose distinct parameters give pairwise coprime
 members.
@@ -37,6 +40,7 @@ back through the inverse, and ``FamilySpec.image`` maps lattices forward.
 import json
 import re
 from functools import cached_property, partial
+from itertools import groupby
 from math import gcd
 
 from .errors import FamilyParseError, TooLargeError, UnknownPresetError
@@ -148,7 +152,9 @@ class Primes:
     def power_hits(self, v0: int, n: int, e: int) -> bytearray:
         """Flags over v0, ..., v0 + n - 1: 1 where some member t has t**e | v.
 
-        e = 1 is ``divides``.  For e >= 2, p**e | v != 0 needs p <= R =
+        For e = 1 without exclusions every v but +-1 is a hit: it has a
+        prime divisor, or is 0, which lies in every member; with exclusions
+        it is ``divides``.  For e >= 2, p**e | v != 0 needs p <= R =
         iroot(max |v|, e); when R <= n the multiples of p**e are marked for
         every prime p <= R not excluded, and v = 0, which lies in every
         member, is marked too.  Otherwise the run is sieved by the trial
@@ -160,7 +166,13 @@ class Primes:
         excluded.  Only a cofactor of at least B**(e+1) is factored.
         """
         if e == 1:
-            return bytearray(map(self.divides, range(v0, v0 + n)))
+            if self.exclude:
+                return bytearray(map(self.divides, range(v0, v0 + n)))
+            hits = bytearray(b"\x01") * n
+            for i in (-1 - v0, 1 - v0):
+                if 0 <= i < n:
+                    hits[i] = 0
+            return hits
         excluded = set(self.exclude)
         top = max(abs(v0), abs(v0 + n - 1))
         root = iroot(top, e)
@@ -434,12 +446,12 @@ class CoprimeFamily:
 
 @record
 class Static:
-    """A single lattice member, which answers the whole entry protocol."""
+    """A single lattice member, which answers the whole entry protocol;
+    windows read its lattice directly."""
 
     lattice: Lattice
 
     is_infinite = False
-    factors = False  # line_pieces never factors (see windows.covered_flags)
     span_word = "member"
 
     def __post_init__(self):
@@ -460,23 +472,13 @@ class Static:
     def member_containing(self, p):
         return self.lattice if self.covered(p) else None
 
-    def instances_up_to(self, bound: int) -> list[Lattice]:
+    def iter_instances(self, bound: int):
+        """The one member, if its index is at most bound."""
         lat = self.lattice
-        return [lat] if lat.index <= bound else []
+        return iter([lat] if lat.index <= bound else [])
 
-    def line_pieces(self, prefix, power_hits):
-        """How the one member meets the line prefix x Z (as
-        Template.line_pieces): back-substitution through the prefix
-        rows leaves one progression, or none."""
-        basis = self.lattice.basis
-        res = list(prefix) + [0]
-        for i in range(len(prefix)):
-            if res[i] % basis[i][i]:
-                return []
-            w = res[i] // basis[i][i]
-            for j in range(i + 1, len(res)):
-                res[j] -= w * basis[j][i]
-        return [(-res[-1], basis[-1][-1], None)]
+    def instances_up_to(self, bound: int) -> list[Lattice]:
+        return list(self.iter_instances(bound))
 
     def span(self) -> Lattice:
         """The lattice the members generate: the one member."""
@@ -604,13 +606,18 @@ class Template:
             parameter = self.params.value_in_class(parameter, n)
         return None if parameter is None else self.member(parameter)
 
-    def instances_up_to(self, bound: int) -> list[Lattice]:
-        """Every member of index <= bound, by increasing parameter: member t
-        has index index(base) * t**E, E the sum of the exponents.
+    def iter_instances(self, bound: int):
+        """Every member of index <= bound, by increasing parameter, built
+        as it is read: member t has index index(base) * t**E, E the sum of
+        the exponents, so the index rises with t.  The parameters are listed
+        when this is called (a prime sieve may raise TooLargeError then).
         ``__post_init__`` rejects the parameter that gives an improper
         member, so no member needs filtering."""
         top = iroot(max(bound, 0) // self.base.index, sum(self.exps))
-        return [self.member(t) for t in self.params.values_up_to(top)]
+        return map(self.member, self.params.values_up_to(top))
+
+    def instances_up_to(self, bound: int) -> list[Lattice]:
+        return list(self.iter_instances(bound))
 
     def schema(self):
         """What the schema proves about the members: a cover, a
@@ -905,13 +912,20 @@ class FamilySpec:
                 return self.image(found)
         return None
 
+    def iter_instances(self, bound: int):
+        """All members with index <= bound, deduplicated, by (index, basis),
+        built as they are read: every entry's members come by increasing
+        index, and mapping them keeps the index, so the entries' streams
+        are merged and equal neighbours dropped.  Every entry lists its
+        parameters before the first member is read."""
+        from heapq import merge  # here, not at import: only member listings need it
+
+        streams = [map(self.image, e.iter_instances(bound)) for e in self.entries]
+        return (lat for lat, _ in groupby(merge(*streams, key=lambda l: (l.index, l.basis))))
+
     def instances_up_to(self, bound: int) -> list[Lattice]:
-        """All members with index <= bound, deduplicated, sorted by (index, basis)."""
-        seen = {}
-        for e in self.entries:
-            for lat in map(self.image, e.instances_up_to(bound)):
-                seen[lat.basis] = lat
-        return sorted(seen.values(), key=lambda l: (l.index, l.basis))
+        """iter_instances(bound) as a list."""
+        return list(self.iter_instances(bound))
 
 
 # ---------------------------------------------------------------------------

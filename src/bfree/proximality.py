@@ -612,7 +612,9 @@ def crt_window_certificate(spec: FamilySpec, shape, *, instance_bound: int = CRT
 
     Collects members greedily over instances by increasing index, each
     coprime to the intersection (the period) of those before it, so the
-    system of congruences always has a solution; builds the CRT translate
+    system of congruences always has a solution.  The members are built as
+    they are read (``FamilySpec.iter_instances``), up to the one that fills
+    the shape, not up to ``instance_bound``.  Builds the CRT translate
     for the shape, verifies every cell, and returns (translate, period,
     CoprimeList certificate).
     The extension note records whether a schema-level coprime subfamily
@@ -620,7 +622,7 @@ def crt_window_certificate(spec: FamilySpec, shape, *, instance_bound: int = CRT
     """
     chosen: list[Lattice] = []
     period = Lattice.whole(spec.dim)
-    for lat in spec.instances_up_to(instance_bound):
+    for lat in spec.iter_instances(instance_bound):
         if lat.coprime(period):
             chosen.append(lat)
             period = period.intersect(lat)
@@ -698,7 +700,7 @@ def check_fixed_translate(
             settled = _settle_entry(entry, lattice.index, rep_limit, avoids, spec.image)
         except TooLargeError:
             exact = False
-            for member in entry.instances_up_to(rep_limit):
+            for member in entry.iter_instances(rep_limit):
                 if spec.image(member).sum(lattice).contains(a):
                     return refuted(member, f"entry {idx} member")
             continue

@@ -13,7 +13,7 @@ from math import prod
 from operator import add, floordiv, mul, sub
 
 from .errors import NotAZeroWindowError, NotEnoughIdealsError, TooLargeError
-from .families import FamilySpec
+from .families import FamilySpec, Static
 from .lattices import Lattice, Point, as_point, crt, intersect_all, record
 
 DEFAULT_CELL_LIMIT = 10**8
@@ -165,7 +165,8 @@ class FreeWindow:
         return (self.bits[i >> 3] >> (i & 7)) & 1
 
     def ones(self) -> int:
-        return self._chars().count("1")
+        """The free cells: the set bits, less any padding past the box."""
+        return (int.from_bytes(self.bits, "little") & ((1 << self.box.volume) - 1)).bit_count()
 
     def _chars(self) -> str:
         """One '0'/'1' per cell, in row-major order."""
@@ -213,23 +214,75 @@ def covered_flags(spec: FamilySpec, box: Box) -> bytearray:
     """Exact covered indicator over a box: one byte per cell, 1 on covered
     cells, row-major with the last coordinate fastest.
 
-    Entries are evaluated in their own coordinates q, x = A q (A the
-    transform, else the identity), once per line of q that meets the box,
-    each line one slice of the flags, slab by slab (see _slab_lines and
-    _mark_lines).  Entries whose sequence never factors go first, so the
-    lines they flag entirely are skipped by those that may (as in ex1).
+    A single-lattice entry is marked through its lattice in family
+    coordinates, spec.image(entry.lattice), on the rows of the box that the
+    lattice meets (see _mark_lattice).  A template entry is evaluated in its
+    own coordinates q, x = A q (A the transform, else the identity), once
+    per line of q that meets the box, each line one slice of the flags, slab
+    by slab (see _slab_lines and _mark_lines).  Templates whose sequence
+    never factors go before those that may, which skip the lines already
+    flagged entirely (as in ex1); a box without templates builds no lines.
     """
     _check_dim(spec, box.dim)
     flags = bytearray(box.volume)
     ones = memoryview(b"\x01" * max(box.sides))
-    entries = sorted(spec.entries, key=lambda e: e.factors)
+    templates = []
+    for entry in spec.entries:
+        if isinstance(entry, Static):
+            _mark_lattice(flags, spec.image(entry.lattice), box, ones)
+        else:
+            templates.append(entry)
+    if not templates:
+        return flags
+    templates.sort(key=lambda e: e.factors)
     # a run of power_hits that repeats on consecutive lines is sieved once per box
-    cached = [lru_cache(maxsize=1)(e.params.power_hits) if hasattr(e, "params") else None for e in entries]
+    cached = [lru_cache(maxsize=1)(e.params.power_hits) for e in templates]
     for lines in _slab_lines(spec, box):
-        for entry, power_hits in zip(entries, cached):
+        for entry, power_hits in zip(templates, cached):
             _mark_lines(flags, lines, entry, power_hits, ones)
         del lines  # free this slab's table before the next one is built
     return flags
+
+
+def _mark_lattice(flags: bytearray, lattice: Lattice, box: Box, ones):
+    """Set the flags of the lattice's points in the box, one slice
+    assignment per row x_0..x_{m-2} that the lattice meets.
+
+    Back-substitution through the canonical basis: given the coefficients
+    of the columns before i, the points of the lattice have x_i = s_i (mod
+    b_ii), s the sum of those columns, and each such x_i fixes the next
+    coefficient.  So the walk steps x_i by b_ii from its first value in the
+    box, adding column i to s at each step; on a row, the cells x = s (mod
+    d) of the last coordinate are one slice.  ones holds a row's 1s.
+    """
+    basis, lo, hi, sides = lattice.basis, box.lo, box.hi, box.sides
+    m = len(sides)
+    strides = [prod(sides[k + 1 :]) for k in range(m)]
+    d, side = basis[-1][-1], sides[-1]
+
+    def walk(i, s, start):
+        b, column = basis[i][i], [row[i] for row in basis]
+        x = lo[i] + (s[i] - lo[i]) % b
+        s = list(map(add, s, map(mul, repeat((x - s[i]) // b), column)))
+        start += (x - lo[i]) * strides[i]
+        step = b * strides[i]
+        starts = range(start, start + len(range(x, hi[i] + 1, b)) * step, step)
+        if i < m - 2:
+            for start in starts:
+                walk(i + 1, s, start)
+                s = list(map(add, s, column))
+            return
+        t, v = s[-1] - lo[-1], column[-1]
+        for start in starts:
+            first = t % d
+            flags[start + first : start + side : d] = ones[: (side - first + d - 1) // d]
+            t += v
+
+    if m > 1:
+        walk(0, [0] * m, 0)
+    else:
+        first = -lo[0] % d
+        flags[first::d] = ones[: (side - first + d - 1) // d]
 
 
 def _slab_lines(spec: FamilySpec, box: Box):
@@ -503,10 +556,12 @@ def density_profile(
     """For each side n, the exact maximum over shifts x in the search box of
     |covered set  intersect  ([-n, n]^m + x)| / (2n+1)^m.
 
-    Uses one covered_flags evaluation per side over the Minkowski-sum box
-    plus sliding-window sums; ties go to the first shift in lexicographic
-    order.  The sides must be strictly increasing, and the largest side's
-    box must fit ``cell_limit``; both are checked before any box is sieved.
+    Each side's grid is the shift box grown by n, so the grids are nested:
+    one covered_flags evaluation over the largest grid, from which each
+    side's flags are cut (see _crop), plus sliding-window sums; ties go to
+    the first shift in lexicographic order.  The sides must be strictly
+    increasing, and the largest grid must fit ``cell_limit``; both are
+    checked before it is sieved.
     """
     sides = [int(n) for n in sides]
     m = spec.dim
@@ -523,12 +578,26 @@ def density_profile(
             check="density profile", limit_name="cell_limit", limit=cell_limit, count=grids[-1].volume,
         )
     rows = []
+    flags = covered_flags(spec, grids[-1]) if grids else None
     for n, grid in zip(sides, grids):
-        counts = _window_counts(covered_flags(spec, grid), grid.sides, 2 * n + 1)
+        counts = _window_counts(_crop(flags, grids[-1], grid), grid.sides, 2 * n + 1)
         best = max(counts)
         best_shift = next(islice(shift_search.points(), counts.index(best), None))
         rows.append(ProfileRow(n, best_shift, Fraction(best, (2 * n + 1) ** m)))
     return DensityProfile(tuple(rows))
+
+
+def _crop(flags, outer: Box, inner: Box):
+    """The row-major flags of the box inner, cut from those of the box
+    outer that holds it: one slice per row of inner."""
+    if inner == outer:
+        return flags
+    strides = [prod(outer.sides[k + 1 :]) for k in range(outer.dim)]
+    starts = [sum(map(mul, map(sub, inner.lo, outer.lo), strides))]
+    for a, b, stride in zip(inner.lo[:-1], inner.hi[:-1], strides):
+        starts = [s + k * stride for s in starts for k in range(b - a + 1)]
+    width = inner.sides[-1]
+    return b"".join(flags[s : s + width] for s in starts)
 
 
 def _window_counts(flags, sides, width: int) -> list[int]:

@@ -328,6 +328,18 @@ def test_power_hits_of_geometric_and_explicit_sequences(params, e, v0, n):
     assert hits == bytearray(map(int, expected))
 
 
+@settings(max_examples=100, deadline=None)
+@given(v0=st.one_of(st.integers(-50, 50), st.integers(-(10**15), 10**15)), n=st.integers(0, 80))
+@example(v0=-1, n=3)  # exactly -1, 0 and 1
+@example(v0=-40, n=81)
+@example(v0=1, n=1)
+@example(v0=-1, n=1)
+def test_prime_power_hits_of_exponent_one_are_divides(v0, n):
+    # every v but -1 and 1 has a prime divisor, or is 0
+    primes = Primes()
+    assert primes.power_hits(v0, n, 1) == bytearray(map(primes.divides, range(v0, v0 + n)))
+
+
 @pytest.mark.parametrize("params", ["geometric:2", "explicit:2,3,5"])
 def test_nonzero_prefix_over_a_sequence_that_never_factors_asks_once_per_line(monkeypatch, params):
     # x = 2t leaves finitely many candidates t on each line, each marking the

@@ -937,6 +937,57 @@ def test_crt_window_certificate_members_and_period(spec, box):
     assert translate == zero_window_by_crt(chosen, shape)
 
 
+def test_crt_window_certificate_builds_few_members(monkeypatch):
+    # the members up to 10^14 are the 664 579 squares p^2 with p < 10^7;
+    # the first two fill the shape
+    from bfree.proximality import crt_window_certificate
+
+    built = []
+    member = Template.member
+    monkeypatch.setattr(Template, "member", lambda self, t: built.append(t) or member(self, t))
+    translate, period, cert = crt_window_certificate(preset("squarefree-1d"), Shape.parse("0:1"), instance_bound=10**14)
+    assert cert.lattices == (Lattice.from_diagonal((4,)), Lattice.from_diagonal((9,)))
+    assert (translate, period) == ((8,), Lattice.from_diagonal((36,)))
+    # a few for the stream, four for the schema's coprime sample
+    assert len(built) <= 8
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_crt_window_certificate_reads_the_members_in_the_eager_order(data):
+    from bfree.errors import NotCoprimeError, NotEnoughIdealsError
+    from bfree.proximality import crt_window_certificate
+
+    m = data.draw(st.sampled_from((1, 2)))
+    ents = tuple(data.draw(st.lists(entries(m), min_size=1, max_size=3)))
+    transform = random_unimodular(random.Random(data.draw(st.integers(0, 10**6))), m, ops=4) if data.draw(st.booleans()) else None
+    spec = FamilySpec(m, ents, transform=transform)
+    bound = data.draw(st.integers(0, 300))
+    shape = Shape(tuple(data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * m), min_size=1, max_size=3, unique=True))))
+    # every member of index <= bound, deduplicated and sorted, built at once
+    eager = {}
+    for e in spec.entries:
+        members = [e.lattice] if isinstance(e, Static) else map(e.member, e.params.values_up_to(bound))
+        for lat in map(spec.image, members):
+            if lat.index <= bound:
+                eager[lat.basis] = lat
+    eager = sorted(eager.values(), key=lambda lat: (lat.index, lat.basis))
+    assert list(spec.iter_instances(bound)) == spec.instances_up_to(bound) == eager
+    chosen, period = [], Lattice.whole(m)
+    for lat in eager:
+        if len(chosen) < len(shape) and lat.coprime(period):
+            chosen.append(lat)
+            period = period.intersect(lat)
+    try:
+        expected = (zero_window_by_crt(chosen, shape), period, tuple(chosen))
+    except (NotCoprimeError, NotEnoughIdealsError) as exc:
+        with pytest.raises(type(exc)):
+            crt_window_certificate(spec, shape, instance_bound=bound)
+    else:
+        translate, period, cert = crt_window_certificate(spec, shape, instance_bound=bound)
+        assert (translate, period, cert.lattices) == expected
+
+
 def test_coprime_index_subset_fallback_triple():
     # pairwise coprime lattices with indices 6, 10, 21: greedy from the first
     # keeps only index 6 (shares a factor with both others), but the pair

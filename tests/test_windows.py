@@ -33,7 +33,7 @@ from bfree.windows import (
     zero_window_by_crt,
 )
 
-from helpers import entries, random_unimodular
+from helpers import canonical_lattices, entries, random_unimodular
 
 EMPTY = FamilySpec(2, ())
 
@@ -217,6 +217,22 @@ def test_window_exports_and_json_roundtrip():
     assert pgm[3].replace(" ", ",") == csv[0]
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_free_cells_are_counted_from_the_bits(data):
+    # a window read back from JSON may carry set bits past the box volume
+    box = data.draw(boxes(data.draw(st.sampled_from((1, 2))), max_half=4))
+    bits = data.draw(st.binary(min_size=(box.volume + 7) // 8, max_size=(box.volume + 7) // 8))
+    window = FreeWindow.from_json_dict(FreeWindow(box, bits).to_json_dict())
+    assert window.ones() == window._chars().count("1")
+
+
+def test_free_cells_ignore_padding_bits():
+    window = FreeWindow.from_json_dict({"box": {"lo": [0], "hi": [4]}, "bits": "/w=="})
+    assert window.bits == b"\xff"
+    assert window.ones() == window._chars().count("1") == 5
+
+
 def test_window_1d_export():
     w = free_window(preset("squarefree-1d"), Box((0,), (9,)))
     # squarefree in 0..9: 1,2,3,5,6,7 -> bits
@@ -284,17 +300,29 @@ def test_transformed_windows_never_evaluate_per_cell(monkeypatch):
     for cls in (Static, Template):
         monkeypatch.setattr(cls, "covered", refuse)
     monkeypatch.setattr(FamilySpec, "pullback", refuse)
-    # nor is any member mapped through the transform
-    monkeypatch.setattr(lattices, "hnf", refuse)
-    monkeypatch.setattr(families, "hnf", refuse)
+    # the only lattices built are the single-lattice entries' images: no
+    # template member is mapped through the transform
+    images = {TRANSFORMED.image(e.lattice) for e in TRANSFORMED.entries if isinstance(e, Static)}
+    built = []
+    hnf = lattices.hnf
+
+    def record(*args, **kwargs):
+        lattice = hnf(*args, **kwargs)
+        assert lattice in images
+        built.append(lattice)
+        return lattice
+
+    monkeypatch.setattr(lattices, "hnf", record)
+    monkeypatch.setattr(families, "hnf", record)
     assert [free_window(TRANSFORMED, box) for box in (near, far)] == windows_expected
+    assert set(built) == images
     assert density_profile(TRANSFORMED, [1, 3], Box((-3, -3), (3, 3))) == profile
     assert [find_zero_window(TRANSFORMED, shape, box) for box in (near, far)] == [h[0] for h in hits]
 
 
 def test_single_lattices_answer_by_lines(monkeypatch):
-    # static and rect entries meet each line of entry coordinates in one
-    # progression or none, and are never evaluated per cell
+    # static and rect entries are marked through their lattices' images, on
+    # the rows of the box that those meet, and never evaluated per cell
     cases = [
         ("dim 2\nstatic [[1,1],[0,3]]\nrect [1,3]\nrect [2,1]\ntransform [[1,3],[3,10]]\n",
          [Box((-2, -2), (2, 2)), Box((7, -40), (12, -37)), Box((10**9, 5), (10**9 + 3, 9))]),
@@ -334,6 +362,46 @@ def test_lines_under_a_transform_are_walked_once_each(monkeypatch):
     assert free_window(spec, box) == expected
     # each of the two template entries walks each line once at most
     assert calls and len(calls) == len(set(calls)) and {prefix for _, prefix in calls} <= meeting
+
+
+@st.composite
+def single_lattice_specs(draw):
+    m = draw(st.sampled_from((1, 2, 3)))
+    lattices_ = canonical_lattices(m, max_diag=6).filter(Lattice.is_proper).map(Static)
+    ents = tuple(draw(st.lists(lattices_, min_size=1, max_size=3)))
+    transform = None
+    if draw(st.booleans()):
+        transform = random_unimodular(random.Random(draw(st.integers(0, 10**6))), m, ops=6)
+    return FamilySpec(m, ents, transform=transform)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_single_lattices_are_marked_by_rows_as_per_cell(data):
+    # boxes with sides of 1 and far offsets; no line of entry coordinates
+    # is built for a spec of single lattices
+    spec = data.draw(single_lattice_specs())
+    scale = data.draw(st.sampled_from((0, 10, 10**6, 10**12)))
+    half = {1: 100, 2: 10, 3: 3}[spec.dim]
+    lo = [data.draw(st.integers(-scale, scale)) for _ in range(spec.dim)]
+    box = Box(tuple(lo), tuple(a + data.draw(st.sampled_from((0, 0, 1, half))) for a in lo))
+    expected = bytearray(map(spec.covered, box.points()))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(windows, "_box_lines", refuse_lines)
+        assert covered_flags(spec, box) == expected
+
+
+def refuse_lines(*args):
+    raise AssertionError("a line table was built")
+
+
+def test_one_cell_high_box_marks_rows_without_lines(monkeypatch):
+    # each row of this box is one cell: the lattices mark the rows they
+    # meet, and no line table is built
+    spec, box = preset("rect-demo"), Box((0, 0), (19999, 0))
+    expected = bytearray(map(spec.covered, box.points()))
+    monkeypatch.setattr(windows, "_box_lines", refuse_lines)
+    assert covered_flags(spec, box) == expected
 
 
 def test_tall_box_line_table_stays_bounded():
@@ -711,6 +779,23 @@ def test_density_equals_brute_force(data):
             if count > best:
                 best, best_shift = count, x
         assert (row.side, row.shift, row.ratio) == (n, best_shift, Fraction(best, cell.volume))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_density_profile_sieves_its_largest_grid_once(data):
+    spec = data.draw(specs(dims=(1, 2, 3)))
+    shift_box = data.draw(boxes(spec.dim, max_half={1: 6, 2: 2, 3: 1}[spec.dim]))
+    sides = sorted(data.draw(st.sets(st.integers(0, 4), min_size=1, max_size=3)))
+    sieved = []
+    flags = windows.covered_flags
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(windows, "covered_flags", lambda spec, box: sieved.append(box) or flags(spec, box))
+        profile = density_profile(spec, sides, shift_box)
+    n = sides[-1]
+    assert sieved == [Box(tuple(a - n for a in shift_box.lo), tuple(b + n for b in shift_box.hi))]
+    # each side's row as its own one-side profile, which sieves its own grid
+    assert list(profile.rows) == [density_profile(spec, [n], shift_box).rows[0] for n in sides]
 
 
 def test_density_tie_goes_to_first_shift():
