@@ -41,7 +41,7 @@ import json
 import re
 from functools import cached_property, partial
 from itertools import groupby
-from math import gcd
+from math import gcd, prod
 
 from .errors import FamilyParseError, TooLargeError, UnknownPresetError
 from .lattices import Lattice, Point, UnimodularMap, as_point, hnf, record
@@ -67,6 +67,20 @@ PRIME_SIEVE_LIMIT = 10**7
 
 # ---------------------------------------------------------------------------
 # parameter sequences
+
+
+def _without(v: int, primes) -> int:
+    """|v| with every factor in primes divided out (v != 0)."""
+    v = abs(v)
+    for p in primes:
+        while v % p == 0:
+            v //= p
+    return v
+
+
+def _quotients_by_candidates(params, w: int, n: int) -> set[int]:
+    """{w / t mod n : t in params, t | w}, from the candidates t of w."""
+    return {w // t % n for t in params.candidates(((w, 1),))}
 
 
 def _multiples_in_run(v0: int, n: int, moduli) -> bytearray:
@@ -141,13 +155,25 @@ class Primes:
     def divides(self, v: int) -> bool:
         """Whether some sequence member divides v, without factoring: v = 0,
         or |v| keeps a factor above 1 once the excluded primes are divided out."""
-        if v == 0:
-            return True
-        v = abs(v)
-        for p in self.exclude:
-            while v % p == 0:
-                v //= p
-        return v > 1
+        return v == 0 or _without(v, self.exclude) > 1
+
+    def quotients_mod(self, w: int, n: int) -> set[int]:
+        """{w / t mod n : t a member dividing w}, for w != 0.
+
+        For n <= 2 nothing is factored: an odd t is a unit mod 2, so
+        w / t = w (mod n).  The classes are then w / 2 when 2 is a member
+        dividing w, and w when some odd member divides w, that is, when |w|
+        keeps a factor above 1 once 2 and the exclusions are divided out.
+        For n > 2 they come from the candidates of w.
+        """
+        if n > 2:
+            return _quotients_by_candidates(self, w, n)
+        out = set()
+        if w % 2 == 0 and 2 not in self.exclude:
+            out.add(w // 2 % n)
+        if _without(w, (2, *self.exclude)) > 1:
+            out.add(w % n)
+        return out
 
     def power_hits(self, v0: int, n: int, e: int) -> bytearray:
         """Flags over v0, ..., v0 + n - 1: 1 where some member t has t**e | v.
@@ -319,6 +345,8 @@ class Geometric:
         """Whether some member divides v: base**start does."""
         return v % self.base**self.start == 0
 
+    quotients_mod = _quotients_by_candidates
+
     def power_hits(self, v0: int, n: int, e: int) -> bytearray:
         """Flags over v0, ..., v0 + n - 1: 1 where some member t has
         t**e | v (as Primes.power_hits).  Every member is a multiple of
@@ -409,6 +437,8 @@ class Explicit:
 
     def divides(self, v: int) -> bool:
         return any(v % t == 0 for t in self.values)
+
+    quotients_mod = _quotients_by_candidates
 
     def power_hits(self, v0: int, n: int, e: int) -> bytearray:
         """Flags over v0, ..., v0 + n - 1: 1 where some listed t has t**e | v
@@ -674,27 +704,34 @@ class Template:
 
     def _eliminate(self, p, rows: int) -> list:
         """Back-substitution of p through the first ``rows`` rows of the
-        members: (t, constraints, rest) for every branch that survives, by
-        increasing t, where rest is, on the later rows, p less the
-        combination of member columns that matches p on those rows.
+        members: (fork, constraints, rest) for every branch that survives,
+        where rest is, on the later rows, p less a combination of member
+        columns that matches p on those rows.
 
         A scaled row of exponent e whose quotient w is not 0 is handled in
         one of two ways.  With no entry below the diagonal in its column,
         the coefficient w / t**e reaches no later row, so the branch defers:
         it goes on with (w, e) added to its constraints, which ``_holds``
-        and ``_least_param`` resolve.  Otherwise it forks over the
-        parameters t with t**e | w, each fork going on with the coefficient
-        w / t**e.  t is None on a branch that has not forked.  Only a
-        non-diagonal base forks, and it has one scaled row, so a fork meets
-        no other scaled row and its constraints stay empty.  Raises
-        ValueError for a point of another dimension.
+        and ``_least_param`` resolve.  Otherwise the base is not diagonal,
+        so this is its one scaled row and e = 1.  The later rows read the
+        coefficient w / t only modulo M, the product of their diagonal
+        entries: a change of M moves rest by M times the column's entries
+        below the diagonal, a vector of the lattice the later columns span
+        (index M).  So the branch forks once per class r in
+        ``params.quotients_mod(w, M)``, going on with the coefficient r and
+        fork = (w, M, r); fork is None on a branch that has not forked.
+        After a fork, rest is defined only modulo that lattice, which is all
+        the later rows' divisibility tests and ``line_pieces``' last
+        coordinate modulo its diagonal entry read.  A fork meets no other
+        scaled row, so its constraints stay empty.  Raises ValueError for a
+        point of another dimension.
         """
         table = self._rows
         if len(p) != len(table):
             raise ValueError("point dimension mismatch")
         done, todo = [], [(None, [], list(p), 0)]
-        while todo:  # depth first, the least t on top
-            t, constraints, res, start = todo.pop()
+        while todo:  # depth first, the least class on top
+            fork, constraints, res, start = todo.pop()
             for i in range(start, rows):
                 d, e, below = table[i]
                 w, rem = divmod(res[i], d)
@@ -702,18 +739,19 @@ class Template:
                     break
                 if e and w:
                     if below:
-                        for t in sorted(self.params.candidates(((w, e),)), reverse=True):
-                            fork = res[:]
+                        n = prod(later for later, _, _ in table[i + 1 :])
+                        for r in sorted(self.params.quotients_mod(w, n), reverse=True):
+                            branch = res[:]
                             for j, b in below:
-                                fork[j] -= w // t**e * b
-                            todo.append((t, [], fork, i + 1))
+                                branch[j] -= r * b
+                            todo.append(((w, n, r), [], branch, i + 1))
                         break
                     constraints.append((w, e))
                 else:
                     for j, b in below:
                         res[j] -= w * b
             else:
-                done.append((t, constraints, res))
+                done.append((fork, constraints, res))
         return done
 
     def _probe_first(self, constraints) -> bool:
@@ -754,15 +792,25 @@ class Template:
         return False
 
     def member_containing(self, p):
-        """The member of the least parameter that holds p, or None.  A
-        branch that has not forked is the only one, so the first branch
-        with a parameter gives the least."""
-        for t, constraints, _ in self._eliminate(p, len(self._rows)):
-            if t is None:
-                t = self._least_param(constraints)
-            if t is not None:
-                return self.member(t)
-        return None
+        """The member of the least parameter that holds p, or None.
+
+        Without a fork there is one branch at most, and its least parameter
+        is the answer.  The branches of a fork share its w and M; the answer
+        is the least member t | w whose class w / t mod M survived, taken
+        from the candidates of w.  This is the one place a fork lists them,
+        so over primes it factors w (and may raise FactorizationError)
+        where ``covered`` and ``line_pieces`` do not.
+        """
+        branches = self._eliminate(p, len(self._rows))
+        if not branches:
+            return None
+        fork, constraints, _ = branches[0]
+        if fork is None:
+            t = self._least_param(constraints)
+            return None if t is None else self.member(t)
+        w, n, _ = fork
+        survivors = {r for (_, _, r), _, _ in branches}
+        return self.member(min(t for t in self.params.candidates(((w, 1),)) if w // t % n in survivors))
 
     def line_pieces(self, prefix, power_hits):
         """How the entry meets the line prefix x Z: a list of (s, d, hits),
@@ -772,8 +820,10 @@ class Template:
         power_hits is the sequence's power_hits, or a caching stand-in for
         it.  ``_eliminate`` through the prefix rows leaves each branch its
         constraints and the last coordinate -s; the last row has diagonal
-        entry d and exponent e.  With e = 0 the prefix alone decides, and
-        branches that force the same progression are merged.  Otherwise no
+        entry d and exponent e.  With e = 0 the prefix alone decides: a fork
+        leaves one branch per class of its coefficient, not per parameter,
+        so over primes with M <= 2 (as in ``ex1``) a line factors nothing,
+        and branches that force the same progression are merged.  Otherwise no
         row before the last forks, so one branch at most is left, and the
         condition on the cell x is t**e | (x - s) / d.  Without
         constraints that is the same run of values on every such line.  With

@@ -11,6 +11,7 @@ numerator, over a list every value), and tests each candidate member with
 """
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 import sympy
@@ -18,6 +19,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bfree import families, numtheory
+from bfree.cli import main
+from bfree.errors import FactorizationError
 from bfree.families import (
     Explicit,
     FamilySpec,
@@ -33,7 +36,7 @@ from bfree.families import (
 from bfree.lattices import Lattice
 from bfree.windows import Box, covered_flags
 
-from helpers import canonical_lattices, scaled_row
+from helpers import canonical_lattices, random_unimodular, scaled_row
 
 # exclusions include primes above every trial table
 EXCLUSIONS = st.lists(st.sampled_from((2, 3, 5, 7, 100003, 1000003)), unique=True, max_size=2)
@@ -75,7 +78,7 @@ def oracle(entry):
 
 def oracle_flags(spec, box):
     tests = [oracle(e) if hasattr(e, "params") else e.covered for e in spec.entries]
-    return bytearray(int(any(f(p) for f in tests)) for p in box.points())
+    return bytearray(int(any(f(spec.pullback(p)) for f in tests)) for p in box.points())
 
 
 @st.composite
@@ -222,6 +225,36 @@ def test_ex2_covered_needs_no_factoring(monkeypatch):
     spec = FamilySpec(2, (RectTemplate((RectEntry(2, 1), RectEntry(1, 1)), Primes((2, 3))),))
     assert spec.covered((2 * 3**5 * (2**89 - 1), 2**20 * (2**61 - 1) * (2**89 - 1)))
     assert not spec.covered((2 * 3**5, 2**20 * (2**61 - 1)))
+
+
+def refuse_factoring(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"factor({n}) called")
+
+    monkeypatch.setattr(numtheory, "factor", refuse)
+    monkeypatch.setattr(families, "factor", refuse)
+
+
+# a squarefree semiprime that rho cannot split within its budget
+SEMIPRIME = 185124726281477 * 491069414308633
+
+
+def test_ex1_semiprime_line_needs_no_factoring(monkeypatch, capsys):
+    # on the line x = 2N the odd-primes template of ex1 forks on w = N: an
+    # odd prime divides N, so its one class, N mod 2 = 1, covers the odd y
+    refuse_factoring(monkeypatch)
+    assert 181818181818181818181818181882 == 2 * SEMIPRIME
+    assert preset("ex1").covered((2 * SEMIPRIME, 1))
+    box = "181818181818181818181818181880:181818181818181818181818181884,1:3"
+    assert main(["eta", "--preset", "ex1", "--box", box]) == 0
+    assert capsys.readouterr().out == "ones=0 cells=15\n"
+
+
+def test_ex1_semiprime_member_still_factors():
+    # the least parameter needs the prime factors of N, which factor cannot
+    # find: member_containing raises rather than answer without them
+    with pytest.raises(FactorizationError):
+        preset("ex1").member_containing((2 * SEMIPRIME, 1))
 
 
 def test_member_containing_still_gives_the_least_parameter():
@@ -394,16 +427,114 @@ def test_ex1_far_box_is_evaluated_by_lines(monkeypatch):
     def refuse(self, p):
         raise AssertionError("evaluated per cell")
 
-    factored = []
-    candidates = Primes.candidates
-
-    def recording(self, constraints):
-        factored.extend(v for v, _ in constraints)
-        return candidates(self, constraints)
+    def no_candidates(self, constraints):
+        raise AssertionError(f"candidates({constraints}) called")
 
     monkeypatch.setattr(Template, "covered", refuse)
-    monkeypatch.setattr(Primes, "candidates", recording)
+    monkeypatch.setattr(Primes, "candidates", no_candidates)
+    refuse_factoring(monkeypatch)
+    # the odd-primes template forks on w = x / 2 by the class of w / p mod 2,
+    # which is w mod 2 for every odd p: no line lists its primes
     assert covered_flags(spec, box) == expected
-    # the geometric template goes first and flags the lines x = 0 (mod 4)
-    # entirely, so the odd-primes template factors w = x / 2 on the others only
-    assert sorted(factored) == [x // 2 for x in range(box.lo[0], box.hi[0] + 1) if x % 4 == 2]
+
+
+# the class fork: a non-diagonal template scaling a prefix row
+
+FORK_PARAMS = st.one_of(st.sampled_from((Primes(), Primes((2,)), Primes((3,)), Primes((2, 3)))), SEQUENCES)
+
+
+@st.composite
+def forking_templates(draw):
+    """Templates of dimension 2 or 3 scaling a prefix row i by t, with M,
+    the product of the diagonal entries after row i, in 1..6.  Where M > 1
+    the column of row i gets an entry below the diagonal, so the
+    elimination forks there and the later rows read w / t modulo M."""
+    m = draw(st.integers(2, 3))
+    i = draw(st.integers(0, m - 2))
+    M = draw(st.integers(1, 6))
+    diag = [draw(st.integers(1, 4)) for _ in range(i + 1)]
+    if m - i == 3:  # two later rows share M
+        first = draw(st.sampled_from([d for d in range(1, M + 1) if M % d == 0]))
+        diag += [first, M // first]
+    else:
+        diag.append(M)
+    rows = [[draw(st.integers(0, diag[r] - 1)) if c < r else diag[r] * (c == r) for c in range(m)] for r in range(m)]
+    below = [r for r in range(i + 1, m) if diag[r] > 1]
+    if below:
+        r = draw(st.sampled_from(below))
+        rows[r][i] = draw(st.integers(1, diag[r] - 1))
+    try:
+        return Template(Lattice(tuple(map(tuple, rows))), scaled_row(m, i), draw(FORK_PARAMS))
+    except ValueError:  # parameter 1 would give an improper member
+        assume(False)
+
+
+def check_against_oracle(entry, transform, centre):
+    """covered_flags, covered and member_containing on the box of side 5
+    (side 3 in dimension 3) around centre, given in entry coordinates,
+    against the oracle."""
+    m = entry.dim
+    spec = FamilySpec(m, (entry,), transform)
+    if transform is not None:
+        centre = transform.apply_point(centre)
+    half = 2 if m == 2 else 1
+    box = Box(tuple(c - half for c in centre), tuple(c + half for c in centre))
+    least = least_member(entry)
+    expected = [least(spec.pullback(p)) for p in box.points()]
+    assert covered_flags(spec, box) == bytearray(int(h is not None) for h in expected)
+    for p, held in zip(box.points(), expected):
+        assert entry.covered(spec.pullback(p)) == (held is not None)
+        assert spec.member_containing(p) == (None if held is None else spec.image(held))
+
+
+@settings(max_examples=150, deadline=None)
+@given(entry=forking_templates(), data=st.data())
+def test_class_fork_matches_oracle(entry, data):
+    m = entry.dim
+    transform = random_unimodular(Random(data.draw(st.integers(0, 2**32))), m) if data.draw(st.booleans()) else None
+    # a point of some member, or any point, up to 10^12 from the origin
+    big = st.integers(-(10**12), 10**12)
+    if data.draw(st.booleans()):
+        columns = entry.member_columns(data.draw(st.sampled_from(entry.params.values_up_to(60))))
+        ks = [data.draw(st.one_of(st.integers(-6, 6), big)) for _ in columns]
+        centre = tuple(sum(k * col[j] for k, col in zip(ks, columns)) for j in range(m))
+    else:
+        centre = tuple(data.draw(big) for _ in range(m))
+    check_against_oracle(entry, transform, centre)
+
+
+SHEAR = Lattice(((2, 0), (1, 2)))
+
+
+@pytest.mark.parametrize(
+    "entry, transform, centre",
+    [
+        # ex1's odd-primes template: w = x / 2, one class w mod 2 per line
+        (preset("ex1").entries[2], None, (2 * 10**12 + 2, -3)),
+        # w = 2q, q prime: t = 2 gives class 1, t = q class 0
+        (Template(SHEAR, (1, 0), Primes()), None, (4 * 1000003, 5)),
+        (Template(SHEAR, (1, 0), Primes()), random_unimodular(Random(7), 2), (4 * 1000003, 5)),
+        # w = 2: only t = 2 divides it, class 1, though w = 0 (mod 2)
+        (Template(SHEAR, (1, 0), Primes()), None, (4, 0)),
+        # w = 2^40 with 2 excluded: no member divides it, no class
+        (Template(SHEAR, (1, 0), Primes((2,))), None, (2**41, 1)),
+        # M = 6 > 2, so the classes come from the candidates of w
+        (Template(Lattice(((2, 0), (5, 6))), (1, 0), Primes((3,))), None, (2 * 3 * 5 * 7 * 10**9, 11)),
+    ],
+)
+def test_class_fork_at_chosen_quotients(entry, transform, centre):
+    check_against_oracle(entry, transform, centre)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    params=st.one_of(FORK_PARAMS, EXCLUSIONS.map(sorted).map(tuple).map(Primes)),
+    w=st.one_of(st.integers(-200, 200), st.integers(-(10**12), 10**12)).filter(bool),
+    n=st.integers(1, 6),
+)
+def test_quotients_mod_are_the_classes_of_w_over_its_members(params, w, n):
+    if isinstance(params, Primes):
+        members = [p for p in sympy.factorint(abs(w)) if p not in params.exclude]
+    else:
+        members = [t for t in {params.min_value(), *params.values_up_to(abs(w))} if w % t == 0]
+    assert params.quotients_mod(w, n) == {w // t % n for t in members}
