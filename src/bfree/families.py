@@ -26,8 +26,12 @@ members is decided exactly: divisibility constraints pin down finitely many
 candidate parameters, so no sampling or truncation is involved.  One
 elimination reads those constraints, ``Template._eliminate``; the point
 questions run it on the whole point, and ``line_pieces`` on a line's prefix
-for the window sieve.  A single lattice needs no such answer there: the
-sieve marks the rows its image meets (``windows.covered_flags``).
+for the window sieve of a template that scales a row before its last.  A
+single lattice, and a template that scales only its last row, need no such
+answer there: the sieve walks the rows that the image of the lattice or of
+the base meets, and such a template's members read, along each row, a
+progression of coefficients that the sequence's ``power_hits`` takes
+whole (``windows.covered_flags``).
 The schema answers with a ``CoprimeFamily`` only for a template with the
 identity base over primes, whose distinct parameters give pairwise coprime
 members.
@@ -39,7 +43,7 @@ back through the inverse, and ``FamilySpec.image`` maps lattices forward.
 
 import json
 import re
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from itertools import groupby
 from math import gcd, prod
 
@@ -83,13 +87,32 @@ def _quotients_by_candidates(params, w: int, n: int) -> set[int]:
     return {w // t % n for t in params.candidates(((w, 1),))}
 
 
-def _multiples_in_run(v0: int, n: int, moduli) -> bytearray:
-    """Flags over v0, ..., v0 + n - 1: 1 where some modulus divides v."""
+def _multiples_in_run(run: range, moduli) -> bytearray:
+    """Flags over the values v of the progression run: 1 where some modulus
+    q divides v.  With step k and g = gcd(k, q), q | v0 + i * k needs g | v0,
+    and then holds for one class of i modulo q / g."""
+    n, v0, k = len(run), run.start, run.step
     hits = bytearray(n)
     for q in moduli:
-        first = -v0 % q
+        if k == 1:
+            first = -v0 % q
+        else:
+            g = gcd(k, q)
+            if v0 % g:
+                continue
+            q //= g
+            first = -(v0 // g) * pow(k // g, -1, q) % q
         hits[first::q] = b"\x01" * len(range(first, n, q))
     return hits
+
+
+@lru_cache(maxsize=16)
+def _step_inverses(k: int, bound: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The primes p <= bound not dividing k, the inverse of k modulo each,
+    and the primes p <= bound dividing k: one table per step of a run."""
+    primes = primes_up_to(bound)
+    coprime = tuple(p for p in primes if k % p)
+    return coprime, tuple(pow(k, -1, p) for p in coprime), tuple(p for p in primes if not k % p)
 
 
 @record
@@ -175,55 +198,81 @@ class Primes:
             out.add(w % n)
         return out
 
-    def power_hits(self, v0: int, n: int, e: int) -> bytearray:
-        """Flags over v0, ..., v0 + n - 1: 1 where some member t has t**e | v.
+    def power_hits(self, run: range, e: int) -> bytearray:
+        """Flags over the values v of the progression run (a range, of any
+        nonzero step k): 1 where some member t has t**e | v.
 
         For e = 1 without exclusions every v but +-1 is a hit: it has a
         prime divisor, or is 0, which lies in every member; with exclusions
         it is ``divides``.  For e >= 2, p**e | v != 0 needs p <= R =
-        iroot(max |v|, e); when R <= n the multiples of p**e are marked for
-        every prime p <= R not excluded, and v = 0, which lies in every
-        member, is marked too.  Otherwise the run is sieved by the trial
-        primes p <= B, B the power of two with B**(e+1) above every |v|
-        (capped at the trial limit; see numtheory.trial_bound): p**e | v is
-        a hit unless p is excluded, and p is divided out of v.  A cofactor
-        r < B**(e+1) that is left has at most e prime factors, all above B,
-        so a member's e-th power divides it exactly when r = q**e with q not
+        iroot(max |v|, e); when R <= n, the run's length, the multiples of
+        p**e are marked for every prime p <= R not excluded, and v = 0,
+        which lies in every member, is marked too.  Otherwise the run is
+        sieved by the trial primes p <= B, B the power of two with B**(e+1)
+        above every |v| (capped at the trial limit; see
+        numtheory.trial_bound).  The values p divides are one class of
+        indices modulo p, from the inverse of k modulo p: k itself for k =
+        +-1, else one table per step (``_step_inverses``); when p | k they
+        are all the values or none.  p**e | v is a hit unless p is
+        excluded, and p is divided out of v.  A cofactor r <
+        B**(e+1) that is left has at most e prime factors, all above B, so a
+        member's e-th power divides it exactly when r = q**e with q not
         excluded.  Only a cofactor of at least B**(e+1) is factored.
         """
+        n = len(run)
         if e == 1:
             if self.exclude:
-                return bytearray(map(self.divides, range(v0, v0 + n)))
+                return bytearray(map(self.divides, run))
             hits = bytearray(b"\x01") * n
-            for i in (-1 - v0, 1 - v0):
-                if 0 <= i < n:
-                    hits[i] = 0
+            for v in (-1, 1):
+                if v in run:
+                    hits[run.index(v)] = 0
             return hits
+        if not n:
+            return bytearray()
         excluded = set(self.exclude)
-        top = max(abs(v0), abs(v0 + n - 1))
+        top = max(abs(run[0]), abs(run[-1]))
         root = iroot(top, e)
         if root <= n:
-            hits = _multiples_in_run(v0, n, (p**e for p in primes_up_to(root) if p not in excluded))
-            if v0 <= 0 < v0 + n:
-                hits[-v0] = 1
+            hits = _multiples_in_run(run, (p**e for p in primes_up_to(root) if p not in excluded))
+            if 0 in run:
+                hits[run.index(0)] = 1
             return hits
         bound = trial_bound(top, e + 1)
         hits = bytearray(n)
         # v = 0 keeps r = 0 = 0**e below, a hit: it lies in every member
-        rest = [abs(v) for v in range(v0, v0 + n)]
-        for p in primes_up_to(bound):
-            i = -v0 % p
+        rest = list(map(abs, run))
+
+        def divide(p, i, step):
+            # divide p out of the values at i, i + step, ...: all multiples of p
             while i < n:
                 r = rest[i]
                 if r:
-                    r, k = r // p, 1
+                    r, c = r // p, 1
                     while r % p == 0:
                         r //= p
-                        k += 1
+                        c += 1
                     rest[i] = r
-                    if k >= e and p not in excluded:
+                    if c >= e and p not in excluded:
                         hits[i] = 1
-                i += p
+                i += step
+
+        v0, k = run.start, run.step
+        if k in (1, -1):  # k is its own inverse
+            a = -v0 * k
+            for p in primes_up_to(bound):
+                i = a % p
+                if i < n:
+                    divide(p, i, p)
+        else:
+            primes, inverses, common = _step_inverses(k, bound)
+            for p in common:  # p | k divides every value of the run or none
+                if v0 % p == 0:
+                    divide(p, 0, 1)
+            for p, inverse in zip(primes, inverses):
+                i = -v0 * inverse % p
+                if i < n:
+                    divide(p, i, p)
         top = bound ** (e + 1)
         for i, r in enumerate(rest):
             if hits[i] or r == 1:
@@ -232,7 +281,7 @@ class Primes:
                 q = iroot(r, e)
                 hits[i] = q**e == r and q not in excluded
             else:
-                hits[i] = any(k >= e and p not in excluded for p, k in factor(r))
+                hits[i] = any(c >= e and p not in excluded for p, c in factor(r))
         return hits
 
     def residues_mod(self, n: int) -> set[int]:
@@ -347,12 +396,12 @@ class Geometric:
 
     quotients_mod = _quotients_by_candidates
 
-    def power_hits(self, v0: int, n: int, e: int) -> bytearray:
-        """Flags over v0, ..., v0 + n - 1: 1 where some member t has
-        t**e | v (as Primes.power_hits).  Every member is a multiple of
-        base**start, so that is base**(start*e) | v: one progression, no
-        factoring."""
-        return _multiples_in_run(v0, n, (self.base ** (self.start * e),))
+    def power_hits(self, run: range, e: int) -> bytearray:
+        """Flags over the values v of the progression run: 1 where some
+        member t has t**e | v (as Primes.power_hits).  Every member is a
+        multiple of base**start, so that is base**(start*e) | v: one class
+        of indices, no factoring."""
+        return _multiples_in_run(run, (self.base ** (self.start * e),))
 
     def residues_mod(self, n: int) -> set[int]:
         out = set()
@@ -440,10 +489,11 @@ class Explicit:
 
     quotients_mod = _quotients_by_candidates
 
-    def power_hits(self, v0: int, n: int, e: int) -> bytearray:
-        """Flags over v0, ..., v0 + n - 1: 1 where some listed t has t**e | v
-        (as Primes.power_hits): one progression per value."""
-        return _multiples_in_run(v0, n, {t**e for t in self.values})
+    def power_hits(self, run: range, e: int) -> bytearray:
+        """Flags over the values v of the progression run: 1 where some
+        listed t has t**e | v (as Primes.power_hits): one class of indices
+        per value."""
+        return _multiples_in_run(run, {t**e for t in self.values})
 
     def residues_mod(self, n: int) -> set[int]:
         return {v % n for v in self.values}
@@ -815,7 +865,8 @@ class Template:
     def line_pieces(self, prefix, power_hits):
         """How the entry meets the line prefix x Z: a list of (s, d, hits),
         each covering the x = s (mod d) on the line; all of them when hits
-        is None, else those x = s + (v0 + i) * d that hits(v0, n) flags.
+        is None, else those x = s + v * d, v in the run of values v0, v0 + 1,
+        ..., that hits(run) flags.
 
         power_hits is the sequence's power_hits, or a caching stand-in for
         it.  ``_eliminate`` through the prefix rows leaves each branch its
@@ -847,10 +898,10 @@ class Template:
                 pieces.append((s, d, partial(self._hits, head, e)))
         return pieces
 
-    def _hits(self, head, e, v0, n):
-        """line_pieces' flags over the values v0, ..., v0 + n - 1: whether
-        some parameter satisfies the constraints head and t**e | v."""
-        return bytearray(self._holds(head + [(v, e)]) for v in range(v0, v0 + n))
+    def _hits(self, head, e, run):
+        """line_pieces' flags over the values v of run: whether some
+        parameter satisfies the constraints head and t**e | v."""
+        return bytearray(self._holds(head + [(v, e)]) for v in run)
 
     def span(self) -> Lattice:
         """The lattice the members generate: member t0's columns plus

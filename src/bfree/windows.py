@@ -6,9 +6,10 @@ counts are integers and all ratios are exact fractions.
 """
 
 import base64
+import sys
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from itertools import accumulate, compress, islice, product, repeat
+from itertools import compress, islice, product, repeat
 from math import prod
 from operator import add, floordiv, mul, sub
 
@@ -216,12 +217,16 @@ def covered_flags(spec: FamilySpec, box: Box) -> bytearray:
 
     A single-lattice entry is marked through its lattice in family
     coordinates, spec.image(entry.lattice), on the rows of the box that the
-    lattice meets (see _mark_lattice).  A template entry is evaluated in its
-    own coordinates q, x = A q (A the transform, else the identity), once
-    per line of q that meets the box, each line one slice of the flags, slab
-    by slab (see _slab_lines and _mark_lines).  Templates whose sequence
-    never factors go before those that may, which skip the lines already
-    flagged entirely (as in ex1); a box without templates builds no lines.
+    lattice meets (see _mark_lattice).  So is a last-row template, one that
+    scales only its last row, through spec.image(entry.base): each row met
+    takes one power_hits call over the member coefficients of its cells, a
+    progression (see _mark_last_row).  Any other template is evaluated in
+    its own coordinates q, x = A q (A the transform, else the identity),
+    once per line of q that meets the box, each line one slice of the
+    flags, slab by slab (see _slab_lines and _mark_lines).  Templates whose
+    sequence never factors go before those that may, which skip the rows
+    and lines already flagged entirely (as in ex1); a box without such
+    other templates builds no lines.
     """
     _check_dim(spec, box.dim)
     flags = bytearray(box.volume)
@@ -232,57 +237,129 @@ def covered_flags(spec: FamilySpec, box: Box) -> bytearray:
             _mark_lattice(flags, spec.image(entry.lattice), box, ones)
         else:
             templates.append(entry)
-    if not templates:
-        return flags
-    templates.sort(key=lambda e: e.factors)
-    # a run of power_hits that repeats on consecutive lines is sieved once per box
-    cached = [lru_cache(maxsize=1)(e.params.power_hits) for e in templates]
-    for lines in _slab_lines(spec, box):
-        for entry, power_hits in zip(templates, cached):
-            _mark_lines(flags, lines, entry, power_hits, ones)
-        del lines  # free this slab's table before the next one is built
+    on_lines = []
+    for entry in sorted(templates, key=lambda e: e.factors):
+        # a run of power_hits that repeats on consecutive rows or lines is sieved once per box
+        power_hits = lru_cache(maxsize=1)(entry.params.power_hits)
+        if any(entry.exps[:-1]):
+            on_lines.append((entry, power_hits))
+        else:
+            _mark_last_row(flags, spec, entry, box, power_hits, ones)
+    if on_lines:
+        for lines in _slab_lines(spec, box):
+            for entry, power_hits in on_lines:
+                _mark_lines(flags, lines, entry, power_hits, ones)
+            del lines  # free this slab's table before the next one is built
     return flags
 
 
-def _mark_lattice(flags: bytearray, lattice: Lattice, box: Box, ones):
-    """Set the flags of the lattice's points in the box, one slice
-    assignment per row x_0..x_{m-2} that the lattice meets.
+def _mark_lattice(flags: bytearray, lattice: Lattice, box: Box, ones, mark=None, form=None):
+    """Mark each row x_0..x_{m-2} of the box that the lattice meets: the
+    row's n cells x_{m-1} = s (mod d) in the box sit at begin, begin + d,
+    ..., begin + (n - 1) * d of the flags.  Without mark they are set, one
+    slice assignment (ones holds a row's 1s).  Otherwise mark(begin, n, c)
+    is called, c the value on the first of them of the linear form worth
+    form[j] on column j of the basis: along the row it steps by form[-1].
 
     Back-substitution through the canonical basis: given the coefficients
     of the columns before i, the points of the lattice have x_i = s_i (mod
     b_ii), s the sum of those columns, and each such x_i fixes the next
     coefficient.  So the walk steps x_i by b_ii from its first value in the
-    box, adding column i to s at each step; on a row, the cells x = s (mod
-    d) of the last coordinate are one slice.  ones holds a row's 1s.
+    box, adding column i to s, and form[i] to c, at each step.
     """
     basis, lo, hi, sides = lattice.basis, box.lo, box.hi, box.sides
     m = len(sides)
+    form = form or (0,) * m
     strides = [prod(sides[k + 1 :]) for k in range(m)]
-    d, side = basis[-1][-1], sides[-1]
+    d, side, k = basis[-1][-1], sides[-1], form[-1]
 
-    def walk(i, s, start):
-        b, column = basis[i][i], [row[i] for row in basis]
+    def rows(starts, t, v, c, u):
+        # the rows whose cells in the box begin at starts: on the first,
+        # x_{m-1} = lo_{m-1} + t (mod d); t steps by v and c by u per row
+        if mark is None:
+            for begin in starts:
+                first = t % d
+                flags[begin + first : begin + side : d] = ones[: (side - first + d - 1) // d]
+                t += v
+            return
+        for begin in starts:
+            first = t % d
+            if first < side:
+                mark(begin + first, (side - first + d - 1) // d, c + (first - t) // d * k)
+            t += v
+            c += u
+
+    def walk(i, s, c, start):
+        b, column, u = basis[i][i], [r[i] for r in basis], form[i]
         x = lo[i] + (s[i] - lo[i]) % b
-        s = list(map(add, s, map(mul, repeat((x - s[i]) // b), column)))
+        h = (x - s[i]) // b
+        s = list(map(add, s, map(mul, repeat(h), column)))
+        c += h * u
         start += (x - lo[i]) * strides[i]
         step = b * strides[i]
         starts = range(start, start + len(range(x, hi[i] + 1, b)) * step, step)
-        if i < m - 2:
-            for start in starts:
-                walk(i + 1, s, start)
-                s = list(map(add, s, column))
+        if i == m - 2:
+            rows(starts, s[-1] - lo[-1], column[-1], c, u)
             return
-        t, v = s[-1] - lo[-1], column[-1]
         for start in starts:
-            first = t % d
-            flags[start + first : start + side : d] = ones[: (side - first + d - 1) // d]
-            t += v
+            walk(i + 1, s, c, start)
+            s = list(map(add, s, column))
+            c += u
 
     if m > 1:
-        walk(0, [0] * m, 0)
+        walk(0, [0] * m, 0, 0)
     else:
-        first = -lo[0] % d
-        flags[first::d] = ones[: (side - first + d - 1) // d]
+        rows(range(1), -lo[0], 0, 0, 0)
+
+
+def _mark_last_row(flags: bytearray, spec: FamilySpec, entry, box: Box, power_hits, ones):
+    """Set the flags of a last-row template's members, by _mark_lattice's
+    walk over L = spec.image(entry.base).
+
+    Member t holds the points q of the base whose last coefficient over the
+    base's columns is divisible by t**e (the last column is d * e_m), so a
+    point x of L is covered when t**e | c(x), c the last coefficient of
+    A^-1 x.  That c is linear in x's coefficients over L's columns (see
+    _last_coefficients), so along a row met it runs over a progression
+    c0, c0 + k, ..., one step k per entry, and the row takes one
+    power_hits call, merged by one integer OR (as in _sieved_translates).
+    With k = 0 the whole row shares one value.  An entry that may factor
+    skips the rows flagged entirely.
+    """
+    lattice = spec.image(entry.base)
+    form = _last_coefficients(spec, entry.base, lattice)
+    d, k, e, check = lattice.basis[-1][-1], form[-1], entry.exps[-1], entry.factors
+
+    def mark(begin, n, c):
+        run = slice(begin, begin + n * d, d)
+        if check and 0 not in flags[run]:
+            return
+        if not k:
+            if power_hits(range(c, c + 1), e)[0]:
+                flags[run] = ones[:n]
+            return
+        merged = int.from_bytes(flags[run], "little") | int.from_bytes(power_hits(range(c, c + n * k, k), e), "little")
+        flags[run] = merged.to_bytes(n, "little")
+
+    _mark_lattice(flags, lattice, box, ones, mark, form)
+
+
+def _last_coefficients(spec: FamilySpec, base: Lattice, image: Lattice) -> list[int]:
+    """Per column h of image = spec.image(base): the last coefficient of
+    A^-1 h over the base's columns (A the transform, else the identity),
+    by one back-substitution, exact as A^-1 h lies in the base.  The
+    coefficient is linear, so on image's point sum_j h_j * col_j it is
+    sum_j h_j times these."""
+    _, inverse = spec.coordinates()
+    basis = base.basis
+    out = []
+    for col in image.columns:
+        y = [sum(map(mul, row, col)) for row in inverse]
+        for i, row in enumerate(basis):
+            w = y[i] // row[i]
+            y = [v - w * r[i] for v, r in zip(y, basis)]
+        out.append(w)
+    return out
 
 
 def _slab_lines(spec: FamilySpec, box: Box):
@@ -351,8 +428,9 @@ def _mark_lines(flags: bytearray, lines: dict, entry, power_hits, ones):
     """Set the flags of the entry's members, one line at a time; an entry
     that may factor skips lines flagged entirely.  Each (s, d, hits) of
     entry.line_pieces(prefix, power_hits) sets, with one slice assignment,
-    the flags of the line's cells k = s (mod d), or given hits(v0, n) only
-    those of the n cells, at k = s + (v0 + i) * d, that it flags (merged by
+    the flags of the line's cells k = s (mod d), or given hits(run) only
+    those of the n cells, at k = s + v * d for v in run = range(v0, v0 + n),
+    that it flags (merged by
     one integer OR, as in _sieved_translates), such as power_hits (the
     sequence's, cached) for t**e | (k - s) / d.  ones holds a line's 1s."""
     check = entry.factors
@@ -372,7 +450,8 @@ def _mark_lines(flags: bytearray, lines: dict, entry, power_hits, ones):
             if hits is None:
                 flags[run] = ones[:n]
             else:
-                merged = int.from_bytes(flags[run], "little") | int.from_bytes(hits((first - s) // d, n), "little")
+                v0 = (first - s) // d
+                merged = int.from_bytes(flags[run], "little") | int.from_bytes(hits(range(v0, v0 + n)), "little")
                 flags[run] = merged.to_bytes(n, "little")
 
 
@@ -587,46 +666,56 @@ def density_profile(
     return DensityProfile(tuple(rows))
 
 
-def _crop(flags, outer: Box, inner: Box):
-    """The row-major flags of the box inner, cut from those of the box
-    outer that holds it: one slice per row of inner."""
+def _crop(flags, outer: Box, inner: Box, size: int = 1):
+    """The row-major cells of the box inner, cut from those of the box
+    outer that holds it, size bytes per cell: one slice per row of inner."""
     if inner == outer:
         return flags
     strides = [prod(outer.sides[k + 1 :]) for k in range(outer.dim)]
     starts = [sum(map(mul, map(sub, inner.lo, outer.lo), strides))]
     for a, b, stride in zip(inner.lo[:-1], inner.hi[:-1], strides):
         starts = [s + k * stride for s in starts for k in range(b - a + 1)]
-    width = inner.sides[-1]
-    return b"".join(flags[s : s + width] for s in starts)
+    width = inner.sides[-1] * size
+    return b"".join(flags[s * size : s * size + width] for s in starts)
 
 
-def _window_counts(flags, sides, width: int) -> list[int]:
+def _window_counts(flags, sides, width: int):
     """Sum of the flags over every sub-grid of side width, row-major by its
-    lowest corner: along each axis in turn, prefix sums and their
-    differences at distance width."""
-    vals = list(flags)
-    shape = list(sides)
-    for axis in reversed(range(len(shape))):
-        n = shape[axis]
-        inner = prod(shape[axis + 1 :])
-        out: list[int] = []
-        for start in range(0, len(vals), n * inner):
-            block = vals[start : start + n * inner]
-            if inner == 1:
-                acc = list(accumulate(block, initial=0))
-                out += map(sub, acc[width:], acc)
-            else:
-                lines = (block[i : i + inner] for i in range(0, n * inner, inner))
-                acc = list(accumulate(lines, _add_lines, initial=[0] * inner))
-                for low, high in zip(acc, acc[width:]):
-                    out += map(sub, high, low)
-        vals = out
-        shape[axis] = n - width + 1
-    return vals
+    lowest corner, as an array.array: whole-number operations, not cell by
+    cell.
 
+    Each cell is one field of a big integer, as wide as an array item that
+    holds width**m.  Along an axis whose neighbouring cells lie `shift`
+    bits apart, a number holding sums of a cells per field gives sums of 2a
+    by adding itself shifted down a * shift bits, and of a + 1 as the cells
+    plus itself shifted down one step: width is reached in O(log width)
+    shifts and additions, bit by bit.  No field exceeds width**m, so none
+    carries into the next.  Fields of corners whose sub-grid leaves the
+    grid mix in other rows, and are cut away (see _crop).
+    """
+    from array import array  # here, not at import: only density profiles need it
 
-def _add_lines(a: list[int], b: list[int]) -> list[int]:
-    return list(map(add, a, b))
+    m = len(sides)
+    code = next(c for c in "BHILQ" if 8 * array(c).itemsize >= (width**m).bit_length())
+    size = array(code).itemsize
+    cells = bytearray(len(flags) * size)
+    cells[::size] = flags
+    total, shift = int.from_bytes(cells, "little"), 8 * size
+    for side in reversed(sides):
+        sums, count = total, 1
+        for bit in f"{width:b}"[1:]:
+            sums += sums >> (count * shift)
+            count *= 2
+            if bit == "1":
+                sums = total + (sums >> shift)
+                count += 1
+        total, shift = sums, shift * side
+    grid = Box((0,) * m, tuple(s - 1 for s in sides))
+    corners = Box((0,) * m, tuple(s - width for s in sides))
+    counts = array(code, _crop(total.to_bytes(len(cells), "little"), grid, corners, size))
+    if sys.byteorder == "big":
+        counts.byteswap()
+    return counts
 
 
 def _check_dim(spec: FamilySpec, dim: int):

@@ -331,33 +331,51 @@ def test_far_window_over_any_sequence_matches_oracle(data):
     assert flags == per_cell_flags(spec, box)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
     params=st.one_of(SEQUENCES, EXCLUSIONS.map(sorted).map(tuple).map(Primes)),
     e=st.integers(1, 3),
     # near 0 the e-th root of the largest |v| falls within the run, far out not
     v0=st.one_of(st.integers(-(10**4), 10**4), st.integers(-(10**15), 10**15)),
+    # the run is v0, v0 + k, ..., v0 + (n - 1) k, with steps of either sign
+    k=st.one_of(st.sampled_from((1, 1, -1, 2, -2, 3, 6, 20)), st.integers(-(10**4), 10**4).filter(bool)),
     n=st.integers(0, 80),
 )
-@example(params=Geometric(2, 0), e=3, v0=-5, n=11)
-@example(params=Explicit((1, 6)), e=2, v0=10**15, n=40)
-@example(params=Explicit((40,)), e=1, v0=-5, n=11)
-@example(params=Primes((2,)), e=2, v0=-5, n=11)  # v = 0, and no prime p <= 2 left
-@example(params=Primes(), e=3, v0=-3, n=7)  # every |v| <= 3: no prime p with p^e <= |v|
-@example(params=Primes(), e=1, v0=-1, n=1)  # -1 has no prime divisor
-@example(params=Primes((2,)), e=1, v0=-4, n=4)  # -2 has only an excluded one
-def test_power_hits_of_geometric_and_explicit_sequences(params, e, v0, n):
-    hits = params.power_hits(v0, n, e)
+@example(params=Geometric(2, 0), e=3, v0=-5, k=1, n=11)
+@example(params=Explicit((1, 6)), e=2, v0=10**15, k=1, n=40)
+@example(params=Explicit((40,)), e=1, v0=-5, k=1, n=11)
+@example(params=Primes((2,)), e=2, v0=-5, k=1, n=11)  # v = 0, and no prime p <= 2 left
+@example(params=Primes(), e=3, v0=-3, k=1, n=7)  # every |v| <= 3: no prime p with p^e <= |v|
+@example(params=Primes(), e=1, v0=-1, k=1, n=1)  # -1 has no prime divisor
+@example(params=Primes((2,)), e=1, v0=-4, k=1, n=4)  # -2 has only an excluded one
+@example(params=Primes(), e=2, v0=10**15, k=7, n=0)  # an empty run far out
+@example(params=Primes(), e=2, v0=-5, k=-3, n=0)
+@example(params=Primes((2,)), e=3, v0=0, k=5, n=1)  # the run {0}
+@example(params=Primes(), e=2, v0=10**15 + 1, k=-1, n=1)
+@example(params=Primes(), e=1, v0=3, k=-1, n=7)  # 3 down to -3
+@example(params=Primes(), e=1, v0=-3, k=2, n=4)  # -3, -1, 1, 3
+@example(params=Primes((3,)), e=2, v0=-8, k=4, n=5)  # -8 .. 8 through 0
+@example(params=Primes(), e=2, v0=10**12, k=6, n=40)  # 2 | k divides every value, 3 | k none
+@example(params=Primes((2,)), e=2, v0=-(10**12), k=-12, n=40)
+@example(params=Primes(), e=3, v0=10**15 - 7, k=-20, n=80)
+@example(params=Explicit((4, 6)), e=2, v0=8, k=12, n=30)  # gcd(k, t^e) > 1
+@example(params=Explicit((1, 6)), e=2, v0=10**15, k=-4, n=40)
+@example(params=Geometric(2, 0), e=3, v0=-5, k=3, n=11)
+@example(params=Geometric(3, 2), e=1, v0=-(10**15), k=-9, n=60)
+def test_power_hits_of_geometric_and_explicit_sequences(params, e, v0, k, n):
+    run = range(v0, v0 + n * k, k)
+    assert len(run) == n
+    hits = params.power_hits(run, e)
     if isinstance(params, Primes):  # 0 lies in every member
         # factorint lists -1 as a factor of a negative v; only primes count
         expected = (
-            v == 0 or any(k >= e and p not in params.exclude for p, k in sympy.factorint(abs(v)).items())
-            for v in range(v0, v0 + n)
+            v == 0 or any(c >= e and p not in params.exclude for p, c in sympy.factorint(abs(v)).items())
+            for v in run
         )
     else:
-        top = max(abs(v0), abs(v0 + n), 1)
+        top = max(map(abs, run), default=1)
         members = {params.min_value(), *params.values_up_to(top)}  # the least one divides 0
-        expected = (any(v % t**e == 0 for t in members) for v in range(v0, v0 + n))
+        expected = (any(v % t**e == 0 for t in members) for v in run)
     assert hits == bytearray(map(int, expected))
 
 
@@ -370,7 +388,7 @@ def test_power_hits_of_geometric_and_explicit_sequences(params, e, v0, n):
 def test_prime_power_hits_of_exponent_one_are_divides(v0, n):
     # every v but -1 and 1 has a prime divisor, or is 0
     primes = Primes()
-    assert primes.power_hits(v0, n, 1) == bytearray(map(primes.divides, range(v0, v0 + n)))
+    assert primes.power_hits(range(v0, v0 + n), 1) == bytearray(map(primes.divides, range(v0, v0 + n)))
 
 
 @pytest.mark.parametrize("params", ["geometric:2", "explicit:2,3,5"])
@@ -407,13 +425,13 @@ def test_prefix_independent_run_is_sieved_once_per_box(monkeypatch, params):
     seq = type(entry.params)
     power_hits = seq.power_hits
 
-    def counting(self, v0, n, e):
-        calls.append((v0, n, e))
-        return power_hits(self, v0, n, e)
+    def counting(self, run, e):
+        calls.append((run, e))
+        return power_hits(self, run, e)
 
     monkeypatch.setattr(seq, "power_hits", counting)
     assert covered_flags(spec, box) == expected
-    assert calls == [(c - 20, 41, 2)]
+    assert calls == [(range(c - 20, c + 21), 2)]
 
 
 def test_ex1_far_box_is_evaluated_by_lines(monkeypatch):

@@ -178,7 +178,7 @@ def test_trial_tables_are_sized_to_the_input(monkeypatch):
 
     # the line sieve still reads the 10**5 table for squares near 10**15
     power_sieves = _record_limits(monkeypatch, families, "primes_up_to")
-    families.Primes().power_hits(10**15 - 20, 40, 2)
+    families.Primes().power_hits(range(10**15 - 20, 10**15 + 20), 2)
     assert power_sieves == [numtheory._TRIAL_LIMIT]
     assert primes_up_to.cache_info().misses == 11
 

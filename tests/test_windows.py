@@ -2,12 +2,15 @@ import json
 import random
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import prod
 from operator import add
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from bfree import families, lattices, windows
@@ -17,7 +20,16 @@ from bfree.errors import (
     NotEnoughIdealsError,
     TooLargeError,
 )
-from bfree.families import FamilySpec, Rectangular, Static, Template, parse_family, preset
+from bfree.families import (
+    FamilySpec,
+    RectEntry,
+    Rectangular,
+    RectTemplate,
+    Static,
+    Template,
+    parse_family,
+    preset,
+)
 from bfree.lattices import Lattice, UnimodularMap, hnf
 from bfree.windows import (
     DEFAULT_CELL_LIMIT,
@@ -33,7 +45,7 @@ from bfree.windows import (
     zero_window_by_crt,
 )
 
-from helpers import canonical_lattices, entries, random_unimodular
+from helpers import canonical_lattices, entries, param_seqs, random_unimodular, scaled_row
 
 EMPTY = FamilySpec(2, ())
 
@@ -286,7 +298,7 @@ TRANSFORMED = parse_family(
 
 
 def test_transformed_windows_never_evaluate_per_cell(monkeypatch):
-    # every entry goes by lines of entry coordinates in both boxes
+    # no entry is evaluated cell by cell in either box
     near, far = Box((-15, -15), (15, 15)), Box((10**6, -(10**6)), (10**6 + 20, -(10**6) + 20))
     shape = Shape.from_offsets([(0, 0), (0, 1), (1, 0)])
     windows_expected = [reference_window(TRANSFORMED, box) for box in (near, far)]
@@ -300,9 +312,16 @@ def test_transformed_windows_never_evaluate_per_cell(monkeypatch):
     for cls in (Static, Template):
         monkeypatch.setattr(cls, "covered", refuse)
     monkeypatch.setattr(FamilySpec, "pullback", refuse)
-    # the only lattices built are the single-lattice entries' images: no
-    # template member is mapped through the transform
-    images = {TRANSFORMED.image(e.lattice) for e in TRANSFORMED.entries if isinstance(e, Static)}
+    # the only lattices built are the images of the single lattices and of
+    # the bases of the templates that scale only their last row, each once
+    # per call: no template member is mapped through the transform
+    mapped = [
+        TRANSFORMED.image(e.lattice if isinstance(e, Static) else e.base)
+        for e in TRANSFORMED.entries
+        if isinstance(e, Static) or not any(e.exps[:-1])
+    ]
+    assert len(mapped) == 3
+    images = set(mapped)
     built = []
     hnf = lattices.hnf
 
@@ -315,7 +334,7 @@ def test_transformed_windows_never_evaluate_per_cell(monkeypatch):
     monkeypatch.setattr(lattices, "hnf", record)
     monkeypatch.setattr(families, "hnf", record)
     assert [free_window(TRANSFORMED, box) for box in (near, far)] == windows_expected
-    assert set(built) == images
+    assert Counter(built) == Counter(mapped * 2)
     assert density_profile(TRANSFORMED, [1, 3], Box((-3, -3), (3, 3))) == profile
     assert [find_zero_window(TRANSFORMED, shape, box) for box in (near, far)] == [h[0] for h in hits]
 
@@ -393,6 +412,122 @@ def test_single_lattices_are_marked_by_rows_as_per_cell(data):
 
 def refuse_lines(*args):
     raise AssertionError("a line table was built")
+
+
+def row_step(spec, entry):
+    """The step of a last-row template's last coefficient from one point of
+    spec.image(entry.base) to the next along a row, d * e_m apart, solved
+    with sympy: the last coordinate of B^-1 A^-1 (d * e_m)."""
+    d = spec.image(entry.base).basis[-1][-1]
+    inverse = sympy.Matrix(entry.base.basis).inv() * sympy.Matrix(spec.coordinates()[0]).inv()
+    k = (inverse * sympy.Matrix([0] * (spec.dim - 1) + [d]))[-1]
+    assert k.is_integer
+    return int(k)
+
+
+# transforms of Z^2 whose rows step the last coefficient of Z^2 by 0, -1, 2, 3, -3
+STEP_TRANSFORMS = ([[0, 1], [1, 0]], [[1, 0], [0, -1]], [[2, -1], [-1, 1]], [[3, -1], [-2, 1]], [[1, 1], [2, 3]])
+
+
+@st.composite
+def last_row_specs(draw):
+    """One or two templates that scale only their last row, among up to
+    two single lattices, with or without a transform."""
+    m = draw(st.sampled_from((1, 2, 3)))
+
+    def template():
+        try:
+            if draw(st.booleans()):
+                slots = [RectEntry(draw(st.integers(1, 3))) for _ in range(m - 1)]
+                return RectTemplate((*slots, RectEntry(draw(st.integers(1, 3)), draw(st.integers(1, 3)))), draw(param_seqs()))
+            return Template(draw(canonical_lattices(m)), scaled_row(m, m - 1), draw(param_seqs()))
+        except ValueError:  # parameter 1 on an improper base
+            assume(False)
+
+    ents = [template() for _ in range(draw(st.integers(1, 2)))]
+    ents += draw(st.lists(canonical_lattices(m, max_diag=5).filter(Lattice.is_proper).map(Static), max_size=2))
+    transform = draw(st.sampled_from(("none", "random", "chosen")))
+    if transform == "random":
+        transform = random_unimodular(random.Random(draw(st.integers(0, 10**6))), m, ops=6)
+    elif transform == "chosen" and m == 2:
+        transform = UnimodularMap(tuple(map(tuple, draw(st.sampled_from(STEP_TRANSFORMS)))))
+    else:
+        transform = None
+    return FamilySpec(m, tuple(draw(st.permutations(ents))), transform=transform)
+
+
+def refuse_line_route(mp):
+    def refuse(*args):
+        raise AssertionError("a last-row template went by lines")
+
+    mp.setattr(windows, "_box_lines", refuse)
+    mp.setattr(Template, "_eliminate", refuse)
+    mp.setattr(Template, "line_pieces", refuse)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_last_row_templates_are_marked_by_rows_as_per_cell(data):
+    # with and without a transform, boxes with sides of 1 and far offsets:
+    # the rows of the base's image, and no line of entry coordinates
+    spec = data.draw(last_row_specs())
+    for entry in spec.entries:
+        if isinstance(entry, Template):
+            event(f"row step {min(max(row_step(spec, entry), -3), 3)}")
+    scale = data.draw(st.sampled_from((0, 10, 10**6, 10**12)))
+    half = {1: 100, 2: 8, 3: 3}[spec.dim]
+    lo = [data.draw(st.integers(-scale, scale)) for _ in range(spec.dim)]
+    box = Box(tuple(lo), tuple(a + data.draw(st.sampled_from((0, 0, 1, half))) for a in lo))
+    expected = bytearray(map(spec.covered, box.points()))
+    with pytest.MonkeyPatch.context() as mp:
+        refuse_line_route(mp)
+        assert covered_flags(spec, box) == expected
+
+
+@pytest.mark.parametrize("dim, template, transform, step", [
+    (1, "recttemplate [2t^2] params=primes", "[[-1]]", -1),
+    (2, "recttemplate [1,t^2] params=primes", "[[0,1],[1,0]]", 0),
+    (2, "recttemplate [1,t^2] params=primes!2", "[[1,0],[0,-1]]", -1),
+    (2, "template base=[[1,1],[0,2]] scale=(2,2) params=primes", "[[1,0],[0,1]]", 1),
+    (2, "recttemplate [1,t^2] params=primes", "[[2,-1],[-1,1]]", 2),
+    (2, "recttemplate [1,t^3] params=geometric:2", "[[3,-1],[-2,1]]", 3),
+    (2, "recttemplate [1,t^2] params=explicit:2,3,6", "[[20,-1],[-19,1]]", 20),
+    (3, "recttemplate [1,2,t^2] params=primes", "[[1,2,0],[0,1,3],[1,2,1]]", None),
+])
+def test_last_row_templates_on_chosen_steps(dim, template, transform, step):
+    spec = parse_family(f"dim {dim}\n{template}\nrect [{','.join(['2'] + ['1'] * (dim - 1))}]\ntransform {transform}\n")
+    entry = spec.entries[0]
+    if step is not None:
+        assert row_step(spec, entry) == step
+    for c in (0, 10**6, -(10**12)):
+        for sides in ((9,) * dim, (1,) * (dim - 1) + (40,), (40,) + (1,) * (dim - 1)):
+            box = Box((c,) * dim, tuple(c + s - 1 for s in sides))
+            expected = bytearray(map(spec.covered, box.points()))
+            with pytest.MonkeyPatch.context() as mp:
+                refuse_line_route(mp)
+                assert covered_flags(spec, box) == expected
+
+
+def test_row_walk_inverts_the_step_once_per_entry(monkeypatch):
+    # k = 20: each row's values are v0, v0 + 20, ... near 4 * 10^10; the
+    # trial primes' inverses of 20 are computed once, not once per row
+    spec = parse_family("dim 2\nrecttemplate [1,t^2] params=primes\ntransform [[20,-1],[-19,1]]\n")
+    assert row_step(spec, spec.entries[0]) == 20
+    box = Box((10**9, 10**9), (10**9 + 30, 10**9 + 30))
+    expected = bytearray(map(spec.covered, box.points()))
+    inverses = []
+
+    def counting_pow(base, exp, mod=None):
+        if exp == -1:
+            inverses.append(mod)
+        return pow(base, exp, mod)
+
+    families._step_inverses.cache_clear()
+    monkeypatch.setattr(families, "pow", counting_pow, raising=False)
+    assert covered_flags(spec, box) == expected
+    primes = [p for p in families.primes_up_to(max(inverses)) if 20 % p]
+    assert sorted(inverses) == primes  # one table, no inverse per row
+    assert len(primes) > 500
 
 
 def test_one_cell_high_box_marks_rows_without_lines(monkeypatch):
@@ -796,6 +931,47 @@ def test_density_profile_sieves_its_largest_grid_once(data):
     assert sieved == [Box(tuple(a - n for a in shift_box.lo), tuple(b + n for b in shift_box.hi))]
     # each side's row as its own one-side profile, which sieves its own grid
     assert list(profile.rows) == [density_profile(spec, [n], shift_box).rows[0] for n in sides]
+
+
+def direct_window_counts(flags, sides, width):
+    """Every sub-grid sum of side width, row-major by the lowest corner,
+    one cell at a time."""
+    grid = Box((0,) * len(sides), tuple(s - 1 for s in sides))
+    corners = Box(grid.lo, tuple(s - width for s in sides))
+    return [
+        sum(flags[grid.index_of(tuple(map(add, x, d)))] for d in product(range(width), repeat=len(sides)))
+        for x in corners.points()
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_window_counts_equal_direct_sums(data):
+    m = data.draw(st.sampled_from((1, 2, 3)))
+    sides = [data.draw(st.integers(1, {1: 40, 2: 9, 3: 5}[m])) for _ in range(m)]
+    width = data.draw(st.integers(1, min(sides)))
+    volume = prod(sides)
+    flags = bytes(data.draw(st.lists(st.sampled_from((0, 1, 1)), min_size=volume, max_size=volume)))
+    assert list(windows._window_counts(flags, sides, width)) == direct_window_counts(flags, sides, width)
+
+
+@pytest.mark.parametrize("sides, width, size", [
+    ((300,), 255, 1),
+    ((300,), 256, 2),
+    ((20, 20), 15, 1),
+    ((20, 20), 16, 2),
+    ((9, 9, 9), 6, 1),
+    ((9, 9, 9), 7, 2),
+    ((70000,), 65535, 2),
+    ((70000,), 65536, 4),
+    ((300, 300), 256, 4),
+])
+def test_window_counts_fields_hold_full_windows(sides, width, size):
+    # every cell covered: each sum is width**m, the most a field must hold,
+    # next to fields just as full
+    counts = windows._window_counts(b"\x01" * prod(sides), sides, width)
+    assert counts.itemsize == size
+    assert list(counts) == [width ** len(sides)] * prod(s - width + 1 for s in sides)
 
 
 def test_density_tie_goes_to_first_shift():
