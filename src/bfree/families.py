@@ -94,14 +94,11 @@ def _multiples_in_run(run: range, moduli) -> bytearray:
     n, v0, k = len(run), run.start, run.step
     hits = bytearray(n)
     for q in moduli:
-        if k == 1:
-            first = -v0 % q
-        else:
-            g = gcd(k, q)
-            if v0 % g:
-                continue
-            q //= g
-            first = -(v0 // g) * pow(k // g, -1, q) % q
+        g = gcd(k, q)
+        if v0 % g:
+            continue
+        q //= g
+        first = -(v0 // g) * pow(k // g, -1, q) % q
         hits[first::q] = b"\x01" * len(range(first, n, q))
     return hits
 
@@ -212,8 +209,9 @@ class Primes:
         above every |v| (capped at the trial limit; see
         numtheory.trial_bound).  The values p divides are one class of
         indices modulo p, from the inverse of k modulo p: k itself for k =
-        +-1, else one table per step (``_step_inverses``); when p | k they
-        are all the values or none.  p**e | v is a hit unless p is
+        +-1, else one table per step (``_step_inverses``), whose build a
+        command pays once per (k, B), as caches start empty; when p | k
+        they are all the values or none.  p**e | v is a hit unless p is
         excluded, and p is divided out of v.  A cofactor r <
         B**(e+1) that is left has at most e prime factors, all above B, so a
         member's e-th power divides it exactly when r = q**e with q not
@@ -258,7 +256,7 @@ class Primes:
                 i += step
 
         v0, k = run.start, run.step
-        if k in (1, -1):  # k is its own inverse
+        if k in (1, -1):  # k is its own inverse: no table to build
             a = -v0 * k
             for p in primes_up_to(bound):
                 i = a % p

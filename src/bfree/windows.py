@@ -223,10 +223,11 @@ def covered_flags(spec: FamilySpec, box: Box) -> bytearray:
     progression (see _mark_last_row).  Any other template is evaluated in
     its own coordinates q, x = A q (A the transform, else the identity),
     once per line of q that meets the box, each line one slice of the
-    flags, slab by slab (see _slab_lines and _mark_lines).  Templates whose
-    sequence never factors go before those that may, which skip the rows
-    and lines already flagged entirely (as in ex1); a box without such
-    other templates builds no lines.
+    flags, slab by slab (see _slab_lines and _mark_lines).  Every template
+    whose sequence never factors goes before any that may, which skip the
+    rows and lines already flagged entirely (as in ex1): last-row templates
+    that never factor, then the templates on lines, then last-row templates
+    that may factor.  A box without templates on lines builds no lines.
     """
     _check_dim(spec, box.dim)
     flags = bytearray(box.volume)
@@ -237,19 +238,23 @@ def covered_flags(spec: FamilySpec, box: Box) -> bytearray:
             _mark_lattice(flags, spec.image(entry.lattice), box, ones)
         else:
             templates.append(entry)
-    on_lines = []
+    rows_first, on_lines, rows_last = [], [], []
     for entry in sorted(templates, key=lambda e: e.factors):
         # a run of power_hits that repeats on consecutive rows or lines is sieved once per box
         power_hits = lru_cache(maxsize=1)(entry.params.power_hits)
         if any(entry.exps[:-1]):
             on_lines.append((entry, power_hits))
         else:
-            _mark_last_row(flags, spec, entry, box, power_hits, ones)
+            (rows_last if entry.factors else rows_first).append((entry, power_hits))
+    for entry, power_hits in rows_first:
+        _mark_last_row(flags, spec, entry, box, power_hits, ones)
     if on_lines:
         for lines in _slab_lines(spec, box):
             for entry, power_hits in on_lines:
                 _mark_lines(flags, lines, entry, power_hits, ones)
             del lines  # free this slab's table before the next one is built
+    for entry, power_hits in rows_last:
+        _mark_last_row(flags, spec, entry, box, power_hits, ones)
     return flags
 
 
@@ -397,7 +402,9 @@ def _box_lines(spec: FamilySpec, box: Box, slab=None) -> dict:
     and the flat index in the box being linear in x, the line's cells
     k = klo..khi there sit at start + (k - klo) * sigma, sigma = strides . a.
     Each line is found from its first cell (see _first_cells); without a
-    transform those are the first cells of the rows."""
+    transform those are the first cells of the rows.  Only templates on
+    lines ask for the table, and every 1-d template is last-row, so m >= 2
+    and the prefix is never empty."""
     rows, inverse = spec.coordinates()
     lo, hi, sides = box.lo, box.hi, box.sides
     strides = [prod(sides[k + 1 :]) for k in range(len(sides))]
@@ -415,7 +422,7 @@ def _box_lines(spec: FamilySpec, box: Box, slab=None) -> dict:
             for l, h, e, x in zip(lo, hi, a, cols) if e
         ))
         values = zip(map(sub, index, repeat(offset)), repeat(sigma), k, map(add, k, steps))
-        lines.update(zip(zip(*prefix) if prefix else repeat(()), values))
+        lines.update(zip(zip(*prefix), values))
     return lines
 
 

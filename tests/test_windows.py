@@ -530,6 +530,32 @@ def test_row_walk_inverts_the_step_once_per_entry(monkeypatch):
     assert len(primes) > 500
 
 
+def test_factoring_last_row_template_skips_rows_covered_by_lines(monkeypatch):
+    # the geometric template scales its first row, so it goes by lines, and
+    # covers the rows of even x_0; the last-row template over primes may
+    # factor, so it comes after and sieves only the odd rows.  Its last
+    # coefficient is x_1 - 3 x_0, so each row's run starts at lo_1 - 3 x_0.
+    spec = parse_family(
+        "dim 2\nrecttemplate [1,t^2] params=primes\nrecttemplate [t,1] params=geometric:2\n"
+        "transform [[1,0],[3,1]]\n"
+    )
+    lo = 10**15
+    box = Box((lo, lo), (lo + 19, lo + 19))
+    expected = bytearray(map(spec.covered, box.points()))
+    runs = []
+    sieve = families.Primes.power_hits
+
+    def recording(self, run, e):
+        runs.append(run)
+        return sieve(self, run, e)
+
+    monkeypatch.setattr(families.Primes, "power_hits", recording)
+    assert covered_flags(spec, box) == expected
+    rows = [(lo - run.start) // 3 for run in runs]
+    assert all(run.step == 1 and len(run) == 20 for run in runs)
+    assert rows == list(range(lo + 1, lo + 20, 2))
+
+
 def test_one_cell_high_box_marks_rows_without_lines(monkeypatch):
     # each row of this box is one cell: the lattices mark the rows they
     # meet, and no line table is built
