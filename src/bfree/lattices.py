@@ -4,7 +4,12 @@ A lattice is stored by its canonical triangular basis: the basis matrix is
 lower triangular with strictly positive diagonal, columns are the generators,
 and every entry left of the diagonal is reduced into [0, diagonal).  This
 form is unique for each finite-index subgroup, so structural equality of the
-basis decides equality of subgroups.
+basis decides equality of subgroups.  Each lattice computes its views,
+``dim``, ``columns``, ``diagonal`` and ``index``, once, as plain instance
+values.  ``Lattice(basis)`` checks the canonical form; ``hnf``,
+``intersect`` and ``from_diagonal``, whose elimination or positive diagonal
+already guarantees it, build through ``Lattice._of_columns``, which skips
+those checks.
 
 One integer column elimination, ``_hnf_columns``, serves every operation.
 ``hnf`` is that elimination.  ``Lattice.intersect`` and ``split_in_sum``
@@ -23,6 +28,7 @@ immutable and safe to share.
 
 from dataclasses import FrozenInstanceError, dataclass, fields
 from functools import reduce
+from math import prod
 
 from .errors import NotCoprimeError, RankDeficientError
 from .numtheory import xgcd
@@ -44,8 +50,8 @@ def record(cls):
 
     ``__init__`` and ``__post_init__`` may set each field once; after that,
     and for any other name, assignment and deletion raise.  Code that writes
-    around the guard (``object.__setattr__``, ``functools.cached_property``)
-    keeps working."""
+    around the guard (``object.__setattr__``, the instance ``__dict__``,
+    ``functools.cached_property``) keeps working."""
     cls = dataclass(cls, eq=False, repr=False)
     found = fields(cls)
     cls._record_fields = frozenset(f.name for f in found)
@@ -131,26 +137,22 @@ class Lattice:
                     raise ValueError("basis must be lower triangular")
                 if j < i and not 0 <= row[j] < d:
                     raise ValueError("off-diagonal entries must be reduced into [0, diagonal)")
+        self._views(tuple(zip(*self.basis)))
 
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
+    @classmethod
+    def _of_columns(cls, columns) -> "Lattice":
+        """The lattice whose canonical basis has these columns (a tuple of
+        tuples), without __post_init__'s checks: only for what an
+        elimination or a positive diagonal already puts in canonical form."""
+        self = cls.__new__(cls)
+        self.__dict__["basis"] = tuple(zip(*columns))
+        self._views(columns)
+        return self
 
-    @property
-    def index(self) -> int:
-        out = 1
-        for i, row in enumerate(self.basis):
-            out *= row[i]
-        return out
-
-    @property
-    def columns(self) -> tuple[Point, ...]:
-        m = self.dim
-        return tuple(tuple(self.basis[i][j] for i in range(m)) for j in range(m))
-
-    @property
-    def diagonal(self) -> Point:
-        return tuple(row[i] for i, row in enumerate(self.basis))
+    def _views(self, columns):
+        """Store dim, columns, diagonal and index once, as plain values."""
+        diagonal = tuple([col[i] for i, col in enumerate(columns)])
+        self.__dict__.update(dim=len(columns), columns=columns, diagonal=diagonal, index=prod(diagonal))
 
     def is_proper(self) -> bool:
         return self.index >= 2
@@ -162,30 +164,33 @@ class Lattice:
 
     def contains(self, p) -> bool:
         """Membership by back-substitution against the triangular basis."""
-        p = as_point(p)
-        if len(p) != self.dim:
-            raise ValueError("dimension mismatch")
         res = list(p)
-        for i in range(self.dim):
-            d = self.basis[i][i]
+        m = self.dim
+        if len(res) != m:
+            raise ValueError("dimension mismatch")
+        basis = self.basis
+        for i in range(m):
+            d = basis[i][i]
             if res[i] % d:
                 return False
             c = res[i] // d
             if c:
-                for r in range(i, self.dim):
-                    res[r] -= c * self.basis[r][i]
+                for r in range(i, m):
+                    res[r] -= c * basis[r][i]
         return True
 
     def reduce(self, p) -> Point:
         """Canonical coset representative of p: the unique congruent point in
         the box prod_i [0, basis[i][i])."""
-        p = as_point(p)
-        res = list(p)
-        for i in range(self.dim):
+        res = list(as_point(p))
+        m = self.dim
+        if len(res) != m:
+            raise ValueError("dimension mismatch")
+        for i in range(m):
             d = self.basis[i][i]
             q = res[i] // d
             if q:
-                for r in range(i, self.dim):
+                for r in range(i, m):
                     res[r] -= q * self.basis[r][i]
         return tuple(res)
 
@@ -210,7 +215,7 @@ class Lattice:
         """
         m = self.dim
         cols = _stacked_sum(self, other, 2 * m)
-        return Lattice(tuple(tuple(cols[j][m + i] for j in range(m, 2 * m)) for i in range(m)))
+        return Lattice._of_columns(tuple([tuple(col[m:]) for col in cols[m:]]))
 
     def coprime(self, other: "Lattice") -> bool:
         return self.sum(other).index == 1
@@ -226,10 +231,12 @@ class Lattice:
     @classmethod
     def from_diagonal(cls, entries) -> "Lattice":
         entries = as_point(entries)
+        if not entries:
+            raise ValueError("basis must be a nonempty square matrix")
         if any(e < 1 for e in entries):
             raise ValueError("diagonal entries must be positive")
         m = len(entries)
-        return cls(tuple(tuple(entries[i] if i == j else 0 for j in range(m)) for i in range(m)))
+        return cls._of_columns(tuple([tuple([e if i == j else 0 for i in range(m)]) for j, e in enumerate(entries)]))
 
     @classmethod
     def whole(cls, dim: int) -> "Lattice":
@@ -310,11 +317,13 @@ def hnf(generators, dim: int | None = None) -> Lattice:
         if not gens:
             raise RankDeficientError("no nonzero generators")
         dim = len(gens[0])
+    if dim < 1:
+        raise ValueError("basis must be a nonempty square matrix")
     if any(len(g) != dim for g in gens):
         raise ValueError("generators of mixed dimension")
     cols = [list(g) for g in gens]
     _hnf_columns(cols, dim)
-    return Lattice(tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim)))
+    return Lattice._of_columns(tuple(map(tuple, cols[:dim])))
 
 
 def split_in_sum(l1: Lattice, l2: Lattice, target):
@@ -405,6 +414,8 @@ class UnimodularMap:
 
     def apply_point(self, p) -> Point:
         p = as_point(p)
+        if len(p) != self.dim:
+            raise ValueError("dimension mismatch")
         return tuple(sum(row[j] * p[j] for j in range(self.dim)) for row in self.rows)
 
     def apply(self, lattice: Lattice) -> Lattice:

@@ -43,7 +43,7 @@ from .lattices import (
     split_in_sum,
 )
 from .numtheory import divisors
-from .windows import DEFAULT_CELL_LIMIT, Box, Shape, _check_scan_size, _sieved_translates, find_zero_window, zero_window_by_crt
+from .windows import DEFAULT_CELL_LIMIT, Box, Shape, _check_scan_size, _sieved_translates, _Sieve, _slabs, covered_flags, zero_window_by_crt
 
 PROXIMAL = "Proximal"
 NOT_PROXIMAL = "NotProximal"
@@ -510,23 +510,42 @@ class SearchBudget:
 
 def _zero_window_evidence(spec: FamilySpec, budget: SearchBudget) -> Evidence:
     """Zero windows of the square shapes [0, k]^m, k = 1..max_side, in the
-    centered search box.  Every side's scan is checked against the cell
-    limit, in order, before the first sieve.  A window of side k + 1 at g
-    holds one of side k at g, so the scan stops at the first side without a
-    window and lists it and every larger side as not found."""
+    centered search box: for each side, the lexicographically first
+    translate, as ``find_zero_window`` gives it.  Every side's scan is
+    checked against the cell limit, in order, before the first sieve.
+
+    The search box's slabs (``windows._slabs``) are walked once, each
+    sieved once, grown by max_side, for every side not yet found: side k
+    ANDs in the offsets of [0, k]^m that the sides before it in the slab
+    did not (``_square_offsets``) and takes its first survivor.  A window
+    of side k + 1 at g holds one of side k at g, so a side without a
+    survivor in a slab sends every larger side to the next slab, and the
+    scan stops at the first side without a window and lists it and every
+    larger side as not found."""
     m = spec.dim
     search = Box.centered(budget.search_radius, m)
-    sides = range(1, budget.max_side + 1)
+    top = budget.max_side
+    sides = range(1, top + 1)
     for k in sides:
         _check_scan_size(search, (k + 1) ** m, (k + 1,) * m, budget.cell_limit)
     found = []
-    for k in sides:
-        shape = Shape.from_box(Box((0,) * m, (k,) * m))
-        g = find_zero_window(spec, shape, search, cell_limit=budget.cell_limit)
-        if g is None:
+    for slab in _slabs(search):
+        if len(found) == top:
             break
-        found.append((k, g))
+        sieve = _Sieve(spec, slab, (0,) * m, (top,) * m)
+        survivors, done = sieve.survivors, -1
+        for k in sides[len(found) :]:
+            survivors = sieve.keep(survivors, _square_offsets(m, done, k))
+            if not survivors:
+                break
+            found.append((k, sieve.first(survivors)))
+            done = k
     return Evidence(tuple(found), tuple(sides[len(found) :]), f"translates in {search.format()}")
+
+
+def _square_offsets(m: int, done: int, k: int) -> list[Point]:
+    """The offsets of [0, k]^m outside [0, done]^m."""
+    return [f for f in itertools.product(range(k + 1), repeat=m) if max(f) > done]
 
 
 def _schemas(spec: FamilySpec) -> list:
@@ -824,7 +843,11 @@ def check_coprime_cover_candidate(
     _DPRIME_SCAN_RADIUS + 1)^m representatives; a member so proved has no
     free point and is not scanned.  Every other member, refuted or
     undecided, is scanned in order: its points with coefficients within
-    +/-_DPRIME_SCAN_RADIUS, last coefficient fastest.  Raises
+    +/-_DPRIME_SCAN_RADIUS, last coefficient fastest, and the first free
+    one is the witness.  The member's canonical basis has last column d *
+    e_m, so with the other coefficients fixed its points form a row of
+    step d along the last axis: each row takes one ``covered_flags`` over
+    its 2 * _DPRIME_SCAN_RADIUS * d + 1 cells, read at stride d.  Raises
     TooLargeError, before any member is tried, when the scan of all members
     has more than ``cell_limit`` points.
     """
@@ -832,8 +855,9 @@ def check_coprime_cover_candidate(
     if row.holds is not True:
         return ConditionRow(None, "unknown", f"candidate family is not schema-certified pairwise coprime ({row.detail})")
     members = candidate.instances_up_to(_DPRIME_INSTANCE_BOUND)
-    coeffs = Box.centered(_DPRIME_SCAN_RADIUS, candidate.dim)
-    points = len(members) * coeffs.volume
+    r = _DPRIME_SCAN_RADIUS
+    scan = (2 * r + 1) ** candidate.dim
+    points = len(members) * scan
     if points > cell_limit:
         raise TooLargeError(
             f"d' check: the scan of {points} candidate points exceeds the cell limit of {cell_limit}",
@@ -844,12 +868,15 @@ def check_coprime_cover_candidate(
             None, "unknown", f"no candidate member has index <= {_DPRIME_INSTANCE_BOUND}, so no point was tested"
         )
     for member in members:
-        if _held_by_members(spec, member, coeffs.volume):
+        if _held_by_members(spec, member, scan):
             continue
         cols = member.columns
-        for ks in coeffs.points():
-            p = combination(cols, ks)
-            if spec.free(p):
+        d = cols[-1][-1]
+        for head in itertools.product(range(-r, r + 1), repeat=candidate.dim - 1):
+            *x, y = combination(cols, head + (-r,))
+            v = covered_flags(spec, Box((*x, y), (*x, y + 2 * r * d)))[::d].find(0)
+            if v >= 0:
+                p = (*x, y + v * d)
                 detail = f"candidate member {member.to_columns()} contains the free point {p}"
                 return ConditionRow(False, "exact", detail, (member, p))
     return ConditionRow(

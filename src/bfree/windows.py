@@ -47,18 +47,12 @@ class Box:
             raise ValueError("lo and hi must be nonempty vectors of equal length")
         if any(a > b for a, b in zip(self.lo, self.hi)):
             raise ValueError("box is empty")
+        sides = tuple([b - a + 1 for a, b in zip(self.lo, self.hi)])
+        self.__dict__.update(sides=sides, volume=prod(sides))
 
     @property
     def dim(self) -> int:
         return len(self.lo)
-
-    @property
-    def sides(self) -> Point:
-        return tuple(b - a + 1 for a, b in zip(self.lo, self.hi))
-
-    @property
-    def volume(self) -> int:
-        return prod(self.sides)
 
     def contains(self, p) -> bool:
         return all(a <= x <= b for x, a, b in zip(p, self.lo, self.hi, strict=True))
@@ -508,17 +502,24 @@ def all_zero_windows(
 
 
 def _zero_translates(spec: FamilySpec, shape: Shape, search: Box, cell_limit: int):
-    """Valid translates in lexicographic order, sieved in slabs of the first
-    coordinate whose heights double (1, 2, 4, ...): a hit near the start of
-    the search box costs one thin slab, a miss about one sieve of the box."""
+    """Valid translates in lexicographic order, sieved slab by slab (see
+    _slabs)."""
     _check_dim(spec, shape.dim)
     if search.dim != shape.dim:
         raise ValueError("search box dimension mismatch")
     _check_scan_size(search, len(shape), Box(*shape.bounds()).sides, cell_limit)
+    for slab in _slabs(search):
+        yield from _sieved_translates(spec, shape, slab)
+
+
+def _slabs(search: Box):
+    """The search box in slabs of its first coordinate whose heights double
+    (1, 2, 4, ...), in order: a hit near the start of the search box costs
+    one thin slab, a miss about one sieve of the box."""
     (x, *lo), (b, *hi) = search.lo, search.hi
     while x <= b:
         top = min(2 * x - search.lo[0], b)
-        yield from _sieved_translates(spec, shape, Box((x, *lo), (top, *hi)))
+        yield Box((x, *lo), (top, *hi))
         x = top + 1
 
 
@@ -542,23 +543,48 @@ def _check_scan_size(search: Box, cells: int, extent, cell_limit: int):
 
 def _sieved_translates(spec: FamilySpec, shape: Shape, search: Box):
     """Translates g in the search box with g + shape wholly covered, in
-    lexicographic order: one covered_flags over the search box grown by the
-    shape's bounds, masked to the search box and ANDed with the flags
-    shifted by each offset; translate g sits at the cell g + (shape low)."""
+    lexicographic order, from one _Sieve over the shape's bounds."""
     lo, hi = shape.bounds()
-    box = Box(tuple(map(add, search.lo, lo)), tuple(map(add, search.hi, hi)))
-    flags = int.from_bytes(covered_flags(spec, box), "little")
-    strides = [prod(box.sides[k + 1 :]) for k in range(box.dim)]
-    survivors = b"\x01"  # the search box's cells inside the grown box
-    for s, t, stride in reversed(list(zip(search.sides, box.sides, strides))):
-        survivors = survivors * s + bytes((t - s) * stride)
-    survivors = int.from_bytes(survivors, "little")
-    for f in shape.offsets:
-        survivors &= flags >> (8 * sum((x - a) * s for x, a, s in zip(f, lo, strides)))
-        if not survivors:
-            return
-    translates = box.shifted(tuple(-a for a in lo)).points()
-    yield from compress(translates, survivors.to_bytes(box.volume, "little"))
+    sieve = _Sieve(spec, search, lo, hi)
+    survivors = sieve.keep(sieve.survivors, shape.offsets)
+    if survivors:
+        translates = sieve.box.shifted(tuple(-a for a in lo)).points()
+        yield from compress(translates, survivors.to_bytes(sieve.box.volume, "little"))
+
+
+class _Sieve:
+    """One covered_flags over the search box grown by the offset bounds [lo,
+    hi], as one integer of a byte per cell (box, flags).  Translate g of the
+    search box sits at the cell g + lo; ``survivors`` marks every such cell,
+    and keep(survivors, offsets) ANDs it with the flags shifted by each
+    offset f, leaving the translates g with g + f covered too."""
+
+    def __init__(self, spec: FamilySpec, search: Box, lo, hi):
+        self.box = box = Box(tuple(map(add, search.lo, lo)), tuple(map(add, search.hi, hi)))
+        self.flags = int.from_bytes(covered_flags(spec, box), "little")
+        self.lo = lo
+        self.strides = strides = [prod(box.sides[k + 1 :]) for k in range(box.dim)]
+        survivors = b"\x01"
+        for s, t, stride in reversed(list(zip(search.sides, box.sides, strides))):
+            survivors = survivors * s + bytes((t - s) * stride)
+        self.survivors = int.from_bytes(survivors, "little")
+
+    def keep(self, survivors: int, offsets) -> int:
+        flags, lo, strides = self.flags, self.lo, self.strides
+        for f in offsets:
+            survivors &= flags >> (8 * sum(map(mul, map(sub, f, lo), strides)))
+            if not survivors:
+                break
+        return survivors
+
+    def first(self, survivors: int) -> Point:
+        """The lexicographically first translate that survivors marks."""
+        i = (survivors & -survivors).bit_length() // 8
+        g = []
+        for a, b, stride in zip(self.box.lo, self.lo, self.strides):
+            c, i = divmod(i, stride)
+            g.append(a + c - b)
+        return tuple(g)
 
 
 def zero_window_by_crt(lattices, shape: Shape) -> Point:

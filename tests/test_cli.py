@@ -198,13 +198,13 @@ def test_zero_periodic_exact_reads_the_verdict_without_evidence_scans(capsys, mo
     # ex1 is Inconclusive: decide's zero-window evidence would scan a 33 x 33
     # box per side, past --limit-cells, for a certificate the command never reads
     scans = []
-    find = proximality.find_zero_window
+    sieve = proximality._Sieve
 
-    def counting(*args, **kwargs):
+    def counting(*args):
         scans.append(args)
-        return find(*args, **kwargs)
+        return sieve(*args)
 
-    monkeypatch.setattr(proximality, "find_zero_window", counting)
+    monkeypatch.setattr(proximality, "_Sieve", counting)
     code, stdout, _ = run(
         capsys, "zero", "--preset", "ex1", "--shape", "0:1x0:1", "--periodic-exact",
         "--search", "0:3,0:3", "--limit-cells", "2000",
@@ -251,8 +251,8 @@ def test_report_dprime_scan_obeys_the_cell_limit(tmp_path, capsys, monkeypatch):
     candidate = tmp_path / "c.fam"
     candidate.write_text("dim 3\nrecttemplate [t,1,1] params=oddprimes\n")
     tested = []
-    free = proximality.FamilySpec.free
-    monkeypatch.setattr(proximality.FamilySpec, "free", lambda self, p: tested.append(p) or free(self, p))
+    flags = proximality.covered_flags
+    monkeypatch.setattr(proximality, "covered_flags", lambda spec, box: tested.append(box) or flags(spec, box))
     code, stdout, err = run(
         capsys, "report", "--spec", str(family), "--dprime", str(candidate), "--limit-cells", "1000"
     )
@@ -269,8 +269,8 @@ def test_report_dprime_proves_members_held_by_the_family_without_scanning(tmp_pa
     candidate = tmp_path / "c.fam"
     candidate.write_text("dim 3\nrecttemplate [t,1,1] params=oddprimes\n")
     tested = []
-    free = proximality.FamilySpec.free
-    monkeypatch.setattr(proximality.FamilySpec, "free", lambda self, p: tested.append(p) or free(self, p))
+    flags = proximality.covered_flags
+    monkeypatch.setattr(proximality, "covered_flags", lambda spec, box: tested.append(box) or flags(spec, box))
     code, stdout, _ = run(capsys, "report", "--spec", str(family), "--dprime", str(candidate))
     assert code == 0
     assert json.loads(stdout)["conditions"]["d_prime"] == {

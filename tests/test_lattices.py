@@ -285,6 +285,16 @@ def test_reduce_is_canonical():
         assert lat.contains(tuple(a - b for a, b in zip(p, r)))
 
 
+def test_reduce_and_apply_point_refuse_a_point_of_another_dimension():
+    lat = Lattice.from_diagonal((2, 2))
+    shear = UnimodularMap(((1, 1), (0, 1)))
+    for p in ((3, 3, 5), (3,)):
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            lat.reduce(p)
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            shear.apply_point(p)
+
+
 def test_membership_vs_coset_reduction():
     # membership agrees with "reduces to the origin representative"
     rng = random.Random(3)
@@ -484,3 +494,35 @@ def test_crt_input_checks():
 def test_serialization_roundtrip():
     lat = hnf([(2, 1), (0, 3)])
     assert Lattice.from_columns(lat.to_columns()) == lat
+
+
+def recomputed_views(basis) -> dict:
+    m = len(basis)
+    diagonal = tuple(basis[i][i] for i in range(m))
+    index = 1
+    for d in diagonal:
+        index *= d
+    columns = tuple(tuple(basis[i][j] for i in range(m)) for j in range(m))
+    return {"basis": basis, "dim": m, "columns": columns, "diagonal": diagonal, "index": index}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_eliminated_lattices_equal_validated_ones_with_the_same_views(data):
+    # hnf, intersect and from_diagonal skip __post_init__'s checks; the
+    # validating constructor accepts what they build, and every stored view
+    # (with the types it has) equals its recomputation from the basis
+    m = data.draw(st.integers(1, 4))
+    coords = st.integers(-12, 12)
+    gens = data.draw(st.lists(st.tuples(*[coords] * m), min_size=m, max_size=m + 2))
+    a, b = data.draw(canonical_lattices(m, max_diag=9)), data.draw(canonical_lattices(m, max_diag=9))
+    built = [a.intersect(b), Lattice.from_diagonal(data.draw(st.tuples(*[st.integers(1, 20)] * m)))]
+    try:
+        built.append(hnf(gens))
+    except RankDeficientError:
+        pass
+    for lat in built:
+        checked = Lattice(lat.basis)
+        assert checked == lat and hash(checked) == hash(lat) and repr(checked) == repr(lat)
+        assert vars(lat) == vars(checked) == recomputed_views(lat.basis)
+        assert all(type(row) is tuple and all(type(x) is int for x in row) for row in lat.basis + lat.columns)

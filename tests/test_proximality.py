@@ -3,7 +3,7 @@ import json
 import random
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from bfree.errors import (
@@ -275,28 +275,63 @@ def test_decide_ex_presets_inconclusive_with_evidence():
 
 def test_evidence_search_stops_at_the_first_side_without_a_window(monkeypatch):
     # ex2's search box holds windows of sides 1 to 30 only; a window of side
-    # k + 1 holds one of side k, so side 31 is the last one searched
+    # k + 1 holds one of side k, so side 31 is the last one searched: no
+    # slab ANDs in the offsets of a larger side
     sides = []
-    find = proximality.find_zero_window
-    monkeypatch.setattr(proximality, "find_zero_window", lambda spec, shape, *a, **kw: sides.append(shape) or find(spec, shape, *a, **kw))
+    offsets = proximality._square_offsets
+    monkeypatch.setattr(proximality, "_square_offsets", lambda m, done, k: sides.append(k) or offsets(m, done, k))
     v = decide(preset("ex2"), SearchBudget(max_side=40, search_radius=16))
     assert v.status == INCONCLUSIVE
-    assert len(sides) == 31
+    assert sorted(set(sides)) == list(range(1, 32))
     assert v.zero_window_sides == tuple(range(1, 31))
     assert v.certificate.not_found == tuple(range(31, 41))
 
 
-@settings(max_examples=40, deadline=None)
-@given(families())
-def test_evidence_matches_a_search_of_every_side(spec):
-    search = Box.centered(4, spec.dim)
-    windows = [
-        (k, find_zero_window(spec, Shape.from_box(Box((0,) * spec.dim, (k,) * spec.dim)), search))
-        for k in range(1, 4)
-    ]
-    ev = proximality._zero_window_evidence(spec, SearchBudget(max_side=3, search_radius=4))
+@st.composite
+def gapped_families(draw):
+    """Families whose zero windows stop at a middle side: the entries q Z
+    along one axis, for a few small primes q, cover every point whose
+    coordinate there is a multiple of one of them, so a square window needs
+    a run of such values (2, 3, 4 in 2Z u 3Z; 2 to 10 in 2Z u 3Z u 5Z u 7Z),
+    plus at most one random entry, under a random transform a third of the
+    time (most transforms leave no window at all)."""
+    m = draw(st.integers(1, 3))
+    axis = draw(st.integers(0, m - 1))
+    moduli = draw(st.lists(st.sampled_from((2, 3, 5, 7)), min_size=2, max_size=4, unique=True))
+    es = tuple(Rectangular(tuple(q if i == axis else 1 for i in range(m))) for q in moduli)
+    es += tuple(draw(st.lists(entries(m), max_size=1)))
+    transform = random_unimodular(random.Random(draw(st.integers(0, 10**6))), m) if draw(st.integers(0, 2)) == 0 else None
+    return FamilySpec(m, es, transform)
+
+
+# windows that stop at side 3, 5, 3 and 3
+MIDDLE_STOPS = (
+    "dim 1\nrect [2]\nrect [3]\n",
+    "dim 2\nrect [2,1]\nrect [3,1]\nrect [5,1]\n",
+    "dim 2\nrect [1,2]\nrect [1,3]\nrect [1,5]\ntransform [[1,0],[1,1]]\n",
+    "dim 3\nrect [1,1,2]\nrect [1,1,3]\nrecttemplate [1,t,1] params=explicit:2,3\ntransform [[1,0,0],[0,1,0],[1,0,1]]\n",
+)
+
+
+def _with_examples(test):
+    for spec in (preset("ex1"), preset("ex2"), *map(parse_family, MIDDLE_STOPS)):
+        test = example(spec=spec, max_side=6, radius=16)(test)
+    return test
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=st.one_of(families(), gapped_families()), max_side=st.integers(0, 6), radius=st.integers(0, 16))
+@_with_examples
+def test_evidence_matches_a_search_of_every_side(spec, max_side, radius):
+    # one sieve per slab for every side gives what a scan of each side
+    # gives; a 3-d search box is cut to radius 5
+    m = spec.dim
+    search = Box.centered(min(radius, (16, 16, 5)[m - 1]), m)
+    windows = [(k, find_zero_window(spec, Shape.from_box(Box((0,) * m, (k,) * m)), search)) for k in range(1, max_side + 1)]
+    ev = proximality._zero_window_evidence(spec, SearchBudget(max_side=max_side, search_radius=search.hi[0]))
     assert ev.found == tuple((k, g) for k, g in windows if g is not None)
     assert ev.not_found == tuple(k for k, g in windows if g is None)
+    event(f"{m}-d, windows stop at {'a middle side' if ev.found and ev.not_found else 'no middle side'}")
 
 
 def test_verdict_json_shape():
@@ -690,7 +725,7 @@ def test_conditions_report_refuses_a_dprime_candidate_of_another_dimension(monke
     def refuse(*args, **kwargs):
         raise AssertionError("zero-window search started before the dimension check")
 
-    monkeypatch.setattr(proximality, "find_zero_window", refuse)
+    monkeypatch.setattr(proximality, "_Sieve", refuse)
     candidate = parse_family("dim 1\nrecttemplate [t^2] params=primes\n")
     with pytest.raises(ValueError, match="candidate is 1-dimensional, the family is 2-dimensional"):
         conditions_report(preset("ex2"), dprime_candidate=candidate)
@@ -738,9 +773,7 @@ def test_dprime_scan_is_bounded_by_the_cell_limit_before_it_starts(monkeypatch):
     candidate = FamilySpec(2, (RectTemplate((RectEntry(1, 1), RectEntry(1, 1)), odd_primes()),))
     full = check_coprime_cover_candidate(spec, candidate)
     assert check_coprime_cover_candidate(spec, candidate, cell_limit=5 * 25**2) == full
-    tested = []
-    free = FamilySpec.free
-    monkeypatch.setattr(FamilySpec, "free", lambda self, p: tested.append(p) or free(self, p))
+    tested = _count_scanned_rows(monkeypatch)
     with pytest.raises(TooLargeError, match="^d' check: the scan of 3125 candidate points exceeds the cell limit of 3124$"):
         check_coprime_cover_candidate(spec, candidate, cell_limit=5 * 25**2 - 1)
     with pytest.raises(TooLargeError, match="d' check"):
@@ -748,10 +781,11 @@ def test_dprime_scan_is_bounded_by_the_cell_limit_before_it_starts(monkeypatch):
     assert tested == []
 
 
-def _count_free_calls(monkeypatch) -> list:
+def _count_scanned_rows(monkeypatch) -> list:
+    """The boxes of the d' scan's covered_flags calls, one per scanned row."""
     tested = []
-    free = FamilySpec.free
-    monkeypatch.setattr(FamilySpec, "free", lambda self, p: tested.append(p) or free(self, p))
+    flags = proximality.covered_flags
+    monkeypatch.setattr(proximality, "covered_flags", lambda spec, box: tested.append(box) or flags(spec, box))
     return tested
 
 
@@ -759,7 +793,7 @@ def test_dprime_without_a_member_within_the_index_bound_claims_nothing(monkeypat
     # t^8 > 200 for every odd prime: no member is examined, so the row
     # claims nothing (the candidate is refuted: diag(81, 81) holds the free
     # point (0, 81) of ex1)
-    tested = _count_free_calls(monkeypatch)
+    tested = _count_scanned_rows(monkeypatch)
     candidate = parse_family("dim 2\nrecttemplate [t^4,t^4] params=oddprimes\n")
     row = check_coprime_cover_candidate(preset("ex1"), candidate)
     assert row.to_json_dict() == {
@@ -772,8 +806,8 @@ def test_dprime_without_a_member_within_the_index_bound_claims_nothing(monkeypat
 
 def test_dprime_proves_every_ex2_member_without_a_free_call(monkeypatch):
     # each of the five members tt Z^2 lies in ex2's members, found by
-    # member_containing on quotient reps: no point is scanned
-    tested = _count_free_calls(monkeypatch)
+    # member_containing on quotient reps: no row is scanned
+    tested = _count_scanned_rows(monkeypatch)
     candidate = parse_family("dim 2\nrecttemplate [t,t] params=oddprimes\n")
     row = check_coprime_cover_candidate(preset("ex2"), candidate)
     assert (row.holds, row.mode) == (True, "evidence")
@@ -799,11 +833,13 @@ DPRIME_CANDIDATES = {
         "dim 1\nrecttemplate [t] params=oddprimes\n",
         "dim 1\nrecttemplate [t^2] params=primes\n",
         "dim 1\nrecttemplate [t] params=primes!2,3\n",
+        "dim 1\nrecttemplate [t] params=oddprimes\ntransform [[-1]]\n",
     ),
     2: (
         "dim 2\nrecttemplate [t,t] params=oddprimes\n",
         "dim 2\nrecttemplate [t^2,t] params=primes\n",
         "dim 2\nrecttemplate [t,t] params=primes\ntransform [[1,1],[0,1]]\n",
+        "dim 2\nrecttemplate [t,t^2] params=oddprimes\ntransform [[1,0],[2,1]]\n",
     ),
 }
 
@@ -812,11 +848,21 @@ DPRIME_CANDIDATES = {
 def dprime_cases(draw):
     """A family of random entries in dims 1-2, half the time under a
     transform, and half the time with the members t Z^m over primes added,
-    so that candidates are often held."""
+    so that candidates are often held; in 2-d, a third of the time with
+    ex1's entries or a template scaling the first row of a base like
+    ex1's."""
     m = draw(st.integers(1, 2))
     es = tuple(draw(st.lists(entries(m), min_size=1, max_size=3)))
     if draw(st.booleans()):
         es += (RectTemplate((RectEntry(1, 1),) * m, Primes()),)
+    if m == 2:
+        extra = draw(st.integers(0, 5))
+        if extra == 0:
+            es += preset("ex1").entries
+        elif extra == 1:
+            d = draw(st.integers(1, 3))
+            base = Lattice(((2, 0), (draw(st.integers(0, d - 1)), d)))
+            es += (Template(base, (1, 0), draw(st.sampled_from((odd_primes(), Geometric(2, 1), Primes((3,)))))),)
     transform = random_unimodular(random.Random(draw(st.integers(0, 10**6))), m) if draw(st.booleans()) else None
     return FamilySpec(m, es, transform)
 
@@ -828,6 +874,34 @@ def test_dprime_check_matches_the_scan_only_row(spec, data):
     row = check_coprime_cover_candidate(spec, candidate)
     ref = _scan_only_dprime(spec, candidate)
     assert (row.holds, row.mode, row.detail, row.witness) == (ref.holds, ref.mode, ref.detail, ref.witness)
+
+
+@pytest.mark.parametrize(
+    "family, candidate",
+    [
+        ("dim 3\nrect [2,1,1]\nrect [1,2,1]\n", "dim 3\nrecttemplate [t,t,t] params=oddprimes\n"),
+        (
+            "dim 3\nrect [2,1,1]\nrect [1,2,1]\ntransform [[1,0,0],[1,1,0],[0,1,1]]\n",
+            "dim 3\nrecttemplate [t,1,t^2] params=oddprimes\n",
+        ),
+        (
+            "dim 3\nrecttemplate [t,1,1] params=primes\nrect [1,1,2]\n",
+            "dim 3\nrecttemplate [1,1,t] params=oddprimes\ntransform [[1,0,0],[0,1,0],[1,0,1]]\n",
+        ),
+        (
+            "dim 3\nrect [2,1,1]\ntemplate base=[[1,0,0],[1,2,0],[0,0,1]] scale=(1,1) params=oddprimes\n",
+            "dim 3\nrecttemplate [t,t,1] params=oddprimes\n",
+        ),
+    ],
+)
+def test_dprime_scan_of_a_3d_member_matches_the_scan_only_row(family, candidate, monkeypatch):
+    # the first member is not held, so its rows are scanned up to the witness
+    spec, candidate = parse_family(family), parse_family(candidate)
+    ref = _scan_only_dprime(spec, candidate)
+    rows = _count_scanned_rows(monkeypatch)
+    row = check_coprime_cover_candidate(spec, candidate)
+    assert (row.holds, row.mode, row.detail, row.witness) == (ref.holds, ref.mode, ref.detail, ref.witness)
+    assert row.holds is False and rows
 
 
 @settings(max_examples=150, deadline=None)
