@@ -20,8 +20,8 @@ _EXPORTS = {
     "errors": (
         "BFreeError BadInputError FactorizationError FamilyParseError InconsistencyError "
         "InvalidCoverError NotAZeroWindowError NotCoprimeError NotEnoughIdealsError "
-        "NotPairwiseCoprimeError NotRectangularError RankDeficientError TooLargeError "
-        "UnknownPresetError ZeroElementError"
+        "NotPairwiseCoprimeError RankDeficientError TooLargeError UnknownPresetError "
+        "UnsettledEntryError ZeroElementError"
     ),
     "families": (
         "CoprimeFamily Explicit FamilySpec Geometric Primes RectEntry RectTemplate Rectangular "
@@ -33,7 +33,7 @@ _EXPORTS = {
         "ConditionRow ConditionsReport CoprimeList CoprimeSubscheme CoverCheck Covering "
         "CoveringReport Evidence FixedTranslateReport SearchBudget "
         "Verdict check_covering check_coprime_cover_candidate check_fixed_translate "
-        "conditions_report coprime_index_subset crt_window_certificate decide decide_rectangular "
+        "conditions_report coprime_index_subset crt_window_certificate decide "
         "prove_no_zero_window"
     ),
     "quadratic": "ProductIdeal QuadIdeal QuadraticRing crt crt_product principal unit_ideal",

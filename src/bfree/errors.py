@@ -56,8 +56,9 @@ class UnknownPresetError(BFreeError, ValueError):
     """No preset family with the requested name."""
 
 
-class NotRectangularError(BFreeError, ValueError):
-    """The operation requires rectangular (diagonal) family entries."""
+class UnsettledEntryError(BFreeError, ValueError):
+    """The covering check cannot settle an infinite family entry: no single
+    cover holds its span, and its members are never checked one by one."""
 
 
 class InvalidCoverError(BFreeError, ValueError):

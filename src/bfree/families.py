@@ -11,10 +11,12 @@ A family is a list of entries, each one of:
 
 Every entry kind answers the same questions: membership, its members by
 increasing index (``iter_instances``, built as they are read), ``span()``,
-``classes_mod(n, limit)`` and ``schema()``, and names its span in labels by
-``span_word``, so the verdict engine never dispatches on the kind.
-``span()`` is the lattice generated by all the members, in closed form: a
-lattice holds every member exactly when it holds the span.  ``schema()`` is
+a finite entry's ``labelled_members()`` and ``schema()``, and names its
+span in labels by ``span_word``, so the verdict engine never dispatches on
+the kind.  ``span()`` is the lattice generated by all the members, in
+closed form: a lattice holds every member exactly when it holds the span,
+so a check settles an entry by its span or, for a finite entry, member by
+member, and never by classes of parameters.  ``schema()`` is
 the one answer behind verdicts: a cover (proper lattices holding every
 member; the span, for an infinite entry whose span is proper), a
 ``CoprimeFamily`` (an infinite pairwise coprime subfamily), or None when
@@ -53,9 +55,7 @@ from .numtheory import (
     factor,
     iroot,
     is_prime,
-    multiplicative_order,
     primes_up_to,
-    totient,
     trial_bound,
     valuation,
 )
@@ -282,41 +282,6 @@ class Primes:
                 hits[i] = any(c >= e and p not in excluded for p, c in factor(r))
         return hits
 
-    def residues_mod(self, n: int) -> set[int]:
-        """Exact set {t mod n : t in the sequence}.
-
-        Every unit class mod n contains infinitely many primes, so finite
-        exclusions never empty it; non-unit classes are reached only by the
-        primes dividing n themselves.
-        """
-        out = {u for u in range(1, n) if gcd(u, n) == 1}
-        for p, _ in factor(n):
-            if p not in self.exclude:
-                out.add(p % n)
-        if n == 1:
-            out.add(0)
-        return out
-
-    def class_count(self, n: int) -> int:
-        """len(residues_mod(n)), from factor(n) alone: phi(n) unit classes
-        plus one class per non-excluded prime dividing n."""
-        return totient(n) + sum(p not in self.exclude for p, _ in factor(n))
-
-    def value_in_class(self, rho: int, n: int):
-        """Smallest sequence member congruent to rho mod n, or None.
-
-        A unit class holds infinitely many primes (Dirichlet), so the walk
-        rho, rho + n, ... ends; any other class holds at most the prime
-        gcd(rho, n).
-        """
-        rho %= n
-        g = gcd(rho, n)
-        if g != 1:
-            return g if g in self and g % n == rho else None
-        while rho not in self:
-            rho += n
-        return rho
-
     def describe(self) -> str:
         if self.exclude:
             return "primes excluding {%s}" % ", ".join(map(str, self.exclude))
@@ -401,44 +366,6 @@ class Geometric:
         of indices, no factoring."""
         return _multiples_in_run(run, (self.base ** (self.start * e),))
 
-    def residues_mod(self, n: int) -> set[int]:
-        out = set()
-        r = pow(self.base, self.start, n)
-        while r not in out:
-            out.add(r)
-            r = r * self.base % n
-        return out
-
-    def class_count(self, n: int) -> int:
-        """len(residues_mod(n)) without walking the orbit.
-
-        Write n = n1 * n2 with n1 made of the primes dividing the base.  Mod
-        n1 the powers base**k are distinct and nonzero for k < K and zero from
-        K on, where K = max ceil(e_p / v_p(base)) over p**e_p exactly dividing
-        n1; mod n2 the base is a unit of order L.  So the classes from
-        k = start on are max(0, K - start) tail classes plus L periodic ones.
-        """
-        n1, k_zero = 1, 0
-        for p, e in factor(n):
-            v = valuation(self.base, p)
-            if v:
-                n1 *= p**e
-                k_zero = max(k_zero, -(-e // v))
-        n2 = n // n1
-        return max(0, k_zero - self.start) + multiplicative_order(self.base % n2, n2)
-
-    def value_in_class(self, rho: int, n: int):
-        seen = set()
-        k = self.start
-        r = pow(self.base, k, n)
-        while r not in seen:
-            if r == rho:
-                return self.base**k
-            seen.add(r)
-            k += 1
-            r = r * self.base % n
-        return None
-
     def spec_text(self) -> str:
         return f"geometric:{self.base}:{self.start}" if self.start != 1 else f"geometric:{self.base}"
 
@@ -493,15 +420,6 @@ class Explicit:
         per value."""
         return _multiples_in_run(run, {t**e for t in self.values})
 
-    def residues_mod(self, n: int) -> set[int]:
-        return {v % n for v in self.values}
-
-    def class_count(self, n: int) -> int:
-        return len(self.residues_mod(n))
-
-    def value_in_class(self, rho: int, n: int):
-        return next((v for v in self.values if v % n == rho), None)
-
     def spec_text(self) -> str:
         return "explicit:" + ",".join(map(str, self.values))
 
@@ -540,10 +458,6 @@ class Static:
     def dim(self) -> int:
         return self.lattice.dim
 
-    @property
-    def is_rectangular(self) -> bool:
-        return self.lattice.is_diagonal()
-
     def covered(self, p) -> bool:
         return self.lattice.contains(p)
 
@@ -566,12 +480,9 @@ class Static:
         """The one member, which is its own cover (see Template.schema)."""
         return [self.lattice]
 
-    def classes_mod(self, n: int, limit: int):
-        lat = self.lattice
-        return iter([(f"member {lat.to_columns()}", list(lat.columns), None)])
-
-    def class_member(self, parameter, n: int) -> Lattice:
-        return self.lattice
+    def labelled_members(self):
+        """(label, member) for the one member."""
+        return [(f"member {self.lattice.to_columns()}", self.lattice)]
 
     def spec_line(self) -> str:
         """A ``rect`` line for a diagonal lattice, else a ``static`` line."""
@@ -647,42 +558,10 @@ class Template:
     def factors(self) -> bool:
         return self.params.factors
 
-    @property
-    def is_rectangular(self) -> bool:
-        return self.base.is_diagonal()
-
-    def classes_mod(self, n: int, limit: int):
-        """(label, columns, parameter) for every member class modulo n.
-
-        Two parameters congruent mod n generate the same subgroup once
-        n*Z^m is added, so finitely many classes cover an infinite entry
-        exactly.  The columns leave n*Z^m out: every caller adds it, or a
-        lattice of index n that contains it.  The parameter is a value of a
-        finite sequence, else a residue; ``class_member`` turns it into a
-        concrete member only when one is needed.  Raises TooLargeError,
-        before any class is built, when an infinite sequence has more than
-        ``limit`` classes mod n.
-        """
-        params = self.params
-        if not params.is_infinite:
-            return ((f"t={t}", self.member_columns(t), t) for t in params.values)
-        count = params.class_count(n)
-        if count > limit:
-            raise TooLargeError(
-                f"{count} parameter classes modulo {n} exceed the limit {limit}",
-                check="member classes", limit_name="limit", limit=limit, count=count,
-            )
-        return (
-            (f"t={rho} (mod {n})", self.member_columns(rho), rho)
-            for rho in sorted(params.residues_mod(n))
-        )
-
-    def class_member(self, parameter, n: int):
-        """A member in the class ``classes_mod(n)`` yielded with this
-        parameter, or None when the sequence has no value in it."""
-        if self.params.is_infinite:
-            parameter = self.params.value_in_class(parameter, n)
-        return None if parameter is None else self.member(parameter)
+    def labelled_members(self):
+        """(label, member) for every member of a finite entry, by
+        increasing parameter."""
+        return ((f"t={t}", self.member(t)) for t in self.params.values)
 
     def iter_instances(self, bound: int):
         """Every member of index <= bound, by increasing parameter, built
@@ -735,20 +614,13 @@ class Template:
         )
 
     def member(self, t: int) -> Lattice:
-        """The member for t, from the base's rows: scaling diagonal entries
-        by t**e >= 1 keeps the off-diagonal entries reduced, so no hnf is
-        needed."""
-        return Lattice(tuple(
-            row[:i] + (row[i] * t**e,) + row[i + 1 :] if e else row
-            for i, (row, e) in enumerate(zip(self.base.basis, self.exps))
-        ))
-
-    def member_columns(self, t: int) -> list[list[int]]:
-        """Member t's columns, for any integer t (a residue may be 0)."""
-        cols = [list(c) for c in self.base.columns]
-        for i, e in enumerate(self.exps):
-            cols[i][i] *= t**e
-        return cols
+        """The member for t >= 1, from the base's columns: scaling diagonal
+        entries by t**e >= 1 keeps the off-diagonal entries reduced, so the
+        columns are already canonical and are neither reduced nor checked."""
+        return Lattice._of_columns(tuple([
+            col[:i] + (col[i] * t**e,) + col[i + 1 :] if e else col
+            for i, (col, e) in enumerate(zip(self.base.columns, self.exps))
+        ]))
 
     def _eliminate(self, p, rows: int) -> list:
         """Back-substitution of p through the first ``rows`` rows of the
@@ -916,7 +788,7 @@ class Template:
             for i, (d, e, _) in enumerate(self._rows)
             if e
         ]
-        return hnf(self.member_columns(self.params.min_value()) + extra, dim=self.dim)
+        return hnf(self.member(self.params.min_value()).columns + tuple(extra), dim=self.dim)
 
     def _slots(self) -> list[RectEntry]:
         """The diagonal slots c * t**e of a diagonal base."""

@@ -167,33 +167,6 @@ def factor(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(out.items()))
 
 
-def divisors(n: int) -> list[int]:
-    """Every positive divisor of n >= 1, in increasing order, from factor(n)."""
-    out = [1]
-    for p, e in factor(n):
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
-
-
-def totient(n: int) -> int:
-    """Euler's phi of n >= 1, from factor(n)."""
-    out = n
-    for p, _ in factor(n):
-        out = out // p * (p - 1)
-    return out
-
-
-def multiplicative_order(a: int, n: int) -> int:
-    """Least k >= 1 with a**k = 1 (mod n), for a coprime to n >= 1."""
-    if n < 1 or math.gcd(a, n) != 1:
-        raise ValueError("multiplicative_order() expects a unit modulo n >= 1")
-    k = totient(n)
-    for q, _ in factor(k):
-        while k % q == 0 and pow(a, k // q, n) == 1:
-            k //= q
-    return k
-
-
 def valuation(n: int, p: int) -> int:
     """Largest e with p**e dividing n (n != 0, |p| >= 2)."""
     if n == 0:

@@ -11,6 +11,12 @@ question, and are issued in two situations only:
   and the covers provably hold every member (NotProximal), verified by
   finite checks that are exact because cover membership is periodic.
 
+Those checks, ``check_covering`` and ``check_fixed_translate``, settle an
+entry by its span, or a finite entry member by member.  An infinite entry
+that its span does not settle is refused by the covering check
+(``UnsettledEntryError``) and scanned by members up to a bound by the
+fixed-translate check; its parameters are never sorted into classes.
+
 The same answers decide condition (d) of ``conditions_report``, the
 candidate check behind (d') and the note of ``crt_window_certificate``.
 
@@ -21,15 +27,14 @@ general lattice families that implication has no converse.
 
 import itertools
 import json
-from functools import partial
 from math import gcd
 
 from .errors import (
     InconsistencyError,
     InvalidCoverError,
     NotPairwiseCoprimeError,
-    NotRectangularError,
     TooLargeError,
+    UnsettledEntryError,
 )
 from .families import CoprimeFamily, FamilySpec, Static
 from .lattices import (
@@ -42,7 +47,6 @@ from .lattices import (
     record,
     split_in_sum,
 )
-from .numtheory import divisors
 from .windows import DEFAULT_CELL_LIMIT, Box, Shape, _check_scan_size, _sieved_translates, _Sieve, _slabs, covered_flags, zero_window_by_crt
 
 PROXIMAL = "Proximal"
@@ -101,9 +105,10 @@ class CoprimeList:
 
 @record
 class CoverCheck:
-    """One verified containment: member classes of an entry, taken modulo
-    ``modulus``, sit inside the cover union.  ``cover`` is the index of the
-    one cover holding them, or None when the check spans several covers."""
+    """One verified containment: an entry's span, or one member of a finite
+    entry, taken modulo ``modulus``, sits inside the cover union.  ``cover``
+    is the index of the one cover holding it, or None when the check spans
+    several covers."""
 
     entry_index: int
     label: str
@@ -193,7 +198,7 @@ class Verdict:
 class CoveringReport:
     covered: bool
     certificate: Covering | None
-    witness: tuple[int, str, Point] | None  # (entry, class label, uncovered point)
+    witness: tuple[int, str, Point] | None  # (entry, check label, uncovered point)
 
 
 def _quotient_reps(big: Lattice, small: Lattice, rep_limit: int):
@@ -219,56 +224,36 @@ def _quotient_reps(big: Lattice, small: Lattice, rep_limit: int):
     return count, (combination(cols, ks) for ks in Lattice.from_diagonal(ratios).iter_coset_reps())
 
 
-def _settle_entry(entry, n: int, limit: int, answer, image):
+def _settle_entry(entry, n: int, answer, image):
     """Lattices that hold every member of ``entry`` between them, for a
-    property that passes to sublattices, as (label, lattice, answer(lattice),
-    member, modulus), each lattice mapped into family coordinates by
-    ``image`` (``FamilySpec.image``); ``member()`` is a concrete member inside
-    it, in entry coordinates (None when the sequence has none there).
+    property that passes to sublattices, as (label, lattice,
+    answer(lattice), member, modulus), each lattice mapped into family
+    coordinates by ``image`` (``FamilySpec.image``); ``member`` is the
+    concrete member inside it, in entry coordinates.
 
     ``answer`` is None where the property fails, and is evaluated once per
-    lattice.  The first level that fits decides: the image of the span
-    alone, when its answer is not None (member and modulus None); else the
-    member classes modulo n, built lazily; else, past ``limit`` classes, the
-    classes modulo the least proper divisor d of n on which every class
-    answers, within ``limit`` classes in all.  A class lattice is the image
-    of the class columns plus n Z^m (or d Z^m), which the unimodular map
-    keeps, and it holds every member of its class.  Raises the TooLargeError
-    of ``classes_mod(n, limit)`` when no level fits.
+    lattice.  The image of the span comes first, and settles the entry
+    alone when its answer is not None (member and modulus None).  Else a
+    finite entry is settled member by member, built lazily: a member's
+    lattice is the image of its columns plus n Z^m, which the unimodular
+    map keeps, with modulus n.  An infinite entry that its span does not
+    settle gives None: its members are never sorted into classes.
     """
     span = entry.span()
     mapped = image(span)
     got = answer(mapped)
     if got is not None:
         return [(f"{entry.span_word} {span.to_columns()}", mapped, got, None, None)]
+    if entry.is_infinite:
+        return None
+    n_cols = Lattice.from_diagonal((n,) * entry.dim).columns
 
-    def settled(classes, d):
-        d_cols = Lattice.from_diagonal((d,) * entry.dim).columns
-        for label, cols, param in classes:
-            lat = image(hnf(list(cols) + list(d_cols)))
-            yield label, lat, answer(lat), partial(entry.class_member, param, d), d
+    def members():
+        for label, member in entry.labelled_members():
+            lat = image(hnf(member.columns + n_cols))
+            yield label, lat, answer(lat), member, n
 
-    try:
-        return settled(entry.classes_mod(n, limit), n)
-    except TooLargeError as exc:
-        too_large = exc
-    budget = limit
-    for d in divisors(n)[1:-1]:
-        try:
-            classes = entry.classes_mod(d, budget)
-        except TooLargeError:
-            continue
-        held = []
-        for item in settled(classes, d):
-            budget -= 1
-            if item[2] is None:
-                break
-            held.append(item)
-        else:
-            return held
-        if budget <= 0:
-            break
-    raise too_large
+    return members()
 
 
 def check_covering(
@@ -290,18 +275,18 @@ def check_covering(
     Each entry is settled by ``_settle_entry`` with the property "held by
     one cover".  A cover is a group, so it holds every member exactly when
     it holds the span's columns, and one ``CoverCheck`` naming the first
-    such cover C settles the entry, with index(C) as its modulus.  Only an
-    entry that no single cover holds is swept over its parameter classes
-    modulo the index N of the cover intersection, which is exact because
-    union membership is periodic with that period; each class gets its own
-    check, and a class that no one cover holds has its quotient reps
-    checked against the union.  An entry with more classes modulo N than
-    ``rep_limit`` is checked instead modulo a divisor of N, each class
-    inside one cover.  Raises TooLargeError, naming the count and
-    ``rep_limit`` (and the entry, for a class enumeration), when neither
-    the scan of non-diagonal covers nor the small-point search finds a
-    missed coset within it, or when such a class enumeration would exceed
-    it.
+    such cover C settles the entry, with index(C) as its modulus.  A finite
+    entry that no single cover holds is checked member by member, modulo
+    the index N of the cover intersection, which is exact because union
+    membership is periodic with that period: each member gets its own
+    check, and a member that no one cover holds has its quotient reps
+    checked against the union; a rep outside it refutes the covering, with
+    a witness lifted to a point of that member.  An infinite entry whose
+    span no single cover holds raises UnsettledEntryError, naming the entry
+    and its span: such covers are never answered for, either way.  Raises
+    TooLargeError, naming the count and ``rep_limit``, when neither the
+    scan of non-diagonal covers nor the small-point search finds a missed
+    coset within it, or when a member's quotient has more reps than it.
     """
     covers = list(covers)
     if not covers:
@@ -327,22 +312,22 @@ def check_covering(
     n_lattice = Lattice.from_diagonal((n,) * spec.dim)
     checks = []
     for idx, entry in enumerate(spec.entries):
-        try:
-            settled = _settle_entry(entry, n, rep_limit, holding_cover, spec.image)
-        except TooLargeError as exc:
-            raise TooLargeError(
-                f"covering check, entry {idx}: {exc}",
-                check="covering check", limit_name="rep_limit", limit=exc.limit, count=exc.count,
-            ) from None
+        settled = _settle_entry(entry, n, holding_cover, spec.image)
+        if settled is None:
+            raise UnsettledEntryError(
+                f"covering check, entry {idx} ({entry.spec_line()}): no single cover holds "
+                f"its span {spec.image(entry.span()).to_columns()}, and an infinite entry "
+                "is settled by its span alone"
+            )
         for label, lat, k, member, modulus in settled:
             if k is not None:
                 checks.append(CoverCheck(idx, label, 0, k, covers[k].index if modulus is None else modulus))
                 continue
-            # no one cover holds the class: sweep its quotient by the period
+            # no one cover holds the member: sweep its quotient by the period
             count, reps = _quotient_reps(lat, lat.intersect(period), rep_limit)
             for rep in reps:
                 if not any(cov.contains(rep) for cov in covers):
-                    witness = _lift_witness(member(), spec.image, n_lattice, rep)
+                    witness = _lift_witness(member, spec.image, n_lattice, rep)
                     return CoveringReport(False, None, (idx, label, witness))
             checks.append(CoverCheck(idx, label, count, None, n))
     cert = Covering(tuple(covers), missed, tuple(checks))
@@ -427,14 +412,12 @@ def _points_by_radius(m: int, limit: int):
 
 
 def _lift_witness(member, image, period: Lattice, rep):
-    """Replace a class-lattice witness by a point of a concrete member (in
-    entry coordinates, mapped by ``image`` as in _settle_entry) in
-    rep + period: the lifted point is a genuine covered-set point, and it
-    keeps what rep showed wherever membership is periodic modulo ``period``."""
-    if member is None:
-        return rep
-    parts = split_in_sum(image(member), period, rep)
-    return rep if parts is None else parts[0]
+    """Replace a witness rep, which lies in the member (in entry
+    coordinates, mapped by ``image`` as in _settle_entry) plus ``period``,
+    by a point of the member in rep + period: the lifted point is a genuine
+    covered-set point, and it keeps what rep showed wherever membership is
+    periodic modulo ``period``."""
+    return split_in_sum(image(member), period, rep)[0]
 
 
 def prove_no_zero_window(spec: FamilySpec, shape: Shape, covers) -> bool:
@@ -582,12 +565,17 @@ def _schema_verdict(spec: FamilySpec, schemas) -> Verdict | None:
 def decide(spec: FamilySpec, budget: SearchBudget | None = None) -> Verdict:
     """Proximality verdict with a re-checkable certificate.
 
-    Exact for rectangular schemas (templates included) within the covering
-    check's limits; families with non-rectangular entries whose schema
-    supports a covering argument get an exact NotProximal; everything else
-    is Inconclusive with finite evidence.  A coordinate change on the family
-    does not affect the verdict, so it is decided on the underlying entries
-    and certificates are mapped forward.
+    Exact when some entry holds a coprime family, or when every entry has
+    a cover (its span, or its members) and the covers verify; everything
+    else is Inconclusive with finite evidence.  A nonempty family of
+    diagonal entries (``rect``/``static`` lattices and templates over a
+    diagonal base) always gets one of the two: each such infinite entry has a proper
+    span or, over primes with the identity base, a coprime family.  Without
+    a transform its covers are diagonal, so the missed coset is built
+    directly and the verdict is never Inconclusive; under a transform only
+    the missed-coset scan is bounded by the covering check's ``rep_limit``.
+    A coordinate change on the family does not affect the verdict, so it is
+    decided on the underlying entries and certificates are mapped forward.
     """
     try:
         verdict = _schema_verdict(spec, _schemas(spec))
@@ -596,34 +584,6 @@ def decide(spec: FamilySpec, budget: SearchBudget | None = None) -> Verdict:
     if verdict is not None:
         return verdict
     return Verdict(INCONCLUSIVE, _zero_window_evidence(spec, budget or SearchBudget()))
-
-
-def decide_rectangular(spec: FamilySpec) -> Verdict:
-    """Exact verdict for families of rectangular entries only.
-
-    Raises NotRectangularError when a non-rectangular entry is present and
-    ValueError for a family without entries.  For rectangular schemas the
-    coprime-subfamily test and the coordinatewise covering construction are
-    jointly complete, so the answer is Proximal or NotProximal, never
-    Inconclusive.  An infinite entry's span is one of the covers, and so is
-    each member of a finite entry, so a single cover holds every entry or
-    member class and no class quotient is scanned.  Without a transform the
-    covers are diagonal and the missed coset is built directly, so nothing
-    raises; under a transform only the missed-coset scan is bounded by
-    ``rep_limit``, and its TooLargeError (naming the count and the limit)
-    propagates.
-    """
-    if not spec.entries:
-        raise ValueError("a family without entries has no verdict")
-    for entry in spec.entries:
-        if not entry.is_rectangular:
-            raise NotRectangularError(
-                f"entry {entry.spec_line()} is not rectangular"
-            )
-    verdict = _schema_verdict(spec, _schemas(spec))
-    if verdict is None:
-        raise InconsistencyError("a rectangular schema got neither a coprime subfamily nor a cover")
-    return verdict
 
 
 def crt_window_certificate(spec: FamilySpec, shape, *, instance_bound: int = CRT_INSTANCE_BOUND):
@@ -689,16 +649,14 @@ def check_fixed_translate(
     L + lattice, and avoiding it passes to sublattices, so each entry is
     settled by ``_settle_entry`` with the property "the translate lies
     outside L + lattice", in family coordinates as in ``check_covering``:
-    the span first, one test for every member; else the parameter classes
-    modulo the index of ``lattice`` (the sum only depends on the parameter
-    through that residue); else, past ``rep_limit`` classes, modulo a
-    divisor of that index.  A class that meets the translate refutes it
-    exactly, and the witness is a point of a concrete member of that class
-    inside translate + lattice.  An entry that no level settles falls back
-    to its members of index at most ``rep_limit``: one that meets the
-    translate still refutes it exactly, but when none does the answer is
-    evidence only (``exact`` False).  A translate or a lattice of another
-    dimension than the family raises ValueError before any entry is settled.
+    the span first, one test for every member; else, for a finite entry,
+    each member.  A member that meets the translate refutes it exactly, and
+    the witness is a point of that member inside translate + lattice.  An
+    infinite entry whose span does not settle it falls back to its members
+    of index at most ``rep_limit``: one that meets the translate still
+    refutes it exactly, but when none does the answer is evidence only
+    (``exact`` False).  A translate or a lattice of another dimension than
+    the family raises ValueError before any entry is settled.
     """
     a = as_point(translate)
     if len(a) != spec.dim:
@@ -715,9 +673,8 @@ def check_fixed_translate(
         return FixedTranslateReport(False, True, witness, f"{what} meets the translate")
 
     for idx, entry in enumerate(spec.entries):
-        try:
-            settled = _settle_entry(entry, lattice.index, rep_limit, avoids, spec.image)
-        except TooLargeError:
+        settled = _settle_entry(entry, lattice.index, avoids, spec.image)
+        if settled is None:
             exact = False
             for member in entry.iter_instances(rep_limit):
                 if spec.image(member).sum(lattice).contains(a):
@@ -725,9 +682,9 @@ def check_fixed_translate(
             continue
         for label, _, ok, member, _ in settled:
             if ok is None:
-                return refuted(member(), f"entry {idx} class {label}")
+                return refuted(member, f"entry {idx} class {label}")
     detail = "no member meets the translate" if exact else (
-        "no enumerated member meets the translate (class enumeration truncated)"
+        f"no member of index at most {rep_limit} meets the translate (member enumeration truncated)"
     )
     return FixedTranslateReport(True, exact, None, detail)
 

@@ -46,6 +46,11 @@ def canonical_lattices(draw, m, max_diag=4):
     return Lattice(tuple(rows))
 
 
+def is_diagonal_entry(entry) -> bool:
+    """Whether the entry is a diagonal lattice or a template over a diagonal base."""
+    return (entry.base if isinstance(entry, Template) else entry.lattice).is_diagonal()
+
+
 def scaled_row(m: int, row: int) -> tuple[int, ...]:
     """The exponents of a template that scales one row by t."""
     return tuple(int(i == row) for i in range(m))

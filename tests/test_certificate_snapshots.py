@@ -3,11 +3,12 @@
 The goldens under ``src/bfree/goldens`` hold only ``Evidence`` verdicts, so
 this file pins the exact ``Covering`` and ``CoprimeSubscheme`` certificates
 (covers, missed cosets, checks with their labels, rep counts, covers and
-moduli: one check per entry that a single cover holds, one per class
-otherwise; samples, rule texts) over a fixed list of specs: every entry
+moduli: one check per entry that a single cover holds, one per member of
+a finite entry otherwise; samples, rule texts) over a fixed list of specs: every entry
 kind, every parameter sequence, coordinate changes and a non-diagonal
 static entry, with Proximal, NotProximal and Inconclusive verdicts.  A covering check against
-supplied covers adds the witness of a refuted cover.  Fixed-translate
+supplied covers adds the witness of a refuted cover, or the refusal of
+an infinite entry whose span no single cover holds.  Fixed-translate
 reports pin each NotProximal spec's missed coset with its cover
 intersection, and translates that a member meets, with their witnesses.
 
@@ -20,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from bfree.errors import UnsettledEntryError
 from bfree.families import parse_family, preset
 from bfree.lattices import Lattice, intersect_all
 from bfree.proximality import SearchBudget, check_covering, check_fixed_translate, conditions_report, decide
@@ -79,8 +81,9 @@ COVER_CASES = (
 )
 
 # (spec name, translate, lattice columns): translates that a member meets,
-# refuted by a parameter class, by a single member, and, under a transform,
-# by the member scan past the class limit
+# refuted by the member scan of an infinite entry that its span does not
+# settle, by a finite entry's member, and, under a transform, by the
+# member scan again
 REFUTED_TRANSLATES = (
     ("ex1", (0, 1), [[4, 0], [0, 2]]),
     ("rect-pair", (0, 1), [[2, 0], [0, 2]]),
@@ -94,7 +97,10 @@ def _spec(name):
 
 
 def _covering_record(name, cols):
-    report = check_covering(_spec(name), [Lattice.from_columns(c) for c in cols])
+    try:
+        report = check_covering(_spec(name), [Lattice.from_columns(c) for c in cols])
+    except UnsettledEntryError as exc:
+        return json.dumps({"refused": str(exc)})
     return json.dumps(
         {
             "covered": report.covered,

@@ -1,9 +1,13 @@
 """Randomized cross-validation of the exact covering and fixed-translate
 checkers against direct point enumeration.
 
-The class-based reductions claim exactness for infinite template entries;
-here we corner them with small random families and covers and compare with
-brute force over generous boxes of instantiated members.
+The checks settle an entry by its span, or a finite entry member by
+member, and the covering check refuses an infinite entry whose span lies
+in no single cover.  Here small random families and covers corner them:
+every answer they give is compared with brute force over instantiated
+members, and each refusal with the span test it rests on.  A span is taken
+as what its first members generate (``test_span_is_generated_by_the_first_members``
+in ``tests/test_entries.py``).
 """
 
 import itertools
@@ -13,7 +17,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from bfree.errors import InvalidCoverError, TooLargeError
+from bfree.errors import InvalidCoverError, UnsettledEntryError
 from bfree.families import (
     Explicit,
     FamilySpec,
@@ -27,10 +31,9 @@ from bfree.families import (
     odd_primes,
 )
 from bfree.lattices import Lattice, hnf, intersect_all
-from bfree.proximality import _lift_witness, _quotient_reps, check_covering, check_fixed_translate
+from bfree.proximality import check_covering, check_fixed_translate
 from helpers import canonical_lattices, entries, random_unimodular, scaled_row
 
-CLASS_LIMIT = 10**6
 
 
 def random_entry(rng):
@@ -73,6 +76,56 @@ def random_cover(rng):
     return hnf([(d0, rng.randrange(d1)), (0, d1)])
 
 
+def first_members(entry, count=12):
+    """The entry's members of the first ``count`` parameters, which generate
+    its span."""
+    if not hasattr(entry, "params"):
+        return [entry.lattice]
+    return [entry.member(t) for t in entry.params.values_up_to(10**4)[:count]]
+
+
+def all_members(entry):
+    """Every member of a finite entry."""
+    return [entry.lattice] if not hasattr(entry, "params") else [entry.member(t) for t in entry.params.values]
+
+
+def holds(cover, lattice) -> bool:
+    return all(cover.contains(c) for c in lattice.columns)
+
+
+def span_cover(spec, entry, covers):
+    """Index of the first cover that holds every first member (mapped), or None."""
+    mapped = [spec.image(member) for member in first_members(entry)]
+    return next((k for k, cov in enumerate(covers) if all(holds(cov, lat) for lat in mapped)), None)
+
+
+def escapes(member, covers, period) -> bool:
+    """Whether some point of the member lies outside every cover: union
+    membership is periodic modulo ``period``, so the reps of ``period``
+    that lie in member + period are every point of the member, up to it."""
+    meets = member.sum(period)
+    return any(
+        meets.contains(rep) and not any(cov.contains(rep) for cov in covers)
+        for rep in period.iter_coset_reps()
+    )
+
+
+def reference_covering(spec, covers):
+    """("covered", None), ("missed", entry) or ("refused", entry), taking the
+    entries in order: an entry that one cover holds is settled; else a
+    finite entry's members are checked point by point modulo the period,
+    and an infinite entry is refused."""
+    period = intersect_all(covers)
+    for idx, entry in enumerate(spec.entries):
+        if span_cover(spec, entry, covers) is not None:
+            continue
+        if entry.is_infinite:
+            return "refused", idx
+        if any(escapes(spec.image(member), covers, period) for member in all_members(entry)):
+            return "missed", idx
+    return "covered", None
+
+
 def brute_force_covered(spec, covers, instance_bound=400, coeff=9):
     """Direct check on all small members: every small-coefficient point of
     every instantiated member must lie in some cover."""
@@ -96,7 +149,8 @@ def test_check_covering_agrees_with_bruteforce(seed):
         report = check_covering(spec, covers)
     except InvalidCoverError:
         return  # covers rejected (improper or exhaustive): nothing to compare
-    except TooLargeError:
+    except UnsettledEntryError:
+        assert reference_covering(spec, covers)[0] == "refused"
         return
     brute, witness = brute_force_covered(spec, covers)
     if report.covered:
@@ -107,58 +161,6 @@ def test_check_covering_agrees_with_bruteforce(seed):
         idx, label, point = report.witness
         assert spec.covered(point), (label, point)
         assert not any(cov.contains(point) for cov in covers)
-
-
-def reference_sweep(spec, covers):
-    """The refuting (entry, class label, witness) of the sweep modulo the
-    cover intersection's index N over every class of every entry, or None
-    when every class lies in the union: the covering check without its
-    one-cover-per-entry shortcut, kept as the reference."""
-    period = intersect_all(covers)
-    n = period.index
-    n_lattice = Lattice.from_diagonal((n,) * spec.dim)
-    transform = spec.transform
-    for idx, entry in enumerate(spec.entries):
-        for label, cols, param in entry.classes_mod(n, CLASS_LIMIT):
-            if transform is not None:
-                cols = [transform.apply_point(c) for c in cols]
-            class_lattice = hnf(list(cols) + list(n_lattice.columns))
-            _, reps = _quotient_reps(class_lattice, class_lattice.intersect(period), CLASS_LIMIT)
-            for rep in reps:
-                if not any(cov.contains(rep) for cov in covers):
-                    witness = _lift_witness(entry.class_member(param, n), spec.image, n_lattice, rep)
-                    return idx, label, witness
-    return None
-
-
-def reference_translate_sweep(spec, translate, lattice):
-    """Whether some member class modulo the index of ``lattice`` meets
-    translate + lattice, swept over every class of every entry in entry
-    coordinates: the fixed-translate check without its span step, kept as
-    the reference."""
-    a = spec.pullback(translate)
-    if spec.transform is not None:
-        lattice = spec.transform.inverse().apply(lattice)
-    return any(
-        hnf(list(cols) + list(lattice.columns)).contains(a)
-        for entry in spec.entries
-        for _, cols, _ in entry.classes_mod(lattice.index, CLASS_LIMIT)
-    )
-
-
-def mapped_classes(entry, modulus, transform):
-    """Columns of every member class of the entry modulo ``modulus``, mapped
-    through the transform."""
-    for _, cols, _ in entry.classes_mod(modulus, CLASS_LIMIT):
-        yield [transform.apply_point(c) for c in cols] if transform is not None else cols
-
-
-def one_cover_holds(entry, cover, transform):
-    """Whether the cover holds every member class modulo its index: the
-    class sweep that the span test replaced, kept as its reference."""
-    return all(
-        all(cover.contains(c) for c in cols) for cols in mapped_classes(entry, cover.index, transform)
-    )
 
 
 @st.composite
@@ -176,16 +178,15 @@ def entries_and_covers(draw):
         span = entry.span()
         cover = cover.sum(transform.apply(span) if transform else span)
     assume(cover.is_proper() and cover.index <= 500)
-    return entry, transform, cover
+    return FamilySpec(m, (entry,), transform), cover
 
 
 @settings(max_examples=200, deadline=None)
 @given(entries_and_covers())
-def test_span_containment_agrees_with_the_class_sweep(case):
-    entry, transform, cover = case
-    span = entry.span()
-    cols = [transform.apply_point(c) for c in span.columns] if transform else span.columns
-    assert all(cover.contains(c) for c in cols) == one_cover_holds(entry, cover, transform)
+def test_span_containment_agrees_with_the_first_members(case):
+    spec, cover = case
+    entry = spec.entries[0]
+    assert holds(cover, spec.image(entry.span())) == (span_cover(spec, entry, [cover]) == 0)
 
 
 @st.composite
@@ -206,14 +207,15 @@ def specs_and_covers(draw):
             if isinstance(answer, list):
                 covers += [transform.apply(c) if transform else c for c in answer]
     if draw(st.booleans()):
-        # an entry's class lattices modulo a small d: together they hold the
-        # entry, often with no single one holding it all
+        # an entry's first members modulo a small d: together they often
+        # hold the entry's members with no single one holding its span
         entry, d = draw(st.sampled_from(ents)), draw(st.integers(2, 4))
-        for cols in mapped_classes(entry, d, transform):
-            lat = hnf(list(cols) + list(Lattice.from_diagonal((d,) * m).columns))
+        d_cols = Lattice.from_diagonal((d,) * m).columns
+        for member in first_members(entry, count=4):
+            lat = hnf(list(member.columns) + list(d_cols))
             if lat.is_proper():
-                covers.append(lat)
-    # the reference sweep does work in proportion to the period
+                covers.append(transform.apply(lat) if transform else lat)
+    # the reference does work in proportion to the period
     assume(covers and intersect_all(covers).index <= 1000)
     return FamilySpec(m, ents, transform), covers
 
@@ -222,26 +224,49 @@ def specs_and_covers(draw):
 @given(specs_and_covers())
 def test_check_covering_agrees_with_the_sweep_modulo_the_period(case):
     spec, covers = case
+    expected, at = reference_covering(spec, covers)
     try:
         report = check_covering(spec, covers)
     except InvalidCoverError:
         assume(False)
-    refuted = reference_sweep(spec, covers)
-    assert report.covered == (refuted is None)
-    assert report.witness == refuted
-    if not report.covered:
+    except UnsettledEntryError as exc:
+        # refused exactly when, before any refuted entry, an infinite
+        # entry's span lies in no single cover; the error names the entry
+        event("refused")
+        assert expected == "refused"
+        assert str(exc).startswith(f"covering check, entry {at} ({spec.entries[at].spec_line()}): ")
         return
+    event(expected)
+    assert expected != "refused"
+    assert report.covered == (expected == "covered")
+    if not report.covered:
+        idx, label, point = report.witness
+        assert idx == at
+        # a point of the named member, outside every cover
+        entry = spec.entries[idx]
+        member = dict(entry.labelled_members())[label]
+        assert spec.image(member).contains(point)
+        assert not any(cov.contains(point) for cov in covers)
+        return
+    n = intersect_all(covers).index
     for idx, entry in enumerate(spec.entries):
         checks = [c for c in report.certificate.checks if c.entry_index == idx]
-        held = any(one_cover_holds(entry, cov, spec.transform) for cov in covers)
-        # an entry that one cover holds is settled by one check naming it
-        assert (len(checks) == 1 and checks[0].cover is not None) or not held
-        if len(checks) == 1 and checks[0].cover is not None:
-            cover = covers[checks[0].cover]
-            modulus_lattice = Lattice.from_diagonal((checks[0].modulus,) * spec.dim)
-            assert all(cover.contains(c) for c in modulus_lattice.columns)
-            for cols in mapped_classes(entry, checks[0].modulus, spec.transform):
-                assert all(cover.contains(c) for c in cols)
+        k = span_cover(spec, entry, covers)
+        if k is not None:
+            # an entry that one cover holds is settled by one check naming
+            # the first such cover, modulo its index
+            assert [(c.cover, c.modulus, c.reps_checked) for c in checks] == [(k, covers[k].index, 0)]
+            assert checks[0].label == f"{entry.span_word} {entry.span().to_columns()}"
+            continue
+        # else one check per member, modulo the period
+        members = list(entry.labelled_members())
+        assert [c.label for c in checks] == [label for label, _ in members]
+        for check, (_, member) in zip(checks, members):
+            assert check.modulus == n
+            if check.cover is not None:
+                assert holds(covers[check.cover], spec.image(member))
+            else:
+                assert check.reps_checked >= 1
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -277,8 +302,8 @@ def test_fixed_translate_agrees_with_bruteforce(seed):
 def specs_and_translates(draw):
     """A family, a lattice and a translate in family coordinates.  The
     lattice is often cut down to the entries' mapped spans, so that the
-    translate is often free; small limits push entries to the divisor level
-    and to the member scan."""
+    translate is often free; small limits cut the member scan of an entry
+    that its span does not settle."""
     m = draw(st.integers(1, 3))
     ents = tuple(draw(st.lists(entries(m), min_size=1, max_size=3)))
     transform = None
@@ -290,18 +315,46 @@ def specs_and_translates(draw):
         lattice = intersect_all([lattice] + [transform.apply(sp) if transform else sp for sp in spans])
     assume(lattice.index <= 1000)
     translate = tuple(draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m)))
-    rep_limit = draw(st.sampled_from((3, 10, 200_000)))
+    rep_limit = draw(st.sampled_from((3, 10, 2000)))
     return FamilySpec(m, ents, transform), translate, lattice, rep_limit
+
+
+def reference_translate(spec, translate, lattice, rep_limit):
+    """(holds, exact) taking the entries in order: an entry whose first
+    members' sum with ``lattice`` misses the translate is settled; else a
+    finite entry's members, or an infinite entry's members of index at most
+    ``rep_limit`` (not exact), are tested one by one."""
+    def meets(member):
+        return spec.image(member).sum(lattice).contains(translate)
+
+    exact = True
+    for entry in spec.entries:
+        mapped = [c for member in first_members(entry) for c in spec.image(member).columns]
+        if not hnf(mapped + list(lattice.columns)).contains(translate):
+            continue
+        if entry.is_infinite:
+            exact = False
+            scanned = [entry.member(t) for t in entry.params.values_up_to(rep_limit)]
+            if any(meets(member) for member in scanned if member.index <= rep_limit):
+                return False, True
+        elif any(meets(member) for member in all_members(entry)):
+            return False, True
+    return True, exact
+
+
+def translate_points(translate, lattice, coeff=4):
+    """The points translate + k . columns of the lattice, |k_i| <= coeff."""
+    for ks in itertools.product(range(-coeff, coeff + 1), repeat=lattice.dim):
+        yield tuple(a + sum(k * col[i] for k, col in zip(ks, lattice.columns)) for i, a in enumerate(translate))
 
 
 @settings(max_examples=200, deadline=None)
 @given(specs_and_translates())
-def test_fixed_translate_agrees_with_the_class_sweep(case):
+def test_fixed_translate_agrees_with_the_reference(case):
     spec, translate, lattice, rep_limit = case
     report = check_fixed_translate(spec, translate, lattice, rep_limit=rep_limit)
     event(f"holds={report.holds} exact={report.exact}")
-    if report.exact:
-        assert report.holds == (not reference_translate_sweep(spec, translate, lattice))
+    assert (report.holds, report.exact) == reference_translate(spec, translate, lattice, rep_limit)
     if not report.holds:
         # every refutation is exact, with a covered witness in the translate
         w = report.witness
@@ -309,6 +362,8 @@ def test_fixed_translate_agrees_with_the_class_sweep(case):
         assert lattice.contains(tuple(x - a for x, a in zip(w, translate)))
     else:
         assert report.witness is None
+        if report.exact:
+            assert not any(spec.covered(p) for p in translate_points(translate, lattice))
 
 
 @pytest.mark.parametrize("seed", range(20))

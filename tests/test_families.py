@@ -217,35 +217,6 @@ def test_explicit_validation():
     assert Explicit((2, 6)).candidates(((12, 1),)) == [2, 6]
 
 
-def test_residues_mod():
-    assert Primes().residues_mod(6) == {1, 5, 2, 3}
-    assert odd_primes().residues_mod(6) == {1, 5, 3}
-    assert Geometric(2, 1).residues_mod(6) == {2, 4}
-    assert Explicit((4, 9)).residues_mod(6) == {4, 3}
-
-
-@pytest.mark.parametrize(
-    "seq",
-    [
-        Primes(),
-        odd_primes(),
-        Primes(exclude=(3, 5, 7)),
-        Geometric(2, 0),
-        Geometric(2, 3),
-        Geometric(3, 1),
-        Geometric(6, 2),
-        Geometric(12, 5),
-        Geometric(10, 1),
-        Explicit((4, 9)),
-        Explicit((1, 7, 12, 30, 210)),
-    ],
-    ids=repr,
-)
-def test_class_count_is_number_of_residues(seq):
-    for n in range(1, 501):
-        assert seq.class_count(n) == len(seq.residues_mod(n)), n
-
-
 # ---------------------------------------------------------------------------
 # entry validation
 
@@ -486,4 +457,14 @@ def test_template_member_is_canonical_without_hnf(data):
     row = data.draw(st.integers(0, m - 1))
     entry = Template(base, scaled_row(m, row), Explicit((2, 3, 5)))
     t = data.draw(st.integers(1, 10**6))
-    assert entry.member(t) == hnf(entry.member_columns(t))
+    cols = [list(c) for c in base.columns]
+    cols[row][row] *= t
+    member = entry.member(t)
+    assert member == hnf(cols)
+    # built without validation, it equals the validated lattice of its basis,
+    # views included
+    checked = Lattice(member.basis)
+    assert member == checked
+    assert (member.dim, member.columns, member.diagonal, member.index) == (
+        checked.dim, checked.columns, checked.diagonal, checked.index
+    )

@@ -45,7 +45,7 @@ EXCLUSIONS = st.lists(st.sampled_from((2, 3, 5, 7, 100003, 1000003)), unique=Tru
 def least_member(entry):
     """member_containing(p) for a template entry, independent of the entry's
     code: the member of the least parameter that holds p, or None."""
-    inverse = sympy.Matrix(entry.member_columns(1)).T.inv()
+    inverse = sympy.Matrix(entry.member(1).columns).T.inv()
     inv = [[Fraction(int(a.p), int(a.q)) for a in row] for row in inverse.tolist()]
     params = entry.params
 
@@ -297,7 +297,7 @@ def template_points(draw):
         return entry, draw(far_points(m))
     t = draw(st.sampled_from(entry.params.values_up_to(60)))
     coefficients = st.one_of(st.integers(-6, 6), st.integers(-(10**12), 10**12))
-    columns = entry.member_columns(t)
+    columns = entry.member(t).columns
     ks = [draw(coefficients) for _ in columns]
     return entry, tuple(sum(k * col[i] for k, col in zip(ks, columns)) for i in range(m))
 
@@ -513,7 +513,7 @@ def test_class_fork_matches_oracle(entry, data):
     # a point of some member, or any point, up to 10^12 from the origin
     big = st.integers(-(10**12), 10**12)
     if data.draw(st.booleans()):
-        columns = entry.member_columns(data.draw(st.sampled_from(entry.params.values_up_to(60))))
+        columns = entry.member(data.draw(st.sampled_from(entry.params.values_up_to(60)))).columns
         ks = [data.draw(st.one_of(st.integers(-6, 6), big)) for _ in columns]
         centre = tuple(sum(k * col[j] for k, col in zip(ks, columns)) for j in range(m))
     else:

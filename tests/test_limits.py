@@ -20,7 +20,6 @@ from bfree.families import (
     Rectangular,
     Static,
     odd_primes,
-    parse_family,
     preset,
 )
 from bfree.lattices import Lattice, hnf, intersect_all
@@ -39,17 +38,6 @@ def cmd_zero_with_a_large_shape():
     args = cli._quick_parse(["zero", "--preset", "ex2", "--shape", "0:9x0:9", "--limit-cells", "50"])
     args.limit_cells = cli._cell_limit(args)
     return args.func(args)
-
-
-def classes_past_the_limit():
-    entry = parse_family("dim 1\nrecttemplate [2t] params=primes\n").entries[0]
-    return entry.classes_mod(1_000_003, 1000)
-
-
-def entry_classes_past_the_rep_limit():
-    spec = parse_family("dim 2\nrect [2,1]\nrecttemplate [t,t] params=primes\n")
-    covers = [Lattice.from_diagonal((2, 1)), Lattice.from_diagonal((1, 3))]
-    return check_covering(spec, covers, rep_limit=3)
 
 
 def missed_coset_scan_past_the_rep_limit():
@@ -108,11 +96,6 @@ SITES = {
         "covering check: a class quotient of 9 cosets exceeds rep_limit=8",
         ("covering check", "rep_limit", 8, 9),
     ),
-    "covering check entry": (
-        entry_classes_past_the_rep_limit,
-        "covering check, entry 1: 4 parameter classes modulo 6 exceed the limit 3",
-        ("covering check", "rep_limit", 3, 4),
-    ),
     "missed coset scan": (
         missed_coset_scan_past_the_rep_limit,
         "covering check: the first 8 of 27 cosets of the cover intersection all lie in the union (rep_limit=8)",
@@ -127,11 +110,6 @@ SITES = {
         dprime_scan_past_the_cell_limit,
         "d' check: the scan of 3125 candidate points exceeds the cell limit of 3124",
         ("d' check", "cell_limit", 3124, 3125),
-    ),
-    "member classes": (
-        classes_past_the_limit,
-        f"{Primes().class_count(1_000_003)} parameter classes modulo 1000003 exceed the limit 1000",
-        ("member classes", "limit", 1000, Primes().class_count(1_000_003)),
     ),
     "prime parameters": (
         crt_members_past_the_sieve_limit,

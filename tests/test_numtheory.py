@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bfree import families, numtheory
 from bfree.errors import FactorizationError
-from bfree.numtheory import factor, is_prime, multiplicative_order, primes_up_to, totient, valuation
+from bfree.numtheory import factor, is_prime, primes_up_to, valuation
 
 TRIAL_PRIMES = list(sympy.primerange(2, numtheory._TRIAL_LIMIT + 1))
 BLOCK = numtheory._BLOCK_SIZE
@@ -198,22 +198,6 @@ def test_trial_tables_are_sized_to_the_input(monkeypatch):
 @example(318665857834031151167461)
 def test_is_prime_matches_sympy(n):
     assert is_prime(n) == sympy.isprime(n)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 10**9))
-def test_totient_matches_sympy(n):
-    assert totient(n) == sympy.totient(n)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 10**6), st.integers(1, 10**6))
-def test_multiplicative_order_matches_sympy(a, n):
-    if math.gcd(a, n) != 1:
-        with pytest.raises(ValueError):
-            multiplicative_order(a, n)
-        return
-    assert multiplicative_order(a, n) == (1 if n == 1 else sympy.n_order(a, n))
 
 
 def test_valuation_rejects_bases_below_two_in_absolute_value():

@@ -10,8 +10,8 @@ from bfree.errors import (
     InconsistencyError,
     InvalidCoverError,
     NotPairwiseCoprimeError,
-    NotRectangularError,
     TooLargeError,
+    UnsettledEntryError,
 )
 from bfree.families import (
     Explicit,
@@ -49,11 +49,10 @@ from bfree.proximality import (
     conditions_report,
     coprime_index_subset,
     decide,
-    decide_rectangular,
     prove_no_zero_window,
 )
 from bfree.windows import Box, Shape, all_zero_windows, find_zero_window, zero_window_by_crt
-from helpers import canonical_lattices, entries, random_unimodular
+from helpers import canonical_lattices, entries, is_diagonal_entry, random_unimodular
 
 
 def rect_spec(*diags):
@@ -69,7 +68,7 @@ TT_PRIMES = FamilySpec(2, (RectTemplate((RectEntry(1, 1), RectEntry(1, 1)), Prim
 
 
 def test_decide_tt_over_primes_proximal():
-    v = decide_rectangular(TT_PRIMES)
+    v = decide(TT_PRIMES)
     assert v.status == PROXIMAL
     assert isinstance(v.certificate, CoprimeSubscheme)
     sample = v.certificate.sample
@@ -78,12 +77,12 @@ def test_decide_tt_over_primes_proximal():
 
 
 def test_decide_squarefree_proximal():
-    v = decide_rectangular(preset("squarefree-1d"))
+    v = decide(preset("squarefree-1d"))
     assert v.status == PROXIMAL
 
 
 def test_decide_geometric_not_proximal_with_cover():
-    v = decide_rectangular(GEOM_2I_X3)
+    v = decide(GEOM_2I_X3)
     assert v.status == NOT_PROXIMAL
     assert isinstance(v.certificate, Covering)
     assert [c.to_columns() for c in v.certificate.covers] == [[[2, 0], [0, 3]]]
@@ -94,27 +93,20 @@ def test_decide_rect_demo_not_proximal():
     assert v.status == NOT_PROXIMAL  # finite families are never proximal
 
 
-def test_decide_rectangular_rejects_templates():
-    with pytest.raises(NotRectangularError, match=r"entry template base=\[\[1,1\],\[0,2\]\] scale=\(2,2\)"):
-        decide_rectangular(preset("ex2"))
-    with pytest.raises(ValueError):
-        decide_rectangular(FamilySpec(2, ()))
-
-
-def test_decide_rectangular_takes_a_template_line_with_a_diagonal_base():
+def test_decide_takes_a_template_line_with_a_diagonal_base():
     spec = parse_family("dim 2\ntemplate base=[[1,0],[0,1]] scale=(1,1) params=primes\n")
-    v = decide_rectangular(spec)
+    v = decide(spec)
     assert v.status == PROXIMAL and isinstance(v.certificate, CoprimeSubscheme)
     assert v.certificate.rule == (
         "members diag(t, 1) over all primes: distinct prime parameters give pairwise coprime members"
     )
 
 
-def test_decide_rectangular_builds_the_missed_coset_past_the_scan_limit():
+def test_decide_builds_the_missed_coset_past_the_scan_limit():
     # the union of the two covers holds the first > 200000 cosets of their
     # intersection; diagonal covers get their missed coset by construction
     spec = parse_family("dim 2\nrect [1000003,1]\nrect [1,1000033]\n")
-    v = decide_rectangular(spec)
+    v = decide(spec)
     assert v.status == NOT_PROXIMAL
     cert = v.certificate
     assert cert.missed_coset == (1, 1)
@@ -136,13 +128,11 @@ def test_check_covering_scan_limit_on_non_diagonal_covers():
     assert check_covering(spec, covers, rep_limit=9).certificate.missed_coset == (0, 1)
 
 
-def test_decide_rectangular_settles_the_200003_template_by_its_span():
-    # no divisor d of the period puts every class of the template entry
-    # inside one cover (d has over 200000 classes of primes, or the class
-    # t = 1 (mod d) has the lattice 200003Z + dZ = Z), but its span 200003Z
-    # is one of the covers: 2Z, 1009Z and 200003Z miss 1
+def test_decide_settles_the_200003_template_by_its_span():
+    # the template entry's span 200003Z is one of the covers, so one check
+    # settles it, whatever the period: 2Z, 1009Z and 200003Z miss 1
     spec = parse_family("dim 1\nrect [2]\nrect [1009]\nrecttemplate [200003t] params=primes\n")
-    v = decide_rectangular(spec)
+    v = decide(spec)
     assert v.status == NOT_PROXIMAL
     cert = v.certificate
     assert [c.to_columns() for c in cert.covers] == [[[2]], [[1009]], [[200003]]]
@@ -157,11 +147,11 @@ def test_decide_rectangular_settles_the_200003_template_by_its_span():
         assert report.rows[key].mode == ("derived" if key == "f" else "exact")
 
 
-def test_decide_rectangular_settles_an_entry_past_the_class_limit_by_its_span():
-    # the sweep modulo 2*1009*1013 has over 200000 classes, but the template
+def test_decide_settles_an_entry_in_one_check_modulo_its_cover():
+    # the period 2*1009*1013 has over 200000 cosets, but the template
     # entry's span 2Z is one of the covers: one check, modulo 2
     spec = parse_family("dim 1\nrect [1009]\nrect [1013]\nrecttemplate [2t] params=primes\n")
-    v = decide_rectangular(spec)
+    v = decide(spec)
     assert v.status == NOT_PROXIMAL
     assert [c.to_columns() for c in v.certificate.covers] == [[[2]], [[1009]], [[1013]]]
     assert [(c.entry_index, c.cover, c.modulus) for c in v.certificate.checks if c.entry_index == 2] == [
@@ -171,22 +161,20 @@ def test_decide_rectangular_settles_an_entry_past_the_class_limit_by_its_span():
     assert report.covered and report.certificate == v.certificate
     ft = check_fixed_translate(spec, v.certificate.missed_coset, intersect_all(v.certificate.covers))
     assert ft.holds and ft.exact
-    assert decide(spec) == v
 
 
-def test_check_covering_checks_supplied_covers_modulo_a_divisor_past_the_rep_limit():
-    # the span is Z^2, so no single cover holds the entry, and its 3 classes
-    # of primes modulo 4 exceed rep_limit=2; modulo 2 the class of t = 2
-    # lies in 2Z x Z and the odd class in {x = y mod 2}
+def test_check_covering_refuses_an_infinite_entry_that_no_single_cover_holds():
+    # every member lies in the union: 2Z x Z holds t = 2 and {x = y mod 2}
+    # every odd t; but the span is Z^2, so no single cover holds the entry,
+    # and an infinite entry is settled by its span alone
     spec = parse_family("dim 2\ntemplate base=[[1,1],[0,4]] scale=(1,1) params=primes!3\n")
     covers = [Lattice.from_diagonal((2, 1)), hnf([(1, 1), (0, 2)])]
-    report = check_covering(spec, covers, rep_limit=2)
-    assert report.covered
-    assert [(c.label, c.cover, c.modulus) for c in report.certificate.checks] == [
-        ("t=0 (mod 2)", 0, 2),
-        ("t=1 (mod 2)", 1, 2),
-    ]
-    assert [c.modulus for c in check_covering(spec, covers).certificate.checks] == [4, 4, 4]
+    with pytest.raises(UnsettledEntryError) as info:
+        check_covering(spec, covers)
+    assert str(info.value) == (
+        "covering check, entry 0 (template base=[[1,1],[0,4]] scale=(1,1) params=primes!3): "
+        "no single cover holds its span [[1, 0], [0, 1]], and an infinite entry is settled by its span alone"
+    )
 
 
 @st.composite
@@ -227,7 +215,11 @@ def test_decide_certificate_has_one_check_per_entry():
 
 
 @st.composite
-def rect_entries(draw, m):
+def diagonal_entries(draw, m):
+    """Diagonal lattices and templates over a diagonal base, half of them
+    from the general entry strategy."""
+    if draw(st.booleans()):
+        return draw(entries(m).filter(is_diagonal_entry))
     kind = draw(st.sampled_from(("rect", "static", "recttemplate")))
     if kind != "recttemplate":
         diag = tuple(draw(st.integers(1, 4)) for _ in range(m))
@@ -244,14 +236,16 @@ def rect_entries(draw, m):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 3).flatmap(lambda m: st.lists(rect_entries(m), min_size=1, max_size=3).map(
+@given(st.integers(1, 3).flatmap(lambda m: st.lists(diagonal_entries(m), min_size=1, max_size=3).map(
     lambda ents: FamilySpec(m, tuple(ents)))))
 # 230403 classes modulo 864000 once made the class sweep raise TooLargeError
 @example(parse_family(
     "dim 3\nrecttemplate [2,t,2t^2] params=explicit:3,4,5\nrecttemplate [1,1,2t^2] params=primes\n"
 ))
-def test_decide_rectangular_is_exact_and_reverifies(spec):
-    v = decide_rectangular(spec)
+def test_decide_is_exact_on_untransformed_diagonal_entries(spec):
+    # never Inconclusive: every entry has a cover or a coprime family, and
+    # diagonal covers get their missed coset by construction
+    v = decide(spec, SearchBudget(max_side=0))
     if v.status == PROXIMAL:
         entry = spec.entries[v.certificate.entry_index]
         assert entry.is_infinite
@@ -335,7 +329,7 @@ def test_evidence_matches_a_search_of_every_side(spec, max_side, radius):
 
 
 def test_verdict_json_shape():
-    v = decide_rectangular(GEOM_2I_X3)
+    v = decide(GEOM_2I_X3)
     data = json.loads(v.to_json())
     assert data["status"] == "NotProximal"
     assert data["certificate"]["kind"] == "Covering"
@@ -345,9 +339,9 @@ def test_verdict_json_shape():
 def test_one_dimensional_recovery():
     # m = 1: proximal iff an infinite pairwise coprime subfamily exists
     primes_1d = FamilySpec(1, (RectTemplate((RectEntry(1, 1),), Primes()),))
-    assert decide_rectangular(primes_1d).status == PROXIMAL
+    assert decide(primes_1d).status == PROXIMAL
     even_1d = FamilySpec(1, (RectTemplate((RectEntry(2, 1),), Primes()),))
-    v = decide_rectangular(even_1d)
+    v = decide(even_1d)
     assert v.status == NOT_PROXIMAL
     assert [c.to_columns() for c in v.certificate.covers] == [[[2]]]
     mixed = FamilySpec(
@@ -357,11 +351,11 @@ def test_one_dimensional_recovery():
             RectTemplate((RectEntry(1, 1),), odd_primes()),
         ),
     )
-    assert decide_rectangular(mixed).status == PROXIMAL
+    assert decide(mixed).status == PROXIMAL
 
 
 def test_proximal_certificate_feeds_crt_windows():
-    v = decide_rectangular(TT_PRIMES)
+    v = decide(TT_PRIMES)
     entry = TT_PRIMES.entries[v.certificate.entry_index]
     for k in (1, 2, 3):
         shape = Shape.from_box(Box((0, 0), (k, k)))
@@ -402,38 +396,44 @@ def test_check_covering_rejects_improper():
 
 
 def test_check_covering_negative_with_witness():
-    report = check_covering(TT_PRIMES, [Lattice.from_diagonal((2, 2))])
+    # member t = 3 of a finite entry escapes 2Z x 2Z; the witness is its point
+    spec = FamilySpec(2, (RectTemplate((RectEntry(1, 1), RectEntry(1, 1)), Explicit((2, 3))),))
+    report = check_covering(spec, [Lattice.from_diagonal((2, 2))])
     assert not report.covered
     idx, label, point = report.witness
-    assert idx == 0
-    assert TT_PRIMES.covered(point)
+    assert (idx, label) == (0, "t=3")
+    assert spec.entries[0].member(3).contains(point)
     assert not Lattice.from_diagonal((2, 2)).contains(point)
 
 
-def _forbid_residue_sets(monkeypatch):
-    def refuse(self, n):
-        raise AssertionError(f"residue set mod {n} built before the class limit was checked")
-
-    monkeypatch.setattr(Primes, "residues_mod", refuse)
-
-
-def test_check_covering_names_the_entry_and_the_class_count_past_the_rep_limit():
-    # no one cover holds the entry (span Z^2); its 4 classes of primes
-    # modulo 6 exceed rep_limit=3; modulo 2 the odd class lies in neither
-    # cover, and modulo 3 the 3 classes exceed the one class left
+def test_check_covering_names_the_first_entry_that_it_cannot_settle():
+    # the rect entry lies in 2Z x Z; the template's span Z^2 lies in neither cover
     spec = parse_family("dim 2\nrect [2,1]\nrecttemplate [t,t] params=primes\n")
     covers = [Lattice.from_diagonal((2, 1)), Lattice.from_diagonal((1, 3))]
-    with pytest.raises(
-        TooLargeError,
-        match=r"^covering check, entry 1: 4 parameter classes modulo 6 exceed the limit 3$",
-    ):
-        check_covering(spec, covers, rep_limit=3)
+    with pytest.raises(UnsettledEntryError, match=r"^covering check, entry 1 \(recttemplate \[t,t\] params=primes\): "):
+        check_covering(spec, covers)
 
 
-def test_check_covering_counts_classes_before_enumerating(monkeypatch):
-    # about 10**12 unit classes modulo the period: the count alone must refuse
-    _forbid_residue_sets(monkeypatch)
-    with pytest.raises(TooLargeError):
+# a semiprime whose factoring exceeds factor()'s rho budget
+HARD_SEMIPRIME = 185124726281477 * 491069414308633
+
+
+def _forbid_factoring(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"factor({n}) called")
+
+    for target in ("bfree.numtheory.factor", "bfree.families.factor"):
+        monkeypatch.setattr(target, refuse)
+
+
+def test_check_covering_refuses_without_factoring_the_period(monkeypatch):
+    # the span Z lies in no cover 2N Z: refused at once, where a sweep of
+    # the classes of primes modulo 2N had to factor N and gave up
+    _forbid_factoring(monkeypatch)
+    spec = parse_family("dim 1\nrecttemplate [t] params=primes\n")
+    with pytest.raises(UnsettledEntryError):
+        check_covering(spec, [Lattice.from_diagonal((2 * HARD_SEMIPRIME,))])
+    with pytest.raises(UnsettledEntryError):
         check_covering(TT_PRIMES, [Lattice.from_diagonal((1_000_003, 1_000_003))])
 
 
@@ -511,8 +511,10 @@ def test_fixed_translate_ex1_examples():
     lattice = Lattice.from_diagonal((4, 2))
     report = check_fixed_translate(spec, (0, 1), lattice)
     assert not report.holds and report.exact
-    # a class refutation is lifted to a point of a concrete member
-    assert report.detail == "entry 3 class t=0 (mod 8) meets the translate"
+    # the geometric entry's span does not settle it: its first member
+    # refutes, with a witness of that member
+    assert report.detail == "entry 3 member meets the translate"
+    assert report.witness == (4, 1)
     assert spec.covered(report.witness) and _in_translate(report.witness, (0, 1), lattice)
     # the origin is covered, so it can never anchor a free translate
     for lat in (Lattice.from_diagonal((2, 2)), hnf([(1, 1), (0, 4)])):
@@ -547,7 +549,7 @@ def test_fixed_translate_refuses_a_lattice_of_another_dimension():
 
 
 def test_fixed_translate_missed_coset_of_covering():
-    v = decide_rectangular(GEOM_2I_X3)
+    v = decide(GEOM_2I_X3)
     cert = v.certificate
     period = cert.covers[0]
     for other in cert.covers[1:]:
@@ -556,18 +558,33 @@ def test_fixed_translate_missed_coset_of_covering():
     assert report.holds and report.exact
 
 
-def test_fixed_translate_counts_classes_before_enumerating(monkeypatch):
-    _forbid_residue_sets(monkeypatch)
+def test_fixed_translate_scans_the_members_of_an_entry_that_its_span_does_not_settle(monkeypatch):
+    # the span Z^2 + diag(1000003, 1000003) holds (1, 1); the first member
+    # diag(2, 2) meets the translate, with nothing factored
+    _forbid_factoring(monkeypatch)
     lattice = Lattice.from_diagonal((1_000_003, 1_000_003))
     report = check_fixed_translate(TT_PRIMES, (1, 1), lattice, rep_limit=1000)
     assert not report.holds and report.exact
+    assert report.detail == "entry 0 member meets the translate"
     w = report.witness
     assert TT_PRIMES.covered(w) and lattice.contains((w[0] - 1, w[1] - 1))
 
 
+def test_fixed_translate_refutes_past_a_hard_factorization(monkeypatch):
+    # a sweep of the classes of primes modulo N had to factor N and gave
+    # up; the member scan refutes with member 2Z at once
+    _forbid_factoring(monkeypatch)
+    spec = parse_family("dim 1\nrecttemplate [t] params=primes\n")
+    lattice = Lattice.from_diagonal((HARD_SEMIPRIME,))
+    report = check_fixed_translate(spec, (1,), lattice)
+    assert not report.holds and report.exact
+    assert report.detail == "entry 0 member meets the translate"
+    assert spec.covered(report.witness) and _in_translate(report.witness, (1,), lattice)
+
+
 def test_fixed_translate_maps_a_member_witness_through_the_transform():
-    # 1000003 classes of primes and no proper divisor of the prime index:
-    # the member scan refutes, and its witness is in family coordinates
+    # the span does not settle the entry: the member scan refutes, and its
+    # witness is in family coordinates
     spec = parse_family("dim 2\nrecttemplate [t,t] params=primes\ntransform [[1,1],[0,1]]\n")
     lattice = Lattice.from_diagonal((1_000_003, 1_000_003))
     report = check_fixed_translate(spec, (1, 2), lattice, rep_limit=1000)
@@ -576,33 +593,39 @@ def test_fixed_translate_maps_a_member_witness_through_the_transform():
     assert spec.covered(report.witness) and _in_translate(report.witness, (1, 2), lattice)
 
 
+def _forbid_member_levels(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("an entry was settled member by member")
+
+    monkeypatch.setattr(Template, "labelled_members", refuse)
+    monkeypatch.setattr(Template, "iter_instances", refuse)
+
+
 def test_fixed_translate_settles_an_entry_by_its_span(monkeypatch):
     # the span 2Z x Z holds every member, and (1, 1) lies outside
-    # 2Z x Z + diag(202, 103): no parameter class is built
-    def refuse(self, n, limit):
-        raise AssertionError(f"parameter classes modulo {n} built")
-
-    monkeypatch.setattr(Template, "classes_mod", refuse)
+    # 2Z x Z + diag(202, 103): no member is enumerated
+    _forbid_member_levels(monkeypatch)
     spec = parse_family("dim 2\nrecttemplate [2t,t] params=primes\n")
     report = check_fixed_translate(spec, (1, 1), Lattice.from_diagonal((202, 103)))
     assert report.holds and report.exact and report.witness is None
 
 
-def test_fixed_translate_settles_an_entry_modulo_a_divisor_past_the_rep_limit():
-    # the span is Z^2 and the 3 classes of primes modulo 4 exceed
-    # rep_limit=2; modulo 2 both classes, 2Z x Z and {x = y mod 2}, miss (1, 0)
+def test_fixed_translate_is_evidence_only_past_the_member_scan():
+    # the span is Z^2, so it does not settle the entry, and no member has
+    # index at most rep_limit=2: the answer holds as evidence only
     spec = parse_family("dim 2\ntemplate base=[[1,1],[0,2]] scale=(1,1) params=primes\n")
     report = check_fixed_translate(spec, (1, 0), Lattice.from_diagonal((2, 2)), rep_limit=2)
-    assert report.holds and report.exact
+    assert report.holds and not report.exact and report.witness is None
+    assert report.detail == "no member of index at most 2 meets the translate (member enumeration truncated)"
+    # past the scan the members do not meet it either: t = 2 gives 2Z x Z,
+    # and every odd t lies in {x = y mod 2}
+    assert check_fixed_translate(spec, (1, 0), Lattice.from_diagonal((2, 2)), rep_limit=10**4).holds
 
 
-def test_conditions_report_builds_no_parameter_class(monkeypatch):
+def test_conditions_report_settles_every_entry_by_its_span(monkeypatch):
     # every entry's span settles both the covering and the translate of (e)
-    def refuse(self, n, limit):
-        raise AssertionError(f"parameter classes modulo {n} built")
-
-    monkeypatch.setattr(Template, "classes_mod", refuse)
     spec = parse_family("dim 2\nrect [101,1]\nrect [1,103]\nrecttemplate [2t,t] params=primes\n")
+    _forbid_member_levels(monkeypatch)
     report = conditions_report(spec)
     assert report.verdict.status == NOT_PROXIMAL
     assert report.rows["e"].holds is False and report.rows["e"].mode == "exact"
@@ -610,10 +633,10 @@ def test_conditions_report_builds_no_parameter_class(monkeypatch):
 
 def test_conditions_report_refuses_an_inexact_fixed_translate(monkeypatch):
     def truncated(*args, **kwargs):
-        return FixedTranslateReport(True, False, None, "class enumeration truncated")
+        return FixedTranslateReport(True, False, None, "member enumeration truncated")
 
     monkeypatch.setattr(proximality, "check_fixed_translate", truncated)
-    with pytest.raises(InconsistencyError, match="exact free translate: class enumeration truncated"):
+    with pytest.raises(InconsistencyError, match="exact free translate: member enumeration truncated"):
         conditions_report(GEOM_2I_X3, SearchBudget(max_side=1, search_radius=2))
 
 

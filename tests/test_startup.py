@@ -21,12 +21,12 @@ PUBLIC = sorted(
     CoprimeSubscheme CoverCheck Covering CoveringReport DensityProfile Evidence
     Explicit FactorizationError FamilyParseError FamilySpec FixedTranslateReport
     FreeWindow Geometric InconsistencyError InvalidCoverError Lattice NotAZeroWindowError
-    NotCoprimeError NotEnoughIdealsError NotPairwiseCoprimeError NotRectangularError Primes
+    NotCoprimeError NotEnoughIdealsError NotPairwiseCoprimeError Primes
     ProductIdeal ProfileRow QuadIdeal QuadraticRing RankDeficientError RectEntry RectTemplate
     Rectangular SearchBudget Shape Static Template TooLargeError UnimodularMap UnknownPresetError
-    Verdict ZeroElementError all_zero_windows check_coprime_cover_candidate check_covering
-    check_fixed_translate conditions_report coprime_index_subset covered_flags crt crt_integers
-    crt_product crt_window_certificate decide decide_rectangular density_profile errors
+    UnsettledEntryError Verdict ZeroElementError all_zero_windows check_coprime_cover_candidate
+    check_covering check_fixed_translate conditions_report coprime_index_subset covered_flags crt
+    crt_integers crt_product crt_window_certificate decide density_profile errors
     factor families find_zero_window format_family
     free_window hnf intersect_all is_prime lattices numtheory odd_primes parse_family preset
     primes_up_to principal prove_no_zero_window proximality quadratic split_in_sum syndetic_period
@@ -90,7 +90,7 @@ def test_import_loads_no_submodule():
 
 def test_public_names_are_unchanged_and_resolve_to_their_home_objects():
     assert sorted(bfree.__all__) == PUBLIC
-    assert len(PUBLIC) == 85
+    assert len(PUBLIC) == 84
     for name in PUBLIC:
         value = getattr(bfree, name)
         if name in SUBMODULES:
