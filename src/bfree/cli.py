@@ -14,7 +14,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import BadInputError, BFreeError, FamilyParseError, TooLargeError
-from .families import FamilySpec, parse_family, preset
+from .families import FamilySpec, indented_json, parse_family, preset
 from .proximality import (
     CRT_INSTANCE_BOUND,
     Covering,
@@ -132,7 +132,7 @@ def cmd_eta(args) -> int:
     elif args.format == "pgm":
         out.write_text(window.to_pgm())
     else:
-        out.write_text(json.dumps(window.to_json_dict(), indent=2) + "\n")
+        out.write_text(indented_json(window.to_json_dict()) + "\n")
     print(f"ones={window.ones()} cells={window.box.volume}")
     return EXIT_OK
 

@@ -47,6 +47,7 @@ import json
 import re
 from functools import cached_property, lru_cache, partial
 from itertools import groupby
+from json.encoder import encode_basestring_ascii as _json_string
 from math import gcd, prod
 
 from .errors import FamilyParseError, TooLargeError, UnknownPresetError
@@ -64,9 +65,12 @@ from .numtheory import (
 # membership that holds via a small prime never factors a huge constraint.
 _PROBE_BOUND = 1000
 
-# The longest sieve that lists prime parameters (Primes.values_up_to): a
+# The longest sieve that lists prime parameters (Primes.iter_values_up_to): a
 # template's members up to an index bound are listed from it.
 PRIME_SIEVE_LIMIT = 10**7
+
+# The first sieve of Primes.iter_values_up_to; each next one is 4 times longer.
+_FIRST_SIEVE = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -129,15 +133,30 @@ class Primes:
         return t not in self.exclude and is_prime(t)
 
     def values_up_to(self, bound: int) -> list[int]:
-        """The members up to bound, from a sieve of that length: raises
-        TooLargeError, before it sieves, when bound exceeds
-        PRIME_SIEVE_LIMIT."""
+        return list(self.iter_values_up_to(bound))
+
+    def iter_values_up_to(self, bound: int):
+        """The members up to bound, found as they are read: sieves of length
+        _FIRST_SIEVE, 4 times that, and so on up to bound, each read past
+        the primes of the one before.  A reader that stops at p has sieved
+        no further than max(_FIRST_SIEVE, 4p), and one that reads every
+        value about 4/3 of bound.  Raises TooLargeError when called, before
+        any sieve, when bound exceeds PRIME_SIEVE_LIMIT."""
         if bound > PRIME_SIEVE_LIMIT:
             raise TooLargeError(
                 f"listing the primes up to {bound} exceeds the sieve limit of {PRIME_SIEVE_LIMIT}",
                 check="prime parameters", limit_name="PRIME_SIEVE_LIMIT", limit=PRIME_SIEVE_LIMIT, count=bound,
             )
-        return [p for p in primes_up_to(bound) if p not in self.exclude]
+        return self._sieved(bound)
+
+    def _sieved(self, bound: int):
+        done, length = 0, min(bound, _FIRST_SIEVE)
+        while True:
+            primes = primes_up_to(length)
+            yield from (p for p in primes[done:] if p not in self.exclude)
+            if length >= bound:
+                return
+            done, length = len(primes), min(4 * length, bound)
 
     def min_value(self) -> int:
         p = 2
@@ -327,12 +346,13 @@ class Geometric:
         return t == 1
 
     def values_up_to(self, bound: int) -> list[int]:
-        out = []
+        return list(self.iter_values_up_to(bound))
+
+    def iter_values_up_to(self, bound: int):
         v = self.base**self.start
         while v <= bound:
-            out.append(v)
+            yield v
             v *= self.base
-        return out
 
     def min_value(self) -> int:
         return self.base**self.start
@@ -391,7 +411,10 @@ class Explicit:
         return t in self.values
 
     def values_up_to(self, bound: int) -> list[int]:
-        return [v for v in self.values if v <= bound]
+        return list(self.iter_values_up_to(bound))
+
+    def iter_values_up_to(self, bound: int):
+        return (v for v in self.values if v <= bound)
 
     def min_value(self) -> int:
         return self.values[0]
@@ -566,12 +589,14 @@ class Template:
     def iter_instances(self, bound: int):
         """Every member of index <= bound, by increasing parameter, built
         as it is read: member t has index index(base) * t**E, E the sum of
-        the exponents, so the index rises with t.  The parameters are listed
-        when this is called (a prime sieve may raise TooLargeError then).
+        the exponents, so the index rises with t.  The parameters are found
+        as the members are read (``iter_values_up_to``), so a reader that
+        stops early lists no parameter far past its last one; a prime sieve
+        past its limit raises TooLargeError when this is called.
         ``__post_init__`` rejects the parameter that gives an improper
         member, so no member needs filtering."""
         top = iroot(max(bound, 0) // self.base.index, sum(self.exps))
-        return map(self.member, self.params.values_up_to(top))
+        return map(self.member, self.params.iter_values_up_to(top))
 
     def instances_up_to(self, bound: int) -> list[Lattice]:
         return list(self.iter_instances(bound))
@@ -781,7 +806,12 @@ class Template:
         t, so it moves by (t - t0) * c * e_i from member t0 to member t.
         With e >= 2 the base is diagonal, and the span's entry c * g**e
         (g = gcd(t0, delta) the gcd of the parameters, g**e that of the
-        t**e) is the gcd of c * t0**e and c * delta**e."""
+        t**e) is the gcd of c * t0**e and c * delta**e.  Computed once per
+        entry (``_span``)."""
+        return self._span
+
+    @cached_property
+    def _span(self) -> Lattice:
         delta = self.params.delta()
         extra = [
             tuple(d * delta**e if j == i else 0 for j in range(self.dim))
@@ -887,8 +917,9 @@ class FamilySpec:
         """All members with index <= bound, deduplicated, by (index, basis),
         built as they are read: every entry's members come by increasing
         index, and mapping them keeps the index, so the entries' streams
-        are merged and equal neighbours dropped.  Every entry lists its
-        parameters before the first member is read."""
+        are merged and equal neighbours dropped.  An entry's parameters are
+        found as its members are read; the merge reads one member of every
+        entry ahead."""
         from heapq import merge  # here, not at import: only member listings need it
 
         streams = [map(self.image, e.iter_instances(bound)) for e in self.entries]
@@ -1107,3 +1138,43 @@ def format_family(spec: FamilySpec) -> str:
 
 def _compact(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
+
+
+def indented_json(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, for the package's JSON
+    shapes: dicts with str keys, lists, tuples, str, int, bool and None.
+    Anything else raises TypeError.  With an indent, json.dumps runs its
+    pure-Python encoder; this writer joins the parts directly and escapes
+    strings with the same C function as the compact encoder."""
+    return _indented(obj, "\n")
+
+
+def _indented(obj, newline: str) -> str:
+    kind = type(obj)
+    if kind is str:
+        return _json_string(obj)
+    if kind is int:
+        return repr(obj)
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        items = [repr(x) if type(x) is int else _indented(x, inner) for x in obj]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        items = []
+        for key, value in obj.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(f"{_json_string(key)}: {_indented(value, inner)}")
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")

@@ -5,17 +5,21 @@ lower triangular with strictly positive diagonal, columns are the generators,
 and every entry left of the diagonal is reduced into [0, diagonal).  This
 form is unique for each finite-index subgroup, so structural equality of the
 basis decides equality of subgroups.  Each lattice computes its views,
-``dim``, ``columns``, ``diagonal`` and ``index``, once, as plain instance
-values.  ``Lattice(basis)`` checks the canonical form; ``hnf``,
-``intersect`` and ``from_diagonal``, whose elimination or positive diagonal
-already guarantees it, build through ``Lattice._of_columns``, which skips
-those checks.
+``dim``, ``columns``, ``diagonal``, ``index`` and whether it is diagonal,
+once, as plain instance values.  ``Lattice(basis)`` checks the canonical
+form; ``hnf``, ``intersect`` and ``from_diagonal``, whose elimination or
+positive diagonal already guarantees it, build through
+``Lattice._of_columns``, which skips those checks.
 
-One integer column elimination, ``_hnf_columns``, serves every operation.
-``hnf`` is that elimination.  ``Lattice.intersect`` and ``split_in_sum``
-eliminate the stacked generators (b, b) for b in one lattice and (c, 0) for
-c in the other, which span {(x + y, x)}: the intersection is read off the
-last columns, and a split off the back-substituted target.  A matrix is
+One integer column elimination, ``_hnf_columns``, serves every operation
+on general lattices.  ``hnf`` is that elimination.  ``Lattice.intersect``
+and ``split_in_sum`` eliminate the stacked generators (b, b) for b in one
+lattice and (c, 0) for c in the other, which span {(x + y, x)}: the
+intersection is read off the last columns, and a split off the
+back-substituted target.  Two diagonal lattices skip the elimination in
+``intersect`` and ``sum``: their intersection is diag(lcm) and their sum
+diag(gcd), coordinate by coordinate, and as the canonical form is unique
+these are what the elimination would give.  A matrix is
 unimodular exactly when its columns eliminate to index 1, and
 ``UnimodularMap.inverse`` appends unit vectors to them, so the elimination
 records the transform U with A*U = I.  ``crt``, the Chinese Remainder
@@ -28,7 +32,7 @@ immutable and safe to share.
 
 from dataclasses import FrozenInstanceError, dataclass, fields
 from functools import reduce
-from math import prod
+from math import gcd, lcm, prod
 
 from .errors import NotCoprimeError, RankDeficientError
 from .numtheory import xgcd
@@ -150,17 +154,22 @@ class Lattice:
         return self
 
     def _views(self, columns):
-        """Store dim, columns, diagonal and index once, as plain values."""
+        """Store dim, columns, diagonal, index and whether the basis is
+        diagonal once, as plain values."""
         diagonal = tuple([col[i] for i, col in enumerate(columns)])
-        self.__dict__.update(dim=len(columns), columns=columns, diagonal=diagonal, index=prod(diagonal))
+        self.__dict__.update(
+            dim=len(columns),
+            columns=columns,
+            diagonal=diagonal,
+            index=prod(diagonal),
+            _is_diagonal=not any([any(col[i + 1 :]) for i, col in enumerate(columns)]),
+        )
 
     def is_proper(self) -> bool:
         return self.index >= 2
 
     def is_diagonal(self) -> bool:
-        return all(
-            self.basis[i][j] == 0 for i in range(self.dim) for j in range(self.dim) if i != j
-        )
+        return self._is_diagonal
 
     def contains(self, p) -> bool:
         """Membership by back-substitution against the triangular basis."""
@@ -202,17 +211,25 @@ class Lattice:
         return reduce(_prepend, reversed(self.diagonal), ((),))
 
     def sum(self, other: "Lattice") -> "Lattice":
+        """The sum: diag(gcd) of two diagonal lattices, else the
+        elimination of both generator sets."""
         self._check_same_dim(other)
+        if self._is_diagonal and other._is_diagonal:
+            return Lattice.from_diagonal(map(gcd, self.diagonal, other.diagonal))
         return hnf(self.columns + other.columns)
 
     def intersect(self, other: "Lattice") -> "Lattice":
-        """Intersection from one elimination of the stacked generators.
+        """The intersection: diag(lcm) of two diagonal lattices, else one
+        elimination of the stacked generators.
 
         In the canonical triangular basis of {(x + y, x) : x in self, y in
         other} the last m columns span the points whose first m coordinates
         vanish, that is (0, x) with x in self and -x in other, so their lower
         block is already the canonical basis of the intersection.
         """
+        if self._is_diagonal and other._is_diagonal:
+            self._check_same_dim(other)
+            return Lattice.from_diagonal(map(lcm, self.diagonal, other.diagonal))
         m = self.dim
         cols = _stacked_sum(self, other, 2 * m)
         return Lattice._of_columns(tuple([tuple(col[m:]) for col in cols[m:]]))

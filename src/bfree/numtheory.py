@@ -94,8 +94,9 @@ def primes_up_to(n: int) -> tuple[int, ...]:
 def trial_bound(n: int, k: int) -> int:
     """Size of the trial-prime table for n: the least power of two B with
     B**k > n, capped at _TRIAL_LIMIT.  factor() uses k = 2 under its own
-    cap of _FACTOR_TRIAL_LIMIT; a sieve that looks for k-1'st powers uses k,
-    so both read the same few tables."""
+    cap of _FACTOR_TRIAL_LIMIT (2**10); the line sieve, which looks for
+    k-1'st powers, uses k.  Both read the same tables only up to that cap:
+    past it the sieve's tables, up to _TRIAL_LIMIT, are its own."""
     return min(_TRIAL_LIMIT, 1 << iroot(n, k).bit_length())
 
 

@@ -26,7 +26,6 @@ general lattice families that implication has no converse.
 """
 
 import itertools
-import json
 from math import gcd
 
 from .errors import (
@@ -36,7 +35,7 @@ from .errors import (
     TooLargeError,
     UnsettledEntryError,
 )
-from .families import CoprimeFamily, FamilySpec, Static
+from .families import CoprimeFamily, FamilySpec, Static, indented_json
 from .lattices import (
     Lattice,
     Point,
@@ -187,7 +186,7 @@ class Verdict:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        return indented_json(self.to_json_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +724,7 @@ class ConditionsReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        return indented_json(self.to_json_dict())
 
 
 def _coprime_subset_analysis(spec: FamilySpec, schemas) -> ConditionRow:

@@ -1,6 +1,7 @@
 """Properties of the entry protocol: span(), schema(), labelled_members(),
 and the parameter sequences' delta() behind spans."""
 
+import dataclasses
 import itertools
 from math import gcd
 
@@ -122,6 +123,16 @@ def test_span_is_generated_by_the_first_members(entry):
     else:
         cols = list(entry.lattice.columns)
     assert entry.span() == hnf(cols, dim=entry.dim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(entries))
+def test_a_cached_span_equals_a_fresh_computation(entry):
+    span = entry.span()
+    assert entry.span() is span
+    if isinstance(entry, Template):
+        assert Template._span.func(entry) == span
+        assert dataclasses.replace(entry).span() == span
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bfree.errors import FamilyParseError, UnknownPresetError
+from bfree.errors import FamilyParseError, TooLargeError, UnknownPresetError
 from bfree.families import (
+    PRIME_SIEVE_LIMIT,
     Explicit,
     FamilySpec,
     Geometric,
@@ -18,11 +19,13 @@ from bfree.families import (
     Static,
     Template,
     format_family,
+    indented_json,
     odd_primes,
     parse_family,
     preset,
 )
 from bfree.lattices import Lattice, UnimodularMap, hnf
+from bfree.numtheory import primes_up_to
 from bfree.proximality import SearchBudget, conditions_report, decide
 from bfree.windows import Box, free_window
 
@@ -180,6 +183,105 @@ def test_template_instances_are_the_members_within_the_bound(entry, bound):
     members = [entry.member(t) for t in entry.params.values_up_to(bound)]
     assert entry.instances_up_to(bound) == [lat for lat in members if lat.index <= bound]
     assert all(lat.is_proper() for lat in members)
+
+
+SEQUENCES = st.one_of(
+    param_seqs(),
+    st.lists(st.sampled_from((2, 3, 5, 7, 1021, 1031, 4093)), unique=True, max_size=3).map(lambda xs: Primes(tuple(sorted(xs)))),
+)
+
+
+def listed_at_once(seq, bound: int) -> list[int]:
+    """The values up to bound from one sieve of that length, or from the
+    definition of a sequence without a sieve."""
+    if isinstance(seq, Primes):
+        return [p for p in primes_up_to(bound) if p not in seq.exclude]
+    if isinstance(seq, Geometric):
+        return [seq.base**k for k in range(seq.start, max(bound, 1).bit_length() + 1) if seq.base**k <= bound]
+    return [v for v in seq.values if v <= bound]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seq=SEQUENCES, bound=st.one_of(st.integers(-2, 40), st.integers(1000, 20_000)))
+def test_parameters_found_as_read_are_the_listed_ones(seq, bound):
+    # the prime sieves grow 1024, 4096, 16384, ...: bounds on both sides of
+    # each step give the same values in the same order as one sieve
+    assert list(seq.iter_values_up_to(bound)) == seq.values_up_to(bound) == listed_at_once(seq, bound)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ents=st.integers(1, 2).flatmap(lambda m: st.lists(entries(m), min_size=1, max_size=3)),
+    bound=st.one_of(st.integers(0, 300), st.integers(1000, 20_000)),
+)
+def test_spec_members_come_in_the_listed_order(ents, bound):
+    # the members that a listing of every parameter up front gave, deduplicated
+    # and sorted by (index, basis)
+    spec = FamilySpec(ents[0].dim, tuple(ents))
+    listed = {}
+    for e in spec.entries:
+        for lat in [e.lattice] if isinstance(e, Static) else map(e.member, e.params.values_up_to(bound)):
+            if lat.index <= bound:
+                listed[lat.basis] = lat
+    want = sorted(listed.values(), key=lambda lat: (lat.index, lat.basis))
+    assert list(spec.iter_instances(bound)) == spec.instances_up_to(bound) == want
+
+
+def test_members_past_the_sieve_limit_raise_before_any_sieve(monkeypatch):
+    sieved = []
+    monkeypatch.setattr("bfree.families.primes_up_to", lambda n: sieved.append(n) or ())
+    entry = parse_family("dim 1\nrecttemplate [t] params=primes\n").entries[0]
+    with pytest.raises(TooLargeError):
+        entry.iter_instances(PRIME_SIEVE_LIMIT + 1)
+    with pytest.raises(TooLargeError):
+        Primes().iter_values_up_to(PRIME_SIEVE_LIMIT + 1)
+    assert sieved == []
+    members = entry.iter_instances(PRIME_SIEVE_LIMIT)
+    assert sieved == []  # nothing is sieved before the first member is read
+    assert list(members) == [] and sieved == [1024, 4096, 16384, 65536, 262144, 1048576, 4194304, PRIME_SIEVE_LIMIT]
+
+
+JSON_TEXT = st.text(st.characters(exclude_categories=()))
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**60), 10**60),
+    st.sampled_from((0, 1, -1, True, False)),
+    JSON_TEXT,
+    st.sampled_from(("", '"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "\u00e9\u2028\ud83d\ude00", "\udc80")),
+)
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(JSON_TEXT, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_TREES)
+def test_indented_json_equals_json_dumps(obj):
+    assert indented_json(obj) == json.dumps(obj, indent=2)
+
+
+def test_indented_json_writes_the_exports_as_json_dumps_does():
+    budget = SearchBudget(max_side=2, search_radius=4)
+    for name in ("ex1", "ex2", "squarefree-1d", "rect-demo"):
+        spec = preset(name)
+        for obj in (decide(spec, budget).to_json_dict(), conditions_report(spec, budget).to_json_dict()):
+            assert indented_json(obj) == json.dumps(obj, indent=2)
+    window = free_window(preset("ex2"), Box((-3, -3), (3, 3))).to_json_dict()
+    assert indented_json(window) == json.dumps(window, indent=2)
+
+
+@pytest.mark.parametrize("obj", [1.5, {1: 2}, {(1,): 2}, {None: 1}, {"a": [set()]}, b"x", Primes()])
+def test_indented_json_refuses_what_the_package_never_writes(obj):
+    with pytest.raises(TypeError):
+        indented_json(obj)
 
 
 def test_member_containing_trace():

@@ -503,20 +503,23 @@ def recomputed_views(basis) -> dict:
     for d in diagonal:
         index *= d
     columns = tuple(tuple(basis[i][j] for i in range(m)) for j in range(m))
-    return {"basis": basis, "dim": m, "columns": columns, "diagonal": diagonal, "index": index}
+    diagonal_only = all(basis[i][j] == 0 for i in range(m) for j in range(m) if i != j)
+    return {"basis": basis, "dim": m, "columns": columns, "diagonal": diagonal, "index": index, "_is_diagonal": diagonal_only}
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_eliminated_lattices_equal_validated_ones_with_the_same_views(data):
-    # hnf, intersect and from_diagonal skip __post_init__'s checks; the
+    # hnf, intersect, sum and from_diagonal skip __post_init__'s checks; the
     # validating constructor accepts what they build, and every stored view
     # (with the types it has) equals its recomputation from the basis
     m = data.draw(st.integers(1, 4))
     coords = st.integers(-12, 12)
     gens = data.draw(st.lists(st.tuples(*[coords] * m), min_size=m, max_size=m + 2))
     a, b = data.draw(canonical_lattices(m, max_diag=9)), data.draw(canonical_lattices(m, max_diag=9))
-    built = [a.intersect(b), Lattice.from_diagonal(data.draw(st.tuples(*[st.integers(1, 20)] * m)))]
+    d = Lattice.from_diagonal(data.draw(st.tuples(*[st.integers(1, 20)] * m)))
+    e = Lattice.from_diagonal(data.draw(st.tuples(*[st.integers(1, 20)] * m)))
+    built = [a.intersect(b), a.sum(b), d, d.intersect(e), d.sum(e)]
     try:
         built.append(hnf(gens))
     except RankDeficientError:
@@ -526,3 +529,28 @@ def test_eliminated_lattices_equal_validated_ones_with_the_same_views(data):
         assert checked == lat and hash(checked) == hash(lat) and repr(checked) == repr(lat)
         assert vars(lat) == vars(checked) == recomputed_views(lat.basis)
         assert all(type(row) is tuple and all(type(x) is int for x in row) for row in lat.basis + lat.columns)
+
+
+def eliminated(lat: Lattice) -> Lattice:
+    """A copy of lat that does not know it is diagonal, so its intersect
+    and sum run the elimination."""
+    out = Lattice._of_columns(lat.columns)
+    out.__dict__["_is_diagonal"] = False
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda m: st.lists(st.tuples(*[st.integers(1, 60)] * m), min_size=2, max_size=2)))
+def test_diagonal_intersect_and_sum_equal_the_elimination(diagonals):
+    a, b = map(Lattice.from_diagonal, diagonals)
+    for got, want in ((a.intersect(b), eliminated(a).intersect(eliminated(b))), (a.sum(b), eliminated(a).sum(eliminated(b)))):
+        assert got == want and got.is_diagonal() and want.is_diagonal()
+        assert vars(got) == vars(Lattice(want.basis)) == recomputed_views(want.basis)
+    assert a.coprime(b) == eliminated(a).coprime(eliminated(b))
+
+
+def test_diagonal_closed_forms_check_the_dimension():
+    a, b = Lattice.from_diagonal((2, 3)), Lattice.from_diagonal((2,))
+    for op in (a.intersect, a.sum, b.intersect, b.sum):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            op(b if op.__self__ is a else a)

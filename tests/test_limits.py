@@ -161,8 +161,8 @@ def test_no_prime_is_sieved_past_the_sieve_limit(monkeypatch, capsys):
     assert cli.main(argv) == cli.EXIT_LIMIT
     assert capsys.readouterr().err == f"limit breached: {SITES['prime parameters'][1]}\n"
     assert sieved == []
-    # a sieve of exactly the limit's length runs
+    # the sieves grow by 4 up to one of exactly the limit's length
     assert Primes().values_up_to(PRIME_SIEVE_LIMIT) == []
     with pytest.raises(TooLargeError):
         Primes().values_up_to(PRIME_SIEVE_LIMIT + 1)
-    assert sieved == [PRIME_SIEVE_LIMIT]
+    assert sieved == [1024, 4096, 16384, 65536, 262144, 1048576, 4194304, PRIME_SIEVE_LIMIT]

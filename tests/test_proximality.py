@@ -27,8 +27,9 @@ from bfree.families import (
     parse_family,
     preset,
 )
-from bfree import proximality
+from bfree import lattices, proximality
 from bfree.lattices import Lattice, UnimodularMap, combination, hnf, intersect_all
+from bfree.numtheory import primes_up_to
 from bfree.proximality import (
     INCONCLUSIVE,
     NOT_PROXIMAL,
@@ -580,6 +581,31 @@ def test_fixed_translate_refutes_past_a_hard_factorization(monkeypatch):
     assert not report.holds and report.exact
     assert report.detail == "entry 0 member meets the translate"
     assert spec.covered(report.witness) and _in_translate(report.witness, (1,), lattice)
+
+
+def test_fixed_translate_sieves_only_as_far_as_the_member_that_refutes(monkeypatch):
+    # member 2Z refutes at once: the member scan lists primes as it reads
+    # them, where it used to sieve up to rep_limit first
+    sieved = []
+    monkeypatch.setattr("bfree.families.primes_up_to", lambda n: sieved.append(n) or primes_up_to(n))
+    spec = parse_family("dim 1\nrecttemplate [t] params=primes\n")
+    report = check_fixed_translate(spec, (1,), Lattice.from_diagonal((HARD_SEMIPRIME,)))
+    assert not report.holds and report.exact
+    assert sieved and max(sieved) <= 1024 < proximality.DEFAULT_REP_LIMIT
+
+
+@pytest.mark.parametrize("p, q", [(2, 3), (3, 5), (7, 2), (1_000_003, 999_983)])
+def test_decide_on_two_diagonal_lattices_runs_no_elimination(monkeypatch, p, q):
+    # covers, their intersection and the span checks of diagonal lattices
+    # are read off the diagonals
+    spec = parse_family(f"dim 2\nrect [{p},1]\nrect [1,{q}]\n")
+    calls = []
+    real = lattices._hnf_columns
+    monkeypatch.setattr(lattices, "_hnf_columns", lambda cols, nrows: calls.append(nrows) or real(cols, nrows))
+    verdict = decide(spec)
+    assert verdict.status == NOT_PROXIMAL
+    assert set(verdict.certificate.covers) == {Lattice.from_diagonal((p, 1)), Lattice.from_diagonal((1, q))}
+    assert calls == []
 
 
 def test_fixed_translate_maps_a_member_witness_through_the_transform():

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bfree
-from bfree.families import RectEntry, parse_family, preset
+from bfree.families import RectEntry, Template, parse_family, preset
 from bfree.lattices import _RECORD_METHODS, Lattice, UnimodularMap, intersect_all, record
 from bfree.proximality import (
     SearchBudget,
@@ -231,6 +231,28 @@ def test_code_that_writes_around_the_guard_still_works():
         ideal.module = ideal.module
     with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot assign to field '_inverse'$"):
         spec._inverse = None
+
+
+CACHED = ("_rows", "_span")  # Template's cached_property values
+
+
+def test_a_filled_cache_leaves_comparison_to_the_fields_and_is_not_copied():
+    # a cached_property writes the instance __dict__ around the guard; the
+    # fields alone still decide equality, hash and repr, as for the twin,
+    # and dataclasses.replace builds a copy that computes its own
+    for base in POOL[Template]:
+        filled, empty = dataclasses.replace(base), dataclasses.replace(base)
+        filled._rows, filled.span()
+        assert set(CACHED) <= vars(filled).keys() and not set(CACHED) & vars(empty).keys()
+        for x, y in ((filled, empty), (empty, filled), (filled, filled)):
+            tx, ty = twin(x), twin(y)
+            assert (x == y) is (tx == ty) is True
+            assert hash(x) == hash(y) == hash(tx) == hash(ty)
+            assert repr(x) == repr(y) == repr(tx) == repr(ty)
+        for copy in (dataclasses.replace(filled), dataclasses.replace(twin(filled))):
+            assert not set(CACHED) & vars(copy).keys()
+            assert copy == filled if type(copy) is Template else copy == twin(filled)
+            assert copy.span() == filled.span() and copy.span() is not filled.span()
 
 
 def test_validation_still_runs_on_construction_and_replace():
