@@ -2,18 +2,15 @@
 
 Everything in this module is exact integer arithmetic; no floats anywhere.
 
-Factorization first finds the small primes of n by trial division over
-blocks of _BLOCK_SIZE primes: one gcd of n with a block's product decides
-whether any prime of the block divides n, and only blocks with a nontrivial
-gcd are divided prime by prime.  The block table is sized to the input by
-trial_bound: it holds the primes up to the next power of two above
-isqrt(n), capped at _FACTOR_TRIAL_LIMIT (2**10), so factor() never sieves
-more than 172 primes.  Trial division stops once a block starts above the
-square root of what is left.  A cofactor that remains is tested by
-Miller-Rabin and split by Pollard rho, whose restarts share one budget of
-_RHO_ITERATION_CAP steps; a prime factor p above the trial limit costs rho
-about sqrt(p) steps.  So factor() either returns a correct answer or
-raises, never guesses.  The larger tables, up to _TRIAL_LIMIT (10**5),
+Factorization first finds the small primes of n by trial division.  The
+trial table is sized to the input by trial_bound: it holds the primes up to
+the next power of two above isqrt(n), capped at _FACTOR_TRIAL_LIMIT (2**10),
+so factor() never divides by more than 172 primes.  Trial division stops at
+the first prime p with p**2 above what is left.  A cofactor that remains is
+tested by Miller-Rabin and split by Pollard rho, whose restarts share one
+budget of _RHO_ITERATION_CAP steps; a prime factor p above the trial limit
+costs rho about sqrt(p) steps.  So factor() either returns a correct answer
+or raises, never guesses.  The larger tables, up to _TRIAL_LIMIT (10**5),
 belong only to the line sieve (families.Primes.power_hits).
 
 is_prime is deterministic below 3.317e24 and a strong probable-prime test
@@ -34,7 +31,6 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _TRIAL_LIMIT = 100_000
 _FACTOR_TRIAL_LIMIT = 1 << 10
-_BLOCK_SIZE = 64
 _RHO_ITERATION_CAP = 2_000_000
 
 
@@ -100,16 +96,6 @@ def trial_bound(n: int, k: int) -> int:
     return min(_TRIAL_LIMIT, 1 << iroot(n, k).bit_length())
 
 
-@lru_cache(maxsize=None)
-def _trial_blocks(limit: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The primes <= limit in runs of _BLOCK_SIZE, each with its product."""
-    primes = primes_up_to(limit)
-    return tuple(
-        (math.prod(block), block)
-        for block in (primes[i : i + _BLOCK_SIZE] for i in range(0, len(primes), _BLOCK_SIZE))
-    )
-
-
 def _pollard_rho(n: int) -> int:
     # n odd composite, no factor below factor()'s trial limit; all restarts
     # share one budget of _RHO_ITERATION_CAP steps
@@ -138,22 +124,15 @@ def factor(n: int) -> tuple[tuple[int, int], ...]:
         raise ValueError("factor() expects a positive integer")
     out: dict[int, int] = {}
     limit = min(trial_bound(n, 2), _FACTOR_TRIAL_LIMIT)
-    for product, block in _trial_blocks(limit):
-        if block[0] * block[0] > n:
+    for p in primes_up_to(limit):
+        if p * p > n:
             break
-        g = math.gcd(n, product)
-        if g == 1:
-            continue
-        for p in block:
-            if g % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                out[p] = e
-                g //= p
-                if g == 1:
-                    break
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out[p] = e
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()

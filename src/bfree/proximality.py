@@ -324,10 +324,10 @@ def check_covering(
                 continue
             # no one cover holds the member: sweep its quotient by the period
             count, reps = _quotient_reps(lat, lat.intersect(period), rep_limit)
-            for rep in reps:
-                if not any(cov.contains(rep) for cov in covers):
-                    witness = _lift_witness(member, spec.image, n_lattice, rep)
-                    return CoveringReport(False, None, (idx, label, witness))
+            rep = _outside(covers, reps)
+            if rep is not None:
+                witness = _lift_witness(member, spec.image, n_lattice, rep)
+                return CoveringReport(False, None, (idx, label, witness))
             checks.append(CoverCheck(idx, label, count, None, n))
     cert = Covering(tuple(covers), missed, tuple(checks))
     return CoveringReport(True, cert, None)
@@ -358,33 +358,29 @@ def _first_missed_diagonal(covers) -> Point:
     return tuple(point)
 
 
+def _outside(covers, points):
+    """The first of ``points`` that no cover holds, or None."""
+    return next((p for p in points if not any(cov.contains(p) for cov in covers)), None)
+
+
 def _first_missed_scan(covers, period: Lattice, rep_limit: int) -> Point | None:
     """A coset rep of ``period`` outside every cover; None when the covers
     hold them all.
 
-    The reps are scanned first, in ``iter_coset_reps`` order, and the first
-    one outside every cover is returned.  Past ``rep_limit`` reps, the
-    points of Z^m are tested by growing infinity-norm radius, through the
-    largest ball of at most ``rep_limit`` points; the first one outside
-    every cover is returned reduced modulo ``period`` (its canonical rep in
-    the box [0, diagonal)), which the covers miss as well, since each holds
-    ``period``.  So a small missed point is found whatever the coordinates.
-    Raises TooLargeError when neither route finds one.
+    The first ``rep_limit`` reps are scanned, in ``iter_coset_reps`` order,
+    and the first one outside every cover is returned.  When ``period`` has
+    more cosets than that, the points of Z^m are then tested by growing
+    infinity-norm radius, through the largest ball of at most ``rep_limit``
+    points; the first one outside every cover is returned reduced modulo
+    ``period`` (its canonical rep in the box [0, diagonal)), which the
+    covers miss as well, since each holds ``period``.  So a small missed
+    point is found whatever the coordinates.  Raises TooLargeError when
+    neither route finds one.
     """
-
-    def missed(p):
-        return not any(cov.contains(p) for cov in covers)
-
-    scanned = 0
-    for rep in period.iter_coset_reps():
-        if missed(rep):
-            return rep
-        scanned += 1
-        if scanned > rep_limit:
-            break
-    else:
-        return None
-    point = next(filter(missed, _points_by_radius(period.dim, rep_limit)), None)
+    rep = _outside(covers, itertools.islice(period.iter_coset_reps(), rep_limit))
+    if rep is not None or period.index <= rep_limit:
+        return rep
+    point = _outside(covers, _points_by_radius(period.dim, rep_limit))
     if point is not None:
         return period.reduce(point)
     raise TooLargeError(
@@ -758,22 +754,21 @@ def _held_by_members(spec: FamilySpec, member: Lattice, budget: int) -> bool:
     walked; at the first rep that no L_i holds, ``spec.member_containing``
     supplies the next member, I shrinks to its intersection with it, and
     the walk starts again.  A walk in which some L_i holds every rep is the
-    proof.  False when a rep lies in no member (refuted) or when more than
-    ``budget`` reps would be tested in all (undecided).
+    proof.  False when a rep lies in no member (refuted) or when the walks'
+    quotients, each charged its whole size, would hold more than ``budget``
+    reps in all (undecided).
     """
     covers: list[Lattice] = []
     inter = member
     while True:
         try:
-            _, reps = _quotient_reps(member, inter, budget)
+            count, reps = _quotient_reps(member, inter, budget)
         except TooLargeError:
             return False
-        for rep in reps:
-            budget -= 1
-            if not any(cov.contains(rep) for cov in covers):
-                break
-        else:
+        rep = _outside(covers, reps)
+        if rep is None:
             return True
+        budget -= count
         found = spec.member_containing(rep)
         if found is None:
             return False

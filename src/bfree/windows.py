@@ -9,7 +9,7 @@ import base64
 import sys
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from itertools import compress, islice, product, repeat
+from itertools import chain, compress, islice, product, repeat
 from math import prod
 from operator import add, floordiv, mul, sub
 
@@ -19,10 +19,9 @@ from .lattices import Lattice, Point, as_point, crt, intersect_all, record
 
 DEFAULT_CELL_LIMIT = 10**8
 
-# Lines of entry coordinates held at once by covered_flags: a box is walked
-# in slabs of its first coordinate, each meeting at most this many lines
-# (but at least one layer of the first coordinate).
-_SLAB_LINES = 1 << 12
+# Lines of entry coordinates held at once by covered_flags: a box's line
+# table is built and walked in chunks of at most this many lines.
+_CHUNK_LINES = 1 << 12
 
 
 def _parse_ranges(text: str, sep: str) -> tuple[Point, Point]:
@@ -217,7 +216,7 @@ def covered_flags(spec: FamilySpec, box: Box) -> bytearray:
     progression (see _mark_last_row).  Any other template is evaluated in
     its own coordinates q, x = A q (A the transform, else the identity),
     once per line of q that meets the box, each line one slice of the
-    flags, slab by slab (see _slab_lines and _mark_lines).  Every template
+    flags, chunk by chunk (see _box_lines and _mark_lines).  Every template
     whose sequence never factors goes before any that may, which skip the
     rows and lines already flagged entirely (as in ex1): last-row templates
     that never factor, then the templates on lines, then last-row templates
@@ -243,10 +242,10 @@ def covered_flags(spec: FamilySpec, box: Box) -> bytearray:
     for entry, power_hits in rows_first:
         _mark_last_row(flags, spec, entry, box, power_hits, ones)
     if on_lines:
-        for lines in _slab_lines(spec, box):
+        for lines in _box_lines(spec, box):
             for entry, power_hits in on_lines:
                 _mark_lines(flags, lines, entry, power_hits, ones)
-            del lines  # free this slab's table before the next one is built
+            del lines  # free this chunk's table before the next one is built
     for entry, power_hits in rows_last:
         _mark_last_row(flags, spec, entry, box, power_hits, ones)
     return flags
@@ -361,20 +360,6 @@ def _last_coefficients(spec: FamilySpec, base: Lattice, image: Lattice) -> list[
     return out
 
 
-def _slab_lines(spec: FamilySpec, box: Box):
-    """The line tables (see _box_lines) of consecutive slabs of the box's
-    first coordinate, each meeting at most _SLAB_LINES lines unless one
-    layer does: a line meeting h layers meets one of them, so a slab of h
-    layers meets at most h times the lines of one layer."""
-    (x, *lo), (b, *hi) = box.lo, box.hi
-    height = b - x + 1
-    if box.volume > _SLAB_LINES:  # else the box has fewer lines than cells
-        a = [row[-1] for row in spec.coordinates()[0]]
-        height = max(1, _SLAB_LINES // sum(prod(map(len, r)) for r in _first_cells(a, (x, *lo), (x, *hi))))
-    for y in range(x, b + 1, height):
-        yield _box_lines(spec, box, (y, min(y + height - 1, b)))
-
-
 def _first_cells(a, lo, hi):
     """Per axis i along which x - a leaves the box [lo, hi] first, the
     ranges of coordinates of the cells x of the box with x - a outside it
@@ -389,35 +374,48 @@ def _first_cells(a, lo, hi):
             yield ranges
 
 
-def _box_lines(spec: FamilySpec, box: Box, slab=None) -> dict:
-    """{prefix: (start, sigma, klo, khi)} over the lines of entry
-    coordinates that meet the box, or its part whose first coordinate lies
-    in the range slab: fixing q_0..q_{m-2} leaves x = x_0 + k a, a = A e_m,
-    and the flat index in the box being linear in x, the line's cells
-    k = klo..khi there sit at start + (k - klo) * sigma, sigma = strides . a.
-    Each line is found from its first cell (see _first_cells); without a
-    transform those are the first cells of the rows.  Only templates on
-    lines ask for the table, and every 1-d template is last-row, so m >= 2
-    and the prefix is never empty."""
+def _box_lines(spec: FamilySpec, box: Box):
+    """Tables {prefix: (start, sigma, klo, khi)} of at most _CHUNK_LINES
+    lines each, over the lines of entry coordinates that meet the box:
+    fixing q_0..q_{m-2} leaves x = x_0 + k a, a = A e_m, and the flat index
+    in the box being linear in x, the line's cells k = klo..khi there sit
+    at start + (k - klo) * sigma, sigma = strides . a.  Each line is found
+    from its first cell (see _first_cells), so the tables are disjoint;
+    without a transform those are the first cells of the rows.  Only
+    templates on lines ask for the tables, and every 1-d template is
+    last-row, so m >= 2 and the prefix is never empty."""
     rows, inverse = spec.coordinates()
     lo, hi, sides = box.lo, box.hi, box.sides
     strides = [prod(sides[k + 1 :]) for k in range(len(sides))]
     a = [row[-1] for row in rows]
     sigma = sum(map(mul, strides, a)) or 1  # 0: lines of one cell, any sigma
     offset = sum(map(mul, strides, lo))
-    if slab is not None:
-        lo, hi = (slab[0], *lo[1:]), (slab[1], *hi[1:])
-    lines = {}
     for ranges in _first_cells(a, lo, hi):
-        cols = list(zip(*product(*ranges)))  # coordinates of the first cells
-        *prefix, k, index = (list(_dot(row, cols)) for row in (*inverse, strides))
-        steps = reduce(partial(map, min), (  # steps of a each first cell takes in the box
-            map(floordiv, map(sub, repeat(h), x) if e > 0 else map(sub, x, repeat(l)), repeat(abs(e)))
-            for l, h, e, x in zip(lo, hi, a, cols) if e
-        ))
-        values = zip(map(sub, index, repeat(offset)), repeat(sigma), k, map(add, k, steps))
-        lines.update(zip(zip(*prefix), values))
-    return lines
+        cells = _cells(ranges)
+        while lines := _line_table(islice(cells, _CHUNK_LINES), inverse, strides, a, lo, hi, sigma, offset):
+            yield lines
+            del lines  # free this table before the next one is built
+
+
+def _cells(ranges):
+    """The points of product(*ranges), taken as products of pieces of at
+    most _CHUNK_LINES of each range, so that no long range is held whole."""
+    pieces = [[r[j : j + _CHUNK_LINES] for j in range(0, len(r), _CHUNK_LINES)] for r in ranges]
+    return chain.from_iterable(product(*piece) for piece in product(*pieces))
+
+
+def _line_table(first, inverse, strides, a, lo, hi, sigma, offset) -> dict:
+    """The lines (see _box_lines) whose first cells are the points first."""
+    cols = list(zip(*first))  # coordinates of the first cells
+    if not cols:
+        return {}
+    *prefix, k, index = (list(_dot(row, cols)) for row in (*inverse, strides))
+    steps = reduce(partial(map, min), (  # steps of a each first cell takes in the box
+        map(floordiv, map(sub, repeat(h), x) if e > 0 else map(sub, x, repeat(l)), repeat(abs(e)))
+        for l, h, e, x in zip(lo, hi, a, cols) if e
+    ))
+    values = zip(map(sub, index, repeat(offset)), repeat(sigma), k, map(add, k, steps))
+    return dict(zip(zip(*prefix), values))
 
 
 def _dot(u, cols):

@@ -1,0 +1,40 @@
+"""Smoke test of the mutation harness, tools/mutants.py: one mutant, run
+against one fast test file in a copy of the package and that file alone, is
+killed, and the working tree is left as it was.  The full list is run by
+hand."""
+
+import dataclasses
+import importlib.util
+import shutil
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_harness():
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_mutant_applies_exactly_once():
+    mutants = load_harness()
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
+    for m in mutants.MUTANTS:
+        assert (ROOT / m.path).read_text().count(m.old) == 1, m.name
+        assert all((ROOT / t).is_file() for t in m.tests), m.name
+
+
+def test_a_mutant_is_killed_in_a_copy(tmp_path):
+    mutants = load_harness()
+    mutant = next(m for m in mutants.MUTANTS if m.name == "outside-any-to-all")
+    mutant = dataclasses.replace(mutant, tests=("tests/test_certificate_snapshots.py",))
+    before = (ROOT / mutant.path).read_text()
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    for name in ("pyproject.toml", *mutant.tests, "tests/data/certificate_snapshots.json"):
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(ROOT / name, tmp_path / name)
+    assert mutants.run_mutant(mutant, tmp_path)[0] == "killed"
+    assert (ROOT / mutant.path).read_text() == before
+    assert (tmp_path / mutant.path).read_text() == before

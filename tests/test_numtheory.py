@@ -12,13 +12,10 @@ from bfree.errors import FactorizationError
 from bfree.numtheory import factor, is_prime, primes_up_to, valuation
 
 TRIAL_PRIMES = list(sympy.primerange(2, numtheory._TRIAL_LIMIT + 1))
-BLOCK = numtheory._BLOCK_SIZE
-# primes on both sides of every trial-block edge, of every power of two the
-# trial tables are sized by, of factor()'s trial limit and of the sieve's
-BLOCK_EDGE_PRIMES = sorted(
-    {TRIAL_PRIMES[i] for i in range(BLOCK - 1, len(TRIAL_PRIMES), BLOCK)}
-    | {TRIAL_PRIMES[i] for i in range(BLOCK, len(TRIAL_PRIMES), BLOCK)}
-    | {sympy.prevprime(2**k) for k in range(2, 19)}
+# primes on both sides of every power of two the trial tables are sized by,
+# of factor()'s trial limit and of the sieve's
+EDGE_PRIMES = sorted(
+    {sympy.prevprime(2**k) for k in range(2, 19)}
     | {sympy.nextprime(2**k) for k in range(1, 19)}
     | {sympy.prevprime(numtheory._FACTOR_TRIAL_LIMIT), sympy.nextprime(numtheory._FACTOR_TRIAL_LIMIT)}
     | {sympy.prevprime(numtheory._TRIAL_LIMIT), sympy.nextprime(numtheory._TRIAL_LIMIT)}
@@ -46,19 +43,19 @@ def test_factor_matches_sympy(n):
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(
-        st.tuples(st.sampled_from(BLOCK_EDGE_PRIMES), st.integers(1, 3)),
+        st.tuples(st.sampled_from(EDGE_PRIMES), st.integers(1, 3)),
         min_size=1,
         max_size=5,
     ),
     st.integers(1, 1000),
 )
-def test_factor_products_at_block_edges(powers, cofactor):
+def test_factor_products_at_table_edges(powers, cofactor):
     n = cofactor * math.prod(p**e for p, e in powers)
     assert factor(n) == oracle(n)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(st.sampled_from(TRIAL_PRIMES[:200] + BLOCK_EDGE_PRIMES), LARGE_PRIMES), st.integers(1, 6))
+@given(st.one_of(st.sampled_from(TRIAL_PRIMES[:200] + EDGE_PRIMES), LARGE_PRIMES), st.integers(1, 6))
 def test_factor_prime_powers(p, e):
     assert factor(p**e) == ((p, e),)
 
@@ -152,15 +149,12 @@ def _record_limits(monkeypatch, module, name):
 
 
 def test_trial_tables_are_sized_to_the_input(monkeypatch):
-    trial_blocks = numtheory._trial_blocks
-    trial_blocks.cache_clear()
     primes_up_to.cache_clear()
-    blocks = _record_limits(monkeypatch, numtheory, "_trial_blocks")
-    sieves = _record_limits(monkeypatch, numtheory, "primes_up_to")
+    tables = _record_limits(monkeypatch, numtheory, "primes_up_to")
     for n in range(1, 5000):
         factor.__wrapped__(n)
     # isqrt(n) <= 70: tables up to 2, 4, ..., 128
-    assert set(blocks) == {2**k for k in range(1, 8)}
+    assert set(tables) == {2**k for k in range(1, 8)}
     for k in range(100):
         factor.__wrapped__(2**k)
         factor.__wrapped__(3**k)
@@ -171,9 +165,7 @@ def test_trial_tables_are_sized_to_the_input(monkeypatch):
     factor.__wrapped__(10**30)
     # inputs up to 10**30 read the tables up to 2, 4, ..., 2**10 and no
     # further; each table is sieved once
-    assert set(blocks) == {2**k for k in range(1, 11)}
-    assert sorted(sieves) == sorted(set(blocks))
-    assert trial_blocks.cache_info().currsize == 10
+    assert set(tables) == {2**k for k in range(1, 11)}
     assert primes_up_to.cache_info().misses == 10
 
     # the line sieve still reads the 10**5 table for squares near 10**15

@@ -126,7 +126,7 @@ def test_check_covering_scan_limit_on_non_diagonal_covers():
         match=r"^covering check: the first 8 of 27 cosets of the cover intersection all lie in the union \(rep_limit=8\)$",
     ):
         check_covering(spec, covers, rep_limit=8)
-    assert check_covering(spec, covers, rep_limit=9).certificate.missed_coset == (0, 1)
+    assert check_covering(spec, covers, rep_limit=10).certificate.missed_coset == (0, 1)
 
 
 def test_decide_settles_the_200003_template_by_its_span():
@@ -976,6 +976,52 @@ def test_points_by_radius_walk_each_ball_once_shell_by_shell():
         assert radii == sorted(radii)
         # one point short of the ball of radius r stops at radius r - 1
         assert len(list(_points_by_radius(m, (2 * r + 1) ** m - 1))) == (2 * r - 1) ** m
+
+
+def _residues(lattice: Lattice) -> set:
+    """The points of the lattice modulo n Z^m, n its index, which it holds,
+    by closing {0} under adding its columns: a brute-force membership test
+    that never reads the triangular basis."""
+    n = lattice.index
+    seen = {(0,) * lattice.dim}
+    todo = list(seen)
+    while todo:
+        p = todo.pop()
+        for col in lattice.columns:
+            q = tuple((x + c) % n for x, c in zip(p, col))
+            if q not in seen:
+                seen.add(q)
+                todo.append(q)
+    return seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from((2, 3)).flatmap(
+        lambda m: st.lists(canonical_lattices(m, max_diag=4).filter(Lattice.is_proper), min_size=2, max_size=3)
+    )
+)
+def test_missed_coset_scan_takes_exactly_rep_limit_reps(covers):
+    # pos is the brute-force position of the first rep no cover holds: a
+    # scan of pos reps returns it, one of pos - 1 leaves it to the
+    # small-point search
+    assume(not all(cov.is_diagonal() for cov in covers))
+    period = intersect_all(covers)
+    held = [(cov.index, _residues(cov)) for cov in covers]
+
+    def missed(p):
+        return not any(tuple(x % n for x in p) in h for n, h in held)
+
+    reps = list(period.iter_coset_reps())
+    pos = next((i for i, rep in enumerate(reps, 1) if missed(rep)), None)
+    assume(pos is not None)
+    assert _first_missed_scan(covers, period, pos) == reps[pos - 1]
+    small = next(filter(missed, _points_by_radius(period.dim, pos - 1)), None)
+    if small is None:
+        with pytest.raises(TooLargeError, match=rf"the first {pos - 1} of {period.index} cosets"):
+            _first_missed_scan(covers, period, pos - 1)
+    else:
+        assert _first_missed_scan(covers, period, pos - 1) == period.reduce(small)
 
 
 def test_missed_coset_scan_falls_back_to_small_points():

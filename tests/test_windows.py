@@ -367,7 +367,7 @@ def test_lines_under_a_transform_are_walked_once_each(monkeypatch):
     spec = TRANSFORMED
     box = Box((10**6, 10**6), (10**6 + 30, 10**6 + 30))
     meeting = {spec.pullback(p)[:-1] for p in box.points()}
-    assert set(windows._box_lines(spec, box)) == meeting
+    assert set().union(*windows._box_lines(spec, box)) == meeting
     assert len(meeting) <= 31 * (3 + 10) + 2
     expected = reference_window(spec, box)
     calls = []
@@ -381,6 +381,29 @@ def test_lines_under_a_transform_are_walked_once_each(monkeypatch):
     assert free_window(spec, box) == expected
     # each of the two template entries walks each line once at most
     assert calls and len(calls) == len(set(calls)) and {prefix for _, prefix in calls} <= meeting
+
+
+SHEAR = UnimodularMap(((1, 3), (3, 10)))
+
+
+@pytest.mark.parametrize("spec", [
+    preset("ex1"),
+    FamilySpec(2, preset("ex1").entries, transform=SHEAR),
+    parse_family("dim 2\nrecttemplate [t,t] params=primes\n"),
+    parse_family("dim 2\nrect [3,1]\nrecttemplate [t,t] params=primes\ntransform [[1,3],[3,10]]\n"),
+    TRANSFORMED,
+], ids=["ex1", "ex1-transformed", "tt-primes", "tt-primes-transformed", "transformed"])
+def test_line_tables_split_into_chunks(spec, monkeypatch):
+    # with chunks of 7 lines, the chunks hold every line that meets the
+    # box exactly once, and marking chunk by chunk, factoring entries'
+    # skip tests included, gives the per-cell flags
+    monkeypatch.setattr(windows, "_CHUNK_LINES", 7)
+    for box in (Box((-12, -9), (13, 11)), Box((10**9, -3), (10**9 + 40, 2)), Box((5, 7), (60, 7))):
+        tables = list(windows._box_lines(spec, box))
+        meeting = {spec.pullback(p)[:-1] for p in box.points()}
+        assert len(tables) > 3 and all(len(t) <= 7 for t in tables)
+        assert set().union(*tables) == meeting and sum(map(len, tables)) == len(meeting)
+        assert covered_flags(spec, box) == bytearray(map(spec.covered, box.points()))
 
 
 @st.composite
@@ -566,12 +589,15 @@ def test_one_cell_high_box_marks_rows_without_lines(monkeypatch):
 
 
 def test_tall_box_line_table_stays_bounded():
-    # a box whose last side is 1 has one line per cell; the lines are built
-    # and walked in slabs of the first coordinate, so the peak memory beyond
-    # the flags does not grow with the first side
-    spec = parse_family("dim 2\nrect [3,1]\nstatic [[1,0],[1,2]]\ntransform [[1,0],[2,1]]\n")
+    # a box whose last side is 1 has one line per cell; the first cells are
+    # drawn lazily and the lines built and walked in chunks of at most
+    # _CHUNK_LINES, so the peak memory beyond the flags does not grow with
+    # the first side (it stays near 1.6 MB here)
+    spec = parse_family(
+        "dim 2\nrect [3,1]\nstatic [[1,0],[1,2]]\nrecttemplate [t,t] params=primes\ntransform [[1,0],[2,1]]\n"
+    )
     peaks = []
-    for h in (9000, 18000):
+    for h in (9000, 36000):
         box = Box((-(h // 2), 5), (h - 1 - h // 2, 5))
         tracemalloc.start()
         try:
@@ -580,7 +606,7 @@ def test_tall_box_line_table_stays_bounded():
         finally:
             tracemalloc.stop()
         assert flags == bytearray(map(spec.covered, box.points()))
-    assert max(peaks) < 4 * 10**6
+    assert peaks[1] - peaks[0] < 2 * 10**5 and max(peaks) < 2.5 * 10**6
 
 
 def test_covered_flags_layout():

@@ -1,0 +1,187 @@
+"""Mutation checks for bfree's exact layers.
+
+    python3 tools/mutants.py             # run every mutant
+    python3 tools/mutants.py NAME ...    # run the named mutants
+
+Each mutant is one exact text replacement in a file of the package, plus
+the test files that should kill it.  The tree (``src/``, ``tests/``,
+``perfbench/``, whose job pool some tests read, and ``pyproject.toml``) is
+copied to a temporary directory once; each mutant is applied there to its
+file alone, its test files run with ``pytest -x -q`` against the copy's
+``src/``, and the file is restored before the next.  The working tree is
+never edited.
+
+A mutant is killed when a test fails (pytest exit 1), and survives when
+its tests pass.  Exit status: 0 when every mutant run was killed, 1 when
+one survived, 2 when a mutant is stale: its text no longer occurs exactly
+once, or pytest could not collect or run its tests.  Standard library only.
+"""
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WINDOWS = "src/bfree/windows.py"
+FAMILIES = "src/bfree/families.py"
+NUMTHEORY = "src/bfree/numtheory.py"
+PROXIMALITY = "src/bfree/proximality.py"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the root of the tree
+    old: str  # occurs exactly once in the file
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    # the chunked line table, the trial division stop and the covers search
+    Mutant(
+        "chunk-bound-doubled", WINDOWS,
+        "islice(cells, _CHUNK_LINES)", "islice(cells, 2 * _CHUNK_LINES)",
+        ("tests/test_windows.py",),
+    ),
+    Mutant(
+        "trial-stop-at-square", NUMTHEORY,
+        "if p * p > n:", "if p * p >= n:",
+        ("tests/test_numtheory.py",),
+    ),
+    Mutant(
+        "outside-any-to-all", PROXIMALITY,
+        "if not any(cov.contains(p) for cov in covers)", "if not all(cov.contains(p) for cov in covers)",
+        ("tests/test_certificate_snapshots.py", "tests/test_proximality.py"),
+    ),
+    Mutant(
+        "scan-one-rep-more", PROXIMALITY,
+        "islice(period.iter_coset_reps(), rep_limit)", "islice(period.iter_coset_reps(), rep_limit + 1)",
+        ("tests/test_proximality.py",),
+    ),
+    # last-row templates by the row walk, and the window sums
+    Mutant(
+        "last-coefficient-off-by-one", WINDOWS,
+        "        out.append(w)\n", "        out.append(w + 1)\n",
+        ("tests/test_windows.py",),
+    ),
+    Mutant(
+        "unit-step-minus-one-read-as-one", FAMILIES,
+        "a = -v0 * k\n", "a = -v0\n",
+        ("tests/test_far_windows.py", "tests/test_windows.py"),
+    ),
+    Mutant(
+        "step-divisors-skipped", FAMILIES,
+        "for p in common:  # p | k", "for p in ():  # p | k",
+        ("tests/test_far_windows.py", "tests/test_windows.py"),
+    ),
+    Mutant(
+        "modulus-not-reduced-by-gcd", FAMILIES,
+        "        q //= g\n", "        q //= 1\n",
+        ("tests/test_far_windows.py", "tests/test_windows.py"),
+    ),
+    Mutant(
+        "window-sum-fields-one-bit-narrow", WINDOWS,
+        ">= (width**m).bit_length()", ">= (width**m).bit_length() - 1",
+        ("tests/test_windows.py",),
+    ),
+    Mutant(
+        "constant-row-dropped", WINDOWS,
+        "            if power_hits(range(c, c + 1), e)[0]:\n                flags[run] = ones[:n]\n",
+        "            pass\n",
+        ("tests/test_windows.py",),
+    ),
+    Mutant(
+        "row-value-of-wrong-sign", WINDOWS,
+        "c + (first - t) // d * k)", "c + (t - first) // d * k)",
+        ("tests/test_windows.py",),
+    ),
+    Mutant(
+        "unit-found-outside-the-run", FAMILIES,
+        "                if v in run:\n                    hits[run.index(v)] = 0\n",
+        "                if run.start <= v < run.start + n:\n                    hits[v - run.start] = 0\n",
+        ("tests/test_far_windows.py", "tests/test_windows.py"),
+    ),
+    Mutant(
+        "row-skip-test-inverted", WINDOWS,
+        "if check and 0 not in flags[run]:", "if check and 0 in flags[run]:",
+        ("tests/test_windows.py",),
+    ),
+    # zero-window evidence by one sieve per slab, and the d' scan by rows
+    Mutant(
+        "done-kept-across-slabs", PROXIMALITY,
+        "    found = []\n    for slab in _slabs(search):\n        if len(found) == top:\n            break\n"
+        "        sieve = _Sieve(spec, slab, (0,) * m, (top,) * m)\n        survivors, done = sieve.survivors, -1\n",
+        "    found, done = [], -1\n    for slab in _slabs(search):\n        if len(found) == top:\n            break\n"
+        "        sieve = _Sieve(spec, slab, (0,) * m, (top,) * m)\n        survivors = sieve.survivors\n",
+        ("tests/test_proximality.py",),
+    ),
+    Mutant(
+        "dprime-row-read-from-offset-d", PROXIMALITY,
+        "[::d].find(0)", "[d::d].find(0)",
+        ("tests/test_proximality.py", "tests/test_cli.py"),
+    ),
+    Mutant(
+        "first-survivor-one-cell-late", WINDOWS,
+        "(survivors & -survivors).bit_length() // 8", "(survivors & -survivors).bit_length() // 8 + 1",
+        ("tests/test_windows.py", "tests/test_proximality.py"),
+    ),
+)
+
+
+def copy_tree(dest: Path):
+    """Copy what the tests read of the tree into dest."""
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", ".bench_out")
+    for name in ("src", "tests", "perfbench"):
+        shutil.copytree(ROOT / name, dest / name, ignore=skip)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def run_mutant(mutant: Mutant, tree: Path) -> tuple[str, float]:
+    """("killed" | "survived" | "stale", seconds) of one mutant applied to
+    the copy at tree, which is restored afterwards."""
+    path = tree / mutant.path
+    original = path.read_text()
+    if original.count(mutant.old) != 1:
+        return "stale", 0.0
+    path.write_text(original.replace(mutant.old, mutant.new))
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests]
+    t0 = time.perf_counter()
+    try:
+        rc = subprocess.run(command, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    finally:
+        path.write_text(original)
+    outcome = {0: "survived", 1: "killed"}.get(rc, "stale")
+    return outcome, time.perf_counter() - t0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    args = parser.parse_args(argv)
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [n for n in args.names if n not in by_name]
+    if unknown:
+        parser.error(f"unknown mutants: {', '.join(unknown)}")
+    chosen = [by_name[n] for n in args.names] or list(MUTANTS)
+    outcomes = []
+    with tempfile.TemporaryDirectory(prefix="bfree-mutants-") as tmp:
+        tree = Path(tmp)
+        copy_tree(tree)
+        for m in chosen:
+            outcome, seconds = run_mutant(m, tree)
+            outcomes.append(outcome)
+            print(f"{outcome:8s} {seconds:6.1f}s  {m.name}", flush=True)
+    print(f"{outcomes.count('killed')} killed, {outcomes.count('survived')} survived, {outcomes.count('stale')} stale")
+    return 2 if "stale" in outcomes else 1 if "survived" in outcomes else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
