@@ -46,7 +46,7 @@ from .lattices import (
     record,
     split_in_sum,
 )
-from .windows import DEFAULT_CELL_LIMIT, Box, Shape, _check_scan_size, _sieved_translates, _Sieve, _slabs, covered_flags, zero_window_by_crt
+from .windows import DEFAULT_CELL_LIMIT, Box, Shape, _check_scan_size, _Sieve, _slabs, covered_flags, zero_window_by_crt
 
 PROXIMAL = "Proximal"
 NOT_PROXIMAL = "NotProximal"
@@ -440,8 +440,8 @@ def prove_no_zero_window(spec: FamilySpec, shape: Shape, covers) -> bool:
             count=box.volume,
         )
     union = FamilySpec(len(diag), tuple(Static(cov) for cov in covers))
-    reps = Box((0,) * len(diag), tuple(d - 1 for d in diag))
-    return next(_sieved_translates(union, shape, reps), None) is None
+    sieve = _Sieve(union, Box((0,) * len(diag), tuple(d - 1 for d in diag)), lo, hi)
+    return not sieve.keep(sieve.survivors, shape.offsets)
 
 
 # ---------------------------------------------------------------------------

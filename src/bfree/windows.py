@@ -9,13 +9,13 @@ import base64
 import sys
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from itertools import chain, compress, islice, product, repeat
+from itertools import accumulate, compress, islice, product, repeat
 from math import prod
 from operator import add, floordiv, mul, sub
 
 from .errors import NotAZeroWindowError, NotEnoughIdealsError, TooLargeError
 from .families import FamilySpec, Static
-from .lattices import Lattice, Point, as_point, crt, intersect_all, record
+from .lattices import Lattice, Point, as_point, back_substitute, crt, intersect_all, mixed_radix, record
 
 DEFAULT_CELL_LIMIT = 10**8
 
@@ -36,7 +36,11 @@ def _parse_ranges(text: str, sep: str) -> tuple[Point, Point]:
 
 @record
 class Box:
-    """Axis-aligned integer box [lo_1, hi_1] x ... x [lo_m, hi_m]."""
+    """Axis-aligned integer box [lo_1, hi_1] x ... x [lo_m, hi_m].
+
+    Every flat array of cells here is row-major, last coordinate fastest:
+    cell p sits at index_of(p) = sum_k (p_k - lo_k) * strides[k], strides[k]
+    the product of the sides after k, and point_at inverts it."""
 
     lo: Point
     hi: Point
@@ -47,14 +51,17 @@ class Box:
         if any(a > b for a, b in zip(self.lo, self.hi)):
             raise ValueError("box is empty")
         sides = tuple([b - a + 1 for a, b in zip(self.lo, self.hi)])
-        self.__dict__.update(sides=sides, volume=prod(sides))
+        strides = tuple(accumulate(reversed(sides[1:]), mul, initial=1))[::-1]
+        self.__dict__.update(sides=sides, strides=strides, volume=strides[0] * sides[0])
 
     @property
     def dim(self) -> int:
         return len(self.lo)
 
     def contains(self, p) -> bool:
-        return all(a <= x <= b for x, a, b in zip(p, self.lo, self.hi, strict=True))
+        if len(p) != len(self.lo):
+            raise ValueError("dimension mismatch")
+        return all(a <= x <= b for x, a, b in zip(p, self.lo, self.hi))
 
     def points(self):
         """Lexicographic iteration; also the row-major bit order of windows."""
@@ -63,17 +70,19 @@ class Box:
     def index_of(self, p) -> int:
         if not self.contains(p):
             raise ValueError(f"point {tuple(p)} lies outside the box {self.format()}")
-        idx = 0
-        for x, a, s in zip(p, self.lo, self.sides, strict=True):
-            idx = idx * s + (x - a)
-        return idx
+        return sum(map(mul, map(sub, p, self.lo), self.strides))
+
+    def point_at(self, i: int) -> Point:
+        """The cell at the flat index i: the inverse of index_of."""
+        if not 0 <= i < self.volume:
+            raise ValueError(f"index {i} lies outside the box {self.format()}, of {self.volume} cells")
+        return tuple([a + i // t % s for a, t, s in zip(self.lo, self.strides, self.sides)])
 
     def shifted(self, g) -> "Box":
         g = as_point(g)
-        return Box(
-            tuple(a + x for a, x in zip(self.lo, g)),
-            tuple(b + x for b, x in zip(self.hi, g)),
-        )
+        if len(g) != len(self.lo):
+            raise ValueError("dimension mismatch")
+        return Box(tuple(map(add, self.lo, g)), tuple(map(add, self.hi, g)))
 
     @classmethod
     def centered(cls, n: int, dim: int) -> "Box":
@@ -265,10 +274,9 @@ def _mark_lattice(flags: bytearray, lattice: Lattice, box: Box, ones, mark=None,
     coefficient.  So the walk steps x_i by b_ii from its first value in the
     box, adding column i to s, and form[i] to c, at each step.
     """
-    basis, lo, hi, sides = lattice.basis, box.lo, box.hi, box.sides
+    basis, lo, hi, sides, strides = lattice.basis, box.lo, box.hi, box.sides, box.strides
     m = len(sides)
     form = form or (0,) * m
-    strides = [prod(sides[k + 1 :]) for k in range(m)]
     d, side, k = basis[-1][-1], sides[-1], form[-1]
 
     def rows(starts, t, v, c, u):
@@ -320,9 +328,8 @@ def _mark_last_row(flags: bytearray, spec: FamilySpec, entry, box: Box, power_hi
     A^-1 x.  That c is linear in x's coefficients over L's columns (see
     _last_coefficients), so along a row met it runs over a progression
     c0, c0 + k, ..., one step k per entry, and the row takes one
-    power_hits call, merged by one integer OR (as in _sieved_translates).
-    With k = 0 the whole row shares one value.  An entry that may factor
-    skips the rows flagged entirely.
+    power_hits call, merged by _or_run.  With k = 0 the whole row shares
+    one value.  An entry that may factor skips the rows flagged entirely.
     """
     lattice = spec.image(entry.base)
     form = _last_coefficients(spec, entry.base, lattice)
@@ -336,28 +343,28 @@ def _mark_last_row(flags: bytearray, spec: FamilySpec, entry, box: Box, power_hi
             if power_hits(range(c, c + 1), e)[0]:
                 flags[run] = ones[:n]
             return
-        merged = int.from_bytes(flags[run], "little") | int.from_bytes(power_hits(range(c, c + n * k, k), e), "little")
-        flags[run] = merged.to_bytes(n, "little")
+        _or_run(flags, run, power_hits(range(c, c + n * k, k), e))
 
     _mark_lattice(flags, lattice, box, ones, mark, form)
+
+
+def _or_run(flags: bytearray, run: slice, hits):
+    """OR the bytes hits into the strided run of the flags, by one integer OR."""
+    merged = int.from_bytes(flags[run], "little") | int.from_bytes(hits, "little")
+    flags[run] = merged.to_bytes(len(hits), "little")
 
 
 def _last_coefficients(spec: FamilySpec, base: Lattice, image: Lattice) -> list[int]:
     """Per column h of image = spec.image(base): the last coefficient of
     A^-1 h over the base's columns (A the transform, else the identity),
-    by one back-substitution, exact as A^-1 h lies in the base.  The
-    coefficient is linear, so on image's point sum_j h_j * col_j it is
+    the last quotient of back_substitute, exact as A^-1 h lies in the base.
+    The coefficient is linear, so on image's point sum_j h_j * col_j it is
     sum_j h_j times these."""
     _, inverse = spec.coordinates()
-    basis = base.basis
-    out = []
-    for col in image.columns:
-        y = [sum(map(mul, row, col)) for row in inverse]
-        for i, row in enumerate(basis):
-            w = y[i] // row[i]
-            y = [v - w * r[i] for v, r in zip(y, basis)]
-        out.append(w)
-    return out
+    return [
+        back_substitute(base.columns, [sum(map(mul, row, col)) for row in inverse])[-1]
+        for col in image.columns
+    ]
 
 
 def _first_cells(a, lo, hi):
@@ -381,27 +388,20 @@ def _box_lines(spec: FamilySpec, box: Box):
     in the box being linear in x, the line's cells k = klo..khi there sit
     at start + (k - klo) * sigma, sigma = strides . a.  Each line is found
     from its first cell (see _first_cells), so the tables are disjoint;
-    without a transform those are the first cells of the rows.  Only
-    templates on lines ask for the tables, and every 1-d template is
+    without a transform those are the first cells of the rows.  The first
+    cells are drawn lazily by mixed_radix, so no long range is held whole.
+    Only templates on lines ask for the tables, and every 1-d template is
     last-row, so m >= 2 and the prefix is never empty."""
     rows, inverse = spec.coordinates()
-    lo, hi, sides = box.lo, box.hi, box.sides
-    strides = [prod(sides[k + 1 :]) for k in range(len(sides))]
+    lo, hi, strides = box.lo, box.hi, box.strides
     a = [row[-1] for row in rows]
     sigma = sum(map(mul, strides, a)) or 1  # 0: lines of one cell, any sigma
     offset = sum(map(mul, strides, lo))
     for ranges in _first_cells(a, lo, hi):
-        cells = _cells(ranges)
+        cells = mixed_radix(ranges)
         while lines := _line_table(islice(cells, _CHUNK_LINES), inverse, strides, a, lo, hi, sigma, offset):
             yield lines
             del lines  # free this table before the next one is built
-
-
-def _cells(ranges):
-    """The points of product(*ranges), taken as products of pieces of at
-    most _CHUNK_LINES of each range, so that no long range is held whole."""
-    pieces = [[r[j : j + _CHUNK_LINES] for j in range(0, len(r), _CHUNK_LINES)] for r in ranges]
-    return chain.from_iterable(product(*piece) for piece in product(*pieces))
 
 
 def _line_table(first, inverse, strides, a, lo, hi, sigma, offset) -> dict:
@@ -429,9 +429,8 @@ def _mark_lines(flags: bytearray, lines: dict, entry, power_hits, ones):
     entry.line_pieces(prefix, power_hits) sets, with one slice assignment,
     the flags of the line's cells k = s (mod d), or given hits(run) only
     those of the n cells, at k = s + v * d for v in run = range(v0, v0 + n),
-    that it flags (merged by
-    one integer OR, as in _sieved_translates), such as power_hits (the
-    sequence's, cached) for t**e | (k - s) / d.  ones holds a line's 1s."""
+    that it flags (merged by _or_run), such as power_hits (the sequence's,
+    cached) for t**e | (k - s) / d.  ones holds a line's 1s."""
     check = entry.factors
     for prefix, (start, sigma, klo, khi) in lines.items():
         if check:
@@ -450,8 +449,7 @@ def _mark_lines(flags: bytearray, lines: dict, entry, power_hits, ones):
                 flags[run] = ones[:n]
             else:
                 v0 = (first - s) // d
-                merged = int.from_bytes(flags[run], "little") | int.from_bytes(hits(range(v0, v0 + n)), "little")
-                flags[run] = merged.to_bytes(n, "little")
+                _or_run(flags, run, hits(range(v0, v0 + n)))
 
 
 def free_window(
@@ -500,14 +498,20 @@ def all_zero_windows(
 
 
 def _zero_translates(spec: FamilySpec, shape: Shape, search: Box, cell_limit: int):
-    """Valid translates in lexicographic order, sieved slab by slab (see
-    _slabs)."""
+    """Valid translates g, g + shape wholly covered, in lexicographic order:
+    slab by slab (see _slabs), those that one _Sieve over the shape's
+    bounds keeps."""
     _check_dim(spec, shape.dim)
     if search.dim != shape.dim:
         raise ValueError("search box dimension mismatch")
-    _check_scan_size(search, len(shape), Box(*shape.bounds()).sides, cell_limit)
+    lo, hi = shape.bounds()
+    _check_scan_size(search, len(shape), Box(lo, hi).sides, cell_limit)
     for slab in _slabs(search):
-        yield from _sieved_translates(spec, shape, slab)
+        sieve = _Sieve(spec, slab, lo, hi)
+        survivors = sieve.keep(sieve.survivors, shape.offsets)
+        if survivors:
+            translates = sieve.box.shifted(tuple(-a for a in lo)).points()
+            yield from compress(translates, survivors.to_bytes(sieve.box.volume, "little"))
 
 
 def _slabs(search: Box):
@@ -539,17 +543,6 @@ def _check_scan_size(search: Box, cells: int, extent, cell_limit: int):
         )
 
 
-def _sieved_translates(spec: FamilySpec, shape: Shape, search: Box):
-    """Translates g in the search box with g + shape wholly covered, in
-    lexicographic order, from one _Sieve over the shape's bounds."""
-    lo, hi = shape.bounds()
-    sieve = _Sieve(spec, search, lo, hi)
-    survivors = sieve.keep(sieve.survivors, shape.offsets)
-    if survivors:
-        translates = sieve.box.shifted(tuple(-a for a in lo)).points()
-        yield from compress(translates, survivors.to_bytes(sieve.box.volume, "little"))
-
-
 class _Sieve:
     """One covered_flags over the search box grown by the offset bounds [lo,
     hi], as one integer of a byte per cell (box, flags).  Translate g of the
@@ -561,14 +554,13 @@ class _Sieve:
         self.box = box = Box(tuple(map(add, search.lo, lo)), tuple(map(add, search.hi, hi)))
         self.flags = int.from_bytes(covered_flags(spec, box), "little")
         self.lo = lo
-        self.strides = strides = [prod(box.sides[k + 1 :]) for k in range(box.dim)]
         survivors = b"\x01"
-        for s, t, stride in reversed(list(zip(search.sides, box.sides, strides))):
+        for s, t, stride in reversed(list(zip(search.sides, box.sides, box.strides))):
             survivors = survivors * s + bytes((t - s) * stride)
         self.survivors = int.from_bytes(survivors, "little")
 
     def keep(self, survivors: int, offsets) -> int:
-        flags, lo, strides = self.flags, self.lo, self.strides
+        flags, lo, strides = self.flags, self.lo, self.box.strides
         for f in offsets:
             survivors &= flags >> (8 * sum(map(mul, map(sub, f, lo), strides)))
             if not survivors:
@@ -578,11 +570,7 @@ class _Sieve:
     def first(self, survivors: int) -> Point:
         """The lexicographically first translate that survivors marks."""
         i = (survivors & -survivors).bit_length() // 8
-        g = []
-        for a, b, stride in zip(self.box.lo, self.lo, self.strides):
-            c, i = divmod(i, stride)
-            g.append(a + c - b)
-        return tuple(g)
+        return tuple(map(sub, self.box.point_at(i), self.lo))
 
 
 def zero_window_by_crt(lattices, shape: Shape) -> Point:
@@ -614,6 +602,8 @@ def syndetic_period(spec: FamilySpec, translate, shape: Shape) -> Lattice:
     window is therefore syndetic.
     """
     translate = as_point(translate)
+    if len(translate) != spec.dim or shape.dim != spec.dim:
+        raise ValueError("dimension mismatch")
     members = []
     for f in shape.offsets:
         p = tuple(a + b for a, b in zip(translate, f))
@@ -692,8 +682,7 @@ def density_profile(
     for n, grid in zip(sides, grids):
         counts = _window_counts(_crop(flags, grids[-1], grid), grid.sides, 2 * n + 1)
         best = max(counts)
-        best_shift = next(islice(shift_search.points(), counts.index(best), None))
-        rows.append(ProfileRow(n, best_shift, Fraction(best, (2 * n + 1) ** m)))
+        rows.append(ProfileRow(n, shift_search.point_at(counts.index(best)), Fraction(best, (2 * n + 1) ** m)))
     return DensityProfile(tuple(rows))
 
 
@@ -702,9 +691,8 @@ def _crop(flags, outer: Box, inner: Box, size: int = 1):
     outer that holds it, size bytes per cell: one slice per row of inner."""
     if inner == outer:
         return flags
-    strides = [prod(outer.sides[k + 1 :]) for k in range(outer.dim)]
-    starts = [sum(map(mul, map(sub, inner.lo, outer.lo), strides))]
-    for a, b, stride in zip(inner.lo[:-1], inner.hi[:-1], strides):
+    starts = [outer.index_of(inner.lo)]
+    for a, b, stride in zip(inner.lo[:-1], inner.hi[:-1], outer.strides):
         starts = [s + k * stride for s in starts for k in range(b - a + 1)]
     width = inner.sides[-1] * size
     return b"".join(flags[s * size : s * size + width] for s in starts)

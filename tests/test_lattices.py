@@ -10,10 +10,12 @@ from bfree.errors import NotCoprimeError, RankDeficientError
 from bfree.lattices import (
     Lattice,
     UnimodularMap,
+    back_substitute,
     combination,
     crt,
     hnf,
     intersect_all,
+    mixed_radix,
     split_in_sum,
 )
 from bfree.numtheory import crt_integers
@@ -293,6 +295,37 @@ def test_reduce_and_apply_point_refuse_a_point_of_another_dimension():
             lat.reduce(p)
         with pytest.raises(ValueError, match="^dimension mismatch$"):
             shear.apply_point(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_back_substitution_reduces_into_the_box_and_recombines_members(data):
+    m = data.draw(st.integers(1, 4))
+    lat = data.draw(canonical_lattices(m, max_diag=7))
+    coords = st.integers(-10**12, 10**12) | st.integers(-30, 30)
+    p = tuple(data.draw(st.lists(coords, min_size=m, max_size=m)))
+    r = lat.reduce(p)
+    assert all(0 <= x < d for x, d in zip(r, lat.diagonal))
+    assert lat.contains(tuple(a - b for a, b in zip(p, r)))
+    # a point of the lattice back-substitutes to 0 through its own coefficients
+    ks = data.draw(st.lists(coords, min_size=m, max_size=m))
+    q = combination(lat.columns, ks)
+    res = list(q)
+    assert back_substitute(lat.columns, res) == ks
+    assert res == [0] * m and combination(lat.columns, ks) == q
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-5, 5), st.integers(0, 4)), min_size=0, max_size=4))
+def test_mixed_radix_is_product_first_coordinate_fastest(bounds):
+    ranges = [range(a, a + n) for a, n in bounds]
+    assert list(mixed_radix(ranges)) == [p[::-1] for p in product(*reversed(ranges))]
+
+
+def test_mixed_radix_is_lazy_on_huge_ranges():
+    points = mixed_radix([range(7, 10**12), range(-3, 10**12 - 3)])
+    assert next(points) == (7, -3)
+    assert list(islice(points, 2)) == [(8, -3), (9, -3)]
 
 
 def test_membership_vs_coset_reduction():

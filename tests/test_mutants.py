@@ -1,7 +1,7 @@
 """Smoke test of the mutation harness, tools/mutants.py: one mutant, run
 against one fast test file in a copy of the package and that file alone, is
-killed, and the working tree is left as it was.  The full list is run by
-hand."""
+killed, and the working tree is left as it was; a mutant whose test never
+ends is stopped and reported as a timeout.  The full list is run by hand."""
 
 import dataclasses
 import importlib.util
@@ -38,3 +38,17 @@ def test_a_mutant_is_killed_in_a_copy(tmp_path):
     assert mutants.run_mutant(mutant, tmp_path)[0] == "killed"
     assert (ROOT / mutant.path).read_text() == before
     assert (tmp_path / mutant.path).read_text() == before
+
+
+def test_a_mutant_that_never_ends_is_stopped(tmp_path):
+    mutants = load_harness()
+    (tmp_path / "src").mkdir()
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "src" / "spin.py").write_text("FOREVER = False\n")
+    (tmp_path / "tests" / "test_spin.py").write_text(
+        "import spin\n\n\ndef test_spin():\n    while spin.FOREVER:\n        pass\n"
+    )
+    mutant = mutants.Mutant("spin", "src/spin.py", "FOREVER = False", "FOREVER = True", ("tests/test_spin.py",))
+    outcome, seconds = mutants.run_mutant(mutant, tmp_path, timeout=2)
+    assert outcome == "timeout" and seconds >= 2
+    assert (tmp_path / "src" / "spin.py").read_text() == "FOREVER = False\n"

@@ -146,6 +146,35 @@ def test_box_validation():
         Box((1,), (0,))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_box_layout_point_at_inverts_index_of(data):
+    m = data.draw(st.integers(1, 3))
+    lo = data.draw(st.lists(st.integers(-40, 40), min_size=m, max_size=m))
+    hi = [a + data.draw(st.integers(0, {1: 30, 2: 8, 3: 4}[m])) for a in lo]
+    box = Box(tuple(lo), tuple(hi))
+    assert box.strides == tuple(prod(box.sides[k + 1 :]) for k in range(m))
+    cells = [box.point_at(i) for i in range(box.volume)]
+    assert cells == list(box.points())
+    assert [box.index_of(p) for p in cells] == list(range(box.volume))
+
+
+def test_box_refuses_a_point_of_another_dimension():
+    box = Box((0, 0), (2, 2))
+    for p in ((1,), (1, 1, 1)):
+        for method in (box.shifted, box.contains, box.index_of):
+            with pytest.raises(ValueError, match="^dimension mismatch$"):
+                method(p)
+    for i in (-1, box.volume):
+        with pytest.raises(ValueError, match="outside the box"):
+            box.point_at(i)
+    shape = Shape.from_offsets([(0, 0)])
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        syndetic_period(preset("ex2"), (0, 0, 5), shape)
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        syndetic_period(preset("ex2"), (0, 5), Shape.from_offsets([(0, 0, 0)]))
+
+
 def test_shape_parse_and_order():
     shape = Shape.parse("0:1x0:0", 2)
     assert shape.offsets == ((0, 0), (1, 0))
@@ -726,12 +755,12 @@ def test_zero_window_scan_sieves_doubling_slabs_up_to_the_first_hit(monkeypatch)
     search = Box((1, 0), (20, 2))
     slabs = []
 
-    def record(spec, shape, box):
+    def record(spec, box, lo, hi):
         slabs.append((box.lo[0], box.hi[0]))
-        return sieve(spec, shape, box)
+        return sieve(spec, box, lo, hi)
 
-    sieve = windows._sieved_translates
-    monkeypatch.setattr(windows, "_sieved_translates", record)
+    sieve = windows._Sieve
+    monkeypatch.setattr(windows, "_Sieve", record)
     shape = Shape.from_offsets([(0, 0)])
     assert find_zero_window(spec, shape, search) == (7, 0)
     assert slabs == [(1, 1), (2, 3), (4, 7)]

@@ -12,9 +12,14 @@ file alone, its test files run with ``pytest -x -q`` against the copy's
 never edited.
 
 A mutant is killed when a test fails (pytest exit 1), and survives when
-its tests pass.  Exit status: 0 when every mutant run was killed, 1 when
-one survived, 2 when a mutant is stale: its text no longer occurs exactly
-once, or pytest could not collect or run its tests.  Standard library only.
+its tests pass.  Its tests are stopped after TIMEOUT_S seconds, and it is
+then reported as "timeout" and counted as killed: a mutant can send code
+into a loop that never ends (with ``unit-step-minus-one-read-as-one`` a
+value divided down to 0 is divided again forever, on some hypothesis
+draws), and without the bound one such draw stalls the whole list.  Exit
+status: 0 when every mutant run was killed, 1 when one survived, 2 when a
+mutant is stale: its text no longer occurs exactly once, or pytest could
+not collect or run its tests.  Standard library only.
 """
 
 import argparse
@@ -28,10 +33,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+LATTICES = "src/bfree/lattices.py"
 WINDOWS = "src/bfree/windows.py"
 FAMILIES = "src/bfree/families.py"
 NUMTHEORY = "src/bfree/numtheory.py"
 PROXIMALITY = "src/bfree/proximality.py"
+TIMEOUT_S = 300  # the slowest kill takes about 20 s
 
 
 @dataclass(frozen=True)
@@ -68,7 +75,7 @@ MUTANTS = (
     # last-row templates by the row walk, and the window sums
     Mutant(
         "last-coefficient-off-by-one", WINDOWS,
-        "        out.append(w)\n", "        out.append(w + 1)\n",
+        "for row in inverse])[-1]\n", "for row in inverse])[-1] + 1\n",
         ("tests/test_windows.py",),
     ),
     Mutant(
@@ -132,6 +139,53 @@ MUTANTS = (
         "(survivors & -survivors).bit_length() // 8", "(survivors & -survivors).bit_length() // 8 + 1",
         ("tests/test_windows.py", "tests/test_proximality.py"),
     ),
+    # the shared primitives: one back-substitution, one enumerator, one box layout
+    Mutant(
+        "floor-quotient-truncated", LATTICES,
+        "        q = res[i] // col[i]\n", "        q = int(res[i] / col[i])\n",
+        ("tests/test_lattices.py",),
+    ),
+    Mutant(
+        "point-at-drops-the-corner", WINDOWS,
+        "[a + i // t % s for", "[i // t % s for",
+        ("tests/test_windows.py",),
+    ),
+    Mutant(
+        "enumerator-first-coordinate-descending", LATTICES,
+        "for p in points for x in r)", "for p in points for x in reversed(r))",
+        ("tests/test_lattices.py",),
+    ),
+    # one mutant per exact layer that had none
+    Mutant(
+        "span-tested-unmapped", PROXIMALITY,
+        "got = answer(mapped)", "got = answer(span)",
+        ("tests/test_proximality.py", "tests/test_same_union.py", "tests/test_certificate_snapshots.py"),
+    ),
+    Mutant(
+        "holding-cover-of-one-column", PROXIMALITY,
+        "all(cov.contains(c) for c in lat.columns)", "any(cov.contains(c) for c in lat.columns)",
+        ("tests/test_proximality.py", "tests/test_covering_bruteforce.py"),
+    ),
+    Mutant(
+        "missed-diagonal-coordinate-left-at-zero", PROXIMALITY,
+        "if any(low >= j for _, low in open_covers):", "if any(low > j for _, low in open_covers):",
+        ("tests/test_proximality.py", "tests/test_covering_bruteforce.py"),
+    ),
+    Mutant(
+        "class-fork-modulus-one-row-short", FAMILIES,
+        "prod(later for later, _, _ in table[i + 1 :])", "prod(later for later, _, _ in table[i + 2 :])",
+        ("tests/test_families.py", "tests/test_windows.py"),
+    ),
+    Mutant(
+        "contains-reads-the-basis-transposed", LATTICES,
+        "res[r] -= c * basis[r][i]", "res[r] -= c * basis[i][r]",
+        ("tests/test_lattices.py",),
+    ),
+    Mutant(
+        "hnf-skips-a-column-reduction", LATTICES,
+        "        for j in range(i):\n", "        for j in range(i - 1):\n",
+        ("tests/test_lattices.py",),
+    ),
 )
 
 
@@ -143,9 +197,9 @@ def copy_tree(dest: Path):
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
 
 
-def run_mutant(mutant: Mutant, tree: Path) -> tuple[str, float]:
-    """("killed" | "survived" | "stale", seconds) of one mutant applied to
-    the copy at tree, which is restored afterwards."""
+def run_mutant(mutant: Mutant, tree: Path, timeout: float = TIMEOUT_S) -> tuple[str, float]:
+    """("killed" | "timeout" | "survived" | "stale", seconds) of one mutant
+    applied to the copy at tree, which is restored afterwards."""
     path = tree / mutant.path
     original = path.read_text()
     if original.count(mutant.old) != 1:
@@ -155,10 +209,14 @@ def run_mutant(mutant: Mutant, tree: Path) -> tuple[str, float]:
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests]
     t0 = time.perf_counter()
     try:
-        rc = subprocess.run(command, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+        rc = subprocess.run(
+            command, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=timeout
+        ).returncode
+    except subprocess.TimeoutExpired:
+        rc = None
     finally:
         path.write_text(original)
-    outcome = {0: "survived", 1: "killed"}.get(rc, "stale")
+    outcome = {0: "survived", 1: "killed", None: "timeout"}.get(rc, "stale")
     return outcome, time.perf_counter() - t0
 
 
@@ -179,7 +237,11 @@ def main(argv=None) -> int:
             outcome, seconds = run_mutant(m, tree)
             outcomes.append(outcome)
             print(f"{outcome:8s} {seconds:6.1f}s  {m.name}", flush=True)
-    print(f"{outcomes.count('killed')} killed, {outcomes.count('survived')} survived, {outcomes.count('stale')} stale")
+    killed = outcomes.count("killed") + outcomes.count("timeout")
+    print(
+        f"{killed} killed ({outcomes.count('timeout')} by timeout), "
+        f"{outcomes.count('survived')} survived, {outcomes.count('stale')} stale"
+    )
     return 2 if "stale" in outcomes else 1 if "survived" in outcomes else 0
 
 
