@@ -25,7 +25,9 @@ the schema proves neither.
 Parameter sequences are primes (with optional exclusions), powers of a fixed
 base, or an explicit finite list.  Membership of a point in the union of all
 members is decided exactly: divisibility constraints pin down finitely many
-candidate parameters, so no sampling or truncation is involved.  One
+candidate parameters, so no sampling or truncation is involved.  Every
+sequence lists its candidates in increasing order (primes lazily, as they
+are factored), so the least parameter is the first one read.  One
 elimination reads those constraints, ``Template._eliminate``; the point
 questions run it on the whole point, and ``line_pieces`` on a line's prefix
 for the window sieve of a template that scales a row before its last.  A
@@ -56,14 +58,11 @@ from .numtheory import (
     factor,
     iroot,
     is_prime,
+    iter_factors,
     primes_up_to,
     trial_bound,
     valuation,
 )
-
-# Primes below this bound are tried directly before any factorization, so
-# membership that holds via a small prime never factors a huge constraint.
-_PROBE_BOUND = 1000
 
 # The longest sieve that lists prime parameters (Primes.iter_values_up_to): a
 # template's members up to an index bound are listed from it.
@@ -171,25 +170,15 @@ class Primes:
         common to the differences."""
         return 2 if 2 in self.exclude else 1
 
-    def candidates(self, constraints) -> list[int]:
-        """All sequence members t with t**e dividing v for every (v, e) given.
-
-        At least one v must be nonzero.  Decided by factoring the gcd of the
-        nonzero v's.
-        """
-        g = 0
-        for v, _ in constraints:
-            g = gcd(g, v)
-        g = abs(g)
+    def candidates(self, constraints):
+        """All sequence members t with t**e dividing v for every (v, e)
+        given, in increasing order, read lazily from the primes of the gcd
+        of the v's: a reader that stops at the first factors no further.
+        At least one v must be nonzero, which is checked at the call."""
+        g = gcd(*(v for v, _ in constraints))
         if g == 0:
             raise ValueError("all constraint values are zero")
-        out = []
-        for p, _ in factor(g):
-            if p in self.exclude:
-                continue
-            if all(v == 0 or v % p**e == 0 for v, e in constraints):
-                out.append(p)
-        return out
+        return (p for p, _ in iter_factors(g) if p not in self.exclude and all(v % p**e == 0 for v, e in constraints))
 
     def divides(self, v: int) -> bool:
         """Whether some sequence member divides v, without factoring: v = 0,
@@ -363,6 +352,8 @@ class Geometric:
         return self.base**self.start * (self.base - 1)
 
     def candidates(self, constraints) -> list[int]:
+        """All members t with t**e dividing v for every (v, e) given, in
+        increasing order; at least one v must be nonzero."""
         kmax = None
         for v, e in constraints:
             if v == 0:
@@ -424,13 +415,11 @@ class Explicit:
         return gcd(*(v - self.values[0] for v in self.values))
 
     def candidates(self, constraints) -> list[int]:
+        """All listed t with t**e dividing v for every (v, e) given, in
+        increasing order; at least one v must be nonzero."""
         if all(v == 0 for v, _ in constraints):
             raise ValueError("all constraint values are zero")
-        return [
-            t
-            for t in self.values
-            if all(v == 0 or v % t**e == 0 for v, e in constraints)
-        ]
+        return [t for t in self.values if all(v % t**e == 0 for v, e in constraints)]
 
     def divides(self, v: int) -> bool:
         return any(v % t == 0 for t in self.values)
@@ -699,25 +688,12 @@ class Template:
                 done.append((fork, constraints, res))
         return done
 
-    def _probe_first(self, constraints) -> bool:
-        # Huge constraint values would make the exact candidate computation
-        # factor astronomically large numbers; small primes are tried directly
-        # first, so membership that holds via one of them stays cheap.
-        return self.params.factors and any(
-            abs(v).bit_length() > 64 for v, _ in constraints
-        )
-
     def _least_param(self, constraints):
-        """The least parameter t with t**e | v for every (v, e), or None."""
+        """The least parameter t with t**e | v for every (v, e), or None:
+        the first candidate, as candidates come in increasing order."""
         if all(v == 0 for v, _ in constraints):
             return self.params.min_value()  # zero is divisible by every parameter value
-        if self._probe_first(constraints):
-            for t in self.params.values_up_to(_PROBE_BOUND):
-                if all(v % t**e == 0 for v, e in constraints):
-                    return t
-            extra = (t for t in self.params.candidates(constraints) if t > _PROBE_BOUND)
-            return min(extra, default=None)
-        return min(self.params.candidates(constraints), default=None)
+        return next(iter(self.params.candidates(constraints)), None)
 
     def _holds(self, constraints) -> bool:
         """Whether some parameter t has t**e | v for every (v, e).  With
@@ -741,10 +717,10 @@ class Template:
 
         Without a fork there is one branch at most, and its least parameter
         is the answer.  The branches of a fork share its w and M; the answer
-        is the least member t | w whose class w / t mod M survived, taken
-        from the candidates of w.  This is the one place a fork lists them,
-        so over primes it factors w (and may raise FactorizationError)
-        where ``covered`` and ``line_pieces`` do not.
+        is the least member t | w whose class w / t mod M survived: the
+        first such candidate of w.  This is the one place a fork lists them,
+        so over primes it factors w up to that member (and may raise
+        FactorizationError) where ``covered`` and ``line_pieces`` do not.
         """
         branches = self._eliminate(p, len(self._rows))
         if not branches:
@@ -755,7 +731,7 @@ class Template:
             return None if t is None else self.member(t)
         w, n, _ = fork
         survivors = {r for (_, _, r), _, _ in branches}
-        return self.member(min(t for t in self.params.candidates(((w, 1),)) if w // t % n in survivors))
+        return self.member(next(t for t in self.params.candidates(((w, 1),)) if w // t % n in survivors))
 
     def line_pieces(self, prefix, power_hits):
         """How the entry meets the line prefix x Z: a list of (s, d, hits),

@@ -13,6 +13,10 @@ costs rho about sqrt(p) steps.  So factor() either returns a correct answer
 or raises, never guesses.  The larger tables, up to _TRIAL_LIMIT (10**5),
 belong only to the line sieve (families.Primes.power_hits).
 
+One routine, iter_factors, yields the primes in increasing order as it
+finds them; factor() reads it whole, and a reader that stops at a trial
+prime never touches the cofactor.  Only the prime tables are cached.
+
 is_prime is deterministic below 3.317e24 and a strong probable-prime test
 to thirteen bases above.
 """
@@ -117,12 +121,12 @@ def _pollard_rho(n: int) -> int:
     )
 
 
-@lru_cache(maxsize=4096)
-def factor(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of n >= 1 as a sorted tuple of (prime, exponent)."""
+def iter_factors(n: int):
+    """The (prime, exponent) pairs of n >= 1 in increasing order: each trial
+    prime as trial division reaches it, then the cofactor's primes, sorted,
+    which all lie above the trial primes."""
     if n < 1:
         raise ValueError("factor() expects a positive integer")
-    out: dict[int, int] = {}
     limit = min(trial_bound(n, 2), _FACTOR_TRIAL_LIMIT)
     for p in primes_up_to(limit):
         if p * p > n:
@@ -132,7 +136,8 @@ def factor(n: int) -> tuple[tuple[int, int], ...]:
             while n % p == 0:
                 n //= p
                 e += 1
-            out[p] = e
+            yield p, e
+    out: dict[int, int] = {}
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
@@ -144,7 +149,12 @@ def factor(n: int) -> tuple[tuple[int, int], ...]:
         d = _pollard_rho(m)
         stack.append(d)
         stack.append(m // d)
-    return tuple(sorted(out.items()))
+    yield from sorted(out.items())
+
+
+def factor(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of n >= 1 as a sorted tuple of (prime, exponent)."""
+    return tuple(iter_factors(n))
 
 
 def valuation(n: int, p: int) -> int:

@@ -342,6 +342,26 @@ def test_report_ex2(capsys):
     assert payload["conditions"]["d"]["holds"] is False
 
 
+def test_report_rows_claim_nothing_when_a_window_side_is_missed(tmp_path, capsys):
+    # no zero window of side 2, 3 or 4 is found: (b) says so as no proof,
+    # and the rows equivalent to it stay unknown
+    spec = tmp_path / "family.txt"
+    spec.write_text("dim 2\ntemplate base=[[1,1],[0,2]] scale=(1,1) params=primes\nrect [1,3]\n")
+    code, stdout, _ = run(capsys, "report", "--spec", str(spec), "--max-side", "4", "--radius", "2")
+    assert code == 0
+    payload = json.loads(stdout)
+    assert payload["verdict"]["status"] == "Inconclusive"
+    rows = payload["conditions"]
+    assert rows["b"] == {
+        "holds": None,
+        "mode": "unknown",
+        "detail": "no zero window found for sides [2, 3, 4] (translates in -2:2,-2:2); not a proof",
+    }
+    for key in "acef":
+        assert (rows[key]["holds"], rows[key]["mode"]) == (None, "unknown"), key
+        assert rows[key]["detail"].startswith("equivalent to (b)"), key
+
+
 def test_spec_and_preset_mutually_exclusive(capsys):
     code, _, err = run(capsys, "eta", "--preset", "ex2", "--spec", "x", "--box", "0:1,0:1")
     assert code == 2

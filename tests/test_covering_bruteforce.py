@@ -30,8 +30,8 @@ from bfree.families import (
     Template,
     odd_primes,
 )
-from bfree.lattices import Lattice, hnf, intersect_all
-from bfree.proximality import check_covering, check_fixed_translate
+from bfree.lattices import Lattice, combination, hnf, intersect_all
+from bfree.proximality import CoverCheck, check_covering, check_fixed_translate
 from helpers import canonical_lattices, entries, random_unimodular, scaled_row
 
 
@@ -267,6 +267,68 @@ def test_check_covering_agrees_with_the_sweep_modulo_the_period(case):
                 assert holds(covers[check.cover], spec.image(member))
             else:
                 assert check.reps_checked >= 1
+
+
+def test_a_member_that_only_the_union_holds_is_checked_by_its_reps():
+    # 3Z x Z lies in none of the covers, but each of its 4 cosets of the
+    # period 6Z x 2Z, at (0, 0), (3, 0), (0, 1) and (3, 1), lies in one
+    spec = FamilySpec(2, (Static(Lattice.from_diagonal((3, 1))),))
+    covers = [Lattice.from_diagonal((6, 1)), Lattice.from_diagonal((3, 2)), hnf([(3, 1), (0, 2)])]
+    report = check_covering(spec, covers)
+    assert report.covered
+    assert report.certificate.missed_coset == (1, 0)
+    assert report.certificate.checks == (CoverCheck(0, "member [[3, 0], [0, 1]]", 4, None, 12),)
+
+
+def half_of(member, phi):
+    """The points of member whose coefficients k over its columns have
+    phi . k even, for phi in {0, 1}^m, not 0: a sublattice of index 2."""
+    m = member.dim
+    i0 = phi.index(1)
+    coefficients = [tuple(2 * (i == i0) for i in range(m))]
+    coefficients += [tuple(int(i == j) + phi[j] * (i == i0) for i in range(m)) for j in range(m) if j != i0]
+    return hnf([combination(member.columns, ks) for ks in coefficients])
+
+
+@st.composite
+def members_split_among_covers(draw):
+    """(spec, covers): finite entries, the first of them one member M, and
+    three or more distinct halves of M (``half_of``) as covers, so that no
+    single cover holds M; the halves hold M together exactly when every
+    parity class of coefficients is even under some phi."""
+    m = draw(st.integers(2, 3))
+    member = draw(canonical_lattices(m).filter(Lattice.is_proper))
+    phis = [phi for phi in itertools.product((0, 1), repeat=m) if any(phi)]
+    covers = [half_of(member, phi) for phi in draw(st.lists(st.sampled_from(phis), min_size=3, unique=True))]
+    others = draw(st.lists(entries(m).filter(lambda e: not e.is_infinite), max_size=2))
+    transform = None
+    if draw(st.booleans()):
+        transform = random_unimodular(random.Random(draw(st.integers(0, 10**6))), m, ops=4)
+        covers = [transform.apply(c) for c in covers]
+    return FamilySpec(m, (Static(member), *others), transform), covers
+
+
+@settings(max_examples=150, deadline=None)
+@given(members_split_among_covers())
+def test_a_member_split_among_the_covers_agrees_with_the_sweep(case):
+    spec, covers = case
+    member = spec.image(spec.entries[0].lattice)
+    assert not any(holds(cov, member) for cov in covers)
+    expected, at = reference_covering(spec, covers)
+    report = check_covering(spec, covers)
+    event(expected)
+    assert report.covered == (expected == "covered")
+    if not report.covered:
+        idx, label, point = report.witness
+        assert idx == at
+        member = spec.image(dict(spec.entries[idx].labelled_members())[label])
+        assert member.contains(point)
+        assert not any(cov.contains(point) for cov in covers)
+        return
+    # the covers lie in M, so the period does: M has n / index(M) cosets of it
+    n = intersect_all(covers).index
+    check = report.certificate.checks[0]
+    assert (check.entry_index, check.cover, check.modulus, check.reps_checked) == (0, None, n, n // member.index)
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -297,9 +297,9 @@ def test_member_containing_trace():
 
 def test_primes_candidates():
     p = Primes()
-    assert p.candidates(((12, 1),)) == [2, 3]
-    assert p.candidates(((12, 2),)) == [2]
-    assert odd_primes().candidates(((12, 1),)) == [3]
+    assert list(p.candidates(((12, 1),))) == [2, 3]
+    assert list(p.candidates(((12, 2),))) == [2]
+    assert list(odd_primes().candidates(((12, 1),))) == [3]
     assert 97 in p and 96 not in p
 
 
@@ -317,6 +317,23 @@ def test_explicit_validation():
     with pytest.raises(ValueError):
         Explicit((3, 3))
     assert Explicit((2, 6)).candidates(((12, 1),)) == [2, 6]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    param_seqs(),
+    st.lists(st.tuples(st.integers(-3000, 3000), st.integers(1, 3)), min_size=1, max_size=3),
+)
+def test_candidates_increase_and_the_least_parameter_is_the_first(params, constraints):
+    assume(any(v for v, _ in constraints))
+    top = max(abs(v) for v, _ in constraints)
+    brute = [t for t in range(1, top + 1) if t in params and all(v % t**e == 0 for v, e in constraints)]
+    listed = list(params.candidates(constraints))
+    assert listed == brute
+    assert all(a < b for a, b in zip(listed, listed[1:]))
+    template = Template(Lattice(((2,),)), (1,), params)
+    assert template._least_param(constraints) == (brute[0] if brute else None)
+    assert template._least_param([(0, e) for _, e in constraints]) == params.min_value()
 
 
 # ---------------------------------------------------------------------------

@@ -216,11 +216,7 @@ def test_ex1_and_ex2_far_windows_match_oracle(x, shift):
 def test_ex2_covered_needs_no_factoring(monkeypatch):
     # w = (y - x) / 2 = (2^89 - 1)(2^61 - 1) is too large for rho, yet some
     # prime divides it, so (1, y) lies in a member
-    def refuse(n):
-        raise AssertionError(f"factor({n}) called")
-
-    monkeypatch.setattr(numtheory, "factor", refuse)
-    monkeypatch.setattr(families, "factor", refuse)
+    refuse_factoring(monkeypatch)
     assert preset("ex2").covered((1, 1 + 2 * (2**89 - 1) * (2**61 - 1)))
     spec = FamilySpec(2, (RectTemplate((RectEntry(2, 1), RectEntry(1, 1)), Primes((2, 3))),))
     assert spec.covered((2 * 3**5 * (2**89 - 1), 2**20 * (2**61 - 1) * (2**89 - 1)))
@@ -231,8 +227,9 @@ def refuse_factoring(monkeypatch):
     def refuse(n):
         raise AssertionError(f"factor({n}) called")
 
-    monkeypatch.setattr(numtheory, "factor", refuse)
-    monkeypatch.setattr(families, "factor", refuse)
+    for module in (numtheory, families):
+        monkeypatch.setattr(module, "factor", refuse)
+        monkeypatch.setattr(module, "iter_factors", refuse)
 
 
 # a squarefree semiprime that rho cannot split within its budget
@@ -255,6 +252,19 @@ def test_ex1_semiprime_member_still_factors():
     # find: member_containing raises rather than answer without them
     with pytest.raises(FactorizationError):
         preset("ex1").member_containing((2 * SEMIPRIME, 1))
+
+
+def test_least_trial_prime_is_found_without_splitting_the_cofactor(monkeypatch):
+    # 1013 and 1009 are trial primes (below 2**10), and candidates are read
+    # from the trial primes up: the first is the answer, and the cofactor N,
+    # which rho cannot split within 10**4 steps, is never tested or split
+    def refuse(n):
+        raise AssertionError(f"rho called on {n}")
+
+    monkeypatch.setattr(numtheory, "_RHO_ITERATION_CAP", 10**4)
+    monkeypatch.setattr(numtheory, "_pollard_rho", refuse)
+    assert preset("squarefree-1d").member_containing((1013**2 * SEMIPRIME,)) == Lattice(((1013**2,),))
+    assert preset("squarefree-1d").member_containing((-(1009**2) * 1013**2 * SEMIPRIME,)) == Lattice(((1009**2,),))
 
 
 def test_member_containing_still_gives_the_least_parameter():

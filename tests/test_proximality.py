@@ -423,7 +423,8 @@ def _forbid_factoring(monkeypatch):
     def refuse(n):
         raise AssertionError(f"factor({n}) called")
 
-    for target in ("bfree.numtheory.factor", "bfree.families.factor"):
+    for target in ("bfree.numtheory.factor", "bfree.families.factor", "bfree.numtheory.iter_factors",
+                   "bfree.families.iter_factors"):
         monkeypatch.setattr(target, refuse)
 
 

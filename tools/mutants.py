@@ -186,6 +186,23 @@ MUTANTS = (
         "        for j in range(i):\n", "        for j in range(i - 1):\n",
         ("tests/test_lattices.py",),
     ),
+    # least parameters read lazily, and the member that only the union holds
+    Mutant(
+        "cofactor-primes-unsorted", NUMTHEORY,
+        "yield from sorted(out.items())", "yield from out.items()",
+        ("tests/test_numtheory.py",),
+    ),
+    Mutant(
+        "candidates-ignore-exclusions", FAMILIES,
+        "if p not in self.exclude and all(v % p**e", "if all(v % p**e",
+        ("tests/test_families.py",),
+    ),
+    Mutant(
+        "union-held-member-modulus-of-the-member", PROXIMALITY,
+        "checks.append(CoverCheck(idx, label, count, None, n))",
+        "checks.append(CoverCheck(idx, label, count, None, lat.index))",
+        ("tests/test_covering_bruteforce.py",),
+    ),
 )
 
 
