@@ -213,17 +213,17 @@ class Primes:
         iroot(max |v|, e); when R <= n, the run's length, the multiples of
         p**e are marked for every prime p <= R not excluded, and v = 0,
         which lies in every member, is marked too.  Otherwise the run is
-        sieved by the trial primes p <= B, B the power of two with B**(e+1)
-        above every |v| (capped at the trial limit; see
-        numtheory.trial_bound).  The values p divides are one class of
-        indices modulo p, from the inverse of k modulo p: k itself for k =
-        +-1, else one table per step (``_step_inverses``), whose build a
-        command pays once per (k, B), as caches start empty; when p | k
-        they are all the values or none.  p**e | v is a hit unless p is
-        excluded, and p is divided out of v.  A cofactor r <
-        B**(e+1) that is left has at most e prime factors, all above B, so a
-        member's e-th power divides it exactly when r = q**e with q not
-        excluded.  Only a cofactor of at least B**(e+1) is factored.
+        sieved by the trial primes p <= B, B the least value of at most four
+        significant bits with B**(e+1) above every |v| (capped at the trial
+        limit; see numtheory.trial_bound).  The values p divides are one
+        class of indices modulo p, from the inverse of k modulo p: k itself
+        for k = +-1, else one table per step (``_step_inverses``), whose
+        build a command pays once per (k, B), as caches start empty; when
+        p | k they are all the values or none.  p**e | v is a hit unless p
+        is excluded, and p is divided out of v.  A cofactor r < B**(e+1)
+        that is left has at most e prime factors, all above B, so a member's
+        e-th power divides it exactly when r = q**e with q not excluded.
+        Only a cofactor of at least B**(e+1) is factored.
         """
         n = len(run)
         if e == 1:

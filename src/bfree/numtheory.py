@@ -3,15 +3,16 @@
 Everything in this module is exact integer arithmetic; no floats anywhere.
 
 Factorization first finds the small primes of n by trial division.  The
-trial table is sized to the input by trial_bound: it holds the primes up to
-the next power of two above isqrt(n), capped at _FACTOR_TRIAL_LIMIT (2**10),
-so factor() never divides by more than 172 primes.  Trial division stops at
-the first prime p with p**2 above what is left.  A cofactor that remains is
-tested by Miller-Rabin and split by Pollard rho, whose restarts share one
-budget of _RHO_ITERATION_CAP steps; a prime factor p above the trial limit
-costs rho about sqrt(p) steps.  So factor() either returns a correct answer
-or raises, never guesses.  The larger tables, up to _TRIAL_LIMIT (10**5),
-belong only to the line sieve (families.Primes.power_hits).
+trial table is sized to the input: it holds the primes up to the next power
+of two above isqrt(n), capped at _FACTOR_TRIAL_LIMIT (2**10), so factor()
+never divides by more than 172 primes.  Trial division stops at the first
+prime p with p**2 above what is left.  A cofactor that remains is tested by
+Miller-Rabin and split by Pollard rho, whose restarts share one budget of
+_RHO_ITERATION_CAP steps; a prime factor p above the trial limit costs rho
+about sqrt(p) steps.  So factor() either returns a correct answer or raises,
+never guesses.  The line sieve (families.Primes.power_hits) sizes its own
+tables by trial_bound, to values of at most four significant bits, up to
+_TRIAL_LIMIT (10**5).
 
 One routine, iter_factors, yields the primes in increasing order as it
 finds them; factor() reads it whole, and a reader that stops at a trial
@@ -92,12 +93,14 @@ def primes_up_to(n: int) -> tuple[int, ...]:
 
 
 def trial_bound(n: int, k: int) -> int:
-    """Size of the trial-prime table for n: the least power of two B with
-    B**k > n, capped at _TRIAL_LIMIT.  factor() uses k = 2 under its own
-    cap of _FACTOR_TRIAL_LIMIT (2**10); the line sieve, which looks for
-    k-1'st powers, uses k.  Both read the same tables only up to that cap:
-    past it the sieve's tables, up to _TRIAL_LIMIT, are its own."""
-    return min(_TRIAL_LIMIT, 1 << iroot(n, k).bit_length())
+    """Size of the line sieve's trial-prime table for values up to n, which
+    looks for k-1'st powers: the least B of at most four significant bits
+    (m * 2**j with m < 16) with B**k > n, capped at _TRIAL_LIMIT.  Any B
+    with B**k > n would do; the rounding leaves at most 8 sizes per octave,
+    so rows whose values cross many k-th powers share a few tables."""
+    b = iroot(n, k) + 1
+    shift = max(b.bit_length() - 4, 0)
+    return min(_TRIAL_LIMIT, -(-b >> shift) << shift)
 
 
 def _pollard_rho(n: int) -> int:
@@ -127,7 +130,7 @@ def iter_factors(n: int):
     which all lie above the trial primes."""
     if n < 1:
         raise ValueError("factor() expects a positive integer")
-    limit = min(trial_bound(n, 2), _FACTOR_TRIAL_LIMIT)
+    limit = min(1 << math.isqrt(n).bit_length(), _FACTOR_TRIAL_LIMIT)
     for p in primes_up_to(limit):
         if p * p > n:
             break

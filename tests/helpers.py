@@ -7,6 +7,11 @@ from hypothesis import strategies as st
 from bfree.families import Explicit, Geometric, Primes, RectEntry, RectTemplate, Rectangular, Static, Template
 from bfree.lattices import Lattice, UnimodularMap
 
+# every value of at most four significant bits (m * 2^j with m < 16), in
+# increasing order, up to 15 * 2^17, past the line sieve's trial cap of 10^5:
+# the sizes its trial-prime tables may take
+FOUR_BIT = sorted({m << j for m in range(1, 16) for j in range(18)})
+
 
 def random_unimodular(rng, m: int, ops: int = 8) -> UnimodularMap:
     """Random unimodular matrix built from elementary column operations;

@@ -36,7 +36,7 @@ from bfree.families import (
 from bfree.lattices import Lattice
 from bfree.windows import Box, covered_flags
 
-from helpers import canonical_lattices, random_unimodular, scaled_row
+from helpers import FOUR_BIT, canonical_lattices, random_unimodular, scaled_row
 
 # exclusions include primes above every trial table
 EXCLUSIONS = st.lists(st.sampled_from((2, 3, 5, 7, 100003, 1000003)), unique=True, max_size=2)
@@ -167,17 +167,22 @@ def _edge_spec(e, c, exclude=()):
 @given(
     e=st.integers(2, 3),
     c=st.integers(1, 3),
-    k=st.integers(6, 16),
+    i=st.integers(FOUR_BIT.index(64), FOUR_BIT.index(max(b for b in FOUR_BIT if b <= numtheory._TRIAL_LIMIT))),
     data=st.data(),
     excluded=st.booleans(),
 )
-def test_cofactor_at_the_trial_bound_edge(e, c, k, data, excluded):
-    # v = q^e * s with q the first prime above the line's trial bound
-    # B = 2^k: sieving leaves the cofactor q^e, which is decided by size
-    q = sympy.nextprime(2**k)
-    s = data.draw(st.integers(2 ** (k - 1), 2**k))
+def test_cofactor_at_the_trial_bound_edge(e, c, i, data, excluded):
+    # v = q^e * s with q the first prime above the line's trial bound B, a
+    # four-bit value, and s drawn so that B is the least four-bit value with
+    # B^(e+1) > v + 20: sieving leaves the cofactor q^e, decided by size
+    below, bound = FOUR_BIT[i - 1], FOUR_BIT[i]
+    q = sympy.nextprime(bound)
+    lo = max(2, -(-(below ** (e + 1) - 20) // q**e))
+    hi = min(q - 1, (bound ** (e + 1) - 21) // q**e)
+    s = data.draw(st.integers(lo, hi))
     v = q**e * s
-    assume(numtheory.trial_bound(v + 20, e + 1) == 2**k)
+    assert below ** (e + 1) <= v + 20 < bound ** (e + 1)
+    assert numtheory.trial_bound(v + 20, e + 1) == bound
     spec = _edge_spec(e, c, (q,) if excluded else ())
     box = Box((c * (v - 20),), (c * (v + 20),))
     flags = covered_flags(spec, box)
@@ -191,6 +196,8 @@ def test_cofactor_at_the_trial_bound_edge(e, c, k, data, excluded):
     [
         # cofactors at or above B^3 = 10^15 for e = 2 go to factor
         (sympy.nextprime(4 * 10**7) ** 2, True),
+        # 100003^2 * 100019 is just above B^3: only factoring finds 100003^2
+        (100003**2 * 100019, True),
         (sympy.nextprime(4 * 10**7) * sympy.nextprime(5 * 10**7), False),
         (sympy.nextprime(10**15), False),
     ],
@@ -387,6 +394,39 @@ def test_power_hits_of_geometric_and_explicit_sequences(params, e, v0, k, n):
         members = {params.min_value(), *params.values_up_to(top)}  # the least one divides 0
         expected = (any(v % t**e == 0 for t in members) for v in run)
     assert hits == bytearray(map(int, expected))
+
+
+@st.composite
+def far_runs(draw):
+    """(e, run): runs v0, v0 + k, ..., of at most 40 values, with steps +-1
+    and 2 <= |k| <= 30, far out: |v0| in [10^9, 10^15], or the largest |v|
+    next to B^(e+1) for a four-bit B, where the sieve's trial bound steps."""
+    e = draw(st.integers(2, 3))
+    k = draw(st.sampled_from((1, 1, 2)))
+    if k == 2:
+        k = draw(st.integers(2, 30))
+    k *= draw(st.sampled_from((-1, 1)))
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        v0 = draw(st.integers(10**9, 10**15))
+    else:
+        steps = [b ** (e + 1) for b in FOUR_BIT if 10**9 + 40 * 30 <= b ** (e + 1) <= 10**15]
+        top = draw(st.sampled_from(steps)) + draw(st.integers(-2, 1))
+        v0 = top if k < 0 else top - (n - 1) * k
+    if draw(st.booleans()):  # the same run of negative values
+        v0, k = -v0, -k
+    return e, range(v0, v0 + n * k, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=far_runs(), exclude=EXCLUSIONS.map(sorted).map(tuple))
+# 10007^2 * 10010 second in a descending run: its index, from the inverse
+# of the step -1, differs from that of the step 1
+@example(case=(2, range(10007**2 * 10010 + 1, 10007**2 * 10010 - 1, -1)), exclude=())
+def test_far_prime_power_hits_match_factorint(case, exclude):
+    e, run = case
+    expected = (any(c >= e and p not in exclude for p, c in sympy.factorint(abs(v)).items()) for v in run)
+    assert Primes(exclude).power_hits(run, e) == bytearray(map(int, expected))
 
 
 @settings(max_examples=100, deadline=None)

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from bfree import families, numtheory
 from bfree.errors import FactorizationError
-from bfree.numtheory import factor, is_prime, primes_up_to, valuation
+from bfree.numtheory import factor, is_prime, primes_up_to, trial_bound, valuation
+
+from helpers import FOUR_BIT
 
 TRIAL_PRIMES = list(sympy.primerange(2, numtheory._TRIAL_LIMIT + 1))
 # primes on both sides of every power of two the trial tables are sized by,
@@ -169,6 +171,21 @@ def test_trial_tables_are_sized_to_the_input(monkeypatch):
     families.Primes().power_hits(range(10**15 - 20, 10**15 + 20), 2)
     assert power_sieves == [numtheory._TRIAL_LIMIT]
     assert primes_up_to.cache_info().misses == 11
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(2, 4), data=st.data())
+def test_sieve_bound_is_the_least_four_bit_value_above_the_root(k, data):
+    # tops anywhere, and next to b^k for a four-bit b, where the bound steps
+    top = data.draw(
+        st.one_of(
+            st.integers(0, 10**6),
+            st.integers(0, 10**22),
+            st.sampled_from(FOUR_BIT).flatmap(lambda b: st.integers(b**k - 1, b**k + 1)),
+        )
+    )
+    least = next((b for b in FOUR_BIT if b**k > top), numtheory._TRIAL_LIMIT)
+    assert trial_bound(top, k) == min(least, numtheory._TRIAL_LIMIT)
 
 
 @settings(max_examples=300, deadline=None)

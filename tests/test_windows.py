@@ -13,7 +13,7 @@ import sympy
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from bfree import families, lattices, windows
+from bfree import families, lattices, numtheory, windows
 from bfree.errors import (
     NotAZeroWindowError,
     NotCoprimeError,
@@ -574,12 +574,22 @@ def test_row_walk_inverts_the_step_once_per_entry(monkeypatch):
             inverses.append(mod)
         return pow(base, exp, mod)
 
+    runs = []
+    sieve = families.Primes.power_hits
+
+    def recording(self, run, e):
+        runs.append(run)
+        return sieve(self, run, e)
+
     families._step_inverses.cache_clear()
     monkeypatch.setattr(families, "pow", counting_pow, raising=False)
+    monkeypatch.setattr(families.Primes, "power_hits", recording)
     assert covered_flags(spec, box) == expected
-    primes = [p for p in families.primes_up_to(max(inverses)) if 20 % p]
+    # every row's run takes the same trial bound, by the sieve's rule
+    bounds = {numtheory.trial_bound(max(abs(run[0]), abs(run[-1])), 3) for run in runs}
+    assert len(runs) == 31 and len(bounds) == 1
+    primes = [p for p in families.primes_up_to(bounds.pop()) if 20 % p]
     assert sorted(inverses) == primes  # one table, no inverse per row
-    assert len(primes) > 500
 
 
 def test_factoring_last_row_template_skips_rows_covered_by_lines(monkeypatch):

@@ -203,6 +203,17 @@ MUTANTS = (
         "checks.append(CoverCheck(idx, label, count, None, lat.index))",
         ("tests/test_covering_bruteforce.py",),
     ),
+    # the line sieve's trial bound, and the cofactors it leaves to factor
+    Mutant(
+        "cofactor-threshold-one-power-high", FAMILIES,
+        "top = bound ** (e + 1)", "top = bound ** (e + 2)",
+        ("tests/test_far_windows.py",),
+    ),
+    Mutant(
+        "sieve-bound-at-the-root", NUMTHEORY,
+        "b = iroot(n, k) + 1", "b = iroot(n, k)",
+        ("tests/test_numtheory.py",),
+    ),
 )
 
 
