@@ -566,10 +566,6 @@ class Template:
     def is_infinite(self) -> bool:
         return self.params.is_infinite
 
-    @property
-    def factors(self) -> bool:
-        return self.params.factors
-
     def labelled_members(self):
         """(label, member) for every member of a finite entry, by
         increasing parameter."""
@@ -763,7 +759,7 @@ class Template:
             s = -res[-1]
             if not head:
                 pieces.append((s, d, partial(power_hits, e=e)))
-            elif not self.factors:
+            elif not self.params.factors:
                 pieces += [(s, d * t**e, None) for t in self.params.candidates(head)]
             else:
                 pieces.append((s, d, partial(self._hits, head, e)))

@@ -225,11 +225,14 @@ def covered_flags(spec: FamilySpec, box: Box) -> bytearray:
     progression (see _mark_last_row).  Any other template is evaluated in
     its own coordinates q, x = A q (A the transform, else the identity),
     once per line of q that meets the box, each line one slice of the
-    flags, chunk by chunk (see _box_lines and _mark_lines).  Every template
-    whose sequence never factors goes before any that may, which skip the
-    rows and lines already flagged entirely (as in ex1): last-row templates
-    that never factor, then the templates on lines, then last-row templates
-    that may factor.  A box without templates on lines builds no lines.
+    flags, chunk by chunk (see _box_lines and _mark_lines).  One skip rule:
+    every template skips the rows and lines already flagged entirely (as in
+    ex1, whose lattices cover every line with odd x_0).  The marking order
+    (single lattices; last-row templates that never factor; templates on
+    lines, those that never factor first; last-row templates that may
+    factor) keeps a template that may factor, or raise FactorizationError,
+    off the rows and lines a cheaper entry covers.  A box without templates
+    on lines builds no lines.
     """
     _check_dim(spec, box.dim)
     flags = bytearray(box.volume)
@@ -241,13 +244,13 @@ def covered_flags(spec: FamilySpec, box: Box) -> bytearray:
         else:
             templates.append(entry)
     rows_first, on_lines, rows_last = [], [], []
-    for entry in sorted(templates, key=lambda e: e.factors):
+    for entry in sorted(templates, key=lambda e: e.params.factors):
         # a run of power_hits that repeats on consecutive rows or lines is sieved once per box
         power_hits = lru_cache(maxsize=1)(entry.params.power_hits)
         if any(entry.exps[:-1]):
             on_lines.append((entry, power_hits))
         else:
-            (rows_last if entry.factors else rows_first).append((entry, power_hits))
+            (rows_last if entry.params.factors else rows_first).append((entry, power_hits))
     for entry, power_hits in rows_first:
         _mark_last_row(flags, spec, entry, box, power_hits, ones)
     if on_lines:
@@ -329,15 +332,15 @@ def _mark_last_row(flags: bytearray, spec: FamilySpec, entry, box: Box, power_hi
     _last_coefficients), so along a row met it runs over a progression
     c0, c0 + k, ..., one step k per entry, and the row takes one
     power_hits call, merged by _or_run.  With k = 0 the whole row shares
-    one value.  An entry that may factor skips the rows flagged entirely.
+    one value.  A row flagged entirely is skipped (see covered_flags).
     """
     lattice = spec.image(entry.base)
     form = _last_coefficients(spec, entry.base, lattice)
-    d, k, e, check = lattice.basis[-1][-1], form[-1], entry.exps[-1], entry.factors
+    d, k, e = lattice.basis[-1][-1], form[-1], entry.exps[-1]
 
     def mark(begin, n, c):
         run = slice(begin, begin + n * d, d)
-        if check and 0 not in flags[run]:
+        if 0 not in flags[run]:
             return
         if not k:
             if power_hits(range(c, c + 1), e)[0]:
@@ -424,19 +427,17 @@ def _dot(u, cols):
 
 
 def _mark_lines(flags: bytearray, lines: dict, entry, power_hits, ones):
-    """Set the flags of the entry's members, one line at a time; an entry
-    that may factor skips lines flagged entirely.  Each (s, d, hits) of
+    """Set the flags of the entry's members, one line at a time, skipping
+    the lines flagged entirely (see covered_flags).  Each (s, d, hits) of
     entry.line_pieces(prefix, power_hits) sets, with one slice assignment,
     the flags of the line's cells k = s (mod d), or given hits(run) only
     those of the n cells, at k = s + v * d for v in run = range(v0, v0 + n),
     that it flags (merged by _or_run), such as power_hits (the sequence's,
     cached) for t**e | (k - s) / d.  ones holds a line's 1s."""
-    check = entry.factors
     for prefix, (start, sigma, klo, khi) in lines.items():
-        if check:
-            stop = start + (khi - klo + 1) * sigma
-            if 0 not in flags[start : stop if stop >= 0 else None : sigma]:
-                continue
+        stop = start + (khi - klo + 1) * sigma
+        if 0 not in flags[start : stop if stop >= 0 else None : sigma]:
+            continue
         for s, d, hits in entry.line_pieces(prefix, power_hits):
             first = klo + (s - klo) % d
             n = (khi - first) // d + 1

@@ -2,12 +2,15 @@
 (for ``@reproduce_failure``) and runs three times the examples: 300 where
 a test sets no count, else three times its own.  ``--hypothesis-profile=ci``
 selects it, as the CI workflow does; without that flag the default profile
-runs, unchanged."""
+runs, unchanged.  ``mutants`` (selected by tools/mutants.py) neither shrinks
+a failure nor keeps an example database, so a test ends at its first
+failing example and runs the same in a fresh copy of the tree."""
 
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 CI_EXAMPLES_FACTOR = 3
 settings.register_profile("ci", max_examples=100 * CI_EXAMPLES_FACTOR, print_blob=True)
+settings.register_profile("mutants", phases=[p for p in Phase if p not in (Phase.shrink, Phase.explain)], database=None)
 
 
 def pytest_collection_modifyitems(items):

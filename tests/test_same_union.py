@@ -15,6 +15,9 @@ below builds such a pair from random entries:
 * ``redundant``: a duplicate entry, or a static sublattice of a member;
 * ``explicit``: a template over explicit values against its members as
   static entries.
+
+The entries come from ``helpers.entries`` and, in a test of their own, from
+the entries of ``helpers.hard_families`` (without their transform).
 """
 
 import dataclasses
@@ -28,7 +31,7 @@ from bfree.families import Explicit, FamilySpec, Geometric, Primes, Static, Temp
 from bfree.lattices import intersect_all
 from bfree.proximality import INCONCLUSIVE, NOT_PROXIMAL, SearchBudget, check_covering, decide
 from bfree.windows import Box, free_window
-from helpers import canonical_lattices, entries, random_unimodular
+from helpers import canonical_lattices, entries, hard_families, random_unimodular
 
 # exact verdicts only: no zero-window evidence is searched
 BUDGET = SearchBudget(max_side=0)
@@ -56,11 +59,16 @@ def _peeled(entry, i):
 
 
 @st.composite
-def same_union_pairs(draw, relation):
+def same_union_pairs(draw, relation, hard=False):
     """(first, second, A) with second's union the image of first's under A
-    (A None for the identity)."""
-    m = draw(st.integers(1, 3))
-    es = draw(st.lists(entries(m), min_size=1, max_size=3))
+    (A None for the identity); with hard, first holds the entries of a hard
+    family."""
+    if hard:
+        m = draw(st.integers(2, 3))
+        es = list(draw(hard_families(m)).entries)
+    else:
+        m = draw(st.integers(1, 3))
+        es = draw(st.lists(entries(m), min_size=1, max_size=3))
     first = FamilySpec(m, tuple(es))
     if relation == "order":
         return first, FamilySpec(m, tuple(draw(st.permutations(es)))), None
@@ -100,16 +108,29 @@ def _agree_on_windows(first, second, transform):
         assert two.get(p) == first.eta(inverse.apply_point(p))
 
 
-@pytest.mark.parametrize("relation", ["order", "transform", "peel", "redundant", "explicit"])
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_same_union_same_windows_and_no_exact_verdicts_disagree(relation, data):
-    first, second, transform = data.draw(same_union_pairs(relation))
+def _no_exact_verdicts_disagree(first, second, transform, relation):
     _agree_on_windows(first, second, transform)
     statuses = {decide(first, BUDGET).status, decide(second, BUDGET).status}
     if relation == "transform":  # Inconclusive included
         assert len(statuses) == 1, (first, second)
     assert len(statuses - {INCONCLUSIVE}) <= 1, (first, second)
+
+
+RELATIONS = ["order", "transform", "peel", "redundant", "explicit"]
+
+
+@pytest.mark.parametrize("relation", RELATIONS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_same_union_same_windows_and_no_exact_verdicts_disagree(relation, data):
+    _no_exact_verdicts_disagree(*data.draw(same_union_pairs(relation)), relation)
+
+
+@pytest.mark.parametrize("relation", RELATIONS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_same_union_on_hard_families(relation, data):
+    _no_exact_verdicts_disagree(*data.draw(same_union_pairs(relation, hard=True)), relation)
 
 
 def test_a_coordinate_change_keeps_the_status_past_the_missed_coset_scan():

@@ -618,6 +618,41 @@ def test_factoring_last_row_template_skips_rows_covered_by_lines(monkeypatch):
     assert rows == list(range(lo + 1, lo + 20, 2))
 
 
+def test_templates_that_never_factor_skip_lines_already_covered(monkeypatch):
+    # ex1's two single lattices cover every line with odd x_0 before any
+    # template is asked; its geometric template never factors, yet it asks
+    # line_pieces only on lines with even x_0, as the odd-prime one does
+    spec, box = preset("ex1"), Box((-15, -15), (15, 15))
+    expected = bytearray(map(spec.covered, box.points()))
+    asked = []
+    pieces = families.Template.line_pieces
+
+    def recording(self, prefix, power_hits):
+        asked.append(prefix)
+        return pieces(self, prefix, power_hits)
+
+    monkeypatch.setattr(families.Template, "line_pieces", recording)
+    assert covered_flags(spec, box) == expected
+    assert asked and all(x0 % 2 == 0 for (x0,) in asked)
+
+
+def test_last_row_templates_that_never_factor_skip_rows_already_covered(monkeypatch):
+    # rect [2,1] covers the rows of even x_0, so the geometric last-row
+    # template ORs its hits into the odd rows only
+    spec, box = parse_family("dim 2\nrect [2,1]\nrecttemplate [1,t] params=geometric:3\n"), Box((-6, -9), (7, 9))
+    expected = bytearray(map(spec.covered, box.points()))
+    merged = []
+    or_run = windows._or_run
+
+    def recording(flags, run, hits):
+        merged.append(run.start // box.strides[0] + box.lo[0])
+        return or_run(flags, run, hits)
+
+    monkeypatch.setattr(windows, "_or_run", recording)
+    assert covered_flags(spec, box) == expected
+    assert merged == [x0 for x0 in range(-6, 8) if x0 % 2]
+
+
 def test_one_cell_high_box_marks_rows_without_lines(monkeypatch):
     # each row of this box is one cell: the lattices mark the rows they
     # meet, and no line table is built

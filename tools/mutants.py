@@ -8,18 +8,20 @@ the test files that should kill it.  The tree (``src/``, ``tests/``,
 ``perfbench/``, whose job pool some tests read, and ``pyproject.toml``) is
 copied to a temporary directory once; each mutant is applied there to its
 file alone, its test files run with ``pytest -x -q`` against the copy's
-``src/``, and the file is restored before the next.  The working tree is
-never edited.
+``src/`` under the ``mutants`` Hypothesis profile (tests/conftest.py: no
+shrinking and no example database, so a property ends at its first
+failing example), and the file is restored before the next.  The working
+tree is never edited.
 
 A mutant is killed when a test fails (pytest exit 1), and survives when
 its tests pass.  Its tests are stopped after TIMEOUT_S seconds, and it is
 then reported as "timeout" and counted as killed: a mutant can send code
 into a loop that never ends (with ``unit-step-minus-one-read-as-one`` a
-value divided down to 0 is divided again forever, on some hypothesis
-draws), and without the bound one such draw stalls the whole list.  Exit
-status: 0 when every mutant run was killed, 1 when one survived, 2 when a
-mutant is stale: its text no longer occurs exactly once, or pytest could
-not collect or run its tests.  Standard library only.
+value divided down to 0 is divided again forever, on draws that shrinking
+a failure used to reach), and without the bound one such draw stalls the
+whole list.  Exit status: 0 when every mutant run was killed, 1 when one
+survived, 2 when a mutant is stale: its text no longer occurs exactly
+once, or pytest could not collect or run its tests.  Standard library only.
 """
 
 import argparse
@@ -117,7 +119,12 @@ MUTANTS = (
     ),
     Mutant(
         "row-skip-test-inverted", WINDOWS,
-        "if check and 0 not in flags[run]:", "if check and 0 in flags[run]:",
+        "if 0 not in flags[run]:", "if 0 in flags[run]:",
+        ("tests/test_windows.py",),
+    ),
+    Mutant(
+        "line-skip-test-inverted", WINDOWS,
+        "if 0 not in flags[start :", "if 0 in flags[start :",
         ("tests/test_windows.py",),
     ),
     # zero-window evidence by one sieve per slab, and the d' scan by rows
@@ -234,7 +241,10 @@ def run_mutant(mutant: Mutant, tree: Path, timeout: float = TIMEOUT_S) -> tuple[
         return "stale", 0.0
     path.write_text(original.replace(mutant.old, mutant.new))
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests]
+    command = [
+        sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-profile=mutants",
+        *mutant.tests,
+    ]
     t0 = time.perf_counter()
     try:
         rc = subprocess.run(

@@ -1,0 +1,182 @@
+"""Count the bytecode instructions bfree executes on the benchmark pool jobs.
+
+    python3 tools/opcount.py SRC                        # every workload, per slot
+    python3 tools/opcount.py OLD_SRC NEW_SRC            # the same, with new/old ratios
+    python3 tools/opcount.py OLD_SRC NEW_SRC --workload eta-near --slot eta-ex1 --functions 10
+
+SRC, OLD_SRC and NEW_SRC are the ``src/`` directories of checkouts.  Each
+tree runs every job of ``perfbench/jobs.py``'s pools (those of this
+checkout, so every tree sees the same jobs) once, in its own fresh
+``python -B`` process with ``PYTHONHASHSEED=0``, which imports bfree from
+that directory and nothing else.  Jobs are sent as tools/same_outputs.py
+sends them: ``perfbench/run.py``'s ``Runner`` gives each its argv and
+files (``materialize``), and bfree's caches are cleared before each
+command (``caches``), then ``bfree.cli.main`` runs in-process.  While a
+command runs, ``sys.settrace`` with ``frame.f_trace_opcodes`` counts one
+event per bytecode instruction executed in a frame whose code lies under
+the tree's ``src/``.  Counts are reported per workload and pool slot, for
+two trees with the ratio new/old, and with ``--functions N`` the N
+functions (``co_qualname``; ``co_name`` before Python 3.11) with the most
+instructions in each workload.
+
+What a count cannot see:
+
+* a call into C is one instruction, however long it runs: big-integer
+  arithmetic, ``bytearray`` slices, ``sorted``, the tuple build of
+  ``primes_up_to``.  A change that moves a Python loop into C reads as a
+  larger gain than it is;
+* counts compare only between runs on one Python version, whose compiler
+  and specialising interpreter fix what one instruction is;
+* time.  Wall-clock pairs (``perfbench/run.py``) stay the judge of speed;
+  a count says how much work the Python code did, and it does not move
+  with the host.
+
+Exit status: 0, or 2 when a tree cannot be run or no job matches the
+filters.  Standard library only; writes nothing but a temporary directory
+per tree (bytecode is not written either).
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+
+def _code_name(code) -> str:
+    return f"{Path(code.co_filename).name}:{getattr(code, 'co_qualname', code.co_name)}"
+
+
+def count_jobs(src: Path, workloads, slots, functions: bool) -> dict:
+    """{workload: {"slots": {slot: count}, "functions": {name: count}}} over
+    the chosen jobs, run against the bfree under src ("functions" empty
+    unless asked for).  Runs in a fresh process, started as a script, so
+    its sibling same_outputs.py is on the path."""
+    from same_outputs import import_tree, run_command
+
+    jobs, run = import_tree(src)
+    prefix = str(src) + os.sep
+    by_code = Counter()
+
+    def local(frame, event, arg):
+        if event == "opcode":
+            by_code[frame.f_code] += 1
+        return local
+
+    def calls(frame, event, arg):
+        if not frame.f_code.co_filename.startswith(prefix):
+            return None
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        return local
+
+    out = {}
+    with tempfile.TemporaryDirectory(prefix="bfree-opcount-") as tmp:
+        runner = run.Runner(Path(tmp))
+        for workload in workloads:
+            per_slot, per_function = {}, Counter()
+            for slot, (_, variants) in jobs.pool(workload).items():
+                if slots and slot not in slots:
+                    continue
+                by_code.clear()
+                for job in variants:
+                    sys.settrace(calls)
+                    try:
+                        run_command(runner, job)  # a raising command is counted as far as it ran
+                    finally:
+                        sys.settrace(None)
+                per_slot[slot] = sum(by_code.values())
+                if functions:
+                    for code, n in by_code.items():
+                        per_function[_code_name(code)] += n
+            if per_slot:
+                out[workload] = {"slots": per_slot, "functions": dict(per_function)}
+    return out
+
+
+def run_trees(srcs, workloads=(), slots=(), functions: bool = False) -> list[dict]:
+    """count_jobs for each src directory, each in its own fresh process
+    (run side by side: the counts do not depend on time)."""
+    filters = [f"--workload={w}" for w in workloads] + [f"--slot={s}" for s in slots]
+    filters += ["--functions=1"] if functions else []
+    env = {**os.environ, "PYTHONHASHSEED": "0"}
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-B", __file__, "--worker", str(Path(src).resolve()), *filters],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        for src in srcs
+    ]
+    results = []
+    for src, proc in zip(srcs, procs):
+        stdout, stderr = proc.communicate()
+        if proc.returncode != 0:
+            raise RuntimeError(f"the tree at {src} could not be run:\n{stderr}")
+        results.append(json.loads(stdout))
+    return results
+
+
+def _ratio(old: int, new: int) -> str:
+    return f"{new / old:.4f}" if old else "-"
+
+
+def format_counts(results: list[dict], functions: int = 0) -> list[str]:
+    """Table lines: per workload its slots and total, with the ratio
+    new/old when there are two trees, then its top functions."""
+    lines = []
+    for workload, first in results[0].items():
+        lines.append(workload)
+        for slot in [*first["slots"], "total"]:
+            counts = [
+                sum(r[workload]["slots"].values()) if slot == "total" else r[workload]["slots"][slot]
+                for r in results
+            ]
+            row = f"  {slot:28s}" + "".join(f"{n:>14,d}" for n in counts)
+            lines.append(row + (f"  {_ratio(*counts)}" if len(counts) == 2 else ""))
+        if functions:
+            names = set().union(*(r[workload]["functions"] for r in results))
+            top = sorted(names, key=lambda f: -max(r[workload]["functions"].get(f, 0) for r in results))
+            for name in top[:functions]:
+                counts = [r[workload]["functions"].get(name, 0) for r in results]
+                row = f"    {name:56s}" + "".join(f"{n:>14,d}" for n in counts)
+                lines.append(row + (f"  {_ratio(*counts)}" if len(counts) == 2 else ""))
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("trees", type=Path, nargs="+", help="src/ directory of one tree, or of an old and a new tree")
+    parser.add_argument("--workload", action="append", default=[], help="only this workload (repeatable)")
+    parser.add_argument("--slot", action="append", default=[], help="only this pool slot (repeatable)")
+    parser.add_argument("--functions", type=int, default=0, metavar="N", help="list the N costliest functions")
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(PERFBENCH))
+    import jobs
+
+    workloads = args.workload or list(jobs.WORKLOADS)
+    if args.worker:
+        json.dump(count_jobs(args.trees[0], workloads, set(args.slot), args.functions > 0), sys.stdout)
+        return 0
+    if len(args.trees) > 2:
+        parser.error("give the src/ directories of one or two trees")
+    try:
+        results = run_trees(args.trees, workloads, args.slot, args.functions > 0)
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if not results[0]:
+        print("error: no job matches the filters", file=sys.stderr)
+        return 2
+    print("\n".join(format_counts(results, args.functions)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

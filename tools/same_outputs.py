@@ -39,9 +39,9 @@ def _digest(data) -> str | None:
     return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
 
 
-def run_jobs(src: Path, workloads, slots) -> dict[str, dict[str, str | None]]:
-    """"<workload>:<job key>" -> {part: digest} for the chosen jobs, run
-    against the bfree under src.  Runs in a fresh process."""
+def import_tree(src: Path):
+    """perfbench's jobs and run modules, with bfree imported from src (or
+    exit): for a fresh process."""
     sys.path[:0] = [str(src), str(PERFBENCH)]
     import bfree.cli
 
@@ -50,6 +50,31 @@ def run_jobs(src: Path, workloads, slots) -> dict[str, dict[str, str | None]]:
     import jobs
     import run
 
+    return jobs, run
+
+
+def run_command(runner, job):
+    """(exit code, or the exception the command raised; stdout; stderr;
+    artifact path) of one job, sent with the Runner's argv and caches.
+    Runner.execute keeps no stderr, so the command is sent here."""
+    argv, out_path = runner.materialize(job)
+    for cache in runner.caches:
+        cache.cache_clear()
+    stdout, stderr = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = runner.cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    except Exception as exc:  # a raising command is an output too
+        code = f"{type(exc).__name__}: {exc}"
+    return code, stdout.getvalue(), stderr.getvalue(), out_path
+
+
+def run_jobs(src: Path, workloads, slots) -> dict[str, dict[str, str | None]]:
+    """"<workload>:<job key>" -> {part: digest} for the chosen jobs, run
+    against the bfree under src.  Runs in a fresh process."""
+    jobs, run = import_tree(src)
     out = {}
     with tempfile.TemporaryDirectory(prefix="bfree-same-") as tmp:
         runner = run.Runner(Path(tmp))
@@ -63,21 +88,9 @@ def run_jobs(src: Path, workloads, slots) -> dict[str, dict[str, str | None]]:
 
 
 def _outputs(runner, job, tmp: str) -> dict[str, str | None]:
-    # Runner.execute keeps no stderr, so the command is sent here, with the
-    # Runner's argv and caches
-    argv, out_path = runner.materialize(job)
-    for cache in runner.caches:
-        cache.cache_clear()
-    stdout, stderr = io.StringIO(), io.StringIO()
-    try:
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = runner.cli.main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    except Exception as exc:  # a raising command is an output too
-        code = f"{type(exc).__name__}: {exc}"
+    code, stdout, stderr, out_path = run_command(runner, job)
     artifact = out_path.read_bytes() if out_path.is_file() else None
-    texts = {"exit": repr(code), "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+    texts = {"exit": repr(code), "stdout": stdout, "stderr": stderr}
     digests = {part: _digest(text.replace(tmp, "<tmp>")) for part, text in texts.items()}
     digests["artifact"] = _digest(artifact)
     return digests
