@@ -461,7 +461,8 @@ def main(argv=None) -> int:
         _discard_stdout()
         return EXIT_BROKEN_PIPE
     except TooLargeError as exc:
-        print(f"limit breached: {exc}", file=sys.stderr)
+        breach = f"check: {exc.check}; limit: {exc.limit_name} = {exc.limit}; count: {exc.count}"
+        print(f"limit breached: {exc} ({breach})", file=sys.stderr)
         return EXIT_LIMIT
     except (argparse.ArgumentError, BadInputError, FamilyParseError, FileNotFoundError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)

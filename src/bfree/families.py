@@ -9,12 +9,12 @@ A family is a list of entries, each one of:
   powers on a diagonal base (``RectTemplate`` builds one from slots
   c * t**e), t on one row of any other base.
 
-Every entry kind answers the same questions: membership, its members by
-increasing index (``iter_instances``, built as they are read), ``span()``,
-a finite entry's ``labelled_members()`` and ``schema()``, and names its
-span in labels by ``span_word``, so the verdict engine never dispatches on
-the kind.  ``span()`` is the lattice generated by all the members, in
-closed form: a lattice holds every member exactly when it holds the span,
+Every entry kind answers the same questions, each by one method:
+membership, its members by increasing index (``iter_instances``, built as
+they are read), ``span``, a finite entry's ``labelled_members()`` and
+``schema()``, and names its span in labels by ``span_word``, so the verdict
+engine never dispatches on the kind.  ``span`` is the lattice generated by
+all the members, in closed form: a lattice holds every member exactly when it holds the span,
 so a check settles an entry by its span or, for a finite entry, member by
 member, and never by classes of parameters.  ``schema()`` is
 the one answer behind verdicts: a cover (proper lattices holding every
@@ -48,7 +48,7 @@ back through the inverse, and ``FamilySpec.image`` maps lattices forward.
 import json
 import re
 from functools import cached_property, lru_cache, partial
-from itertools import groupby
+from itertools import count, groupby, islice
 from json.encoder import encode_basestring_ascii as _json_string
 from math import gcd, prod
 
@@ -131,9 +131,6 @@ class Primes:
     def __contains__(self, t: int) -> bool:
         return t not in self.exclude and is_prime(t)
 
-    def values_up_to(self, bound: int) -> list[int]:
-        return list(self.iter_values_up_to(bound))
-
     def iter_values_up_to(self, bound: int):
         """The members up to bound, found as they are read: sieves of length
         _FIRST_SIEVE, 4 times that, and so on up to bound, each read past
@@ -158,10 +155,7 @@ class Primes:
             done, length = len(primes), min(4 * length, bound)
 
     def min_value(self) -> int:
-        p = 2
-        while p in self.exclude:
-            p = next_prime(p)
-        return p
+        return next(filter(self.__contains__, count(2)))
 
     def delta(self) -> int:
         """gcd of t - min_value() over the sequence: 2 when 2 is excluded,
@@ -304,13 +298,6 @@ def odd_primes() -> Primes:
     return Primes(exclude=(2,))
 
 
-def next_prime(p: int) -> int:
-    q = p + 1
-    while not is_prime(q):
-        q += 1
-    return q
-
-
 @record
 class Geometric:
     """Powers base**k for k >= start (base >= 2)."""
@@ -333,9 +320,6 @@ class Geometric:
         while t % self.base == 0:
             t //= self.base
         return t == 1
-
-    def values_up_to(self, bound: int) -> list[int]:
-        return list(self.iter_values_up_to(bound))
 
     def iter_values_up_to(self, bound: int):
         v = self.base**self.start
@@ -400,9 +384,6 @@ class Explicit:
 
     def __contains__(self, t: int) -> bool:
         return t in self.values
-
-    def values_up_to(self, bound: int) -> list[int]:
-        return list(self.iter_values_up_to(bound))
 
     def iter_values_up_to(self, bound: int):
         return (v for v in self.values if v <= bound)
@@ -481,9 +462,7 @@ class Static:
         lat = self.lattice
         return iter([lat] if lat.index <= bound else [])
 
-    def instances_up_to(self, bound: int) -> list[Lattice]:
-        return list(self.iter_instances(bound))
-
+    @property
     def span(self) -> Lattice:
         """The lattice the members generate: the one member."""
         return self.lattice
@@ -583,9 +562,6 @@ class Template:
         top = iroot(max(bound, 0) // self.base.index, sum(self.exps))
         return map(self.member, self.params.iter_values_up_to(top))
 
-    def instances_up_to(self, bound: int) -> list[Lattice]:
-        return list(self.iter_instances(bound))
-
     def schema(self):
         """What the schema proves about the members: a cover, a
         CoprimeFamily, or None when it proves neither.
@@ -601,12 +577,12 @@ class Template:
         params = self.params
         if not params.is_infinite:
             return [self.member(t) for t in params.values]
-        span = self.span()
+        span = self.span
         if span.is_proper():
             return [span]
         if self.base.index > 1 or not isinstance(params, Primes):
             return None
-        sample = tuple(self.member(t) for t in params.values_up_to(30)[:4])
+        sample = tuple(map(self.member, islice(params.iter_values_up_to(30), 4)))
         rule = (
             f"members diag({', '.join(map(str, self._slots()))}) over {params.describe()}: "
             "distinct prime parameters give pairwise coprime members"
@@ -770,6 +746,7 @@ class Template:
         parameter satisfies the constraints head and t**e | v."""
         return bytearray(self._holds(head + [(v, e)]) for v in run)
 
+    @cached_property
     def span(self) -> Lattice:
         """The lattice the members generate: member t0's columns plus
         c * delta**e * e_i for each scaled row i, with t0 the least
@@ -779,11 +756,7 @@ class Template:
         With e >= 2 the base is diagonal, and the span's entry c * g**e
         (g = gcd(t0, delta) the gcd of the parameters, g**e that of the
         t**e) is the gcd of c * t0**e and c * delta**e.  Computed once per
-        entry (``_span``)."""
-        return self._span
-
-    @cached_property
-    def _span(self) -> Lattice:
+        entry."""
         delta = self.params.delta()
         extra = [
             tuple(d * delta**e if j == i else 0 for j in range(self.dim))

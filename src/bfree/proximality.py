@@ -238,7 +238,7 @@ def _settle_entry(entry, n: int, answer, image):
     map keeps, with modulus n.  An infinite entry that its span does not
     settle gives None: its members are never sorted into classes.
     """
-    span = entry.span()
+    span = entry.span
     mapped = image(span)
     got = answer(mapped)
     if got is not None:
@@ -315,7 +315,7 @@ def check_covering(
         if settled is None:
             raise UnsettledEntryError(
                 f"covering check, entry {idx} ({entry.spec_line()}): no single cover holds "
-                f"its span {spec.image(entry.span()).to_columns()}, and an infinite entry "
+                f"its span {spec.image(entry.span).to_columns()}, and an infinite entry "
                 "is settled by its span alone"
             )
         for label, lat, k, member, modulus in settled:

@@ -138,7 +138,10 @@ def test_report_checks_every_evidence_side_before_it_sieves(capsys, monkeypatch)
     monkeypatch.setattr(windows, "covered_flags", lambda *args: sieved.append(args))
     code, stdout, err = run(capsys, "report", "--preset", "ex2", "--max-side", "400")
     assert code == 3 and stdout == ""
-    assert err == "limit breached: scan exceeds the cell limit\n"
+    assert err == (
+        "limit breached: scan exceeds the cell limit"
+        " (check: zero-window scan; limit: cell_limit = 100000000; count: 100641024)\n"
+    )
     assert sieved == []
 
 
@@ -229,7 +232,10 @@ def test_zero_limit_cells_exit3(capsys):
         capsys, "zero", "--preset", "ex2", "--shape", "0:1x0:1", "--limit-cells", "1000"
     )
     assert code == 3 and stdout == ""
-    assert err == "limit breached: scan exceeds the cell limit\n"
+    assert err == (
+        "limit breached: scan exceeds the cell limit"
+        " (check: zero-window scan; limit: cell_limit = 1000; count: 4356)\n"
+    )
 
 
 def test_zero_rectangle_past_the_cell_limit_exit3_before_any_offset(capsys, monkeypatch):
@@ -241,7 +247,9 @@ def test_zero_rectangle_past_the_cell_limit_exit3_before_any_offset(capsys, monk
         capsys, "zero", "--preset", "ex2", "--shape", "0:999x0:999", "--limit-cells", "10"
     )
     assert code == 3 and stdout == ""
-    assert err == "limit breached: scan exceeds the cell limit\n"
+    assert err == (
+        "limit breached: scan exceeds the cell limit (check: zero shape; limit: cell_limit = 10; count: 1000000)\n"
+    )
 
 
 def test_report_dprime_scan_obeys_the_cell_limit(tmp_path, capsys, monkeypatch):
@@ -257,7 +265,10 @@ def test_report_dprime_scan_obeys_the_cell_limit(tmp_path, capsys, monkeypatch):
         capsys, "report", "--spec", str(family), "--dprime", str(candidate), "--limit-cells", "1000"
     )
     assert code == 3 and stdout == ""
-    assert err == "limit breached: d' check: the scan of 703125 candidate points exceeds the cell limit of 1000\n"
+    assert err == (
+        "limit breached: d' check: the scan of 703125 candidate points exceeds the cell limit of 1000"
+        " (check: d' check; limit: cell_limit = 1000; count: 703125)\n"
+    )
     assert tested == []
 
 

@@ -4,17 +4,21 @@
 transform half the time) and from the hard families.  For every draw:
 
 * no exception escapes ``main``, and every exit code is 0-3;
+* an exit 3 names its breach on stderr: the check that refused, and the
+  limit's name, value and the count it met;
 * every verdict, of ``decide`` and inside ``report``, passes
   ``perfbench/checks.py``'s ``check_verdict`` (imported read-only, as
   ``tests/test_pool_outputs.py`` does), exact ones included;
 * ``eta``'s bits are the per-cell ``spec.covered``;
-* a translate that ``zero`` finds has every cell of its shape covered.
+* a translate that ``zero`` finds has every cell of its shape covered, and
+  under a drawn ``--limit-cells`` ``zero`` exits 3 or answers as without it.
 """
 
 import contextlib
 import io
 import json
 import random
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -31,6 +35,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import checks  # noqa: E402
 
 HALF_SIDE = {1: 20, 2: 4, 3: 2}
+BREACH = re.compile(r"limit breached: .+ \(check: [^;]+; limit: \w+ = \d+; count: \d+\)\n")
 
 
 @st.composite
@@ -44,10 +49,12 @@ def families(draw):
 
 
 def _run(*argv) -> tuple[int, str]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main([str(a) for a in argv])
     assert code in (0, 1, 2, 3), argv
+    if code == 3:
+        assert BREACH.fullmatch(err.getvalue()), (argv, err.getvalue())
     return code, out.getvalue()
 
 
@@ -56,8 +63,8 @@ def _check_verdict(spec, verdict):
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(spec=families(), center=st.lists(st.integers(-50, 50), min_size=3, max_size=3))
-def test_every_command_keeps_the_contract(spec, center):
+@given(spec=families(), center=st.lists(st.integers(-50, 50), min_size=3, max_size=3), limit=st.integers(1, 1000))
+def test_every_command_keeps_the_contract(spec, center, limit):
     text = format_family(spec)
     spec = parse_family(text)
     m, h = spec.dim, HALF_SIDE[spec.dim]
@@ -80,8 +87,13 @@ def test_every_command_keeps_the_contract(spec, center):
             assert window.box == box
             assert all(window.get(p) == (not spec.covered(p)) for p in box.points())
         shape = "x".join(["0:1"] * m)
-        code, stdout = _run("zero", "--spec", path, "--shape", shape, "--search", box.format())
+        zero = ("zero", "--spec", path, "--shape", shape, "--search", box.format())
+        code, stdout = _run(*zero)
         if code == 0:
             translate = json.loads(stdout)["translate"]
             assert all(spec.covered(tuple(map(sum, zip(translate, p)))) for p in Box((0,) * m, (1,) * m).points())
+        # a cell limit refuses the shape or the scan with exit 3, or changes nothing
+        limited = _run(*zero, "--limit-cells", limit)
+        event(f"zero under --limit-cells: exit {limited[0]}")
+        assert limited[0] == 3 or limited == (code, stdout)
         _run("density", "--spec", path, "--sides", "0,1", "--shift-search", box.format())

@@ -81,7 +81,7 @@ def first_members(entry, count=12):
     its span."""
     if not hasattr(entry, "params"):
         return [entry.lattice]
-    return [entry.member(t) for t in entry.params.values_up_to(10**4)[:count]]
+    return [entry.member(t) for t in list(entry.params.iter_values_up_to(10**4))[:count]]
 
 
 def all_members(entry):
@@ -175,7 +175,7 @@ def entries_and_covers(draw):
         transform = random_unimodular(random.Random(draw(st.integers(0, 10**6))), m, ops=4)
     cover = draw(canonical_lattices(m))
     if draw(st.booleans()):
-        span = entry.span()
+        span = entry.span
         cover = cover.sum(transform.apply(span) if transform else span)
     assume(cover.is_proper() and cover.index <= 500)
     return FamilySpec(m, (entry,), transform), cover
@@ -186,7 +186,7 @@ def entries_and_covers(draw):
 def test_span_containment_agrees_with_the_first_members(case):
     spec, cover = case
     entry = spec.entries[0]
-    assert holds(cover, spec.image(entry.span())) == (span_cover(spec, entry, [cover]) == 0)
+    assert holds(cover, spec.image(entry.span)) == (span_cover(spec, entry, [cover]) == 0)
 
 
 @st.composite
@@ -256,7 +256,7 @@ def test_check_covering_agrees_with_the_sweep_modulo_the_period(case):
             # an entry that one cover holds is settled by one check naming
             # the first such cover, modulo its index
             assert [(c.cover, c.modulus, c.reps_checked) for c in checks] == [(k, covers[k].index, 0)]
-            assert checks[0].label == f"{entry.span_word} {entry.span().to_columns()}"
+            assert checks[0].label == f"{entry.span_word} {entry.span.to_columns()}"
             continue
         # else one check per member, modulo the period
         members = list(entry.labelled_members())
@@ -373,7 +373,7 @@ def specs_and_translates(draw):
         transform = random_unimodular(random.Random(draw(st.integers(0, 10**6))), m, ops=4)
     lattice = draw(canonical_lattices(m))
     if draw(st.booleans()):
-        spans = [entry.span() for entry in ents]
+        spans = [entry.span for entry in ents]
         lattice = intersect_all([lattice] + [transform.apply(sp) if transform else sp for sp in spans])
     assume(lattice.index <= 1000)
     translate = tuple(draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m)))
@@ -396,7 +396,7 @@ def reference_translate(spec, translate, lattice, rep_limit):
             continue
         if entry.is_infinite:
             exact = False
-            scanned = [entry.member(t) for t in entry.params.values_up_to(rep_limit)]
+            scanned = [entry.member(t) for t in entry.params.iter_values_up_to(rep_limit)]
             if any(meets(member) for member in scanned if member.index <= rep_limit):
                 return False, True
         elif any(meets(member) for member in all_members(entry)):
@@ -435,7 +435,7 @@ def test_template_pair_sum_bound_contains_all_pair_sums(seed):
     rng = random.Random(9000 + seed)
     base = hnf([(rng.randint(1, 3), rng.randrange(3)), (0, rng.randint(1, 3))])
     entry = Template(base, scaled_row(2, rng.randrange(2)), Primes())
-    bound = entry.span()
+    bound = entry.span
     params = [2, 3, 5, 7, 11, 13]
     for t1, t2 in itertools.combinations(params, 2):
         s = entry.member(t1).sum(entry.member(t2))

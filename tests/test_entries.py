@@ -1,4 +1,4 @@
-"""Properties of the entry protocol: span(), schema(), labelled_members(),
+"""Properties of the entry protocol: span, schema(), labelled_members(),
 and the parameter sequences' delta() behind spans."""
 
 import dataclasses
@@ -6,7 +6,7 @@ import itertools
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bfree.families import (
@@ -26,7 +26,7 @@ from helpers import entries, is_diagonal_entry, param_seqs
 
 def sample_params(entry, count=6):
     """The first few parameters of a template entry (count None: all up to 200)."""
-    return entry.params.values_up_to(200)[:count]
+    return list(entry.params.iter_values_up_to(200))[:count]
 
 
 def members(entry, count=6):
@@ -43,7 +43,7 @@ def check_coprime_family(entry, family):
     """The sample is pairwise coprime and made of the entry's members."""
     assert entry.is_infinite and len(family.sample) >= 2
     assert all(a.coprime(b) for a, b in itertools.combinations(family.sample, 2))
-    instances = {entry.member(t) for t in entry.params.values_up_to(200)}
+    instances = {entry.member(t) for t in entry.params.iter_values_up_to(200)}
     assert set(family.sample) <= instances
 
 
@@ -119,28 +119,30 @@ def test_single_member_entries():
 def test_span_is_generated_by_the_first_members(entry):
     """The closed form equals the lattice the first 12 members generate."""
     if hasattr(entry, "params"):
-        cols = [c for t in entry.params.values_up_to(10**4)[:12] for c in entry.member(t).columns]
+        cols = [c for t in list(entry.params.iter_values_up_to(10**4))[:12] for c in entry.member(t).columns]
     else:
         cols = list(entry.lattice.columns)
-    assert entry.span() == hnf(cols, dim=entry.dim)
+    assert entry.span == hnf(cols, dim=entry.dim)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 3).flatmap(entries))
 def test_a_cached_span_equals_a_fresh_computation(entry):
-    span = entry.span()
-    assert entry.span() is span
+    span = entry.span
+    assert entry.span is span
     if isinstance(entry, Template):
-        assert Template._span.func(entry) == span
-        assert dataclasses.replace(entry).span() == span
+        assert Template.span.func(entry) == span
+        assert dataclasses.replace(entry).span == span
 
 
 @settings(max_examples=200, deadline=None)
 @given(param_seqs())
+@example(Primes((2, 3, 5, 7)))
+@example(Primes((3, 7)))
 def test_delta_matches_brute_force(seq):
     """Over the values up to 10**4: for primes with exclusions, the first
     primes left."""
-    values = seq.values_up_to(10**4)
+    values = list(seq.iter_values_up_to(10**4))
     assert values[0] == seq.min_value()
     assert seq.delta() == gcd(*(t - values[0] for t in values))
 

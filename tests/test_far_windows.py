@@ -55,7 +55,7 @@ def least_member(entry):
         if isinstance(params, Primes):
             return {params.min_value()}.union(*map(sympy.factorint, numerators))
         if isinstance(params, Geometric):
-            return {params.min_value(), *params.values_up_to(max(numerators, default=0))}
+            return {params.min_value(), *params.iter_values_up_to(max(numerators, default=0))}
         return set(params.values)
 
     def least(p):
@@ -312,7 +312,7 @@ def template_points(draw):
     entry = draw(st.one_of(prime_templates(m), sequence_templates(m)))
     if draw(st.booleans()):
         return entry, draw(far_points(m))
-    t = draw(st.sampled_from(entry.params.values_up_to(60)))
+    t = draw(st.sampled_from(list(entry.params.iter_values_up_to(60))))
     coefficients = st.one_of(st.integers(-6, 6), st.integers(-(10**12), 10**12))
     columns = entry.member(t).columns
     ks = [draw(coefficients) for _ in columns]
@@ -391,7 +391,7 @@ def test_power_hits_of_geometric_and_explicit_sequences(params, e, v0, k, n):
         )
     else:
         top = max(map(abs, run), default=1)
-        members = {params.min_value(), *params.values_up_to(top)}  # the least one divides 0
+        members = {params.min_value(), *params.iter_values_up_to(top)}  # the least one divides 0
         expected = (any(v % t**e == 0 for t in members) for v in run)
     assert hits == bytearray(map(int, expected))
 
@@ -563,7 +563,7 @@ def test_class_fork_matches_oracle(entry, data):
     # a point of some member, or any point, up to 10^12 from the origin
     big = st.integers(-(10**12), 10**12)
     if data.draw(st.booleans()):
-        columns = entry.member(data.draw(st.sampled_from(entry.params.values_up_to(60)))).columns
+        columns = entry.member(data.draw(st.sampled_from(list(entry.params.iter_values_up_to(60))))).columns
         ks = [data.draw(st.one_of(st.integers(-6, 6), big)) for _ in columns]
         centre = tuple(sum(k * col[j] for k, col in zip(ks, columns)) for j in range(m))
     else:
@@ -604,5 +604,5 @@ def test_quotients_mod_are_the_classes_of_w_over_its_members(params, w, n):
     if isinstance(params, Primes):
         members = [p for p in sympy.factorint(abs(w)) if p not in params.exclude]
     else:
-        members = [t for t in {params.min_value(), *params.values_up_to(abs(w))} if w % t == 0]
+        members = [t for t in {params.min_value(), *params.iter_values_up_to(abs(w))} if w % t == 0]
     assert params.quotients_mod(w, n) == {w // t % n for t in members}

@@ -50,9 +50,9 @@ def _on_hyperplanes(spec, info):
 def _peelable(spec, info):
     box = Box.centered(RADIUS[spec.dim], spec.dim)
     same = all(spec.covered(p) == info["whole"].covered(p) for p in box.points())
-    rest, whole = info["rest"].span(), info["template"].span()
+    rest, whole = info["rest"].span, info["template"].span
     finer = rest.index > whole.index and all(whole.contains(c) for c in rest.columns)
-    return same and finer and all(e.span().is_proper() for e in spec.entries)
+    return same and finer and all(e.span.is_proper() for e in spec.entries)
 
 
 JUDGES = {"span-all": _span_all, "union-all": _union_all, "hyperplanes": _on_hyperplanes, "peelable": _peelable}

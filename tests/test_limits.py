@@ -2,7 +2,8 @@
 
 One case per raise site: the check that refused, the name and value of the
 limit, the count that was needed or reached, and the exact message (the
-command line prints it after ``limit breached: ``, exit 3).
+command line prints it after ``limit breached: ``, and the fields after it,
+exit 3).
 """
 
 import pickle
@@ -133,7 +134,8 @@ def test_the_command_line_prints_the_same_text(capsys):
     code = cli.main(["zero", "--preset", "ex2", "--shape", "0:9x0:9", "--limit-cells", "50"])
     captured = capsys.readouterr()
     assert code == cli.EXIT_LIMIT == 3
-    assert (captured.out, captured.err) == ("", "limit breached: scan exceeds the cell limit\n")
+    breach = "(check: zero shape; limit: cell_limit = 50; count: 100)"
+    assert (captured.out, captured.err) == ("", f"limit breached: scan exceeds the cell limit {breach}\n")
 
 
 def test_the_fields_are_required():
@@ -159,10 +161,11 @@ def test_no_prime_is_sieved_past_the_sieve_limit(monkeypatch, capsys):
     monkeypatch.setattr(families, "primes_up_to", lambda n: sieved.append(n) or ())
     argv = ["zero", "--preset", "squarefree-1d", "--shape", "0:1", "--crt", "--instance-bound", str(10**16)]
     assert cli.main(argv) == cli.EXIT_LIMIT
-    assert capsys.readouterr().err == f"limit breached: {SITES['prime parameters'][1]}\n"
+    breach = "(check: prime parameters; limit: PRIME_SIEVE_LIMIT = 10000000; count: 100000000)"
+    assert capsys.readouterr().err == f"limit breached: {SITES['prime parameters'][1]} {breach}\n"
     assert sieved == []
     # the sieves grow by 4 up to one of exactly the limit's length
-    assert Primes().values_up_to(PRIME_SIEVE_LIMIT) == []
+    assert list(Primes().iter_values_up_to(PRIME_SIEVE_LIMIT)) == []
     with pytest.raises(TooLargeError):
-        Primes().values_up_to(PRIME_SIEVE_LIMIT + 1)
+        Primes().iter_values_up_to(PRIME_SIEVE_LIMIT + 1)
     assert sieved == [1024, 4096, 16384, 65536, 262144, 1048576, 4194304, PRIME_SIEVE_LIMIT]

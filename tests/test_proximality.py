@@ -253,7 +253,7 @@ def test_decide_is_exact_on_untransformed_diagonal_entries(spec):
         for a, b in itertools.combinations(v.certificate.sample, 2):
             assert a.coprime(b)
         for lat in v.certificate.sample:
-            assert lat in [entry.member(t) for t in entry.params.values_up_to(30)]
+            assert lat in [entry.member(t) for t in entry.params.iter_values_up_to(30)]
     else:
         assert v.status == NOT_PROXIMAL
         report = check_covering(spec, v.certificate.covers)
@@ -360,7 +360,7 @@ def test_proximal_certificate_feeds_crt_windows():
     entry = TT_PRIMES.entries[v.certificate.entry_index]
     for k in (1, 2, 3):
         shape = Shape.from_box(Box((0, 0), (k, k)))
-        members = [entry.member(p) for p in entry.params.values_up_to(200)[: len(shape)]]
+        members = [entry.member(p) for p in list(entry.params.iter_values_up_to(200))[: len(shape)]]
         a = zero_window_by_crt(members, shape)
         for lat, f in zip(members, shape.offsets):
             assert lat.contains((a[0] + f[0], a[1] + f[1]))
@@ -1137,7 +1137,7 @@ def test_crt_window_certificate_reads_the_members_in_the_eager_order(data):
     # every member of index <= bound, deduplicated and sorted, built at once
     eager = {}
     for e in spec.entries:
-        members = [e.lattice] if isinstance(e, Static) else map(e.member, e.params.values_up_to(bound))
+        members = [e.lattice] if isinstance(e, Static) else map(e.member, e.params.iter_values_up_to(bound))
         for lat in map(spec.image, members):
             if lat.index <= bound:
                 eager[lat.basis] = lat

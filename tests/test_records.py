@@ -233,7 +233,7 @@ def test_code_that_writes_around_the_guard_still_works():
         spec._inverse = None
 
 
-CACHED = ("_rows", "_span")  # Template's cached_property values
+CACHED = ("_rows", "span")  # Template's cached_property values
 
 
 def test_a_filled_cache_leaves_comparison_to_the_fields_and_is_not_copied():
@@ -242,7 +242,7 @@ def test_a_filled_cache_leaves_comparison_to_the_fields_and_is_not_copied():
     # and dataclasses.replace builds a copy that computes its own
     for base in POOL[Template]:
         filled, empty = dataclasses.replace(base), dataclasses.replace(base)
-        filled._rows, filled.span()
+        filled._rows, filled.span
         assert set(CACHED) <= vars(filled).keys() and not set(CACHED) & vars(empty).keys()
         for x, y in ((filled, empty), (empty, filled), (filled, filled)):
             tx, ty = twin(x), twin(y)
@@ -252,7 +252,7 @@ def test_a_filled_cache_leaves_comparison_to_the_fields_and_is_not_copied():
         for copy in (dataclasses.replace(filled), dataclasses.replace(twin(filled))):
             assert not set(CACHED) & vars(copy).keys()
             assert copy == filled if type(copy) is Template else copy == twin(filled)
-            assert copy.span() == filled.span() and copy.span() is not filled.span()
+            assert copy.span == filled.span and copy.span is not filled.span
 
 
 def test_validation_still_runs_on_construction_and_replace():

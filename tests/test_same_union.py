@@ -47,7 +47,7 @@ def _peeled(entry, i):
     Static(member(t0)))."""
     params = entry.params
     if isinstance(params, Primes):
-        t0 = params.values_up_to(20)[i]
+        t0 = list(params.iter_values_up_to(20))[i]
         rest = Primes(params.exclude + (t0,))
     elif isinstance(params, Geometric):
         t0 = params.min_value()
@@ -90,7 +90,7 @@ def same_union_pairs(draw, relation, hard=False):
         peeled = es[:i] + ([] if rest is None else [rest]) + es[i + 1 :] + [static]
         return first, FamilySpec(m, tuple(peeled)), None
     # explicit: the template over its first k values, against their members
-    values = es[i].params.values_up_to(40)[: draw(st.integers(1, 3))]
+    values = list(es[i].params.iter_values_up_to(40))[: draw(st.integers(1, 3))]
     es[i] = dataclasses.replace(es[i], params=Explicit(tuple(values)))
     statics = [Static(es[i].member(t)) for t in values]
     return FamilySpec(m, tuple(es)), FamilySpec(m, tuple(es[:i] + statics + es[i + 1 :])), None

@@ -221,6 +221,12 @@ MUTANTS = (
         "b = iroot(n, k) + 1", "b = iroot(n, k)",
         ("tests/test_numtheory.py",),
     ),
+    # the least prime parameter, the first value the sequence accepts
+    Mutant(
+        "least-prime-searched-from-three", FAMILIES,
+        "filter(self.__contains__, count(2))", "filter(self.__contains__, count(3))",
+        ("tests/test_entries.py",),
+    ),
 )
 
 

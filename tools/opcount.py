@@ -8,8 +8,8 @@ SRC, OLD_SRC and NEW_SRC are the ``src/`` directories of checkouts.  Each
 tree runs every job of ``perfbench/jobs.py``'s pools (those of this
 checkout, so every tree sees the same jobs) once, in its own fresh
 ``python -B`` process with ``PYTHONHASHSEED=0``, which imports bfree from
-that directory and nothing else.  Jobs are sent as tools/same_outputs.py
-sends them: ``perfbench/run.py``'s ``Runner`` gives each its argv and
+that directory and nothing else.  Jobs are sent by tools/same_outputs.py's
+pool loop: ``perfbench/run.py``'s ``Runner`` gives each its argv and
 files (``materialize``), and bfree's caches are cleared before each
 command (``caches``), then ``bfree.cli.main`` runs in-process.  While a
 command runs, ``sys.settrace`` with ``frame.f_trace_opcodes`` counts one
@@ -39,14 +39,15 @@ per tree (bytecode is not written either).
 import argparse
 import json
 import os
-import subprocess
 import sys
-import tempfile
 from collections import Counter
+from itertools import groupby
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
+sys.path.insert(0, str(ROOT / "tools"))  # for same_outputs, also when this file is loaded by path
+from same_outputs import iter_pool, run_command, run_workers  # noqa: E402
 
 
 def _code_name(code) -> str:
@@ -56,11 +57,7 @@ def _code_name(code) -> str:
 def count_jobs(src: Path, workloads, slots, functions: bool) -> dict:
     """{workload: {"slots": {slot: count}, "functions": {name: count}}} over
     the chosen jobs, run against the bfree under src ("functions" empty
-    unless asked for).  Runs in a fresh process, started as a script, so
-    its sibling same_outputs.py is on the path."""
-    from same_outputs import import_tree, run_command
-
-    jobs, run = import_tree(src)
+    unless asked for).  Runs in a fresh process."""
     prefix = str(src) + os.sep
     by_code = Counter()
 
@@ -77,49 +74,28 @@ def count_jobs(src: Path, workloads, slots, functions: bool) -> dict:
         return local
 
     out = {}
-    with tempfile.TemporaryDirectory(prefix="bfree-opcount-") as tmp:
-        runner = run.Runner(Path(tmp))
-        for workload in workloads:
-            per_slot, per_function = {}, Counter()
-            for slot, (_, variants) in jobs.pool(workload).items():
-                if slots and slot not in slots:
-                    continue
-                by_code.clear()
-                for job in variants:
-                    sys.settrace(calls)
-                    try:
-                        run_command(runner, job)  # a raising command is counted as far as it ran
-                    finally:
-                        sys.settrace(None)
-                per_slot[slot] = sum(by_code.values())
-                if functions:
-                    for code, n in by_code.items():
-                        per_function[_code_name(code)] += n
-            if per_slot:
-                out[workload] = {"slots": per_slot, "functions": dict(per_function)}
+    pool = iter_pool(src, workloads, slots, "bfree-opcount-")
+    for (workload, slot), group in groupby(pool, key=lambda item: item[2:4]):
+        by_code.clear()
+        for _, runner, _, _, job in group:
+            sys.settrace(calls)
+            try:
+                run_command(runner, job)  # a raising command is counted as far as it ran
+            finally:
+                sys.settrace(None)
+        counts = out.setdefault(workload, {"slots": {}, "functions": Counter()})
+        counts["slots"][slot] = sum(by_code.values())
+        if functions:
+            for code, n in by_code.items():
+                counts["functions"][_code_name(code)] += n
     return out
 
 
 def run_trees(srcs, workloads=(), slots=(), functions: bool = False) -> list[dict]:
     """count_jobs for each src directory, each in its own fresh process
     (run side by side: the counts do not depend on time)."""
-    filters = [f"--workload={w}" for w in workloads] + [f"--slot={s}" for s in slots]
-    filters += ["--functions=1"] if functions else []
-    env = {**os.environ, "PYTHONHASHSEED": "0"}
-    procs = [
-        subprocess.Popen(
-            [sys.executable, "-B", __file__, "--worker", str(Path(src).resolve()), *filters],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
-        )
-        for src in srcs
-    ]
-    results = []
-    for src, proc in zip(srcs, procs):
-        stdout, stderr = proc.communicate()
-        if proc.returncode != 0:
-            raise RuntimeError(f"the tree at {src} could not be run:\n{stderr}")
-        results.append(json.loads(stdout))
-    return results
+    extra = ["--functions=1"] if functions else []
+    return run_workers(__file__, srcs, workloads, slots, extra, env={**os.environ, "PYTHONHASHSEED": "0"})
 
 
 def _ratio(old: int, new: int) -> str:

@@ -13,6 +13,9 @@ raised), stdout, stderr and the bytes of the artifact, with the temporary
 directory's path replaced by a placeholder.  The jobs whose hashes differ are
 listed.
 
+The pool loop (``iter_pool``) and the worker protocol (``run_workers``)
+are the ones tools/opcount.py runs too.
+
 Exit status: 0 when every job gives the same outputs, 1 when some differ,
 2 when a tree cannot be run.  Standard library only; writes nothing but a
 temporary directory per tree (bytecode is not written either).
@@ -71,20 +74,29 @@ def run_command(runner, job):
     return code, stdout.getvalue(), stderr.getvalue(), out_path
 
 
-def run_jobs(src: Path, workloads, slots) -> dict[str, dict[str, str | None]]:
-    """"<workload>:<job key>" -> {part: digest} for the chosen jobs, run
-    against the bfree under src.  Runs in a fresh process."""
+def iter_pool(src: Path, workloads, slots, prefix: str):
+    """(tmp, runner, workload, slot, job) for every job of the chosen
+    workloads and slots (every slot when slots is empty), in pool order,
+    with bfree imported from src and one Runner over a temporary directory
+    named with prefix, which lives while the generator does.  For a fresh
+    process."""
     jobs, run = import_tree(src)
-    out = {}
-    with tempfile.TemporaryDirectory(prefix="bfree-same-") as tmp:
+    with tempfile.TemporaryDirectory(prefix=prefix) as tmp:
         runner = run.Runner(Path(tmp))
         for workload in workloads:
             for slot, (_, variants) in jobs.pool(workload).items():
-                if slots and slot not in slots:
-                    continue
-                for job in variants:
-                    out[f"{workload}:{job.key}"] = _outputs(runner, job, tmp)
-    return out
+                if not slots or slot in slots:
+                    for job in variants:
+                        yield tmp, runner, workload, slot, job
+
+
+def run_jobs(src: Path, workloads, slots) -> dict[str, dict[str, str | None]]:
+    """"<workload>:<job key>" -> {part: digest} for the chosen jobs, run
+    against the bfree under src.  Runs in a fresh process."""
+    return {
+        f"{workload}:{job.key}": _outputs(runner, job, tmp)
+        for tmp, runner, workload, _, job in iter_pool(src, workloads, slots, "bfree-same-")
+    }
 
 
 def _outputs(runner, job, tmp: str) -> dict[str, str | None]:
@@ -96,10 +108,24 @@ def _outputs(runner, job, tmp: str) -> dict[str, str | None]:
     return digests
 
 
-def _run_tree(src: Path, args) -> subprocess.Popen:
-    filters = [f"--workload={w}" for w in args.workload] + [f"--slot={s}" for s in args.slot]
-    command = [sys.executable, "-B", __file__, "--worker", str(src), *filters]
-    return subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+def run_workers(tool, srcs, workloads, slots, extra=(), env=None) -> list:
+    """The JSON that ``python -B tool --worker SRC`` writes on stdout for
+    each src directory, with the workload and slot filters and the extra
+    arguments, each in its own fresh process (run side by side).  Raises
+    RuntimeError naming the first tree whose worker failed."""
+    filters = [f"--workload={w}" for w in workloads] + [f"--slot={s}" for s in slots]
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-B", str(tool), "--worker", str(Path(src).resolve()), *filters, *extra],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        for src in srcs
+    ]
+    outputs = [proc.communicate() for proc in procs]
+    for src, proc, (_, stderr) in zip(srcs, procs, outputs):
+        if proc.returncode != 0:
+            raise RuntimeError(f"the tree at {src} could not be run:\n{stderr}")
+    return [json.loads(stdout) for stdout, _ in outputs]
 
 
 def main(argv=None) -> int:
@@ -119,15 +145,11 @@ def main(argv=None) -> int:
         return 0
     if args.new is None:
         parser.error("give the src/ directories of two trees")
-    procs = [_run_tree(src.resolve(), args) for src in (args.old, args.new)]
-    results = []
-    for src, proc in zip((args.old, args.new), procs):
-        stdout, stderr = proc.communicate()
-        if proc.returncode != 0:
-            print(f"error: the tree at {src} could not be run:\n{stderr}", file=sys.stderr)
-            return 2
-        results.append(json.loads(stdout))
-    old, new = results
+    try:
+        old, new = run_workers(__file__, (args.old, args.new), args.workload, args.slot)
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if not old:
         print("error: no job matches the filters", file=sys.stderr)
         return 2
