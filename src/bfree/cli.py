@@ -41,13 +41,29 @@ EXIT_LIMIT = 3
 EXIT_MISMATCH = 4
 EXIT_BROKEN_PIPE = 141
 
+# what opening a named path can raise that the user's path is at fault for
+# (FileExistsError: reproduce --outdir naming a file)
+_BAD_PATH_ERRORS = (FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError, PermissionError)
+
+
+def _read_text(path: str) -> str:
+    """The text of an input file named on the command line, decoded as
+    ``Path.read_text`` decodes it (the locale's encoding), by the plain
+    ``open`` that costs less per command.  Bytes that do not decode are bad
+    input naming the file."""
+    try:
+        with open(path) as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise BadInputError(f"{path} is not text: {exc}") from None
+
 
 def _load_spec(args) -> FamilySpec:
     if (args.preset is None) == (args.spec is None):
         raise FamilyParseError(0, "give exactly one of --preset or --spec")
     if args.preset is not None:
         return preset(args.preset)
-    return parse_family(Path(args.spec).read_text())
+    return parse_family(_read_text(args.spec))
 
 
 def _cell_limit(args) -> int:
@@ -106,7 +122,7 @@ def _shape_text(text: str) -> Box | Shape:
     if not text.startswith("@"):
         return Shape.parse_box(text)
     offsets = []
-    for line in Path(text[1:]).read_text().splitlines():
+    for line in _read_text(text[1:]).splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             offsets.append(tuple(int(x) for x in line.split()))
@@ -211,7 +227,7 @@ def cmd_report(args) -> int:
     budget = SearchBudget(
         max_side=args.max_side, search_radius=args.radius, cell_limit=args.limit_cells
     )
-    candidate = _fit(spec, "--dprime", parse_family(Path(args.dprime).read_text())) if args.dprime else None
+    candidate = _fit(spec, "--dprime", parse_family(_read_text(args.dprime))) if args.dprime else None
     report = conditions_report(spec, budget, dprime_candidate=candidate)
     print(report.to_json())
     return EXIT_OK
@@ -464,7 +480,7 @@ def main(argv=None) -> int:
         breach = f"check: {exc.check}; limit: {exc.limit_name} = {exc.limit}; count: {exc.count}"
         print(f"limit breached: {exc} ({breach})", file=sys.stderr)
         return EXIT_LIMIT
-    except (argparse.ArgumentError, BadInputError, FamilyParseError, FileNotFoundError) as exc:
+    except (argparse.ArgumentError, BadInputError, FamilyParseError, *_BAD_PATH_ERRORS) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except BFreeError as exc:

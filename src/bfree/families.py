@@ -485,9 +485,9 @@ class Static:
 def Rectangular(entries) -> Static:
     """The entry for the diagonal lattice a_1 Z x ... x a_m Z, with
     a != (1, ..., 1) checked before the lattice is built."""
-    if any(a < 1 for a in entries):
+    if min(entries, default=1) < 1:
         raise ValueError("rectangular entries must be positive")
-    if all(a == 1 for a in entries):
+    if max(entries, default=1) == 1:
         raise ValueError("the all-ones pattern is not a proper lattice")
     return Static(Lattice.from_diagonal(entries))
 
@@ -755,15 +755,19 @@ class Template:
         t, so it moves by (t - t0) * c * e_i from member t0 to member t.
         With e >= 2 the base is diagonal, and the span's entry c * g**e
         (g = gcd(t0, delta) the gcd of the parameters, g**e that of the
-        t**e) is the gcd of c * t0**e and c * delta**e.  Computed once per
-        entry."""
-        delta = self.params.delta()
+        t**e) is the gcd of c * t0**e and c * delta**e.  A diagonal base
+        has every generator on an axis, so its span is diag(c * g**e), built
+        as such; any other base is eliminated.  Computed once per entry."""
+        delta, t0 = self.params.delta(), self.params.min_value()
+        if self.base.is_diagonal():
+            g = gcd(t0, delta)
+            return Lattice.from_diagonal([c * g**e for c, e in zip(self.base.diagonal, self.exps)])
         extra = [
             tuple(d * delta**e if j == i else 0 for j in range(self.dim))
             for i, (d, e, _) in enumerate(self._rows)
             if e
         ]
-        return hnf(self.member(self.params.min_value()).columns + tuple(extra), dim=self.dim)
+        return hnf(self.member(t0).columns + tuple(extra), dim=self.dim)
 
     def _slots(self) -> list[RectEntry]:
         """The diagonal slots c * t**e of a diagonal base."""
@@ -977,16 +981,21 @@ def _parse_slot(text: str, line_no: int) -> RectEntry:
     return RectEntry(coeff=coeff, exp=exp)
 
 
+_INT = {int}
+
+
 def _parse_ints(text: str, line_no: int, nested: bool):
     """The JSON list of integers in text, or with ``nested`` the list of
     such lists (a matrix).  Only JSON integers are taken: int() would turn
-    a float, boolean or string into a number the user did not write."""
+    a float, boolean or string into a number the user did not write.  A
+    JSON array decodes to a list and a JSON integer to an int, so the
+    types of the items are compared with those two exactly."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError:
         raise FamilyParseError(line_no, f"bad list literal {text!r}")
-    rows = obj if nested and isinstance(obj, list) else [obj]
-    if not all(isinstance(r, list) and all(type(x) is int for x in r) for r in rows):
+    rows = obj if nested and type(obj) is list else [obj]
+    if not all([type(r) is list and {*map(type, r)} <= _INT for r in rows]):
         shape = "a list of integer lists" if nested else "a list of integers"
         raise FamilyParseError(line_no, f"{text!r} is not {shape}")
     return obj

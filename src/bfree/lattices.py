@@ -4,12 +4,20 @@ A lattice is stored by its canonical triangular basis: the basis matrix is
 lower triangular with strictly positive diagonal, columns are the generators,
 and every entry left of the diagonal is reduced into [0, diagonal).  This
 form is unique for each finite-index subgroup, so structural equality of the
-basis decides equality of subgroups.  Each lattice computes its views,
+basis decides equality of subgroups.  Each lattice stores its views,
 ``dim``, ``columns``, ``diagonal``, ``index`` and whether it is diagonal,
-once, as plain instance values.  ``Lattice(basis)`` checks the canonical
-form; ``hnf``, ``intersect`` and ``from_diagonal``, whose elimination or
-positive diagonal already guarantees it, build through
-``Lattice._of_columns``, which skips those checks.
+once, as plain instance values.  Three builders make a lattice:
+
+* ``Lattice(basis)`` checks the canonical form, then works the views out of
+  the columns in one pass (``_views``);
+* ``Lattice._of_columns`` skips those checks, for columns that an
+  elimination already puts in canonical form (``hnf``, the general
+  ``intersect``, ``Template.member``), and works the views out the same way;
+* ``Lattice.from_diagonal`` checks only that its entries are positive and
+  stores the views as it knows them: its columns are its basis rows, its
+  diagonal is its entries, and it is diagonal.  The diagonal ``intersect``
+  and ``sum``, and the span of a template over a diagonal base, build
+  through it.
 
 One integer column elimination, ``_hnf_columns``, serves every operation
 on general lattices.  ``hnf`` is that elimination.  ``Lattice.intersect``
@@ -162,14 +170,15 @@ class Lattice:
 
     def _views(self, columns):
         """Store dim, columns, diagonal, index and whether the basis is
-        diagonal once, as plain values."""
-        diagonal = tuple([col[i] for i, col in enumerate(columns)])
+        diagonal once, as plain values, read off the columns laid end to
+        end: the diagonal is every (m + 1)-th entry, and as the m(m - 1) / 2
+        entries above it are 0 and the m on it are not, the basis is
+        diagonal exactly when m(m - 1) entries are 0."""
+        m = len(columns)
+        flat = sum(columns, ())
+        diagonal = flat[:: m + 1]
         self.__dict__.update(
-            dim=len(columns),
-            columns=columns,
-            diagonal=diagonal,
-            index=prod(diagonal),
-            _is_diagonal=not any([any(col[i + 1 :]) for i, col in enumerate(columns)]),
+            dim=m, columns=columns, diagonal=diagonal, index=prod(diagonal), _is_diagonal=flat.count(0) == m * m - m
         )
 
     def is_proper(self) -> bool:
@@ -246,13 +255,23 @@ class Lattice:
 
     @classmethod
     def from_diagonal(cls, entries) -> "Lattice":
-        entries = as_point(entries)
-        if not entries:
+        """diag(entries), stored with its views as they are known: the
+        columns are the basis rows, the diagonal is the entries, and the
+        lattice is diagonal.  Only the entries are checked."""
+        diagonal = as_point(entries)
+        if not diagonal:
             raise ValueError("basis must be a nonempty square matrix")
-        if any(e < 1 for e in entries):
+        if min(diagonal) < 1:
             raise ValueError("diagonal entries must be positive")
-        m = len(entries)
-        return cls._of_columns(tuple([tuple([e if i == j else 0 for i in range(m)]) for j, e in enumerate(entries)]))
+        m = len(diagonal)
+        flat = [0] * (m * m)
+        flat[:: m + 1] = diagonal
+        columns = tuple(zip(*[iter(flat)] * m))
+        self = cls.__new__(cls)
+        self.__dict__.update(
+            basis=columns, dim=m, columns=columns, diagonal=diagonal, index=prod(diagonal), _is_diagonal=True
+        )
+        return self
 
     @classmethod
     def whole(cls, dim: int) -> "Lattice":

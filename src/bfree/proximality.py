@@ -41,7 +41,6 @@ from .lattices import (
     Point,
     as_point,
     combination,
-    hnf,
     intersect_all,
     record,
     split_in_sum,
@@ -234,9 +233,10 @@ def _settle_entry(entry, n: int, answer, image):
     lattice.  The image of the span comes first, and settles the entry
     alone when its answer is not None (member and modulus None).  Else a
     finite entry is settled member by member, built lazily: a member's
-    lattice is the image of its columns plus n Z^m, which the unimodular
-    map keeps, with modulus n.  An infinite entry that its span does not
-    settle gives None: its members are never sorted into classes.
+    lattice is the image of the member plus n Z^m (``Lattice.sum``, so
+    diag(gcd) of a diagonal member), which the unimodular map keeps, with
+    modulus n.  An infinite entry that its span does not settle gives
+    None: its members are never sorted into classes.
     """
     span = entry.span
     mapped = image(span)
@@ -245,11 +245,11 @@ def _settle_entry(entry, n: int, answer, image):
         return [(f"{entry.span_word} {span.to_columns()}", mapped, got, None, None)]
     if entry.is_infinite:
         return None
-    n_cols = Lattice.from_diagonal((n,) * entry.dim).columns
+    n_lattice = Lattice.from_diagonal((n,) * entry.dim)
 
     def members():
         for label, member in entry.labelled_members():
-            lat = image(hnf(member.columns + n_cols))
+            lat = image(member.sum(n_lattice))
             yield label, lat, answer(lat), member, n
 
     return members()

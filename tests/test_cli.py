@@ -1,5 +1,7 @@
 import argparse
+import errno
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -419,6 +421,54 @@ def test_closed_stdout_exits_without_traceback():
         err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def _os_error(code: int, name: str) -> str:
+    return f"[Errno {code}] {os.strerror(code)}: {name!r}"
+
+
+NOT_TEXT = "bytes.fam is not text: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+# a path that cannot be read or written as the command needs: one "bad
+# input" line and exit 2 (exit 1 is zero's "nothing found")
+UNUSABLE_PATHS = {
+    "spec-directory": (("decide", "--spec", "adir"), _os_error(errno.EISDIR, "adir")),
+    "spec-under-a-file": (("decide", "--spec", "good.fam/x"), _os_error(errno.ENOTDIR, "good.fam/x")),
+    "spec-missing": (("decide", "--spec", "missing.fam"), _os_error(errno.ENOENT, "missing.fam")),
+    "spec-not-text": (("decide", "--spec", "bytes.fam"), NOT_TEXT),
+    "dprime-directory": (("report", "--preset", "ex2", "--dprime", "adir"), _os_error(errno.EISDIR, "adir")),
+    "dprime-not-text": (("report", "--preset", "ex2", "--dprime", "bytes.fam"), NOT_TEXT),
+    "offsets-directory": (("zero", "--preset", "ex2", "--shape", "@adir"), _os_error(errno.EISDIR, "adir")),
+    "offsets-not-text": (
+        ("zero", "--preset", "ex2", "--shape", "@bytes.fam"),
+        f"argument --shape: '@bytes.fam' is not a shape a:bxc:d or @offsets-file ({NOT_TEXT})",
+    ),
+    "outdir-a-file": (("reproduce", "ex1", "--outdir", "good.fam"), _os_error(errno.EEXIST, "good.fam")),
+    "out-a-directory": (
+        ("eta", "--preset", "ex2", "--box", "0:1,0:1", "--out", "adir"), _os_error(errno.EISDIR, "adir")
+    ),
+}
+
+
+@pytest.mark.parametrize(("argv", "message"), UNUSABLE_PATHS.values(), ids=UNUSABLE_PATHS.keys())
+def test_an_unusable_path_is_bad_input_without_a_traceback(tmp_path, argv, message):
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "good.fam").write_text("dim 2\nrect [2,1]\n")
+    (tmp_path / "bytes.fam").write_bytes(b"\xffdim 2\n")
+    # run from tmp_path, so the paths (and the messages naming them) are short
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), "PYTHONUTF8": "1"}
+    proc = subprocess.run([sys.executable, "-m", "bfree.cli", *argv], cwd=tmp_path, capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (cli.EXIT_BAD_INPUT, "", f"bad input: {message}\n")
+
+
+def test_an_unreadable_spec_is_bad_input(tmp_path, capsys, monkeypatch):
+    # a permission the process lacks, which a privileged test run cannot lose
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    assert run(capsys, "decide", "--spec", "s.fam") == (2, "", f"bad input: {_os_error(errno.EACCES, 's.fam')}\n")
 
 
 def test_reproduce_matches_goldens(tmp_path, capsys):

@@ -564,6 +564,48 @@ def test_eliminated_lattices_equal_validated_ones_with_the_same_views(data):
         assert all(type(row) is tuple and all(type(x) is int for x in row) for row in lat.basis + lat.columns)
 
 
+def diagonal_columns(diagonal):
+    m = len(diagonal)
+    return [tuple(e * (i == j) for i in range(m)) for j, e in enumerate(diagonal)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda m: st.tuples(*[st.integers(1, 30)] * m)))
+def test_from_diagonal_is_the_elimination_of_its_columns(diagonal):
+    # from_diagonal stores its views without computing them; the
+    # elimination of its columns works every one of them out
+    got, want = Lattice.from_diagonal(diagonal), hnf(diagonal_columns(diagonal))
+    for view in ("basis", "columns", "diagonal", "index", "dim"):
+        assert getattr(got, view) == getattr(want, view)
+    assert got.is_diagonal() and want.is_diagonal()
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    assert vars(got) == recomputed_views(want.basis)
+    assert all(type(row) is tuple and all(type(x) is int for x in row) for row in (*got.basis, *got.columns, got.diagonal))
+
+
+@st.composite
+def canonical_bases(draw, m, diagonal):
+    """A canonical triangular basis by rows; every entry below the diagonal
+    0 when diagonal, else each drawn from [0, diagonal entry of its row)."""
+    rows = []
+    for i in range(m):
+        d = draw(st.integers(1, 9))
+        below = [0] * i if diagonal else [draw(st.integers(0, d - 1)) for _ in range(i)]
+        rows.append(tuple(below + [d] + [0] * (m - i - 1)))
+    return tuple(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_views_of_columns_are_those_of_the_checked_basis(data):
+    m, diagonal = data.draw(st.integers(1, 4)), data.draw(st.booleans())
+    basis = data.draw(canonical_bases(m, diagonal))
+    built, checked = Lattice._of_columns(tuple(zip(*basis))), Lattice(basis)
+    assert vars(built) == vars(checked) == recomputed_views(basis)
+    assert built.is_diagonal() == checked.is_diagonal() == (diagonal or all(basis[i][j] == 0 for i in range(m) for j in range(i)))
+    assert built == checked and hash(built) == hash(checked) and repr(built) == repr(checked)
+
+
 def eliminated(lat: Lattice) -> Lattice:
     """A copy of lat that does not know it is diagonal, so its intersect
     and sum run the elimination."""

@@ -123,3 +123,64 @@ REFUSALS = {
 def test_malformed_input_is_refused(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+# The spec-line refusals whose checks are cheap forms of the obvious ones
+# (min/max over a rect's entries, the item types of a JSON list compared as
+# a set), each with its whole text
+SPEC_LINE_REFUSALS = {
+    "rect-entry-0": ("dim 2\nrect [0,2]\n", "line 2: rectangular entries must be positive"),
+    "rect-entry-negative": ("dim 2\nrect [2,-3]\n", "line 2: rectangular entries must be positive"),
+    "rect-all-ones": ("dim 2\nrect [1,1]\n", "line 2: the all-ones pattern is not a proper lattice"),
+    "rect-empty": ("dim 2\nrect []\n", "line 2: the all-ones pattern is not a proper lattice"),
+    "rect-float": ("dim 2\nrect [2.0,1]\n", "line 2: '[2.0,1]' is not a list of integers"),
+    "rect-bool": ("dim 2\nrect [true,2]\n", "line 2: '[true,2]' is not a list of integers"),
+    "rect-string": ('dim 2\nrect ["2",1]\n', "line 2: '[\"2\",1]' is not a list of integers"),
+    "rect-nested": ("dim 2\nrect [[2],1]\n", "line 2: '[[2],1]' is not a list of integers"),
+    "rect-not-a-list": ("dim 2\nrect 2\n", "line 2: '2' is not a list of integers"),
+    "static-float": ("dim 2\nstatic [[2,0],[0,1.5]]\n", "line 2: '[[2,0],[0,1.5]]' is not a list of integer lists"),
+    "static-bool": ("dim 2\nstatic [[2,false],[0,1]]\n", "line 2: '[[2,false],[0,1]]' is not a list of integer lists"),
+    "static-string": ('dim 2\nstatic [[2,0],["0",1]]\n', "line 2: '[[2,0],[\"0\",1]]' is not a list of integer lists"),
+    "static-ragged": ("dim 2\nstatic [[2,0],[1]]\n", "line 2: generators of mixed dimension"),
+    "static-flat": ("dim 2\nstatic [2,0]\n", "line 2: '[2,0]' is not a list of integer lists"),
+    "static-not-a-list": ("dim 2\nstatic 5\n", "line 2: '5' is not a list of integer lists"),
+    "static-row-not-a-list": ("dim 2\nstatic [[2,0],3]\n", "line 2: '[[2,0],3]' is not a list of integer lists"),
+    "template-base-float": (
+        "dim 2\ntemplate base=[[1,0.5],[0,3]] scale=(2,2) params=primes\n",
+        "line 2: '[[1,0.5],[0,3]]' is not a list of integer lists",
+    ),
+    "template-base-ragged": (
+        "dim 2\ntemplate base=[[1],[0,3]] scale=(2,2) params=primes\n", "line 2: generators of mixed dimension"
+    ),
+    "transform-ragged": ("dim 2\nrect [2,1]\ntransform [[1,0],[1]]\n", "line 3: matrix must be square"),
+    "transform-flat": ("dim 2\nrect [2,1]\ntransform [1,0]\n", "line 3: '[1,0]' is not a list of integer lists"),
+    "transform-not-a-list": (
+        'dim 2\nrect [2,1]\ntransform {"a":1}\n', "line 3: '{\"a\":1}' is not a list of integer lists"
+    ),
+    "transform-float": (
+        "dim 2\nrect [2,1]\ntransform [[1,0],[1,1.0]]\n", "line 3: '[[1,0],[1,1.0]]' is not a list of integer lists"
+    ),
+}
+
+
+@pytest.mark.parametrize(("text", "message"), SPEC_LINE_REFUSALS.values(), ids=SPEC_LINE_REFUSALS.keys())
+def test_a_spec_line_is_refused_with_its_whole_text(text, message):
+    with pytest.raises(FamilyParseError) as exc:
+        parse_family(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    ("entries", "message"),
+    [
+        ((0, 1), "rectangular entries must be positive"),
+        ((3, -1), "rectangular entries must be positive"),
+        ((1, 1), "the all-ones pattern is not a proper lattice"),
+        ((1,), "the all-ones pattern is not a proper lattice"),
+        ((), "the all-ones pattern is not a proper lattice"),
+    ],
+)
+def test_a_rectangular_entry_is_refused_with_its_whole_text(entries, message):
+    with pytest.raises(ValueError) as exc:
+        Rectangular(entries)
+    assert str(exc.value) == message

@@ -221,6 +221,47 @@ MUTANTS = (
         "b = iroot(n, k) + 1", "b = iroot(n, k)",
         ("tests/test_numtheory.py",),
     ),
+    # lattices built with their views in one step, and the spec-line checks
+    Mutant(
+        "from-diagonal-stored-not-diagonal", LATTICES,
+        "index=prod(diagonal), _is_diagonal=True", "index=prod(diagonal), _is_diagonal=False",
+        ("tests/test_lattices.py",),
+    ),
+    Mutant(
+        "from-diagonal-accepts-zero", LATTICES,
+        "if min(diagonal) < 1:", "if min(diagonal) < 0:",
+        ("tests/test_refusals.py",),
+    ),
+    Mutant(
+        "views-count-only-the-zeros-above", LATTICES,
+        "flat.count(0) == m * m - m", "flat.count(0) == m * (m - 1) // 2",
+        ("tests/test_lattices.py",),
+    ),
+    Mutant(
+        "views-diagonal-read-every-m-th", LATTICES,
+        "diagonal = flat[:: m + 1]", "diagonal = flat[::m]",
+        ("tests/test_lattices.py",),
+    ),
+    Mutant(
+        "rect-all-ones-read-off-the-least-entry", FAMILIES,
+        "if max(entries, default=1) == 1:", "if min(entries, default=1) == 1:",
+        ("tests/test_refusals.py", "tests/test_families.py"),
+    ),
+    Mutant(
+        "spec-integers-take-booleans", FAMILIES,
+        "_INT = {int}", "_INT = {int, bool}",
+        ("tests/test_refusals.py",),
+    ),
+    Mutant(
+        "diagonal-span-of-the-least-member", FAMILIES,
+        "            g = gcd(t0, delta)\n", "            g = t0\n",
+        ("tests/test_entries.py",),
+    ),
+    Mutant(
+        "member-class-lattice-by-intersection", PROXIMALITY,
+        "lat = image(member.sum(n_lattice))", "lat = image(member.intersect(n_lattice))",
+        ("tests/test_covering_bruteforce.py", "tests/test_proximality.py"),
+    ),
     # the least prime parameter, the first value the sequence accepts
     Mutant(
         "least-prime-searched-from-three", FAMILIES,
