@@ -79,6 +79,12 @@ def _cell_limit(args) -> int:
         raise BadInputError(f"BFREE_LIMIT_CELLS: {exc}") from None
 
 
+def _budget(args) -> SearchBudget:
+    """The search budget of ``decide`` and ``report``: --max-side, --radius
+    and the cell limit."""
+    return SearchBudget(max_side=args.max_side, search_radius=args.radius, cell_limit=args.limit_cells)
+
+
 def _fit(spec: FamilySpec, what: str, obj):
     """Refuse a box or shape whose dimension is not the family's."""
     if obj.dim != spec.dim:
@@ -200,11 +206,7 @@ def cmd_zero(args) -> int:
 
 
 def cmd_decide(args) -> int:
-    spec = _load_spec(args)
-    budget = SearchBudget(
-        max_side=args.max_side, search_radius=args.radius, cell_limit=args.limit_cells
-    )
-    verdict = decide(spec, budget)
+    verdict = decide(_load_spec(args), _budget(args))
     print(verdict.to_json())
     return EXIT_OK
 
@@ -224,11 +226,8 @@ def cmd_density(args) -> int:
 
 def cmd_report(args) -> int:
     spec = _load_spec(args)
-    budget = SearchBudget(
-        max_side=args.max_side, search_radius=args.radius, cell_limit=args.limit_cells
-    )
     candidate = _fit(spec, "--dprime", parse_family(_read_text(args.dprime))) if args.dprime else None
-    report = conditions_report(spec, budget, dprime_candidate=candidate)
+    report = conditions_report(spec, _budget(args), dprime_candidate=candidate)
     print(report.to_json())
     return EXIT_OK
 

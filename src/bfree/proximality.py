@@ -199,27 +199,41 @@ class CoveringReport:
     witness: tuple[int, str, Point] | None  # (entry, check label, uncovered point)
 
 
-def _quotient_reps(big: Lattice, small: Lattice, rep_limit: int):
-    """(count, representatives) of the cosets of ``small`` in ``big``.
+def _coset_walk(big: Lattice, covers, limit: int, grow=None):
+    """(rep, charged): the first coset rep in ``big`` of I, ``big``
+    intersected with every cover, that no cover holds, or None; ``charged``
+    is the sum of the quotients walked.
 
-    The coordinates of ``small`` over ``big``'s basis form a triangular
-    matrix with diagonal small.diagonal / big.diagonal, so the quotient is
-    enumerated mixed-radix over those ratios (first coordinate fastest) and
-    mapped through ``big``'s columns.
+    I lies in every cover, so a cover holding a rep r holds r + I, and None
+    proves ``big`` inside the union.  I's coordinates over ``big``'s basis
+    are triangular with diagonal I.diagonal / big.diagonal, so the quotient
+    is walked mixed-radix over those ratios (first coordinate fastest) and
+    mapped through ``big``'s columns.  With ``grow``
+    (``FamilySpec.member_containing``), grow(rep) joins the covers, I
+    shrinks to its intersection with it and the walk starts again, so a
+    rep is returned only when grow(rep) is None.  Each walk is charged its
+    whole quotient, and one whose quotient exceeds what is left of
+    ``limit`` raises TooLargeError before its first rep.
     """
-    ratios = []
-    for s_i, b_i in zip(small.diagonal, big.diagonal):
-        if s_i % b_i:
-            raise InconsistencyError("quotient requires small to be a sublattice of big")
-        ratios.append(s_i // b_i)
-    count = small.index // big.index
-    if count > rep_limit:
-        raise TooLargeError(
-            f"covering check: a class quotient of {count} cosets exceeds rep_limit={rep_limit}",
-            check="covering check", limit_name="rep_limit", limit=rep_limit, count=count,
-        )
-    cols = big.columns
-    return count, (combination(cols, ks) for ks in Lattice.from_diagonal(ratios).iter_coset_reps())
+    covers = list(covers)
+    inter = intersect_all([big, *covers])
+    cols, charged = big.columns, 0
+    while True:
+        count, left = inter.index // big.index, limit - charged
+        if count > left:
+            raise TooLargeError(
+                f"covering check: a class quotient of {count} cosets exceeds rep_limit={left}",
+                check="covering check", limit_name="rep_limit", limit=left, count=count,
+            )
+        charged += count
+        ratios = [s // b for s, b in zip(inter.diagonal, big.diagonal)]
+        reps = (combination(cols, ks) for ks in Lattice.from_diagonal(ratios).iter_coset_reps())
+        rep = _outside(covers, reps)
+        found = None if rep is None or grow is None else grow(rep)
+        if found is None:
+            return rep, charged
+        covers.append(found)
+        inter = inter.intersect(found)
 
 
 def _settle_entry(entry, n: int, answer, image):
@@ -278,9 +292,9 @@ def check_covering(
     entry that no single cover holds is checked member by member, modulo
     the index N of the cover intersection, which is exact because union
     membership is periodic with that period: each member gets its own
-    check, and a member that no one cover holds has its quotient reps
-    checked against the union; a rep outside it refutes the covering, with
-    a witness lifted to a point of that member.  An infinite entry whose
+    check, and a member that no one cover holds is walked by
+    ``_coset_walk``; a rep outside the union refutes the covering, with a
+    witness lifted to a point of that member.  An infinite entry whose
     span no single cover holds raises UnsettledEntryError, naming the entry
     and its span: such covers are never answered for, either way.  Raises
     TooLargeError, naming the count and ``rep_limit``, when neither the
@@ -308,7 +322,6 @@ def check_covering(
         """Index of the first cover that contains ``lat``, or None."""
         return next((k for k, cov in enumerate(covers) if all(cov.contains(c) for c in lat.columns)), None)
 
-    n_lattice = Lattice.from_diagonal((n,) * spec.dim)
     checks = []
     for idx, entry in enumerate(spec.entries):
         settled = _settle_entry(entry, n, holding_cover, spec.image)
@@ -322,11 +335,11 @@ def check_covering(
             if k is not None:
                 checks.append(CoverCheck(idx, label, 0, k, covers[k].index if modulus is None else modulus))
                 continue
-            # no one cover holds the member: sweep its quotient by the period
-            count, reps = _quotient_reps(lat, lat.intersect(period), rep_limit)
-            rep = _outside(covers, reps)
+            # no one cover holds the member: walk its quotient by the period
+            rep, count = _coset_walk(lat, covers, rep_limit)
             if rep is not None:
-                witness = _lift_witness(member, spec.image, n_lattice, rep)
+                n_lattice = Lattice.from_diagonal((n,) * spec.dim)
+                witness = split_in_sum(spec.image(member), n_lattice, rep)[0]
                 return CoveringReport(False, None, (idx, label, witness))
             checks.append(CoverCheck(idx, label, count, None, n))
     cert = Covering(tuple(covers), missed, tuple(checks))
@@ -404,15 +417,6 @@ def _points_by_radius(m: int, limit: int):
                     for tail in itertools.product(range(-r, r + 1), repeat=m - k - 1):
                         yield head + (x,) + tail
         r += 1
-
-
-def _lift_witness(member, image, period: Lattice, rep):
-    """Replace a witness rep, which lies in the member (in entry
-    coordinates, mapped by ``image`` as in _settle_entry) plus ``period``,
-    by a point of the member in rep + period: the lifted point is a genuine
-    covered-set point, and it keeps what rep showed wherever membership is
-    periodic modulo ``period``."""
-    return split_in_sum(image(member), period, rep)[0]
 
 
 def prove_no_zero_window(spec: FamilySpec, shape: Shape, covers) -> bool:
@@ -664,7 +668,7 @@ def check_fixed_translate(
         return None if lat.sum(lattice).contains(a) else True
 
     def refuted(member, what):
-        witness = _lift_witness(member, spec.image, lattice, a)
+        witness = split_in_sum(spec.image(member), lattice, a)[0]
         return FixedTranslateReport(False, True, witness, f"{what} meets the translate")
 
     for idx, entry in enumerate(spec.entries):
@@ -744,38 +748,6 @@ def _coprime_subset_analysis(spec: FamilySpec, schemas) -> ConditionRow:
     return ConditionRow(False, "exact", detail)
 
 
-def _held_by_members(spec: FamilySpec, member: Lattice, budget: int) -> bool:
-    """True when family members provably hold every point of ``member``.
-
-    Members L_1..L_k hold M exactly when every coset in M of I, the
-    intersection of M and every L_i, has a representative in some L_i,
-    because I inside L_j puts the whole coset r + I inside the L_j that
-    holds r.  Starting from no members and I = M, the quotient reps are
-    walked; at the first rep that no L_i holds, ``spec.member_containing``
-    supplies the next member, I shrinks to its intersection with it, and
-    the walk starts again.  A walk in which some L_i holds every rep is the
-    proof.  False when a rep lies in no member (refuted) or when the walks'
-    quotients, each charged its whole size, would hold more than ``budget``
-    reps in all (undecided).
-    """
-    covers: list[Lattice] = []
-    inter = member
-    while True:
-        try:
-            count, reps = _quotient_reps(member, inter, budget)
-        except TooLargeError:
-            return False
-        rep = _outside(covers, reps)
-        if rep is None:
-            return True
-        budget -= count
-        found = spec.member_containing(rep)
-        if found is None:
-            return False
-        covers.append(found)
-        inter = inter.intersect(found)
-
-
 def check_coprime_cover_candidate(
     spec: FamilySpec,
     candidate: FamilySpec,
@@ -789,18 +761,18 @@ def check_coprime_cover_candidate(
     is refuted exactly by a witness (member, point), or reported as bounded
     evidence when the scan finds none.  Only the candidate members of index
     at most _DPRIME_INSTANCE_BOUND are examined; with none, nothing is
-    tested and the row is unknown.  Each member is first tried by
-    ``_held_by_members`` within its own scan size, (2 *
-    _DPRIME_SCAN_RADIUS + 1)^m representatives; a member so proved has no
-    free point and is not scanned.  Every other member, refuted or
-    undecided, is scanned in order: its points with coefficients within
-    +/-_DPRIME_SCAN_RADIUS, last coefficient fastest, and the first free
-    one is the witness.  The member's canonical basis has last column d *
-    e_m, so with the other coefficients fixed its points form a row of
-    step d along the last axis: each row takes one ``covered_flags`` over
-    its 2 * _DPRIME_SCAN_RADIUS * d + 1 cells, read at stride d.  Raises
-    TooLargeError, before any member is tried, when the scan of all members
-    has more than ``cell_limit`` points.
+    tested and the row is unknown.  Each member is first walked by
+    ``_coset_walk``, grown by ``spec.member_containing``, within its own
+    scan size, (2 * _DPRIME_SCAN_RADIUS + 1)^m representatives in all; a
+    member so proved has no free point and is not scanned.  Every other
+    member, refuted or undecided, is scanned in order: its points with
+    coefficients within +/-_DPRIME_SCAN_RADIUS, last coefficient fastest,
+    and the first free one is the witness.  The member's canonical basis
+    has last column d * e_m, so with the other coefficients fixed its
+    points form a row of step d along the last axis: each row takes one
+    ``covered_flags`` over its 2 * _DPRIME_SCAN_RADIUS * d + 1 cells, read
+    at stride d.  Raises TooLargeError, before any member is tried, when
+    the scan of all members has more than ``cell_limit`` points.
     """
     row = _coprime_subset_analysis(candidate, _schemas(candidate))
     if row.holds is not True:
@@ -819,8 +791,11 @@ def check_coprime_cover_candidate(
             None, "unknown", f"no candidate member has index <= {_DPRIME_INSTANCE_BOUND}, so no point was tested"
         )
     for member in members:
-        if _held_by_members(spec, member, scan):
-            continue
+        try:
+            if _coset_walk(member, [], scan, spec.member_containing)[0] is None:
+                continue
+        except TooLargeError:
+            pass  # undecided within its scan size: scan it
         cols = member.columns
         d = cols[-1][-1]
         for head in itertools.product(range(-r, r + 1), repeat=candidate.dim - 1):

@@ -26,7 +26,7 @@ from bfree.families import (
 from bfree.lattices import Lattice, hnf, intersect_all
 from bfree.proximality import (
     DEFAULT_PERIOD_CELL_LIMIT,
-    _quotient_reps,
+    _coset_walk,
     check_coprime_cover_candidate,
     check_covering,
     crt_window_certificate,
@@ -93,7 +93,7 @@ SITES = {
         ("density profile", "cell_limit", 10**6, 40016401681),
     ),
     "class quotient": (
-        lambda: _quotient_reps(Lattice.from_diagonal((1, 1)), Lattice.from_diagonal((3, 3)), 8),
+        lambda: _coset_walk(Lattice.from_diagonal((1, 1)), [Lattice.from_diagonal((3, 3))], 8),
         "covering check: a class quotient of 9 cosets exceeds rep_limit=8",
         ("covering check", "rep_limit", 8, 9),
     ),

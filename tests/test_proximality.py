@@ -41,8 +41,8 @@ from bfree.proximality import (
     FixedTranslateReport,
     SearchBudget,
     _check_consistency,
+    _coset_walk,
     _first_missed_scan,
-    _held_by_members,
     _points_by_radius,
     check_coprime_cover_candidate,
     check_covering,
@@ -963,10 +963,116 @@ def test_a_member_held_by_members_has_no_free_point(spec, data):
         inside = spec.member_containing(combination(member.columns, (1,) * m))
         if inside is not None:
             member = member.intersect(inside)
-    if not _held_by_members(spec, member, 25**m):
+    try:
+        if _coset_walk(member, [], 25**m, spec.member_containing)[0] is not None:
+            return
+    except TooLargeError:
         return
     for ks in Box.centered(15, m).points():
         assert not spec.free(combination(member.columns, ks)), (spec, member, ks)
+
+
+# ---------------------------------------------------------------------------
+# the coset walk behind the covering check and the d' pre-check
+
+
+@st.composite
+def coset_walks(draw):
+    """(big, covers, spec or None) in dims 1-3: a canonical lattice, up to
+    three proper covers, and half the time a family whose
+    ``member_containing`` grows the covers, with the members t Z^m over
+    primes half of that time, so that walks restart often."""
+    m = draw(st.integers(1, 3))
+    big = draw(canonical_lattices(m))
+    covers = draw(st.lists(canonical_lattices(m, max_diag=3).filter(Lattice.is_proper), max_size=3))
+    if draw(st.booleans()):
+        return big, covers, None
+    es = tuple(draw(st.lists(entries(m), min_size=1, max_size=2)))
+    if draw(st.booleans()):
+        es += (RectTemplate((RectEntry(1, 1),) * m, Primes()),)
+    return big, covers, FamilySpec(m, es)
+
+
+class _Walk:
+    """``_coset_walk`` on one (big, covers, spec) with grow recorded: the
+    (rep, lattice) pairs grow saw, and at each grow call the number of
+    ``Lattice.contains`` calls the walk had made (grow's own not counted)."""
+
+    def __init__(self, big, covers, spec):
+        self.big, self.covers, self.spec = big, covers, spec
+
+    def run(self, limit):
+        self.grown, self.calls_at_grow, self.calls, self.walking = [], [], 0, True
+        real = Lattice.contains
+
+        def contains(lat, p):
+            self.calls += self.walking
+            return real(lat, p)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Lattice, "contains", contains)
+            return _coset_walk(self.big, self.covers, limit, None if self.spec is None else self.grow)
+
+    def grow(self, p):
+        self.calls_at_grow.append(self.calls)
+        self.walking = False
+        lat = self.spec.member_containing(p)
+        self.walking = True
+        self.grown.append((p, lat))
+        return lat
+
+    def quotients(self) -> list:
+        """The lattices I of the walks run: the first, then after each growth."""
+        found = [lat for _, lat in self.grown if lat is not None]
+        return list(itertools.accumulate(found, Lattice.intersect, initial=intersect_all([self.big, *self.covers])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coset_walks())
+def test_coset_walk_finds_a_free_rep_or_proves_big_held(drawn):
+    big, covers, spec = drawn
+    walk = _Walk(big, covers, spec)
+    try:
+        rep, charged = walk.run(3000)
+    except TooLargeError:
+        event("refused")
+        return
+    inters = walk.quotients()
+    assert charged == sum(inter.index // big.index for inter in inters)
+    holders = covers + [lat for _, lat in walk.grown if lat is not None]
+    assert all(lat.contains(p) for p, lat in walk.grown if lat is not None)
+    event(f"{'held' if rep is None else 'free rep'}, {len(inters)} walks")
+    if rep is not None:
+        assert big.contains(rep) and not any(lat.contains(rep) for lat in holders)
+        assert spec is None or walk.grown[-1] == (rep, None)
+        return
+    # None only when every coset rep of the last I in big is held
+    for p in itertools.product(*map(range, inters[-1].diagonal)):
+        assert not big.contains(p) or any(lat.contains(p) for lat in holders), p
+
+
+@settings(max_examples=150, deadline=None)
+@given(coset_walks(), st.data())
+def test_a_refused_walk_makes_no_membership_test(drawn, data):
+    big, covers, spec = drawn
+    full = _Walk(big, covers, spec)
+    try:
+        result = full.run(3000)
+    except TooLargeError:
+        event("refused")
+        return
+    sizes = [inter.index // big.index for inter in full.quotients()]
+    # a limit that the walks' quotients meet exactly runs every walk
+    assert _Walk(big, covers, spec).run(sum(sizes)) == result
+    # refuse walk j: the walks before it run as before, and it tests nothing
+    j = data.draw(st.integers(0, len(sizes) - 1))
+    refused = _Walk(big, covers, spec)
+    with pytest.raises(TooLargeError) as info:
+        refused.run(sum(sizes[: j + 1]) - 1)
+    assert refused.calls == (full.calls_at_grow[j - 1] if j else 0)
+    exc, count = info.value, sizes[j]
+    assert str(exc) == f"covering check: a class quotient of {count} cosets exceeds rep_limit={count - 1}"
+    assert (exc.check, exc.limit_name, exc.limit, exc.count) == ("covering check", "rep_limit", count - 1, count)
 
 
 def test_points_by_radius_walk_each_ball_once_shell_by_shell():

@@ -268,6 +268,22 @@ MUTANTS = (
         "filter(self.__contains__, count(2))", "filter(self.__contains__, count(3))",
         ("tests/test_entries.py",),
     ),
+    # the one coset walk behind the covering check and the d' pre-check
+    Mutant(
+        "walk-charge-dropped", PROXIMALITY,
+        "        charged += count\n", "        charged += 0\n",
+        ("tests/test_proximality.py",),
+    ),
+    Mutant(
+        "walk-limit-met-refused", PROXIMALITY,
+        "if count > left:", "if count >= left:",
+        ("tests/test_proximality.py",),
+    ),
+    Mutant(
+        "walk-restart-keeps-i", PROXIMALITY,
+        "        inter = inter.intersect(found)\n", "",
+        ("tests/test_proximality.py",),
+    ),
 )
 
 
