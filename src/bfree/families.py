@@ -48,7 +48,7 @@ back through the inverse, and ``FamilySpec.image`` maps lattices forward.
 import json
 import re
 from functools import cached_property, lru_cache, partial
-from itertools import count, groupby, islice
+from itertools import count, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii as _json_string
 from math import gcd, prod
 
@@ -602,7 +602,10 @@ class Template:
     def member(self, t: int) -> Lattice:
         """The member for t >= 1, from the base's columns: scaling diagonal
         entries by t**e >= 1 keeps the off-diagonal entries reduced, so the
-        columns are already canonical and are neither reduced nor checked."""
+        columns are already canonical and are neither reduced nor checked.
+        Over a diagonal base the member is diag(c * t**e), built as such."""
+        if self.base.is_diagonal():
+            return Lattice.from_diagonal([c * t**e for c, e in zip(self.base.diagonal, self.exps)])
         return Lattice._of_columns(tuple([
             col[:i] + (col[i] * t**e,) + col[i + 1 :] if e else col
             for i, (col, e) in enumerate(zip(self.base.columns, self.exps))
@@ -743,7 +746,17 @@ class Template:
 
     def _hits(self, head, e, run):
         """line_pieces' flags over the values v of run: whether some
-        parameter satisfies the constraints head and t**e | v."""
+        parameter satisfies the constraints head and t**e | v.  With e and
+        every exponent of head 1, that is whether some parameter divides
+        gcd(g, v), g the gcd of head's values, taken once (see _holds).
+        That depends on v modulo g only, and the values g places apart
+        along the run are congruent modulo g, so a run longer than g > 0 is
+        its first g flags repeated."""
+        if e == 1 and all(f == 1 for _, f in head):
+            g, n = gcd(*[v for v, _ in head]), len(run)
+            if 0 < g < n:
+                return (self._hits(head, e, run[:g]) * -(-n // g))[:n]
+            return bytearray(map(self.params.divides, map(gcd, repeat(g), run)))
         return bytearray(self._holds(head + [(v, e)]) for v in run)
 
     @cached_property
@@ -1001,6 +1014,19 @@ def _parse_ints(text: str, line_no: int, nested: bool):
     return obj
 
 
+def _lattice_of(cols, dim: int) -> Lattice:
+    """hnf(cols, dim=dim): the checked Lattice(basis) when the columns are
+    already a canonical basis of that dimension, as a written matrix often
+    is (the canonical form is unique, so the lattice is the same), else the
+    elimination."""
+    if len(cols) == dim and all(len(col) == dim for col in cols):
+        try:
+            return Lattice(tuple(zip(*cols)))
+        except ValueError:
+            pass
+    return hnf(cols, dim=dim)
+
+
 def parse_family(text: str) -> FamilySpec:
     """Parse the one-entry-per-line family format.
 
@@ -1040,14 +1066,14 @@ def parse_family(text: str) -> FamilySpec:
             if dim is None:
                 raise FamilyParseError(line_no, "dim must come before entries")
             if key == "static":
-                item = Static(hnf(_parse_ints(rest, line_no, nested=True), dim=dim))
+                item = Static(_lattice_of(_parse_ints(rest, line_no, nested=True), dim))
             elif key == "rect":
                 item = Rectangular(tuple(_parse_ints(rest, line_no, nested=False)))
             elif key == "template":
                 fields = dict(re.findall(r"(\w+)=(\S+)", rest))
                 if set(fields) != {"base", "scale", "params"}:
                     raise FamilyParseError(line_no, "template needs base=, scale=, params=")
-                base = hnf(_parse_ints(fields["base"], line_no, nested=True), dim=dim)
+                base = _lattice_of(_parse_ints(fields["base"], line_no, nested=True), dim)
                 mscale = re.fullmatch(r"\((\d+),(\d+)\)", fields["scale"])
                 if not mscale or mscale.group(1) != mscale.group(2):
                     raise FamilyParseError(line_no, "scale must be a diagonal position (r,r)")

@@ -576,13 +576,18 @@ def decide(spec: FamilySpec, budget: SearchBudget | None = None) -> Verdict:
     A coordinate change on the family does not affect the verdict, so it is
     decided on the underlying entries and certificates are mapped forward.
     """
+    return _decide(spec, budget or SearchBudget(), _schemas(spec))
+
+
+def _decide(spec: FamilySpec, budget: SearchBudget, schemas) -> Verdict:
+    """``decide`` on the entries' schema answers, read once by the caller."""
     try:
-        verdict = _schema_verdict(spec, _schemas(spec))
+        verdict = _schema_verdict(spec, schemas)
     except (InvalidCoverError, TooLargeError):
         verdict = None
     if verdict is not None:
         return verdict
-    return Verdict(INCONCLUSIVE, _zero_window_evidence(spec, budget or SearchBudget()))
+    return Verdict(INCONCLUSIVE, _zero_window_evidence(spec, budget))
 
 
 def crt_window_certificate(spec: FamilySpec, shape, *, instance_bound: int = CRT_INSTANCE_BOUND):
@@ -763,8 +768,12 @@ def check_coprime_cover_candidate(
     at most _DPRIME_INSTANCE_BOUND are examined; with none, nothing is
     tested and the row is unknown.  Each member is first walked by
     ``_coset_walk``, grown by ``spec.member_containing``, within its own
-    scan size, (2 * _DPRIME_SCAN_RADIUS + 1)^m representatives in all; a
-    member so proved has no free point and is not scanned.  Every other
+    scan size, (2 * _DPRIME_SCAN_RADIUS + 1)^m representatives in all,
+    and seeded with the family members that hold its basis columns and
+    their sum (so a member that one family member holds is proved by one
+    walk over a quotient of 1); a member so proved has no free point and
+    is not scanned, and one with a free column or column sum is not
+    walked.  Every other
     member, refuted or undecided, is scanned in order: its points with
     coefficients within +/-_DPRIME_SCAN_RADIUS, last coefficient fastest,
     and the first free one is the witness.  The member's canonical basis
@@ -791,12 +800,16 @@ def check_coprime_cover_candidate(
             None, "unknown", f"no candidate member has index <= {_DPRIME_INSTANCE_BOUND}, so no point was tested"
         )
     for member in members:
-        try:
-            if _coset_walk(member, [], scan, spec.member_containing)[0] is None:
-                continue
-        except TooLargeError:
-            pass  # undecided within its scan size: scan it
         cols = member.columns
+        # the family members holding the columns and their sum seed the walk;
+        # a probe that none holds is free, and the member is scanned unwalked
+        seeds = dict.fromkeys(map(spec.member_containing, (*cols, tuple(map(sum, zip(*cols))))))
+        if None not in seeds:
+            try:
+                if _coset_walk(member, seeds, scan, spec.member_containing)[0] is None:
+                    continue
+            except TooLargeError:
+                pass  # undecided within its scan size: scan it
         d = cols[-1][-1]
         for head in itertools.product(range(-r, r + 1), repeat=candidate.dim - 1):
             *x, y = combination(cols, head + (-r,))
@@ -830,7 +843,8 @@ def conditions_report(
             f"the d' candidate is {dprime_candidate.dim}-dimensional, the family is {spec.dim}-dimensional"
         )
     budget = budget or SearchBudget()
-    verdict = decide(spec, budget)
+    schemas = _schemas(spec)  # read once, for the verdict and for row (d)
+    verdict = _decide(spec, budget, schemas)
     cert = verdict.certificate
     if verdict.status == PROXIMAL:
         rows = {"a": ConditionRow(True, "exact", "coprime subfamily certificate")}
@@ -872,7 +886,7 @@ def conditions_report(
         source, mode, f_note = "b", "derived" if all_found else "unknown", "; density ratios are lower bounds only"
     _derive_equivalents(rows, source, mode, f_note)
 
-    rows["d"] = _coprime_subset_analysis(spec, _schemas(spec))
+    rows["d"] = _coprime_subset_analysis(spec, schemas)
     if dprime_candidate is not None:
         rows["d_prime"] = check_coprime_cover_candidate(spec, dprime_candidate, cell_limit=budget.cell_limit)
     _check_consistency(rows)

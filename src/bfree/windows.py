@@ -225,7 +225,9 @@ def covered_flags(spec: FamilySpec, box: Box) -> bytearray:
     progression (see _mark_last_row).  Any other template is evaluated in
     its own coordinates q, x = A q (A the transform, else the identity),
     once per line of q that meets the box, each line one slice of the
-    flags, chunk by chunk (see _box_lines and _mark_lines).  One skip rule:
+    flags, chunk by chunk (see _box_lines and _mark_lines); without a
+    transform the lines are the box's rows, and their tables are read off
+    the box directly.  One skip rule:
     every template skips the rows and lines already flagged entirely (as in
     ex1, whose lattices cover every line with odd x_0).  The marking order
     (single lattices; last-row templates that never factor; templates on
@@ -390,11 +392,15 @@ def _box_lines(spec: FamilySpec, box: Box):
     fixing q_0..q_{m-2} leaves x = x_0 + k a, a = A e_m, and the flat index
     in the box being linear in x, the line's cells k = klo..khi there sit
     at start + (k - klo) * sigma, sigma = strides . a.  Each line is found
-    from its first cell (see _first_cells), so the tables are disjoint;
-    without a transform those are the first cells of the rows.  The first
-    cells are drawn lazily by mixed_radix, so no long range is held whole.
-    Only templates on lines ask for the tables, and every 1-d template is
-    last-row, so m >= 2 and the prefix is never empty."""
+    from its first cell (see _first_cells), so the tables are disjoint.
+    The first cells are drawn lazily by mixed_radix, so no long range is
+    held whole.  Without a transform the lines are the rows, read straight
+    off the box (see _row_lines).  Only templates on lines ask for the
+    tables, and every 1-d template is last-row, so m >= 2 and the prefix is
+    never empty."""
+    if spec.transform is None:
+        yield from _row_lines(box)
+        return
     rows, inverse = spec.coordinates()
     lo, hi, strides = box.lo, box.hi, box.strides
     a = [row[-1] for row in rows]
@@ -405,6 +411,21 @@ def _box_lines(spec: FamilySpec, box: Box):
         while lines := _line_table(islice(cells, _CHUNK_LINES), inverse, strides, a, lo, hi, sigma, offset):
             yield lines
             del lines  # free this table before the next one is built
+
+
+def _row_lines(box: Box):
+    """_box_lines' tables without a transform: the line with prefix
+    x_0..x_{m-2} is that row of the box, {prefix: (the row's first flat
+    index, 1, lo_{m-1}, hi_{m-1})}, in the order and chunks of the general
+    tables (first coordinate fastest).  A row's first flat index is the sum
+    of (x_j - lo_j) * strides[j], drawn by mixed_radix beside its prefix."""
+    lo, hi, sides = box.lo, box.hi, box.sides
+    heads = [range(a, a + s) for a, s in zip(lo[:-1], sides)]
+    offsets = [range(0, s * t, t) for s, t in zip(sides[:-1], box.strides)]
+    rows = zip(mixed_radix(heads), zip(map(sum, mixed_radix(offsets)), repeat(1), repeat(lo[-1]), repeat(hi[-1])))
+    while lines := dict(islice(rows, _CHUNK_LINES)):
+        yield lines
+        del lines  # free this table before the next one is built
 
 
 def _line_table(first, inverse, strides, a, lo, hi, sigma, offset) -> dict:

@@ -336,6 +336,26 @@ def test_candidates_increase_and_the_least_parameter_is_the_first(params, constr
     assert template._least_param([(0, e) for _, e in constraints]) == params.min_value()
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(param_seqs(), st.builds(Primes, st.sampled_from(((), (2,), (3, 5), (2, 3, 7))))),
+    st.lists(st.tuples(st.one_of(st.just(0), st.integers(-60, 60)), st.integers(1, 2)), min_size=1, max_size=3),
+    st.integers(1, 2),
+    st.integers(-80, 80),
+    st.integers(0, 150),
+    st.sampled_from((1, -1, 2, -3, 7)),
+)
+def test_line_hits_equal_the_per_cell_answers(params, head, e, start, n, step):
+    # _hits flags the values of a run in one pass when e and every head
+    # exponent are 1 (the head's gcd taken once, the flags of one period
+    # repeated); on any run, with exclusions, zero values and negative
+    # steps, the flags are the per-cell _holds answers
+    template = Template(Lattice(((2,),)), (1,), params)
+    run = range(start, start + n * step, step)
+    expected = bytearray(template._holds(head + [(v, e)]) for v in run)
+    assert template._hits(head, e, run) == expected
+
+
 # ---------------------------------------------------------------------------
 # entry validation
 
@@ -562,28 +582,72 @@ def test_parse_refuses_numbers_that_are_not_integers(text):
     assert "is not a list of integer" in str(exc.value)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_parsed_matrices_are_the_hnf_of_their_columns(data):
+    # a static or template base= matrix whose columns are already canonical
+    # is built by the checked constructor, any other one is eliminated:
+    # either way the lattice is hnf of the written columns, views included,
+    # and a matrix that hnf refuses is refused with hnf's text
+    m = data.draw(st.integers(1, 4))
+    if data.draw(st.booleans()):
+        cols = [list(c) for c in data.draw(canonical_lattices(m, max_diag=6)).columns]
+    else:
+        width = data.draw(st.sampled_from((m, m, m - 1, m + 1)))
+        column = st.lists(st.integers(-6, 6), min_size=width, max_size=width)
+        cols = data.draw(st.lists(column, min_size=1, max_size=m + 1))
+    text = json.dumps(cols, separators=(",", ":"))
+    lines = ((f"static {text}", lambda e: e.lattice), (f"template base={text} scale=(1,1) params=primes", lambda e: e.base))
+    try:
+        expected = hnf(cols, dim=m)
+    except ValueError as exc:
+        for line, _ in lines:
+            with pytest.raises(FamilyParseError) as info:
+                parse_family(f"dim {m}\n{line}\n")
+            assert str(info.value) == f"line 2: {exc}"
+        return
+    for line, lattice_of in lines:
+        try:
+            entry = parse_family(f"dim {m}\n{line}\n").entries[0]
+        except FamilyParseError as exc:
+            assert line.startswith("static") and expected.index == 1
+            assert str(exc) == "line 2: family members must be proper (index >= 2)"
+            continue
+        got = lattice_of(entry)
+        assert got == expected
+        assert (got.columns, got.diagonal, got.index, got.is_diagonal()) == (
+            expected.columns, expected.diagonal, expected.index, expected.is_diagonal()
+        )
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_template_member_is_canonical_without_hnf(data):
-    # member() scales one diagonal entry of the canonical base in place; the
+    # member() scales the diagonal entries of the canonical base in place
+    # (over a diagonal base, any exponents, built by from_diagonal); the
     # result must be the canonical form of the scaled generators
     m = data.draw(st.integers(1, 4))
+    diagonal = data.draw(st.booleans())
     rows = []
     for i in range(m):
         d = data.draw(st.integers(1, 9))
-        rows.append(tuple(data.draw(st.integers(0, d - 1)) if j < i else d * (i == j) for j in range(m)))
+        rows.append(tuple(data.draw(st.integers(0, d - 1)) if j < i and not diagonal else d * (i == j) for j in range(m)))
     base = Lattice(tuple(rows))
-    row = data.draw(st.integers(0, m - 1))
-    entry = Template(base, scaled_row(m, row), Explicit((2, 3, 5)))
+    if base.is_diagonal():
+        exps = tuple(data.draw(st.lists(st.integers(0, 3), min_size=m, max_size=m).filter(any)))
+    else:
+        exps = scaled_row(m, data.draw(st.integers(0, m - 1)))
+    entry = Template(base, exps, Explicit((2, 3, 5)))
     t = data.draw(st.integers(1, 10**6))
     cols = [list(c) for c in base.columns]
-    cols[row][row] *= t
+    for i, e in enumerate(exps):
+        cols[i][i] *= t**e
     member = entry.member(t)
     assert member == hnf(cols)
     # built without validation, it equals the validated lattice of its basis,
     # views included
     checked = Lattice(member.basis)
     assert member == checked
-    assert (member.dim, member.columns, member.diagonal, member.index) == (
-        checked.dim, checked.columns, checked.diagonal, checked.index
+    assert (member.dim, member.columns, member.diagonal, member.index, member.is_diagonal()) == (
+        checked.dim, checked.columns, checked.diagonal, checked.index, checked.is_diagonal()
     )

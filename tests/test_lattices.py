@@ -257,6 +257,33 @@ def test_contains_matches_rational_solve():
         assert lat.contains(p) == oracle
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda m: st.tuples(
+    st.lists(st.integers(1, 12), min_size=m, max_size=m),
+    st.lists(st.integers(-10**6, 10**6), min_size=m, max_size=m),
+    st.lists(st.integers(-2, 2), min_size=m, max_size=m),
+    st.booleans(),
+)))
+def test_diagonal_contains_is_a_zero_reduction(case):
+    # a diagonal lattice answers membership in one pass over the
+    # coordinates: p lies in it exactly when its canonical rep is 0, and a
+    # point of another dimension is refused as reduce refuses it
+    diagonal, ks, offsets, checked = case
+    m = len(diagonal)
+    lat = Lattice.from_diagonal(diagonal)
+    if checked:  # the same lattice from the checked constructor
+        lat = Lattice(tuple(tuple(d if i == j else 0 for j in range(m)) for i, d in enumerate(diagonal)))
+    assert lat.is_diagonal()
+    p = tuple(d * k + r for d, k, r in zip(diagonal, ks, offsets))
+    assert lat.contains(p) == (lat.reduce(p) == (0,) * m)
+    assert lat.contains(tuple(d * k for d, k in zip(diagonal, ks)))
+    for other in (p + (0,), p[:-1]):
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            lat.contains(other)
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            lat.reduce(other)
+
+
 def test_coset_reps_diag():
     reps = list(Lattice.from_diagonal((2, 2)).iter_coset_reps())
     assert reps == [(0, 0), (1, 0), (0, 1), (1, 1)]

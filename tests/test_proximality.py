@@ -864,6 +864,84 @@ def test_dprime_proves_every_ex2_member_without_a_free_call(monkeypatch):
     assert tested == []
 
 
+@pytest.mark.parametrize("name, candidate, held, scanned", [
+    # rect-demo's p Z^2 holds the members 3 Z^2 ... 11 Z^2 whole; 13 Z^2
+    # has the free column (13, 0)
+    ("rect-demo", "dim 2\nrecttemplate [t,t] params=oddprimes\n", (3, 5, 7, 11), 13),
+    # squarefree-1d's p^2 Z is each member p^2 Z itself
+    ("squarefree-1d", "dim 1\nrecttemplate [t^2] params=primes\n", (4, 9, 25, 49, 121, 169), None),
+])
+def test_a_member_one_family_member_holds_takes_one_walk(name, candidate, held, scanned, monkeypatch):
+    # the walk is seeded with the family members holding the member's
+    # columns and their sum, so a member that one of them holds is proved
+    # by one walk over a quotient of 1, with no grow call; a member with a
+    # free column is scanned without a walk
+    spec, candidate = preset(name), parse_family(candidate)
+    walks, grown = [], []
+
+    def walk(big, covers, limit, grow=None):
+        def counted(p):
+            grown.append(p)
+            return grow(p)
+
+        result = _coset_walk(big, covers, limit, counted)
+        walks.append((big.diagonal[0], result))
+        return result
+
+    monkeypatch.setattr(proximality, "_coset_walk", walk)
+    tested = _count_scanned_rows(monkeypatch)
+    row = check_coprime_cover_candidate(spec, candidate)
+    assert walks == [(d, (None, 1)) for d in held] and grown == []
+    ref = _scan_only_dprime(spec, candidate)
+    assert (row.holds, row.mode, row.detail, row.witness) == (ref.holds, ref.mode, ref.detail, ref.witness)
+    if scanned is None:
+        assert tested == []
+    else:
+        assert tested and all(box.lo[0] % scanned == 0 for box in tested)
+
+
+def test_a_member_whose_probes_are_held_is_walked_then_scanned(monkeypatch):
+    # 3 Z^2's columns (3, 0), (0, 3) and their sum (3, 3) lie in Z x 2Z,
+    # 5Z x Z and the static lattice, but (-36, -33) is free: the seeded walk
+    # finds a free rep, so the member is scanned and gives the witness
+    spec = parse_family("dim 2\nrect [1,2]\nrect [5,1]\nstatic [[3,3],[0,6]]\n")
+    candidate = parse_family("dim 2\nrecttemplate [t,t] params=oddprimes\n")
+    walks = []
+    monkeypatch.setattr(
+        proximality, "_coset_walk", lambda *args: walks.append(args[0]) or _coset_walk(*args)
+    )
+    row = check_coprime_cover_candidate(spec, candidate)
+    ref = _scan_only_dprime(spec, candidate)
+    assert (row.holds, row.mode, row.detail, row.witness) == (ref.holds, ref.mode, ref.detail, ref.witness)
+    assert walks == [Lattice.from_diagonal((3, 3))] and row.witness[1] == (-36, -33)
+
+
+def test_a_member_with_a_free_probe_is_scanned_without_a_walk(monkeypatch):
+    # 3 Z^2's columns lie in Z x 17Z and 11Z x Z, but their sum (3, 3) lies
+    # in no member: the member is scanned at once, with the scan's witness
+    spec = parse_family("dim 2\nrect [11,1]\nrect [1,17]\nrecttemplate [2t,t] params=primes\n")
+    candidate = parse_family("dim 2\nrecttemplate [t,t] params=oddprimes\n")
+    walks = []
+    monkeypatch.setattr(proximality, "_coset_walk", lambda *args: walks.append(args[0]) or _coset_walk(*args))
+    row = check_coprime_cover_candidate(spec, candidate)
+    ref = _scan_only_dprime(spec, candidate)
+    assert (row.holds, row.mode, row.detail, row.witness) == (ref.holds, ref.mode, ref.detail, ref.witness)
+    assert walks == [] and row.witness == (Lattice.from_diagonal((3, 3)), (-27, -36))
+
+
+def test_conditions_report_reads_the_family_schemas_once(monkeypatch):
+    # the verdict and row (d) share one _schemas pass over the family; the
+    # d' candidate has its own
+    seen = []
+    schemas = proximality._schemas
+    monkeypatch.setattr(proximality, "_schemas", lambda spec: seen.append(spec) or schemas(spec))
+    spec, candidate = preset("ex2"), parse_family("dim 2\nrecttemplate [t,t] params=oddprimes\n")
+    full = conditions_report(spec, SearchBudget(max_side=2), dprime_candidate=candidate)
+    assert seen == [spec, candidate]
+    monkeypatch.setattr(proximality, "_schemas", schemas)
+    assert full == conditions_report(spec, SearchBudget(max_side=2), dprime_candidate=candidate)
+
+
 def _scan_only_dprime(spec: FamilySpec, candidate: FamilySpec) -> ConditionRow:
     """The (d') row of a schema-certified candidate by the point scan alone:
     every member of index <= 200, coefficients within +/-12, last fastest."""

@@ -435,6 +435,44 @@ def test_line_tables_split_into_chunks(spec, monkeypatch):
         assert covered_flags(spec, box) == bytearray(map(spec.covered, box.points()))
 
 
+def identity_transformed(spec: FamilySpec) -> FamilySpec:
+    """The same family under an explicit identity transform, which takes
+    the general line tables of _box_lines."""
+    m = spec.dim
+    return FamilySpec(m, spec.entries, UnimodularMap(tuple(tuple(int(i == j) for j in range(m)) for i in range(m))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_row_tables_equal_the_general_tables_of_the_identity(data):
+    # without a transform the line tables are read off the box's rows; they
+    # are the tables the general path builds for the identity, in the same
+    # order and chunks, and give the same flags
+    m = data.draw(st.sampled_from((2, 3, 4)))
+    spec = FamilySpec(m, tuple(data.draw(st.lists(entries(m), max_size=3))))
+    identity = identity_transformed(spec)
+    box = data.draw(boxes(m, max_half={2: 12, 3: 4, 4: 2}[m]))
+    chunk = data.draw(st.sampled_from((1, 3, windows._CHUNK_LINES)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(windows, "_CHUNK_LINES", chunk)
+        assert list(windows._box_lines(spec, box)) == list(windows._box_lines(identity, box))
+        assert covered_flags(spec, box) == covered_flags(identity, box)
+
+
+def test_row_tables_of_a_box_taller_than_one_chunk():
+    # 4 * _CHUNK_LINES + 5 rows: five tables, the last of 5 rows, and the
+    # flags of the general path and of one covered call per cell
+    spec = parse_family("dim 2\nrect [3,1]\nrecttemplate [t,t] params=primes\nrecttemplate [2t,t] params=oddprimes\n")
+    rows = 4 * windows._CHUNK_LINES + 5
+    box = Box((-(rows // 2), -2), (rows - 1 - rows // 2, 3))
+    identity = identity_transformed(spec)
+    tables = list(windows._box_lines(spec, box))
+    assert [len(t) for t in tables] == [windows._CHUNK_LINES] * 4 + [5]
+    assert tables == list(windows._box_lines(identity, box))
+    flags = covered_flags(spec, box)
+    assert flags == covered_flags(identity, box) == bytearray(map(spec.covered, box.points()))
+
+
 @st.composite
 def single_lattice_specs(draw):
     m = draw(st.sampled_from((1, 2, 3)))

@@ -284,6 +284,48 @@ MUTANTS = (
         "        inter = inter.intersect(found)\n", "",
         ("tests/test_proximality.py",),
     ),
+    # the (d') check without repeated work: seeded walks, row tables,
+    # one-pass diagonal membership and line hits, one schema pass
+    Mutant(
+        "diagonal-contains-skips-the-last-coordinate", LATTICES,
+        "return not any(map(mod, p, self.diagonal))", "return not any(map(mod, p[:-1], self.diagonal))",
+        ("tests/test_lattices.py",),
+    ),
+    Mutant(
+        "row-table-khi-one-short", WINDOWS,
+        "repeat(lo[-1]), repeat(hi[-1])))", "repeat(lo[-1]), repeat(hi[-1] - 1)))",
+        ("tests/test_windows.py",),
+    ),
+    Mutant(
+        "one-pass-hits-at-exponent-two", FAMILIES,
+        "if e == 1 and all(f == 1 for _, f in head):", "if e <= 2 and all(f == 1 for _, f in head):",
+        ("tests/test_families.py",),
+    ),
+    Mutant(
+        "hits-period-one-short", FAMILIES,
+        "self._hits(head, e, run[:g])", "self._hits(head, e, run[: g - 1])",
+        ("tests/test_families.py",),
+    ),
+    Mutant(
+        "seed-is-the-candidate-member", PROXIMALITY,
+        "_coset_walk(member, seeds, scan,", "_coset_walk(member, [member], scan,",
+        ("tests/test_proximality.py",),
+    ),
+    Mutant(
+        "parsed-matrix-taken-unchecked", FAMILIES,
+        "return Lattice(tuple(zip(*cols)))", "return Lattice._of_columns(tuple(map(tuple, cols)))",
+        ("tests/test_families.py",),
+    ),
+    Mutant(
+        "diagonal-member-exponents-dropped", FAMILIES,
+        "[c * t**e for c, e in zip(self.base.diagonal, self.exps)]", "[c * t for c, e in zip(self.base.diagonal, self.exps)]",
+        ("tests/test_families.py",),
+    ),
+    Mutant(
+        "report-schemas-of-the-candidate", PROXIMALITY,
+        "schemas = _schemas(spec)  #", "schemas = _schemas(dprime_candidate or spec)  #",
+        ("tests/test_proximality.py",),
+    ),
 )
 
 
