@@ -38,7 +38,8 @@ progression of coefficients that the sequence's ``power_hits`` takes
 whole (``windows.covered_flags``).
 The schema answers with a ``CoprimeFamily`` only for a template with the
 identity base over primes, whose distinct parameters give pairwise coprime
-members.
+members.  The answer holds the template and works out its rule and first
+members only when they are read, which only a Proximal certificate does.
 
 A family may carry a unimodular change of coordinates; the described family
 is then the image of every entry under that map.  Membership pulls points
@@ -284,11 +285,6 @@ class Primes:
                 hits[i] = any(c >= e and p not in excluded for p, c in factor(r))
         return hits
 
-    def describe(self) -> str:
-        if self.exclude:
-            return "primes excluding {%s}" % ", ".join(map(str, self.exclude))
-        return "all primes"
-
     def spec_text(self) -> str:
         """The ``params=`` text that parse_family reads back."""
         return "primes!" + ",".join(map(str, self.exclude)) if self.exclude else "primes"
@@ -426,11 +422,23 @@ ParamSeq = Primes | Geometric | Explicit
 
 @record
 class CoprimeFamily:
-    """An infinite pairwise coprime subfamily of an entry: the rule that
-    gives it and its first members."""
+    """An infinite pairwise coprime subfamily of an entry: the members of a
+    template with the identity base over primes.  Its rule and its first
+    members are worked out when read, so an answer costs only the kind."""
 
-    rule: str
-    sample: tuple[Lattice, ...]
+    template: "Template"
+
+    @property
+    def rule(self) -> str:
+        slots = ", ".join(map(str, self.template._slots()))
+        exclude = self.template.params.exclude
+        over = "primes excluding {%s}" % ", ".join(map(str, exclude)) if exclude else "all primes"
+        return f"members diag({slots}) over {over}: distinct prime parameters give pairwise coprime members"
+
+    @property
+    def sample(self) -> tuple[Lattice, ...]:
+        template = self.template
+        return tuple(map(template.member, islice(template.params.iter_values_up_to(30), 4)))
 
 
 @record
@@ -582,12 +590,7 @@ class Template:
             return [span]
         if self.base.index > 1 or not isinstance(params, Primes):
             return None
-        sample = tuple(map(self.member, islice(params.iter_values_up_to(30), 4)))
-        rule = (
-            f"members diag({', '.join(map(str, self._slots()))}) over {params.describe()}: "
-            "distinct prime parameters give pairwise coprime members"
-        )
-        return CoprimeFamily(rule, sample)
+        return CoprimeFamily(self)
 
     @cached_property
     def _rows(self):
@@ -918,17 +921,17 @@ def preset(name: str) -> FamilySpec:
             entries=(
                 Rectangular((2, 1)),
                 Rectangular((1, 2)),
-                Template(base=hnf([(1, 1), (0, 2)]), exps=(0, 1), params=Primes()),
+                Template(base=_lattice_of([(1, 1), (0, 2)], 2), exps=(0, 1), params=Primes()),
             ),
         )
     if name == "ex1":
         return FamilySpec(
             dim=2,
             entries=(
-                Static(hnf([(1, 1), (0, 2)])),
+                Static(_lattice_of([(1, 1), (0, 2)], 2)),
                 Rectangular((1, 2)),
-                Template(base=hnf([(2, 1), (0, 2)]), exps=(1, 0), params=odd_primes()),
-                Template(base=hnf([(2, 1), (0, 2)]), exps=(1, 0), params=Geometric(2, 1)),
+                Template(base=_lattice_of([(2, 1), (0, 2)], 2), exps=(1, 0), params=odd_primes()),
+                Template(base=_lattice_of([(2, 1), (0, 2)], 2), exps=(1, 0), params=Geometric(2, 1)),
             ),
         )
     if name == "squarefree-1d":
@@ -1017,8 +1020,8 @@ def _parse_ints(text: str, line_no: int, nested: bool):
 def _lattice_of(cols, dim: int) -> Lattice:
     """hnf(cols, dim=dim): the checked Lattice(basis) when the columns are
     already a canonical basis of that dimension, as a written matrix often
-    is (the canonical form is unique, so the lattice is the same), else the
-    elimination."""
+    is and every preset's is (the canonical form is unique, so the lattice
+    is the same), else the elimination."""
     if len(cols) == dim and all(len(col) == dim for col in cols):
         try:
             return Lattice(tuple(zip(*cols)))

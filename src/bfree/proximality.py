@@ -2,8 +2,8 @@
 answer, check the individual equivalent conditions, and emit machine-checkable
 certificates.
 
-Exact verdicts come from each entry's ``schema()`` answer, read once per
-question, and are issued in two situations only:
+Exact verdicts come from each entry's ``schema()`` answer, and ``decide``
+is the one place that issues them, in two situations only:
 
 * some entry holds an infinite pairwise coprime subfamily, which today means
   a template with the identity base over primes (Proximal); or
@@ -17,8 +17,10 @@ that its span does not settle is refused by the covering check
 (``UnsettledEntryError``) and scanned by members up to a bound by the
 fixed-translate check; its parameters are never sorted into classes.
 
-The same answers decide condition (d) of ``conditions_report``, the
-candidate check behind (d') and the note of ``crt_window_certificate``.
+``conditions_report`` takes its verdict from ``decide``.  The same answers
+decide condition (d), the candidate check behind (d') and the note of
+``crt_window_certificate``, each reading them itself: an answer costs only
+its kind, as a ``CoprimeFamily`` builds its rule and sample only when read.
 
 Everything else is reported as Inconclusive with finite evidence.  Absence of
 a coprime subset is never used on its own to conclude non-proximality: for
@@ -576,18 +578,13 @@ def decide(spec: FamilySpec, budget: SearchBudget | None = None) -> Verdict:
     A coordinate change on the family does not affect the verdict, so it is
     decided on the underlying entries and certificates are mapped forward.
     """
-    return _decide(spec, budget or SearchBudget(), _schemas(spec))
-
-
-def _decide(spec: FamilySpec, budget: SearchBudget, schemas) -> Verdict:
-    """``decide`` on the entries' schema answers, read once by the caller."""
     try:
-        verdict = _schema_verdict(spec, schemas)
+        verdict = _schema_verdict(spec, _schemas(spec))
     except (InvalidCoverError, TooLargeError):
         verdict = None
     if verdict is not None:
         return verdict
-    return Verdict(INCONCLUSIVE, _zero_window_evidence(spec, budget))
+    return Verdict(INCONCLUSIVE, _zero_window_evidence(spec, budget or SearchBudget()))
 
 
 def crt_window_certificate(spec: FamilySpec, shape, *, instance_bound: int = CRT_INSTANCE_BOUND):
@@ -843,8 +840,7 @@ def conditions_report(
             f"the d' candidate is {dprime_candidate.dim}-dimensional, the family is {spec.dim}-dimensional"
         )
     budget = budget or SearchBudget()
-    schemas = _schemas(spec)  # read once, for the verdict and for row (d)
-    verdict = _decide(spec, budget, schemas)
+    verdict = decide(spec, budget)
     cert = verdict.certificate
     if verdict.status == PROXIMAL:
         rows = {"a": ConditionRow(True, "exact", "coprime subfamily certificate")}
@@ -886,7 +882,7 @@ def conditions_report(
         source, mode, f_note = "b", "derived" if all_found else "unknown", "; density ratios are lower bounds only"
     _derive_equivalents(rows, source, mode, f_note)
 
-    rows["d"] = _coprime_subset_analysis(spec, schemas)
+    rows["d"] = _coprime_subset_analysis(spec, _schemas(spec))
     if dprime_candidate is not None:
         rows["d_prime"] = check_coprime_cover_candidate(spec, dprime_candidate, cell_limit=budget.cell_limit)
     _check_consistency(rows)

@@ -91,6 +91,34 @@ def test_unit_prime_templates_give_coprime_families(exps, exclude):
     check_coprime_family(entry, answer)
 
 
+def eager_coprime_family(template):
+    """(rule, sample) as Template.schema built them on every call before
+    CoprimeFamily read them off its template: the reference."""
+    params = template.params
+    sample = tuple(map(template.member, itertools.islice(params.iter_values_up_to(30), 4)))
+    if params.exclude:
+        over = "primes excluding {%s}" % ", ".join(map(str, params.exclude))
+    else:
+        over = "all primes"
+    rule = (
+        f"members diag({', '.join(map(str, template._slots()))}) over {over}: "
+        "distinct prime parameters give pairwise coprime members"
+    )
+    return rule, sample
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(lambda m: st.lists(st.integers(0, 3), min_size=m, max_size=m)).filter(any),
+    st.lists(st.sampled_from((2, 3, 5, 7)), unique=True),
+)
+def test_coprime_family_rule_and_sample_equal_the_eager_ones(exps, exclude):
+    entry = Template(Lattice.whole(len(exps)), tuple(exps), Primes(tuple(exclude)))
+    answer = entry.schema()
+    assert answer == CoprimeFamily(entry)
+    assert (answer.rule, answer.sample) == eager_coprime_family(entry)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 3).flatmap(entries))
 def test_labelled_members_of_a_finite_entry(entry):

@@ -7,7 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bfree.errors import FamilyParseError, TooLargeError, UnknownPresetError
+from bfree import families
 from bfree.families import (
+    PRESET_NAMES,
     PRIME_SIEVE_LIMIT,
     Explicit,
     FamilySpec,
@@ -101,6 +103,17 @@ def test_rect_demo_preset():
 def test_unknown_preset():
     with pytest.raises(UnknownPresetError):
         preset("nope")
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_presets_are_built_as_parsed_matrices_are(monkeypatch, name):
+    # a preset's matrices are canonical, so they take the checked
+    # Lattice(basis) route of parse_family and no elimination
+    calls = []
+    monkeypatch.setattr(families, "hnf", lambda *a, **k: calls.append(a) or hnf(*a, **k))
+    spec = preset(name)
+    assert calls == []
+    assert spec == parse_family(format_family(spec))
 
 
 def test_origin_always_covered():

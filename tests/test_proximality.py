@@ -14,6 +14,7 @@ from bfree.errors import (
     UnsettledEntryError,
 )
 from bfree.families import (
+    CoprimeFamily,
     Explicit,
     FamilySpec,
     Geometric,
@@ -49,6 +50,7 @@ from bfree.proximality import (
     check_fixed_translate,
     conditions_report,
     coprime_index_subset,
+    crt_window_certificate,
     decide,
     prove_no_zero_window,
 )
@@ -929,17 +931,35 @@ def test_a_member_with_a_free_probe_is_scanned_without_a_walk(monkeypatch):
     assert walks == [] and row.witness == (Lattice.from_diagonal((3, 3)), (-27, -36))
 
 
-def test_conditions_report_reads_the_family_schemas_once(monkeypatch):
-    # the verdict and row (d) share one _schemas pass over the family; the
-    # d' candidate has its own
-    seen = []
-    schemas = proximality._schemas
-    monkeypatch.setattr(proximality, "_schemas", lambda spec: seen.append(spec) or schemas(spec))
+def test_row_d_reads_the_family_not_the_candidate():
+    # ex2 has no coprime entry and the candidate has one: row (d) must not
+    # change when the candidate is supplied
     spec, candidate = preset("ex2"), parse_family("dim 2\nrecttemplate [t,t] params=oddprimes\n")
-    full = conditions_report(spec, SearchBudget(max_side=2), dprime_candidate=candidate)
-    assert seen == [spec, candidate]
-    monkeypatch.setattr(proximality, "_schemas", schemas)
-    assert full == conditions_report(spec, SearchBudget(max_side=2), dprime_candidate=candidate)
+    with_candidate = conditions_report(spec, SearchBudget(max_side=2), dprime_candidate=candidate)
+    alone = conditions_report(spec, SearchBudget(max_side=2))
+    assert with_candidate.rows["d"] == alone.rows["d"]
+    assert alone.rows["d"].holds is False and with_candidate.rows["d_prime"].holds is True
+
+
+def count_sample_reads(monkeypatch) -> list:
+    """Patch CoprimeFamily.sample to record each read; returns the record."""
+    reads = []
+    sample = CoprimeFamily.sample
+    monkeypatch.setattr(CoprimeFamily, "sample", property(lambda self: reads.append(self) or sample.fget(self)))
+    return reads
+
+
+def test_only_a_proximal_certificate_reads_the_coprime_sample(monkeypatch):
+    reads = count_sample_reads(monkeypatch)
+    primes_tt = parse_family("dim 2\nrecttemplate [t,t] params=primes\n")
+    v = decide(primes_tt)
+    assert v.status == PROXIMAL and len(reads) == 1
+    assert v.certificate.sample == tuple(Lattice.from_diagonal((p, p)) for p in (2, 3, 5, 7))
+    reads.clear()
+    report = conditions_report(preset("ex2"), SearchBudget(max_side=2), dprime_candidate=primes_tt)
+    assert report.rows["d_prime"].holds is True and reads == []
+    *_, cert = crt_window_certificate(primes_tt, Shape.from_box(Box((0, 0), (1, 1))))
+    assert "supplies pairwise coprime members" in cert.extension and reads == []
 
 
 def _scan_only_dprime(spec: FamilySpec, candidate: FamilySpec) -> ConditionRow:

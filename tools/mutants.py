@@ -285,7 +285,7 @@ MUTANTS = (
         ("tests/test_proximality.py",),
     ),
     # the (d') check without repeated work: seeded walks, row tables,
-    # one-pass diagonal membership and line hits, one schema pass
+    # one-pass diagonal membership and line hits; row (d) reads the family
     Mutant(
         "diagonal-contains-skips-the-last-coordinate", LATTICES,
         "return not any(map(mod, p, self.diagonal))", "return not any(map(mod, p[:-1], self.diagonal))",
@@ -323,8 +323,21 @@ MUTANTS = (
     ),
     Mutant(
         "report-schemas-of-the-candidate", PROXIMALITY,
-        "schemas = _schemas(spec)  #", "schemas = _schemas(dprime_candidate or spec)  #",
+        'rows["d"] = _coprime_subset_analysis(spec, _schemas(spec))',
+        'rows["d"] = _coprime_subset_analysis(spec, _schemas(dprime_candidate or spec))',
         ("tests/test_proximality.py",),
+    ),
+    # a coprime family's rule and sample, worked out when read
+    Mutant(
+        "coprime-sample-of-three", FAMILIES,
+        "islice(template.params.iter_values_up_to(30), 4)", "islice(template.params.iter_values_up_to(30), 3)",
+        ("tests/test_entries.py",),
+    ),
+    Mutant(
+        "coprime-rule-drops-exclusions", FAMILIES,
+        'over = "primes excluding {%s}" % ", ".join(map(str, exclude)) if exclude else "all primes"',
+        'over = "all primes"',
+        ("tests/test_entries.py",),
     ),
 )
 
