@@ -13,7 +13,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .errors import BadInputError, BFreeError, FamilyParseError, TooLargeError
+from .errors import BadInputError, BFreeError, FamilyParseError, TooLargeError, UnknownPresetError
 from .families import FamilySpec, indented_json, parse_family, preset
 from .proximality import (
     CRT_INSTANCE_BOUND,
@@ -60,7 +60,7 @@ def _read_text(path: str) -> str:
 
 def _load_spec(args) -> FamilySpec:
     if (args.preset is None) == (args.spec is None):
-        raise FamilyParseError(0, "give exactly one of --preset or --spec")
+        raise BadInputError("give exactly one of --preset or --spec")
     if args.preset is not None:
         return preset(args.preset)
     return parse_family(_read_text(args.spec))
@@ -479,7 +479,7 @@ def main(argv=None) -> int:
         breach = f"check: {exc.check}; limit: {exc.limit_name} = {exc.limit}; count: {exc.count}"
         print(f"limit breached: {exc} ({breach})", file=sys.stderr)
         return EXIT_LIMIT
-    except (argparse.ArgumentError, BadInputError, FamilyParseError, *_BAD_PATH_ERRORS) as exc:
+    except (argparse.ArgumentError, BadInputError, FamilyParseError, UnknownPresetError, *_BAD_PATH_ERRORS) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except BFreeError as exc:

@@ -23,19 +23,20 @@ member; the span, for an infinite entry whose span is proper), a
 the schema proves neither.
 
 Parameter sequences are primes (with optional exclusions), powers of a fixed
-base, or an explicit finite list.  Membership of a point in the union of all
-members is decided exactly: divisibility constraints pin down finitely many
-candidate parameters, so no sampling or truncation is involved.  Every
-sequence lists its candidates in increasing order (primes lazily, as they
-are factored), so the least parameter is the first one read.  One
-elimination reads those constraints, ``Template._eliminate``; the point
-questions run it on the whole point, and ``line_pieces`` on a line's prefix
-for the window sieve of a template that scales a row before its last.  A
-single lattice, and a template that scales only its last row, need no such
-answer there: the sieve walks the rows that the image of the lattice or of
-the base meets, and such a template's members read, along each row, a
-progression of coefficients that the sequence's ``power_hits`` takes
-whole (``windows.covered_flags``).
+base, or an explicit finite list.  A finite entry (a single lattice, or a
+template over a list) is its ``members`` everywhere: the point questions,
+``schema()``, the covering checks and the window sieve read them by
+increasing parameter.  Only the infinite sequences answer the divisibility
+protocol (``candidates``, ``divides``, ``quotients_mod``, ``power_hits``):
+constraints pin down finitely many candidate parameters, listed in
+increasing order (primes lazily, as they are factored), so membership is
+exact and the least parameter is read first.  One elimination reads them,
+``Template._eliminate``; the point questions run it on the whole point,
+and ``line_pieces`` on a line's prefix for the window sieve of a template
+that scales a row before its last.  For one that scales only its last
+row, the sieve walks the rows that the image of its base meets, along each
+of which the members read a progression of coefficients that the
+sequence's ``power_hits`` takes whole (``windows.covered_flags``).
 The schema answers with a ``CoprimeFamily`` only for a template with the
 identity base over primes, whose distinct parameters give pairwise coprime
 members.  The answer holds the template and works out its rule and first
@@ -363,7 +364,8 @@ class Geometric:
 
 @record
 class Explicit:
-    """A finite, strictly increasing list of parameter values."""
+    """A finite, strictly increasing list of parameter values: a template
+    over it is read member by member, so it needs no divisibility protocol."""
 
     values: tuple[int, ...]
 
@@ -376,7 +378,6 @@ class Explicit:
             raise ValueError("explicit parameter list must be strictly increasing")
 
     is_infinite = False
-    factors = False
 
     def __contains__(self, t: int) -> bool:
         return t in self.values
@@ -390,24 +391,6 @@ class Explicit:
     def delta(self) -> int:
         """gcd of the differences to the least value (0 for a single value)."""
         return gcd(*(v - self.values[0] for v in self.values))
-
-    def candidates(self, constraints) -> list[int]:
-        """All listed t with t**e dividing v for every (v, e) given, in
-        increasing order; at least one v must be nonzero."""
-        if all(v == 0 for v, _ in constraints):
-            raise ValueError("all constraint values are zero")
-        return [t for t in self.values if all(v % t**e == 0 for v, e in constraints)]
-
-    def divides(self, v: int) -> bool:
-        return any(v % t == 0 for t in self.values)
-
-    quotients_mod = _quotients_by_candidates
-
-    def power_hits(self, run: range, e: int) -> bytearray:
-        """Flags over the values v of the progression run: 1 where some
-        listed t has t**e | v (as Primes.power_hits): one class of indices
-        per value."""
-        return _multiples_in_run(run, {t**e for t in self.values})
 
     def spec_text(self) -> str:
         return "explicit:" + ",".join(map(str, self.values))
@@ -443,8 +426,7 @@ class CoprimeFamily:
 
 @record
 class Static:
-    """A single lattice member, which answers the whole entry protocol;
-    windows read its lattice directly."""
+    """A single lattice member, which answers the whole entry protocol."""
 
     lattice: Lattice
 
@@ -452,8 +434,9 @@ class Static:
     span_word = "member"
 
     def __post_init__(self):
-        if not self.lattice.is_proper():
+        if self.lattice.index < 2:
             raise ValueError("family members must be proper (index >= 2)")
+        self.__dict__["members"] = (self.lattice,)  # a plain attribute: windows read it per box
 
     @property
     def dim(self) -> int:
@@ -526,7 +509,8 @@ class Template:
     A diagonal base may scale any rows by any powers (the ``recttemplate``
     line); any other base scales exactly one row, by t (the ``template``
     line).  The rest of a scaled column, below the diagonal, is shared by
-    every member.
+    every member.  Over a finite list every question reads the ``members``;
+    over an infinite sequence, divisibility constraints (``_eliminate``).
     """
 
     base: Lattice
@@ -549,14 +533,19 @@ class Template:
     def dim(self) -> int:
         return self.base.dim
 
-    @property
+    @cached_property
     def is_infinite(self) -> bool:
         return self.params.is_infinite
+
+    @cached_property
+    def members(self) -> tuple[Lattice, ...]:
+        """A finite entry's members, by increasing parameter, built once."""
+        return tuple(map(self.member, self.params.values))
 
     def labelled_members(self):
         """(label, member) for every member of a finite entry, by
         increasing parameter."""
-        return ((f"t={t}", self.member(t)) for t in self.params.values)
+        return zip([f"t={t}" for t in self.params.values], self.members)
 
     def iter_instances(self, bound: int):
         """Every member of index <= bound, by increasing parameter, built
@@ -584,7 +573,7 @@ class Template:
         """
         params = self.params
         if not params.is_infinite:
-            return [self.member(t) for t in params.values]
+            return list(self.members)
         span = self.span
         if span.is_proper():
             return [span]
@@ -685,6 +674,8 @@ class Template:
         return self.params.divides(g)
 
     def covered(self, p) -> bool:
+        if not self.is_infinite:
+            return self.member_containing(p) is not None
         for _, constraints, _ in self._eliminate(p, len(self._rows)):
             if self._holds(constraints):
                 return True
@@ -693,13 +684,18 @@ class Template:
     def member_containing(self, p):
         """The member of the least parameter that holds p, or None.
 
-        Without a fork there is one branch at most, and its least parameter
+        A finite entry reads its members in order.  For an infinite one,
+        without a fork there is one branch at most, and its least parameter
         is the answer.  The branches of a fork share its w and M; the answer
         is the least member t | w whose class w / t mod M survived: the
         first such candidate of w.  This is the one place a fork lists them,
         so over primes it factors w up to that member (and may raise
         FactorizationError) where ``covered`` and ``line_pieces`` do not.
         """
+        if not self.is_infinite:
+            if len(p) != self.dim:
+                raise ValueError("point dimension mismatch")
+            return next((lat for lat in self.members if lat.contains(p)), None)
         branches = self._eliminate(p, len(self._rows))
         if not branches:
             return None

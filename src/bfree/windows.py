@@ -14,7 +14,7 @@ from math import prod
 from operator import add, floordiv, mul, sub
 
 from .errors import NotAZeroWindowError, NotEnoughIdealsError, TooLargeError
-from .families import FamilySpec, Static
+from .families import FamilySpec
 from .lattices import Lattice, Point, as_point, back_substitute, crt, intersect_all, mixed_radix, record
 
 DEFAULT_CELL_LIMIT = 10**8
@@ -217,11 +217,11 @@ def covered_flags(spec: FamilySpec, box: Box) -> bytearray:
     """Exact covered indicator over a box: one byte per cell, 1 on covered
     cells, row-major with the last coordinate fastest.
 
-    A single-lattice entry is marked through its lattice in family
-    coordinates, spec.image(entry.lattice), on the rows of the box that the
-    lattice meets (see _mark_lattice).  So is a last-row template, one that
-    scales only its last row, through spec.image(entry.base): each row met
-    takes one power_hits call over the member coefficients of its cells, a
+    A finite entry's members are marked through their images in family
+    coordinates, spec.image(member), on the rows of the box they meet (see
+    _mark_lattice).  So is a last-row template, one that scales only its
+    last row, through spec.image(entry.base): each row met takes one
+    power_hits call over the member coefficients of its cells, a
     progression (see _mark_last_row).  Any other template is evaluated in
     its own coordinates q, x = A q (A the transform, else the identity),
     once per line of q that meets the box, each line one slice of the
@@ -230,7 +230,7 @@ def covered_flags(spec: FamilySpec, box: Box) -> bytearray:
     the box directly.  One skip rule:
     every template skips the rows and lines already flagged entirely (as in
     ex1, whose lattices cover every line with odd x_0).  The marking order
-    (single lattices; last-row templates that never factor; templates on
+    (finite entries; last-row templates that never factor; templates on
     lines, those that never factor first; last-row templates that may
     factor) keeps a template that may factor, or raise FactorizationError,
     off the rows and lines a cheaper entry covers.  A box without templates
@@ -241,10 +241,11 @@ def covered_flags(spec: FamilySpec, box: Box) -> bytearray:
     ones = memoryview(b"\x01" * max(box.sides))
     templates = []
     for entry in spec.entries:
-        if isinstance(entry, Static):
-            _mark_lattice(flags, spec.image(entry.lattice), box, ones)
-        else:
+        if entry.is_infinite:
             templates.append(entry)
+        else:
+            for member in entry.members:
+                _mark_lattice(flags, spec.image(member), box, ones)
     rows_first, on_lines, rows_last = [], [], []
     for entry in sorted(templates, key=lambda e: e.params.factors):
         # a run of power_hits that repeats on consecutive rows or lines is sieved once per box
@@ -682,8 +683,8 @@ def density_profile(
     one covered_flags evaluation over the largest grid, from which each
     side's flags are cut (see _crop), plus sliding-window sums; ties go to
     the first shift in lexicographic order.  The sides must be strictly
-    increasing, and the largest grid must fit ``cell_limit``; both are
-    checked before it is sieved.
+    increasing, and the grids' volumes, which the crops and sums read, must
+    fit ``cell_limit`` in sum; both are checked before any grid is sieved.
     """
     sides = [int(n) for n in sides]
     m = spec.dim
@@ -694,10 +695,11 @@ def density_profile(
     if any(a >= b for a, b in zip(sides, sides[1:])):
         raise ValueError("sides must be strictly increasing")
     grids = [Box(tuple(a - n for a in shift_search.lo), tuple(b + n for b in shift_search.hi)) for n in sides]
-    if grids and grids[-1].volume > cell_limit:
+    volume = sum(grid.volume for grid in grids)
+    if volume > cell_limit:
         raise TooLargeError(
-            f"combined grid volume {grids[-1].volume} exceeds {cell_limit}",
-            check="density profile", limit_name="cell_limit", limit=cell_limit, count=grids[-1].volume,
+            f"combined grid volume {volume} exceeds {cell_limit}",
+            check="density profile", limit_name="cell_limit", limit=cell_limit, count=volume,
         )
     rows = []
     flags = covered_flags(spec, grids[-1]) if grids else None

@@ -48,8 +48,10 @@ def random_unimodular(rng, m: int, ops: int = 8) -> UnimodularMap:
 
 
 @st.composite
-def param_seqs(draw):
-    kind = draw(st.sampled_from(("primes", "geometric", "explicit")))
+def param_seqs(draw, explicit=True):
+    """A parameter sequence; with explicit=False only an infinite one, which
+    answers the divisibility protocol (candidates, divides, power_hits)."""
+    kind = draw(st.sampled_from(("primes", "geometric", "explicit")[: 3 if explicit else 2]))
     if kind == "primes":
         return Primes(tuple(draw(st.lists(st.sampled_from((2, 3, 5, 7)), unique=True, max_size=2))))
     if kind == "geometric":

@@ -478,6 +478,66 @@ def test_reproduce_matches_goldens(tmp_path, capsys):
         assert f"reproduced 3 artifacts for {name}" in stdout
 
 
+class _GoldenRoot:
+    """A stand-in for ``importlib.resources`` whose package files lie under
+    a temporary directory, so golden checks and --bless leave the package
+    tree alone."""
+
+    def __init__(self, root: Path):
+        self.root = root
+
+    def files(self, package):
+        return self.root
+
+
+def _goldens_under(tmp_path, monkeypatch) -> Path:
+    """ex2's goldens copied under tmp_path, which reproduce then reads."""
+    real = Path(str(cli.resources.files("bfree"))) / "goldens" / "ex2"
+    copy = tmp_path / "pkg" / "goldens" / "ex2"
+    copy.mkdir(parents=True)
+    for path in real.iterdir():
+        (copy / path.name).write_text(path.read_text())
+    monkeypatch.setattr(cli, "resources", _GoldenRoot(tmp_path / "pkg"))
+    return copy
+
+
+@pytest.mark.parametrize(
+    "change, line",
+    [
+        (lambda path: path.write_text(path.read_text() + "\n"), "ex2_window.csv: differs from golden"),
+        (lambda path: path.unlink(), "ex2_window.csv: missing golden"),
+    ],
+    ids=["differs", "missing"],
+)
+def test_reproduce_against_a_changed_golden_exits_4(tmp_path, capsys, monkeypatch, change, line):
+    goldens = _goldens_under(tmp_path, monkeypatch)
+    change(goldens / "ex2_window.csv")
+    code, stdout, err = run(capsys, "reproduce", "ex2", "--outdir", str(tmp_path / "out"))
+    assert (code, stdout, err) == (cli.EXIT_MISMATCH, "", line + "\n")
+    # the artifacts are written all the same, for the reader to compare
+    assert sorted(path.name for path in (tmp_path / "out").iterdir()) == [
+        "ex2_conditions.json", "ex2_window.csv", "ex2_window.pgm"
+    ]
+
+
+def test_reproduce_bless_writes_the_goldens_it_then_matches(tmp_path, capsys, monkeypatch):
+    goldens = _goldens_under(tmp_path, monkeypatch)
+    expected = {path.name: path.read_text() for path in goldens.iterdir()}
+    for path in goldens.iterdir():
+        path.write_text("stale\n")
+    code, stdout, err = run(capsys, "reproduce", "ex2", "--bless", "--outdir", str(tmp_path / "out"))
+    assert (code, stdout, err) == (cli.EXIT_OK, "blessed 3 artifacts for ex2\n", "")
+    assert {path.name: path.read_text() for path in goldens.iterdir()} == expected
+    code, stdout, err = run(capsys, "reproduce", "ex2", "--outdir", str(tmp_path / "out"))
+    assert (code, stdout, err) == (cli.EXIT_OK, "reproduced 3 artifacts for ex2\n", "")
+
+
+def test_a_package_error_is_reported_as_an_error_line_with_exit_2(capsys):
+    # NotEnoughIdealsError, a BFreeError that is not bad input: main's generic branch
+    code, stdout, err = run(capsys, "zero", "--preset", "rect-demo", "--shape", "0:5x0:0", "--crt")
+    assert (code, stdout, err) == (2, "", "error: 6 cells need at least that many lattices, got 5\n")
+
+
 def test_eta_json_format(tmp_path, capsys):
     out = tmp_path / "w.json"
     code, stdout, _ = run(
@@ -529,6 +589,9 @@ def test_report_with_dprime_candidate(tmp_path, capsys):
         (("density", "--preset", "ex2", "--sides", "2", "--shift-search", "0:1"), "--shift-search"),
         (("eta", "--preset", "ex2", "--box", "0:1,0:1", "--limit-cells", "-5"), "--limit-cells"),
         (("decide", "--preset", "ex2", "--radius", "-3"), "--radius"),
+        (("decide", "--preset", "nope"), "unknown preset 'nope'"),
+        (("decide", "--preset", "ex2", "--spec", "s.fam"), "give exactly one of --preset or --spec"),
+        (("decide",), "give exactly one of --preset or --spec"),
     ],
     ids=[
         "box-malformed",
@@ -543,6 +606,9 @@ def test_report_with_dprime_candidate(tmp_path, capsys):
         "shift-search-dimension",
         "limit-cells-negative",
         "radius-negative",
+        "preset-unknown",
+        "preset-and-spec",
+        "neither-preset-nor-spec",
     ],
 )
 def test_bad_input_exits_2(tmp_path, capsys, argv, flag):
@@ -550,6 +616,7 @@ def test_bad_input_exits_2(tmp_path, capsys, argv, flag):
     assert code == 2
     assert stdout == ""
     assert err.startswith("bad input: ") and flag in err
+    assert err.count("\n") == 1 and err.endswith("\n")
     assert not (tmp_path / "w.csv").exists()
 
 

@@ -329,12 +329,11 @@ def test_explicit_validation():
         Explicit(())
     with pytest.raises(ValueError):
         Explicit((3, 3))
-    assert Explicit((2, 6)).candidates(((12, 1),)) == [2, 6]
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    param_seqs(),
+    param_seqs(explicit=False),
     st.lists(st.tuples(st.integers(-3000, 3000), st.integers(1, 3)), min_size=1, max_size=3),
 )
 def test_candidates_increase_and_the_least_parameter_is_the_first(params, constraints):
@@ -351,7 +350,7 @@ def test_candidates_increase_and_the_least_parameter_is_the_first(params, constr
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.one_of(param_seqs(), st.builds(Primes, st.sampled_from(((), (2,), (3, 5), (2, 3, 7))))),
+    st.one_of(param_seqs(explicit=False), st.builds(Primes, st.sampled_from(((), (2,), (3, 5), (2, 3, 7))))),
     st.lists(st.tuples(st.one_of(st.just(0), st.integers(-60, 60)), st.integers(1, 2)), min_size=1, max_size=3),
     st.integers(1, 2),
     st.integers(-80, 80),

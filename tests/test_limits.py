@@ -89,8 +89,9 @@ SITES = {
     ),
     "density_profile": (
         lambda: density_profile(preset("ex2"), [400, 100000], Box.centered(20, 2), cell_limit=10**6),
-        "combined grid volume 40016401681 exceeds 1000000",
-        ("density profile", "cell_limit", 10**6, 40016401681),
+        # 841^2 + 200041^2: the grids of both sides
+        "combined grid volume 40017108962 exceeds 1000000",
+        ("density profile", "cell_limit", 10**6, 40017108962),
     ),
     "class quotient": (
         lambda: _coset_walk(Lattice.from_diagonal((1, 1)), [Lattice.from_diagonal((3, 3))], 8),

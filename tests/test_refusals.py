@@ -56,7 +56,6 @@ REFUSALS = {
     "geometric-negative-start": (lambda: Geometric(2, -1), ValueError, "exponent offset must be >= 0"),
     "geometric-all-zero": (lambda: Geometric(2).candidates(((0, 2),)), ValueError, ALL_ZERO),
     "explicit-zero": (lambda: Explicit((0,)), ValueError, "parameters must be positive"),
-    "explicit-all-zero": (lambda: Explicit((2,)).candidates(((0, 1),)), ValueError, ALL_ZERO),
     # entries and families
     "rect-zero": (lambda: Rectangular((0, 1)), ValueError, "rectangular entries must be positive"),
     "template-exponents": (

@@ -1038,9 +1038,13 @@ def test_density_profile_refuses_before_sieving(monkeypatch):
     monkeypatch.setattr(windows, "covered_flags", lambda spec, box: sieved.append(box) or flags(spec, box))
     with pytest.raises(ValueError, match="^sides must be strictly increasing$"):
         density_profile(preset("ex2"), [5, 3], Box.centered(2, 2))
-    # the side-400 grid fits the limit, the side-100000 grid does not
-    with pytest.raises(TooLargeError, match="^combined grid volume 40016401681 exceeds 1000000$"):
+    # the grids of both sides count: 841^2 + 200041^2 cells
+    with pytest.raises(TooLargeError, match="^combined grid volume 40017108962 exceeds 1000000$"):
         density_profile(preset("ex2"), [400, 100000], Box.centered(20, 2), cell_limit=10**6)
+    # every grid of the sides 0..799 fits the default limit, the largest
+    # 1599^2 cells, but their crops and sums read 682 666 400 cells
+    with pytest.raises(TooLargeError, match="^combined grid volume 682666400 exceeds 100000000$"):
+        density_profile(preset("ex2"), range(800), Box((0, 0), (0, 0)))
     assert sieved == []
 
 

@@ -339,6 +339,23 @@ MUTANTS = (
         'over = "all primes"',
         ("tests/test_entries.py",),
     ),
+    # a finite entry is its members, in the window sieve and the point questions
+    Mutant(
+        "finite-member-containing-takes-the-last", FAMILIES,
+        "next((lat for lat in self.members if lat.contains(p)), None)",
+        "next((lat for lat in reversed(self.members) if lat.contains(p)), None)",
+        ("tests/test_entries.py",),
+    ),
+    Mutant(
+        "finite-entry-last-member-skipped", WINDOWS,
+        "for member in entry.members:", "for member in entry.members[:-1]:",
+        ("tests/test_entries.py",),
+    ),
+    Mutant(
+        "finite-covered-reads-the-first-member", FAMILIES,
+        "return self.member_containing(p) is not None", "return self.members[0].contains(p)",
+        ("tests/test_entries.py",),
+    ),
 )
 
 
