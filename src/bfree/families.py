@@ -845,6 +845,12 @@ class FamilySpec:
         itself, or its image under the transform."""
         return lattice if self.transform is None else self.transform.apply(lattice)
 
+    @cached_property
+    def finite_images(self) -> tuple[Lattice, ...]:
+        """The finite entries' members in family coordinates, entry by
+        entry, each mapped once: the window sieve marks them on every box."""
+        return tuple(map(self.image, [m for e in self.entries if not e.is_infinite for m in e.members]))
+
     def covered(self, p) -> bool:
         """True when the point lies in some member of the family."""
         q = self.pullback(p)

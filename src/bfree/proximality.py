@@ -59,8 +59,12 @@ REPORT_PERIOD_SCAN_LIMIT = 500_000  # (b)'s period scan needs n^(m+1) <= this, n
 CRT_INSTANCE_BOUND = 2000
 _DPRIME_INSTANCE_BOUND = 200
 _DPRIME_SCAN_RADIUS = 12
-# the conditions the paper proves equivalent for lattices in Z^m
+# The implications the condition rows rest on, and a derived row's mode by its
+# source row's; "evidence" -> "derived" is ROADMAP item 1's open wrong answer
+# (evidence is no proof), pinned by the ex1/ex2 goldens.
 _EQUIVALENT = ("a", "b", "c", "e", "f")
+_IMPLIES = {**dict.fromkeys(_EQUIVALENT, _EQUIVALENT), "d": _EQUIVALENT}
+_DERIVED_MODE = {"exact": "derived", "evidence": "derived", "unknown": "unknown"}
 
 
 # ---------------------------------------------------------------------------
@@ -828,12 +832,13 @@ def conditions_report(
     budget: SearchBudget | None = None,
     dprime_candidate: FamilySpec | None = None,
 ) -> ConditionsReport:
-    """Evaluate each equivalent condition as far as the schema and budget allow.
+    """Evaluate each condition as far as the schema and budget allow.
 
-    Exact results must respect the proved implications (the conditions other
-    than the coprime-subfamily one are mutually equivalent, and that one
-    implies the rest); any exact violation raises InconsistencyError, since
-    it can only mean an implementation bug.
+    The rows rest on what the paper proves for lattices in Z^m, m >= 2, and
+    on nothing more: (a), (b), (c), (e) and (f) are equivalent, and (d)
+    implies each of them (_IMPLIES).  Each verdict builds only its source
+    rows; the rest of the class is derived from one of them.  An exact or
+    derived row breaking an implication is a bug: InconsistencyError.
     """
     if dprime_candidate is not None and dprime_candidate.dim != spec.dim:
         raise ValueError(
@@ -843,8 +848,7 @@ def conditions_report(
     verdict = decide(spec, budget)
     cert = verdict.certificate
     if verdict.status == PROXIMAL:
-        rows = {"a": ConditionRow(True, "exact", "coprime subfamily certificate")}
-        source, mode, f_note = "a", "derived", ""
+        rows, source, f_note = {"a": ConditionRow(True, "exact", "coprime subfamily certificate")}, "a", ""
     elif verdict.status == NOT_PROXIMAL:
         assert isinstance(cert, Covering)
         period = intersect_all(cert.covers)
@@ -867,7 +871,7 @@ def conditions_report(
             "c": ConditionRow(False, "exact", "the certified covers contain every member"),
             "e": ConditionRow(False, "exact", f"translate {list(cert.missed_coset)} + (cover intersection) stays free"),
         }
-        source, mode, f_note = "b", "derived", ": the union misses a full coset, so its density stays below 1"
+        source, f_note = "b", ": the union misses a full coset, so its density stays below 1"
     else:
         assert isinstance(cert, Evidence)
         # an empty search (max_side 0) finds no window either way
@@ -879,8 +883,8 @@ def conditions_report(
         else:
             b_detail = f"no window side searched (max_side={budget.max_side})"
         rows = {"b": ConditionRow(True if all_found else None, "evidence" if all_found else "unknown", b_detail)}
-        source, mode, f_note = "b", "derived" if all_found else "unknown", "; density ratios are lower bounds only"
-    _derive_equivalents(rows, source, mode, f_note)
+        source, f_note = "b", "; density ratios are lower bounds only"
+    _derive_equivalents(rows, source, f_note)
 
     rows["d"] = _coprime_subset_analysis(spec, _schemas(spec))
     if dprime_candidate is not None:
@@ -890,22 +894,18 @@ def conditions_report(
     return ConditionsReport({k: rows[k] for k in sorted(rows)}, verdict)
 
 
-def _derive_equivalents(rows: dict, source: str, mode: str, f_note: str):
-    """Give each condition equivalent to ``source`` that has no row yet the
-    holds of ``source``, the given mode and the detail "equivalent to
-    (source)", with ``f_note`` appended on the density row (f)."""
+def _derive_equivalents(rows: dict, source: str, f_note: str):
+    """Fill in the rows of the class that ``rows`` lacks from ``source``: its holds, the
+    mode _DERIVED_MODE maps its mode to, "equivalent to (source)" and, on (f), ``f_note``."""
+    holds, mode = rows[source].holds, _DERIVED_MODE[rows[source].mode]
     for key in _EQUIVALENT:
         if key not in rows:
-            note = f_note if key == "f" else ""
-            rows[key] = ConditionRow(rows[source].holds, mode, f"equivalent to ({source}){note}")
+            rows[key] = ConditionRow(holds, mode, f"equivalent to ({source}){f_note if key == 'f' else ''}")
 
 
 def _check_consistency(rows: dict):
-    exact_equiv = [
-        rows[k].holds for k in _EQUIVALENT if k in rows and rows[k].mode in ("exact", "derived") and rows[k].holds is not None
-    ]
-    if exact_equiv and len(set(exact_equiv)) > 1:
-        raise InconsistencyError(f"equivalent conditions disagree: {rows}")
-    d = rows.get("d")
-    if d is not None and d.mode == "exact" and d.holds is True and exact_equiv and not all(exact_equiv):
-        raise InconsistencyError("a coprime subfamily exists but an equivalent condition is false")
+    """Raise InconsistencyError when an exact or derived row that holds implies, by _IMPLIES, one that fails."""
+    proved = {k: r.holds for k, r in rows.items() if r.mode in ("exact", "derived")}
+    for key, implied in _IMPLIES.items():
+        if proved.get(key) is True and False in map(proved.get, implied):
+            raise InconsistencyError(f"({key}) holds but a condition it implies is false: {rows}")

@@ -218,7 +218,7 @@ def covered_flags(spec: FamilySpec, box: Box) -> bytearray:
     cells, row-major with the last coordinate fastest.
 
     A finite entry's members are marked through their images in family
-    coordinates, spec.image(member), on the rows of the box they meet (see
+    coordinates, spec.finite_images, on the rows of the box they meet (see
     _mark_lattice).  So is a last-row template, one that scales only its
     last row, through spec.image(entry.base): each row met takes one
     power_hits call over the member coefficients of its cells, a
@@ -239,14 +239,10 @@ def covered_flags(spec: FamilySpec, box: Box) -> bytearray:
     _check_dim(spec, box.dim)
     flags = bytearray(box.volume)
     ones = memoryview(b"\x01" * max(box.sides))
-    templates = []
-    for entry in spec.entries:
-        if entry.is_infinite:
-            templates.append(entry)
-        else:
-            for member in entry.members:
-                _mark_lattice(flags, spec.image(member), box, ones)
+    for image in spec.finite_images:
+        _mark_lattice(flags, image, box, ones)
     rows_first, on_lines, rows_last = [], [], []
+    templates = [entry for entry in spec.entries if entry.is_infinite]
     for entry in sorted(templates, key=lambda e: e.params.factors):
         # a run of power_hits that repeats on consecutive rows or lines is sieved once per box
         power_hits = lru_cache(maxsize=1)(entry.params.power_hits)

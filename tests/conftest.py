@@ -4,13 +4,16 @@ a test sets no count, else three times its own.  ``--hypothesis-profile=ci``
 selects it, as the CI workflow does; without that flag the default profile
 runs, unchanged.  ``mutants`` (selected by tools/mutants.py) neither shrinks
 a failure nor keeps an example database, so a test ends at its first
-failing example and runs the same in a fresh copy of the tree."""
+failing example, and it is derandomized: its draws follow from the test
+alone, so a mutant's outcome depends on the tree and not on the run."""
 
 from hypothesis import Phase, settings
 
 CI_EXAMPLES_FACTOR = 3
 settings.register_profile("ci", max_examples=100 * CI_EXAMPLES_FACTOR, print_blob=True)
-settings.register_profile("mutants", phases=[p for p in Phase if p not in (Phase.shrink, Phase.explain)], database=None)
+settings.register_profile(
+    "mutants", phases=[p for p in Phase if p not in (Phase.shrink, Phase.explain)], database=None, derandomize=True
+)
 
 
 def pytest_collection_modifyitems(items):

@@ -13,7 +13,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bfree import families
+from bfree import families, windows
 from bfree.families import (
     CoprimeFamily,
     Explicit,
@@ -25,6 +25,7 @@ from bfree.families import (
     Static,
     Template,
     odd_primes,
+    parse_family,
 )
 from bfree.lattices import Lattice, hnf
 from bfree.windows import Box, covered_flags
@@ -284,23 +285,40 @@ def test_a_finite_entry_is_the_union_of_its_members(case):
 
 
 def test_finite_entries_take_no_divisibility_route(monkeypatch):
-    # an explicit template that scales its first row, far out, beside a
-    # static lattice: every answer comes from the members, so the
-    # elimination, the constraint test and the line pieces are never asked
-    spec = FamilySpec(2, (
-        Template(Lattice(((2, 0), (1, 2))), (1, 0), Explicit((2, 3, 5))),
-        RectTemplate((RectEntry(3, 0), RectEntry(1, 2)), Explicit((2, 3, 5))),
-        Static(Lattice(((7, 0), (3, 7)))),
-    ))
+    # explicit templates that scale their first row or their last, far out,
+    # beside static lattices, without and with a transform: every answer
+    # comes from the members, so the elimination, the constraint test, the
+    # line pieces and the row walk are never asked, and each member marks
+    # the rows it meets
+    specs = [
+        FamilySpec(2, (
+            Template(Lattice(((2, 0), (1, 2))), (1, 0), Explicit((2, 3, 5))),
+            RectTemplate((RectEntry(3, 0), RectEntry(1, 2)), Explicit((2, 3, 5))),
+            RectTemplate((RectEntry(2, 1), RectEntry(1, 1)), Explicit((2, 3, 5))),
+            Static(Lattice(((7, 0), (3, 7)))),
+        )),
+        parse_family("dim 2\nrecttemplate [1,t^2] params=explicit:2,3,6\nrect [2,1]\ntransform [[20,-1],[-19,1]]\n"),
+    ]
     c = 3 * 10**14
     box = Box((c - 20, c - 20), (c + 20, c + 20))
-    expected = bytearray(spec.covered(p) for p in box.points())
-    assert 0 < sum(expected) < box.volume
+    expected = [bytearray(spec.covered(p) for p in box.points()) for spec in specs]
+    assert all(0 < sum(flags) < box.volume for flags in expected)
+    marked = []
+    mark = windows._mark_lattice
 
     def refuse(*args, **kwargs):
         raise AssertionError("a finite entry asked the divisibility route")
 
+    def recording(flags, lattice, *args, **kwargs):
+        marked.append(lattice)
+        mark(flags, lattice, *args, **kwargs)
+
     for name in ("_eliminate", "_holds", "_least_param", "line_pieces"):
         monkeypatch.setattr(families.Template, name, refuse)
-    assert covered_flags(spec, box) == expected
-    assert bytearray(spec.covered(p) for p in box.points()) == expected
+    monkeypatch.setattr(windows, "_mark_last_row", refuse)
+    monkeypatch.setattr(windows, "_mark_lattice", recording)
+    for spec, flags, members in zip(specs, expected, (10, 4)):
+        marked.clear()
+        assert covered_flags(spec, box) == flags
+        assert bytearray(spec.covered(p) for p in box.points()) == flags
+        assert len(marked) == members and marked == list(spec.finite_images)

@@ -18,7 +18,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bfree import families, numtheory
+from bfree import families, numtheory, windows
 from bfree.cli import main
 from bfree.errors import FactorizationError
 from bfree.families import (
@@ -442,25 +442,46 @@ def test_prime_power_hits_of_exponent_one_are_divides(v0, n):
     assert primes.power_hits(range(v0, v0 + n), 1) == bytearray(map(primes.divides, range(v0, v0 + n)))
 
 
-@pytest.mark.parametrize("params", ["geometric:2", "explicit:2,3,5"])
+@pytest.mark.parametrize("params", ["geometric:2", "geometric:3", "explicit:2,3,5"])
 def test_nonzero_prefix_over_a_sequence_that_never_factors_asks_once_per_line(monkeypatch, params):
     # x = 2t leaves finitely many candidates t on each line, each marking the
-    # multiples of t in y: no cell is asked on its own
+    # multiples of t in y: the candidates are listed once per line, and no
+    # cell is asked on its own.  An explicit sequence is a finite entry: it
+    # builds no line, and its three members are marked once each
     spec = parse_family(f"dim 2\nrecttemplate [2t,t] params={params}\n")
+    entry = spec.entries[0]
     c = 3 * 10**14
     box = Box((c - 20, c - 20), (c + 20, c + 20))
     expected = per_cell_flags(spec, box)
     assert 0 < sum(expected) < box.volume
     calls = []
-    holds = Template._holds
 
-    def counting(self, constraints):
-        calls.append(constraints)
-        return holds(self, constraints)
+    def refuse(*args):
+        raise AssertionError("a cell was asked on its own")
 
-    monkeypatch.setattr(Template, "_holds", counting)
+    monkeypatch.setattr(Template, "_holds", refuse)
+    if entry.is_infinite:
+        seq = type(entry.params)
+        candidates = seq.candidates
+
+        def counting(self, constraints):
+            calls.append(constraints)
+            return candidates(self, constraints)
+
+        monkeypatch.setattr(seq, "candidates", counting)
+    else:
+        mark = windows._mark_lattice
+
+        def recording(flags, lattice, *args):
+            calls.append(lattice)
+            mark(flags, lattice, *args)
+
+        monkeypatch.setattr(windows, "_box_lines", refuse)
+        monkeypatch.setattr(windows, "_mark_lattice", recording)
     assert covered_flags(spec, box) == expected
-    assert len(calls) <= box.sides[0]
+    assert 0 < len(calls) <= box.sides[0]
+    if not entry.is_infinite:
+        assert calls == list(spec.finite_images) and len(calls) == 3
 
 
 @pytest.mark.parametrize("params", ["primes", "geometric:2"])

@@ -2,8 +2,8 @@
 against one fast test file in a copy of the package and that file alone
 (with tests/conftest.py, which registers the harness's Hypothesis profile),
 is killed, and the working tree is left as it was; a mutant whose test
-never ends is stopped and reported as a timeout.  The full list is run by
-hand."""
+never ends is stopped and reported as a timeout.  The full list runs as
+the CI workflow's ``mutants`` job on pull requests."""
 
 import dataclasses
 import importlib.util
@@ -63,3 +63,7 @@ def test_the_mutants_profile_stops_at_the_first_failure():
     profile = settings.get_profile("mutants")
     assert Phase.shrink not in profile.phases and Phase.generate in profile.phases
     assert profile.database is None
+
+
+def test_the_mutants_profile_draws_the_same_examples_on_every_run():
+    assert settings.get_profile("mutants").derandomize

@@ -326,6 +326,24 @@ TRANSFORMED = parse_family(
 )
 
 
+def test_finite_members_are_mapped_once_per_spec(monkeypatch):
+    # five finite members under a transform: ten one-row calls map each
+    # member through the transform once, not once per call
+    spec = parse_family("dim 2\nrecttemplate [t,t^2] params=explicit:2,3,5,7\nrect [3,1]\ntransform [[1,0],[1,1]]\n")
+    boxes = [Box((x, -5), (x, 5)) for x in range(10)]
+    expected = [bytearray(map(spec.covered, box.points())) for box in boxes]
+    built = []
+    hnf = lattices.hnf
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return hnf(*args, **kwargs)
+
+    monkeypatch.setattr(lattices, "hnf", counting)
+    assert [covered_flags(spec, box) for box in boxes] == expected
+    assert len(built) == 5
+
+
 def test_transformed_windows_never_evaluate_per_cell(monkeypatch):
     # no entry is evaluated cell by cell in either box
     near, far = Box((-15, -15), (15, 15)), Box((10**6, -(10**6)), (10**6 + 20, -(10**6) + 20))
@@ -341,16 +359,14 @@ def test_transformed_windows_never_evaluate_per_cell(monkeypatch):
     for cls in (Static, Template):
         monkeypatch.setattr(cls, "covered", refuse)
     monkeypatch.setattr(FamilySpec, "pullback", refuse)
-    # the only lattices built are the images of the single lattices and of
-    # the bases of the templates that scale only their last row, each once
-    # per call: no template member is mapped through the transform
-    mapped = [
-        TRANSFORMED.image(e.lattice if isinstance(e, Static) else e.base)
-        for e in TRANSFORMED.entries
-        if isinstance(e, Static) or not any(e.exps[:-1])
-    ]
-    assert len(mapped) == 3
-    images = set(mapped)
+    # the only lattices built are the images of the single lattices, once
+    # per spec, and of the bases of the templates that scale only their last
+    # row, once per call: no template member is mapped through the transform
+    singles = [TRANSFORMED.image(e.lattice) for e in TRANSFORMED.entries if isinstance(e, Static)]
+    bases = [TRANSFORMED.image(e.base) for e in TRANSFORMED.entries if isinstance(e, Template) and not any(e.exps[:-1])]
+    assert len(singles) == 2 and len(bases) == 1
+    images = set(singles + bases)
+    spec = FamilySpec(TRANSFORMED.dim, TRANSFORMED.entries, TRANSFORMED.transform)  # holds no image yet
     built = []
     hnf = lattices.hnf
 
@@ -362,8 +378,8 @@ def test_transformed_windows_never_evaluate_per_cell(monkeypatch):
 
     monkeypatch.setattr(lattices, "hnf", record)
     monkeypatch.setattr(families, "hnf", record)
-    assert [free_window(TRANSFORMED, box) for box in (near, far)] == windows_expected
-    assert Counter(built) == Counter(mapped * 2)
+    assert [free_window(spec, box) for box in (near, far)] == windows_expected
+    assert Counter(built) == Counter(singles + bases * 2)
     assert density_profile(TRANSFORMED, [1, 3], Box((-3, -3), (3, 3))) == profile
     assert [find_zero_window(TRANSFORMED, shape, box) for box in (near, far)] == [h[0] for h in hits]
 
@@ -582,6 +598,7 @@ def test_last_row_templates_are_marked_by_rows_as_per_cell(data):
     (2, "recttemplate [1,t^2] params=primes", "[[2,-1],[-1,1]]", 2),
     (2, "recttemplate [1,t^3] params=geometric:2", "[[3,-1],[-2,1]]", 3),
     (2, "recttemplate [1,t^2] params=explicit:2,3,6", "[[20,-1],[-19,1]]", 20),
+    (2, "recttemplate [1,t^2] params=geometric:3", "[[20,-1],[-19,1]]", 20),
     (3, "recttemplate [1,2,t^2] params=primes", "[[1,2,0],[0,1,3],[1,2,1]]", None),
 ])
 def test_last_row_templates_on_chosen_steps(dim, template, transform, step):
@@ -589,13 +606,34 @@ def test_last_row_templates_on_chosen_steps(dim, template, transform, step):
     entry = spec.entries[0]
     if step is not None:
         assert row_step(spec, entry) == step
+    # an explicit template is a finite entry: its members are marked on
+    # their own, beside the rect's, and the row walk is not taken
+    walked, marked = [], []
+    walk, mark = windows._mark_last_row, windows._mark_lattice
+
+    def recording(flags, spec, entry, *rest):
+        walked.append(entry)
+        walk(flags, spec, entry, *rest)
+
+    def marking(flags, lattice, *rest):
+        marked.append(lattice)
+        mark(flags, lattice, *rest)
+
     for c in (0, 10**6, -(10**12)):
         for sides in ((9,) * dim, (1,) * (dim - 1) + (40,), (40,) + (1,) * (dim - 1)):
             box = Box((c,) * dim, tuple(c + s - 1 for s in sides))
             expected = bytearray(map(spec.covered, box.points()))
+            walked.clear()
+            marked.clear()
             with pytest.MonkeyPatch.context() as mp:
                 refuse_line_route(mp)
+                mp.setattr(windows, "_mark_last_row", recording)
+                mp.setattr(windows, "_mark_lattice", marking)
                 assert covered_flags(spec, box) == expected
+            if entry.is_infinite:
+                assert walked == [entry]
+            else:
+                assert walked == [] and marked == list(spec.finite_images) and len(marked) == 4
 
 
 def test_row_walk_inverts_the_step_once_per_entry(monkeypatch):

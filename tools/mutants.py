@@ -10,8 +10,9 @@ copied to a temporary directory once; each mutant is applied there to its
 file alone, its test files run with ``pytest -x -q`` against the copy's
 ``src/`` under the ``mutants`` Hypothesis profile (tests/conftest.py: no
 shrinking and no example database, so a property ends at its first
-failing example), and the file is restored before the next.  The working
-tree is never edited.
+failing example, and derandomized, so every run draws the same examples),
+and the file is restored before the next.  The working tree is never
+edited.
 
 A mutant is killed when a test fails (pytest exit 1), and survives when
 its tests pass.  Its tests are stopped after TIMEOUT_S seconds, and it is
@@ -327,6 +328,23 @@ MUTANTS = (
         'rows["d"] = _coprime_subset_analysis(spec, _schemas(dprime_candidate or spec))',
         ("tests/test_proximality.py",),
     ),
+    # the condition rows' implication table: the class, (d)'s rule and the
+    # derived rows' modes
+    Mutant(
+        "implication-class-loses-c", PROXIMALITY,
+        '_EQUIVALENT = ("a", "b", "c", "e", "f")', '_EQUIVALENT = ("a", "b", "e", "f")',
+        ("tests/test_proximality.py",),
+    ),
+    Mutant(
+        "derived-mode-of-exact-reads-exact", PROXIMALITY,
+        '_DERIVED_MODE = {"exact": "derived",', '_DERIVED_MODE = {"exact": "exact",',
+        ("tests/test_proximality.py",),
+    ),
+    Mutant(
+        "consistency-drops-the-d-rule", PROXIMALITY,
+        ', "d": _EQUIVALENT}', "}",
+        ("tests/test_proximality.py",),
+    ),
     # a coprime family's rule and sample, worked out when read
     Mutant(
         "coprime-sample-of-three", FAMILIES,
@@ -347,8 +365,8 @@ MUTANTS = (
         ("tests/test_entries.py",),
     ),
     Mutant(
-        "finite-entry-last-member-skipped", WINDOWS,
-        "for member in entry.members:", "for member in entry.members[:-1]:",
+        "finite-entry-last-member-skipped", FAMILIES,
+        "for m in e.members]", "for m in e.members[:-1]]",
         ("tests/test_entries.py",),
     ),
     Mutant(
